@@ -7,7 +7,7 @@
 
    Arguments:
      table1 | figure2 | reuse | table2 | figure3 | table3 | table4
-       | ablation | fetch | stream | fused | store | layout | micro
+       | ablation | extensions | fetch | stream | micro
        — run a single part
      --quick                   — reduced kernel and scale factor
      --scale SF                — override the TPC-D scale factor
@@ -15,9 +15,6 @@
      --jobs N                  — domains for the simulation grid; with
                                  N > 1 the grid is also timed serially
                                  and the speedup reported
-     --naive                   — fetch part: replay through the
-                                 pre-packed (View-per-cell) engine path
-                                 only, instead of packed + naive baseline
      --metrics FILE            — export run metrics as JSONL to FILE
      --trace FILE              — record per-domain timeline events and
                                  write Chrome trace_event JSON to FILE
@@ -26,41 +23,23 @@
      --store DIR               — artifact store for the pipeline and the
                                  simulation grids (see Stc_store)
 
-   The [fetch] part is the fetch-replay microbench: it times the same
-   simulation cells through Engine.run_packed and Engine.run_naive,
-   checks the results are identical, prints blocks/sec and the packed
-   speedup (plus a --jobs N parallel replay), and writes the numbers to
-   BENCH_fetch.json. Both BENCH_*.json artifacts carry a "provenance"
-   record (Meta.provenance: git commit, OCaml version, hostname, jobs)
-   so perf numbers stay attributable.
+   The [fetch] part is the fetch-replay microbench: it times a slice of
+   simulation cells through Engine.run_packed (a bank of one per cell,
+   plus a --jobs N parallel replay that must reproduce the serial
+   results), prints blocks/sec and writes the numbers to
+   BENCH_fetch.json with a "provenance" record (Meta.provenance: git
+   commit, OCaml version, hostname, jobs) so perf numbers stay
+   attributable.
 
    The [stream] part is the segment-pipeline macrobench: it replays the
-   same cell slice through Engine.run_stream (bounded off-heap segments,
-   Source -> Stream -> engine), serially and on a --jobs domain pool,
-   asserts the results identical to the materialized packed replay, and
-   appends a provenance-stamped record to BENCH_fetch.json (one JSON
-   object per line).
+   same cell slice through Engine.Bank.run_stream, one bank of one per
+   cell (bounded off-heap segments, Source -> Stream -> engine),
+   serially and on a --jobs domain pool, asserts the results identical
+   to the materialized packed replay, and appends a provenance-stamped
+   record to BENCH_fetch.json (one JSON object per line).
 
-   The [fused] part is the fused-replay macrobench: it rebuilds the full
-   Table 3/4 grid shape, compiles each layout's packed image once, and
-   times the replay per-cell (one Engine.run_packed sweep per cell)
-   against the fused path (one Engine.Bank sweep per layout, serially
-   and with whole groups on a --jobs pool), asserts all result arrays
-   identical and the better fused configuration >= 2x the per-cell
-   baseline, and appends a provenance-stamped record to
-   BENCH_fetch.json.
-
-   The [store] part is the artifact-store macrobench: it runs the full
-   pipeline + Table 3/4 grid twice against the same store — once cold,
-   once warm — checks the rows are identical, prints the cold/warm wall
-   times and writes them to BENCH_store.json. Without --store it uses a
-   fresh temporary store (removed afterwards) so the cold pass really is
-   cold.
-
-   The [layout] part times plan construction for every algorithm in the
-   Stc_layout.Algo registry (cold and warm, at the 16KB/4KB check
-   geometry) and writes one provenance-stamped record per algorithm to
-   BENCH_layout.json. *)
+   Whole-grid replay, the artifact store and layout construction are
+   timed by the repository benchmark (perfbench/, see its README). *)
 
 module E = Stc_core.Experiments
 module Pipeline = Stc_core.Pipeline
@@ -76,16 +55,12 @@ let parse_args () =
   and metrics = ref None
   and trace = ref None
   and progress = ref false
-  and naive = ref false
   and store = ref None
   and parts = ref [] in
   let rec go = function
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      go rest
-    | "--naive" :: rest ->
-      naive := true;
       go rest
     | "--scale" :: v :: rest ->
       scale := Some (float_of_string v);
@@ -120,7 +95,6 @@ let parse_args () =
     !metrics,
     !trace,
     !progress,
-    !naive,
     !store,
     List.rev !parts )
 
@@ -131,7 +105,6 @@ let ( quick,
       metrics_file,
       trace_file,
       progress,
-      naive,
       store,
       parts ) =
   parse_args ()
@@ -302,15 +275,10 @@ let run_tables () =
     print_newline ()
   end
 
-(* ---------- fetch-replay microbench (packed vs naive engine) ---------- *)
+(* ---------- fetch-replay microbench ---------- *)
 
 module J = Stc_obs.Json
 
-(* Replays the test trace through a representative slice of the Table 3/4
-   grid (two layouts x {ideal, direct 16KB, direct 16KB + trace cache})
-   with both engine paths, asserts the results are identical, and records
-   the throughput in BENCH_fetch.json. With [--naive] only the pre-packed
-   path runs (with metrics), so @perf-smoke can diff the two exports. *)
 (* The representative Table 3/4 slice the [fetch] and [stream] parts
    replay: two layouts x {ideal, direct 16KB, direct 16KB + TC}. *)
 let bench_slice pl =
@@ -352,10 +320,13 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* Replays the test trace through the bench slice, serially and (with
+   --jobs N > 1) on a domain pool, asserts the two result lists
+   identical, and records the throughput in BENCH_fetch.json. The serial
+   wall clock includes compiling both layouts: the honest end-to-end cost
+   of a replay. *)
 let fetch_bench () =
-  section
-    (if naive then "Fetch replay (naive engine path)"
-     else "Fetch replay (packed vs naive engine)");
+  section "Fetch replay (packed engine)";
   let pl = Lazy.force pipeline in
   let trace = pl.Pipeline.test in
   let blocks = Stc_trace.Recorder.length trace in
@@ -363,114 +334,67 @@ let fetch_bench () =
   let n_cells = List.length cells in
   let total_blocks = n_cells * blocks in
   let bps wall = float_of_int total_blocks /. wall in
-  let run_all_naive ?ctx () =
-    List.map
-      (fun (layout, mk) ->
-        let icache, tc = mk () in
-        let view =
-          F.View.create prog layout (Stc_trace.Source.of_recorder trace)
-        in
-        F.Engine.run_naive ?ctx ?icache ?trace_cache:tc view)
-      cells
-  in
-  let run_all_packed ?ctx compiled =
-    List.map
-      (fun (layout, mk) ->
-        let icache, tc = mk () in
-        F.Engine.run_packed ?ctx ?icache ?trace_cache:tc
-          (List.assq layout compiled))
-      cells
+  let replay ?ctx compiled (layout, mk) =
+    let icache, tc = mk () in
+    F.Engine.run_packed ?ctx ?icache ?trace_cache:tc
+      (List.assq layout compiled)
   in
   Printf.printf "  %d cells (%d layouts x %d variants), %d blocks each\n%!"
     n_cells (List.length layouts) (List.length variants) blocks;
+  let (compiled, packed_rs), packed_wall =
+    time (fun () ->
+        let compiled =
+          List.map
+            (fun (_n, layout) ->
+              ( layout,
+                F.Packed.compile prog layout
+                  (Stc_trace.Source.of_recorder trace) ))
+            layouts
+        in
+        (compiled, List.map (replay ~ctx compiled) cells))
+  in
+  Printf.printf "  packed: %6.2fs  %11.0f blocks/s\n%!" packed_wall
+    (bps packed_wall);
+  let base =
+    [
+      ("mode", J.Str "packed");
+      ("cells", J.Int n_cells);
+      ("blocks", J.Int total_blocks);
+    ]
+  in
   let fields =
-    if naive then begin
-      let _rs, wall = time (fun () -> run_all_naive ~ctx ()) in
-      Printf.printf "  naive : %6.2fs  %11.0f blocks/s\n%!" wall (bps wall);
-      [
-        ("mode", J.Str "naive");
-        ("blocks_per_sec", J.Float (bps wall));
-        ("jobs", J.Int 1);
-        ("cells", J.Int n_cells);
-        ("wall_s", J.Float wall);
-        ("blocks", J.Int total_blocks);
-      ]
-    end
-    else begin
-      let naive_rs, naive_wall = time (fun () -> run_all_naive ()) in
-      (* the packed wall clock includes compiling both layouts: the honest
-         end-to-end cost of the fast path *)
-      let (compiled, packed_rs), packed_wall =
+    if jobs > 1 then begin
+      let par_rs, par_wall =
         time (fun () ->
-            let compiled =
-              List.map
-                (fun (_n, layout) ->
-                  ( layout,
-                    F.Packed.compile prog layout
-                      (Stc_trace.Source.of_recorder trace) ))
-                layouts
-            in
-            (compiled, run_all_packed ~ctx compiled))
+            Stc_par.Pool.with_pool ~domains:jobs ?trace:tracer @@ fun pool ->
+            Array.to_list
+              (Stc_par.Pool.map ~chunk:1 pool (replay compiled)
+                 (Array.of_list cells)))
       in
-      let identical = naive_rs = packed_rs in
-      let speedup = naive_wall /. packed_wall in
-      Printf.printf "  naive : %6.2fs  %11.0f blocks/s\n%!" naive_wall
-        (bps naive_wall);
-      Printf.printf "  packed: %6.2fs  %11.0f blocks/s  (%.2fx, results %s)\n%!"
-        packed_wall (bps packed_wall) speedup
-        (if identical then "identical" else "DIFFER (BUG)");
-      if not identical then begin
-        Printf.eprintf "bench fetch: packed results differ from naive\n";
+      Printf.printf
+        "  packed --jobs %d: %6.2fs  %11.0f blocks/s  (results %s)\n%!" jobs
+        par_wall (bps par_wall)
+        (if par_rs = packed_rs then "identical" else "DIFFER (BUG)");
+      if par_rs <> packed_rs then begin
+        Printf.eprintf "bench fetch: parallel results differ from serial\n";
         exit 1
       end;
-      let base =
-        [
-          ("mode", J.Str "packed");
-          ("cells", J.Int n_cells);
-          ("blocks", J.Int total_blocks);
-          ("naive_blocks_per_sec", J.Float (bps naive_wall));
-          ("naive_wall_s", J.Float naive_wall);
-          ("speedup", J.Float speedup);
+      base
+      @ [
+          ("blocks_per_sec", J.Float (bps par_wall));
+          ("jobs", J.Int jobs);
+          ("wall_s", J.Float par_wall);
+          ("serial_blocks_per_sec", J.Float (bps packed_wall));
+          ("serial_wall_s", J.Float packed_wall);
         ]
-      in
-      if jobs > 1 then begin
-        let par_rs, par_wall =
-          time (fun () ->
-              Stc_par.Pool.with_pool ~domains:jobs ?trace:tracer
-              @@ fun pool ->
-              Array.to_list
-                (Stc_par.Pool.map ~chunk:1 pool
-                   (fun (layout, mk) ->
-                     let icache, tc = mk () in
-                     F.Engine.run_packed ?icache ?trace_cache:tc
-                       (List.assq layout compiled))
-                   (Array.of_list cells)))
-        in
-        Printf.printf
-          "  packed --jobs %d: %6.2fs  %11.0f blocks/s  (results %s)\n%!" jobs
-          par_wall (bps par_wall)
-          (if par_rs = packed_rs then "identical" else "DIFFER (BUG)");
-        if par_rs <> packed_rs then begin
-          Printf.eprintf "bench fetch: parallel results differ from serial\n";
-          exit 1
-        end;
-        base
-        @ [
-            ("blocks_per_sec", J.Float (bps par_wall));
-            ("jobs", J.Int jobs);
-            ("wall_s", J.Float par_wall);
-            ("serial_blocks_per_sec", J.Float (bps packed_wall));
-            ("serial_wall_s", J.Float packed_wall);
-          ]
-      end
-      else
-        base
-        @ [
-            ("blocks_per_sec", J.Float (bps packed_wall));
-            ("jobs", J.Int 1);
-            ("wall_s", J.Float packed_wall);
-          ]
     end
+    else
+      base
+      @ [
+          ("blocks_per_sec", J.Float (bps packed_wall));
+          ("jobs", J.Int 1);
+          ("wall_s", J.Float packed_wall);
+        ]
   in
   let oc = open_out "BENCH_fetch.json" in
   output_string oc
@@ -482,10 +406,10 @@ let fetch_bench () =
 (* ---------- streamed-replay macrobench (segment pipeline) ---------- *)
 
 (* Replays the bench slice through the segment pipeline
-   (Source -> Stream -> Engine.run_stream): once serially as the
-   materialized packed baseline, once streamed serially, and once
-   streamed on a --jobs domain pool. All three result lists must be
-   identical — streaming is an evaluation strategy, not an
+   (Source -> Stream -> Engine.Bank.run_stream, a bank of one per cell):
+   once serially as the materialized packed baseline, once streamed
+   serially, and once streamed on a --jobs domain pool. All three result
+   lists must be identical — streaming is an evaluation strategy, not an
    approximation. Appends one provenance-stamped JSON object to
    BENCH_fetch.json (the [fetch] part writes the first line). *)
 let stream_bench () =
@@ -527,7 +451,9 @@ let stream_bench () =
       F.Stream.create (List.assq layout tables)
         (Stc_trace.Source.of_recorder trace)
     in
-    F.Engine.run_stream ?icache ?trace_cache:tc stream
+    (F.Engine.Bank.run_stream
+       [| F.Engine.Bank.spec ?icache ?trace_cache:tc () |]
+       stream).(0)
   in
   let stream_rs, stream_wall =
     time (fun () -> List.map run_streamed_cell cells)
@@ -590,325 +516,6 @@ let stream_bench () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "  [stream] appended to BENCH_fetch.json\n\n%!"
-
-(* ---------- fused-replay macrobench (per-cell vs Engine.Bank) ---------- *)
-
-(* The full Table 3/4 grid shape (the same cells Experiments.simulate
-   plans on the default grid), rebuilt through the public layout API so
-   the bench can time the replay alone: each distinct layout's packed
-   image is compiled once, outside both timed regions — compilation is
-   identical work on both paths (once per layout under the plan cache,
-   once per group fused). Per-cell replays every cell through its own
-   Engine.run_packed sweep; fused replays each layout's cells as one
-   Engine.Bank sweep, serially and then with whole groups
-   self-scheduled on a --jobs pool (the Experiments.simulate default
-   configuration). All result arrays must be identical — fusing is a
-   scheduling strategy, not an approximation. *)
-let grid_cells pl =
-  let sc = E.default_sim_config in
-  let profile = pl.Pipeline.profile in
-  let mk_icache ?assoc ?victim_lines kb () =
-    Stc_cachesim.Icache.create ?assoc ?victim_lines ~size_bytes:(kb * 1024) ()
-  in
-  let mk_tc () = F.Tracecache.create ~entries:sc.E.tc_entries () in
-  let ideal () = (None, None) in
-  let direct kb () = (Some (mk_icache kb ()), None) in
-  let two_way kb () = (Some (mk_icache ~assoc:2 kb ()), None) in
-  let victim kb () = (Some (mk_icache ~victim_lines:16 kb ()), None) in
-  let tc kb () = (Some (mk_icache kb ()), Some (mk_tc ())) in
-  let tc_ideal () = (None, Some (mk_tc ())) in
-  let algo name =
-    match L.Algo.find name with Ok a -> a | Error msg -> invalid_arg msg
-  in
-  let baseline_params = L.Algo.params ~cache_bytes:0 ~cfa_bytes:0 () in
-  let orig = L.Algo.layout (algo "orig") profile baseline_params in
-  let ph = L.Algo.layout (algo "P&H") profile baseline_params in
-  let cells = ref [] in
-  let add layout mk = cells := (layout, mk) :: !cells in
-  add orig ideal;
-  add ph ideal;
-  add orig tc_ideal;
-  List.iter
-    (fun (kb, cfas) ->
-      add orig (direct kb);
-      add orig (two_way kb);
-      add orig (victim kb);
-      add orig (tc kb);
-      add ph (direct kb);
-      List.iter
-        (fun cfa ->
-          let params =
-            L.Algo.params ~exec_threshold:sc.E.exec_threshold
-              ~branch_threshold:sc.E.branch_threshold
-              ~cache_bytes:(kb * 1024) ~cfa_bytes:(cfa * 1024) ()
-          in
-          let torr = L.Algo.layout (algo "Torr") profile params in
-          let auto = L.Algo.layout (algo "auto") profile params in
-          let ops = L.Algo.layout (algo "ops") profile params in
-          List.iter
-            (fun l ->
-              add l (direct kb);
-              add l ideal)
-            [ torr; auto; ops ];
-          add ops (tc kb);
-          add ops tc_ideal)
-        cfas)
-    sc.E.grid;
-  let cells = Array.of_list (List.rev !cells) in
-  (* fused groups: cells sharing a physical layout, first appearance
-     order — the same plan Experiments.simulate executes *)
-  let groups = ref [] in
-  Array.iteri
-    (fun i (l, _) ->
-      match List.assq_opt l !groups with
-      | Some r -> r := i :: !r
-      | None -> groups := !groups @ [ (l, ref [ i ]) ])
-    cells;
-  (cells, List.map (fun (l, r) -> (l, Array.of_list (List.rev !r))) !groups)
-
-let fused_bench () =
-  section "Fused replay (per-cell vs Engine.Bank)";
-  let pl = Lazy.force pipeline in
-  let blocks = Stc_trace.Recorder.length pl.Pipeline.test in
-  let sc = E.default_sim_config in
-  let cfg =
-    F.Engine.Config.make ~line_bytes:sc.E.line_bytes
-      ~miss_penalty:sc.E.miss_penalty ()
-  in
-  let cells, groups = grid_cells pl in
-  let n_cells = Array.length cells in
-  let n_groups = List.length groups in
-  let total_blocks = n_cells * blocks in
-  let bps wall = float_of_int total_blocks /. wall in
-  Printf.printf "  %d cells in %d fused groups (%.1f cells/sweep), %d blocks each\n%!"
-    n_cells n_groups
-    (float_of_int n_cells /. float_of_int n_groups)
-    blocks;
-  let compiled =
-    List.map
-      (fun (l, _) ->
-        (l, F.Packed.compile pl.Pipeline.program l (Pipeline.test_source pl)))
-      groups
-  in
-  let solo_rs, solo_wall =
-    time (fun () ->
-        Array.map
-          (fun (l, mk) ->
-            let icache, tc = mk () in
-            F.Engine.run_packed ~config:cfg ?icache ?trace_cache:tc
-              (List.assq l compiled))
-          cells)
-  in
-  let run_group (l, idxs) =
-    let specs =
-      Array.map
-        (fun i ->
-          let _, mk = cells.(i) in
-          let icache, tc = mk () in
-          F.Engine.Bank.spec ~config:cfg ?icache ?trace_cache:tc ())
-        idxs
-    in
-    (idxs, F.Engine.Bank.run_packed specs (List.assq l compiled))
-  in
-  let scatter per_group =
-    let out = Array.make n_cells None in
-    List.iter
-      (fun (idxs, rs) -> Array.iteri (fun k i -> out.(i) <- Some rs.(k)) idxs)
-      per_group;
-    Array.map Option.get out
-  in
-  let fused_rs, fused_wall =
-    time (fun () -> scatter (List.map run_group groups))
-  in
-  let par_rs, par_wall =
-    time (fun () ->
-        scatter
-          (Stc_par.Pool.with_pool ~domains:jobs ?trace:tracer @@ fun pool ->
-           Array.to_list
-             (Stc_par.Pool.map ~chunk:1 pool run_group (Array.of_list groups))))
-  in
-  let fused_speedup = solo_wall /. fused_wall in
-  let pool_speedup = solo_wall /. par_wall in
-  Printf.printf "  per-cell          : %6.2fs  %11.0f blocks/s\n%!" solo_wall
-    (bps solo_wall);
-  Printf.printf
-    "  fused (1 domain)  : %6.2fs  %11.0f blocks/s  (%.2fx, results %s)\n%!"
-    fused_wall (bps fused_wall) fused_speedup
-    (if fused_rs = solo_rs then "identical" else "DIFFER (BUG)");
-  Printf.printf
-    "  fused --jobs %-4d : %6.2fs  %11.0f blocks/s  (%.2fx per-cell, results \
-     %s)\n%!"
-    jobs par_wall (bps par_wall) pool_speedup
-    (if par_rs = solo_rs then "identical" else "DIFFER (BUG)");
-  if fused_rs <> solo_rs || par_rs <> solo_rs then begin
-    Printf.eprintf "bench fused: fused results differ from per-cell\n";
-    exit 1
-  end;
-  (* the serial sweep already halves the grid's replay time; a pool can
-     only widen the gap, so the better of the two must clear 2x on any
-     machine — single-core included *)
-  let best = max fused_speedup pool_speedup in
-  if best < 2.0 then begin
-    Printf.eprintf
-      "bench fused: fused replay only %.2fx the per-cell baseline \
-       (expected >= 2)\n"
-      best;
-    exit 1
-  end;
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644
-      "BENCH_fetch.json"
-  in
-  output_string oc
-    (J.to_string
-       (J.Obj
-          [
-            ("mode", J.Str "fused");
-            ("cells", J.Int n_cells);
-            ("groups", J.Int n_groups);
-            ("blocks", J.Int total_blocks);
-            ("percell_blocks_per_sec", J.Float (bps solo_wall));
-            ("percell_wall_s", J.Float solo_wall);
-            ("fused_blocks_per_sec", J.Float (bps fused_wall));
-            ("fused_wall_s", J.Float fused_wall);
-            ("fused_speedup", J.Float fused_speedup);
-            ("blocks_per_sec", J.Float (bps par_wall));
-            ("jobs", J.Int jobs);
-            ("wall_s", J.Float par_wall);
-            ("pool_speedup_vs_percell", J.Float pool_speedup);
-            ("provenance", Meta.provenance ~jobs);
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [fused] appended to BENCH_fetch.json\n\n%!"
-
-(* ---------- artifact-store macrobench (cold vs warm) ---------- *)
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-(* Runs the whole pipeline + Table 3/4 grid twice against one store
-   directory and reports the warm/cold wall-clock ratio. The rows must be
-   identical — the store is a cache, not an approximation. Without
-   --store the pass uses (and then removes) a private temporary store, so
-   the first run is guaranteed cold and the ratio is asserted >= 2. *)
-let store_bench () =
-  section "Artifact store (cold vs warm)";
-  let dir, fresh =
-    match store with
-    | Some d -> (d, false)
-    | None -> (Printf.sprintf "_bench_store.%d" (Unix.getpid ()), true)
-  in
-  let config =
-    let c = if quick then Pipeline.quick_config else Pipeline.default_config in
-    match scale with Some sf -> { c with Pipeline.sf } | None -> c
-  in
-  (* each pass gets its own metrics-free ctx so the global registry (and
-     any --metrics export) is not polluted with a duplicate run *)
-  let run_once () =
-    let c =
-      Run.default |> Run.with_progress progress |> Run.with_jobs jobs
-      |> Run.with_store dir
-    in
-    let c = match seed with Some s -> Run.with_seed s c | None -> c in
-    let t0 = Unix.gettimeofday () in
-    let pl = Pipeline.run ~ctx:c ~config () in
-    let rows = E.simulate ~ctx:c pl in
-    (rows, Unix.gettimeofday () -. t0)
-  in
-  let cold_rows, cold_wall = run_once () in
-  let warm_rows, warm_wall = run_once () in
-  let identical = cold_rows = warm_rows in
-  let speedup = cold_wall /. warm_wall in
-  Printf.printf "  cold: %6.2fs\n%!" cold_wall;
-  Printf.printf "  warm: %6.2fs  (%.1fx, rows %s)\n%!" warm_wall speedup
-    (if identical then "identical" else "DIFFER (BUG)");
-  if not identical then begin
-    Printf.eprintf "bench store: warm rows differ from cold rows\n";
-    exit 1
-  end;
-  if fresh && speedup < 2.0 then begin
-    Printf.eprintf "bench store: warm run only %.2fx faster (expected >= 2)\n"
-      speedup;
-    exit 1
-  end;
-  let oc = open_out "BENCH_store.json" in
-  output_string oc
-    (J.to_string
-       (J.Obj
-          [
-            ("cold_wall_s", J.Float cold_wall);
-            ("warm_wall_s", J.Float warm_wall);
-            ("speedup", J.Float speedup);
-            ("rows", J.Int (List.length cold_rows));
-            ("jobs", J.Int jobs);
-            ("fresh_store", J.Bool fresh);
-            ("provenance", Meta.provenance ~jobs);
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [store] BENCH_store.json written\n\n%!";
-  if fresh then rm_rf dir
-
-(* ---------- layout-algorithm plan construction ---------- *)
-
-(* Times Algo.plan for every registered algorithm at the check-bundle
-   geometry (16KB cache / 4KB CFA, grid thresholds) and writes one
-   provenance-stamped record per algorithm to BENCH_layout.json. The
-   cold time is what the simulation grid's serial prefix actually pays;
-   a warm repeat is reported too so memoizing algorithms (codestitcher,
-   exttsp cache their chains per profile) are visible as such. *)
-let layout_bench () =
-  section "Layout algorithms (plan construction)";
-  let pl = Lazy.force pipeline in
-  let profile = pl.Pipeline.profile in
-  let params =
-    L.Algo.params ~exec_threshold:50 ~branch_threshold:0.3
-      ~cache_bytes:(16 * 1024) ~cfa_bytes:(4 * 1024) ()
-  in
-  let rows =
-    List.map
-      (fun algo ->
-        let t0 = Unix.gettimeofday () in
-        let plan = L.Algo.plan algo profile params in
-        let cold = Unix.gettimeofday () -. t0 in
-        let t1 = Unix.gettimeofday () in
-        let plan' = L.Algo.plan algo profile params in
-        let warm = Unix.gettimeofday () -. t1 in
-        ignore plan';
-        let seqs = List.length plan.L.Mapping.cfa_seqs
-        and others = List.length plan.L.Mapping.other_seqs in
-        Printf.printf
-          "  %-14s cold %8.3f ms  warm %8.3f ms  (%d CFA seqs, %d others)\n%!"
-          algo.L.Algo.name (cold *. 1e3) (warm *. 1e3) seqs others;
-        J.Obj
-          [
-            ("algo", J.Str algo.L.Algo.name);
-            ("slug", J.Str algo.L.Algo.slug);
-            ("uses_cfa", J.Bool algo.L.Algo.uses_cfa);
-            ("cold_plan_s", J.Float cold);
-            ("warm_plan_s", J.Float warm);
-            ("cfa_seqs", J.Int seqs);
-            ("other_seqs", J.Int others);
-          ])
-      (L.Algo.all ())
-  in
-  let oc = open_out "BENCH_layout.json" in
-  output_string oc
-    (J.to_string
-       (J.Obj
-          [
-            ("part", J.Str "layout");
-            ("rows", J.List rows);
-            ("provenance", Meta.provenance ~jobs);
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [layout] BENCH_layout.json written\n\n%!"
 
 (* ---------- Bechamel micro-benchmarks ---------- *)
 
@@ -997,9 +604,6 @@ let () =
   run_tables ();
   if wants "fetch" && parts <> [] then fetch_bench ();
   if wants "stream" && parts <> [] then stream_bench ();
-  if wants "fused" && parts <> [] then fused_bench ();
-  if wants "store" && parts <> [] then store_bench ();
-  if wants "layout" && parts <> [] then layout_bench ();
   if wants "micro" then micro ();
   (match metrics_file with
   | Some path ->

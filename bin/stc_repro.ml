@@ -90,37 +90,12 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record per-domain timeline events (phases, grid cells, pool \
-           chunks, store operations) and write them to $(docv) as Chrome \
+          "Record per-domain timeline events (phases, fused replay \
+           groups, pool chunks, store operations) and write them to $(docv) as Chrome \
            trace_event JSON — load it in Perfetto (ui.perfetto.dev) or \
            summarize with tools/trace_report. Without this flag the \
            tracer is entirely absent and the run's outputs are \
            byte-identical to an untraced run.")
-
-let stream_arg =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:
-          "Replay each simulation cell through the bounded segment \
-           pipeline (Stc_trace.Source → Stc_fetch.Stream → \
-           Engine.run_stream) instead of a fully materialized packed \
-           trace image. Results, tables and metric exports are \
-           byte-identical; only the peak resident trace footprint \
-           changes.")
-
-let no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ]
-        ~doc:
-          "Replay each simulation cell with its own engine sweep instead \
-           of the default fused replay (one Engine.Bank sweep per layout, \
-           decoding the packed trace once for every cell that shares \
-           it). Rows, tables, metric exports and store keys are \
-           byte-identical either way; fusing only changes wall-clock \
-           time. This flag keeps the per-cell reference path exercised \
-           for differential comparison.")
 
 let progress_arg =
   Arg.(
@@ -264,8 +239,8 @@ let characterize_cmd =
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
       $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
 
-let simulate_run quick sf seed frames jobs store exec branch streamed no_fuse
-    layouts metrics trace progress =
+let simulate_run quick sf seed frames jobs store exec branch layouts metrics
+    trace progress =
   let layouts = parse_layouts layouts in
   let reg = Obs.Registry.create () in
   check_metrics_path metrics;
@@ -277,8 +252,7 @@ let simulate_run quick sf seed frames jobs store exec branch streamed no_fuse
     ctx.Run.jobs;
   let t0 = Unix.gettimeofday () in
   let rows =
-    E.simulate ~ctx ~config:(sim_config exec branch) ~streamed
-      ~fused:(not no_fuse) ?layouts pl
+    E.simulate ~ctx ~config:(sim_config exec branch) ?layouts pl
   in
   Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
     (Unix.gettimeofday () -. t0);
@@ -294,15 +268,15 @@ let simulate_run quick sf seed frames jobs store exec branch streamed no_fuse
 let simulate_term =
   Term.(
     const simulate_run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-    $ store_arg $ exec_arg $ branch_arg $ stream_arg $ no_fuse_arg
-    $ layouts_arg $ metrics_arg $ trace_arg $ progress_arg)
+    $ store_arg $ exec_arg $ branch_arg $ layouts_arg $ metrics_arg
+    $ trace_arg $ progress_arg)
 
 let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Section 7: Table 3 and Table 4.") simulate_term
 
 let extended_cmd =
-  let run quick sf seed frames jobs store exec branch streamed no_fuse layouts
-      metrics trace progress =
+  let run quick sf seed frames jobs store exec branch layouts metrics trace
+      progress =
     let layouts = parse_layouts layouts in
     let reg = Obs.Registry.create () in
     check_metrics_path metrics;
@@ -315,8 +289,7 @@ let extended_cmd =
       ctx.Run.jobs;
     let t0 = Unix.gettimeofday () in
     let rows =
-      E.extended ~ctx ~config:(sim_config exec branch) ~streamed
-        ~fused:(not no_fuse) ?layouts pl
+      E.extended ~ctx ~config:(sim_config exec branch) ?layouts pl
     in
     Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
       (Unix.gettimeofday () -. t0);
@@ -334,19 +307,18 @@ let extended_cmd =
           per-line temperatures come from each layout's own hotness.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ exec_arg $ branch_arg $ stream_arg $ no_fuse_arg
-      $ layouts_arg $ metrics_arg $ trace_arg $ progress_arg)
+      $ store_arg $ exec_arg $ branch_arg $ layouts_arg $ metrics_arg
+      $ trace_arg $ progress_arg)
 
 let ablation_cmd =
-  let run quick sf seed frames jobs store streamed no_fuse metrics trace
-      progress =
+  let run quick sf seed frames jobs store metrics trace progress =
     let reg = Obs.Registry.create () in
     check_metrics_path metrics;
     check_out_path "trace" trace;
     let tracer = make_tracer trace in
     let ctx = make_ctx reg progress seed jobs store tracer in
     let pl = setup ~ctx quick sf frames in
-    E.print_ablation (E.ablation ~ctx ~streamed ~fused:(not no_fuse) pl);
+    E.print_ablation (E.ablation ~ctx pl);
     report_store reg store;
     finish_metrics reg metrics;
     finish_trace tracer trace
@@ -355,8 +327,7 @@ let ablation_cmd =
     (Cmd.info "ablation" ~doc:"STC threshold and CFA-size sweep.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ stream_arg $ no_fuse_arg $ metrics_arg $ trace_arg
-      $ progress_arg)
+      $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
 
 let extensions_cmd =
   let run quick sf seed frames jobs store metrics trace progress =
@@ -417,8 +388,8 @@ let check_cmd =
        ~doc:
          "Correctness checks: validate every layout algorithm's output \
           (overlap, alignment, coverage, CFA containment) and replay the \
-          test trace through reference cache/fetch oracles, diffing them \
-          against the naive and packed engines. Exits non-zero on any \
+          test trace through reference cache/predictor/fetch oracles, \
+          diffing them against the engine. Exits non-zero on any \
           violation or divergence.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg

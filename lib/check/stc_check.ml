@@ -360,7 +360,7 @@ module Oracle = struct
     let index t addr = addr / 4 mod t.entries
 
     (* One instruction per recursion step; stops exactly where
-       [Tracecache.build_trace_limits] stops (the width check at the
+       [Tracecache.build_trace_packed] stops (the width check at the
        loop head covers the hit-width-exactly-at-block-end case, where
        the block's branch is still recorded). *)
     let build t view (pos : View.pos) =
@@ -401,14 +401,71 @@ module Oracle = struct
       end
   end
 
+  (* Direction predictors of [Stc_fetch.Predictor]'s three kinds,
+     re-derived: the 2-bit counters live in a persistent map (absent =
+     the initial weakly-taken 2), the global history is a list of
+     outcomes, most recent first, truncated to the history length and
+     folded into an index only when one is needed. *)
+  module Predictor = struct
+    module Counters = Map.Make (Int)
+
+    type t = {
+      kind : Stc_fetch.Predictor.kind;
+      mutable counters : int Counters.t;  (* table index -> counter *)
+      mutable history : bool list;  (* most recent first *)
+      mutable mispredictions : int;
+    }
+
+    let create kind =
+      { kind; counters = Counters.empty; history = []; mispredictions = 0 }
+
+    (* bit i of the history number is the outcome i branches back *)
+    let history_number h =
+      List.fold_left (fun (acc, w) b -> ((if b then acc + w else acc), 2 * w))
+        (0, 1) h
+      |> fst
+
+    let slot t ~pc =
+      match t.kind with
+      | Stc_fetch.Predictor.Always_taken -> None
+      | Stc_fetch.Predictor.Bimodal n -> Some (pc / 4 mod n)
+      | Stc_fetch.Predictor.Gshare (n, _) ->
+        (* gshare: the address xor the global history *)
+        Some (((pc / 4) lxor history_number t.history) mod n)
+
+    (* Predict the branch at [pc], train on [taken], and return whether
+       the prediction was right. *)
+    let predict t ~pc ~taken =
+      let correct =
+        match slot t ~pc with
+        | None -> taken
+        | Some i ->
+          let c = Option.value (Counters.find_opt i t.counters) ~default:2 in
+          let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+          t.counters <- Counters.add i c' t.counters;
+          (match t.kind with
+          | Stc_fetch.Predictor.Gshare (_, bits) ->
+            t.history <- List.filteri (fun i _ -> i < bits) (taken :: t.history)
+          | _ -> ());
+          (c >= 2) = taken
+      in
+      if not correct then t.mispredictions <- t.mispredictions + 1;
+      correct
+  end
+
+  type prediction = {
+    kind : Stc_fetch.Predictor.kind;
+    redirect_penalty : int;
+  }
+
   (* The SEQ.3 cycle model of Section 7.1, re-derived from the paper:
      per cycle either a whole trace-cache trace, or instructions from
      the fetch address one at a time until a taken branch, the third
      branch, the end of the two-line window or the end of the stream.
-     [Engine.run_naive] takes whole blocks per inner step; supplying
+     The engine takes whole blocks per inner step; supplying
      instruction-by-instruction must land on the same boundaries. *)
-  let fetch ?(config = Engine.Config.default) ?icache ?trace_cache ?on_access
-      view =
+  let fetch ?(config = Engine.Config.default) ?icache ?trace_cache
+      ?prediction ?on_access view =
     let line = config.Engine.Config.line_bytes in
     let max_branches = config.Engine.Config.max_branches in
     let miss_penalty = config.Engine.Config.miss_penalty in
@@ -418,6 +475,28 @@ module Oracle = struct
     let cond_branches = ref 0 in
     let accs = ref 0 and misses = ref 0 and vhits = ref 0 in
     let lookups = ref 0 and tc_hits = ref 0 in
+    (* Every executed conditional branch — a completed block whose
+       terminator is conditional, whether a trace-cache hit or the
+       sequential engine supplied it — is counted and, with a
+       predictor, predicted at its own final instruction; a wrong
+       direction costs the redirect penalty. *)
+    let predictor =
+      Option.map (fun p -> (Predictor.create p.kind, p.redirect_penalty))
+        prediction
+    in
+    let resolve i =
+      if View.is_cond view i then begin
+        incr cond_branches;
+        match predictor with
+        | None -> ()
+        | Some (p, redirect_penalty) ->
+          let pc =
+            View.block_addr view i + ((View.block_size view i - 1) * 4)
+          in
+          if not (Predictor.predict p ~pc ~taken:(View.taken view i)) then
+            penalties := !penalties + redirect_penalty
+      end
+    in
     (* Decoupled-frontend reference model ([Stc_fetch.Fdip] re-derived):
        in-flight prefetches as an ordered (line, ready-cycle) association
        list, driven begin -> demand -> advance each cycle in the same
@@ -554,7 +633,7 @@ module Oracle = struct
         incr tc_cycles;
         instrs := !instrs + n;
         for i = !idx to eidx - 1 do
-          if View.is_cond view i then incr cond_branches
+          resolve i
         done;
         idx := eidx;
         off := eoff;
@@ -590,7 +669,7 @@ module Oracle = struct
             let was_branch = View.has_branch view !idx in
             let taken = View.taken view !idx in
             if was_branch then incr branches;
-            if View.is_cond view !idx then incr cond_branches;
+            resolve !idx;
             incr idx;
             off := 0;
             if
@@ -621,7 +700,10 @@ module Oracle = struct
       taken_branches = View.taken_branches view;
       instrs_between_taken = View.instrs_between_taken view;
       cond_branches = !cond_branches;
-      mispredictions = 0;
+      mispredictions =
+        (match predictor with
+        | Some (p, _) -> p.Predictor.mispredictions
+        | None -> 0);
       icache_evictions =
         (match icache with Some c -> Icache.evictions c | None -> 0);
       prefetch_issued = !pf_issued;
@@ -645,6 +727,7 @@ type cache_case = {
   tc : bool;
   policy : case_policy;
   fdip : Stc_fetch.Fdip.config option;
+  pred : Oracle.prediction option;
 }
 
 let default_cases =
@@ -657,6 +740,7 @@ let default_cases =
       tc = false;
       policy = P_lru;
       fdip = None;
+      pred = None;
     };
     {
       case_name = "8kb-victim16";
@@ -666,6 +750,7 @@ let default_cases =
       tc = false;
       policy = P_lru;
       fdip = None;
+      pred = None;
     };
     {
       case_name = "16kb-2way";
@@ -675,6 +760,7 @@ let default_cases =
       tc = false;
       policy = P_lru;
       fdip = None;
+      pred = None;
     };
     {
       case_name = "16kb-direct-tc";
@@ -684,6 +770,7 @@ let default_cases =
       tc = true;
       policy = P_lru;
       fdip = None;
+      pred = None;
     };
     {
       case_name = "ideal-tc";
@@ -693,6 +780,7 @@ let default_cases =
       tc = true;
       policy = P_lru;
       fdip = None;
+      pred = None;
     };
   ]
 
@@ -707,6 +795,7 @@ let extended_cases =
       tc = false;
       policy = P_srrip;
       fdip = None;
+      pred = None;
     };
     {
       case_name = "16kb-4way-trrip";
@@ -716,6 +805,7 @@ let extended_cases =
       tc = false;
       policy = P_trrip;
       fdip = None;
+      pred = None;
     };
     {
       case_name = "8kb-direct-fdip";
@@ -725,6 +815,7 @@ let extended_cases =
       tc = false;
       policy = P_lru;
       fdip = Some fd;
+      pred = None;
     };
     {
       case_name = "16kb-4way-trrip-fdip";
@@ -734,6 +825,7 @@ let extended_cases =
       tc = false;
       policy = P_trrip;
       fdip = Some fd;
+      pred = None;
     };
     {
       case_name = "16kb-fdip-tc";
@@ -743,16 +835,41 @@ let extended_cases =
       tc = true;
       policy = P_lru;
       fdip = Some fd;
+      pred = None;
+    };
+    {
+      case_name = "16kb-bimodal";
+      kb = 16;
+      assoc = 1;
+      victim_lines = 0;
+      tc = false;
+      policy = P_lru;
+      fdip = None;
+      pred =
+        Some
+          {
+            Oracle.kind = Stc_fetch.Predictor.Bimodal 2048;
+            redirect_penalty = 3;
+          };
+    };
+    {
+      case_name = "16kb-gshare-tc";
+      kb = 16;
+      assoc = 1;
+      victim_lines = 0;
+      tc = true;
+      policy = P_lru;
+      fdip = None;
+      pred =
+        Some
+          {
+            Oracle.kind = Stc_fetch.Predictor.Gshare (4096, 8);
+            redirect_penalty = 3;
+          };
     };
   ]
 
-type mismatch = {
-  field : string;
-  m_oracle : float;
-  m_naive : float;
-  m_packed : float;
-  m_fused : float;
-}
+type mismatch = { field : string; m_oracle : float; m_engine : float }
 
 type engine_report = {
   er_layout : string;
@@ -765,13 +882,6 @@ let outcome_name = function
   | Real_icache.Hit -> "hit"
   | Real_icache.Victim_hit -> "victim-hit"
   | Real_icache.Miss -> "miss"
-
-let rec combine4 a b c d =
-  match (a, b, c, d) with
-  | [], [], [], [] -> []
-  | (f, va) :: ta, (_, vb) :: tb, (_, vc) :: tc, (_, vd) :: td ->
-    (f, va, vb, vc, vd) :: combine4 ta tb tc td
-  | _ -> invalid_arg "Stc_check.combine4: field lists differ in length"
 
 let real_policy_of_case ~temperature case =
   match case.policy with
@@ -789,6 +899,17 @@ let real_icache_of_case ?(temperature = [||]) case () =
 
 let real_tc_of_case case () = if case.tc then Some (Real_tc.create ()) else None
 
+(* A fresh engine predictor of the case's kind; the oracle builds its
+   own from the same [Oracle.prediction]. *)
+let real_prediction_of_case case =
+  Option.map
+    (fun (p : Oracle.prediction) ->
+      {
+        Engine.pred = Stc_fetch.Predictor.create p.Oracle.kind;
+        redirect_penalty = p.Oracle.redirect_penalty;
+      })
+    case.pred
+
 (* A case with an FDIP block replaces the engine config's; the other
    engine parameters pass through unchanged. *)
 let case_config ?config case =
@@ -802,11 +923,10 @@ let case_config ?config case =
 
 let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
   let cases = Array.of_list cases in
-  let packed = View.pack view in
-  (* one fused bank over the whole case list — mixed direct/victim/2-way
-     geometries, replacement policies, FDIP frontends, trace caches and
-     the ideal slot replay in a single sweep, exactly how Experiments
-     fuses a grid's cells *)
+  (* one bank over the whole case list — mixed direct/victim/2-way
+     geometries, replacement policies, FDIP frontends, predictors, trace
+     caches and the ideal slot replay in a single sweep, exactly how
+     Experiments fuses a grid's cells, so cohort sharing is checked too *)
   let bank_specs =
     Array.map
       (fun case ->
@@ -814,10 +934,11 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
           ~config:(case_config ?config case)
           ?icache:(real_icache_of_case ~temperature case ())
           ?trace_cache:(real_tc_of_case case ())
+          ?prediction:(real_prediction_of_case case)
           ())
       cases
   in
-  let fused = Engine.Bank.run_packed bank_specs packed in
+  let engine = Engine.Bank.run_packed bank_specs (View.pack view) in
   Array.to_list
     (Array.mapi
        (fun i case ->
@@ -826,7 +947,7 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
             the two models' state forked. Under FDIP the oracle's demand
             path never fires the hook (a shadow driven by
             [access_uncounted] cannot mirror prefetch installs), so
-            those cases rely on the four-way field comparison alone. *)
+            those cases rely on the field comparison alone. *)
          let shadow = real_icache_of_case ~temperature case () in
          let divergence = ref None in
          let access_no = ref 0 in
@@ -843,7 +964,6 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
                       "access #%d (addr 0x%x): oracle %s, icache %s"
                       !access_no addr (outcome_name out) (outcome_name got))
          in
-         let cfg = case_config ?config case in
          let oracle_icache =
            if case.kb = 0 then None
            else
@@ -857,36 +977,16 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
            if case.tc then Some (Oracle.Tracecache.create ()) else None
          in
          let o =
-           Oracle.fetch ~config:cfg ?icache:oracle_icache
-             ?trace_cache:oracle_tc ~on_access view
+           Oracle.fetch ~config:(case_config ?config case) ?icache:oracle_icache
+             ?trace_cache:oracle_tc ?prediction:case.pred ~on_access view
          in
-         let n =
-           Engine.run_naive ~config:cfg
-             ?icache:(real_icache_of_case ~temperature case ())
-             ?trace_cache:(real_tc_of_case case ())
-             view
-         in
-         let p =
-           Engine.run_packed ~config:cfg
-             ?icache:(real_icache_of_case ~temperature case ())
-             ?trace_cache:(real_tc_of_case case ())
-             packed
-         in
-         let f = fused.(i) in
          let er_mismatches =
-           combine4 (Engine.result_fields o) (Engine.result_fields n)
-             (Engine.result_fields p) (Engine.result_fields f)
-           |> List.filter_map (fun (field, vo, vn, vp, vf) ->
-                  if vo = vn && vn = vp && vp = vf then None
-                  else
-                    Some
-                      {
-                        field;
-                        m_oracle = vo;
-                        m_naive = vn;
-                        m_packed = vp;
-                        m_fused = vf;
-                      })
+           List.map2
+             (fun (field, m_oracle) (_, m_engine) ->
+               { field; m_oracle; m_engine })
+             (Engine.result_fields o)
+             (Engine.result_fields engine.(i))
+           |> List.filter (fun m -> m.m_oracle <> m.m_engine)
          in
          {
            er_layout = layout_name;
@@ -1090,7 +1190,7 @@ let print_report r =
           (fun v -> Printf.printf "    - %s\n" (Layouts.violation_to_string v))
           vs)
     r.r_layouts;
-  Printf.printf "Engine differential (oracle vs naive vs packed vs fused):\n";
+  Printf.printf "Engine differential (oracle vs engine):\n";
   List.iter
     (fun e ->
       if e.er_mismatches = [] && e.er_divergence = None then
@@ -1099,9 +1199,8 @@ let print_report r =
         Printf.printf "  %-5s %-15s FAIL\n" e.er_layout e.er_case;
         List.iter
           (fun m ->
-            Printf.printf
-              "    - %s: oracle %.6f, naive %.6f, packed %.6f, fused %.6f\n"
-              m.field m.m_oracle m.m_naive m.m_packed m.m_fused)
+            Printf.printf "    - %s: oracle %.6f, engine %.6f\n" m.field
+              m.m_oracle m.m_engine)
           e.er_mismatches;
         match e.er_divergence with
         | Some d -> Printf.printf "    - first divergence: %s\n" d

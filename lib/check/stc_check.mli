@@ -10,17 +10,18 @@
       algorithm intended, so a mapping bug cannot hide behind a
       reconstruction of its own output;
     - {!Oracle} — small, deliberately naive list-based reference models
-      of the i-cache, the victim buffer and the trace cache, plus an
-      instruction-at-a-time SEQ.3 fetch walker. They share no code with
-      [Stc_cachesim] / [Stc_fetch]: arrays, bit masks and batched
-      counters on one side, association lists and recursion on the
-      other, so a bug must be implemented twice to go unnoticed;
-    - the differential runners — replay the same traces through oracle,
-      {!Stc_fetch.Engine.run_naive}, {!Stc_fetch.Engine.run_packed} and
-      one fused {!Stc_fetch.Engine.Bank} sweep over every case at once,
-      and compare field by field, with a lockstep shadow i-cache that
-      reports the {e first diverging access} rather than just drifted
-      totals.
+      of the i-cache, the victim buffer, the trace cache and the
+      direction predictors, plus an instruction-at-a-time SEQ.3 fetch
+      walker. They share no code with [Stc_cachesim] / [Stc_fetch]:
+      arrays, bit masks and batched counters on one side, association
+      lists and recursion on the other, so a bug must be implemented
+      twice to go unnoticed. The oracle is the one reference every
+      engine feature is checked against;
+    - the differential runners — replay the same traces through the
+      oracle and one {!Stc_fetch.Engine.Bank} sweep over every case at
+      once (the only engine core), and compare field by field, with a
+      lockstep shadow i-cache that reports the {e first diverging
+      access} rather than just drifted totals.
 
     {!run_all} bundles all of it over a {!Stc_core.Pipeline.t}; the
     [stc_repro check] subcommand and the [@check-smoke] alias are thin
@@ -116,10 +117,21 @@ module Oracle : sig
     (** Same defaults as {!Stc_fetch.Tracecache.create}. *)
   end
 
+  (** A direction predictor to model: one of {!Stc_fetch.Predictor}'s
+      kinds, re-derived over association lists (no code shared with
+      {!Stc_fetch.Predictor}), charging [redirect_penalty] cycles per
+      mispredicted direction — the oracle's mirror of
+      {!Stc_fetch.Engine.prediction}. *)
+  type prediction = {
+    kind : Stc_fetch.Predictor.kind;
+    redirect_penalty : int;
+  }
+
   val fetch :
     ?config:Stc_fetch.Engine.config ->
     ?icache:Icache.t ->
     ?trace_cache:Tracecache.t ->
+    ?prediction:prediction ->
     ?on_access:(addr:int -> Stc_cachesim.Icache.outcome -> unit) ->
     Stc_fetch.View.t ->
     Stc_fetch.Engine.result
@@ -131,8 +143,11 @@ module Oracle : sig
       {!Stc_fetch.Fdip}. [on_access] observes every i-cache access in
       order (the differential runner hooks a lockstep shadow of the real
       cache here); it stays silent under FDIP, whose demand path a
-      lockstep shadow cannot mirror. [mispredictions] is always 0 — the
-      oracle models the paper's perfect-prediction configuration. *)
+      lockstep shadow cannot mirror. Without [?prediction] (the paper's
+      configuration) prediction is perfect and [mispredictions] is 0;
+      with it, every executed conditional branch — on the trace-cache
+      and the sequential path alike — is predicted at its final
+      instruction's address. *)
 end
 
 (** {1 Differential runners} *)
@@ -150,6 +165,9 @@ type cache_case = {
   policy : case_policy;
   fdip : Stc_fetch.Fdip.config option;
       (** Run the case with a decoupled-frontend prefetcher. *)
+  pred : Oracle.prediction option;
+      (** Run the case with a direction predictor (a fresh one per
+          side). *)
 }
 
 val default_cases : cache_case list
@@ -159,24 +177,20 @@ val default_cases : cache_case list
     machine). *)
 
 val extended_cases : cache_case list
-(** Five configurations exercising the post-paper mechanisms: 16KB
-    4-way SRRIP, 16KB 4-way TRRIP, 8KB direct + FDIP, 16KB 4-way TRRIP
-    + FDIP, and 16KB direct + FDIP + trace cache. *)
+(** Seven configurations exercising mechanisms beyond the paper's
+    machine: 16KB 4-way SRRIP, 16KB 4-way TRRIP, 8KB direct + FDIP,
+    16KB 4-way TRRIP + FDIP, 16KB direct + FDIP + trace cache, 16KB
+    direct + bimodal prediction, and 16KB direct + trace cache + gshare
+    prediction (3-cycle redirects). *)
 
-type mismatch = {
-  field : string;
-  m_oracle : float;
-  m_naive : float;
-  m_packed : float;
-  m_fused : float;
-}
+type mismatch = { field : string; m_oracle : float; m_engine : float }
 
 type engine_report = {
   er_layout : string;
   er_case : string;
   er_mismatches : mismatch list;
-      (** Fields where oracle, naive, packed and fused disagree
-          (empty = ok). *)
+      (** Fields where the oracle and the engine disagree (empty =
+          ok). *)
   er_divergence : string option;
       (** First i-cache access where the oracle's outcome differs from
           the real cache's, if any — pinpoints {e where} state first
@@ -190,14 +204,13 @@ val diff_cases :
   Stc_fetch.View.t ->
   cache_case list ->
   engine_report list
-(** Replay the view through {!Oracle.fetch},
-    {!Stc_fetch.Engine.run_naive} and {!Stc_fetch.Engine.run_packed}
-    per case (fresh caches each; a case's [fdip] block overrides the
-    config's; [P_trrip] cases seed both real and oracle caches from
-    [?temperature], default empty = all cold), plus {e one}
+(** Replay the view through {!Oracle.fetch} per case and through {e one}
     {!Stc_fetch.Engine.Bank.run_packed} sweep fusing every case's spec
     — the same mixed-configuration banks Experiments builds — and
-    compare every {!Stc_fetch.Engine.result} field four ways. *)
+    compare every {!Stc_fetch.Engine.result} field of the two (fresh
+    caches and predictors each; a case's [fdip] block overrides the
+    config's; [P_trrip] cases seed both real and oracle caches from
+    [?temperature], default empty = all cold). *)
 
 val diff_engines :
   ?config:Stc_fetch.Engine.config ->
@@ -206,7 +219,7 @@ val diff_engines :
   Stc_fetch.View.t ->
   cache_case ->
   engine_report
-(** {!diff_cases} of a single case (its fused bank has one slot). *)
+(** {!diff_cases} of a single case, run as a bank of one. *)
 
 val diff_icache_stream :
   ?accesses:int ->
@@ -242,7 +255,7 @@ type report = {
 val run_all : ?ctx:Stc_core.Run.ctx -> Stc_core.Pipeline.t -> report
 (** Build every registered layout algorithm from the pipeline's profile
     (16KB cache, 4KB CFA, the simulation grid's thresholds), validate
-    each against its own plan; run the four-way engine differential
+    each against its own plan; run the oracle-vs-engine differential
     ({!diff_cases}) on the test trace over the orig, ops, codestitcher
     and exttsp views, fusing every {!default_cases} and
     {!extended_cases} entry into one bank per view, with each layout's

@@ -104,411 +104,50 @@ let publish reg r =
   addnz "prefetch.useful" r.prefetch_useful;
   C.incr (Reg.counter reg "engine.runs")
 
-(* The packed fast path: one unsafe word read per block, all statistics
-   accumulated in local ints and flushed to the caches' shared counters
-   at segment boundaries. Cycle accounting is line-for-line the model of
-   [run_naive] below; the two must stay result-identical (the equality
-   is property-tested and asserted by @perf-smoke). *)
-(* Timeline slices are one per replay plus one per consumed segment —
-   never per block: at millions of blocks per second even a no-op
-   emission call in the inner loop would dominate the engine. *)
+(* Timeline slices are one per replay — never per block: at millions of
+   blocks per second even a no-op emission call in the inner loop would
+   dominate the engine. *)
 let traced ctx name f =
   match Option.bind ctx (fun c -> c.Stc_obs.Run.trace) with
   | None -> f ()
   | Some tr -> Stc_obs.Trace.span tr name f
 
-(* The one engine core, driven by a pull of packed segments whose
-   concatenation is the trace. A bounded sliding buffer keeps at least
-   [need] words of lookahead ahead of the current index (except at true
-   end of stream), where [need] covers the engine's maximal forward
-   reach within one fetch cycle:
+(* The one engine core. A bank of independent per-config engine states
+   is driven by a single sweep over a pull of packed segments whose
+   concatenation is the trace, so N cells over the same layout decode
+   and pull each packed word once instead of N times; a solo replay
+   ([run_packed], [run]) is a bank of one.
 
-   - a sequential cycle completes at most [2 * line_bytes / instr_bytes]
-     blocks (every block is >= 1 instruction, the window is two lines)
-     and then peeks one block past the last completion;
-   - a trace-cache build/lookup walks at most [width] completed blocks
-     from the cycle's start.
+   The key structural fact (checked field by field against the
+   shared-nothing Stc_check oracle, by the QCheck bank properties and by
+   the golden harness): SEQ.3 cycle boundaries depend only on the block
+   stream, [line_bytes], [max_branches] and the trace-cache contents —
+   never on i-cache outcomes or direction predictions, which contribute
+   penalties but cannot change what the cycle fetches. And two empty
+   trace caches of equal geometry evolve identical contents over the
+   same cycle sequence. So slots sharing (line_bytes, max_branches,
+   trace-cache geometry) form a *cohort* advancing one shared walk; per
+   slot, each sequential cycle costs only the two i-cache probes plus
+   penalty accrual, and the cohort's lead trace cache stands in for
+   every member's (their statistics are batched in cohort locals and
+   flushed to each member, so counter values match a bank of one;
+   member trace-cache *contents* are not materialized — nothing
+   observes them).
 
-   Refills happen only between fetch cycles, so inner loops never see a
-   segment boundary — which is why the streamed replay is bit-identical
-   to a whole-trace replay at any segment size. The first segment is
-   borrowed (never copied or mutated): a single-segment stream — i.e.
-   [run_packed] — runs zero-copy over the caller's image. *)
-let run_segments ?ctx ?(config = Config.default) ?icache ?trace_cache
-    ?prediction ?resident_hwm ~name pull =
-  traced ctx name @@ fun () ->
-  let metrics = Option.bind ctx (fun c -> c.Stc_obs.Run.metrics) in
-  let tracer = Option.bind ctx (fun c -> c.Stc_obs.Run.trace) in
-  let seg_slice_id =
-    match tracer with
-    | Some tr -> Stc_obs.Trace.intern tr "engine.segment"
-    | None -> 0
-  in
-  let line = config.line_bytes in
-  let max_branches = config.max_branches in
-  let miss_penalty = config.miss_penalty in
-  let instr_bytes = Stc_cfg.Block.instr_bytes in
-  (* FDIP is live only when there is an i-cache to prefetch into *)
-  let fdip =
-    match (config.fdip, icache) with
-    | Some fc, Some c -> Some (Fdip.create fc c)
-    | _ -> None
-  in
-  let need =
-    let tc_width =
-      match trace_cache with Some tc -> Tracecache.width tc | None -> 0
-    in
-    let base = max tc_width (2 * line / instr_bytes) + 2 in
-    (* the FTQ walk peeks [ftq_depth] blocks past the cycle start; the
-       refill guarantee then makes its window identical in streamed and
-       materialized replay *)
-    match config.fdip with
-    | Some fc when Option.is_some fdip -> max base (fc.Fdip.ftq_depth + 2)
-    | _ -> base
-  in
-  let cycles = ref 0 and penalties = ref 0 and instrs = ref 0 in
-  let seq_cycles = ref 0 and tc_cycles = ref 0 in
-  let cond_branches = ref 0 in
-  let ic_accesses = ref 0 and ic_misses = ref 0 and ic_vhits = ref 0 in
-  let tc_lookups = ref 0 and tc_hits = ref 0 in
-  (* sliding buffer state; [idx] is buffer-local, [dropped] is the count
-     of words retired from the buffer, so [dropped + idx] is the global
-     trace index *)
-  let buf = ref [||] and avail = ref 0 in
-  let owned = ref false and eos = ref false in
-  let dropped = ref 0 in
-  let bview =
-    ref (Packed.of_raw ~words:[||] ~len:0 ~total_instrs:0 ~taken_branches:0)
-  in
-  let sum_instrs = ref 0 and sum_taken = ref 0 in
-  let hwm = ref 0 in
-  let pulled = ref 0 in
-  let idx = ref 0 and off = ref 0 in
-  let seg_start =
-    ref (match tracer with Some tr -> Stc_obs.Trace.now tr | None -> 0.0)
-  in
-  let seg_mark = ref 0 in
-  let seg_slice () =
-    match tracer with
-    | None -> ()
-    | Some tr ->
-      let gpos = !dropped + !idx in
-      Stc_obs.Trace.complete ~arg:(gpos - !seg_mark) tr seg_slice_id
-        ~start:!seg_start;
-      seg_mark := gpos;
-      seg_start := Stc_obs.Trace.now tr
-  in
-  let flush_stats () =
-    (match icache with
-    | Some c ->
-      Icache.add_stats c ~accesses:!ic_accesses ~misses:!ic_misses
-        ~victim_hits:!ic_vhits;
-      ic_accesses := 0;
-      ic_misses := 0;
-      ic_vhits := 0
-    | None -> ());
-    match trace_cache with
-    | Some tc ->
-      Tracecache.add_stats tc ~lookups:!tc_lookups ~hits:!tc_hits;
-      tc_lookups := 0;
-      tc_hits := 0
-    | None -> ()
-  in
-  let append p =
-    sum_instrs := !sum_instrs + Packed.total_instrs p;
-    sum_taken := !sum_taken + Packed.taken_branches p;
-    let plen = Packed.length p in
-    if (not !owned) && !avail - !idx = 0 then begin
-      (* nothing live: borrow the segment's own array, no copy *)
-      dropped := !dropped + !idx;
-      buf := Packed.raw p;
-      idx := 0;
-      avail := plen;
-      bview := p
-    end
-    else begin
-      (if not !owned then begin
-         (* first spill past a borrowed segment: switch to an owned
-            buffer holding the live tail plus the new segment *)
-         let live = !avail - !idx in
-         let nb = Array.make (max (live + plen) (need + plen)) 0 in
-         Array.blit !buf !idx nb 0 live;
-         dropped := !dropped + !idx;
-         buf := nb;
-         owned := true;
-         avail := live;
-         idx := 0
-       end
-       else begin
-         if !idx > 0 then begin
-           (* compact the consumed prefix *)
-           Array.blit !buf !idx !buf 0 (!avail - !idx);
-           dropped := !dropped + !idx;
-           avail := !avail - !idx;
-           idx := 0
-         end;
-         if !avail + plen > Array.length !buf then begin
-           let nb = Array.make (max (!avail + plen) (need + plen)) 0 in
-           Array.blit !buf 0 nb 0 !avail;
-           buf := nb
-         end
-       end);
-      Array.blit (Packed.raw p) 0 !buf !avail plen;
-      avail := !avail + plen;
-      bview :=
-        Packed.of_raw ~words:!buf ~len:!avail ~total_instrs:0
-          ~taken_branches:0
-    end;
-    if Array.length !buf > !hwm then hwm := Array.length !buf
-  in
-  let refill () =
-    match pull () with
-    | None -> eos := true
-    | Some p ->
-      if !pulled > 0 then begin
-        seg_slice ();
-        flush_stats ()
-      end;
-      incr pulled;
-      append p
-  in
-  (* direction prediction per executed conditional branch, as in the
-     naive path; [w] is the block's packed word *)
-  let check_prediction w =
-    if Packed.w_cond w then begin
-      incr cond_branches;
-      match prediction with
-      | None -> ()
-      | Some { pred; redirect_penalty } ->
-        let pc = Packed.w_addr w + ((Packed.w_size w - 1) * 4) in
-        if
-          not
-            (Predictor.predict_and_update pred ~pc ~taken:(Packed.w_taken w))
-        then penalties := !penalties + redirect_penalty
-    end
-  in
-  let access_line a =
-    match icache with
-    | None -> true
-    | Some c -> (
-      incr ic_accesses;
-      match Icache.access_uncounted c a with
-      | Icache.Hit -> true
-      | Icache.Victim_hit ->
-        incr ic_vhits;
-        true
-      | Icache.Miss ->
-        incr ic_misses;
-        false)
-  in
-  (* the FDIP demand probe of one line: same local-counter batching as
-     [access_line], but the charge (not a hit bool) feeds the penalty *)
-  let demand_fdip f ~now a =
-    incr ic_accesses;
-    let o, charge = Fdip.demand f ~now ~miss_penalty a in
-    (match o with
-    | Icache.Hit -> ()
-    | Icache.Victim_hit -> incr ic_vhits
-    | Icache.Miss -> incr ic_misses);
-    charge
-  in
-  while (not !eos) || !idx < !avail do
-    if (not !eos) && !avail - !idx < need then refill ()
-    else begin
-      (* one fetch cycle, entirely within the buffered lookahead *)
-      let words = !buf in
-      let len = !avail in
-      let packed = !bview in
-      let start_idx = !idx and start_off = !off in
-      (* FDIP step 1: prefetches whose latency elapsed land in L1i.
-         [fnow] is the number this cycle is about to get; the frontend
-         runs on every cycle, trace-cache hits included. *)
-      let fnow = !cycles + 1 in
-      (match fdip with Some f -> Fdip.begin_cycle f ~now:fnow | None -> ());
-      (* FDIP step 3: after the cycle's fetch, the run-ahead FTQ walk
-         issues prefetches for the blocks from the cycle-start index *)
-      let fdip_advance () =
-        match fdip with
-        | None -> ()
-        | Some f ->
-          Fdip.advance f ~now:fnow ~nth:(fun k ->
-              let i = start_idx + k in
-              if i < len then Some (Packed.w_addr (Array.unsafe_get words i))
-              else None)
-      in
-      let tc_hit =
-        match trace_cache with
-        | None -> None
-        | Some tc ->
-          incr tc_lookups;
-          let r =
-            Tracecache.lookup_uncounted tc packed ~idx:start_idx
-              ~off:start_off
-          in
-          (match r with Some _ -> incr tc_hits | None -> ());
-          r
-      in
-      match tc_hit with
-      | Some info when info.Tracecache.n_instrs > 0 ->
-        incr cycles;
-        incr tc_cycles;
-        instrs := !instrs + info.Tracecache.n_instrs;
-        let stop = info.Tracecache.end_pos.View.idx in
-        (* every block whose final instruction lies inside the trace has
-           its branch resolved here *)
-        for i = !idx to stop - 1 do
-          check_prediction (Array.unsafe_get words i)
-        done;
-        idx := stop;
-        off := info.Tracecache.end_pos.View.off;
-        fdip_advance ()
-      | Some _ | None ->
-        (* sequential cycle *)
-        incr cycles;
-        incr seq_cycles;
-        let a =
-          Packed.w_addr (Array.unsafe_get words start_idx)
-          + (start_off * instr_bytes)
-        in
-        let line_no = a / line in
-        (* FDIP step 2: the demand pair, each probe returning its cycle
-           charge; the cycle pays the larger one, which degenerates to
-           the historical one-penalty-if-either-line-misses rule when no
-           prefetches are in flight *)
-        (match fdip with
-        | Some f ->
-          let c1 = demand_fdip f ~now:fnow (line_no * line) in
-          let c2 = demand_fdip f ~now:fnow ((line_no + 1) * line) in
-          penalties := !penalties + (if c1 > c2 then c1 else c2)
-        | None ->
-          let hit1 = access_line (line_no * line) in
-          let hit2 = access_line ((line_no + 1) * line) in
-          if not (hit1 && hit2) then penalties := !penalties + miss_penalty);
-        let window_end = (line_no + 2) * line in
-        let branches = ref 0 in
-        let stop = ref false in
-        while not !stop do
-          let w = Array.unsafe_get words !idx in
-          let size = Packed.w_size w in
-          let cur_addr = Packed.w_addr w + (!off * instr_bytes) in
-          let space = (window_end - cur_addr) / instr_bytes in
-          let remaining = size - !off in
-          let take = if remaining <= space then remaining else space in
-          instrs := !instrs + take;
-          if take < remaining then begin
-            off := !off + take;
-            stop := true
-          end
-          else begin
-            let was_branch = Packed.w_branch w in
-            let taken = Packed.w_taken w in
-            if was_branch then incr branches;
-            check_prediction w;
-            incr idx;
-            off := 0;
-            if
-              taken
-              || (was_branch && !branches >= max_branches)
-              || !idx >= len
-            then stop := true
-            else if Packed.w_addr (Array.unsafe_get words !idx) >= window_end
-            then stop := true
-          end
-        done;
-        (* the fill unit builds a new trace at the missed fetch address *)
-        (match trace_cache with
-        | Some tc ->
-          Tracecache.fill_packed tc packed ~idx:start_idx ~off:start_off
-        | None -> ());
-        fdip_advance ()
-    end
-  done;
-  if !pulled > 0 then seg_slice ();
-  (* flush the locally-batched statistics before anything snapshots the
-     caches, so the shared counters end exactly where the per-access
-     counting of the naive path would leave them *)
-  flush_stats ();
-  (match resident_hwm with Some r -> r := !hwm | None -> ());
-  let icache_accesses, icache_misses, icache_victim_hits =
-    match icache with
-    | None -> (0, 0, 0)
-    | Some c ->
-      let s = Icache.stats c in
-      (s.Icache.s_accesses, s.Icache.s_misses, s.Icache.s_victim_hits)
-  in
-  let r =
-    {
-      instrs = !instrs;
-      cycles = !cycles + !penalties;
-      fetch_cycles = !cycles;
-      seq_cycles = !seq_cycles;
-      tc_cycles = !tc_cycles;
-      icache_accesses;
-      icache_misses;
-      icache_victim_hits;
-      tc_lookups =
-        (match trace_cache with
-        | None -> 0
-        | Some tc -> Tracecache.lookups tc);
-      tc_hits =
-        (match trace_cache with None -> 0 | Some tc -> Tracecache.hits tc);
-      taken_branches = !sum_taken;
-      instrs_between_taken =
-        (if !sum_taken = 0 then float_of_int !sum_instrs
-         else float_of_int !sum_instrs /. float_of_int !sum_taken);
-      cond_branches = !cond_branches;
-      mispredictions =
-        (match prediction with
-        | Some { pred; _ } -> Predictor.mispredictions pred
-        | None -> 0);
-      icache_evictions =
-        (match icache with Some c -> Icache.evictions c | None -> 0);
-      prefetch_issued = (match fdip with Some f -> Fdip.issued f | None -> 0);
-      prefetch_completed =
-        (match fdip with Some f -> Fdip.completed f | None -> 0);
-      prefetch_late = (match fdip with Some f -> Fdip.late f | None -> 0);
-      prefetch_useful = (match fdip with Some f -> Fdip.useful f | None -> 0);
-    }
-  in
-  (match (tracer, fdip) with
-  | Some tr, Some f ->
-    (* one slice per replay summarizing the frontend's work *)
-    Stc_obs.Trace.complete ~arg:(Fdip.issued f) tr
-      (Stc_obs.Trace.intern tr "engine.prefetch")
-      ~start:!seg_start
-  | _ -> ());
-  (match metrics with Some reg -> publish reg r | None -> ());
-  r
-
-(* Fused replay: one sweep over the trace drives a bank of independent
-   per-config engine states, so N cells over the same layout decode and
-   pull each packed word once instead of N times.
-
-   The key structural fact (asserted bit-identical by Stc_check, the
-   QCheck fused properties and the golden harness): without direction
-   prediction, SEQ.3 cycle boundaries depend only on the block stream,
-   [line_bytes], [max_branches] and the trace-cache contents — never on
-   i-cache outcomes, which contribute penalties but cannot change what
-   the cycle fetches. And two empty trace caches of equal geometry
-   evolve identical contents over the same cycle sequence. So slots
-   sharing (line_bytes, max_branches, trace-cache geometry) form a
-   *cohort* advancing one shared walk; per slot, each sequential cycle
-   costs only the two i-cache probes plus penalty accrual, and the
-   cohort's lead trace cache stands in for every member's (their
-   statistics are batched in cohort locals and flushed to each member,
-   so counter values match a solo replay; member trace-cache *contents*
-   are not materialized — nothing observes them).
-
-   Slots with prediction still join a cohort (prediction adds redirect
-   penalties per slot without touching the walk). Cohorts advance
-   round-robin over a shared sliding window, each bounded to at most
-   [stride_words] past the laggard, so the words being re-walked stay
-   cache-resident even over a fully materialized image; the window
-   compacts below the minimum cohort position, keeping streamed
-   residency O(largest segment + lookahead) exactly as in
-   [run_segments]. Every cycle step is a verbatim transcription of the
-   cycle body above — same arithmetic, same stop conditions — which is
-   what makes per-slot results bit-identical to [run_packed]. *)
+   Cohorts advance round-robin over a shared bounded sliding window,
+   each at most [stride_words] past the laggard, so the words being
+   re-walked stay cache-resident even over a fully materialized image.
+   The window keeps at least [need] words of lookahead past every
+   cohort (except at true end of stream), where [need] covers a cycle's
+   maximal forward reach: a sequential cycle completes at most
+   [2 * line_bytes / instr_bytes] blocks and peeks one past the last, a
+   trace-cache build walks at most [width] blocks, and an FDIP walk
+   peeks [ftq_depth] blocks. Refills happen only between fetch cycles,
+   so no cycle ever sees a segment boundary — which is why replay is
+   bit-identical at any segment size — and the window compacts below the
+   slowest cohort, keeping residency O(largest segment + lookahead).
+   The first segment is borrowed, never copied or mutated: a
+   single-segment pull runs zero-copy over the caller's image. *)
 module Bank = struct
   type spec = {
     config : Config.t;
@@ -559,7 +198,7 @@ module Bank = struct
   let default_stride_words = 16384
 
   let run_segments ?ctx ?(stride_words = default_stride_words) ?resident_hwm
-      ~name specs pull =
+      ~name specs stream =
     let n = Array.length specs in
     if n = 0 then [||]
     else
@@ -648,8 +287,9 @@ module Bank = struct
                in
                let need =
                  let base = max tc_width (2 * line / instr_bytes) + 2 in
-                 (* the deepest member FTQ bounds the cohort's forward
-                    reach within one cycle, as in the solo engine *)
+                 (* the FTQ walk peeks [ftq_depth] blocks past the cycle
+                    start; the deepest member FTQ bounds the cohort's
+                    forward reach within one cycle *)
                  Array.fold_left
                    (fun m s ->
                      match s.sp.config.fdip with
@@ -680,8 +320,9 @@ module Bank = struct
              !acc)
       in
       let gneed = Array.fold_left (fun m h -> max m h.need) 0 cohorts in
-      (* shared sliding buffer, as in [run_segments]: [dropped] counts
-         words retired below every cohort's position *)
+      (* the shared sliding buffer: [dropped] counts words retired below
+         every cohort's position, so [h.pos - !dropped] is a cohort's
+         buffer-local index *)
       let buf = ref [||] and avail = ref 0 in
       let owned = ref false and eos = ref false in
       let dropped = ref 0 in
@@ -738,13 +379,18 @@ module Bank = struct
         if Array.length !buf > !hwm then hwm := Array.length !buf
       in
       let refill () =
-        match pull () with None -> eos := true | Some p -> append p
+        match Stream.next stream with
+        | None -> eos := true
+        | Some p -> append p
       in
       let probe_slot s ~now a1 a2 =
         match s.s_fdip with
         | Some f ->
-          (* demand pair through the slot's frontend; the cycle pays the
-             larger charge, as in the solo engine *)
+          (* FDIP step 2: the demand pair through the slot's frontend,
+             each probe returning its cycle charge; the cycle pays the
+             larger one, which degenerates to the historical
+             one-penalty-if-either-line-misses rule when no prefetches
+             are in flight *)
           s.s_acc <- s.s_acc + 2;
           let count (o : Icache.outcome) =
             match o with
@@ -805,16 +451,17 @@ module Bank = struct
           | None -> ()
         done
       in
-      (* one fetch cycle for cohort [h] — a verbatim transcription of the
-         [run_segments] cycle body over the shared buffer *)
+      (* one fetch cycle for cohort [h], entirely within the buffered
+         lookahead *)
       let step_cohort h =
         let words = !buf in
         let len = !avail in
         let packed = !bview in
         let start_idx = h.pos - !dropped and start_off = h.coff in
         (* FDIP steps 1 and 3 bracket the cycle for every frontend-bearing
-           member, exactly as in the solo engine: land elapsed prefetches
-           first, walk the FTQ from the cycle-start index last *)
+           member: land elapsed prefetches first (the frontend runs on
+           every cycle, trace-cache hits included), walk the FTQ from the
+           cycle-start index last *)
         let fnow = h.ccycles + 1 in
         let fdips = h.fdips in
         for i = 0 to Array.length fdips - 1 do
@@ -942,8 +589,9 @@ module Bank = struct
         (fun h ->
           Array.iter
             (fun s ->
-              (* flush the batched statistics into each member's caches,
-                 exactly where a solo replay would leave them *)
+              (* flush the batched statistics into each member's caches
+                 before anything snapshots them, so the shared counters
+                 end exactly where per-access counting would leave them *)
               (match s.sp.icache with
               | Some c ->
                 Icache.add_stats c ~accesses:s.s_acc ~misses:s.s_miss
@@ -1024,210 +672,19 @@ module Bank = struct
       results
 
   let run_packed ?ctx ?stride_words specs packed =
-    let first = ref (Some packed) in
     run_segments ?ctx ?stride_words ~name:"engine.fused_packed" specs
-      (fun () ->
-        let p = !first in
-        first := None;
-        p)
+      (Stream.of_packed packed)
 
   let run_stream ?ctx ?stride_words ?resident_hwm specs stream =
-    run_segments ?ctx ?stride_words ?resident_hwm
-      ~name:"engine.fused_stream" specs (fun () -> Stream.next stream)
+    run_segments ?ctx ?stride_words ?resident_hwm ~name:"engine.fused_stream"
+      specs stream
 end
 
+(* A solo replay is a bank of one over a single borrowed segment. *)
 let run_packed ?ctx ?config ?icache ?trace_cache ?prediction packed =
-  let first = ref (Some packed) in
-  run_segments ?ctx ?config ?icache ?trace_cache ?prediction
-    ~name:"engine.run_packed" (fun () ->
-      let p = !first in
-      first := None;
-      p)
-
-let run_stream ?ctx ?config ?icache ?trace_cache ?prediction ?resident_hwm
-    stream =
-  run_segments ?ctx ?config ?icache ?trace_cache ?prediction ?resident_hwm
-    ~name:"engine.run_stream" (fun () -> Stream.next stream)
+  (Bank.run_segments ?ctx ~name:"engine.run_packed"
+     [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]
+     (Stream.of_packed packed)).(0)
 
 let run ?ctx ?config ?icache ?trace_cache ?prediction view =
   run_packed ?ctx ?config ?icache ?trace_cache ?prediction (View.pack view)
-
-let run_naive ?ctx ?(config = Config.default) ?icache ?trace_cache ?prediction
-    view =
-  traced ctx "engine.run_naive" @@ fun () ->
-  let metrics = Option.bind ctx (fun c -> c.Stc_obs.Run.metrics) in
-  let len = View.length view in
-  let line = config.line_bytes in
-  let instr_bytes = Stc_cfg.Block.instr_bytes in
-  let cycles = ref 0 and penalties = ref 0 and instrs = ref 0 in
-  let seq_cycles = ref 0 and tc_cycles = ref 0 in
-  let cond_branches = ref 0 in
-  let idx = ref 0 and off = ref 0 in
-  (* Direction prediction applies to every executed conditional branch,
-     whether the window came from the sequential engine or the trace
-     cache; we account for it per block as the stream advances. *)
-  let check_prediction i =
-    if View.is_cond view i then begin
-      incr cond_branches;
-      match prediction with
-      | None -> ()
-      | Some { pred; redirect_penalty } ->
-        let pc =
-          View.block_addr view i + ((View.block_size view i - 1) * 4)
-        in
-        if not (Predictor.predict_and_update pred ~pc ~taken:(View.taken view i))
-        then penalties := !penalties + redirect_penalty
-    end
-  in
-  let access_line a =
-    match icache with
-    | None -> true
-    | Some c -> Icache.access c a
-  in
-  (* FDIP is live only when there is an i-cache to prefetch into *)
-  let fdip =
-    match (config.fdip, icache) with
-    | Some fc, Some c -> Some (Fdip.create fc c)
-    | _ -> None
-  in
-  (* naive counts per access, so each frontend demand flushes its single
-     outcome into the shared counters immediately *)
-  let demand_fdip f ~now c a =
-    let o, charge = Fdip.demand f ~now ~miss_penalty:config.miss_penalty a in
-    (match o with
-    | Icache.Hit -> Icache.add_stats c ~accesses:1 ~misses:0 ~victim_hits:0
-    | Icache.Victim_hit ->
-      Icache.add_stats c ~accesses:1 ~misses:0 ~victim_hits:1
-    | Icache.Miss -> Icache.add_stats c ~accesses:1 ~misses:1 ~victim_hits:0);
-    charge
-  in
-  while !idx < len do
-    let pos = { View.idx = !idx; off = !off } in
-    let start_idx = !idx in
-    (* FDIP steps 1 and 3 bracket the cycle, as in the packed engine *)
-    let fnow = !cycles + 1 in
-    (match fdip with Some f -> Fdip.begin_cycle f ~now:fnow | None -> ());
-    let fdip_advance () =
-      match fdip with
-      | None -> ()
-      | Some f ->
-        Fdip.advance f ~now:fnow ~nth:(fun k ->
-            let i = start_idx + k in
-            if i < len then Some (View.block_addr view i) else None)
-    in
-    let tc_hit =
-      match trace_cache with
-      | None -> None
-      | Some tc -> Tracecache.lookup tc view pos
-    in
-    match tc_hit with
-    | Some info when info.Tracecache.n_instrs > 0 ->
-      incr cycles;
-      incr tc_cycles;
-      instrs := !instrs + info.Tracecache.n_instrs;
-      let stop = info.Tracecache.end_pos.View.idx in
-      (* every block whose final instruction lies inside the trace has its
-         branch resolved here *)
-      for i = !idx to stop - 1 do
-        check_prediction i
-      done;
-      idx := stop;
-      off := info.Tracecache.end_pos.View.off;
-      fdip_advance ()
-    | Some _ | None ->
-      (* sequential cycle *)
-      incr cycles;
-      incr seq_cycles;
-      let a = View.addr view pos in
-      let line_no = a / line in
-      (match fdip with
-      | Some f ->
-        let c = Option.get icache in
-        let c1 = demand_fdip f ~now:fnow c (line_no * line) in
-        let c2 = demand_fdip f ~now:fnow c ((line_no + 1) * line) in
-        penalties := !penalties + (if c1 > c2 then c1 else c2)
-      | None ->
-        let hit1 = access_line (line_no * line) in
-        let hit2 = access_line ((line_no + 1) * line) in
-        if not (hit1 && hit2) then
-          penalties := !penalties + config.miss_penalty);
-      let window_end = (line_no + 2) * line in
-      let branches = ref 0 in
-      let stop = ref false in
-      while not !stop do
-        let size = View.block_size view !idx in
-        let cur_addr = View.addr view { View.idx = !idx; off = !off } in
-        let space = (window_end - cur_addr) / instr_bytes in
-        let remaining = size - !off in
-        let take = min remaining space in
-        instrs := !instrs + take;
-        if take < remaining then begin
-          off := !off + take;
-          stop := true
-        end
-        else begin
-          let was_branch = View.has_branch view !idx in
-          let taken = View.taken view !idx in
-          if was_branch then incr branches;
-          check_prediction !idx;
-          incr idx;
-          off := 0;
-          if
-            taken
-            || (was_branch && !branches >= config.max_branches)
-            || !idx >= len
-          then stop := true
-          else if
-            View.addr view { View.idx = !idx; off = 0 } >= window_end
-          then stop := true
-        end
-      done;
-      (* the fill unit builds a new trace at the missed fetch address *)
-      (match trace_cache with
-      | Some tc -> Tracecache.fill tc view pos
-      | None -> ());
-      fdip_advance ()
-  done;
-  let icache_accesses, icache_misses, icache_victim_hits =
-    match icache with
-    | None -> (0, 0, 0)
-    | Some c ->
-      (* one snapshot, not two separate reads *)
-      let s = Icache.stats c in
-      (s.Icache.s_accesses, s.Icache.s_misses, s.Icache.s_victim_hits)
-  in
-  let tc_lookups, tc_hits =
-    match trace_cache with
-    | None -> (0, 0)
-    | Some tc -> (Tracecache.lookups tc, Tracecache.hits tc)
-  in
-  let r =
-    {
-      instrs = !instrs;
-      cycles = !cycles + !penalties;
-      fetch_cycles = !cycles;
-      seq_cycles = !seq_cycles;
-      tc_cycles = !tc_cycles;
-      icache_accesses;
-      icache_misses;
-      icache_victim_hits;
-      tc_lookups;
-      tc_hits;
-      taken_branches = View.taken_branches view;
-      instrs_between_taken = View.instrs_between_taken view;
-      cond_branches = !cond_branches;
-      mispredictions =
-        (match prediction with
-        | Some { pred; _ } -> Predictor.mispredictions pred
-        | None -> 0);
-      icache_evictions =
-        (match icache with Some c -> Icache.evictions c | None -> 0);
-      prefetch_issued = (match fdip with Some f -> Fdip.issued f | None -> 0);
-      prefetch_completed =
-        (match fdip with Some f -> Fdip.completed f | None -> 0);
-      prefetch_late = (match fdip with Some f -> Fdip.late f | None -> 0);
-      prefetch_useful = (match fdip with Some f -> Fdip.useful f | None -> 0);
-    }
-  in
-  (match metrics with Some reg -> publish reg r | None -> ());
-  r

@@ -108,10 +108,9 @@ val run :
     [?prediction], branch prediction is perfect, as in the paper; with
     it, every mispredicted conditional-branch direction costs
     [redirect_penalty] cycles. The caches' state and statistics are
-    updated in place (pass fresh ones per experiment). Of [?ctx] only
-    [metrics] is read: the run's result is accumulated into the
-    registry's [engine.*] counters (totals across every run sharing the
-    registry).
+    updated in place (pass fresh ones per experiment). Of [?ctx],
+    [metrics] accumulates the run's result into the registry's
+    [engine.*] counters (totals across every run sharing the registry).
 
     [run] compiles the view into its {!Packed} form and dispatches to
     {!run_packed}; to replay the same (layout × trace) several times,
@@ -125,59 +124,38 @@ val run_packed :
   ?prediction:prediction ->
   Packed.t ->
   result
-(** The allocation-free fast path: same simulation, same results, driven
-    by one unsafe packed-word read per block, with cache/trace-cache
-    statistics batched in locals and flushed to the shared counters once
-    at the end (so counter values, {!Stc_cachesim.Icache.stats}
-    snapshots and metric exports are identical to the naive path's).
-    Internally this is {!run_stream} over a single borrowed segment —
-    the image is never copied. *)
+(** The same simulation over a compiled image: a {!Bank} of one
+    ({!Bank.spec} of the optional arguments) over the image as a single
+    borrowed segment — never copied. With tracing on, the replay runs
+    inside an [engine.run_packed] span. *)
 
-val run_stream :
-  ?ctx:Stc_obs.Run.ctx ->
-  ?config:config ->
-  ?icache:Stc_cachesim.Icache.t ->
-  ?trace_cache:Tracecache.t ->
-  ?prediction:prediction ->
-  ?resident_hwm:int ref ->
-  Stream.t ->
-  result
-(** The streaming path: consume packed segments incrementally through a
-    bounded sliding buffer that always holds enough lookahead for one
-    fetch cycle (two i-cache lines of sequential blocks, or one
-    trace-cache build, whichever is larger). Results, cache statistics
-    and metric exports are bit-identical to {!run_packed} over the
-    concatenated image at {e any} segment size (property-tested), while
-    peak residency stays O(largest segment + lookahead) — measured into
-    [resident_hwm] (high-water mark of the buffer, in words) when given.
-    Statistics are flushed to the shared cache counters at every segment
-    boundary, and with tracing on each consumed segment emits one
-    [engine.segment] slice whose argument is the blocks consumed. *)
+(** Fused replay, and the only engine core: a bank of independent
+    per-config engine states (i-cache with optional victim buffer,
+    trace cache, direction predictor, FDIP frontend, SEQ.3
+    cycle-grouping cursor) advanced from a {e single} sweep over the
+    trace, so N configurations over the same layout decode and pull
+    each packed word once instead of N times. {!run} and {!run_packed}
+    are banks of one.
 
-(** Fused replay: a bank of independent per-config engine states (each
-    the exact state a solo {!run_packed} would carry — i-cache with
-    optional victim buffer, trace cache, SEQ.3 cycle-grouping cursor)
-    advanced block-by-block from a {e single} sweep over the trace, so
-    N configurations over the same layout decode and pull each packed
-    word once instead of N times.
-
-    Per-slot results are bit-identical to running each spec alone
-    through {!run_packed} / {!run_stream} — including every cache
-    statistic and published [engine.*] counter. The identity rests on
-    two structural facts, both enforced by {!Stc_check}'s fused
-    differential, the QCheck fused properties and the golden harness:
-    SEQ.3 cycle boundaries never depend on i-cache outcomes (misses add
+    Per-slot results — every cache statistic and published [engine.*]
+    counter included — do not depend on what else shares the bank: a
+    bank of N equals N banks of one (property-tested), and every slot
+    is checked field by field against the shared-nothing reference
+    model in {!Stc_check.Oracle} by {!Stc_check.diff_cases}, the
+    QCheck oracle property and the golden harness. The bank rests on
+    two structural facts: SEQ.3 cycle boundaries never depend on
+    i-cache outcomes or predictions (misses and mispredictions add
     penalties; they cannot change what a cycle fetches), and empty
     trace caches of equal geometry evolve identical contents over the
     same walk. Slots sharing [(line_bytes, max_branches, trace-cache
     geometry)] therefore advance one shared walk (a {e cohort}); the
     rest step independently over the same sliding window.
 
-    As with the solo engines, pass fresh caches per spec: the bank owns
-    their state for the duration of the run, and a non-lead member's
-    trace-cache statistics are synthesized from the cohort's (its entry
-    array is never filled — correct because nothing observes trace-cache
-    contents, only counters). *)
+    Pass fresh caches per spec: the bank owns their state for the
+    duration of the run, and a non-lead member's trace-cache statistics
+    are synthesized from the cohort's (its entry array is never filled —
+    correct because nothing observes trace-cache contents, only
+    counters). *)
 module Bank : sig
   type spec = {
     config : Config.t;
@@ -201,16 +179,16 @@ module Bank : sig
     spec array ->
     Packed.t ->
     result array
-  (** One sweep over a materialized packed image; [result.(i)] is
-      bit-identical to [run_packed] of [specs.(i)] alone. The image is
-      borrowed, never copied. [stride_words] (default 16384) bounds how
-      far any engine state may run ahead of the laggard, keeping the
-      words being re-walked cache-resident; it affects wall clock only,
-      never results. An empty spec array returns [[||]] without pulling
-      the trace. With tracing on, each sweep emits one [engine.fused]
-      slice whose argument is the number of fused cells. Of [?ctx],
-      [metrics] accumulates every slot's result into the registry's
-      [engine.*] counters in input order. *)
+  (** One sweep over a materialized packed image; [result.(i)] is the
+      replay of [specs.(i)]. The image is borrowed, never copied.
+      [stride_words] (default 16384) bounds how far any engine state may
+      run ahead of the laggard, keeping the words being re-walked
+      cache-resident; it affects wall clock only, never results. An
+      empty spec array returns [[||]] without pulling the trace. With
+      tracing on, each sweep emits one [engine.fused] slice whose
+      argument is the number of fused cells. Of [?ctx], [metrics]
+      accumulates every slot's result into the registry's [engine.*]
+      counters in input order. *)
 
   val run_stream :
     ?ctx:Stc_obs.Run.ctx ->
@@ -221,23 +199,9 @@ module Bank : sig
     result array
   (** The same sweep over a segment stream through one shared bounded
       sliding window (the stream is pulled once for the whole bank):
-      bit-identical to {!run_packed} over the concatenated image at any
-      segment size, with peak residency O(largest segment + lookahead)
-      measured into [resident_hwm] (words) when given — the window
-      compacts below the slowest engine state's position. *)
+      results are identical to {!run_packed} over the concatenated image
+      at any segment size, with peak residency O(largest segment +
+      lookahead) measured into [resident_hwm] (high-water mark of the
+      window, in words) when given — the window compacts below the
+      slowest engine state's position. *)
 end
-
-val run_naive :
-  ?ctx:Stc_obs.Run.ctx ->
-  ?config:config ->
-  ?icache:Stc_cachesim.Icache.t ->
-  ?trace_cache:Tracecache.t ->
-  ?prediction:prediction ->
-  View.t ->
-  result
-(** The pre-packing reference implementation, querying the {!View} per
-    block (bounds-checked, recomputing [taken], counting every cache
-    access on the shared counters). Kept as the semantic baseline:
-    equality with {!run_packed} is property-tested, and
-    [bench/main.exe fetch --naive] exercises it to measure the packed
-    speedup. *)

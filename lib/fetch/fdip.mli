@@ -8,9 +8,9 @@
 
     Each simulated fetch cycle drives {!begin_cycle}, then the cycle's
     {!demand} probes, then {!advance} — in that order, identically in
-    every evaluation mode, so results are byte-identical across solo,
-    streamed, naive and fused replay at any [--jobs]. FDIP never alters
-    SEQ.3 cycle boundaries: it only changes i-cache contents and
+    the engine bank and the reference oracle, so results are
+    byte-identical across banks, segment sizes and [--jobs]. FDIP never
+    alters SEQ.3 cycle boundaries: it only changes i-cache contents and
     penalty charges. *)
 
 type config = private {

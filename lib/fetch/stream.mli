@@ -4,9 +4,10 @@
     {!create} compiles each pulled id segment against prebuilt
     {!Packed.tables}, holding exactly one segment in flight so the
     successor's first block id can seed the boundary taken bit
-    ([Packed.of_segment ~next_first]). Consumed by {!Engine.run_stream},
-    whose bounded sliding buffer makes the replay bit-identical to the
-    materialized {!Engine.run_packed} at any segment size. *)
+    ([Packed.of_segment ~next_first]). Consumed by
+    {!Engine.Bank.run_stream}, whose bounded sliding window makes the
+    replay bit-identical to the materialized {!Engine.Bank.run_packed}
+    at any segment size. *)
 
 type t
 

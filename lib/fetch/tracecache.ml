@@ -33,89 +33,13 @@ let create ?(entries = 256) ?(width = 16) ?(max_branches = 3) () =
     hits = Counter.make "hits";
   }
 
-let build_trace_limits view (pos : View.pos) ~width ~max_branches =
-  let n = ref 0 and branches = ref 0 and outcomes = ref 0 in
-  let idx = ref pos.View.idx and off = ref pos.View.off in
-  let len = View.length view in
-  let stop = ref false in
-  while not !stop do
-    if !idx >= len || !n >= width then stop := true
-    else begin
-      let size = View.block_size view !idx in
-      let remaining = size - !off in
-      let take = min remaining (width - !n) in
-      n := !n + take;
-      if !off + take < size then begin
-        (* width limit hit mid-block *)
-        off := !off + take;
-        stop := true
-      end
-      else begin
-        (* block completed *)
-        (if View.has_branch view !idx then begin
-           if View.taken view !idx then
-             outcomes := !outcomes lor (1 lsl !branches);
-           incr branches
-         end);
-        incr idx;
-        off := 0;
-        if !branches >= max_branches then stop := true
-      end
-    end
-  done;
-  {
-    n_instrs = !n;
-    n_branches = !branches;
-    outcomes = !outcomes;
-    end_pos = { View.idx = !idx; off = !off };
-  }
-
-let build_trace view pos =
-  (* default limits of the paper's configuration *)
-  build_trace_limits view pos ~width:16 ~max_branches:3
-
 let geometry t = (Array.length t.entries, t.width, t.max_branches)
 
 let index t addr = (addr lsr 2) land (Array.length t.entries - 1)
 
-let lookup t view pos =
-  Counter.incr t.lookups;
-  let a = View.addr view pos in
-  match t.entries.(index t a) with
-  | Some e when e.start_addr = a ->
-    let actual =
-      build_trace_limits view pos ~width:t.width ~max_branches:t.max_branches
-    in
-    if
-      actual.n_instrs = e.e_instrs
-      && actual.n_branches = e.e_branches
-      && actual.outcomes = e.e_outcomes
-    then begin
-      Counter.incr t.hits;
-      Some actual
-    end
-    else None
-  | Some _ | None -> None
-
-let fill t view pos =
-  let a = View.addr view pos in
-  let info =
-    build_trace_limits view pos ~width:t.width ~max_branches:t.max_branches
-  in
-  if info.n_instrs > 0 then
-    t.entries.(index t a) <-
-      Some
-        {
-          start_addr = a;
-          e_instrs = info.n_instrs;
-          e_branches = info.n_branches;
-          e_outcomes = info.outcomes;
-        }
-
-(* ---------- packed-view paths (see Packed): identical trace
-   construction and match logic, driven by unsafe word reads, with the
-   lookup/hit accounting left to the caller so the engine inner loop
-   touches no shared counters. ---------- *)
+(* Trace construction and matching over a packed view, driven by unsafe
+   word reads, with the lookup/hit accounting left to the caller so the
+   engine inner loop touches no shared counters. *)
 
 let build_trace_limits_packed packed ~idx ~off ~width ~max_branches =
   let words = Packed.raw packed in

@@ -19,38 +19,29 @@ type trace_info = {
   end_pos : View.pos;  (** Stream position right after the trace. *)
 }
 
-val build_trace : View.t -> View.pos -> trace_info
-(** The trace the fill unit would construct from this stream position:
-    greedily take instructions until the width limit, the branch limit, or
-    the end of the stream. Deterministic in the position and the stream. *)
+(** {2 Packed-view operations}
 
-val lookup : t -> View.t -> View.pos -> trace_info option
-(** Probe with the fetch address at [pos] and the actual (perfectly
-    predicted) upcoming outcomes; [Some info] on a hit. *)
-
-val fill : t -> View.t -> View.pos -> unit
-(** Insert the trace starting at [pos] (called on the miss path). *)
-
-(** {2 Packed-view paths}
-
-    The same operations over a compiled {!Packed} view. Trace
-    construction and hit matching are identical to the [View] versions;
-    the difference is that they read unsafe packed words, allocate only
-    the returned [trace_info], and — [_uncounted] — leave the
-    lookup/hit statistics to the caller, which batches them in locals
-    and flushes once with {!add_stats}. This is what
-    {!Engine.run_packed} drives. *)
+    Trace construction and hit matching over a compiled {!Packed} view:
+    unsafe packed-word reads, allocating only the returned [trace_info],
+    and — [_uncounted] — leaving the lookup/hit statistics to the
+    caller, which batches them in locals and flushes them with
+    {!add_stats}. This is what {!Engine.Bank} drives. *)
 
 val build_trace_packed : Packed.t -> idx:int -> off:int -> trace_info
-(** {!build_trace} over a packed view (paper limits: width 16,
-    3 branches). *)
+(** The trace the fill unit would construct from stream position
+    [(idx, off)] under the paper's limits (width 16, 3 branches):
+    greedily take instructions until the width limit, the branch limit,
+    or the end of the stream. Deterministic in the position and the
+    stream. *)
 
 val lookup_uncounted : t -> Packed.t -> idx:int -> off:int -> trace_info option
-(** {!lookup} over a packed view, without touching the lookup/hit
-    counters. *)
+(** Probe with the fetch address at [(idx, off)] and the actual
+    (perfectly predicted) upcoming outcomes; [Some info] on a hit.
+    Touches neither the lookup nor the hit counter. *)
 
 val fill_packed : t -> Packed.t -> idx:int -> off:int -> unit
-(** {!fill} over a packed view (fills never count statistics). *)
+(** Insert the trace starting at [(idx, off)] (called on the miss path;
+    fills never count statistics). *)
 
 val add_stats : t -> lookups:int -> hits:int -> unit
 (** Batch-add to the statistics counters; every {!lookup_uncounted}

@@ -1,8 +1,9 @@
 (** A basic-block trace seen through a code layout: the dynamic
-    instruction stream the naive reference engine consumes with random
-    access. {!create} drains a {!Stc_trace.Source} and materializes the
-    ids — the View is deliberately the non-streaming path (the oracle
-    the streamed engine is property-tested against).
+    instruction stream the reference oracle ([Stc_check.Oracle])
+    consumes with random access. {!create} drains a
+    {!Stc_trace.Source} and materializes the ids — the View is
+    deliberately the non-streaming path; {!pack} compiles it into the
+    engine's {!Packed} form.
 
     Positions are (trace index, instruction offset inside that block).
     Whether a transition is a {e taken} branch is a property of the layout:

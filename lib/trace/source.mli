@@ -54,5 +54,5 @@ val iter : t -> (int -> unit) -> unit
 
 val to_array : t -> int array
 (** Drain the source into a heap array (the explicit materialization
-    point for consumers that need random access, e.g. the naive
-    reference engine's {!Stc_fetch.View}). *)
+    point for consumers that need random access, e.g. the reference
+    oracle's {!Stc_fetch.View}). *)

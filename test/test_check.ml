@@ -277,8 +277,11 @@ let test_oracle_icache_stream () =
     [ (1, 0, 1024); (1, 8, 1024); (2, 0, 2048); (4, 16, 4096); (2, 2, 512) ]
 
 let case ?(kb = 1) ?(assoc = 1) ?(victim_lines = 0) ?(tc = false)
-    ?(policy = C.P_lru) ?fdip name =
-  { C.case_name = name; kb; assoc; victim_lines; tc; policy; fdip }
+    ?(policy = C.P_lru) ?fdip ?pred name =
+  { C.case_name = name; kb; assoc; victim_lines; tc; policy; fdip; pred }
+
+let predict ?(redirect_penalty = 3) kind =
+  { C.Oracle.kind; redirect_penalty }
 
 let small_cases =
   [
@@ -294,11 +297,19 @@ let small_cases =
     case "1kb-4way-trrip-fdip" ~assoc:4 ~policy:C.P_trrip
       ~fdip:Stc_fetch.Fdip.default;
     case "1kb-fdip-tc" ~tc:true ~fdip:Stc_fetch.Fdip.default;
+    (* direction prediction on both fetch paths, with tiny tables so
+       counters alias and gshare's history actually matters *)
+    case "1kb-always-taken" ~pred:(predict Stc_fetch.Predictor.Always_taken);
+    case "1kb-bimodal-tc" ~tc:true
+      ~pred:(predict (Stc_fetch.Predictor.Bimodal 16));
+    case "ideal-gshare-tc" ~kb:0 ~tc:true
+      ~pred:(predict ~redirect_penalty:5 (Stc_fetch.Predictor.Gshare (32, 4)));
+    case "1kb-2way-gshare-fdip" ~assoc:2 ~fdip:Stc_fetch.Fdip.default
+      ~pred:(predict (Stc_fetch.Predictor.Gshare (64, 6)));
   ]
 
 let prop_oracle_engines_agree =
-  QCheck.Test.make ~name:"oracle fetch agrees with naive and packed engines"
-    ~count:25
+  QCheck.Test.make ~name:"oracle fetch agrees with the engine" ~count:25
     QCheck.(pair (make gen_skeleton) (int_bound 10_000))
     (fun (skel, layout_seed) ->
       let prog, rec_ = trace_of_skeleton skel in
@@ -311,11 +322,8 @@ let prop_oracle_engines_agree =
           (match r.C.er_mismatches with
           | [] -> ()
           | m :: _ ->
-            QCheck.Test.fail_reportf
-              "%s: %s differs (oracle %.1f, naive %.1f, packed %.1f, \
-               fused %.1f)"
-              r.C.er_case m.C.field m.C.m_oracle m.C.m_naive m.C.m_packed
-              m.C.m_fused);
+            QCheck.Test.fail_reportf "%s: %s differs (oracle %.1f, engine %.1f)"
+              r.C.er_case m.C.field m.C.m_oracle m.C.m_engine);
           match r.C.er_divergence with
           | None -> ()
           | Some d ->

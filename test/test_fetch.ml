@@ -176,15 +176,16 @@ let test_tc_build_trace_deterministic () =
   let pl = Lazy.force fixture in
   let prog = pl.Stc_core.Pipeline.program in
   let layout = L.Original.layout prog in
-  let view = F.View.create prog layout (Stc_core.Pipeline.test_source pl) in
-  let pos = { F.View.idx = 0; off = 0 } in
-  let a = F.Tracecache.build_trace view pos in
-  let b = F.Tracecache.build_trace view pos in
+  let packed =
+    F.Packed.compile prog layout (Stc_core.Pipeline.test_source pl)
+  in
+  let a = F.Tracecache.build_trace_packed packed ~idx:0 ~off:0 in
+  let b = F.Tracecache.build_trace_packed packed ~idx:0 ~off:0 in
   Alcotest.(check bool) "deterministic" true (a = b);
   Alcotest.(check bool) "within limits" true
     (a.F.Tracecache.n_instrs <= 16 && a.F.Tracecache.n_branches <= 3)
 
-(* ---------- packed view: agreement with the naive View ---------- *)
+(* ---------- packed view: agreement with the View ---------- *)
 
 (* Random programs: skeletons compiled and auto-walked (the same recipe
    as test_trace), paired with a random permutation layout. *)
@@ -296,71 +297,6 @@ let prop_packed_agrees_with_view =
         [ L.Original.layout prog; random_layout prog layout_seed ];
       true)
 
-(* Packed and naive replay must be result-identical — engine results and
-   i-cache statistics — on every hardware variant of Table 3/4. *)
-let test_packed_naive_engine_equal () =
-  let pl = Lazy.force fixture in
-  let prog = pl.Stc_core.Pipeline.program in
-  List.iter
-    (fun layout ->
-      let view = F.View.create prog layout (Stc_core.Pipeline.test_source pl) in
-      let packed = F.View.pack view in
-      let variants =
-        [
-          ("ideal", None, false);
-          ("direct", Some (fun () -> Stc_cachesim.Icache.create ~size_bytes:8192 ()), false);
-          ("2-way", Some (fun () -> Stc_cachesim.Icache.create ~assoc:2 ~size_bytes:8192 ()), false);
-          ("victim", Some (fun () -> Stc_cachesim.Icache.create ~victim_lines:16 ~size_bytes:8192 ()), false);
-          ("trace-cache", Some (fun () -> Stc_cachesim.Icache.create ~size_bytes:8192 ()), true);
-        ]
-      in
-      List.iter
-        (fun (name, mk_icache, with_tc) ->
-          let ic_naive = Option.map (fun mk -> mk ()) mk_icache in
-          let ic_packed = Option.map (fun mk -> mk ()) mk_icache in
-          let tc_naive = if with_tc then Some (F.Tracecache.create ()) else None in
-          let tc_packed = if with_tc then Some (F.Tracecache.create ()) else None in
-          let mk_pred () =
-            { F.Engine.pred = F.Predictor.create (F.Predictor.Bimodal 256);
-              redirect_penalty = 3 }
-          in
-          let naive =
-            F.Engine.run_naive ?icache:ic_naive ?trace_cache:tc_naive
-              ~prediction:(mk_pred ()) view
-          in
-          let packed_r =
-            F.Engine.run_packed ?icache:ic_packed ?trace_cache:tc_packed
-              ~prediction:(mk_pred ()) packed
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s: results equal" layout.L.Layout.name name)
-            true (naive = packed_r);
-          (match (ic_naive, ic_packed) with
-          | Some a, Some b ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s/%s: icache stats equal" layout.L.Layout.name
-                 name)
-              true
-              (Stc_cachesim.Icache.stats a = Stc_cachesim.Icache.stats b)
-          | _ -> ());
-          match (tc_naive, tc_packed) with
-          | Some a, Some b ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s/%s: tc stats equal" layout.L.Layout.name name)
-              true
-              (F.Tracecache.lookups a = F.Tracecache.lookups b
-              && F.Tracecache.hits a = F.Tracecache.hits b)
-          | _ -> ())
-        variants)
-    [
-      L.Original.layout prog;
-      (match L.Algo.find "P&H" with
-      | Ok a ->
-        L.Algo.layout a pl.Stc_core.Pipeline.profile
-          (L.Algo.params ~cache_bytes:0 ~cfa_bytes:0 ())
-      | Error msg -> Alcotest.fail msg);
-    ]
-
 let test_engine_run_equals_run_packed () =
   (* the convenience [run view] must be the packed path, byte for byte *)
   let prog, b0, b1, b2 = tiny () in
@@ -387,8 +323,6 @@ let suite =
       test_trace_cache_improves;
     Alcotest.test_case "trace construction deterministic" `Quick
       test_tc_build_trace_deterministic;
-    Alcotest.test_case "packed = naive engine (5 variants)" `Quick
-      test_packed_naive_engine_equal;
     Alcotest.test_case "run = run_packed" `Quick test_engine_run_equals_run_packed;
     QCheck_alcotest.to_alcotest prop_packed_agrees_with_view;
   ]

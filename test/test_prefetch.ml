@@ -126,7 +126,6 @@ let prop_fdip_off_identical =
       let prog, rec_ = trace_of_skeleton skel in
       let layout = Test_fetch.random_layout prog layout_seed in
       let source () = Stc_trace.Source.of_recorder rec_ in
-      let view = F.View.create prog layout (source ()) in
       let run config =
         F.Engine.run_packed ~config
           ~icache:(Icache.create ~size_bytes:1024 ())
@@ -137,13 +136,13 @@ let prop_fdip_off_identical =
       if base <> explicit then
         QCheck.Test.fail_reportf
           "Config.make () result differs from Config.default";
-      let naive =
-        F.Engine.run_naive ~config:F.Engine.Config.default
+      let via_view =
+        F.Engine.run ~config:F.Engine.Config.default
           ~icache:(Icache.create ~size_bytes:1024 ())
-          view
+          (F.View.create prog layout (source ()))
       in
-      if base <> naive then
-        QCheck.Test.fail_reportf "packed result differs from naive";
+      if base <> via_view then
+        QCheck.Test.fail_reportf "Engine.run result differs from run_packed";
       if
         base.F.Engine.prefetch_issued <> 0
         || base.F.Engine.prefetch_completed <> 0

@@ -3,8 +3,9 @@
 
    - property: over random programs, random traces and random segment
      sizes (1-block segments, a 1-block final segment, segment = trace
-     length, empty trace), Engine.run_stream reproduces run_packed's
-     result record and cache counters exactly;
+     length, empty trace), a bank of one over the stream reproduces
+     run_packed's result record and cache counters exactly;
+   - empty trace: a stream with no blocks replays like an empty image;
    - memory boundedness: the streamed engine's resident high-water mark
      is a function of the segment size, not the trace length;
    - chunked store: save/load round-trips ids and marks (marks on
@@ -69,23 +70,28 @@ let run_materialized prog layout trace =
   let r = F.Engine.run_packed ~icache ~trace_cache:tc packed in
   (r, Stc_cachesim.Icache.stats icache, F.Tracecache.lookups tc, F.Tracecache.hits tc)
 
-let run_streamed ?resident_hwm prog layout trace ~segment_blocks =
+(* A bank of one over a segment stream. *)
+let replay_stream ?resident_hwm stream =
   let icache, tc = mk_state () in
-  let tables = F.Packed.tables prog layout in
-  let stream =
-    F.Stream.create tables (Source.of_array ~segment_blocks trace)
+  let r =
+    (F.Engine.Bank.run_stream ?resident_hwm
+       [| F.Engine.Bank.spec ~icache ~trace_cache:tc () |]
+       stream).(0)
   in
-  let r = F.Engine.run_stream ~icache ~trace_cache:tc ?resident_hwm stream in
   (r, Stc_cachesim.Icache.stats icache, F.Tracecache.lookups tc, F.Tracecache.hits tc)
 
-(* ---------- streamed == materialized ---------- *)
+let run_streamed ?resident_hwm prog layout trace ~segment_blocks =
+  replay_stream ?resident_hwm
+    (F.Stream.create (F.Packed.tables prog layout)
+       (Source.of_array ~segment_blocks trace))
 
 let check_equal ~what (rm, im, lm, hm) (rs, is_, ls, hs) =
-  if rm <> rs then QCheck.Test.fail_reportf "%s: engine result differs" what;
-  if im <> is_ then QCheck.Test.fail_reportf "%s: icache counters differ" what;
+  if rm <> rs then Alcotest.failf "%s: engine result differs" what;
+  if im <> is_ then Alcotest.failf "%s: icache counters differ" what;
   if (lm, hm) <> (ls, hs) then
-    QCheck.Test.fail_reportf "%s: trace-cache counters differ" what;
-  true
+    Alcotest.failf "%s: trace-cache counters differ" what
+
+(* ---------- streamed == materialized ---------- *)
 
 let prop_streamed_equals_materialized =
   QCheck.Test.make ~name:"streamed replay == materialized replay" ~count:80
@@ -102,13 +108,14 @@ let prop_streamed_equals_materialized =
       let sizes =
         [ 1; max 1 (len - 1); max 1 len; len + 1; 2 + Random.State.int st 97 ]
       in
-      List.for_all
+      List.iter
         (fun segment_blocks ->
           check_equal
             ~what:(Printf.sprintf "len=%d seg=%d" len segment_blocks)
             reference
             (run_streamed prog layout trace ~segment_blocks))
-        sizes)
+        sizes;
+      true)
 
 let test_empty_trace () =
   let prog, _ids = random_program 7 5 in
@@ -130,7 +137,7 @@ let test_resident_bound () =
   let streamed =
     run_streamed ~resident_hwm:hwm prog layout trace ~segment_blocks
   in
-  ignore (check_equal ~what:"hwm run" (run_materialized prog layout trace) streamed);
+  check_equal ~what:"hwm run" (run_materialized prog layout trace) streamed;
   (* the buffer never holds more than the live lookahead window plus two
      segments' worth of blocks — in particular it is a small constant
      multiple of the segment size, not of the trace *)
@@ -141,12 +148,10 @@ let test_resident_bound () =
   (* whole-image replay borrows the caller's packed image: same bound
      machinery reports the full trace as resident *)
   let full = ref 0 in
-  let icache, tc = mk_state () in
-  let stream =
-    F.Stream.of_packed (F.Packed.compile prog layout (Source.of_array trace))
-  in
   ignore
-    (F.Engine.run_stream ~icache ~trace_cache:tc ~resident_hwm:full stream);
+    (replay_stream ~resident_hwm:full
+       (F.Stream.of_packed
+          (F.Packed.compile prog layout (Source.of_array trace))));
   Alcotest.(check int) "single borrowed segment is the whole trace" len !full
 
 (* ---------- chunked store ---------- *)
@@ -254,14 +259,10 @@ let test_chunked_warm_replay_identical () =
   | None -> Alcotest.fail "chunked source missing"
   | Some (m, source) ->
     Alcotest.(check int) "manifest blocks" 5_000 m.Store.Chunked.m_total_blocks;
-    let icache, tc = mk_state () in
-    let stream = F.Stream.create (F.Packed.tables prog layout) source in
-    let r = F.Engine.run_stream ~icache ~trace_cache:tc stream in
     let warm =
-      (r, Stc_cachesim.Icache.stats icache, F.Tracecache.lookups tc,
-       F.Tracecache.hits tc)
+      replay_stream (F.Stream.create (F.Packed.tables prog layout) source)
     in
-    ignore (check_equal ~what:"warm chunked replay" cold warm)
+    check_equal ~what:"warm chunked replay" cold warm
 
 let suite =
   [

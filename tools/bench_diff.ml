@@ -4,7 +4,7 @@
 
    Both files are JSONL: one provenance-stamped record per bench part
    (bench/main.ml appends one line per part, keyed by its "mode" field
-   — "packed", "naive", "stream", "fused", ...). For every mode present
+   — "packed", "stream", ...). For every mode present
    in the baseline, every throughput field (any numeric field whose
    name ends in "blocks_per_sec" — higher is better) must not fall more
    than PCT percent (default 25) below the baseline value. Wall-clock
