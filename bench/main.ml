@@ -255,23 +255,7 @@ let run_tables () =
   end;
   if wants "extensions" then begin
     section "Extensions (Section 8 future work)";
-    let p = pl () in
-    Stc_core.Extensions.print_inlining (Stc_core.Extensions.inlining ~ctx p);
-    print_newline ();
-    Stc_core.Extensions.print_oltp (Stc_core.Extensions.oltp ~ctx p);
-    print_newline ();
-    Stc_core.Extensions.print_prediction
-      (Stc_core.Extensions.prediction ~ctx p);
-    print_newline ();
-    Stc_core.Extensions.print_tuning ~ctx p;
-    print_newline ();
-    Stc_core.Extensions.print_per_query (Stc_core.Extensions.per_query ~ctx p);
-    print_newline ();
-    Stc_core.Extensions.print_fetch_units
-      (Stc_core.Extensions.fetch_units ~ctx p);
-    print_newline ();
-    Stc_core.Extensions.print_associativity
-      (Stc_core.Extensions.associativity ~ctx p);
+    Stc_core.Extensions.print_all ~ctx (pl ());
     print_newline ()
   end
 

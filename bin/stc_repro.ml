@@ -337,22 +337,7 @@ let extensions_cmd =
     let tracer = make_tracer trace in
     let ctx = make_ctx reg progress seed jobs store tracer in
     let pl = setup ~ctx quick sf frames in
-    Stc_core.Extensions.print_inlining (Stc_core.Extensions.inlining ~ctx pl);
-    print_newline ();
-    Stc_core.Extensions.print_oltp (Stc_core.Extensions.oltp ~ctx pl);
-    print_newline ();
-    Stc_core.Extensions.print_prediction
-      (Stc_core.Extensions.prediction ~ctx pl);
-    print_newline ();
-    Stc_core.Extensions.print_tuning ~ctx pl;
-    print_newline ();
-    Stc_core.Extensions.print_per_query (Stc_core.Extensions.per_query ~ctx pl);
-    print_newline ();
-    Stc_core.Extensions.print_fetch_units
-      (Stc_core.Extensions.fetch_units ~ctx pl);
-    print_newline ();
-    Stc_core.Extensions.print_associativity
-      (Stc_core.Extensions.associativity ~ctx pl);
+    Stc_core.Extensions.print_all ~ctx pl;
     report_store reg store;
     finish_metrics reg metrics;
     finish_trace tracer trace
@@ -360,7 +345,11 @@ let extensions_cmd =
   Cmd.v
     (Cmd.info "extensions"
        ~doc:
-         "Section 8 future work: inlining, OLTP, branch prediction,           auto-tuning.")
+         "Studies beyond the paper's tables: its Section 8 future work \
+          (function inlining, an OLTP workload, automatic threshold \
+          selection) plus branch-prediction sensitivity, per-query miss \
+          rates, the SEQ.1/2/3 fetch-unit family and the layout x \
+          associativity interaction.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
       $ store_arg $ metrics_arg $ trace_arg $ progress_arg)

@@ -996,11 +996,6 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
          })
        cases)
 
-let diff_engines ?config ?temperature ~layout_name view case =
-  match diff_cases ?config ?temperature ~layout_name view [ case ] with
-  | [ r ] -> r
-  | _ -> assert false
-
 let diff_icache_stream ?(accesses = 20_000) ?(policy = Real_icache.Lru) ~seed
     ~assoc ~victim_lines ~size_bytes () =
   let rng = Stc_util.Rng.create (Int64.of_int seed) in

@@ -212,15 +212,6 @@ val diff_cases :
     config's; [P_trrip] cases seed both real and oracle caches from
     [?temperature], default empty = all cold). *)
 
-val diff_engines :
-  ?config:Stc_fetch.Engine.config ->
-  ?temperature:int array ->
-  layout_name:string ->
-  Stc_fetch.View.t ->
-  cache_case ->
-  engine_report
-(** {!diff_cases} of a single case, run as a bank of one. *)
-
 val diff_icache_stream :
   ?accesses:int ->
   ?policy:Stc_cachesim.Icache.policy ->

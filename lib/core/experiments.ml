@@ -188,11 +188,80 @@ let policy_name = function
   | Stc_cachesim.Icache.Srrip -> "srrip"
   | Stc_cachesim.Icache.Trrip _ -> "trrip"
 
+let predictor_name = function
+  | F.Predictor.Always_taken -> "always-taken"
+  | F.Predictor.Bimodal n -> Printf.sprintf "bimodal-%d" n
+  | F.Predictor.Gshare (n, h) -> Printf.sprintf "gshare-%d/%d" n h
+
+(* ---------- the grid runner ----------
+
+   Every simulation of every table and study is a [cell]: one replay of
+   a subject (a program plus a trace recorded against it) under one
+   layout and one machine, run by {!exec_cells}. *)
+
+type subject = { program : Stc_cfg.Program.t; trace : Stc_trace.Recorder.t }
+
+let test_subject (pl : Pipeline.t) =
+  { program = pl.Pipeline.program; trace = pl.Pipeline.test }
+
+type cell = {
+  c_table : string;
+  c_subject : subject;
+  c_layout : L.Layout.t;
+  c_engine : F.Engine.Config.t;
+  c_tc_entries : int;
+  c_variant : variant;
+  c_cache_kb : int;
+  c_cfa_kb : int option;
+  c_assoc : int;
+      (* associativity of Direct/Trace_cache variants (the extended grid
+         runs them 4-way); 1 = the paper's machine *)
+  c_policy : Stc_cachesim.Icache.policy;
+  c_predictor : (F.Predictor.kind * int) option;
+      (* direction predictor and redirect penalty; [None] = perfect *)
+}
+
+let cell ?(config = F.Engine.Config.default) ?(assoc = 1) ?predictor ~table
+    subject ~cache_kb layout =
+  {
+    c_table = table;
+    c_subject = subject;
+    c_layout = layout;
+    c_engine = config;
+    c_tc_entries = default_sim_config.tc_entries;
+    c_variant = Direct;
+    c_cache_kb = cache_kb;
+    c_cfa_kb = None;
+    c_assoc = assoc;
+    c_policy = Stc_cachesim.Icache.Lru;
+    c_predictor = predictor;
+  }
+
+(* A Table 3/4-style cell on the Test trace, its machine drawn from the
+   grid-wide [sim_config]. *)
+let grid_cell ~table (pl : Pipeline.t) (config : sim_config) ?assoc
+    ?(policy = Stc_cachesim.Icache.Lru) ?fdip layout variant ~cache_kb ~cfa_kb
+    =
+  let config' =
+    F.Engine.Config.make ~line_bytes:config.line_bytes
+      ~miss_penalty:config.miss_penalty ?fdip ()
+  in
+  {
+    (cell ~config:config' ?assoc ~table (test_subject pl) ~cache_kb layout) with
+    c_tc_entries = config.tc_entries;
+    c_variant = variant;
+    c_cfa_kb = cfa_kb;
+    c_policy = policy;
+  }
+
 (* The cell's i-cache is fresh, so the engine result's counters equal the
    cache's own statistics snapshot; deriving the event fields from the
    result lets a store hit (which never builds the cache) emit the exact
    record a simulation would have. *)
-let emit_cell reg ~table (row : row) (r : F.Engine.result) ~has_icache =
+let emit_cell reg cell (row : row) (r : F.Engine.result) =
+  let has_icache =
+    match cell.c_variant with Ideal | Tc_ideal -> false | _ -> true
+  in
   let open Stc_obs.Json in
   let icache_fields =
     if not has_icache then []
@@ -218,7 +287,22 @@ let emit_cell reg ~table (row : row) (r : F.Engine.result) ~has_icache =
         ("pf_late", Int row.pf_late);
       ]
   in
-  Stc_obs.Registry.event reg ~kind:(table ^ ".cell")
+  (* likewise only on the study dimensions the paper grids never vary *)
+  let study_fields =
+    (match cell.c_engine.F.Engine.Config.max_branches with
+    | 3 -> []
+    | n -> [ ("max_branches", Int n) ])
+    @
+    match cell.c_predictor with
+    | None -> []
+    | Some (kind, _) ->
+      [
+        ("predictor", Str (predictor_name kind));
+        ("cond_branches", Int r.F.Engine.cond_branches);
+        ("mispredictions", Int r.F.Engine.mispredictions);
+      ]
+  in
+  Stc_obs.Registry.event reg ~kind:(cell.c_table ^ ".cell")
     ([
        ("layout", Str row.layout);
        ("variant", Str (variant_name row.variant));
@@ -232,50 +316,30 @@ let emit_cell reg ~table (row : row) (r : F.Engine.result) ~has_icache =
        ("tc_lookups", Int r.F.Engine.tc_lookups);
        ("tc_hits", Int r.F.Engine.tc_hits);
      ]
-    @ icache_fields @ extended_fields)
-
-(* A planned simulation: everything one Table 3/4 (or ablation) cell needs,
-   closed over a layout built in the serial prefix.  Cells share the
-   pipeline's program/profile/trace read-only; the i-cache and trace cache
-   are created per cell, so a cell can run on any domain. *)
-type cell = {
-  c_table : string;
-  c_config : sim_config;
-  c_layout : L.Layout.t;
-  c_variant : variant;
-  c_cache_kb : int;
-  c_cfa_kb : int option;
-  c_assoc : int;
-      (* associativity of Direct/Trace_cache variants (the extended grid
-         runs them 4-way); 1 = the paper's machine *)
-  c_policy : Stc_cachesim.Icache.policy;
-  c_fdip : F.Fdip.config option;
-}
-
-(* The cell's engine config: the grid-wide parameters plus the cell's
-   own FDIP block (a [None] block fingerprints exactly like the pre-FDIP
-   config, keeping every pre-existing store key stable). *)
-let cell_engine_config cell =
-  let c = cell.c_config in
-  F.Engine.Config.make ~line_bytes:c.line_bytes ~miss_penalty:c.miss_penalty
-    ?fdip:cell.c_fdip ()
+    @ icache_fields @ extended_fields @ study_fields)
 
 (* What determines a cell's engine result beyond the (program, trace,
    layout, engine-config) fingerprints: the cache geometry implied by the
    variant and the trace-cache size — plus, only when non-default so
    historical keys stay unchanged, the associativity and replacement
-   policy of the extended grid. *)
+   policy of the extended grid and the direction predictor. *)
 let cell_key ~prog_fp ~trace_fp cell =
-  let c = cell.c_config in
   let extended_parts =
     (if cell.c_assoc = 1 then []
      else [ "assoc=" ^ string_of_int cell.c_assoc ])
+    @ (match cell.c_policy with
+      | Stc_cachesim.Icache.Lru -> []
+      | Stc_cachesim.Icache.Srrip -> [ "policy=srrip" ]
+      | Stc_cachesim.Icache.Trrip temps ->
+        [ "policy=trrip"; Stc_store.Fp.int_array temps ])
     @
-    match cell.c_policy with
-    | Stc_cachesim.Icache.Lru -> []
-    | Stc_cachesim.Icache.Srrip -> [ "policy=srrip" ]
-    | Stc_cachesim.Icache.Trrip temps ->
-      [ "policy=trrip"; Stc_store.Fp.int_array temps ]
+    match cell.c_predictor with
+    | None -> []
+    | Some (kind, penalty) ->
+      [
+        "predictor=" ^ predictor_name kind;
+        "redirect=" ^ string_of_int penalty;
+      ]
   in
   Stc_store.Key.of_parts
     ([
@@ -283,25 +347,25 @@ let cell_key ~prog_fp ~trace_fp cell =
        prog_fp;
        trace_fp;
        Stc_store.Fp.layout cell.c_layout;
-       Stc_store.Fp.engine_config (cell_engine_config cell);
+       Stc_store.Fp.engine_config cell.c_engine;
        variant_name cell.c_variant;
        string_of_int cell.c_cache_kb;
-       string_of_int c.tc_entries;
+       string_of_int cell.c_tc_entries;
      ]
     @ extended_parts)
 
-(* The cache geometry a cell's variant implies.  Fresh instances per
-   call — the engine owns their state for the replay — so a cell's bank
-   slot can run on any domain. *)
-let cell_caches cell =
-  let c = cell.c_config in
+(* The cache geometry a cell's variant implies, and its predictor.  Fresh
+   instances per call — the engine owns their state for the replay — so
+   a cell's bank slot can run on any domain. *)
+let cell_spec cell =
   let cache_kb = cell.c_cache_kb in
   let icache =
     match cell.c_variant with
     | Ideal | Tc_ideal -> None
     | Direct | Trace_cache ->
-      (* the extended grid varies associativity and policy on these two
-         variants; the defaults reproduce the paper's machine exactly *)
+      (* the extended grid and the studies vary associativity (and the
+         extended grid policy) on these two variants; the defaults
+         reproduce the paper's machine exactly *)
       Some
         (Stc_cachesim.Icache.create ~assoc:cell.c_assoc ~policy:cell.c_policy
            ~size_bytes:(cache_kb * 1024) ())
@@ -316,10 +380,16 @@ let cell_caches cell =
   let trace_cache =
     match cell.c_variant with
     | Trace_cache | Tc_ideal ->
-      Some (F.Tracecache.create ~entries:c.tc_entries ())
+      Some (F.Tracecache.create ~entries:cell.c_tc_entries ())
     | Direct | Two_way | Victim | Ideal -> None
   in
-  (icache, trace_cache)
+  let prediction =
+    Option.map
+      (fun (kind, redirect_penalty) ->
+        { F.Engine.pred = F.Predictor.create kind; redirect_penalty })
+      cell.c_predictor
+  in
+  F.Engine.Bank.spec ~config:cell.c_engine ?icache ?trace_cache ?prediction ()
 
 (* Derive a cell's row from its engine result and emit the per-cell
    metrics event. *)
@@ -344,48 +414,59 @@ let finish_cell ~metrics cell r =
       assoc =
         (match cell.c_variant with Two_way -> 2 | _ -> cell.c_assoc);
       policy = policy_name cell.c_policy;
-      prefetch = Option.is_some cell.c_fdip;
+      prefetch = Option.is_some cell.c_engine.F.Engine.Config.fdip;
       evictions = r.F.Engine.icache_evictions;
       pf_issued = r.F.Engine.prefetch_issued;
       pf_useful = r.F.Engine.prefetch_useful;
       pf_late = r.F.Engine.prefetch_late;
     }
   in
-  (match metrics with
-  | Some reg ->
-    emit_cell reg ~table:cell.c_table row r
-      ~has_icache:
-        (match cell.c_variant with Ideal | Tc_ideal -> false | _ -> true)
-  | None -> ());
+  (match metrics with Some reg -> emit_cell reg cell row r | None -> ());
   row
 
 (* ---------- fused execution ----------
 
-   The planned cells are re-grouped by layout (physical identity,
-   first-appearance order) and each group's cold cells replay as one
-   {!F.Engine.Bank} sweep — the layout's packed trace is compiled once
-   per group instead of once per cell.  Everything a cell observes is
-   independent of the grouping: its store key, its warm-hit short-circuit
-   (a store-warm cell is dropped from the bank before the sweep), its one
+   The planned cells are re-grouped by (subject, layout) — physical
+   identity, first-appearance order; a layout object may be shared by
+   several subjects, as the per-query study's trace sections share the
+   orig/ops layouts — and each group's cold cells replay as one
+   {!F.Engine.Bank} sweep, so the group's packed trace is compiled once
+   instead of once per cell.  Everything a cell observes is independent
+   of the grouping: its store key, its warm-hit short-circuit (a
+   store-warm cell is dropped from the bank before the sweep), its one
    {!Progress} tick, and its registry writes — each cell flushes into its
    own shard, and shards merge into the main registry in cell {e input}
    order, so rows, metric exports and golden snapshots are byte-identical
    at any [--jobs]. *)
 
-type fgroup = { g_layout : L.Layout.t; g_cells : int array (* input indices *) }
+type fgroup = {
+  g_subject : subject;
+  g_layout : L.Layout.t;
+  g_cells : int array; (* input indices *)
+}
 
 let fused_groups cells =
   let acc = ref [] in
   Array.iteri
     (fun i c ->
-      match List.assq_opt c.c_layout !acc with
-      | Some members -> members := i :: !members
-      | None -> acc := !acc @ [ (c.c_layout, ref [ i ]) ])
+      match
+        List.find_opt
+          (fun (s, l, _) ->
+            l == c.c_layout && s.program == c.c_subject.program
+            && s.trace == c.c_subject.trace)
+          !acc
+      with
+      | Some (_, _, members) -> members := i :: !members
+      | None -> acc := !acc @ [ (c.c_subject, c.c_layout, ref [ i ]) ])
     cells;
   Array.of_list
     (List.map
-       (fun (l, members) ->
-         { g_layout = l; g_cells = Array.of_list (List.rev !members) })
+       (fun (s, l, members) ->
+         {
+           g_subject = s;
+           g_layout = l;
+           g_cells = Array.of_list (List.rev !members);
+         })
        !acc)
 
 let fgroup_label cells g =
@@ -397,8 +478,9 @@ let fgroup_label cells g =
    (under metrics), its own store handle opened against that shard, and
    a fixed event order — store probe, engine publish, store save, cell
    row event — so the merged shards do not depend on how cells were
-   grouped or scheduled.  Returns [(input index, row, shard)] per cell. *)
-let exec_fgroup_inner ~metrics ~trace ~store (pl : Pipeline.t) cells ~tick g =
+   grouped or scheduled.  Returns [(input index, row, result, shard)]
+   per cell. *)
+let exec_fgroup_inner ~metrics ~trace ~store cells ~tick g =
   let idxs = g.g_cells in
   let m = Array.length idxs in
   let shards =
@@ -408,12 +490,13 @@ let exec_fgroup_inner ~metrics ~trace ~store (pl : Pipeline.t) cells ~tick g =
   let handles =
     match store with
     | None -> Array.make m None
-    | Some (dir, _, _) ->
+    | Some (dir, _) ->
       Array.init m (fun i -> Some (Stc_store.open_ ?metrics:shards.(i) ?trace dir))
   in
   let key_of i =
     match store with
-    | Some (_, prog_fp, trace_fp) ->
+    | Some (_, fps) ->
+      let prog_fp, trace_fp = fps.(idxs.(i)) in
       cell_key ~prog_fp ~trace_fp cells.(idxs.(i))
     | None -> assert false
   in
@@ -437,16 +520,7 @@ let exec_fgroup_inner ~metrics ~trace ~store (pl : Pipeline.t) cells ~tick g =
   done;
   let cold = Array.of_list !cold in
   if Array.length cold > 0 then begin
-    let specs =
-      Array.map
-        (fun i ->
-          let cell = cells.(idxs.(i)) in
-          let icache, trace_cache = cell_caches cell in
-          F.Engine.Bank.spec
-            ~config:(cell_engine_config cell)
-            ?icache ?trace_cache ())
-        cold
-    in
+    let specs = Array.map (fun i -> cell_spec cells.(idxs.(i))) cold in
     (* Trace-only context: each slot's counters go to its own shard
        below, in cell order. *)
     let bctx =
@@ -454,10 +528,11 @@ let exec_fgroup_inner ~metrics ~trace ~store (pl : Pipeline.t) cells ~tick g =
       | Some tr -> Run.with_trace tr Run.default
       | None -> Run.default
     in
+    let s = g.g_subject in
     let rs =
       F.Engine.Bank.run_packed ~ctx:bctx specs
-        (F.Packed.compile pl.Pipeline.program g.g_layout
-           (Pipeline.test_source pl))
+        (F.Packed.compile s.program g.g_layout
+           (Stc_trace.Source.of_recorder s.trace))
     in
     Array.iteri
       (fun j i ->
@@ -476,31 +551,47 @@ let exec_fgroup_inner ~metrics ~trace ~store (pl : Pipeline.t) cells ~tick g =
       let r = Option.get results.(i) in
       let row = finish_cell ~metrics:shards.(i) cell r in
       tick ();
-      (idxs.(i), row, shards.(i)))
+      (idxs.(i), row, r, shards.(i)))
 
-let exec_fgroup ~metrics ~trace ~store pl cells ~tick g =
+let exec_fgroup ~metrics ~trace ~store cells ~tick g =
   match trace with
-  | None -> exec_fgroup_inner ~metrics ~trace ~store pl cells ~tick g
+  | None -> exec_fgroup_inner ~metrics ~trace ~store cells ~tick g
   | Some tr ->
     Stc_obs.Trace.span tr (fgroup_label cells g) (fun () ->
-        exec_fgroup_inner ~metrics ~trace ~store pl cells ~tick g)
+        exec_fgroup_inner ~metrics ~trace ~store cells ~tick g)
 
-(* Run planned cells: re-plan them into per-layout fused groups — one
-   {!F.Engine.Bank} sweep per group — and run the groups serially or
-   self-scheduled on a domain pool.  Every cell records into its own
-   registry shard and shards merge in input order, so outputs are
-   byte-identical at any job count. *)
-let exec_cells ~(ctx : Run.ctx) ~label (pl : Pipeline.t) cells =
+(* [f] applied once per physically distinct argument. *)
+let memo_phys f =
+  let seen = ref [] in
+  fun x ->
+    match List.assq_opt x !seen with
+    | Some v -> v
+    | None ->
+      let v = f x in
+      seen := (x, v) :: !seen;
+      v
+
+(* Run planned cells: re-plan them into per-(subject, layout) fused
+   groups — one {!F.Engine.Bank} sweep per group — and run the groups
+   serially or self-scheduled on a domain pool.  Every cell records into
+   its own registry shard and shards merge in input order, so outputs
+   are byte-identical at any job count.  Returns each cell's row and
+   engine result, in input order. *)
+let exec_cells ~(ctx : Run.ctx) ~label cells =
   let cells = Array.of_list cells in
   let n = Array.length cells in
-  (* Fingerprint the shared inputs once per grid, not once per cell: the
-     test-trace hash walks millions of entries. *)
+  (* Fingerprint each distinct subject once per grid, not once per cell:
+     a trace hash walks millions of entries. *)
   let store =
     Option.map
       (fun dir ->
+        let prog_fp = memo_phys Stc_store.Fp.program in
+        let trace_fp = memo_phys Stc_store.Fp.trace in
         ( dir,
-          Stc_store.Fp.program pl.Pipeline.program,
-          Stc_store.Fp.trace pl.Pipeline.test ))
+          Array.map
+            (fun c ->
+              (prog_fp c.c_subject.program, trace_fp c.c_subject.trace))
+            cells ))
       ctx.Run.store
   in
   let reporter = Run.reporter ctx ~interval:10 ~total:n ~label () in
@@ -512,7 +603,7 @@ let exec_cells ~(ctx : Run.ctx) ~label (pl : Pipeline.t) cells =
   let groups = fused_groups cells in
   let out =
     if ctx.Run.jobs <= 1 then
-      Array.map (exec_fgroup ~metrics ~trace ~store pl cells ~tick:step) groups
+      Array.map (exec_fgroup ~metrics ~trace ~store cells ~tick:step) groups
     else begin
       (* Workers tick [completed] once per cell as its group finalizes
          it; only the calling domain — which participates in the pool —
@@ -538,7 +629,7 @@ let exec_cells ~(ctx : Run.ctx) ~label (pl : Pipeline.t) cells =
       let out =
         Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace @@ fun pool ->
         Stc_par.Pool.map ~chunk:1 pool
-          (exec_fgroup ~metrics ~trace ~store pl cells ~tick)
+          (exec_fgroup ~metrics ~trace ~store cells ~tick)
           groups
       in
       drain ();
@@ -547,11 +638,11 @@ let exec_cells ~(ctx : Run.ctx) ~label (pl : Pipeline.t) cells =
   in
   (* Scatter rows back to input positions; merge shards in input order so
      exports are byte-identical at any job count. *)
-  let rows = Array.make n None in
+  let done_ = Array.make n None in
   let shard_at = Array.make n None in
   Array.iter
-    (Array.iter (fun (ix, row, shard) ->
-         rows.(ix) <- Some row;
+    (Array.iter (fun (ix, row, r, shard) ->
+         done_.(ix) <- Some (row, r);
          shard_at.(ix) <- shard))
     out;
   (match metrics with
@@ -561,7 +652,9 @@ let exec_cells ~(ctx : Run.ctx) ~label (pl : Pipeline.t) cells =
       shard_at
   | None -> ());
   (match reporter with Some p -> Stc_obs.Progress.finish p | None -> ());
-  Array.to_list (Array.map (function Some r -> r | None -> assert false) rows)
+  Array.to_list (Array.map Option.get done_)
+
+let run_cells ~ctx ~label cells = List.map snd (exec_cells ~ctx ~label cells)
 
 let stc_params (c : sim_config) ~cache_bytes ~cfa_bytes =
   L.Algo.params ~exec_threshold:c.exec_threshold
@@ -603,59 +696,54 @@ let selected_algos = function
   | Some names -> (
     match resolve_layouts names with Ok l -> l | Error e -> invalid_arg e)
 
-(* Store-backed layout construction for the serial planning prefixes.
-   Layouts are pure functions of the profile (program + training trace)
-   and the (algorithm, params) fingerprint, so those make the key. *)
-let layout_cache ~ctx (pl : Pipeline.t) =
-  match Stc_store.of_ctx ctx with
-  | None -> fun ~algo:_ ~params:_ f -> f ()
-  | Some st ->
-    let prog_fp = Stc_store.Fp.program pl.Pipeline.program in
-    let train_fp = Stc_store.Fp.trace pl.Pipeline.training in
-    fun ~algo ~params f ->
-      let key =
-        Stc_store.Key.of_parts
-          [
-            "layout";
-            prog_fp;
-            train_fp;
-            Stc_store.Fp.layout_algo ~algo:algo.L.Algo.slug params;
-          ]
-      in
-      Stc_store.Layout.cached (Some st) ~key f
-
-let build_layout ~ctx ~cached_layout profile algo params =
-  Run.span ctx ("layout-" ^ algo.L.Algo.slug) (fun () ->
-      cached_layout ~algo ~params (fun () -> L.Algo.layout algo profile params))
-
 (* The baselines ignore thresholds and geometry; a fixed params record
    keeps their store keys stable across grid configurations. *)
 let baseline_params = L.Algo.params ~cache_bytes:0 ~cfa_bytes:0 ()
+
+(* Store-backed layout construction for the serial planning prefixes.
+   Layouts are pure functions of the profile — its own program and the
+   trace it was trained on — and the (algorithm, params) fingerprint, so
+   those make the key: an OLTP- or inlined-program profile never aliases
+   the pipeline's. *)
+let layout_builder ~ctx ~training profile =
+  let cached =
+    match Stc_store.of_ctx ctx with
+    | None -> fun ~algo:_ ~params:_ f -> f ()
+    | Some st ->
+      let prog_fp = Stc_store.Fp.program (P.Profile.program profile) in
+      let train_fp = Stc_store.Fp.trace training in
+      fun ~algo ~params f ->
+        let key =
+          Stc_store.Key.of_parts
+            [
+              "layout";
+              prog_fp;
+              train_fp;
+              Stc_store.Fp.layout_algo ~algo:algo.L.Algo.slug params;
+            ]
+        in
+        Stc_store.Layout.cached (Some st) ~key f
+  in
+  fun ?(params = baseline_params) name ->
+    let algo = algo_exn name in
+    Run.span ctx ("layout-" ^ algo.L.Algo.slug) (fun () ->
+        cached ~algo ~params (fun () -> L.Algo.layout algo profile params))
+
+let pipeline_layouts ~ctx (pl : Pipeline.t) =
+  layout_builder ~ctx ~training:pl.Pipeline.training pl.Pipeline.profile
 
 (* The serial prefix: build every layout (cheap, and Profile memoizes a
    successor cache that must not be raced) and list the grid's cells in
    the exact order the serial implementation visited them. *)
 let plan_simulate ~ctx ?layouts config (pl : Pipeline.t) =
   let algos = selected_algos layouts in
-  let cached_layout = layout_cache ~ctx pl in
-  let profile = pl.Pipeline.profile in
-  let build = build_layout ~ctx ~cached_layout profile in
-  let orig = build (algo_exn "orig") baseline_params in
-  let ph = build (algo_exn "P&H") baseline_params in
+  let build = pipeline_layouts ~ctx pl in
+  let orig = build "orig" in
+  let ph = build "P&H" in
   let cells = ref [] in
   let add layout variant ~cache_kb ~cfa_kb =
     cells :=
-      {
-        c_table = "table34";
-        c_config = config;
-        c_layout = layout;
-        c_variant = variant;
-        c_cache_kb = cache_kb;
-        c_cfa_kb = cfa_kb;
-        c_assoc = 1;
-        c_policy = Stc_cachesim.Icache.Lru;
-        c_fdip = None;
-      }
+      grid_cell ~table:"table34" pl config layout variant ~cache_kb ~cfa_kb
       :: !cells
   in
   (* ideal (perfect cache) for the fixed layouts *)
@@ -675,7 +763,9 @@ let plan_simulate ~ctx ?layouts config (pl : Pipeline.t) =
         (fun cfa ->
           let cfa_bytes = cfa * 1024 in
           let params = stc_params config ~cache_bytes ~cfa_bytes in
-          let built = List.map (fun a -> (a, build a params)) algos in
+          let built =
+            List.map (fun a -> (a, build ~params a.L.Algo.name)) algos
+          in
           let cfa_kb = Some cfa in
           List.iter
             (fun (_, layout) ->
@@ -696,7 +786,8 @@ let plan_simulate ~ctx ?layouts config (pl : Pipeline.t) =
 
 let simulate ?(ctx = Run.default) ?(config = default_sim_config) ?layouts pl =
   Run.span ctx "simulate-grid" @@ fun () ->
-  exec_cells ~ctx ~label:"simulate" pl (plan_simulate ~ctx ?layouts config pl)
+  List.map fst
+    (exec_cells ~ctx ~label:"simulate" (plan_simulate ~ctx ?layouts config pl))
 
 (* ---------- extended grid: prefetch × replacement ----------
 
@@ -711,10 +802,9 @@ let simulate ?(ctx = Run.default) ?(config = default_sim_config) ?layouts pl =
 
 let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
   let algos = selected_algos layouts in
-  let cached_layout = layout_cache ~ctx pl in
   let profile = pl.Pipeline.profile in
-  let build = build_layout ~ctx ~cached_layout profile in
-  let orig = build (algo_exn "orig") baseline_params in
+  let build = pipeline_layouts ~ctx pl in
+  let orig = build "orig" in
   let sizes =
     Array.map Stc_cfg.Block.byte_size
       pl.Pipeline.program.Stc_cfg.Program.blocks
@@ -739,7 +829,7 @@ let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
         in
         let built =
           (orig, None)
-          :: List.map (fun a -> (build a params, Some cfa)) algos
+          :: List.map (fun a -> (build ~params a.L.Algo.name, Some cfa)) algos
         in
         List.iter
           (fun (layout, cfa_kb) ->
@@ -749,17 +839,8 @@ let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
                 List.iter
                   (fun fdip ->
                     cells :=
-                      {
-                        c_table = "extended";
-                        c_config = config;
-                        c_layout = layout;
-                        c_variant = Direct;
-                        c_cache_kb = cache_kb;
-                        c_cfa_kb = cfa_kb;
-                        c_assoc = 4;
-                        c_policy = policy;
-                        c_fdip = fdip;
-                      }
+                      grid_cell ~table:"extended" pl config ~assoc:4 ~policy
+                        ?fdip layout Direct ~cache_kb ~cfa_kb
                       :: !cells)
                   [ None; Some F.Fdip.default ])
               [
@@ -773,7 +854,8 @@ let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
 
 let extended ?(ctx = Run.default) ?(config = default_sim_config) ?layouts pl =
   Run.span ctx "extended-grid" @@ fun () ->
-  exec_cells ~ctx ~label:"extended" pl (plan_extended ~ctx ?layouts config pl)
+  List.map fst
+    (exec_cells ~ctx ~label:"extended" (plan_extended ~ctx ?layouts config pl))
 
 let print_extended rows =
   let t =
@@ -861,11 +943,11 @@ let find rows ~layout ~cache_kb ~cfa_kb ~variant =
       && r.cache_kb = cache_kb && r.cfa_kb = cfa_kb && r.variant = variant)
     rows
 
-let cell f = function Some r -> f r | None -> "-"
+let opt_cell f = function Some r -> f r | None -> "-"
 
-let miss_cell = cell (fun r -> Tbl.fmiss r.miss_pct)
+let miss_cell = opt_cell (fun r -> Tbl.fmiss r.miss_pct)
 
-let bw_cell = cell (fun r -> Tbl.f2 r.bandwidth)
+let bw_cell = opt_cell (fun r -> Tbl.f2 r.bandwidth)
 
 let grid_of rows =
   (* recover the grid from the rows *)
@@ -1053,9 +1135,7 @@ type ablation_row = {
 
 let ablation_gen ~ctx ~cache_kb
     ~exec_thresholds ~branch_thresholds ~cfa_kbs (pl : Pipeline.t) =
-  let profile = pl.Pipeline.profile in
-  let cached_layout = layout_cache ~ctx pl in
-  let ops_algo = algo_exn "ops" in
+  let build = pipeline_layouts ~ctx pl in
   (* serial prefix: one ops layout per sweep point *)
   let metas = ref [] and cells = ref [] in
   List.iter
@@ -1075,29 +1155,18 @@ let ablation_gen ~ctx ~cache_kb
                 stc_params config ~cache_bytes:(cache_kb * 1024)
                   ~cfa_bytes:(a_cfa_kb * 1024)
               in
-              let ops =
-                build_layout ~ctx ~cached_layout profile ops_algo params
-              in
+              let ops = build ~params "ops" in
               metas := (a_exec, a_branch, a_cfa_kb) :: !metas;
               cells :=
-                {
-                  c_table = "ablation";
-                  c_config = config;
-                  c_layout = ops;
-                  c_variant = Direct;
-                  c_cache_kb = cache_kb;
-                  c_cfa_kb = Some a_cfa_kb;
-                  c_assoc = 1;
-                  c_policy = Stc_cachesim.Icache.Lru;
-                  c_fdip = None;
-                }
+                grid_cell ~table:"ablation" pl config ops Direct ~cache_kb
+                  ~cfa_kb:(Some a_cfa_kb)
                 :: !cells)
             cfa_kbs)
         branch_thresholds)
     exec_thresholds;
-  let rows = exec_cells ~ctx ~label:"ablation" pl (List.rev !cells) in
+  let rows = exec_cells ~ctx ~label:"ablation" (List.rev !cells) in
   List.map2
-    (fun (a_exec, a_branch, a_cfa_kb) (r : row) ->
+    (fun (a_exec, a_branch, a_cfa_kb) ((r : row), _) ->
       {
         a_exec;
         a_branch;

@@ -117,21 +117,20 @@ val simulate :
     present. The trace-cache rows of Table 4 appear only when "ops" is
     selected (they are defined over the ops layout).
 
-    Cells sharing a layout replay as one {!Stc_fetch.Engine.Bank} sweep
-    over that layout's compiled {!Stc_fetch.Packed} trace — the image is
-    decoded once per {e layout} instead of once per cell — and a domain
-    pool self-schedules whole fused groups. Rows, metric exports, store
-    keys, cached-hit short-circuiting (a store-warm cell drops out of its
-    group's sweep) and per-cell progress ticks do not depend on the
-    grouping or the job count. With [ctx.metrics], the whole grid
-    runs inside a [simulate-grid] span (layout construction in child
-    spans), the fetch engine accumulates its [engine.*] counters, and
-    every simulation emits one [table34.cell] event carrying the row plus
-    the cell's i-cache/trace-cache counters ([cfa_kb] is JSON [null] for
-    CFA-less layouts). The registry contents — counter totals and event
-    order included — are identical at any job count: parallel cells record
-    into per-cell shards merged in input order. With [ctx.progress], a
-    "simulate" progress line is emitted every 10 cells.
+    Each row is a cell of the grid runner (below): cells sharing a
+    layout replay as one {!Stc_fetch.Engine.Bank} sweep over its compiled
+    {!Stc_fetch.Packed} trace, and a domain pool self-schedules whole
+    fused groups. Rows, metric exports, store keys, cached-hit
+    short-circuiting and progress ticks do not depend on the grouping or
+    the job count. With [ctx.metrics], the grid runs inside a
+    [simulate-grid] span (layout construction in child spans), the
+    engine accumulates its [engine.*] counters, and every simulation
+    emits one [table34.cell] event carrying the row plus the cell's
+    i-cache/trace-cache counters ([cfa_kb] is JSON [null] for CFA-less
+    layouts); parallel cells record into per-cell shards merged in input
+    order, so the registry is identical at any job count. With
+    [ctx.progress], a "simulate" progress line is emitted every 10
+    cells.
 
     With [ctx.store], the serial prefix loads previously built layouts by
     content key, and each cell consults the store for its engine result
@@ -167,6 +166,66 @@ val print_table4 : row list -> unit
 
 val print_sequentiality : row list -> unit
 (** The "instructions between taken branches" headline (orig vs ops). *)
+
+(** {2 The grid runner}
+
+    Every simulation above is a cell of one runner, which the
+    {!Extensions} studies and the {!Tuner} share: fused per-(subject,
+    layout) {!Stc_fetch.Engine.Bank} sweeps on the [ctx.jobs] pool,
+    per-cell store caching, progress and events, with {!simulate}'s
+    determinism guarantees. *)
+
+type subject = {
+  program : Stc_cfg.Program.t;
+  trace : Stc_trace.Recorder.t;  (** Recorded against [program]. *)
+}
+(** What a cell replays. Only cells sharing the program and trace
+    {e physically} fuse, so share one subject per trace. *)
+
+val test_subject : Pipeline.t -> subject
+
+type cell
+
+val cell :
+  ?config:Stc_fetch.Engine.Config.t ->
+  ?assoc:int ->
+  ?predictor:Stc_fetch.Predictor.kind * int ->
+  table:string ->
+  subject ->
+  cache_kb:int ->
+  Stc_layout.Layout.t ->
+  cell
+(** A replay against a fresh [cache_kb] LRU i-cache of [assoc] ways
+    (default 1), engine [config] (default {!Stc_fetch.Engine.Config.default})
+    and, given [(kind, redirect_penalty)], a fresh direction predictor
+    (default: perfect prediction). Under [ctx.metrics] it emits a
+    [<table>.cell] event like {!simulate}'s, plus [max_branches] when not
+    3 and [predictor]/[cond_branches]/[mispredictions] when predicting. *)
+
+val run_cells :
+  ctx:Run.ctx -> label:string -> cell list -> Stc_fetch.Engine.result list
+(** The cells' results in input order ([label] names the progress line).
+    With [ctx.store] every result, predicting cells' included, is loaded
+    from and saved to the store. *)
+
+val layout_builder :
+  ctx:Run.ctx ->
+  training:Stc_trace.Recorder.t ->
+  Stc_profile.Profile.t ->
+  ?params:Stc_layout.Algo.params ->
+  string ->
+  Stc_layout.Layout.t
+(** [layout_builder ~ctx ~training profile ?params name]: the named
+    {!Stc_layout.Algo} layout of [profile] (built from [training]), in a
+    [layout-<slug>] span; [params] defaults to the baselines' fixed
+    record. [ctx.store] caches it under the profile's own program and
+    training-trace fingerprints. Build in a serial prefix: profiles
+    memoize state that must not be raced. *)
+
+val pipeline_layouts :
+  ctx:Run.ctx -> Pipeline.t -> ?params:Stc_layout.Algo.params -> string ->
+  Stc_layout.Layout.t
+(** {!layout_builder} over the pipeline's profile and Training trace. *)
 
 (** {2 Ablation} *)
 

@@ -1,65 +1,39 @@
 module L = Stc_layout
 module F = Stc_fetch
 module P = Stc_profile
+module E = Experiments
 module Tbl = Stc_util.Tbl
 
-(* Every extension study funnels its engine runs through here: one
-   (program, layout, trace) replay against a fresh [cache_kb] i-cache of
-   [assoc] ways. With [ctx.store], the compiled trace image and — for
-   prediction-free runs — the whole engine result are consulted in the
-   artifact store first. Prediction runs always replay (a stored result
-   cannot reconstruct the predictor's accuracy state), which is exactly
-   where the cached packed image pays off. *)
-let fetch_run ~ctx ?(assoc = 1) ?config program layout trace ~cache_kb
-    ?prediction () =
-  let config =
-    match config with Some c -> c | None -> F.Engine.Config.default
-  in
-  let icache () =
-    Stc_cachesim.Icache.create ~assoc ~size_bytes:(cache_kb * 1024) ()
-  in
-  match Stc_store.of_ctx ctx with
-  | None ->
-    F.Engine.run ~ctx ~config ~icache:(icache ()) ?prediction
-      (F.View.create program layout (Stc_trace.Source.of_recorder trace))
-  | Some st -> (
-    let prog_fp = Stc_store.Fp.program program in
-    let lay_fp = Stc_store.Fp.layout layout in
-    let trace_fp = Stc_store.Fp.trace trace in
-    let packed () =
-      let key =
-        Stc_store.Key.of_parts [ "packed"; prog_fp; lay_fp; trace_fp ]
-      in
-      Stc_store.Packed.cached (Some st) ~key (fun () ->
-          F.Packed.compile program layout (Stc_trace.Source.of_recorder trace))
-    in
-    match prediction with
-    | Some _ ->
-      F.Engine.run_packed ~ctx ~config ~icache:(icache ()) ?prediction
-        (packed ())
-    | None -> (
-      let key =
-        Stc_store.Key.of_parts
-          [
-            "engine-result";
-            prog_fp;
-            lay_fp;
-            trace_fp;
-            Stc_store.Fp.engine_config config;
-            string_of_int assoc;
-            string_of_int cache_kb;
-          ]
-      in
-      match Stc_store.Result.load st ~key with
-      | Some r ->
-        (match ctx.Run.metrics with
-        | Some reg -> F.Engine.publish reg r
-        | None -> ());
-        r
-      | None ->
-        let r = F.Engine.run_packed ~ctx ~config ~icache:(icache ()) (packed ()) in
-        Stc_store.Result.save st ~key r;
-        r))
+(* A study runs its [plan] — (row tag, cell) pairs — through the one
+   grid runner and gets (row tag, engine result) pairs back.  The study
+   name is its span, progress label and event table. *)
+let run_study ~ctx ~table plan =
+  List.combine (List.map fst plan)
+    (E.run_cells ~ctx ~label:table (List.map snd plan))
+
+(* The STC thresholds of the paper's grid at one cache/CFA geometry. *)
+let stc_params ~cache_kb ~cfa_kb =
+  let c = E.default_sim_config in
+  L.Algo.params ~exec_threshold:c.E.exec_threshold
+    ~branch_threshold:c.E.branch_threshold ~cache_bytes:(cache_kb * 1024)
+    ~cfa_bytes:(cfa_kb * 1024) ()
+
+(* A profile's orig layout and its ops layout at one geometry. *)
+let orig_ops (build : ?params:_ -> _) ~cache_kb ~cfa_kb =
+  let orig = build "orig" in
+  [ orig; build ~params:(stc_params ~cache_kb ~cfa_kb) "ops" ]
+
+(* One cell per (layout, x), tagged with the layout's name and x. *)
+let sweep layouts xs cell =
+  List.concat_map
+    (fun layout ->
+      List.map (fun x -> ((layout.L.Layout.name, x), cell x layout)) xs)
+    layouts
+
+let profile_of program trace =
+  let p = P.Profile.create program in
+  Stc_trace.Source.iter (Stc_trace.Source.of_recorder trace) (P.Profile.sink p);
+  p
 
 (* ---------- inlining ---------- *)
 
@@ -77,49 +51,39 @@ type inline_report = {
   inl_rows : inline_row list;
 }
 
-let stc_layout profile ~cache_kb ~cfa_kb ~name ~seeds =
-  let params =
-    L.Stc.params ~exec_threshold:50 ~branch_threshold:0.3
-      ~cache_bytes:(cache_kb * 1024) ~cfa_bytes:(cfa_kb * 1024) ()
-  in
-  L.Stc.layout profile ~name ~params ~seeds
-
 let inlining ?(ctx = Run.default) ?config ?(cache_kb = 32) ?(cfa_kb = 8)
     (pl : Pipeline.t) =
-  Run.span ctx "ext-inlining" @@ fun () ->
-  let base_prog = pl.Pipeline.program in
+  let table = "ext-inlining" in
+  Run.span ctx table @@ fun () ->
   let tr = L.Inline.transform ?config pl.Pipeline.profile in
   let inl_prog = L.Inline.program tr in
-  let inl_profile = L.Inline.remap_profile tr pl.Pipeline.training in
-  let inl_test = L.Inline.remap_trace tr pl.Pipeline.test in
-  let run variant program layout trace =
-    let r = fetch_run ~ctx program layout trace ~cache_kb () in
-    {
-      i_variant = variant;
-      i_layout = layout.L.Layout.name;
-      i_miss = F.Engine.miss_rate_pct r;
-      i_ipc = F.Engine.bandwidth r;
-      i_ibt = r.F.Engine.instrs_between_taken;
-    }
+  let inl_train = L.Inline.remap_trace tr pl.Pipeline.training in
+  (* each program's layouts come from its own profile *)
+  let variant name subject build =
+    sweep (orig_ops build ~cache_kb ~cfa_kb) [ name ] (fun _ ->
+        E.cell ~table subject ~cache_kb)
   in
-  let rows =
-    [
-      run "base" base_prog (L.Original.layout base_prog) pl.Pipeline.test;
-      run "base" base_prog
-        (stc_layout pl.Pipeline.profile ~cache_kb ~cfa_kb ~name:"ops"
-           ~seeds:(L.Stc.ops_seeds pl.Pipeline.profile))
-        pl.Pipeline.test;
-      run "inlined" inl_prog (L.Original.layout inl_prog) inl_test;
-      run "inlined" inl_prog
-        (stc_layout inl_profile ~cache_kb ~cfa_kb ~name:"ops"
-           ~seeds:(L.Stc.ops_seeds inl_profile))
-        inl_test;
-    ]
+  let base = variant "base" (E.test_subject pl) (E.pipeline_layouts ~ctx pl) in
+  let inlined =
+    variant "inlined"
+      { E.program = inl_prog; trace = L.Inline.remap_trace tr pl.Pipeline.test }
+      (E.layout_builder ~ctx ~training:inl_train
+         (profile_of inl_prog inl_train))
   in
   {
     inl_sites = L.Inline.inlined_sites tr;
     inl_growth_pct = L.Inline.code_growth_pct tr;
-    inl_rows = rows;
+    inl_rows =
+      List.map
+        (fun ((i_layout, i_variant), r) ->
+          {
+            i_variant;
+            i_layout;
+            i_miss = F.Engine.miss_rate_pct r;
+            i_ipc = F.Engine.bandwidth r;
+            i_ibt = r.F.Engine.instrs_between_taken;
+          })
+        (run_study ~ctx ~table (base @ inlined));
   }
 
 let print_inlining r =
@@ -155,11 +119,16 @@ let print_inlining r =
 
 type oltp_row = { o_layout : string; o_miss : float; o_ipc : float; o_ibt : float }
 
-type oltp_report = { oltp_trace_blocks : int; oltp_rows : oltp_row list }
+type oltp_report = {
+  oltp_trace_blocks : int;
+  oltp_cache_kb : int;
+  oltp_rows : oltp_row list;
+}
 
 let oltp ?(ctx = Run.default) ?(train_txns = 300) ?(test_txns = 600)
     ?(cache_kb = 16) (pl : Pipeline.t) =
-  Run.span ctx "ext-oltp" @@ fun () ->
+  let table = "ext-oltp" in
+  Run.span ctx table @@ fun () ->
   let kernel = pl.Pipeline.kernel in
   let db = pl.Pipeline.db_btree in
   let train_mix = Stc_workload.Oltp.mix db ~seed:0xB0B1L ~n:train_txns in
@@ -170,43 +139,38 @@ let oltp ?(ctx = Run.default) ?(train_txns = 300) ?(test_txns = 600)
   let test =
     Stc_workload.Oltp.record ~kernel ~walker_seed:0x02AFL ~db ~txns:test_mix
   in
-  let profile = P.Profile.create pl.Pipeline.program in
-  Stc_trace.Source.iter
-    (Stc_trace.Source.of_recorder train)
-    (P.Profile.sink profile);
-  let run layout =
-    let r = fetch_run ~ctx pl.Pipeline.program layout test ~cache_kb () in
-    {
-      o_layout = layout.L.Layout.name;
-      o_miss = F.Engine.miss_rate_pct r;
-      o_ipc = F.Engine.bandwidth r;
-      o_ibt = r.F.Engine.instrs_between_taken;
-    }
+  (* trained on the OLTP mix, so keyed apart from the DSS layouts *)
+  let profile = profile_of pl.Pipeline.program train in
+  let build = E.layout_builder ~ctx ~training:train profile in
+  let params = stc_params ~cache_kb ~cfa_kb:4 in
+  let orig = build "orig" in
+  let ph = build "P&H" in
+  let auto = build ~params "auto" in
+  let layouts = [ orig; ph; auto; build ~params "ops" ] in
+  let subject = { E.program = pl.Pipeline.program; trace = test } in
+  let plan =
+    sweep layouts [ () ] (fun () -> E.cell ~table subject ~cache_kb)
   in
-  let ph =
-    match L.Algo.find "P&H" with Ok a -> a | Error msg -> invalid_arg msg
-  in
-  let rows =
-    [
-      run (L.Original.layout pl.Pipeline.program);
-      run
-        (L.Algo.layout ph profile
-           (L.Algo.params ~cache_bytes:0 ~cfa_bytes:0 ()));
-      run
-        (stc_layout profile ~cache_kb ~cfa_kb:4 ~name:"auto"
-           ~seeds:(L.Stc.auto_seeds profile));
-      run
-        (stc_layout profile ~cache_kb ~cfa_kb:4 ~name:"ops"
-           ~seeds:(L.Stc.ops_seeds profile));
-    ]
-  in
-  { oltp_trace_blocks = Stc_trace.Recorder.length test; oltp_rows = rows }
+  {
+    oltp_trace_blocks = Stc_trace.Recorder.length test;
+    oltp_cache_kb = cache_kb;
+    oltp_rows =
+      List.map
+        (fun ((o_layout, ()), r) ->
+          {
+            o_layout;
+            o_miss = F.Engine.miss_rate_pct r;
+            o_ipc = F.Engine.bandwidth r;
+            o_ibt = r.F.Engine.instrs_between_taken;
+          })
+        (run_study ~ctx ~table plan);
+  }
 
 let print_oltp r =
   Printf.printf
     "OLTP transaction mix (Section 8 future work), %d traced blocks,\n\
-     16KB i-cache; layouts trained on a disjoint mix:\n"
-    r.oltp_trace_blocks;
+     %dKB i-cache; layouts trained on a disjoint mix:\n"
+    r.oltp_trace_blocks r.oltp_cache_kb;
   let t =
     Tbl.create
       ~headers:
@@ -233,51 +197,41 @@ type prediction_row = {
   p_ipc : float;
 }
 
+(* [Predictor.accuracy_pct]'s expression, from a (storable) result *)
+let accuracy_pct (r : F.Engine.result) =
+  let n = r.F.Engine.cond_branches in
+  if n = 0 then 100.0
+  else 100.0 *. float_of_int (n - r.F.Engine.mispredictions) /. float_of_int n
+
 let prediction ?(ctx = Run.default) ?(cache_kb = 32) ?(cfa_kb = 8)
     (pl : Pipeline.t) =
-  Run.span ctx "ext-prediction" @@ fun () ->
-  let layouts =
-    [
-      L.Original.layout pl.Pipeline.program;
-      stc_layout pl.Pipeline.profile ~cache_kb ~cfa_kb ~name:"ops"
-        ~seeds:(L.Stc.ops_seeds pl.Pipeline.profile);
-    ]
-  in
+  let table = "ext-prediction" in
+  Run.span ctx table @@ fun () ->
+  let layouts = orig_ops (E.pipeline_layouts ~ctx pl) ~cache_kb ~cfa_kb in
   let predictors =
     [
       ("perfect", None);
-      ("always-taken", Some (F.Predictor.Always_taken));
+      ("always-taken", Some F.Predictor.Always_taken);
       ("bimodal-2K", Some (F.Predictor.Bimodal 2048));
       ("gshare-4K/8", Some (F.Predictor.Gshare (4096, 8)));
     ]
   in
-  List.concat_map
-    (fun layout ->
-      List.map
-        (fun (pname, kind) ->
-          let prediction =
-            Option.map
-              (fun k ->
-                { F.Engine.pred = F.Predictor.create k; redirect_penalty = 3 })
-              kind
-          in
-          let r =
-            fetch_run ~ctx pl.Pipeline.program layout pl.Pipeline.test
-              ~cache_kb ?prediction ()
-          in
-          let accuracy =
-            match prediction with
-            | None -> 100.0
-            | Some { F.Engine.pred; _ } -> F.Predictor.accuracy_pct pred
-          in
-          {
-            p_layout = layout.L.Layout.name;
-            p_predictor = pname;
-            p_accuracy = accuracy;
-            p_ipc = F.Engine.bandwidth r;
-          })
-        predictors)
-    layouts
+  let subject = E.test_subject pl in
+  let plan =
+    sweep layouts predictors (fun (_, kind) ->
+        E.cell ~table subject
+          ?predictor:(Option.map (fun k -> (k, 3)) kind)
+          ~cache_kb)
+  in
+  List.map
+    (fun ((p_layout, (p_predictor, _)), r) ->
+      {
+        p_layout;
+        p_predictor;
+        p_accuracy = accuracy_pct r;
+        p_ipc = F.Engine.bandwidth r;
+      })
+    (run_study ~ctx ~table plan)
 
 let print_prediction rows =
   print_endline
@@ -305,46 +259,56 @@ let print_prediction rows =
 type query_row = {
   q_name : string;
   q_blocks : int;
+  q_cache_kb : int;
   q_miss_orig : float;
   q_miss_ops : float;
 }
 
 let per_query ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
-  Run.span ctx "ext-per-query" @@ fun () ->
-  let prog = pl.Pipeline.program in
-  let orig = L.Original.layout prog in
-  let ops =
-    stc_layout pl.Pipeline.profile ~cache_kb ~cfa_kb:4 ~name:"ops"
-      ~seeds:(L.Stc.ops_seeds pl.Pipeline.profile)
-  in
+  let table = "ext-per-query" in
+  Run.span ctx table @@ fun () ->
+  let layouts = orig_ops (E.pipeline_layouts ~ctx pl) ~cache_kb ~cfa_kb:4 in
   let marks = Stc_trace.Recorder.marks pl.Pipeline.test in
   let total = Stc_trace.Recorder.length pl.Pipeline.test in
-  let ranges =
-    List.mapi
-      (fun i (name, lo) ->
-        let hi =
-          match List.nth_opt marks (i + 1) with
-          | Some (_, next) -> next
-          | None -> total
-        in
-        (name, lo, hi))
-      marks
+  (* one subject per query section, shared by its two cells *)
+  let plan =
+    List.concat
+      (List.mapi
+         (fun i (name, lo) ->
+           let hi =
+             match List.nth_opt marks (i + 1) with
+             | Some (_, next) -> next
+             | None -> total
+           in
+           let section = Stc_trace.Recorder.create () in
+           Stc_trace.Source.iter
+             (Stc_trace.Source.of_recorder ~lo ~hi pl.Pipeline.test)
+             (Stc_trace.Recorder.sink section);
+           let subject = { E.program = pl.Pipeline.program; trace = section } in
+           sweep layouts [ (name, hi - lo) ] (fun _ ->
+               E.cell ~table subject ~cache_kb))
+         marks)
   in
-  List.map
-    (fun (name, lo, hi) ->
-      let miss layout =
-        let section = Stc_trace.Recorder.create () in
-        Stc_trace.Source.iter
-          (Stc_trace.Source.of_recorder ~lo ~hi pl.Pipeline.test)
-          (Stc_trace.Recorder.sink section);
-        F.Engine.miss_rate_pct
-          (fetch_run ~ctx prog layout section ~cache_kb ())
-      in
-      { q_name = name; q_blocks = hi - lo; q_miss_orig = miss orig; q_miss_ops = miss ops })
-    ranges
+  let rec rows = function
+    | ((_, (q_name, q_blocks)), o) :: (_, s) :: rest ->
+      {
+        q_name;
+        q_blocks;
+        q_cache_kb = cache_kb;
+        q_miss_orig = F.Engine.miss_rate_pct o;
+        q_miss_ops = F.Engine.miss_rate_pct s;
+      }
+      :: rows rest
+    | _ -> []
+  in
+  rows (run_study ~ctx ~table plan)
+
+(* the cache size a study's rows were run at (all rows share it) *)
+let rows_cache_kb get = function r :: _ -> get r | [] -> 0
 
 let print_per_query rows =
-  print_endline "Per-query i-cache miss rates (16KB, cold start per query):";
+  Printf.printf "Per-query i-cache miss rates (%dKB, cold start per query):\n"
+    (rows_cache_kb (fun r -> r.q_cache_kb) rows);
   let t =
     Tbl.create
       ~headers:
@@ -372,26 +336,20 @@ let print_per_query rows =
 type seqn_row = { s_layout : string; s_max_branches : int; s_ipc : float }
 
 let fetch_units ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
-  Run.span ctx "ext-fetch-units" @@ fun () ->
-  let prog = pl.Pipeline.program in
-  let layouts =
-    [
-      L.Original.layout prog;
-      stc_layout pl.Pipeline.profile ~cache_kb ~cfa_kb:4 ~name:"ops"
-        ~seeds:(L.Stc.ops_seeds pl.Pipeline.profile);
-    ]
+  let table = "ext-fetch-units" in
+  Run.span ctx table @@ fun () ->
+  let layouts = orig_ops (E.pipeline_layouts ~ctx pl) ~cache_kb ~cfa_kb:4 in
+  let subject = E.test_subject pl in
+  let plan =
+    sweep layouts [ 1; 2; 3 ] (fun n ->
+        E.cell ~table subject
+          ~config:(F.Engine.Config.make ~max_branches:n ())
+          ~cache_kb)
   in
-  List.concat_map
-    (fun layout ->
-      List.map
-        (fun s_max_branches ->
-          let config = F.Engine.Config.make ~max_branches:s_max_branches () in
-          let r =
-            fetch_run ~ctx ~config prog layout pl.Pipeline.test ~cache_kb ()
-          in
-          { s_layout = layout.L.Layout.name; s_max_branches; s_ipc = F.Engine.bandwidth r })
-        [ 1; 2; 3 ])
-    layouts
+  List.map
+    (fun ((s_layout, s_max_branches), r) ->
+      { s_layout; s_max_branches; s_ipc = F.Engine.bandwidth r })
+    (run_study ~ctx ~table plan)
 
 let print_fetch_units rows =
   print_endline
@@ -418,39 +376,39 @@ let print_fetch_units rows =
 
 (* ---------- associativity interaction ---------- *)
 
-type assoc_row = { a_layout : string; a_assoc : int; a_miss : float; a_ipc : float }
+type assoc_row = {
+  a_layout : string;
+  a_assoc : int;
+  a_cache_kb : int;
+  a_miss : float;
+  a_ipc : float;
+}
 
 let associativity ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
-  Run.span ctx "ext-associativity" @@ fun () ->
-  let prog = pl.Pipeline.program in
-  let layouts =
-    [
-      L.Original.layout prog;
-      stc_layout pl.Pipeline.profile ~cache_kb ~cfa_kb:4 ~name:"ops"
-        ~seeds:(L.Stc.ops_seeds pl.Pipeline.profile);
-    ]
+  let table = "ext-associativity" in
+  Run.span ctx table @@ fun () ->
+  let layouts = orig_ops (E.pipeline_layouts ~ctx pl) ~cache_kb ~cfa_kb:4 in
+  let subject = E.test_subject pl in
+  let plan =
+    sweep layouts [ 1; 2; 4 ] (fun assoc ->
+        E.cell ~table subject ~assoc ~cache_kb)
   in
-  List.concat_map
-    (fun layout ->
-      List.map
-        (fun a_assoc ->
-          let r =
-            fetch_run ~ctx ~assoc:a_assoc prog layout pl.Pipeline.test
-              ~cache_kb ()
-          in
-          {
-            a_layout = layout.L.Layout.name;
-            a_assoc;
-            a_miss = F.Engine.miss_rate_pct r;
-            a_ipc = F.Engine.bandwidth r;
-          })
-        [ 1; 2; 4 ])
-    layouts
+  List.map
+    (fun ((a_layout, a_assoc), r) ->
+      {
+        a_layout;
+        a_assoc;
+        a_cache_kb = cache_kb;
+        a_miss = F.Engine.miss_rate_pct r;
+        a_ipc = F.Engine.bandwidth r;
+      })
+    (run_study ~ctx ~table plan)
 
 let print_associativity rows =
-  print_endline
-    "Layout x associativity (16KB): how much of the software layout's\n\
-     benefit survives a set-associative cache:";
+  Printf.printf
+    "Layout x associativity (%dKB): how much of the software layout's\n\
+     benefit survives a set-associative cache:\n"
+    (rows_cache_kb (fun r -> r.a_cache_kb) rows);
   let t =
     Tbl.create
       ~headers:
@@ -470,9 +428,41 @@ let print_associativity rows =
 
 (* ---------- tuning ---------- *)
 
-let print_tuning ?(ctx = Run.default) ?(cache_kb = 32) (pl : Pipeline.t) =
-  Run.span ctx "ext-tuning" @@ fun () ->
-  let outcome = Tuner.tune ~ctx ~cache_kb pl in
+type tuning_report = {
+  tu_outcome : Tuner.outcome;
+  tu_held_out : (string * float * float) list;
+}
+
+let tuning ?(ctx = Run.default) ?(cache_kb = 32) (pl : Pipeline.t) =
+  let table = "ext-tuning" in
+  Run.span ctx table @@ fun () ->
+  let tu_outcome = Tuner.tune ~ctx ~cache_kb pl in
+  (* held-out evaluation on Test *)
+  let build = E.pipeline_layouts ~ctx pl in
+  let tuned = Tuner.layout_of ~ctx pl ~cache_kb tu_outcome.Tuner.chosen in
+  let hand = build ~params:(stc_params ~cache_kb ~cfa_kb:8) "ops" in
+  let orig = build "orig" in
+  let subject = E.test_subject pl in
+  let plan =
+    List.map
+      (fun (name, layout) -> (name, E.cell ~table subject ~cache_kb layout))
+      [
+        ("tuned", tuned);
+        ("hand-picked (ops 50/0.3)", hand);
+        ("original", orig);
+      ]
+  in
+  {
+    tu_outcome;
+    tu_held_out =
+      List.map
+        (fun (name, r) ->
+          (name, F.Engine.bandwidth r, F.Engine.miss_rate_pct r))
+        (run_study ~ctx ~table plan);
+  }
+
+let print_tuning r =
+  let outcome = r.tu_outcome in
   let c = outcome.Tuner.chosen in
   Printf.printf
     "Automatic threshold selection (%d candidates, scored on Training):\n\
@@ -482,16 +472,24 @@ let print_tuning ?(ctx = Run.default) ?(cache_kb = 32) (pl : Pipeline.t) =
     (match c.Tuner.t_seeds with `Auto -> "auto" | `Ops -> "ops")
     c.Tuner.t_exec c.Tuner.t_branch c.Tuner.t_cfa_kb
     outcome.Tuner.train_bandwidth;
-  (* held-out evaluation *)
-  let eval name layout =
-    let r =
-      fetch_run ~ctx pl.Pipeline.program layout pl.Pipeline.test ~cache_kb ()
-    in
-    Printf.printf "  %-24s %5.2f IPC, %5.2f miss%% on Test\n" name
-      (F.Engine.bandwidth r) (F.Engine.miss_rate_pct r)
-  in
-  eval "tuned" (Tuner.layout_of pl ~cache_kb c);
-  eval "hand-picked (ops 50/0.3)"
-    (stc_layout pl.Pipeline.profile ~cache_kb ~cfa_kb:8 ~name:"ops"
-       ~seeds:(L.Stc.ops_seeds pl.Pipeline.profile));
-  eval "original" (L.Original.layout pl.Pipeline.program)
+  List.iter
+    (fun (name, ipc, miss) ->
+      Printf.printf "  %-24s %5.2f IPC, %5.2f miss%% on Test\n" name ipc miss)
+    r.tu_held_out
+
+(* ---------- all studies ---------- *)
+
+let print_all ?(ctx = Run.default) pl =
+  print_inlining (inlining ~ctx pl);
+  print_newline ();
+  print_oltp (oltp ~ctx pl);
+  print_newline ();
+  print_prediction (prediction ~ctx pl);
+  print_newline ();
+  print_tuning (tuning ~ctx pl);
+  print_newline ();
+  print_per_query (per_query ~ctx pl);
+  print_newline ();
+  print_fetch_units (fetch_units ~ctx pl);
+  print_newline ();
+  print_associativity (associativity ~ctx pl)

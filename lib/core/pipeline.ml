@@ -187,9 +187,7 @@ let run ?(ctx = Run.default) ?(config = default_config) () =
 let test_source ?segment_blocks t =
   Stc_trace.Source.of_recorder ?segment_blocks t.test
 
-let training_source ?segment_blocks t =
-  Stc_trace.Source.of_recorder ?segment_blocks t.training
-
 let replay_test t f = Stc_trace.Source.iter (test_source t) f
 
-let replay_training t f = Stc_trace.Source.iter (training_source t) f
+let replay_training t f =
+  Stc_trace.Source.iter (Stc_trace.Source.of_recorder t.training) f

@@ -69,9 +69,6 @@ val test_source : ?segment_blocks:int -> t -> Stc_trace.Source.t
     per replay). [segment_blocks] defaults to
     {!Stc_trace.Source.default_segment_blocks}. *)
 
-val training_source : ?segment_blocks:int -> t -> Stc_trace.Source.t
-(** Same over the Training trace. *)
-
 val replay_test : t -> (int -> unit) -> unit
 (** [Source.iter (test_source t)] — convenience wrapper over the source
     API for block-at-a-time consumers. *)

@@ -24,110 +24,45 @@ let default_space =
         [ 10; 50; 250 ])
     [ `Auto; `Ops ]
 
-let layout_of (pl : Pipeline.t) ~cache_kb c =
-  let profile = pl.Pipeline.profile in
-  let params =
-    L.Stc.params ~exec_threshold:c.t_exec ~branch_threshold:c.t_branch
-      ~cache_bytes:(cache_kb * 1024) ~cfa_bytes:(c.t_cfa_kb * 1024) ()
-  in
-  let seeds =
-    match c.t_seeds with
-    | `Auto -> L.Stc.auto_seeds profile
-    | `Ops -> L.Stc.ops_seeds profile
-  in
-  let name =
-    Printf.sprintf "tuned(%s,%d,%.2f,%dK)"
-      (match c.t_seeds with `Auto -> "auto" | `Ops -> "ops")
-      c.t_exec c.t_branch c.t_cfa_kb
-  in
-  L.Stc.layout profile ~name ~params ~seeds
+let params ~cache_kb c =
+  L.Algo.params ~exec_threshold:c.t_exec ~branch_threshold:c.t_branch
+    ~cache_bytes:(cache_kb * 1024) ~cfa_bytes:(c.t_cfa_kb * 1024) ()
+
+let algo_name c = match c.t_seeds with `Auto -> "auto" | `Ops -> "ops"
+
+let layout_of ?(ctx = Run.default) pl ~cache_kb c =
+  Experiments.pipeline_layouts ~ctx pl ~params:(params ~cache_kb c)
+    (algo_name c)
 
 let tune ?(ctx = Run.default) ?(cache_kb = 32) ?(space = default_space)
     (pl : Pipeline.t) =
   if space = [] then invalid_arg "Tuner.tune: empty candidate space";
-  let candidates = Array.of_list space in
-  (* The store handle carries no registry on purpose (matching the
-     no-registry scoring below): candidate-space artifacts must not
-     perturb the exported [store.*] counters or warning events, and a
-     metrics-free handle is also safe to share across scoring domains. *)
-  let store = Option.map (fun dir -> Stc_store.open_ dir) ctx.Run.store in
-  let fps =
-    Option.map
-      (fun _ ->
-        ( Stc_store.Fp.program pl.Pipeline.program,
-          Stc_store.Fp.trace pl.Pipeline.training ))
-      store
+  (* Neither layout building nor scoring records into [ctx.metrics] (nor
+     opens the store against it), so the exported registry does not
+     depend on the candidate space or on [ctx.jobs] — only the winner's
+     held-out evaluation is recorded (by the caller). *)
+  let ctx = { ctx with Run.metrics = None } in
+  let build = Experiments.pipeline_layouts ~ctx pl in
+  let training =
+    { Experiments.program = pl.Pipeline.program; trace = pl.Pipeline.training }
   in
-  (* serial prefix: layout construction shares the profile's memo caches *)
-  let build c =
-    match (store, fps) with
-    | Some st, Some (prog_fp, train_fp) ->
-      let key =
-        Stc_store.Key.of_parts
-          [
-            "layout";
-            prog_fp;
-            train_fp;
-            (match c.t_seeds with `Auto -> "stc-auto" | `Ops -> "stc-ops");
-            string_of_int c.t_exec;
-            string_of_float c.t_branch;
-            string_of_int (cache_kb * 1024);
-            string_of_int (c.t_cfa_kb * 1024);
-            (* the tuner names its layouts after the candidate, so they
-               must not alias the plain "auto"/"ops" layout entries *)
-            "tuned";
-          ]
-      in
-      Stc_store.Layout.cached (Some st) ~key (fun () ->
-          layout_of pl ~cache_kb c)
-    | _ -> layout_of pl ~cache_kb c
-  in
-  let layouts = Array.map build candidates in
-  (* Scoring passes no registry even when [ctx.metrics] is set, so the
-     exported engine counters do not depend on the candidate space or on
-     [ctx.jobs] — only the winner's held-out evaluation is recorded (by
-     the caller). *)
-  let score layout =
-    let fresh () =
-      let view =
-        F.View.create pl.Pipeline.program layout (Pipeline.training_source pl)
-      in
-      let icache =
-        Stc_cachesim.Icache.create ~size_bytes:(cache_kb * 1024) ()
-      in
-      F.Engine.run ~icache view
-    in
-    let r =
-      match (store, fps) with
-      | Some st, Some (prog_fp, train_fp) ->
-        let key =
-          Stc_store.Key.of_parts
-            [
-              "engine-result";
-              prog_fp;
-              Stc_store.Fp.layout layout;
-              train_fp;
-              Stc_store.Fp.engine_config F.Engine.Config.default;
-              "1";
-              string_of_int cache_kb;
-            ]
-        in
-        Stc_store.Result.cached (Some st) ~key fresh
-      | _ -> fresh ()
-    in
-    F.Engine.bandwidth r
+  let cells =
+    List.map
+      (fun c ->
+        Experiments.cell ~table:"tuner" training ~cache_kb
+          (build ~params:(params ~cache_kb c) (algo_name c)))
+      space
   in
   let scores =
-    if ctx.Run.jobs <= 1 then Array.map score layouts
-    else
-      Stc_par.Pool.with_pool ~domains:ctx.Run.jobs @@ fun pool ->
-      Stc_par.Pool.map ~chunk:1 pool score layouts
+    Array.of_list
+      (List.map F.Engine.bandwidth
+         (Experiments.run_cells ~ctx ~label:"tune" cells))
   in
-  (* first-seen candidate wins ties, as in the serial fold *)
+  (* first-seen candidate wins ties *)
   let best = ref 0 in
   Array.iteri (fun i bw -> if bw > scores.(!best) then best := i) scores;
   {
-    chosen = candidates.(!best);
+    chosen = List.nth space !best;
     train_bandwidth = scores.(!best);
-    evaluated = Array.length candidates;
+    evaluated = Array.length scores;
   }

@@ -28,11 +28,18 @@ val default_space : candidate list
 val tune :
   ?ctx:Run.ctx -> ?cache_kb:int -> ?space:candidate list -> Pipeline.t -> outcome
 (** Score every candidate at the given cache size (default 32 KB) on the
-    Training trace and return the best (first-seen wins ties). Layout
-    construction is a serial prefix; candidates are then scored on
-    [ctx.jobs] domains. Scoring never writes to [ctx.metrics], so the
-    exported registry is identical at any job count. *)
+    Training trace and return the best (first-seen wins ties). Each
+    candidate is one {!Experiments.cell} over the Training subject:
+    layouts are built in a serial prefix through
+    {!Experiments.layout_builder}, then {!Experiments.run_cells} scores
+    them — fused per layout, on [ctx.jobs] domains, and cached in
+    [ctx.store] like any other cell. Neither step writes to
+    [ctx.metrics] (the store is opened without it too), so the exported
+    registry is identical at any job count and for any candidate
+    space. *)
 
 val layout_of :
-  Pipeline.t -> cache_kb:int -> candidate -> Stc_layout.Layout.t
-(** Materialize a candidate as a layout (for evaluating it on Test). *)
+  ?ctx:Run.ctx -> Pipeline.t -> cache_kb:int -> candidate -> Stc_layout.Layout.t
+(** Materialize a candidate as a layout (for evaluating it on Test): the
+    registry's "auto" or "ops" algorithm at the candidate's thresholds
+    and CFA size, built as {!Experiments.layout_builder} does. *)

@@ -198,11 +198,3 @@ let remap_trace t rec_ =
         | Some site -> active := Some site
         | None -> ()));
   out
-
-let remap_profile t rec_ =
-  let remapped = remap_trace t rec_ in
-  let p = Profile.create t.expanded in
-  Stc_trace.Source.iter
-    (Stc_trace.Source.of_recorder remapped)
-    (Profile.sink p);
-  p

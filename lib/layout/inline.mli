@@ -45,6 +45,3 @@ val code_growth_pct : t -> float
 val remap_trace : t -> Stc_trace.Recorder.t -> Stc_trace.Recorder.t
 (** Rewrite a dynamic trace of the original program into the expanded
     program's block ids. *)
-
-val remap_profile : t -> Stc_trace.Recorder.t -> Stc_profile.Profile.t
-(** Convenience: remap a trace and profile it against the new program. *)

@@ -12,6 +12,9 @@ let ignored ~ignores r =
     match record_type r with
     | "counter" | "gauge" | "histo" -> str_field "name" r
     | "event" -> str_field "kind" r
+    | "span" ->
+      (* a span by its own name, the last component of its path *)
+      Option.map Filename.basename (str_field "path" r)
     | _ -> None
   in
   match tag with

@@ -5,9 +5,9 @@
     Records are paired by an identifying key (metric name, span path, or
     event kind, with a per-key occurrence number so repeated events pair
     in emission order). Span ["seconds"] fields are never compared (wall
-    clock is not deterministic); any metric whose name — or event whose
-    kind — starts with an ignore prefix is dropped from {e both} sides
-    before pairing, so occurrence numbering stays aligned. Tolerance is
+    clock is not deterministic); any metric whose name, event whose kind
+    or span whose own name (the last component of its path) starts with
+    an ignore prefix is dropped from {e both} sides before pairing, so occurrence numbering stays aligned. Tolerance is
     relative; the default [0.] demands exact equality, which is what two
     same-seed runs must achieve. *)
 

@@ -30,8 +30,8 @@ type ctx = {
           [1] = the exact serial path, never spawning a domain. *)
   store : string option;
       (** Artifact-store directory ({!Stc_store}): entry points consult
-          it before recomputing traces, layouts, packed images and
-          simulation results, and write what they computed back. [None]
+          it before recomputing traces, layouts and simulation
+          results, and write what they computed back. [None]
           = always recompute. The type is a path, not a store handle, so
           that this module stays below [lib/store] in the dependency
           order; consumers open a handle with [Stc_store.of_ctx]. *)

@@ -648,48 +648,6 @@ module Layout = struct
   let cached store ~key f = cached_with ~load ~save store ~key f
 end
 
-module Packed = struct
-  let kind = "packed"
-
-  let version = 1
-
-  let max_persist_words = 4_000_000
-
-  let encode p =
-    let b = Buffer.create 4096 in
-    let len = Stc_fetch.Packed.length p in
-    let words = Stc_fetch.Packed.raw p in
-    Enc.varint b len;
-    for i = 0 to len - 1 do
-      Enc.varint b words.(i)
-    done;
-    Enc.varint b (Stc_fetch.Packed.total_instrs p);
-    Enc.varint b (Stc_fetch.Packed.taken_branches p);
-    Buffer.contents b
-
-  let decode payload =
-    let d = Dec.make payload in
-    let len = Dec.varint d in
-    let words = Array.make (max len 1) 0 in
-    for i = 0 to len - 1 do
-      words.(i) <- Dec.varint d
-    done;
-    let total_instrs = Dec.varint d in
-    let taken_branches = Dec.varint d in
-    Dec.finish d;
-    match Stc_fetch.Packed.of_raw ~words ~len ~total_instrs ~taken_branches with
-    | p -> p
-    | exception Invalid_argument m -> corrupt "%s" m
-
-  let load t ~key = load_with t ~kind ~version ~decode key
-
-  let save t ~key p =
-    if Stc_fetch.Packed.memory_words p <= max_persist_words then
-      write t ~kind ~version key (encode p)
-
-  let cached store ~key f = cached_with ~load ~save store ~key f
-end
-
 module Result = struct
   let kind = "result"
 
@@ -768,7 +726,6 @@ module Result = struct
 
   let save t ~key r = write t ~kind ~version key (encode r)
 
-  let cached store ~key f = cached_with ~load ~save store ~key f
 end
 
 (* ------------------------------------------------------------------ *)

@@ -5,8 +5,8 @@
     everything the pipeline computes is a pure function of a describable
     input set. This store persists those computations between runs:
     recorded traces ({!Stc_trace.Recorder}), layouts
-    ({!Stc_layout.Layout}), packed trace images ({!Stc_fetch.Packed})
-    and per-simulation engine results ({!Stc_fetch.Engine.result}).
+    ({!Stc_layout.Layout}) and per-simulation engine results
+    ({!Stc_fetch.Engine.result}).
 
     {2 Addressing}
 
@@ -98,8 +98,10 @@ val write : t -> kind:string -> version:int -> Key.t -> string -> unit
 (** {2 Typed artifacts}
 
     Each artifact module fixes a [kind] string and a format [version],
-    and offers [load] (consult), [save] (record) and [cached] (consult,
-    else compute and record — on [None] stores, just compute). [encode]
+    and offers [load] (consult) and [save] (record); all but [Result]
+    (whose one caller, the grid runner, loads and saves per cell) also
+    offer [cached] (consult, else compute and record — on [None] stores,
+    just compute). [encode]
     and [decode] are the bare codecs: [decode (encode x)] reconstructs
     [x] and is property-tested; [decode] raises {!Corrupt} on malformed
     bytes. *)
@@ -200,28 +202,6 @@ module Layout : sig
     Stc_layout.Layout.t
 end
 
-module Packed : sig
-  val version : int
-
-  val max_persist_words : int
-  (** Images above this size (4M trace indices ≈ 32 MB on disk) are not
-      persisted by [save]/[cached]: at that scale re-reading the bytes
-      costs about as much as recompiling from the (much smaller) trace
-      artifact, so the disk space buys nothing. [load] still accepts
-      any size. *)
-
-  val encode : Stc_fetch.Packed.t -> string
-
-  val decode : string -> Stc_fetch.Packed.t
-
-  val load : t -> key:Key.t -> Stc_fetch.Packed.t option
-
-  val save : t -> key:Key.t -> Stc_fetch.Packed.t -> unit
-
-  val cached :
-    t option -> key:Key.t -> (unit -> Stc_fetch.Packed.t) -> Stc_fetch.Packed.t
-end
-
 module Result : sig
   val version : int
 
@@ -232,12 +212,6 @@ module Result : sig
   val load : t -> key:Key.t -> Stc_fetch.Engine.result option
 
   val save : t -> key:Key.t -> Stc_fetch.Engine.result -> unit
-
-  val cached :
-    t option ->
-    key:Key.t ->
-    (unit -> Stc_fetch.Engine.result) ->
-    Stc_fetch.Engine.result
 end
 
 (** {2 Content fingerprints}

@@ -154,6 +154,60 @@ let test_prediction_penalty_reduces_ipc () =
       end)
     rows
 
+(* The accuracy a prediction row reports is derived from the engine
+   result, which a store can hold; it must be exactly what the run's own
+   fresh predictor says. *)
+let test_accuracy_from_result () =
+  let pl = Lazy.force pl in
+  let layout = L.Original.layout pl.Pipeline.program in
+  List.iter
+    (fun kind ->
+      let pred = Stc_fetch.Predictor.create kind in
+      let r =
+        Stc_fetch.Engine.run
+          ~icache:(Stc_cachesim.Icache.create ~size_bytes:16384 ())
+          ~prediction:{ Stc_fetch.Engine.pred; redirect_penalty = 3 }
+          (Stc_fetch.View.create pl.Pipeline.program layout
+             (Pipeline.test_source pl))
+      in
+      Alcotest.(check (float 0.0))
+        "accuracy from result" (Stc_fetch.Predictor.accuracy_pct pred)
+        (E.accuracy_pct r))
+    Stc_fetch.Predictor.
+      [ Always_taken; Bimodal 2048; Gshare (4096, 8) ]
+
+let with_store f =
+  Test_store.with_dir (fun dir ->
+      f (Stc_core.Run.with_store dir Stc_core.Run.default))
+
+let test_prediction_warm_store () =
+  let pl = Lazy.force pl in
+  let plain = E.prediction ~cache_kb:16 ~cfa_kb:4 pl in
+  with_store (fun ctx ->
+      let cold = E.prediction ~ctx ~cache_kb:16 ~cfa_kb:4 pl in
+      let warm = E.prediction ~ctx ~cache_kb:16 ~cfa_kb:4 pl in
+      Alcotest.(check bool) "cold store = no store" true (cold = plain);
+      Alcotest.(check bool) "warm store = cold store" true (warm = cold))
+
+(* The OLTP layouts are trained on the OLTP mix; a store already holding
+   the DSS layouts at the same algorithm and geometry must not serve
+   them. *)
+let test_oltp_after_simulate_store () =
+  let pl = Lazy.force pl in
+  let plain = E.oltp ~train_txns:40 ~test_txns:60 pl in
+  with_store (fun ctx ->
+      ignore
+        (Stc_core.Experiments.simulate ~ctx
+           ~config:
+             {
+               Stc_core.Experiments.default_sim_config with
+               Stc_core.Experiments.grid = [ (16, [ 4 ]) ];
+             }
+           ~layouts:[ "auto"; "ops" ] pl);
+      let stored = E.oltp ~ctx ~train_txns:40 ~test_txns:60 pl in
+      Alcotest.(check bool) "oltp rows unchanged by a DSS-filled store" true
+        (stored.E.oltp_rows = plain.E.oltp_rows))
+
 (* ---------- tuner ---------- *)
 
 let test_tuner_beats_or_matches_origin () =
@@ -192,5 +246,11 @@ let suite =
     Alcotest.test_case "gshare vs bimodal" `Quick test_predictor_alternating_gshare;
     Alcotest.test_case "prediction penalty reduces IPC" `Slow
       test_prediction_penalty_reduces_ipc;
+    Alcotest.test_case "accuracy derived from the result" `Quick
+      test_accuracy_from_result;
+    Alcotest.test_case "prediction rows warm = cold" `Slow
+      test_prediction_warm_store;
+    Alcotest.test_case "oltp rows after a simulate-filled store" `Slow
+      test_oltp_after_simulate_store;
     Alcotest.test_case "tuner beats original" `Slow test_tuner_beats_or_matches_origin;
   ]

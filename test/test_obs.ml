@@ -49,6 +49,37 @@ let test_json_rejects () =
         Alcotest.failf "parsed garbage %S as %s" s (Json.to_string v))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "1 2"; "\"unterminated"; "nul" ]
 
+(* ---------- diff ---------- *)
+
+(* An ignore prefix drops counters, events and spans by their own name —
+   a span's last path component — from both sides. *)
+let test_diff_ignores () =
+  let export build =
+    let reg = Registry.create ~clock:(fun () -> 0.0) () in
+    build reg;
+    Json.lines (Obs.Export.to_jsonl reg)
+  in
+  let a =
+    export (fun reg ->
+        Counter.add (Registry.counter reg "engine.runs") 2;
+        Registry.span reg "study" (fun () -> ()))
+  in
+  let b =
+    export (fun reg ->
+        Counter.add (Registry.counter reg "engine.runs") 2;
+        Registry.span reg "study" (fun () ->
+            Registry.span reg "layout-ops" (fun () -> ()));
+        Registry.event reg ~kind:"study.cell" [ ("n", Json.Int 1) ])
+  in
+  let drift ignores =
+    fst (Obs.Diff.diff_records ~ignores ~a_label:"a" ~b_label:"b" a b)
+  in
+  Alcotest.(check int) "unignored drift" 2 (List.length (drift []));
+  Alcotest.(check (list string)) "span and event ignored" []
+    (drift [ "layout-"; "study.cell" ]);
+  Alcotest.(check int) "a parent's name does not hide its child" 1
+    (List.length (drift [ "study" ]))
+
 (* ---------- registry ---------- *)
 
 let test_registry_roundtrip () =
@@ -344,6 +375,7 @@ let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects;
+    Alcotest.test_case "diff ignore prefixes" `Quick test_diff_ignores;
     Alcotest.test_case "registry roundtrip" `Quick test_registry_roundtrip;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;

@@ -183,24 +183,6 @@ let prop_layout_codec =
       let l = { Stc_layout.Layout.name; addr } in
       Store.Layout.decode (Store.Layout.encode l) = l)
 
-let prop_packed_codec =
-  QCheck.Test.make ~name:"packed codec roundtrip" ~count:100
-    QCheck.(
-      triple
-        (array_of_size Gen.(int_range 0 200) (int_bound max_int))
-        small_nat (float_range 0.0 1.0))
-    (fun (words, total_instrs, frac) ->
-      let len = Array.length words in
-      let taken_branches = int_of_float (frac *. float_of_int len) in
-      let p = F.Packed.of_raw ~words ~len ~total_instrs ~taken_branches in
-      let p' = Store.Packed.decode (Store.Packed.encode p) in
-      F.Packed.length p' = len
-      && Array.for_all2 ( = )
-           (Array.sub (F.Packed.raw p') 0 len)
-           (Array.sub words 0 len)
-      && F.Packed.total_instrs p' = total_instrs
-      && F.Packed.taken_branches p' = taken_branches)
-
 let prop_result_codec =
   QCheck.Test.make ~name:"result codec roundtrip" ~count:100
     QCheck.(
@@ -337,7 +319,6 @@ let suite =
       [
         prop_trace_codec;
         prop_layout_codec;
-        prop_packed_codec;
         prop_result_codec;
         prop_decode_rejects_junk;
       ]

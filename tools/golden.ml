@@ -4,17 +4,21 @@
      golden [--update] [--golden DIR] [--jobs N] [--seed N]
             [--layouts CSV]
 
-   One quick pipeline run (seeded, default 1) produces four artifacts:
+   One quick pipeline run (seeded, default 1) produces five artifacts:
 
      simulate_rows.txt   Experiments.simulate, one row_to_string per line
      ablation_rows.txt   Experiments.ablation, one line per sweep point
      extended_rows.txt   Experiments.extended (policy × prefetch grid),
                          one ext_row_to_string per line
      metrics.jsonl       the full Stc_obs.Export of the run
+     extensions.jsonl    the Stc_obs.Export of a separate registry into
+                         which the seven Extensions studies run (same
+                         pipeline, same --jobs): their ext-<study>.cell
+                         events carry every study number
 
    Without --update each is compared against DIR (default "golden"): the
-   row files byte for byte, the metrics export through Stc_obs.Diff with
-   store.* ignored (the artifact store may or may not be warm) — which
+   row files byte for byte, the two metrics exports through Stc_obs.Diff
+   with store.* ignored (the artifact store may or may not be warm) — which
    also ignores span seconds, so the comparison is stable across
    machines and --jobs values (the registry's determinism guarantee).
    A missing golden directory, a missing snapshot file or an empty one
@@ -30,6 +34,7 @@
    Exit codes: 0 clean, 1 drift, 2 usage/missing-snapshot error. *)
 
 module E = Stc_core.Experiments
+module X = Stc_core.Extensions
 module Pipeline = Stc_core.Pipeline
 module Run = Stc_core.Run
 module Obs = Stc_obs
@@ -146,18 +151,29 @@ let () =
   let ext_lines =
     List.map E.ext_row_to_string (E.extended ~ctx ?layouts pl)
   in
+  let studies_reg = Obs.Registry.create () in
+  (let ctx = { ctx with Run.metrics = Some studies_reg } in
+   ignore (X.inlining ~ctx pl);
+   ignore (X.oltp ~ctx pl);
+   ignore (X.prediction ~ctx pl);
+   ignore (X.tuning ~ctx pl);
+   ignore (X.per_query ~ctx pl);
+   ignore (X.fetch_units ~ctx pl);
+   ignore (X.associativity ~ctx pl));
   let sim_path = Filename.concat dir "simulate_rows.txt" in
   let abl_path = Filename.concat dir "ablation_rows.txt" in
   let ext_path = Filename.concat dir "extended_rows.txt" in
   let met_path = Filename.concat dir "metrics.jsonl" in
+  let studies_path = Filename.concat dir "extensions.jsonl" in
   if update then begin
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     write_lines sim_path sim_lines;
     write_lines abl_path abl_lines;
     write_lines ext_path ext_lines;
     Obs.Export.write_file reg met_path;
-    Printf.printf "golden: wrote %s, %s, %s, %s\n" sim_path abl_path ext_path
-      met_path
+    Obs.Export.write_file studies_reg studies_path;
+    Printf.printf "golden: wrote %s, %s, %s, %s, %s\n" sim_path abl_path
+      ext_path met_path studies_path
   end
   else begin
     let require = function
@@ -184,27 +200,34 @@ let () =
     let sim_golden = require_lines sim_path in
     let abl_golden = require_lines abl_path in
     let ext_golden = require_lines ext_path in
-    let met_golden = require (Obs.Diff.load_file met_path) in
     (* current metrics go through the same serialize/parse round trip *)
-    let met_tmp = Filename.temp_file "golden_current" ".jsonl" in
-    Obs.Export.write_file reg met_tmp;
-    let met_current = require (Obs.Diff.load_file met_tmp) in
-    Sys.remove met_tmp;
+    let diff_export path reg =
+      let golden = require (Obs.Diff.load_file path) in
+      let tmp = Filename.temp_file "golden_current" ".jsonl" in
+      Obs.Export.write_file reg tmp;
+      let current = require (Obs.Diff.load_file tmp) in
+      Sys.remove tmp;
+      ( fst
+          (Obs.Diff.diff_records ~ignores:[ "store." ] ~a_label:path
+             ~b_label:"current run" golden current),
+        List.length golden )
+    in
+    let met_drift, met_records = diff_export met_path reg in
+    let studies_drift, studies_records = diff_export studies_path studies_reg in
     let drift =
       diff_lines ~name:"simulate_rows" sim_golden sim_lines
       @ diff_lines ~name:"ablation_rows" abl_golden abl_lines
       @ diff_lines ~name:"extended_rows" ext_golden ext_lines
-      @ fst
-          (Obs.Diff.diff_records ~ignores:[ "store." ] ~a_label:met_path
-             ~b_label:"current run" met_golden met_current)
+      @ met_drift @ studies_drift
     in
     match drift with
     | [] ->
       Printf.printf
         "golden: clean (%d simulate rows, %d ablation rows, %d extended \
-         rows, %d metric records, jobs=%d, seed=%d)\n"
+         rows, %d metric records, %d study metric records, jobs=%d, \
+         seed=%d)\n"
         (List.length sim_lines) (List.length abl_lines)
-        (List.length ext_lines) (List.length met_golden) jobs seed
+        (List.length ext_lines) met_records studies_records jobs seed
     | msgs ->
       List.iter print_endline msgs;
       Printf.printf "golden: %d drift(s) against %s\n" (List.length msgs) dir;

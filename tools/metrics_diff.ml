@@ -7,11 +7,13 @@
    counts, and every numeric/string field of events (paired per kind, in
    order); the comparison itself lives in Stc_obs.Diff, shared with the
    golden-regression harness (tools/golden). Ignored: span "seconds"
-   (wall clock is never deterministic), plus any metric whose name — or
-   event whose kind — starts with an --ignore prefix. The canonical use
-   is "--ignore store." to compare a cold against a warm artifact-store
-   run, whose only intended difference is the store's own hit/miss
-   counters. Tolerance is relative, in percent; the default 0 demands
+   (wall clock is never deterministic), plus any metric whose name, event
+   whose kind or span whose own name (last path component) starts with an
+   --ignore prefix. The canonical use is "--ignore store." to compare a
+   cold against a warm artifact-store run, whose only intended difference
+   is the store's own hit/miss counters; "--ignore layout-" drops the
+   per-layout build spans, for comparing runs that build layouts in
+   different places. Tolerance is relative, in percent; the default 0 demands
    exact equality, which is what two same-seed runs must achieve.
 
    A missing, unreadable, unparsable or *empty* input is a hard error:
