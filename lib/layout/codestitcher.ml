@@ -166,20 +166,4 @@ let chains profile =
     result
 
 let plan profile ~cfa_bytes =
-  let prog = Profile.program profile in
-  let counts = Profile.counts profile in
-  let chains = chains profile in
-  let cfa_seqs, other_seqs = Mapping.fit_cfa prog ~cfa_bytes chains in
-  let cold = ref [] in
-  Array.iter
-    (fun p ->
-      Array.iter
-        (fun bid -> if counts.(bid) = 0 then cold := bid :: !cold)
-        p.Stc_cfg.Proc.blocks)
-    prog.Program.procs;
-  { Mapping.cfa_seqs; other_seqs; cold = List.rev !cold }
-
-let layout profile ~cache_bytes ~cfa_bytes =
-  Mapping.map_plan (Profile.program profile) ~name:"codestitcher"
-    ~cache_bytes ~cfa_bytes
-    (plan profile ~cfa_bytes)
+  Mapping.plan_of_chains profile ~cfa_bytes (chains profile)

@@ -23,9 +23,4 @@ val chains : Stc_profile.Profile.t -> int list list
     the profile last seen; call only from serial code. *)
 
 val plan : Stc_profile.Profile.t -> cfa_bytes:int -> Mapping.plan
-(** Hot chains split into CFA residents and the rest ({!Mapping.fit_cfa});
-    never-executed blocks in original textual order as the cold part. *)
-
-val layout :
-  Stc_profile.Profile.t -> cache_bytes:int -> cfa_bytes:int -> Layout.t
-(** {!plan} → {!Mapping.map_plan}. *)
+(** {!chains} → {!Mapping.plan_of_chains}. *)

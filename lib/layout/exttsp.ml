@@ -16,7 +16,21 @@ module Block = Stc_cfg.Block
    of edges internal to a chain are invariant under concatenation (only
    relative distances matter), so a merge's gain is exactly the score of
    the cross edges between the two chains — edges between unmerged
-   chains have no defined distance and score 0. *)
+   chains have no defined distance and score 0.
+
+   Selection rule (the contract): each step merges the connected chain
+   pair and orientation with the largest positive gain; on equal gain,
+   the pair whose first cross edge comes earliest in ascending (src, dst)
+   order; within a pair, the orientation whose first chain has the
+   smaller root. A gain is the left fold of [edge_score] over the pair's
+   cross edges in ascending (src, dst) order, so equal inputs give equal
+   floats.
+
+   Cost: both orientation gains of every connected pair sit in a
+   priority queue ordered by that rule, invalidated lazily by per-chain
+   version stamps. A merge appends the second chain in O(its blocks),
+   merges the two chains' per-neighbour edge lists, and rescores only the
+   merged chain's pairs; every other pair's gain is unchanged. *)
 
 let fallthrough_weight = 1.0
 
@@ -43,143 +57,196 @@ let edge_score ~src_end ~dst w =
     else 0.0
   end
 
-type chain = {
-  mutable blocks : int list;
-  mutable bytes : int;
-  mutable weight : int;
-  mutable anchor : int;  (* smallest block id: deterministic tie-break *)
+(* A candidate merge: [first]'s chain laid out immediately before
+   [second]'s, valid while both chains keep the versions it was scored
+   at. [rank] is the index of the pair's first cross edge. *)
+type candidate = {
+  gain : float;
+  rank : int;
+  first : int;
+  second : int;
+  v_first : int;
+  v_second : int;
 }
 
+(* Priority queue of candidates, best first: the largest gain, then —
+   comparing the remaining fields in declaration order — the smallest
+   rank and the smallest first root, which is the selection rule. The
+   other fields only keep stale duplicates apart. *)
+module Candidates = Set.Make (struct
+  type t = candidate
+
+  let compare x y =
+    match Float.compare y.gain x.gain with 0 -> compare x y | c -> c
+end)
+
+(* Chains are keyed by their root, which is always their first block; the
+   per-root arrays are meaningful only for live roots. *)
 type state = {
-  prog : Program.t;
+  size : int array;  (* block -> byte size *)
+  src : int array;  (* edge rank -> source block *)
+  dst : int array;
+  w : int array;
   chain_of : int array;  (* block -> chain root, -1 for cold blocks *)
-  chains : (int, chain) Hashtbl.t;
   offset : int array;  (* block -> byte offset within its chain *)
+  next : int array;  (* block -> next block of its chain, -1 at the tail *)
+  tail : int array;  (* root -> last block *)
+  bytes : int array;  (* root -> chain bytes *)
+  weight : int array;  (* root -> summed execution counts *)
+  anchor : int array;  (* root -> smallest block id: deterministic tie-break *)
+  version : int array;  (* root -> bumped by every merge touching it *)
+  adj : (int, int list) Hashtbl.t array;
+      (* root -> neighbour root -> cross edge ranks, ascending; both
+         directions share one list *)
+  mutable queue : Candidates.t;
 }
 
-let block_bytes st b = Block.byte_size st.prog.Program.blocks.(b)
-
-(* Offsets of [root]'s blocks are kept current so cross-edge distances
-   are O(1) per edge during gain evaluation. *)
-let refresh_offsets st root =
-  let c = Hashtbl.find st.chains root in
-  let cursor = ref 0 in
-  List.iter
-    (fun b ->
-      st.offset.(b) <- !cursor;
-      cursor := !cursor + block_bytes st b)
-    c.blocks
-
-(* Score of the cross edges when [ra]'s chain is laid out immediately
-   before [rb]'s. [edges] are the cross edges between the two chains, in
-   a canonical order so the float sum is reproducible. *)
-let orientation_gain st ra edges =
-  let a = Hashtbl.find st.chains ra in
+(* Score of the cross edges when [first]'s chain is laid out immediately
+   before the other. *)
+let orientation_gain st first edges =
+  let lead = st.bytes.(first) in
+  let pos b =
+    if st.chain_of.(b) = first then st.offset.(b) else lead + st.offset.(b)
+  in
   List.fold_left
-    (fun acc (src, dst, w) ->
-      let src_in_a = st.chain_of.(src) = ra in
-      let src_pos =
-        if src_in_a then st.offset.(src) else a.bytes + st.offset.(src)
-      in
-      let dst_pos =
-        if st.chain_of.(dst) = ra then st.offset.(dst)
-        else a.bytes + st.offset.(dst)
-      in
-      acc +. edge_score ~src_end:(src_pos + block_bytes st src) ~dst:dst_pos w)
+    (fun acc e ->
+      let src = st.src.(e) in
+      acc
+      +. edge_score ~src_end:(pos src + st.size.(src)) ~dst:(pos st.dst.(e))
+           st.w.(e))
     0.0 edges
 
-let merge st ~into:ra rb =
-  let a = Hashtbl.find st.chains ra and b = Hashtbl.find st.chains rb in
-  a.blocks <- a.blocks @ b.blocks;
-  a.bytes <- a.bytes + b.bytes;
-  a.weight <- a.weight + b.weight;
-  a.anchor <- min a.anchor b.anchor;
-  List.iter (fun blk -> st.chain_of.(blk) <- ra) b.blocks;
-  Hashtbl.remove st.chains rb;
-  refresh_offsets st ra
-
-let init_state profile =
-  let prog = Profile.program profile in
-  let counts = Profile.counts profile in
-  let n = Array.length prog.Program.blocks in
-  let st =
-    {
-      prog;
-      chain_of = Array.make n (-1);
-      chains = Hashtbl.create 256;
-      offset = Array.make n 0;
-    }
-  in
-  Array.iteri
-    (fun b c ->
-      if c > 0 then begin
-        st.chain_of.(b) <- b;
-        Hashtbl.replace st.chains b
+let score_pair st ra rb edges =
+  let consider first second =
+    let gain = orientation_gain st first edges in
+    if gain > 0.0 then
+      st.queue <-
+        Candidates.add
           {
-            blocks = [ b ];
-            bytes = Block.byte_size prog.Program.blocks.(b);
-            weight = c;
-            anchor = b;
+            gain;
+            rank = List.hd edges;
+            first;
+            second;
+            v_first = st.version.(first);
+            v_second = st.version.(second);
           }
-      end)
-    counts;
-  st
+          st.queue
+  in
+  consider ra rb;
+  consider rb ra
 
-(* Profiled transitions between distinct executed blocks in canonical
-   (src, dst) order — the one order every float accumulation below uses. *)
+(* Append [rb]'s chain to [ra]'s, fold [rb]'s cross edges into [ra]'s,
+   and rescore every pair of the merged chain. *)
+let merge st ra rb =
+  let shift = st.bytes.(ra) in
+  let blk = ref rb in
+  while !blk >= 0 do
+    st.offset.(!blk) <- st.offset.(!blk) + shift;
+    st.chain_of.(!blk) <- ra;
+    blk := st.next.(!blk)
+  done;
+  st.next.(st.tail.(ra)) <- rb;
+  st.tail.(ra) <- st.tail.(rb);
+  st.bytes.(ra) <- st.bytes.(ra) + st.bytes.(rb);
+  st.weight.(ra) <- st.weight.(ra) + st.weight.(rb);
+  st.anchor.(ra) <- min st.anchor.(ra) st.anchor.(rb);
+  st.version.(ra) <- st.version.(ra) + 1;
+  st.version.(rb) <- st.version.(rb) + 1;
+  let adj_a = st.adj.(ra) in
+  Hashtbl.remove adj_a rb;
+  Hashtbl.iter
+    (fun c eb ->
+      if c <> ra then begin
+        let adj_c = st.adj.(c) in
+        Hashtbl.remove adj_c rb;
+        let merged =
+          match Hashtbl.find_opt adj_a c with
+          | None -> eb
+          | Some ea -> List.merge Int.compare ea eb
+        in
+        Hashtbl.replace adj_a c merged;
+        Hashtbl.replace adj_c ra merged
+      end)
+    st.adj.(rb);
+  Hashtbl.reset st.adj.(rb);
+  Hashtbl.iter (fun c edges -> score_pair st ra c edges) adj_a
+
+(* Profiled transitions between distinct executed blocks in ascending
+   (src, dst) order; an edge's index here is its rank. *)
 let sorted_edges profile =
   let counts = Profile.counts profile in
   let edges = ref [] in
   Profile.iter_edges profile (fun ~src ~dst ~count ->
       if count > 0 && src <> dst && counts.(src) > 0 && counts.(dst) > 0 then
         edges := (src, dst, count) :: !edges);
-  List.sort compare !edges
+  Array.of_list (List.sort compare !edges)
 
-(* One greedy round: group the surviving cross edges by chain pair,
-   evaluate both orientations of every connected pair, and take the best
-   positive-gain merge. Returns [false] once no merge improves the
-   score. *)
-let merge_round st edges =
-  let by_pair = Hashtbl.create 256 in
-  let pair_order = ref [] in
-  List.iter
-    (fun (src, dst, w) ->
-      let ra = st.chain_of.(src) and rb = st.chain_of.(dst) in
-      if ra >= 0 && rb >= 0 && ra <> rb then begin
-        let key = (min ra rb, max ra rb) in
-        match Hashtbl.find_opt by_pair key with
-        | Some l -> l := (src, dst, w) :: !l
-        | None ->
-          Hashtbl.replace by_pair key (ref [ (src, dst, w) ]);
-          pair_order := key :: !pair_order
-      end)
-    edges;
-  let best = ref None in
-  let consider gain ra rb =
-    (* strict improvement on ties keeps the first (canonically smallest)
-       candidate, making the choice order-independent *)
-    match !best with
-    | Some (g, _, _) when g >= gain -> ()
-    | _ -> if gain > 0.0 then best := Some (gain, ra, rb)
+let init_state profile =
+  let prog = Profile.program profile in
+  let counts = Profile.counts profile in
+  let n = Array.length prog.Program.blocks in
+  let edges = sorted_edges profile in
+  let size = Array.map Block.byte_size prog.Program.blocks in
+  let st =
+    {
+      size;
+      src = Array.map (fun (s, _, _) -> s) edges;
+      dst = Array.map (fun (_, d, _) -> d) edges;
+      w = Array.map (fun (_, _, w) -> w) edges;
+      chain_of = Array.init n (fun b -> if counts.(b) > 0 then b else -1);
+      offset = Array.make n 0;
+      next = Array.make n (-1);
+      tail = Array.init n Fun.id;
+      bytes = Array.copy size;
+      weight = Array.copy counts;
+      anchor = Array.init n Fun.id;
+      version = Array.make n 0;
+      adj =
+        (* cold blocks have no cross edges and share one empty table *)
+        (let none = Hashtbl.create 1 in
+         Array.map (fun c -> if c > 0 then Hashtbl.create 4 else none) counts);
+      queue = Candidates.empty;
+    }
   in
-  List.iter
-    (fun (ra, rb) ->
-      let cross = List.rev !(Hashtbl.find by_pair (ra, rb)) in
-      consider (orientation_gain st ra cross) ra rb;
-      consider (orientation_gain st rb cross) rb ra)
-    (List.rev !pair_order);
-  match !best with
-  | None -> false
-  | Some (_, ra, rb) ->
-    merge st ~into:ra rb;
-    true
+  (* consing in descending rank leaves every list ascending *)
+  for e = Array.length edges - 1 downto 0 do
+    let s = st.src.(e) and d = st.dst.(e) in
+    let l = e :: Option.value ~default:[] (Hashtbl.find_opt st.adj.(s) d) in
+    Hashtbl.replace st.adj.(s) d l;
+    Hashtbl.replace st.adj.(d) s l
+  done;
+  Array.iteri
+    (fun r tbl ->
+      Hashtbl.iter (fun c edges -> if r < c then score_pair st r c edges) tbl)
+    st.adj;
+  st
+
+let rec merge_all st =
+  match Candidates.min_elt_opt st.queue with
+  | None -> ()
+  | Some c ->
+    st.queue <- Candidates.remove c st.queue;
+    if
+      st.version.(c.first) = c.v_first && st.version.(c.second) = c.v_second
+    then merge st c.first c.second;
+    merge_all st
 
 let ordered_chains st =
-  Hashtbl.fold (fun _ c acc -> c :: acc) st.chains []
-  |> List.sort (fun c1 c2 ->
-         if c1.weight <> c2.weight then compare c2.weight c1.weight
-         else compare c1.anchor c2.anchor)
-  |> List.map (fun c -> c.blocks)
+  let roots = ref [] in
+  Array.iteri (fun b r -> if r = b then roots := r :: !roots) st.chain_of;
+  let blocks r =
+    let rec from acc b =
+      if b < 0 then List.rev acc else from (b :: acc) st.next.(b)
+    in
+    from [] r
+  in
+  List.sort
+    (fun r1 r2 ->
+      if st.weight.(r1) <> st.weight.(r2) then
+        compare st.weight.(r2) st.weight.(r1)
+      else compare st.anchor.(r1) st.anchor.(r2))
+    !roots
+  |> List.map blocks
 
 (* Chain construction depends only on the profile; the grid asks for one
    plan per (cache, CFA) point, so memoize for the profile last seen.
@@ -191,29 +258,10 @@ let chains profile =
   | Some (p, chains) when p == profile -> chains
   | _ ->
     let st = init_state profile in
-    let edges = sorted_edges profile in
-    while merge_round st edges do
-      ()
-    done;
+    merge_all st;
     let result = ordered_chains st in
     memo := Some (profile, result);
     result
 
 let plan profile ~cfa_bytes =
-  let prog = Profile.program profile in
-  let counts = Profile.counts profile in
-  let chains = chains profile in
-  let cfa_seqs, other_seqs = Mapping.fit_cfa prog ~cfa_bytes chains in
-  let cold = ref [] in
-  Array.iter
-    (fun p ->
-      Array.iter
-        (fun bid -> if counts.(bid) = 0 then cold := bid :: !cold)
-        p.Stc_cfg.Proc.blocks)
-    prog.Program.procs;
-  { Mapping.cfa_seqs; other_seqs; cold = List.rev !cold }
-
-let layout profile ~cache_bytes ~cfa_bytes =
-  Mapping.map_plan (Profile.program profile) ~name:"exttsp" ~cache_bytes
-    ~cfa_bytes
-    (plan profile ~cfa_bytes)
+  Mapping.plan_of_chains profile ~cfa_bytes (chains profile)

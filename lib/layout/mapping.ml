@@ -103,3 +103,16 @@ let map prog ~name ~cache_bytes ~cfa_bytes ~cfa_seqs ~other_seqs ~cold =
 
 let map_plan prog ~name ~cache_bytes ~cfa_bytes { cfa_seqs; other_seqs; cold } =
   map prog ~name ~cache_bytes ~cfa_bytes ~cfa_seqs ~other_seqs ~cold
+
+let plan_of_chains profile ~cfa_bytes chains =
+  let prog = Stc_profile.Profile.program profile in
+  let counts = Stc_profile.Profile.counts profile in
+  let cfa_seqs, other_seqs = fit_cfa prog ~cfa_bytes chains in
+  let cold = ref [] in
+  Array.iter
+    (fun p ->
+      Array.iter
+        (fun bid -> if counts.(bid) = 0 then cold := bid :: !cold)
+        p.Stc_cfg.Proc.blocks)
+    prog.Program.procs;
+  { cfa_seqs; other_seqs; cold = List.rev !cold }

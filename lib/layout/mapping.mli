@@ -54,3 +54,10 @@ val fit_cfa :
     longest prefix of whole sequences fitting in [cfa_bytes] and the
     rest. A sequence that does not fit is skipped (later, shorter ones may
     still fit), preserving order. *)
+
+val plan_of_chains :
+  Stc_profile.Profile.t -> cfa_bytes:int -> int list list -> plan
+(** [plan_of_chains profile ~cfa_bytes chains] is the plan of a
+    chain-building layout: the ordered hot [chains] split into CFA
+    residents and the rest ({!fit_cfa}), and the never-executed blocks in
+    original textual order as the cold part. *)

@@ -187,9 +187,3 @@ let hot_and_fluff profile =
 let plan profile =
   let hot, fluff = hot_and_fluff profile in
   { Mapping.cfa_seqs = []; other_seqs = [ hot ]; cold = fluff }
-
-let layout profile =
-  let prog = Profile.program profile in
-  let hot, fluff = hot_and_fluff profile in
-  (* hot code first, then the split-away fluff section *)
-  Layout.of_block_order prog ~name:"P&H" (Array.of_list (hot @ fluff))

@@ -12,10 +12,8 @@
 
 val plan : Stc_profile.Profile.t -> Mapping.plan
 (** The hot chain order as one sequence, the fluff as the cold section,
-    no CFA; mapped with [cfa_bytes = 0] it reproduces {!layout}'s
-    addresses exactly (the registry route used by {!Algo}). *)
-
-val layout : Stc_profile.Profile.t -> Layout.t
+    no CFA: mapped with [cfa_bytes = 0] ({!Algo}), the hot code comes
+    first and the fluff after it. *)
 
 val proc_order : Stc_profile.Profile.t -> int array
 (** The procedure order chosen by the call-graph heuristic (exposed for

@@ -57,8 +57,3 @@ let plan profile ~seq_params ~cfa_bytes =
         p.Stc_cfg.Proc.blocks)
     prog.Program.procs;
   { Mapping.cfa_seqs = [ cfa_blocks ]; other_seqs; cold = List.rev !cold }
-
-let layout profile ~seq_params ~cache_bytes ~cfa_bytes =
-  Mapping.map_plan (Profile.program profile) ~name:"Torr" ~cache_bytes
-    ~cfa_bytes
-    (plan profile ~seq_params ~cfa_bytes)

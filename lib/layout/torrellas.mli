@@ -12,14 +12,6 @@ val plan :
   seq_params:Seqbuild.params ->
   cfa_bytes:int ->
   Mapping.plan
-(** The partition {!layout} maps: the pulled-out popular blocks as one
-    CFA "sequence", the thinned-out sequences, and the cold remainder
+(** The partition to map: the pulled-out popular blocks as one CFA
+    "sequence", the thinned-out sequences, and the cold remainder
     (independent of [cache_bytes], which only affects the mapping). *)
-
-val layout :
-  Stc_profile.Profile.t ->
-  seq_params:Seqbuild.params ->
-  cache_bytes:int ->
-  cfa_bytes:int ->
-  Layout.t
-(** {!plan} → {!Mapping.map_plan}. *)

@@ -229,6 +229,188 @@ let prop_layout_permutation =
       let layout = L.Layout.of_block_order prog ~name:"rand" order in
       match L.Layout.validate layout prog with Ok () -> true | Error _ -> false)
 
+(* ---------- ExtTSP ---------- *)
+
+let test_exttsp_edge_score () =
+  let score ~src_end ~dst = L.Exttsp.edge_score ~src_end ~dst 3 in
+  let check name want got = Alcotest.(check (float 1e-12)) name want got in
+  check "fall-through" 3.0 (score ~src_end:200 ~dst:200);
+  check "forward 512 B" (0.05 *. 3.0) (score ~src_end:200 ~dst:712);
+  check "forward 1024 B" 0.0 (score ~src_end:200 ~dst:1224);
+  check "forward 1025 B" 0.0 (score ~src_end:200 ~dst:1225);
+  check "backward 640 B" 0.0 (score ~src_end:1000 ~dst:360)
+
+(* Reference for [Exttsp.chains]: the direct round-based greedy merge.
+   Every round regroups all cross edges by chain pair, scores both
+   orientations of every pair (pairs in order of their first cross edge,
+   the smaller root first) and takes the first best positive gain, so it
+   states the selection rule without any cached state. O(merges × edges). *)
+let reference_chains profile =
+  let prog = P.Profile.program profile in
+  let counts = P.Profile.counts profile in
+  let n = Array.length prog.Program.blocks in
+  let size b = Stc_cfg.Block.byte_size prog.Program.blocks.(b) in
+  let chain_of = Array.init n (fun b -> if counts.(b) > 0 then b else -1) in
+  let blocks = Array.init n (fun b -> [ b ]) in
+  let bytes = Array.init n size in
+  let weight = Array.copy counts in
+  let anchor = Array.init n Fun.id in
+  let offset = Array.make n 0 in
+  let edges = ref [] in
+  P.Profile.iter_edges profile (fun ~src ~dst ~count ->
+      if count > 0 && src <> dst && counts.(src) > 0 && counts.(dst) > 0 then
+        edges := (src, dst, count) :: !edges);
+  let edges = List.sort compare !edges in
+  let gain ra cross =
+    let pos b =
+      if chain_of.(b) = ra then offset.(b) else bytes.(ra) + offset.(b)
+    in
+    List.fold_left
+      (fun acc (src, dst, w) ->
+        acc
+        +. L.Exttsp.edge_score ~src_end:(pos src + size src) ~dst:(pos dst) w)
+      0.0 cross
+  in
+  let merge ra rb =
+    blocks.(ra) <- blocks.(ra) @ blocks.(rb);
+    bytes.(ra) <- bytes.(ra) + bytes.(rb);
+    weight.(ra) <- weight.(ra) + weight.(rb);
+    anchor.(ra) <- min anchor.(ra) anchor.(rb);
+    List.iter (fun b -> chain_of.(b) <- ra) blocks.(rb);
+    ignore
+      (List.fold_left
+         (fun cursor b ->
+           offset.(b) <- cursor;
+           cursor + size b)
+         0 blocks.(ra))
+  in
+  let rec merge_rounds () =
+    let by_pair = Hashtbl.create 256 and pair_order = ref [] in
+    List.iter
+      (fun (src, dst, w) ->
+        let ra = chain_of.(src) and rb = chain_of.(dst) in
+        if ra <> rb then begin
+          let key = (min ra rb, max ra rb) in
+          match Hashtbl.find_opt by_pair key with
+          | Some l -> l := (src, dst, w) :: !l
+          | None ->
+            Hashtbl.replace by_pair key (ref [ (src, dst, w) ]);
+            pair_order := key :: !pair_order
+        end)
+      edges;
+    let best = ref None in
+    let consider g ra rb =
+      match !best with
+      | Some (b, _, _) when b >= g -> ()
+      | _ -> if g > 0.0 then best := Some (g, ra, rb)
+    in
+    List.iter
+      (fun (ra, rb) ->
+        let cross = List.rev !(Hashtbl.find by_pair (ra, rb)) in
+        consider (gain ra cross) ra rb;
+        consider (gain rb cross) rb ra)
+      (List.rev !pair_order);
+    match !best with
+    | None -> ()
+    | Some (_, ra, rb) ->
+      merge ra rb;
+      merge_rounds ()
+  in
+  merge_rounds ();
+  List.init n Fun.id
+  |> List.filter (fun r -> chain_of.(r) = r)
+  |> List.sort (fun r1 r2 ->
+         if weight.(r1) <> weight.(r2) then compare weight.(r2) weight.(r1)
+         else compare anchor.(r1) anchor.(r2))
+  |> List.map (fun r -> blocks.(r))
+
+let chains_match profile =
+  let got = L.Exttsp.chains profile and want = reference_chains profile in
+  let show chains =
+    String.concat " | "
+      (List.map (fun c -> String.concat "," (List.map string_of_int c)) chains)
+  in
+  if got <> want then
+    QCheck.Test.fail_reportf "chains differ:@.got  %s@.want %s" (show got)
+      (show want);
+  true
+
+let prop_exttsp_skeleton =
+  QCheck.Test.make ~name:"ExtTSP chains = reference (skeleton programs)"
+    ~count:60 (QCheck.make Test_fetch.gen_skeleton) (fun skel ->
+      let prog, rec_ = Test_fetch.trace_of_skeleton skel in
+      let profile = P.Profile.create prog in
+      Stc_trace.Source.iter
+        (Stc_trace.Source.of_recorder rec_)
+        (P.Profile.sink profile);
+      chains_match profile)
+
+(* Tie-heavy profiles: uniform block sizes, weights 1 or 2 and edges in
+   both directions make equal gains common, so both tie-breaks of the
+   selection rule decide merges. *)
+type tie_case = {
+  blocks : int;
+  instrs : int;  (* every block's size *)
+  edges : (int * int * int * bool) list;  (* src, dst, weight, both ways *)
+}
+
+let gen_tie_case =
+  let open QCheck.Gen in
+  let* blocks = int_range 2 14 in
+  let* instrs = oneofl [ 1; 4; 64 ] in
+  let* edges =
+    list_size (int_bound (3 * blocks))
+      (quad (int_bound (blocks - 1)) (int_bound (blocks - 1)) (int_range 1 2)
+         bool)
+  in
+  return { blocks; instrs; edges }
+
+let print_tie_case c =
+  Printf.sprintf "%d blocks of %d instrs; edges %s" c.blocks c.instrs
+    (String.concat " "
+       (List.map
+          (fun (s, d, w, both) ->
+            Printf.sprintf "%d%s%d:%d" s (if both then "<>" else ">") d w)
+          c.edges))
+
+let tie_profile c =
+  let b = Builder.create () in
+  let p = Builder.declare_proc b ~name:"p" ~subsystem:Stc_cfg.Proc.Other in
+  let blocks =
+    Array.init c.blocks (fun _ -> Builder.new_block b ~pid:p ~size:c.instrs)
+  in
+  Array.iteri
+    (fun i bid ->
+      Builder.set_term b bid
+        (if i + 1 < c.blocks then Terminator.Fall blocks.(i + 1)
+         else Terminator.Ret))
+    blocks;
+  Builder.finish_proc b ~pid:p ~entry:blocks.(0) ~blocks;
+  let profile = P.Profile.create (Builder.build b) in
+  let edge src dst w =
+    if P.Profile.edge_count profile ~src ~dst = 0 then
+      P.Profile.inject_edge profile ~src ~dst ~count:w
+  in
+  List.iter
+    (fun (s, d, w, both) ->
+      let s = blocks.(s) and d = blocks.(d) in
+      edge s d w;
+      if both then edge d s w;
+      (* inject_edge leaves counts alone: make both endpoints executed *)
+      List.iter
+        (fun bid ->
+          if P.Profile.block_count profile bid = 0 then
+            P.Profile.inject_block profile bid ~count:w)
+        [ s; d ])
+    c.edges;
+  profile
+
+let prop_exttsp_ties =
+  QCheck.Test.make ~name:"ExtTSP chains = reference (tie-heavy profiles)"
+    ~count:500
+    (QCheck.make ~print:print_tie_case gen_tie_case)
+    (fun c -> chains_match (tie_profile c))
+
 let suite =
   [
     Alcotest.test_case "figure 3 worked example" `Quick test_figure3;
@@ -244,5 +426,7 @@ let suite =
     Alcotest.test_case "seqbuild exec threshold" `Quick
       test_seqbuild_respects_exec_threshold;
     Alcotest.test_case "mapping CFA windows" `Quick test_mapping_skips_cfa_windows;
+    Alcotest.test_case "ExtTSP edge score" `Quick test_exttsp_edge_score;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_layout_permutation ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_layout_permutation; prop_exttsp_skeleton; prop_exttsp_ties ]
