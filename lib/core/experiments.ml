@@ -426,42 +426,64 @@ let finish_cell ~metrics cell r =
 
 (* ---------- fused execution ----------
 
-   The planned cells are re-grouped by (subject, layout) — physical
-   identity, first-appearance order; a layout object may be shared by
-   several subjects, as the per-query study's trace sections share the
-   orig/ops layouts — and each group's cold cells replay as one
-   {!F.Engine.Bank} sweep, so the group's packed trace is compiled once
-   instead of once per cell.  Everything a cell observes is independent
-   of the grouping: its store key, its warm-hit short-circuit (a
-   store-warm cell is dropped from the bank before the sweep), its one
-   {!Progress} tick, and its registry writes — each cell flushes into its
-   own shard, and shards merge into the main registry in cell {e input}
-   order, so rows, metric exports and golden snapshots are byte-identical
-   at any [--jobs]. *)
+   The planned cells are re-grouped by (subject, layout content) in
+   first-appearance order, and each group's cold cells replay as one
+   {!F.Engine.Bank} sweep, so the group's packed trace is compiled and
+   walked once instead of once per cell.  The subject is compared by
+   physical identity.  A layout is compared by its address array, since
+   that is all a replay sees of it (the paper feeds the simulators
+   "faked" block addresses): layouts built separately that place every
+   block at the same address (e.g. STC's auto and ops layouts, or one
+   algorithm at two cache sizes) share one sweep.  Each physical layout
+   is fingerprinted once, and two layouts merge only if their arrays are
+   also equal, so a hash collision cannot merge different layouts; a
+   layout object may be shared by several subjects, as the per-query
+   study's trace sections share the orig/ops layouts.
+
+   Everything a cell observes is independent of the grouping: its row
+   (named after its own layout), its store key, its warm-hit
+   short-circuit (a store-warm cell is dropped from the bank before the
+   sweep), its one {!Progress} tick, and its registry writes — each cell
+   flushes into its own shard, and shards merge into the main registry
+   in cell {e input} order, so rows, metric exports and golden snapshots
+   are byte-identical at any [--jobs]. *)
 
 type fgroup = {
   g_subject : subject;
-  g_layout : L.Layout.t;
+  g_layout : L.Layout.t; (* the first member's; every member's is equal *)
   g_cells : int array; (* input indices *)
 }
 
+(* [f] applied once per physically distinct argument. *)
+let memo_phys f =
+  let seen = ref [] in
+  fun x ->
+    match List.assq_opt x !seen with
+    | Some v -> v
+    | None ->
+      let v = f x in
+      seen := (x, v) :: !seen;
+      v
+
 let fused_groups cells =
+  let fp = memo_phys Stc_store.Fp.layout in
   let acc = ref [] in
   Array.iteri
     (fun i c ->
-      match
-        List.find_opt
-          (fun (s, l, _) ->
-            l == c.c_layout && s.program == c.c_subject.program
-            && s.trace == c.c_subject.trace)
-          !acc
-      with
-      | Some (_, _, members) -> members := i :: !members
-      | None -> acc := !acc @ [ (c.c_subject, c.c_layout, ref [ i ]) ])
+      let l = c.c_layout and h = fp c.c_layout in
+      let same (s, gl, gh, _) =
+        s.program == c.c_subject.program
+        && s.trace == c.c_subject.trace
+        && String.equal gh h
+        && (gl == l || gl.L.Layout.addr = l.L.Layout.addr)
+      in
+      match List.find_opt same !acc with
+      | Some (_, _, _, members) -> members := i :: !members
+      | None -> acc := !acc @ [ (c.c_subject, l, h, ref [ i ]) ])
     cells;
   Array.of_list
     (List.map
-       (fun (s, l, members) ->
+       (fun (s, l, _, members) ->
          {
            g_subject = s;
            g_layout = l;
@@ -469,9 +491,19 @@ let fused_groups cells =
          })
        !acc)
 
+(* e.g. "fused:table34 auto+ops (6 cells)": every layout name the group
+   serves, in first-appearance order *)
 let fgroup_label cells g =
+  let names =
+    Array.fold_left
+      (fun acc i ->
+        let name = cells.(i).c_layout.L.Layout.name in
+        if List.mem name acc then acc else name :: acc)
+      [] g.g_cells
+  in
   Printf.sprintf "fused:%s %s (%d cells)"
-    cells.(g.g_cells.(0)).c_table g.g_layout.L.Layout.name
+    cells.(g.g_cells.(0)).c_table
+    (String.concat "+" (List.rev names))
     (Array.length g.g_cells)
 
 (* Execute one fused group.  Per member cell: its own registry shard
@@ -560,19 +592,8 @@ let exec_fgroup ~metrics ~trace ~store cells ~tick g =
     Stc_obs.Trace.span tr (fgroup_label cells g) (fun () ->
         exec_fgroup_inner ~metrics ~trace ~store cells ~tick g)
 
-(* [f] applied once per physically distinct argument. *)
-let memo_phys f =
-  let seen = ref [] in
-  fun x ->
-    match List.assq_opt x !seen with
-    | Some v -> v
-    | None ->
-      let v = f x in
-      seen := (x, v) :: !seen;
-      v
-
-(* Run planned cells: re-plan them into per-(subject, layout) fused
-   groups — one {!F.Engine.Bank} sweep per group — and run the groups
+(* Run planned cells: re-plan them into per-(subject, layout content)
+   fused groups — one {!F.Engine.Bank} sweep per group — and run the groups
    serially or self-scheduled on a domain pool.  Every cell records into
    its own registry shard and shards merge in input order, so outputs
    are byte-identical at any job count.  Returns each cell's row and

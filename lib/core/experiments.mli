@@ -117,8 +117,9 @@ val simulate :
     present. The trace-cache rows of Table 4 appear only when "ops" is
     selected (they are defined over the ops layout).
 
-    Each row is a cell of the grid runner (below): cells sharing a
-    layout replay as one {!Stc_fetch.Engine.Bank} sweep over its compiled
+    Each row is a cell of the grid runner (below): cells whose layouts
+    place every block at the same address replay as one
+    {!Stc_fetch.Engine.Bank} sweep over one compiled
     {!Stc_fetch.Packed} trace, and a domain pool self-schedules whole
     fused groups. Rows, metric exports, store keys, cached-hit
     short-circuiting and progress ticks do not depend on the grouping or
@@ -170,17 +171,24 @@ val print_sequentiality : row list -> unit
 (** {2 The grid runner}
 
     Every simulation above is a cell of one runner, which the
-    {!Extensions} studies and the {!Tuner} share: fused per-(subject,
-    layout) {!Stc_fetch.Engine.Bank} sweeps on the [ctx.jobs] pool,
-    per-cell store caching, progress and events, with {!simulate}'s
-    determinism guarantees. *)
+    {!Extensions} studies and the {!Tuner} share: fused {!Stc_fetch.Engine.Bank}
+    sweeps on the [ctx.jobs] pool, per-cell store caching, progress and
+    events, with {!simulate}'s determinism guarantees.
+
+    Cells fuse on (subject, layout content): the same program and
+    trace, and layouts with equal address arrays, whatever their names
+    or how often they were built. A cell's row still carries its own
+    layout's name. Each physical layout is fingerprinted once per grid,
+    and two layouts merge only when their arrays are equal, not merely
+    their fingerprints. *)
 
 type subject = {
   program : Stc_cfg.Program.t;
   trace : Stc_trace.Recorder.t;  (** Recorded against [program]. *)
 }
-(** What a cell replays. Only cells sharing the program and trace
-    {e physically} fuse, so share one subject per trace. *)
+(** What a cell replays. Subjects are compared by physical identity:
+    only cells sharing the program and trace {e physically} fuse, so
+    share one subject per trace. *)
 
 val test_subject : Pipeline.t -> subject
 
@@ -248,8 +256,8 @@ val ablation :
 (** Sweep the STC parameters (ops seeds) at one cache size. Layout
     construction is a serial prefix; sweep points run on [ctx.jobs]
     domains with the same determinism guarantee as {!simulate}.
-    (Every ablation point builds its own ops layout, so fused groups are
-    banks of one here.) With
+    (Every ablation point builds its own ops layout, but points whose
+    layouts place every block alike share one fused sweep.) With
     [ctx.metrics], each sweep point emits one [ablation.cell] event.
     [ctx.store] caches the swept layouts and per-point engine results
     exactly as in {!simulate}. *)

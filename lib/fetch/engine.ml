@@ -104,6 +104,19 @@ let publish reg r =
   addnz "prefetch.useful" r.prefetch_useful;
   C.incr (Reg.counter reg "engine.runs")
 
+(* Packed-word decoders over {!Packed}'s field constants. They live here
+   rather than in Packed so that the walk below inlines them: a call into
+   another module stays out of line when modules compile separately. *)
+let w_addr w = w lsr Packed.addr_shift
+
+let w_size w = (w lsr Packed.size_shift) land Packed.size_mask
+
+let w_taken w = w land Packed.taken_bit <> 0
+
+let w_branch w = w land Packed.branch_bit <> 0
+
+let w_cond w = w land Packed.cond_bit <> 0
+
 (* Timeline slices are one per replay — never per block: at millions of
    blocks per second even a no-op emission call in the inner loop would
    dominate the engine. *)
@@ -442,11 +455,11 @@ module Bank = struct
           let s = Array.unsafe_get preds i in
           match s.sp.prediction with
           | Some { pred; redirect_penalty } ->
-            let pc = Packed.w_addr w + ((Packed.w_size w - 1) * 4) in
+            let pc = w_addr w + ((w_size w - 1) * 4) in
             if
               not
                 (Predictor.predict_and_update pred ~pc
-                   ~taken:(Packed.w_taken w))
+                   ~taken:(w_taken w))
             then s.s_penalties <- s.s_penalties + redirect_penalty
           | None -> ()
         done
@@ -476,7 +489,7 @@ module Bank = struct
               Fdip.advance f ~now:fnow ~nth:(fun k ->
                   let i = start_idx + k in
                   if i < len then
-                    Some (Packed.w_addr (Array.unsafe_get words i))
+                    Some (w_addr (Array.unsafe_get words i))
                   else None)
             | None -> ()
           done
@@ -501,7 +514,7 @@ module Bank = struct
           let stop = info.Tracecache.end_pos.View.idx in
           for i = start_idx to stop - 1 do
             let w = Array.unsafe_get words i in
-            if Packed.w_cond w then cond_block h w
+            if w_cond w then cond_block h w
           done;
           h.pos <- !dropped + stop;
           h.coff <- info.Tracecache.end_pos.View.off;
@@ -510,7 +523,7 @@ module Bank = struct
           h.ccycles <- h.ccycles + 1;
           h.cseq <- h.cseq + 1;
           let a =
-            Packed.w_addr (Array.unsafe_get words start_idx)
+            w_addr (Array.unsafe_get words start_idx)
             + (start_off * instr_bytes)
           in
           let line_no = a / h.line in
@@ -525,8 +538,8 @@ module Bank = struct
           let stop = ref false in
           while not !stop do
             let w = Array.unsafe_get words !idx in
-            let size = Packed.w_size w in
-            let cur_addr = Packed.w_addr w + (!off * instr_bytes) in
+            let size = w_size w in
+            let cur_addr = w_addr w + (!off * instr_bytes) in
             let space = (window_end - cur_addr) / instr_bytes in
             let remaining = size - !off in
             let take = if remaining <= space then remaining else space in
@@ -536,10 +549,10 @@ module Bank = struct
               stop := true
             end
             else begin
-              let was_branch = Packed.w_branch w in
-              let taken = Packed.w_taken w in
+              let was_branch = w_branch w in
+              let taken = w_taken w in
               if was_branch then incr branches;
-              if Packed.w_cond w then cond_block h w;
+              if w_cond w then cond_block h w;
               incr idx;
               off := 0;
               if
@@ -548,7 +561,7 @@ module Bank = struct
                 || !idx >= len
               then stop := true
               else if
-                Packed.w_addr (Array.unsafe_get words !idx) >= window_end
+                w_addr (Array.unsafe_get words !idx) >= window_end
               then stop := true
             end
           done;

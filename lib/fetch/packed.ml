@@ -26,7 +26,7 @@ let size_shift = 3
 
 let addr_shift = 22
 
-let max_size = (1 lsl (addr_shift - size_shift)) - 1
+let size_mask = (1 lsl (addr_shift - size_shift)) - 1
 
 let max_addr = (1 lsl (62 - addr_shift)) - 1
 
@@ -36,7 +36,7 @@ let w_branch w = w land branch_bit <> 0
 
 let w_cond w = w land cond_bit <> 0
 
-let w_size w = (w lsr size_shift) land max_size
+let w_size w = (w lsr size_shift) land size_mask
 
 let w_addr w = w lsr addr_shift
 
@@ -60,7 +60,7 @@ let tables_of_arrays ~sizes ~branch_end ~cond_end ~addrs =
     || Array.length addrs <> n
   then invalid_arg "Packed.tables_of_arrays: table lengths differ";
   for b = 0 to n - 1 do
-    if sizes.(b) < 0 || sizes.(b) > max_size then
+    if sizes.(b) < 0 || sizes.(b) > size_mask then
       invalid_arg "Packed.tables_of_arrays: block size out of range";
     if addrs.(b) < 0 || addrs.(b) > max_addr then
       invalid_arg "Packed.tables_of_arrays: block address out of range"
@@ -93,39 +93,45 @@ let tables prog layout =
    block lives in the {e next} segment ([next_first]), which is how a
    per-segment compilation stays bit-identical to a whole-trace pass.
    [next_first = None] means true end of trace: the final index counts
-   as taken. Returns the segment's (instrs, taken) contribution. *)
+   as taken. Returns the segment's (instrs, taken) contribution.
+
+   One pass: each base word is gathered once, and index i-1's word is
+   written when index i's address is in hand. *)
 let fill_segment tb ~words ~pos seg ~next_first =
   let base = tb.base in
-  let len = Segment.length seg in
-  let instr_bytes = Block.instr_bytes in
-  let instrs = ref 0 and taken_n = ref 0 in
-  let put i w next =
+  let ids = seg.Segment.ids in
+  let len = Bigarray.Array1.dim ids in
+  if len = 0 then (0, 0)
+  else begin
+    let instr_bytes = Block.instr_bytes in
+    let instrs = ref 0 and taken_n = ref 0 in
+    let prev = ref (Array.unsafe_get base (Bigarray.Array1.unsafe_get ids 0)) in
+    for i = 1 to len - 1 do
+      let w = Array.unsafe_get base (Bigarray.Array1.unsafe_get ids i) in
+      let p = !prev in
+      let size = (p lsr size_shift) land size_mask in
+      let taken =
+        Bool.to_int
+          (w lsr addr_shift <> (p lsr addr_shift) + (size * instr_bytes))
+      in
+      instrs := !instrs + size;
+      taken_n := !taken_n + taken;
+      Array.unsafe_set words (pos + i - 1) (p lor (taken * taken_bit));
+      prev := w
+    done;
+    let p = !prev in
+    let size = (p lsr size_shift) land size_mask in
     let taken =
-      next lsr addr_shift
-      <> (w lsr addr_shift) + (((w lsr size_shift) land max_size) * instr_bytes)
+      match next_first with
+      | None -> 1 (* end of trace: counts as taken *)
+      | Some nb ->
+        Bool.to_int
+          (Array.unsafe_get base nb lsr addr_shift
+          <> (p lsr addr_shift) + (size * instr_bytes))
     in
-    instrs := !instrs + ((w lsr size_shift) land max_size);
-    if taken then begin
-      incr taken_n;
-      Array.unsafe_set words (pos + i) (w lor taken_bit)
-    end
-    else Array.unsafe_set words (pos + i) w
-  in
-  for i = 0 to len - 2 do
-    let w = Array.unsafe_get base (Segment.unsafe_get seg i) in
-    put i w (Array.unsafe_get base (Segment.unsafe_get seg (i + 1)))
-  done;
-  if len > 0 then begin
-    let w = Array.unsafe_get base (Segment.unsafe_get seg (len - 1)) in
-    match next_first with
-    | Some nb -> put (len - 1) w (Array.unsafe_get base nb)
-    | None ->
-      (* end of trace: counts as taken *)
-      instrs := !instrs + ((w lsr size_shift) land max_size);
-      incr taken_n;
-      Array.unsafe_set words (pos + len - 1) (w lor taken_bit)
-  end;
-  (!instrs, !taken_n)
+    Array.unsafe_set words (pos + len - 1) (p lor (taken * taken_bit));
+    (!instrs + size, !taken_n + taken)
+  end
 
 let of_segment tb seg ~next_first =
   let len = Segment.length seg in

@@ -13,8 +13,12 @@
     bits 3–21 block size in instructions (up to 2^19-1), bits 22–62
     block byte address (up to 2 TB). The structure is immutable after
     compilation and safe to share read-only across domains; {!Stc_core}'s
-    experiment grids compile one per distinct layout and share it between
-    all cells that replay that layout. *)
+    experiment grids compile one per distinct layout address array and
+    share it between all cells that replay that array.
+
+    Compilation is one pass over each segment's ids, read straight from
+    its Bigarray: each per-block word is gathered once, and an index's
+    taken bit is derived when the next index's word is in hand. *)
 
 type t
 
@@ -71,27 +75,39 @@ val length : t -> int
 (** {2 The hot-loop surface}
 
     [raw t] is the word array itself (never mutate it; indices
-    [>= length t] are padding). Decode with the [w_*] accessors. This is
-    what {!Engine}'s packed loops and the packed {!Tracecache} paths
-    iterate over. *)
+    [>= length t] are padding). This is what {!Engine}'s bank walk and
+    the packed {!Tracecache} paths iterate over. *)
 
 val raw : t -> int array
 
-val w_addr : int -> int
-(** Block byte address under the layout. *)
+(** {2 Word fields}
 
-val w_size : int -> int
-(** Block size in instructions. *)
+    The one definition of the word layout. A word [w] decodes as:
+    - block byte address under the layout: [w lsr addr_shift];
+    - block size in instructions: [(w lsr size_shift) land size_mask];
+    - taken, [w land taken_bit <> 0]: the transition to the next trace
+      index is non-sequential under the layout (the last index counts
+      as taken);
+    - branch-end, [w land branch_bit <> 0]: the block ends with a branch
+      instruction;
+    - conditional-end, [w land cond_bit <> 0]: the block ends with a
+      conditional branch.
 
-val w_taken : int -> bool
-(** The transition to the next trace index is non-sequential under the
-    layout (the last index counts as taken). *)
+    Hot loops decode with small functions of their own over these
+    constants, which the compiler inlines; a call into this module
+    cannot be inlined when modules are compiled separately. *)
 
-val w_branch : int -> bool
-(** The block ends with a branch instruction. *)
+val taken_bit : int
 
-val w_cond : int -> bool
-(** The block ends with a conditional branch. *)
+val branch_bit : int
+
+val cond_bit : int
+
+val size_shift : int
+
+val size_mask : int
+
+val addr_shift : int
 
 (** {2 Checked per-index accessors}
 

@@ -37,6 +37,17 @@ let geometry t = (Array.length t.entries, t.width, t.max_branches)
 
 let index t addr = (addr lsr 2) land (Array.length t.entries - 1)
 
+(* Packed-word decoders over {!Packed}'s field constants, local so that
+   the trace walk below inlines them: a call into another module stays
+   out of line when modules compile separately. *)
+let w_addr w = w lsr Packed.addr_shift
+
+let w_size w = (w lsr Packed.size_shift) land Packed.size_mask
+
+let w_taken w = w land Packed.taken_bit <> 0
+
+let w_branch w = w land Packed.branch_bit <> 0
+
 (* Trace construction and matching over a packed view, driven by unsafe
    word reads, with the lookup/hit accounting left to the caller so the
    engine inner loop touches no shared counters. *)
@@ -51,7 +62,7 @@ let build_trace_limits_packed packed ~idx ~off ~width ~max_branches =
     if !idx >= len || !n >= width then stop := true
     else begin
       let w = Array.unsafe_get words !idx in
-      let size = Packed.w_size w in
+      let size = w_size w in
       let remaining = size - !off in
       let take = min remaining (width - !n) in
       n := !n + take;
@@ -62,8 +73,8 @@ let build_trace_limits_packed packed ~idx ~off ~width ~max_branches =
       end
       else begin
         (* block completed *)
-        (if Packed.w_branch w then begin
-           if Packed.w_taken w then outcomes := !outcomes lor (1 lsl !branches);
+        (if w_branch w then begin
+           if w_taken w then outcomes := !outcomes lor (1 lsl !branches);
            incr branches
          end);
         incr idx;
@@ -83,7 +94,7 @@ let build_trace_packed packed ~idx ~off =
   build_trace_limits_packed packed ~idx ~off ~width:16 ~max_branches:3
 
 let packed_fetch_addr packed ~idx ~off =
-  Packed.w_addr (Array.unsafe_get (Packed.raw packed) idx)
+  w_addr (Array.unsafe_get (Packed.raw packed) idx)
   + (off * Stc_cfg.Block.instr_bytes)
 
 let lookup_uncounted t packed ~idx ~off =

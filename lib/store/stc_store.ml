@@ -553,15 +553,15 @@ module Chunked = struct
     in
     write t ~kind:manifest_kind ~version key (encode_manifest m)
 
-  let source t ~key =
+  (* Read and CRC-check every segment of the entry once, fold the content
+     hash, and hand each intact segment to [keep], so a damaged or
+     foreign segment degrades to a recompute here rather than failing
+     mid-replay. *)
+  let validate t ~key ~keep =
     match load_manifest t ~key with
     | None -> None
     | Some m ->
       let n_segs = Array.length m.m_seg_lens in
-      (* Eagerly read and CRC-check every segment once (decoded segments
-         are dropped immediately, so residency stays one segment), and
-         fold the content hash so a damaged or foreign segment degrades
-         to a recompute here rather than failing mid-replay. *)
       let ok = ref true in
       let base = ref 0 in
       let h = ref Fnv.empty in
@@ -569,10 +569,9 @@ module Chunked = struct
         if !ok then begin
           match load_segment t ~key:(seg_key key i) ~base:!base with
           | Some s when Segment.length s = m.m_seg_lens.(i) ->
-            for j = 0 to Segment.length s - 1 do
-              h := Fnv.int !h (Segment.unsafe_get s j)
-            done;
-            base := !base + m.m_seg_lens.(i)
+            h := Fnv.int_bigarray !h s.Segment.ids;
+            base := !base + m.m_seg_lens.(i);
+            keep s
           | Some _ | None -> ok := false
         end
       done;
@@ -581,38 +580,43 @@ module Chunked = struct
           warning t ~kind:manifest_kind ~key ~reason:"segment content drift";
         None
       end
-      else begin
-        let i = ref 0 and pos = ref 0 in
-        let src =
-          Source.make ~total_blocks:m.m_total_blocks (fun () ->
-              if !i >= n_segs then None
-              else begin
-                let sk = seg_key key !i in
-                let b = !pos in
-                let ln = m.m_seg_lens.(!i) in
-                incr i;
-                pos := !pos + ln;
-                match load_segment t ~key:sk ~base:b with
-                | Some s when Segment.length s = ln -> Some s
-                | Some _ | None ->
-                  (* validated moments ago; only a concurrent writer can
-                     get here, and truncating silently would corrupt
-                     results *)
-                  corrupt "chunked segment %d vanished mid-replay" !i
-              end)
-        in
-        Some (m, src)
-      end
+      else Some m
 
-  let load t ~key =
-    match source t ~key with
+  let source t ~key =
+    (* validated segments are dropped at once, so residency stays one
+       segment; replay reads them again *)
+    match validate t ~key ~keep:ignore with
     | None -> None
-    | Some (m, src) -> (
-      match Source.to_array src with
-      | ids -> Some (Recorder.of_ids ids ~marks:m.m_marks)
-      | exception Corrupt reason ->
-        warning t ~kind:manifest_kind ~key ~reason;
-        None)
+    | Some m ->
+      let n_segs = Array.length m.m_seg_lens in
+      let i = ref 0 and pos = ref 0 in
+      let src =
+        Source.make ~total_blocks:m.m_total_blocks (fun () ->
+            if !i >= n_segs then None
+            else begin
+              let sk = seg_key key !i in
+              let b = !pos in
+              let ln = m.m_seg_lens.(!i) in
+              incr i;
+              pos := !pos + ln;
+              match load_segment t ~key:sk ~base:b with
+              | Some s when Segment.length s = ln -> Some s
+              | Some _ | None ->
+                (* validated moments ago; only a concurrent writer can
+                   get here, and truncating silently would corrupt
+                   results *)
+                corrupt "chunked segment %d vanished mid-replay" !i
+            end)
+      in
+      Some (m, src)
+
+  (* The segments validated are the recorder's contents: each is read
+     once, and whole chunks are adopted without a copy. *)
+  let load t ~key =
+    let segs = ref [] in
+    match validate t ~key ~keep:(fun s -> segs := s :: !segs) with
+    | None -> None
+    | Some m -> Some (Recorder.of_segments (List.rev !segs) ~marks:m.m_marks)
 
   let cached ?segment_blocks store ~key f =
     cached_with ~load

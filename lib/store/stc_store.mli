@@ -174,7 +174,8 @@ module Chunked : sig
   val load : t -> key:Key.t -> Stc_trace.Recorder.t option
   (** Materialize the whole trace (the warm path for consumers that need
       a {!Stc_trace.Recorder}); [None] under exactly the same conditions
-      as {!source}. *)
+      as {!source}. Each segment is read once: the validated segments
+      become the recorder's chunks ({!Stc_trace.Recorder.of_segments}). *)
 
   val cached :
     ?segment_blocks:int ->

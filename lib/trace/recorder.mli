@@ -4,9 +4,19 @@
     (layout × cache × fetch) configuration, exactly like the paper's
     trace-driven methodology. Replay goes through {!Source} (usually
     {!Source.of_recorder}): the recorder's only trace-reading surfaces
-    are the bounded {!segment} emitter and the per-index {!get}. *)
+    are the bounded {!segment} emitter and the per-index {!get}.
+
+    Ids are stored in fixed {!chunk_blocks}-long off-heap chunks.
+    Recording only appends, so a recorded position is never rewritten:
+    the chunks below {!length} are immutable, and a segment that lies
+    inside one chunk is a view of it rather than a copy. *)
 
 type t
+
+val chunk_blocks : int
+(** Blocks per chunk (65536, also {!Source.default_segment_blocks}).
+    Chunk [c] holds global indices [\[c * chunk_blocks, (c + 1) *
+    chunk_blocks)]. *)
 
 val create : unit -> t
 
@@ -30,11 +40,13 @@ val get : t -> int -> int
 (** Bounds-checked block id at index [i] — the safe point API. *)
 
 val segment : t -> base:int -> blocks:int -> Segment.t
-(** The segment emitter: copy up to [blocks] ids starting at global
-    index [base] into a fresh off-heap {!Segment} (shorter at the trace
-    tail; empty at [base = length]). This is the producer side of
-    {!Source.of_recorder} — the copy is the hand-off point after which
-    consumers never touch the recorder's growable buffer. *)
+(** The segment emitter: up to [blocks] ids starting at global index
+    [base] (shorter at the trace tail; empty at [base = length]). A
+    range inside one chunk is returned as a zero-copy view of that
+    chunk; only a range straddling a chunk boundary is copied into a
+    fresh off-heap {!Segment}. Either way the segment never changes:
+    later recording only writes past {!length}. This is the producer
+    side of {!Source.of_recorder}. *)
 
 val hash : t -> int64
 (** {!Stc_util.Fnv} (FNV-1a) over the recorded ids — a cheap fingerprint
@@ -46,3 +58,10 @@ val of_ids : int array -> marks:(string * int) list -> t
     is set to the array length and the marks counter to the list length,
     exactly as if every id had been {!sink}ed and every mark {!mark}ed,
     so {!attach_metrics} exports the same values either way. *)
+
+val of_segments : Segment.t list -> marks:(string * int) list -> t
+(** {!of_ids} over the concatenation of [segs] (their bases are
+    ignored). A segment that is exactly one whole, chunk-aligned chunk
+    is adopted as that chunk without a copy, so the chunked artifact
+    store hands its validated segments over as they are; the caller
+    must not mutate them afterwards. *)

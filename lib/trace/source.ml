@@ -22,7 +22,7 @@ let next_segment t = t.pull ()
 
 let total_blocks t = t.total_blocks
 
-let default_segment_blocks = 65536
+let default_segment_blocks = Recorder.chunk_blocks
 
 let of_recorder ?(segment_blocks = default_segment_blocks) ?(lo = 0) ?hi rec_ =
   if segment_blocks <= 0 then
@@ -35,7 +35,12 @@ let of_recorder ?(segment_blocks = default_segment_blocks) ?(lo = 0) ?hi rec_ =
   make ~total_blocks:total (fun () ->
       if !pos >= hi then None
       else begin
-        let n = min segment_blocks (hi - !pos) in
+        (* never cross a recorder chunk boundary, so every segment is a
+           view of a chunk rather than a copy *)
+        let chunk_end =
+          (!pos / Recorder.chunk_blocks + 1) * Recorder.chunk_blocks
+        in
+        let n = min segment_blocks (min hi chunk_end - !pos) in
         let seg = Recorder.segment rec_ ~base:!pos ~blocks:n in
         pos := !pos + n;
         (* bases are rebased so index [lo] streams as global index 0: a

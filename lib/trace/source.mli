@@ -9,6 +9,10 @@
     [None] it stays exhausted; producers that can replay (recorders,
     the store) mint a fresh source per replay.
 
+    A recorder's segments are zero-copy views of its immutable chunks
+    (see {!Recorder.segment}), so streaming a recorded trace copies no
+    ids. Consumers must treat every segment as read-only.
+
     Segment boundaries are invisible to consumers' {e results}: replay
     through a source is bit-identical to replay over the materialized
     trace at any segment size (property-tested), while peak residency
@@ -28,16 +32,19 @@ val next_segment : t -> Segment.t option
 val total_blocks : t -> int option
 
 val default_segment_blocks : int
-(** Default producer segment size (65536 blocks ≈ 512 KB of ids): large
-    enough that per-segment overhead (compile setup, store round-trips)
-    is noise, small enough that a handful in flight stay cache- and
-    memory-friendly. See EXPERIMENTS.md for how to pick. *)
+(** Default producer segment size (65536 blocks ≈ 512 KB of ids, the
+    {!Recorder.chunk_blocks} chunk size): large enough that per-segment
+    overhead (compile setup, store round-trips) is noise, small enough
+    that a handful in flight stay cache- and memory-friendly. See
+    EXPERIMENTS.md for how to pick. *)
 
 val of_recorder : ?segment_blocks:int -> ?lo:int -> ?hi:int -> Recorder.t -> t
 (** Stream a recorded trace as segments of at most [segment_blocks]
     (default {!default_segment_blocks}), restricted to global indices
-    [\[lo, hi)] when given (the full trace otherwise). Segments are
-    copied out of the recorder lazily, one per pull. *)
+    [\[lo, hi)] when given (the full trace otherwise). Segments are cut
+    on recorder chunk boundaries as well, so each is a zero-copy view of
+    an immutable chunk; with an unaligned [lo] the first segment ends at
+    the next chunk boundary. *)
 
 val of_segments : Segment.t list -> t
 (** The bounded in-memory adapter: yield exactly these segments, in

@@ -23,4 +23,13 @@ let ints ?len h a =
   done;
   !h
 
+let int_bigarray ?len h
+    (a : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t) =
+  let n = match len with Some n -> n | None -> Bigarray.Array1.dim a in
+  let h = ref h in
+  for i = 0 to n - 1 do
+    h := int !h (Bigarray.Array1.unsafe_get a i)
+  done;
+  !h
+
 let to_hex h = Printf.sprintf "%016Lx" h

@@ -32,5 +32,13 @@ val string : t -> string -> t
 val ints : ?len:int -> t -> int array -> t
 (** Absorb the first [len] (default: all) elements with {!int}. *)
 
+val int_bigarray :
+  ?len:int ->
+  t ->
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  t
+(** {!ints} over an off-heap int array: equal to [ints] over the same
+    values. *)
+
 val to_hex : t -> string
 (** 16 lowercase hex digits. *)

@@ -15,7 +15,10 @@
    - Experiments: a store-warm subset (some cells cached from an
      earlier smaller grid, the rest fused in one sweep) produces the
      same rows, counters and events as a cold run, and a grid's rows
-     and exports are identical at jobs 1 and 4. *)
+     and exports are identical at jobs 1 and 4;
+   - content keys: two physically distinct layouts with equal address
+     arrays replay in one sweep, with the rows and export of the same
+     cells run as separate grids. *)
 
 module F = Stc_fetch
 module L = Stc_layout
@@ -320,6 +323,71 @@ let test_fused_grid_identical () =
   Alcotest.(check bool) "jobs=4 rows" true (rows = ref_rows);
   Alcotest.(check string) "jobs=4 export" ref_export export
 
+(* ---------- Experiments: content-keyed fusion ---------- *)
+
+(* Two layout objects with equal address arrays (and different names)
+   replay in one engine.fused slice, whose group label names both; the
+   results and the metrics export equal those of the same cells run as
+   two grids.  A layout with a different array keeps its own sweep. *)
+let test_content_equal_layouts_fuse () =
+  let prog, ids = random_program 5 40 in
+  let st = Random.State.make [| 13 |] in
+  let trace =
+    Stc_trace.Recorder.of_ids (random_trace st ids 6_000) ~marks:[]
+  in
+  let subject = { E.program = prog; trace } in
+  let orig = L.Original.layout prog in
+  let twin = { L.Layout.name = "twin"; addr = Array.copy orig.L.Layout.addr } in
+  let reversed =
+    L.Layout.of_block_order prog ~name:"reversed"
+      (Array.of_list (List.rev (Array.to_list ids)))
+  in
+  let cells layout =
+    List.map
+      (fun cache_kb -> E.cell ~table:"twins" subject ~cache_kb layout)
+      [ 1; 2; 4 ]
+  in
+  let run grids =
+    let reg = Registry.create ~clock:(fun () -> 0.0) () in
+    let tr = Stc_obs.Trace.create () in
+    let ctx =
+      Stc_core.Run.default |> Stc_core.Run.with_metrics reg
+      |> Stc_core.Run.with_trace tr
+    in
+    let results =
+      List.concat_map (fun cells -> E.run_cells ~ctx ~label:"twins" cells) grids
+    in
+    let slices =
+      let open Stc_obs.Json in
+      match of_string (Stc_obs.Trace.to_string tr) with
+      | List evs ->
+        List.filter_map
+          (fun e ->
+            match (member "name" e, member "ph" e) with
+            | Some (Str name), Some (Str ("X" | "B")) -> Some name
+            | _ -> None)
+          evs
+      | _ -> Alcotest.fail "trace not an array"
+    in
+    let count name = List.length (List.filter (String.equal name) slices) in
+    (results, Stc_obs.Export.to_jsonl reg, count, slices)
+  in
+  let fused, fused_export, fused_count, slices =
+    run [ cells orig @ cells twin @ cells reversed ]
+  in
+  let apart, apart_export, apart_count, _ =
+    run [ cells orig; cells twin; cells reversed ]
+  in
+  Alcotest.(check int) "twins share one sweep" 2 (fused_count "engine.fused");
+  Alcotest.(check int) "separate grids sweep apart" 3
+    (apart_count "engine.fused");
+  Alcotest.(check int) "the label names both layouts" 1
+    (fused_count "fused:twins orig+twin (6 cells)");
+  if not (List.mem "fused:twins reversed (3 cells)" slices) then
+    Alcotest.fail "the different layout lost its own group";
+  Alcotest.(check bool) "results identical" true (fused = apart);
+  Alcotest.(check string) "exports identical" apart_export fused_export
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_fused_equals_solo;
@@ -333,4 +401,6 @@ let suite =
       test_store_warm_subset;
     Alcotest.test_case "fused grid identical across jobs" `Slow
       test_fused_grid_identical;
+    Alcotest.test_case "content-equal layouts share one sweep" `Quick
+      test_content_equal_layouts_fuse;
   ]

@@ -11,7 +11,13 @@
    - chunked store: save/load round-trips ids and marks (marks on
      segment boundaries included), a damaged segment is detected and
      repaired, and a warm replay straight off the chunked entry
-     reproduces identical engine rows. *)
+     reproduces identical engine rows;
+   - recorder chunks: at lengths around the chunk size, per-index reads,
+     segments (a view inside one chunk, a copy across two), sources with
+     and without a range, the of_ids/of_segments round trips and the
+     hash agree with a plain id array;
+   - property: the one-pass packer equals a per-index reference over
+     random segmentations, empty and one-block segments included. *)
 
 module F = Stc_fetch
 module L = Stc_layout
@@ -21,6 +27,7 @@ module Recorder = Stc_trace.Recorder
 module Source = Stc_trace.Source
 module Segment = Stc_trace.Segment
 module Store = Stc_store
+module Block = Stc_cfg.Block
 
 (* ---------- random programs and traces ---------- *)
 
@@ -264,6 +271,289 @@ let test_chunked_warm_replay_identical () =
     in
     check_equal ~what:"warm chunked replay" cold warm
 
+(* ---------- recorder chunks ---------- *)
+
+let chunk = Recorder.chunk_blocks
+
+let chunk_lengths = [ 0; chunk - 1; chunk; chunk + 1; (3 * chunk) + 5 ]
+
+(* ids unlike their indices, so an off-by-one shows *)
+let ids_upto len = Array.init len (fun i -> (i * 7919) mod 100_003)
+
+let sunk ids =
+  let r = Recorder.create () in
+  Array.iter (Recorder.sink r) ids;
+  r
+
+let segments_of source =
+  let rec go acc =
+    match Source.next_segment source with
+    | None -> List.rev acc
+    | Some s -> go (s :: acc)
+  in
+  go []
+
+let ids_of_segments segs =
+  Array.concat
+    (List.map (fun s -> Array.init (Segment.length s) (Segment.get s)) segs)
+
+(* Whether a segment's first id is stored in the recorder's own chunk:
+   write through the segment's buffer (which no consumer may do) and
+   read the recorder back, then undo the write. *)
+let shares_storage r ~global seg =
+  let ids = seg.Segment.ids in
+  let before = Bigarray.Array1.get ids 0 in
+  Bigarray.Array1.set ids 0 (-1);
+  let shared = Recorder.get r global = -1 in
+  Bigarray.Array1.set ids 0 before;
+  shared
+
+let check_recorder ~what ids r =
+  Alcotest.(check int)
+    (what ^ ": length") (Array.length ids) (Recorder.length r);
+  if ids_of r <> ids then Alcotest.failf "%s: ids differ" what;
+  Alcotest.(check int64)
+    (what ^ ": hash = Fnv.ints")
+    (Stc_util.Fnv.ints Stc_util.Fnv.empty ids)
+    (Recorder.hash r)
+
+let test_recorder_chunks () =
+  List.iter
+    (fun len ->
+      let ids = ids_upto len in
+      let marks = [ ("start", 0); ("end", len) ] in
+      let r = sunk ids in
+      check_recorder ~what:(Printf.sprintf "sunk len=%d" len) ids r;
+      Alcotest.check_raises "get past the end"
+        (Invalid_argument "Recorder.get: index out of bounds") (fun () ->
+          ignore (Recorder.get r len));
+      (* round trips *)
+      let r1 = Recorder.of_ids ids ~marks in
+      check_recorder ~what:(Printf.sprintf "of_ids len=%d" len) ids r1;
+      Alcotest.(check bool) "of_ids marks" true (Recorder.marks r1 = marks);
+      List.iter
+        (fun (name, segs) ->
+          let r2 = Recorder.of_segments segs ~marks in
+          check_recorder
+            ~what:(Printf.sprintf "of_segments (%s) len=%d" name len)
+            ids r2;
+          Alcotest.(check bool) "of_segments marks" true
+            (Recorder.marks r2 = marks))
+        [
+          ("chunk views", segments_of (Source.of_recorder r));
+          ( "1000-block",
+            segments_of (Source.of_recorder ~segment_blocks:1000 r) );
+          ( "with empty",
+            Segment.of_array [||]
+            :: segments_of (Source.of_array ~segment_blocks:chunk ids)
+            @ [ Segment.of_array [||] ] );
+        ])
+    chunk_lengths
+
+let test_recorder_segments () =
+  let len = (3 * chunk) + 5 in
+  let ids = ids_upto len in
+  let r = sunk ids in
+  let seg ~base ~blocks =
+    let s = Recorder.segment r ~base ~blocks in
+    Alcotest.(check int) "base" base (Segment.base s);
+    if ids_of_segments [ s ] <> Array.sub ids base (Segment.length s) then
+      Alcotest.failf "segment at %d: ids differ" base;
+    s
+  in
+  let view ~base ~blocks =
+    Alcotest.(check bool)
+      (Printf.sprintf "[%d, +%d) is a view" base blocks)
+      true
+      (shares_storage r ~global:base (seg ~base ~blocks))
+  in
+  view ~base:10 ~blocks:100;
+  view ~base:0 ~blocks:chunk;
+  view ~base:chunk ~blocks:chunk;
+  view ~base:(3 * chunk) ~blocks:5;
+  view ~base:(chunk - 1) ~blocks:1;
+  List.iter
+    (fun (base, blocks) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "[%d, +%d) straddles: a copy" base blocks)
+        false
+        (shares_storage r ~global:base (seg ~base ~blocks)))
+    [ (chunk - 3, 10); (chunk - 1, 2); (0, chunk + 1); (chunk + 7, 2 * chunk) ];
+  Alcotest.(check int) "tail truncates" 2
+    (Segment.length (seg ~base:(len - 2) ~blocks:10));
+  Alcotest.(check int) "empty at the end" 0
+    (Segment.length (seg ~base:len ~blocks:10));
+  Alcotest.check_raises "base past the end"
+    (Invalid_argument "Recorder.segment: base out of range") (fun () ->
+      ignore (Recorder.segment r ~base:(len + 1) ~blocks:1))
+
+(* Every segment of a recorder source is a view of one chunk, bases run
+   from 0 over [lo, hi), and the first segment of an unaligned range
+   ends at the next chunk boundary. *)
+let test_recorder_source () =
+  List.iter
+    (fun len ->
+      let ids = ids_upto len in
+      let r = sunk ids in
+      let ranges =
+        [ (None, None); (Some 5, None); (None, Some (chunk + 2));
+          (Some (chunk - 3), Some (len - 1)); (Some (len / 2), Some (len / 2)) ]
+      in
+      List.iter
+        (fun ((lo, hi), segment_blocks) ->
+          let what =
+            Printf.sprintf "len=%d lo=%s hi=%s seg=%s" len
+              (match lo with Some l -> string_of_int l | None -> "-")
+              (match hi with Some h -> string_of_int h | None -> "-")
+              (match segment_blocks with
+              | Some b -> string_of_int b
+              | None -> "default")
+          in
+          let lo' = max 0 (Option.value lo ~default:0) in
+          let hi' = min len (Option.value hi ~default:len) in
+          let total = max 0 (hi' - lo') in
+          let src = Source.of_recorder ?segment_blocks ?lo ?hi r in
+          Alcotest.(check (option int)) (what ^ ": total") (Some total)
+            (Source.total_blocks src);
+          let segs = segments_of src in
+          let expected = if total = 0 then [||] else Array.sub ids lo' total in
+          if ids_of_segments segs <> expected then
+            Alcotest.failf "%s: ids differ" what;
+          let next = ref 0 in
+          List.iter
+            (fun s ->
+              let n = Segment.length s in
+              if Segment.base s <> !next then
+                Alcotest.failf "%s: base %d, expected %d" what
+                  (Segment.base s) !next;
+              let g = lo' + !next in
+              if n = 0 || g / chunk <> (g + n - 1) / chunk then
+                Alcotest.failf "%s: segment at %d crosses a chunk" what g;
+              if not (shares_storage r ~global:g s) then
+                Alcotest.failf "%s: segment at %d is a copy" what g;
+              next := !next + n)
+            segs;
+          match (segs, segment_blocks) with
+          | s :: _, None when lo' mod chunk <> 0 ->
+            Alcotest.(check int) (what ^ ": first segment ends on a boundary")
+              (min hi' (((lo' / chunk) + 1) * chunk) - lo')
+              (Segment.length s)
+          | _ -> ())
+        (List.concat_map
+           (fun range -> [ (range, None); (range, Some 1000) ])
+           ranges))
+    chunk_lengths
+
+(* ---------- the one-pass packer ---------- *)
+
+(* Per-index reference: word i is block i's static fields plus a taken
+   bit decided by the next index's block ([next_first] past the last
+   index; [None] = true end of trace, which counts as taken). *)
+let reference_packed prog layout trace ~next_first =
+  let blocks = prog.Stc_cfg.Program.blocks in
+  let addr b = L.Layout.address layout b in
+  let n = Array.length trace in
+  let words =
+    Array.init n (fun i ->
+        let b = trace.(i) in
+        let blk = blocks.(b) in
+        let taken =
+          match if i + 1 < n then Some trace.(i + 1) else next_first with
+          | None -> true
+          | Some nb -> addr nb <> addr b + (blk.Block.size * Block.instr_bytes)
+        in
+        (addr b lsl F.Packed.addr_shift)
+        lor (blk.Block.size lsl F.Packed.size_shift)
+        lor (if Terminator.has_branch_instr blk.Block.term then
+               F.Packed.branch_bit
+             else 0)
+        lor (match blk.Block.term with
+            | Terminator.Cond _ -> F.Packed.cond_bit
+            | _ -> 0)
+        lor if taken then F.Packed.taken_bit else 0)
+  in
+  let instrs = Array.fold_left (fun a b -> a + blocks.(b).Block.size) 0 trace in
+  let taken =
+    Array.fold_left
+      (fun a w -> if w land F.Packed.taken_bit <> 0 then a + 1 else a)
+      0 words
+  in
+  (words, instrs, taken)
+
+let check_packed ~what (words, instrs, taken) p =
+  Alcotest.(check int)
+    (what ^ ": length") (Array.length words) (F.Packed.length p);
+  Array.iteri
+    (fun i w ->
+      if F.Packed.word p i <> w then
+        Alcotest.failf "%s: word %d differs" what i)
+    words;
+  Alcotest.(check int) (what ^ ": instrs") instrs (F.Packed.total_instrs p);
+  Alcotest.(check int) (what ^ ": taken") taken (F.Packed.taken_branches p)
+
+let prop_packer_equals_reference =
+  QCheck.Test.make ~name:"one-pass packer == per-index reference" ~count:100
+    QCheck.(pair (int_bound 10_000) (int_bound 300))
+    (fun (seed, len) ->
+      let st = Random.State.make [| seed; len; 3 |] in
+      let prog, ids = random_program seed (2 + Random.State.int st 30) in
+      (* a shuffled layout, so both sequential and taken transitions occur *)
+      let order = Array.copy ids in
+      for i = Array.length order - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      let layout =
+        if Random.State.bool st then L.Original.layout prog
+        else L.Layout.of_block_order prog ~name:"shuffled" order
+      in
+      let tb = F.Packed.tables prog layout in
+      let trace = random_trace st ids len in
+      (* random cuts: empty, one-block and longer segments *)
+      let rec cut pos acc =
+        if pos >= len && Random.State.bool st then List.rev acc
+        else
+          let n =
+            match Random.State.int st 4 with
+            | 0 -> 0
+            | 1 -> 1
+            | _ -> Random.State.int st 40
+          in
+          let n = min n (len - pos) in
+          let seg = Segment.of_array ~base:pos (Array.sub trace pos n) in
+          cut (pos + n) (seg :: acc)
+      in
+      let segs = cut 0 [] in
+      check_packed ~what:"whole trace"
+        (reference_packed prog layout trace ~next_first:None)
+        (F.Packed.compile_tables tb (Source.of_segments segs));
+      (* per segment, the boundary taken bit from the next non-empty one *)
+      let rec per_segment = function
+        | [] -> ()
+        | s :: rest ->
+          let next_first =
+            List.find_map
+              (fun s' ->
+                if Segment.length s' > 0 then Some (Segment.first s') else None)
+              rest
+          in
+          let ids = ids_of_segments [ s ] in
+          check_packed
+            ~what:(Printf.sprintf "segment at %d" (Segment.base s))
+            (reference_packed prog layout ids ~next_first)
+            (F.Packed.of_segment tb s ~next_first);
+          per_segment rest
+      in
+      per_segment segs;
+      (* a lone segment followed by an arbitrary block *)
+      let next_first = Some ids.(Random.State.int st (Array.length ids)) in
+      check_packed ~what:"lone segment"
+        (reference_packed prog layout trace ~next_first)
+        (F.Packed.of_segment tb (Segment.of_array trace) ~next_first);
+      true)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_streamed_equals_materialized;
@@ -276,4 +566,10 @@ let suite =
       test_chunked_damage_and_repair;
     Alcotest.test_case "warm chunked replay row-identical" `Quick
       test_chunked_warm_replay_identical;
+    Alcotest.test_case "recorder chunk boundaries" `Quick test_recorder_chunks;
+    Alcotest.test_case "recorder segments: views and copies" `Quick
+      test_recorder_segments;
+    Alcotest.test_case "recorder sources are chunk views" `Quick
+      test_recorder_source;
+    QCheck_alcotest.to_alcotest prop_packer_equals_reference;
   ]
