@@ -428,17 +428,19 @@ let finish_cell ~metrics cell r =
 
    The planned cells are re-grouped by (subject, layout content) in
    first-appearance order, and each group's cold cells replay as one
-   {!F.Engine.Bank} sweep, so the group's packed trace is compiled and
-   walked once instead of once per cell.  The subject is compared by
-   physical identity.  A layout is compared by its address array, since
-   that is all a replay sees of it (the paper feeds the simulators
-   "faked" block addresses): layouts built separately that place every
-   block at the same address (e.g. STC's auto and ops layouts, or one
-   algorithm at two cache sizes) share one sweep.  Each physical layout
-   is fingerprinted once, and two layouts merge only if their arrays are
-   also equal, so a hash collision cannot merge different layouts; a
-   layout object may be shared by several subjects, as the per-query
-   study's trace sections share the orig/ops layouts.
+   {!F.Engine.Bank} sweep, so the group's trace is packed and walked
+   once instead of once per cell (packed straight from the recorder's
+   chunks into the bank's window; no image of the whole trace is
+   built).  The subject is compared by physical identity.  A layout is
+   compared by its address array, since that is all a replay sees of it
+   (the paper feeds the simulators "faked" block addresses): layouts
+   built separately that place every block at the same address (e.g.
+   STC's auto and ops layouts, or one algorithm at two cache sizes)
+   share one sweep.  Each physical layout is fingerprinted once, and two
+   layouts merge only if their arrays are also equal, so a hash
+   collision cannot merge different layouts; a layout object may be
+   shared by several subjects, as the per-query study's trace sections
+   share the orig/ops layouts.
 
    Everything a cell observes is independent of the grouping: its row
    (named after its own layout), its store key, its warm-hit
@@ -562,8 +564,9 @@ let exec_fgroup_inner ~metrics ~trace ~store cells ~tick g =
     in
     let s = g.g_subject in
     let rs =
-      F.Engine.Bank.run_packed ~ctx:bctx specs
-        (F.Packed.compile s.program g.g_layout
+      F.Engine.Bank.run_stream ~ctx:bctx specs
+        (F.Stream.create
+           (F.Packed.tables s.program g.g_layout)
            (Stc_trace.Source.of_recorder s.trace))
     in
     Array.iteri

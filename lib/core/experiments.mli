@@ -119,8 +119,8 @@ val simulate :
 
     Each row is a cell of the grid runner (below): cells whose layouts
     place every block at the same address replay as one
-    {!Stc_fetch.Engine.Bank} sweep over one compiled
-    {!Stc_fetch.Packed} trace, and a domain pool self-schedules whole
+    {!Stc_fetch.Engine.Bank} sweep over one {!Stc_fetch.Stream} of the
+    trace, and a domain pool self-schedules whole
     fused groups. Rows, metric exports, store keys, cached-hit
     short-circuiting and progress ticks do not depend on the grouping or
     the job count. With [ctx.metrics], the grid runs inside a

@@ -126,7 +126,7 @@ let traced ctx name f =
   | Some tr -> Stc_obs.Trace.span tr name f
 
 (* The one engine core. A bank of independent per-config engine states
-   is driven by a single sweep over a pull of packed segments whose
+   is driven by a single sweep over a {!Stream} of packed pieces whose
    concatenation is the trace, so N cells over the same layout decode
    and pull each packed word once instead of N times; a solo replay
    ([run_packed], [run]) is a bank of one.
@@ -147,20 +147,19 @@ let traced ctx name f =
    member trace-cache *contents* are not materialized — nothing
    observes them).
 
-   Cohorts advance round-robin over a shared bounded sliding window,
-   each at most [stride_words] past the laggard, so the words being
-   re-walked stay cache-resident even over a fully materialized image.
-   The window keeps at least [need] words of lookahead past every
-   cohort (except at true end of stream), where [need] covers a cycle's
-   maximal forward reach: a sequential cycle completes at most
-   [2 * line_bytes / instr_bytes] blocks and peeks one past the last, a
-   trace-cache build walks at most [width] blocks, and an FDIP walk
-   peeks [ftq_depth] blocks. Refills happen only between fetch cycles,
-   so no cycle ever sees a segment boundary — which is why replay is
-   bit-identical at any segment size — and the window compacts below the
-   slowest cohort, keeping residency O(largest segment + lookahead).
-   The first segment is borrowed, never copied or mutated: a
-   single-segment pull runs zero-copy over the caller's image. *)
+   Cohorts advance round-robin over the bank's own sliding window, each
+   at most [stride_words] past the laggard, so the words being re-walked
+   stay cache-resident. The stream packs each piece of the trace
+   straight into the window's tail ({!Stream.fill}). The window keeps
+   at least [need] words of lookahead past every cohort (except at true
+   end of stream), where [need] covers a cycle's maximal forward reach:
+   a sequential cycle completes at most [2 * line_bytes / instr_bytes]
+   blocks and peeks one past the last, a trace-cache build walks at most
+   [width] blocks, and an FDIP walk peeks [ftq_depth] blocks. Refills
+   happen only between fetch cycles, so no cycle ever sees a piece
+   boundary — which is why replay is bit-identical at any piece size —
+   and the window compacts below the slowest cohort, keeping residency
+   O(largest piece + lookahead). *)
 module Bank = struct
   type spec = {
     config : Config.t;
@@ -333,68 +332,39 @@ module Bank = struct
              !acc)
       in
       let gneed = Array.fold_left (fun m h -> max m h.need) 0 cohorts in
-      (* the shared sliding buffer: [dropped] counts words retired below
-         every cohort's position, so [h.pos - !dropped] is a cohort's
-         buffer-local index *)
+      (* the bank's own sliding window: [dropped] counts words retired
+         below every cohort's position, so [h.pos - !dropped] is a
+         cohort's window-local index *)
       let buf = ref [||] and avail = ref 0 in
-      let owned = ref false and eos = ref false in
+      let eos = ref false in
       let dropped = ref 0 in
-      let bview =
-        ref
-          (Packed.of_raw ~words:[||] ~len:0 ~total_instrs:0 ~taken_branches:0)
-      in
       let sum_instrs = ref 0 and sum_taken = ref 0 in
-      let hwm = ref 0 in
       let min_pos () =
         Array.fold_left (fun m h -> if h.pos < m then h.pos else m) max_int
           cohorts
       in
-      let append p =
-        sum_instrs := !sum_instrs + Packed.total_instrs p;
-        sum_taken := !sum_taken + Packed.taken_branches p;
-        let plen = Packed.length p in
-        let keep = min_pos () - !dropped in
-        if (not !owned) && !avail - keep = 0 then begin
-          (* nothing live: borrow the segment's own array, no copy *)
-          dropped := !dropped + !avail;
-          buf := Packed.raw p;
-          avail := plen;
-          bview := p
-        end
-        else begin
-          (if not !owned then begin
-             let live = !avail - keep in
-             let nb = Array.make (max (live + plen) (gneed + plen)) 0 in
-             Array.blit !buf keep nb 0 live;
-             dropped := !dropped + keep;
-             buf := nb;
-             owned := true;
-             avail := live
-           end
-           else begin
-             if keep > 0 then begin
-               Array.blit !buf keep !buf 0 (!avail - keep);
-               dropped := !dropped + keep;
-               avail := !avail - keep
-             end;
-             if !avail + plen > Array.length !buf then begin
-               let nb = Array.make (max (!avail + plen) (gneed + plen)) 0 in
-               Array.blit !buf 0 nb 0 !avail;
-               buf := nb
-             end
-           end);
-          Array.blit (Packed.raw p) 0 !buf !avail plen;
-          avail := !avail + plen;
-          bview :=
-            Packed.of_raw ~words:!buf ~len:!avail ~total_instrs:0
-              ~taken_branches:0
-        end;
-        if Array.length !buf > !hwm then hwm := Array.length !buf
-      in
+      (* compact below the slowest cohort, grow only when the next piece
+         does not fit, and have the stream fill the tail *)
       let refill () =
-        match Stream.next stream with
-        | None -> eos := true
-        | Some p -> append p
+        let plen = Stream.next_length stream in
+        if plen = 0 then eos := true
+        else begin
+          let keep = min_pos () - !dropped in
+          if keep > 0 then begin
+            Array.blit !buf keep !buf 0 (!avail - keep);
+            dropped := !dropped + keep;
+            avail := !avail - keep
+          end;
+          if !avail + plen > Array.length !buf then begin
+            let nb = Array.make (max (!avail + plen) (gneed + plen)) 0 in
+            Array.blit !buf 0 nb 0 !avail;
+            buf := nb
+          end;
+          let i, k = Stream.fill stream !buf ~pos:!avail in
+          sum_instrs := !sum_instrs + i;
+          sum_taken := !sum_taken + k;
+          avail := !avail + plen
+        end
       in
       let probe_slot s ~now a1 a2 =
         match s.s_fdip with
@@ -469,7 +439,6 @@ module Bank = struct
       let step_cohort h =
         let words = !buf in
         let len = !avail in
-        let packed = !bview in
         let start_idx = h.pos - !dropped and start_off = h.coff in
         (* FDIP steps 1 and 3 bracket the cycle for every frontend-bearing
            member: land elapsed prefetches first (the frontend runs on
@@ -500,7 +469,7 @@ module Bank = struct
           | Some tc ->
             h.clookups <- h.clookups + 1;
             let r =
-              Tracecache.lookup_uncounted tc packed ~idx:start_idx
+              Tracecache.lookup_uncounted tc words ~len ~idx:start_idx
                 ~off:start_off
             in
             (match r with Some _ -> h.chits <- h.chits + 1 | None -> ());
@@ -567,7 +536,8 @@ module Bank = struct
           done;
           (match h.tc with
           | Some tc ->
-            Tracecache.fill_packed tc packed ~idx:start_idx ~off:start_off
+            Tracecache.fill_packed tc words ~len ~idx:start_idx
+              ~off:start_off
           | None -> ());
           h.pos <- !dropped + !idx;
           h.coff <- !off;
@@ -596,7 +566,8 @@ module Bank = struct
             cohorts
         end
       done;
-      (match resident_hwm with Some r -> r := !hwm | None -> ());
+      (* the window only grows, so its final size is its high-water mark *)
+      (match resident_hwm with Some r -> r := Array.length !buf | None -> ());
       let out = Array.make n None in
       Array.iter
         (fun h ->
@@ -693,7 +664,7 @@ module Bank = struct
       specs stream
 end
 
-(* A solo replay is a bank of one over a single borrowed segment. *)
+(* A solo replay is a bank of one. *)
 let run_packed ?ctx ?config ?icache ?trace_cache ?prediction packed =
   (Bank.run_segments ?ctx ~name:"engine.run_packed"
      [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]

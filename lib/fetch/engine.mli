@@ -125,9 +125,9 @@ val run_packed :
   Packed.t ->
   result
 (** The same simulation over a compiled image: a {!Bank} of one
-    ({!Bank.spec} of the optional arguments) over the image as a single
-    borrowed segment — never copied. With tracing on, the replay runs
-    inside an [engine.run_packed] span. *)
+    ({!Bank.spec} of the optional arguments) fed by
+    {!Stream.of_packed}. With tracing on, the replay runs inside an
+    [engine.run_packed] span. *)
 
 (** Fused replay, and the only engine core: a bank of independent
     per-config engine states (i-cache with optional victim buffer,
@@ -149,7 +149,8 @@ val run_packed :
     trace caches of equal geometry evolve identical contents over the
     same walk. Slots sharing [(line_bytes, max_branches, trace-cache
     geometry)] therefore advance one shared walk (a {e cohort}); the
-    rest step independently over the same sliding window.
+    rest step independently over the same sliding window. The bank owns
+    that window, and a {!Stream} is the only way trace words enter it.
 
     Pass fresh caches per spec: the bank owns their state for the
     duration of the run, and a non-lead member's trace-cache statistics
@@ -179,16 +180,17 @@ module Bank : sig
     spec array ->
     Packed.t ->
     result array
-  (** One sweep over a materialized packed image; [result.(i)] is the
-      replay of [specs.(i)]. The image is borrowed, never copied.
-      [stride_words] (default 16384) bounds how far any engine state may
-      run ahead of the laggard, keeping the words being re-walked
-      cache-resident; it affects wall clock only, never results. An
-      empty spec array returns [[||]] without pulling the trace. With
-      tracing on, each sweep emits one [engine.fused] slice whose
-      argument is the number of fused cells. Of [?ctx], [metrics]
-      accumulates every slot's result into the registry's [engine.*]
-      counters in input order. *)
+  (** One sweep over a compiled image; [result.(i)] is the replay of
+      [specs.(i)]. This is {!run_stream} over {!Stream.of_packed}: the
+      image is copied into the bank's window in pieces of
+      {!Stc_trace.Source.default_segment_blocks} words. [stride_words]
+      (default 16384) bounds how far any engine state may run ahead of
+      the laggard, keeping the words being re-walked cache-resident; it
+      affects wall clock only, never results. An empty spec array
+      returns [[||]] without pulling the trace. With tracing on, each
+      sweep emits one [engine.fused] slice whose argument is the number
+      of fused cells. Of [?ctx], [metrics] accumulates every slot's
+      result into the registry's [engine.*] counters in input order. *)
 
   val run_stream :
     ?ctx:Stc_obs.Run.ctx ->
@@ -197,11 +199,12 @@ module Bank : sig
     spec array ->
     Stream.t ->
     result array
-  (** The same sweep over a segment stream through one shared bounded
-      sliding window (the stream is pulled once for the whole bank):
-      results are identical to {!run_packed} over the concatenated image
-      at any segment size, with peak residency O(largest segment +
-      lookahead) measured into [resident_hwm] (high-water mark of the
-      window, in words) when given — the window compacts below the
-      slowest engine state's position. *)
+  (** The same sweep over a stream, pulled once for the whole bank:
+      the stream fills the tail of the bank's one bounded sliding
+      window, which compacts below the slowest engine state's position
+      and grows only when a piece does not fit. Results are identical
+      to {!run_packed} over the concatenated image at any piece size,
+      with peak residency O(largest piece + lookahead) measured into
+      [resident_hwm] (high-water mark of the window, in words) when
+      given. *)
 end

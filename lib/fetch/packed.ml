@@ -88,16 +88,16 @@ let tables prog layout =
          blocks)
     ~addrs:(Array.init (Array.length blocks) (Layout.address layout))
 
-(* Compile one id segment into [words] starting at [pos]. The taken bit
+(* Pack one id segment into [words] starting at [pos]. The taken bit
    of index i depends on the block at index i+1; at the segment tail that
    block lives in the {e next} segment ([next_first]), which is how a
-   per-segment compilation stays bit-identical to a whole-trace pass.
+   per-segment pack stays bit-identical to a whole-trace pass.
    [next_first = None] means true end of trace: the final index counts
    as taken. Returns the segment's (instrs, taken) contribution.
 
    One pass: each base word is gathered once, and index i-1's word is
    written when index i's address is in hand. *)
-let fill_segment tb ~words ~pos seg ~next_first =
+let fill tb words ~pos seg ~next_first =
   let base = tb.base in
   let ids = seg.Segment.ids in
   let len = Bigarray.Array1.dim ids in
@@ -133,12 +133,6 @@ let fill_segment tb ~words ~pos seg ~next_first =
     (!instrs + size, !taken_n + taken)
   end
 
-let of_segment tb seg ~next_first =
-  let len = Segment.length seg in
-  let words = Array.make (max len 1) 0 in
-  let instrs, taken = fill_segment tb ~words ~pos:0 seg ~next_first in
-  { words; len; total_instrs = instrs; taken_branches = taken }
-
 (* first block id of the first non-empty segment *)
 let rec first_of = function
   | [] -> None
@@ -162,7 +156,7 @@ let compile_tables tb source =
   let rec go pos = function
     | [] -> ()
     | s :: tl ->
-      let i, k = fill_segment tb ~words ~pos s ~next_first:(first_of tl) in
+      let i, k = fill tb words ~pos s ~next_first:(first_of tl) in
       instrs := !instrs + i;
       taken_n := !taken_n + k;
       go (pos + Segment.length s) tl
@@ -171,13 +165,6 @@ let compile_tables tb source =
   { words; len; total_instrs = !instrs; taken_branches = !taken_n }
 
 let compile prog layout source = compile_tables (tables prog layout) source
-
-let of_raw ~words ~len ~total_instrs ~taken_branches =
-  if len < 0 || len > Array.length words then
-    invalid_arg "Packed.of_raw: len out of range";
-  if total_instrs < 0 || taken_branches < 0 || taken_branches > len then
-    invalid_arg "Packed.of_raw: totals out of range";
-  { words; len; total_instrs; taken_branches }
 
 let length t = t.len
 

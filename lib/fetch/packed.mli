@@ -1,24 +1,24 @@
-(** Packed trace images: one immutable int word per trace index.
+(** Packed trace words: one int word per trace index.
 
-    A packed image is the engines' unit of consumption. It is produced
-    either for a whole trace ({!compile}, the materialized path) or per
-    {!Stc_trace.Segment} ({!of_segment}, the streamed path — see
-    {!Stream}); both compile from the same validated per-block
-    {!tables}, and a concatenation of per-segment images is bit-identical
-    to the whole-trace image because the one cross-index dependency (the
-    taken bit looks one block ahead) is supplied explicitly at segment
-    boundaries via [next_first].
+    A word carries everything the engines read about one trace index
+    under one layout. {!fill} packs one id {!Stc_trace.Segment} straight
+    into a caller's array; {!Stream} uses it to fill {!Engine.Bank}'s
+    window, which is the one way trace words reach the bank. {!compile}
+    packs a whole trace into an immutable image {!t}, for the {!View}
+    path, tests and benchmarks. Both pack from the same validated
+    per-block {!tables}, and a segment-by-segment pack is bit-identical
+    to a whole-trace pack: the one cross-index dependency (the taken bit
+    looks one block ahead) is supplied explicitly at segment boundaries
+    via [next_first].
 
     Word layout: bits 0–2 flags (taken / branch-end / conditional-end),
     bits 3–21 block size in instructions (up to 2^19-1), bits 22–62
-    block byte address (up to 2 TB). The structure is immutable after
-    compilation and safe to share read-only across domains; {!Stc_core}'s
-    experiment grids compile one per distinct layout address array and
-    share it between all cells that replay that array.
+    block byte address (up to 2 TB). An image is immutable after
+    compilation and safe to share read-only across domains.
 
-    Compilation is one pass over each segment's ids, read straight from
-    its Bigarray: each per-block word is gathered once, and an index's
-    taken bit is derived when the next index's word is in hand. *)
+    Packing is one pass over each segment's ids, read straight from its
+    Bigarray: each per-block word is gathered once, and an index's taken
+    bit is derived when the next index's word is in hand. *)
 
 type t
 
@@ -41,42 +41,37 @@ val tables_of_arrays :
 (** Same, from pre-extracted per-block-id arrays (the {!View} path, so a
     view and its packed form share exactly the same inputs). *)
 
+val fill :
+  tables ->
+  int array ->
+  pos:int ->
+  Stc_trace.Segment.t ->
+  next_first:int option ->
+  int * int
+(** [fill tb words ~pos seg ~next_first] packs [seg] into
+    [words.(pos) .. words.(pos + length seg - 1)], writing nothing else,
+    and returns the segment's [(instructions, taken branches)].
+    [next_first] is the first block id of the {e next} segment ([None]
+    at true end of trace) and decides the final index's taken bit — the
+    invariant that makes a segment-by-segment pack bit-identical to
+    {!compile}. *)
+
 val compile :
   Stc_cfg.Program.t -> Stc_layout.Layout.t -> Stc_trace.Source.t -> t
-(** Drain the source and compile the whole trace into one image — the
-    materialized path. Equivalent to [compile_tables (tables p l) src]. *)
+(** Drain the source and pack the whole trace into one image.
+    Equivalent to [compile_tables (tables p l) src]. *)
 
 val compile_tables : tables -> Stc_trace.Source.t -> t
-(** {!compile} with prebuilt tables (amortizes table validation when
-    several traces compile under one layout). Drains the source. *)
-
-val of_segment : tables -> Stc_trace.Segment.t -> next_first:int option -> t
-(** Compile one segment into a standalone image whose stream totals
-    cover just that segment. [next_first] is the first block id of the
-    {e next} segment ([None] at true end of trace) and decides the final
-    index's taken bit — the invariant that makes streamed replay
-    bit-identical to materialized replay. *)
-
-val of_raw :
-  words:int array ->
-  len:int ->
-  total_instrs:int ->
-  taken_branches:int ->
-  t
-(** Rebuild a compiled image from its components — the artifact store's
-    deserialization path and the engine's sliding-buffer views. Only
-    basic range checks are performed; the words are trusted to be a
-    faithful copy of previously compiled words. The array is not
-    copied. *)
+(** {!compile} with prebuilt tables. Drains the source. *)
 
 val length : t -> int
 (** Number of blocks in the image. *)
 
-(** {2 The hot-loop surface}
+(** {2 The word array}
 
     [raw t] is the word array itself (never mutate it; indices
-    [>= length t] are padding). This is what {!Engine}'s bank walk and
-    the packed {!Tracecache} paths iterate over. *)
+    [>= length t] are padding). {!Stream.of_packed} copies it into the
+    bank's window piece by piece. *)
 
 val raw : t -> int array
 

@@ -1,26 +1,31 @@
-(** A pull-based stream of {!Packed} segment images — the fetch-layer
-    face of {!Stc_trace.Source}.
+(** The one feed of packed trace words into {!Engine.Bank}.
 
-    {!create} compiles each pulled id segment against prebuilt
-    {!Packed.tables}, holding exactly one segment in flight so the
-    successor's first block id can seed the boundary taken bit
-    ([Packed.of_segment ~next_first]). Consumed by
-    {!Engine.Bank.run_stream}, whose bounded sliding window makes the
-    replay bit-identical to the materialized {!Engine.Bank.run_packed}
-    at any segment size. *)
+    A stream hands the bank its trace piece by piece: {!next_length}
+    says how many words the next piece holds, and {!fill} packs that
+    piece into the bank's own window. {!create} packs each id segment
+    of a {!Stc_trace.Source} straight into the window with
+    {!Packed.fill}, so no image of the trace is ever built;
+    {!of_packed} copies a compiled image in pieces. Replay through
+    {!Engine.Bank.run_stream} is bit-identical at any piece size. *)
 
 type t
 
 val create : Packed.tables -> Stc_trace.Source.t -> t
-(** Compile-on-pull over an id source. Peak residency is one id segment
-    plus the packed images currently held by the consumer. *)
+(** Pack-on-pull over an id source. One id segment is held in flight,
+    so the successor's first block id can set the boundary taken bit;
+    empty segments are skipped. Nothing else is resident but the
+    consumer's window. *)
 
 val of_packed : Packed.t -> t
-(** A single-segment stream: yields the image once, then [None]. *)
+(** Copy an image out in pieces of
+    {!Stc_trace.Source.default_segment_blocks} words. *)
 
-val of_fun : (unit -> Packed.t option) -> t
-(** Wrap a raw pull function (tests). Must yield consecutive packed
-    segments whose concatenation is a valid whole-trace image, then
-    [None] forever. *)
+val next_length : t -> int
+(** Words in the next piece; [0] once the stream is exhausted. Stable
+    until the next {!fill}. *)
 
-val next : t -> Packed.t option
+val fill : t -> int array -> pos:int -> int * int
+(** Write the next piece into [words.(pos) .. words.(pos + next_length
+    t - 1)] and move past it. Returns what the piece adds to the trace's
+    [(instructions, taken branches)]; over the whole stream the sums are
+    the trace's totals. *)

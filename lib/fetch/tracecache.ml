@@ -48,13 +48,11 @@ let w_taken w = w land Packed.taken_bit <> 0
 
 let w_branch w = w land Packed.branch_bit <> 0
 
-(* Trace construction and matching over a packed view, driven by unsafe
-   word reads, with the lookup/hit accounting left to the caller so the
-   engine inner loop touches no shared counters. *)
+(* Trace construction and matching over packed words [0, len), driven by
+   unsafe word reads, with the lookup/hit accounting left to the caller
+   so the engine inner loop touches no shared counters. *)
 
-let build_trace_limits_packed packed ~idx ~off ~width ~max_branches =
-  let words = Packed.raw packed in
-  let len = Packed.length packed in
+let build_trace_limits words ~len ~idx ~off ~width ~max_branches =
   let n = ref 0 and branches = ref 0 and outcomes = ref 0 in
   let idx = ref idx and off = ref off in
   let stop = ref false in
@@ -91,18 +89,18 @@ let build_trace_limits_packed packed ~idx ~off ~width ~max_branches =
   }
 
 let build_trace_packed packed ~idx ~off =
-  build_trace_limits_packed packed ~idx ~off ~width:16 ~max_branches:3
+  build_trace_limits (Packed.raw packed) ~len:(Packed.length packed) ~idx
+    ~off ~width:16 ~max_branches:3
 
-let packed_fetch_addr packed ~idx ~off =
-  w_addr (Array.unsafe_get (Packed.raw packed) idx)
-  + (off * Stc_cfg.Block.instr_bytes)
+let fetch_addr words ~idx ~off =
+  w_addr (Array.unsafe_get words idx) + (off * Stc_cfg.Block.instr_bytes)
 
-let lookup_uncounted t packed ~idx ~off =
-  let a = packed_fetch_addr packed ~idx ~off in
+let lookup_uncounted t words ~len ~idx ~off =
+  let a = fetch_addr words ~idx ~off in
   match t.entries.(index t a) with
   | Some e when e.start_addr = a ->
     let actual =
-      build_trace_limits_packed packed ~idx ~off ~width:t.width
+      build_trace_limits words ~len ~idx ~off ~width:t.width
         ~max_branches:t.max_branches
     in
     if
@@ -113,10 +111,10 @@ let lookup_uncounted t packed ~idx ~off =
     else None
   | Some _ | None -> None
 
-let fill_packed t packed ~idx ~off =
-  let a = packed_fetch_addr packed ~idx ~off in
+let fill_packed t words ~len ~idx ~off =
+  let a = fetch_addr words ~idx ~off in
   let info =
-    build_trace_limits_packed packed ~idx ~off ~width:t.width
+    build_trace_limits words ~len ~idx ~off ~width:t.width
       ~max_branches:t.max_branches
   in
   if info.n_instrs > 0 then

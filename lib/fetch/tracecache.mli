@@ -19,13 +19,14 @@ type trace_info = {
   end_pos : View.pos;  (** Stream position right after the trace. *)
 }
 
-(** {2 Packed-view operations}
+(** {2 Packed-word operations}
 
-    Trace construction and hit matching over a compiled {!Packed} view:
-    unsafe packed-word reads, allocating only the returned [trace_info],
-    and — [_uncounted] — leaving the lookup/hit statistics to the
-    caller, which batches them in locals and flushes them with
-    {!add_stats}. This is what {!Engine.Bank} drives. *)
+    Trace construction and hit matching over {!Packed} words: unsafe
+    word reads, allocating only the returned [trace_info], and —
+    [_uncounted] — leaving the lookup/hit statistics to the caller,
+    which batches them in locals and flushes them with {!add_stats}.
+    {!Engine.Bank} drives them over its window: [words] holds packed
+    words at indices [\[0, len)], the rest of the array is ignored. *)
 
 val build_trace_packed : Packed.t -> idx:int -> off:int -> trace_info
 (** The trace the fill unit would construct from stream position
@@ -34,12 +35,13 @@ val build_trace_packed : Packed.t -> idx:int -> off:int -> trace_info
     or the end of the stream. Deterministic in the position and the
     stream. *)
 
-val lookup_uncounted : t -> Packed.t -> idx:int -> off:int -> trace_info option
+val lookup_uncounted :
+  t -> int array -> len:int -> idx:int -> off:int -> trace_info option
 (** Probe with the fetch address at [(idx, off)] and the actual
     (perfectly predicted) upcoming outcomes; [Some info] on a hit.
     Touches neither the lookup nor the hit counter. *)
 
-val fill_packed : t -> Packed.t -> idx:int -> off:int -> unit
+val fill_packed : t -> int array -> len:int -> idx:int -> off:int -> unit
 (** Insert the trace starting at [(idx, off)] (called on the miss path;
     fills never count statistics). *)
 

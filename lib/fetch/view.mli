@@ -45,7 +45,7 @@ val taken : t -> int -> bool
 val total_instrs : t -> int
 
 val taken_branches : t -> int
-(** Total taken transitions — denominato of the paper's "instructions
+(** Total taken transitions — denominator of the paper's "instructions
     executed between taken branches". *)
 
 val instrs_between_taken : t -> float

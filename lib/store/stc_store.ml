@@ -378,63 +378,10 @@ let load_with t ~kind ~version ~decode key =
       op_finish t t.read_us t.tr_miss ~bytes:0 clk;
       None
 
-let cached_with ~load ~save store ~key compute =
-  match store with
-  | None -> compute ()
-  | Some t -> (
-      match load t ~key with
-      | Some v -> v
-      | None ->
-          let v = compute () in
-          save t ~key v;
-          v)
-
-module Trace = struct
-  let kind = "trace"
-
-  let version = 1
-
-  let encode r =
-    let b = Buffer.create 4096 in
-    let n = Recorder.length r in
-    Enc.varint b n;
-    for i = 0 to n - 1 do
-      Enc.varint b (Recorder.get r i)
-    done;
-    let marks = Recorder.marks r in
-    Enc.varint b (List.length marks);
-    List.iter
-      (fun (name, pos) ->
-        Enc.str b name;
-        Enc.varint b pos)
-      marks;
-    Buffer.contents b
-
-  let decode payload =
-    let d = Dec.make payload in
-    let n = Dec.varint d in
-    let ids = Array.init n (fun _ -> Dec.varint d) in
-    let n_marks = Dec.varint d in
-    let marks =
-      List.init n_marks (fun _ ->
-          let name = Dec.str d in
-          let pos = Dec.varint d in
-          (name, pos))
-    in
-    Dec.finish d;
-    Recorder.of_ids ids ~marks
-
-  let load t ~key = load_with t ~kind ~version ~decode key
-
-  let save t ~key r = write t ~kind ~version key (encode r)
-
-  let cached store ~key f = cached_with ~load ~save store ~key f
-end
-
 (* Chunked traces: a manifest record plus one CRC-checked container per
-   segment, so huge traces replay warm through a {!Source} without ever
-   being fully resident, and damage is repaired at segment granularity
-   (a re-[save] rewrites only the segments that fail to read back). *)
+   segment. [load] adopts the validated segments as the recorder's
+   chunks, and damage is repaired at segment granularity (a re-[save]
+   rewrites only the segments that fail to read back). *)
 module Chunked = struct
   let manifest_kind = "trace-man"
 
@@ -553,11 +500,11 @@ module Chunked = struct
     in
     write t ~kind:manifest_kind ~version key (encode_manifest m)
 
-  (* Read and CRC-check every segment of the entry once, fold the content
-     hash, and hand each intact segment to [keep], so a damaged or
-     foreign segment degrades to a recompute here rather than failing
-     mid-replay. *)
-  let validate t ~key ~keep =
+  (* Read and CRC-check every segment of the entry once and fold the
+     content hash, so a damaged or foreign segment degrades to a
+     recompute rather than a wrong trace. Returns the manifest and the
+     intact segments, in order. *)
+  let validate t ~key =
     match load_manifest t ~key with
     | None -> None
     | Some m ->
@@ -565,13 +512,14 @@ module Chunked = struct
       let ok = ref true in
       let base = ref 0 in
       let h = ref Fnv.empty in
+      let segs = ref [] in
       for i = 0 to n_segs - 1 do
         if !ok then begin
           match load_segment t ~key:(seg_key key i) ~base:!base with
           | Some s when Segment.length s = m.m_seg_lens.(i) ->
             h := Fnv.int_bigarray !h s.Segment.ids;
             base := !base + m.m_seg_lens.(i);
-            keep s
+            segs := s :: !segs
           | Some _ | None -> ok := false
         end
       done;
@@ -580,48 +528,14 @@ module Chunked = struct
           warning t ~kind:manifest_kind ~key ~reason:"segment content drift";
         None
       end
-      else Some m
-
-  let source t ~key =
-    (* validated segments are dropped at once, so residency stays one
-       segment; replay reads them again *)
-    match validate t ~key ~keep:ignore with
-    | None -> None
-    | Some m ->
-      let n_segs = Array.length m.m_seg_lens in
-      let i = ref 0 and pos = ref 0 in
-      let src =
-        Source.make ~total_blocks:m.m_total_blocks (fun () ->
-            if !i >= n_segs then None
-            else begin
-              let sk = seg_key key !i in
-              let b = !pos in
-              let ln = m.m_seg_lens.(!i) in
-              incr i;
-              pos := !pos + ln;
-              match load_segment t ~key:sk ~base:b with
-              | Some s when Segment.length s = ln -> Some s
-              | Some _ | None ->
-                (* validated moments ago; only a concurrent writer can
-                   get here, and truncating silently would corrupt
-                   results *)
-                corrupt "chunked segment %d vanished mid-replay" !i
-            end)
-      in
-      Some (m, src)
+      else Some (m, List.rev !segs)
 
   (* The segments validated are the recorder's contents: each is read
      once, and whole chunks are adopted without a copy. *)
   let load t ~key =
-    let segs = ref [] in
-    match validate t ~key ~keep:(fun s -> segs := s :: !segs) with
-    | None -> None
-    | Some m -> Some (Recorder.of_segments (List.rev !segs) ~marks:m.m_marks)
-
-  let cached ?segment_blocks store ~key f =
-    cached_with ~load
-      ~save:(fun t ~key r -> save ?segment_blocks t ~key r)
-      store ~key f
+    Option.map
+      (fun (m, segs) -> Recorder.of_segments segs ~marks:m.m_marks)
+      (validate t ~key)
 end
 
 module Layout = struct
@@ -649,7 +563,16 @@ module Layout = struct
 
   let save t ~key l = write t ~kind ~version key (encode l)
 
-  let cached store ~key f = cached_with ~load ~save store ~key f
+  let cached store ~key compute =
+    match store with
+    | None -> compute ()
+    | Some t -> (
+      match load t ~key with
+      | Some l -> l
+      | None ->
+        let l = compute () in
+        save t ~key l;
+        l)
 end
 
 module Result = struct

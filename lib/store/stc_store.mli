@@ -4,9 +4,8 @@
     then replay it against many layouts and cache geometries — so almost
     everything the pipeline computes is a pure function of a describable
     input set. This store persists those computations between runs:
-    recorded traces ({!Stc_trace.Recorder}), layouts
-    ({!Stc_layout.Layout}) and per-simulation engine results
-    ({!Stc_fetch.Engine.result}).
+    recorded traces ({!Chunked}), layouts ({!Stc_layout.Layout}) and
+    per-simulation engine results ({!Stc_fetch.Engine.result}).
 
     {2 Addressing}
 
@@ -28,8 +27,8 @@
     crash the run: a missing entry is a plain miss; a version mismatch,
     bad magic, truncation or checksum failure is a miss plus a
     [store.warning] event in the registry (and, for damage, the
-    [store.corrupt] counter); {!cached} then recomputes and rewrites the
-    entry. Only genuinely anomalous states warn — a cold cache is
+    [store.corrupt] counter); the caller then recomputes and saves the
+    entry again. Only genuinely anomalous states warn — a cold cache is
     silent, so a cold and a warm run export identical event streams.
 
     {2 Observability}
@@ -41,9 +40,9 @@
     --ignore store.] compares everything else. *)
 
 exception Corrupt of string
-(** Raised by decoders on malformed payload bytes; {!load} and {!cached}
-    catch it and fall back to recomputation. Client code only sees it if
-    it calls an [Artifact.decode] directly. *)
+(** Raised by decoders on malformed payload bytes; every [load] catches
+    it and reports a miss, so the caller recomputes. Client code only
+    sees it if it calls a decoder directly. *)
 
 (** Store keys: a 64-bit FNV-1a hash rendered as 16 hex digits. *)
 module Key : sig
@@ -98,39 +97,21 @@ val write : t -> kind:string -> version:int -> Key.t -> string -> unit
 (** {2 Typed artifacts}
 
     Each artifact module fixes a [kind] string and a format [version],
-    and offers [load] (consult) and [save] (record); all but [Result]
-    (whose one caller, the grid runner, loads and saves per cell) also
-    offer [cached] (consult, else compute and record — on [None] stores,
-    just compute). [encode]
-    and [decode] are the bare codecs: [decode (encode x)] reconstructs
-    [x] and is property-tested; [decode] raises {!Corrupt} on malformed
-    bytes. *)
+    and offers [load] (consult) and [save] (record). [Layout] also
+    offers [cached] (consult, else compute and record — on [None]
+    stores, just compute). [encode] and [decode] are the bare codecs:
+    [decode (encode x)] reconstructs [x] and is property-tested;
+    [decode] raises {!Corrupt} on malformed bytes. *)
 
-module Trace : sig
-  val version : int
-
-  val encode : Stc_trace.Recorder.t -> string
-
-  val decode : string -> Stc_trace.Recorder.t
-
-  val load : t -> key:Key.t -> Stc_trace.Recorder.t option
-
-  val save : t -> key:Key.t -> Stc_trace.Recorder.t -> unit
-
-  val cached :
-    t option -> key:Key.t -> (unit -> Stc_trace.Recorder.t) -> Stc_trace.Recorder.t
-end
-
-(** Chunked traces: one manifest entry ([trace-man]) plus one CRC-checked
-    container per segment ([trace-seg]), for traces that should replay
-    warm through a {!Stc_trace.Source} without being fully resident.
+(** Recorded traces, the store's one trace format: one manifest entry
+    ([trace-man]) plus one CRC-checked container per segment
+    ([trace-seg]).
 
     [save] writes segments first and the manifest last (a crash mid-save
     is a plain miss), skipping segments that already read back intact —
     so re-saving over a damaged entry rewrites only the broken segments.
-    [source] validates every segment eagerly (read, CRC, content hash
-    against the manifest; O(one segment) resident) and returns [None] on
-    any damage, then serves lazy per-segment pulls. *)
+    [load] validates every segment (read, CRC, content hash against the
+    manifest) and returns [None] on any damage. *)
 module Chunked : sig
   val manifest_kind : string
 
@@ -163,26 +144,11 @@ module Chunked : sig
 
   val load_manifest : t -> key:Key.t -> manifest option
 
-  val source : t -> key:Key.t -> (manifest * Stc_trace.Source.t) option
-  (** [None] if the manifest is absent or any segment is damaged or
-      drifted (after eager validation of all of them). The returned
-      source re-reads segments lazily, one per pull; if a concurrent
-      writer destroys a segment between validation and its pull, the
-      pull raises {!Corrupt} rather than silently truncating the
-      trace. *)
-
   val load : t -> key:Key.t -> Stc_trace.Recorder.t option
-  (** Materialize the whole trace (the warm path for consumers that need
-      a {!Stc_trace.Recorder}); [None] under exactly the same conditions
-      as {!source}. Each segment is read once: the validated segments
-      become the recorder's chunks ({!Stc_trace.Recorder.of_segments}). *)
-
-  val cached :
-    ?segment_blocks:int ->
-    t option ->
-    key:Key.t ->
-    (unit -> Stc_trace.Recorder.t) ->
-    Stc_trace.Recorder.t
+  (** The whole trace; [None] if the manifest is absent or any segment
+      is damaged or drifted. Each segment is read once: the validated
+      segments become the recorder's chunks
+      ({!Stc_trace.Recorder.of_segments}). *)
 end
 
 module Layout : sig

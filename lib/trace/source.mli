@@ -1,13 +1,13 @@
 (** The one way trace data flows to consumers: a pull-based stream of
     bounded off-heap {!Segment}s.
 
-    Every producer — an in-memory {!Recorder}, the artifact store's
-    chunked entries ([Stc_store.Chunked.source]), a synthetic test
-    vector — is adapted to this interface, and every consumer (profile
-    building, packed compilation, the fetch engines) pulls segments
-    through it. A source is single-shot: once {!next_segment} returns
-    [None] it stays exhausted; producers that can replay (recorders,
-    the store) mint a fresh source per replay.
+    Every producer — a {!Recorder} (a fresh recording, or one the
+    artifact store loaded), a list of segments, a plain id array — is
+    adapted to this interface, and every consumer (profile building,
+    packing, [Stc_fetch.Stream]'s feed of the replay bank) pulls
+    segments through it. A source is single-shot: once {!next_segment}
+    returns [None] it stays exhausted; mint a fresh source per
+    replay.
 
     A recorder's segments are zero-copy views of its immutable chunks
     (see {!Recorder.segment}), so streaming a recorded trace copies no
@@ -20,16 +20,11 @@
 
 type t
 
-val make : ?total_blocks:int -> (unit -> Segment.t option) -> t
-(** Wrap a pull function. The function must yield consecutive segments
-    with correct {!Segment.base} indices and then [None] forever.
-    [total_blocks], when known, sizes progress reports and
-    preallocations. *)
-
 val next_segment : t -> Segment.t option
 (** Pull the next segment; [None] when the trace is exhausted. *)
 
 val total_blocks : t -> int option
+(** Blocks the source will yield in all, when known. *)
 
 val default_segment_blocks : int
 (** Default producer segment size (65536 blocks ≈ 512 KB of ids, the

@@ -205,6 +205,82 @@ let test_fused_resident_bound () =
     true
     (!hwm <= (4 * segment_blocks) + 64 && !hwm < len / 10)
 
+(* The one feed past a piece boundary: a trace of three pieces and five
+   blocks replayed by a bank mixing ideal, direct-mapped, trace-cache and
+   4-way SRRIP + FDIP slots, whose FDIP queue looks further ahead than
+   any other slot. The image replay (copied in pieces), the stream
+   packed from the recorder, and each slot run alone over a View agree
+   field by field, cache counters included. *)
+let test_one_feed_past_a_piece () =
+  let prog, ids = random_program 31 400 in
+  let layout = L.Original.layout prog in
+  let st = Random.State.make [| 8 |] in
+  let len = (3 * Source.default_segment_blocks) + 5 in
+  let recorder =
+    Stc_trace.Recorder.of_ids (random_trace st ids len) ~marks:[]
+  in
+  let specs () =
+    let icache ?assoc ?policy kb =
+      Stc_cachesim.Icache.create ?assoc ?policy ~size_bytes:(kb * 1024) ()
+    in
+    [|
+      Bank.spec ();
+      Bank.spec ~icache:(icache 1) ();
+      Bank.spec ~icache:(icache 2) ~trace_cache:(F.Tracecache.create ()) ();
+      Bank.spec
+        ~config:
+          (F.Engine.Config.make ~fdip:(F.Fdip.config ~ftq_depth:24 ()) ())
+        ~icache:(icache ~assoc:4 ~policy:Stc_cachesim.Icache.Srrip 4)
+        ();
+    |]
+  in
+  let replay run =
+    let specs = specs () in
+    Array.mapi (fun i r -> snapshot specs.(i) r) (run specs)
+  in
+  let image =
+    replay (fun specs ->
+        Bank.run_packed specs
+          (F.Packed.compile prog layout (Source.of_recorder recorder)))
+  in
+  let stream =
+    replay (fun specs ->
+        Bank.run_stream specs
+          (F.Stream.create (F.Packed.tables prog layout)
+             (Source.of_recorder recorder)))
+  in
+  let view = F.View.create prog layout (Source.of_recorder recorder) in
+  let solo =
+    replay
+      (Array.map (fun sp ->
+           F.Engine.run ~config:sp.Bank.config ?icache:sp.Bank.icache
+             ?trace_cache:sp.Bank.trace_cache ?prediction:sp.Bank.prediction
+             view))
+  in
+  let result k =
+    let r, _, _ = solo.(k) in
+    r
+  in
+  Alcotest.(check bool) "every slot's feature is exercised" true
+    ((result 1).F.Engine.icache_misses > 0
+    && (result 2).F.Engine.tc_hits > 0
+    && (result 3).F.Engine.prefetch_issued > 0);
+  let agree what a b =
+    Array.iteri
+      (fun i ((ra, ca, ta), (rb, cb, tb)) ->
+        List.iter2
+          (fun (name, x) (_, y) ->
+            if x <> y then
+              Alcotest.failf "%s, slot %d: %s %g <> %g" what i name x y)
+          (F.Engine.result_fields ra) (F.Engine.result_fields rb);
+        if ca <> cb then Alcotest.failf "%s, slot %d: i-cache counters" what i;
+        if ta <> tb then
+          Alcotest.failf "%s, slot %d: trace-cache counters" what i)
+      (Array.combine a b)
+  in
+  agree "image vs solo" image solo;
+  agree "stream vs solo" stream solo
+
 (* A bank run with metrics publishes the same engine.* counters, in the
    same order, as the banks of one sharing one registry. *)
 let test_fused_metrics_identical () =
@@ -395,6 +471,8 @@ let suite =
       test_empty_bank_and_trace;
     Alcotest.test_case "fused streamed residency is segment-bounded" `Quick
       test_fused_resident_bound;
+    Alcotest.test_case "one feed: image, stream and solo agree past a piece"
+      `Quick test_one_feed_past_a_piece;
     Alcotest.test_case "fused metrics export identical" `Quick
       test_fused_metrics_identical;
     Alcotest.test_case "store-warm subset fuses the rest" `Slow

@@ -127,52 +127,56 @@ let test_cached_repairs () =
   with_dir @@ fun dir ->
   let reg = Registry.create () in
   let st = Store.open_ ~metrics:reg dir in
-  let key = Store.Key.of_parts [ "trace"; "repair" ] in
-  let rec_ = Recorder.of_ids [| 3; 1; 4; 1; 5; 9; 2; 6 |] ~marks:[ ("q1", 2) ] in
+  let key = Store.Key.of_parts [ "layout"; "repair" ] in
+  let layout = { Stc_layout.Layout.name = "l"; addr = [| 0; 32; 96; 64 |] } in
   let computed = ref 0 in
   let compute () =
     incr computed;
-    rec_
+    layout
   in
   (* miss -> compute -> write *)
-  let r1 = Store.Trace.cached (Some st) ~key compute in
+  let l1 = Store.Layout.cached (Some st) ~key compute in
   Alcotest.(check int) "computed once" 1 !computed;
-  Alcotest.(check int) "round-tripped length" (Recorder.length rec_)
-    (Recorder.length r1);
+  Alcotest.(check bool) "round-tripped" true (l1 = layout);
   (* hit -> no recompute *)
-  ignore (Store.Trace.cached (Some st) ~key compute);
+  ignore (Store.Layout.cached (Some st) ~key compute);
   Alcotest.(check int) "served from store" 1 !computed;
   (* corrupt the entry: cached recomputes and repairs it *)
   let path = entry_path dir in
   write_file path (String.sub (read_file path) 0 8);
-  let r2 = Store.Trace.cached (Some st) ~key compute in
+  let l2 = Store.Layout.cached (Some st) ~key compute in
   Alcotest.(check int) "recomputed after damage" 2 !computed;
-  Alcotest.(check bool) "ids intact" true
-    (Array.init (Recorder.length r2) (Recorder.get r2)
-    = Array.init (Recorder.length rec_) (Recorder.get rec_));
+  Alcotest.(check bool) "addresses intact" true (l2 = layout);
   Alcotest.(check bool) "damage warned" true (warnings reg <> []);
   (* the rewrite healed the entry *)
-  (match Store.Trace.load st ~key with
-  | Some r -> Alcotest.(check int) "healed" (Recorder.length rec_) (Recorder.length r)
+  (match Store.Layout.load st ~key with
+  | Some l -> Alcotest.(check bool) "healed" true (l = layout)
   | None -> Alcotest.fail "entry not repaired");
   (* a None store computes every time *)
-  ignore (Store.Trace.cached None ~key compute);
+  ignore (Store.Layout.cached None ~key compute);
   Alcotest.(check int) "no store, no cache" 3 !computed
 
 (* ---------- codec round-trip properties ---------- *)
 
 let ids_of r = Array.init (Recorder.length r) (Recorder.get r)
 
+(* The store's one trace format, round-tripped through a store at a
+   random segment size. *)
 let prop_trace_codec =
   QCheck.Test.make ~name:"trace codec roundtrip" ~count:100
     QCheck.(
-      pair
+      triple
         (array_of_size Gen.(int_range 0 200) (int_bound 10_000))
-        (small_list (pair printable_string (int_bound 200))))
-    (fun (ids, marks) ->
-      let r = Recorder.of_ids ids ~marks in
-      let r' = Store.Trace.decode (Store.Trace.encode r) in
-      ids_of r' = ids && Recorder.marks r' = marks)
+        (small_list (pair printable_string (int_bound 200)))
+        (int_range 1 64))
+    (fun (ids, marks, segment_blocks) ->
+      with_dir @@ fun dir ->
+      let st = Store.open_ dir in
+      let key = Store.Key.of_parts [ "trace"; "codec" ] in
+      Store.Chunked.save ~segment_blocks st ~key (Recorder.of_ids ids ~marks);
+      match Store.Chunked.load st ~key with
+      | Some r -> ids_of r = ids && Recorder.marks r = marks
+      | None -> false)
 
 let prop_layout_codec =
   QCheck.Test.make ~name:"layout codec roundtrip" ~count:100
@@ -183,6 +187,30 @@ let prop_layout_codec =
       let l = { Stc_layout.Layout.name; addr } in
       Store.Layout.decode (Store.Layout.encode l) = l)
 
+(* A result whose integer fields are [f.(0..17)], in declaration order. *)
+let result_of f instrs_between_taken =
+  {
+    F.Engine.instrs = f.(0);
+    cycles = f.(1);
+    fetch_cycles = f.(2);
+    seq_cycles = f.(3);
+    tc_cycles = f.(4);
+    icache_accesses = f.(5);
+    icache_misses = f.(6);
+    icache_victim_hits = f.(7);
+    tc_lookups = f.(8);
+    tc_hits = f.(9);
+    taken_branches = f.(10);
+    instrs_between_taken;
+    cond_branches = f.(11);
+    mispredictions = f.(12);
+    icache_evictions = f.(13);
+    prefetch_issued = f.(14);
+    prefetch_completed = f.(15);
+    prefetch_late = f.(16);
+    prefetch_useful = f.(17);
+  }
+
 let prop_result_codec =
   QCheck.Test.make ~name:"result codec roundtrip" ~count:100
     QCheck.(
@@ -190,31 +218,11 @@ let prop_result_codec =
         (array_of_size (QCheck.Gen.return 18) (int_bound 1_000_000_000))
         pos_float)
     (fun (f, instrs_between_taken) ->
-      let r =
-        {
-          F.Engine.instrs = f.(0);
-          cycles = f.(1);
-          fetch_cycles = f.(2);
-          seq_cycles = f.(3);
-          tc_cycles = f.(4);
-          icache_accesses = f.(5);
-          icache_misses = f.(6);
-          icache_victim_hits = f.(7);
-          tc_lookups = f.(8);
-          tc_hits = f.(9);
-          taken_branches = f.(10);
-          instrs_between_taken;
-          cond_branches = f.(11);
-          mispredictions = f.(12);
-          icache_evictions = f.(13);
-          prefetch_issued = f.(14);
-          prefetch_completed = f.(15);
-          prefetch_late = f.(16);
-          prefetch_useful = f.(17);
-        }
-      in
+      let r = result_of f instrs_between_taken in
       Store.Result.decode (Store.Result.encode r) = r)
 
+(* Every decoder: the layout and result codecs, and the chunked trace's
+   manifest and segments as [Chunked.save] wrote them. *)
 let prop_decode_rejects_junk =
   QCheck.Test.make ~name:"decoders never accept trailing junk" ~count:100
     QCheck.(
@@ -223,10 +231,33 @@ let prop_decode_rejects_junk =
         printable_string)
     (fun (ids, junk) ->
       QCheck.assume (junk <> "");
-      let bytes = Store.Trace.encode (Recorder.of_ids ids ~marks:[]) ^ junk in
-      match Store.Trace.decode bytes with
-      | _ -> false
-      | exception Store.Corrupt _ -> true)
+      let rejects decode bytes =
+        match decode (bytes ^ junk) with
+        | _ -> false
+        | exception Store.Corrupt _ -> true
+      in
+      with_dir @@ fun dir ->
+      let st = Store.open_ dir in
+      let key = Store.Key.of_parts [ "junk" ] in
+      let segment_blocks = 16 in
+      Store.Chunked.save ~segment_blocks st ~key
+        (Recorder.of_ids ids ~marks:[]);
+      let payload kind key =
+        Option.get (Store.read st ~kind ~version:Store.Chunked.version key)
+      in
+      let segments =
+        List.init
+          ((Array.length ids + segment_blocks - 1) / segment_blocks)
+          (fun i ->
+            payload Store.Chunked.segment_kind (Store.Chunked.seg_key key i))
+      in
+      let result = result_of (Array.make 18 (Array.length ids)) 1.5 in
+      rejects Store.Layout.decode
+        (Store.Layout.encode { Stc_layout.Layout.name = "l"; addr = ids })
+      && rejects Store.Result.decode (Store.Result.encode result)
+      && rejects Store.Chunked.decode_manifest
+           (payload Store.Chunked.manifest_kind key)
+      && List.for_all (rejects (Store.Chunked.decode_segment ~base:0)) segments)
 
 (* ---------- end to end: cold vs warm ---------- *)
 

@@ -9,15 +9,16 @@
    - memory boundedness: the streamed engine's resident high-water mark
      is a function of the segment size, not the trace length;
    - chunked store: save/load round-trips ids and marks (marks on
-     segment boundaries included), a damaged segment is detected and
-     repaired, and a warm replay straight off the chunked entry
-     reproduces identical engine rows;
+     segment boundaries included), a damaged segment is detected and a
+     re-save rewrites only that segment, and a warm replay of the loaded
+     entry reproduces identical engine rows;
    - recorder chunks: at lengths around the chunk size, per-index reads,
      segments (a view inside one chunk, a copy across two), sources with
      and without a range, the of_ids/of_segments round trips and the
      hash agree with a plain id array;
    - property: the one-pass packer equals a per-index reference over
-     random segmentations, empty and one-block segments included. *)
+     random segmentations, empty and one-block segments included, and
+     packing one segment at an offset writes exactly its own range. *)
 
 module F = Stc_fetch
 module L = Stc_layout
@@ -152,14 +153,20 @@ let test_resident_bound () =
     (Printf.sprintf "resident %d words bounded by segments, not trace" !hwm)
     true
     (!hwm <= (4 * segment_blocks) + 64 && !hwm < len / 10);
-  (* whole-image replay borrows the caller's packed image: same bound
-     machinery reports the full trace as resident *)
+  (* a whole image is copied into the window one piece at a time, so
+     the window holds one piece plus lookahead however long the image *)
+  let piece = Source.default_segment_blocks in
+  let image =
+    F.Packed.compile prog layout
+      (Source.of_array (random_trace st ids ((2 * piece) + 17)))
+  in
   let full = ref 0 in
-  ignore
-    (replay_stream ~resident_hwm:full
-       (F.Stream.of_packed
-          (F.Packed.compile prog layout (Source.of_array trace))));
-  Alcotest.(check int) "single borrowed segment is the whole trace" len !full
+  ignore (replay_stream ~resident_hwm:full (F.Stream.of_packed image));
+  Alcotest.(check bool)
+    (Printf.sprintf "image replay resident %d words: one piece plus lookahead"
+       !full)
+    true
+    (!full <= piece + 64)
 
 (* ---------- chunked store ---------- *)
 
@@ -233,24 +240,24 @@ let test_chunked_damage_and_repair () =
   close_out oc;
   Alcotest.(check bool) "damaged entry misses" true
     (Store.Chunked.load st ~key = None);
-  Alcotest.(check bool) "damaged entry has no source" true
-    (Store.Chunked.source st ~key = None);
-  (* cached recomputes and the re-save repairs the broken segment *)
-  let computed = ref 0 in
-  let r =
-    Store.Chunked.cached ~segment_blocks:8 (Some st) ~key (fun () ->
-        incr computed;
-        rec_)
-  in
-  Alcotest.(check int) "recomputed once" 1 !computed;
-  Alcotest.(check bool) "repaired ids" true (ids_of r = ids_of rec_);
+  (* the re-save rewrites the broken segment and the manifest, and
+     nothing else *)
+  let writes () = (Store.stats st).Store.writes in
+  let before = writes () in
+  Store.Chunked.save ~segment_blocks:8 st ~key rec_;
+  Alcotest.(check int) "one segment and the manifest rewritten" 2
+    (writes () - before);
+  let ic = open_in_bin whole in
+  let repaired = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check bool) "broken segment rewritten" true (repaired = contents);
   match Store.Chunked.load st ~key with
   | None -> Alcotest.fail "entry not healed by re-save"
   | Some r2 -> Alcotest.(check bool) "healed" true (ids_of r2 = ids_of rec_)
 
-(* A warm replay served from the chunked entry — Source straight off the
-   store, one segment resident at a time — must produce the same engine
-   rows as replaying the recorder it was saved from. *)
+(* A warm replay of the chunked entry — loaded, then streamed from the
+   loaded recorder into the bank — must produce the same engine rows as
+   replaying the recorder it was saved from. *)
 let test_chunked_warm_replay_identical () =
   with_dir @@ fun dir ->
   let st = Store.open_ dir in
@@ -262,12 +269,13 @@ let test_chunked_warm_replay_identical () =
   let key = Store.Key.of_parts [ "chunked"; "warm-replay" ] in
   Store.Chunked.save ~segment_blocks:256 st ~key rec_;
   let cold = run_materialized prog layout trace in
-  match Store.Chunked.source st ~key with
-  | None -> Alcotest.fail "chunked source missing"
-  | Some (m, source) ->
-    Alcotest.(check int) "manifest blocks" 5_000 m.Store.Chunked.m_total_blocks;
+  match Store.Chunked.load st ~key with
+  | None -> Alcotest.fail "chunked entry did not load"
+  | Some r ->
+    Alcotest.(check int) "loaded blocks" 5_000 (Recorder.length r);
     let warm =
-      replay_stream (F.Stream.create (F.Packed.tables prog layout) source)
+      replay_stream
+        (F.Stream.create (F.Packed.tables prog layout) (Source.of_recorder r))
     in
     check_equal ~what:"warm chunked replay" cold warm
 
@@ -491,6 +499,20 @@ let check_packed ~what (words, instrs, taken) p =
   Alcotest.(check int) (what ^ ": instrs") instrs (F.Packed.total_instrs p);
   Alcotest.(check int) (what ^ ": taken") taken (F.Packed.taken_branches p)
 
+(* [Packed.fill] of one segment at a nonzero offset into a
+   sentinel-filled array: it writes exactly [pos, pos + length), those
+   words are the reference's, and it returns the reference totals. *)
+let check_fill ~what tb seg ~next_first ~pos (words, instrs, taken) =
+  let n = Array.length words in
+  let dst = Array.make (pos + n + 3) (-1) in
+  let totals = F.Packed.fill tb dst ~pos seg ~next_first in
+  Array.iteri
+    (fun i w ->
+      let expect = if i >= pos && i < pos + n then words.(i - pos) else -1 in
+      if w <> expect then Alcotest.failf "%s: word %d differs" what i)
+    dst;
+  Alcotest.(check (pair int int)) (what ^ ": totals") (instrs, taken) totals
+
 let prop_packer_equals_reference =
   QCheck.Test.make ~name:"one-pass packer == per-index reference" ~count:100
     QCheck.(pair (int_bound 10_000) (int_bound 300))
@@ -540,18 +562,19 @@ let prop_packer_equals_reference =
               rest
           in
           let ids = ids_of_segments [ s ] in
-          check_packed
+          check_fill
             ~what:(Printf.sprintf "segment at %d" (Segment.base s))
-            (reference_packed prog layout ids ~next_first)
-            (F.Packed.of_segment tb s ~next_first);
+            tb s ~next_first
+            ~pos:(1 + Random.State.int st 5)
+            (reference_packed prog layout ids ~next_first);
           per_segment rest
       in
       per_segment segs;
       (* a lone segment followed by an arbitrary block *)
       let next_first = Some ids.(Random.State.int st (Array.length ids)) in
-      check_packed ~what:"lone segment"
-        (reference_packed prog layout trace ~next_first)
-        (F.Packed.of_segment tb (Segment.of_array trace) ~next_first);
+      check_fill ~what:"lone segment" tb (Segment.of_array trace) ~next_first
+        ~pos:(1 + Random.State.int st 5)
+        (reference_packed prog layout trace ~next_first);
       true)
 
 let suite =

@@ -48,7 +48,7 @@ type chunk_summary = {
   c_bad : (int * string) list;  (** segment index, what is wrong *)
 }
 
-(* Validate one segment of a chunked entry the way Chunked.source would:
+(* Validate one segment of a chunked entry the way Chunked.load does:
    the container must read back (CRC included), decode as a segment of
    the manifest's recorded length, and its ids must fold to their slice
    of the manifest content hash chain. *)
