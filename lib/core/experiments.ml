@@ -834,9 +834,16 @@ let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
       pl.Pipeline.program.Stc_cfg.Program.blocks
   in
   let counts = P.Profile.counts profile in
+  (* a trace-only slice, like [engine.fused]: metric exports stay
+     byte-identical with tracing on *)
   let temperature layout =
-    Stc_cachesim.Temperature.of_blocks ~line_bytes:config.line_bytes
-      ~addrs:layout.L.Layout.addr ~sizes ~counts
+    let derive () =
+      Stc_cachesim.Temperature.of_blocks ~line_bytes:config.line_bytes
+        ~addrs:layout.L.Layout.addr ~sizes ~counts
+    in
+    match ctx.Run.trace with
+    | Some tr -> Stc_obs.Trace.span tr "cachesim.temperature" derive
+    | None -> derive ()
   in
   let grid =
     match config.grid with a :: b :: _ -> [ a; b ] | short -> short

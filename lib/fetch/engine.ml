@@ -13,6 +13,21 @@ module Config = struct
 
   let make ?(max_branches = 3) ?(line_bytes = 32) ?(miss_penalty = 5) ?fdip ()
       =
+    (* a line must hold a whole instruction, or a cycle's two-line
+       window fetches nothing and the walk never advances *)
+    if
+      not
+        (Stc_util.Bits.is_pow2 line_bytes
+        && line_bytes >= Stc_cfg.Block.instr_bytes)
+    then
+      invalid_arg
+        (Printf.sprintf
+           "Engine.Config.make: line_bytes must be a power of two >= %d"
+           Stc_cfg.Block.instr_bytes);
+    if max_branches < 1 then
+      invalid_arg "Engine.Config.make: max_branches must be >= 1";
+    if miss_penalty < 0 then
+      invalid_arg "Engine.Config.make: miss_penalty must be >= 0";
     { max_branches; line_bytes; miss_penalty; fdip }
 end
 
@@ -171,15 +186,19 @@ module Bank = struct
   let spec ?(config = Config.default) ?icache ?trace_cache ?prediction () =
     { config; icache; trace_cache; prediction }
 
-  (* the i-cache probe strategy is picked once per slot *)
-  type probe = No_cache | Direct of Icache.t | Generic of Icache.t
+  (* the i-cache probe strategy is picked once per slot; an FDIP slot's
+     demand probes go through its decoupled frontend *)
+  type probe =
+    | No_cache
+    | Direct of Icache.t
+    | Generic of Icache.t
+    | Fdip of Fdip.t
 
   type slot = {
     sp : spec;
     ix : int; (* input index, for result placement *)
     probe : probe;
     penalty : int;
-    s_fdip : Fdip.t option; (* per-slot decoupled frontend, if any *)
     mutable s_penalties : int;
     mutable s_acc : int;
     mutable s_miss : int;
@@ -194,7 +213,7 @@ module Bank = struct
     members : slot array;
     actives : slot array; (* members with an i-cache to probe *)
     preds : slot array; (* members with direction prediction *)
-    fdips : slot array; (* members with a live FDIP frontend *)
+    fdips : Fdip.t array; (* the members' live FDIP frontends *)
     need : int;
     mutable pos : int; (* global block index *)
     mutable coff : int; (* intra-block offset *)
@@ -230,24 +249,18 @@ module Bank = struct
       let slots =
         Array.mapi
           (fun ix sp ->
-            let s_fdip =
-              match (sp.config.fdip, sp.icache) with
-              | Some fc, Some c -> Some (Fdip.create fc c)
-              | _ -> None
-            in
             let probe =
-              match sp.icache with
-              | None -> No_cache
-              | Some c when Icache.plain_direct c && Option.is_none s_fdip ->
-                Direct c
-              | Some c -> Generic c
+              match (sp.icache, sp.config.fdip) with
+              | None, _ -> No_cache
+              | Some c, Some fc -> Fdip (Fdip.create fc c)
+              | Some c, None when Icache.plain_direct c -> Direct c
+              | Some c, None -> Generic c
             in
             {
               sp;
               ix;
               probe;
               penalty = sp.config.miss_penalty;
-              s_fdip;
               s_penalties = 0;
               s_acc = 0;
               s_miss = 0;
@@ -290,8 +303,9 @@ module Bank = struct
                in
                let fdips =
                  Array.of_list
-                   (List.filter
-                      (fun s -> Option.is_some s.s_fdip)
+                   (List.filter_map
+                      (fun s ->
+                        match s.probe with Fdip f -> Some f | _ -> None)
                       (Array.to_list members))
                in
                let tc_width =
@@ -304,9 +318,8 @@ module Bank = struct
                     forward reach within one cycle *)
                  Array.fold_left
                    (fun m s ->
-                     match s.sp.config.fdip with
-                     | Some fc when Option.is_some s.s_fdip ->
-                       max m (fc.Fdip.ftq_depth + 2)
+                     match (s.probe, s.sp.config.fdip) with
+                     | Fdip _, Some fc -> max m (fc.Fdip.ftq_depth + 2)
                      | _ -> m)
                    base members
                in
@@ -367,29 +380,9 @@ module Bank = struct
         end
       in
       let probe_slot s ~now a1 a2 =
-        match s.s_fdip with
-        | Some f ->
-          (* FDIP step 2: the demand pair through the slot's frontend,
-             each probe returning its cycle charge; the cycle pays the
-             larger one, which degenerates to the historical
-             one-penalty-if-either-line-misses rule when no prefetches
-             are in flight *)
-          s.s_acc <- s.s_acc + 2;
-          let count (o : Icache.outcome) =
-            match o with
-            | Icache.Hit -> ()
-            | Icache.Victim_hit -> s.s_vhit <- s.s_vhit + 1
-            | Icache.Miss -> s.s_miss <- s.s_miss + 1
-          in
-          let o1, c1 = Fdip.demand f ~now ~miss_penalty:s.penalty a1 in
-          count o1;
-          let o2, c2 = Fdip.demand f ~now ~miss_penalty:s.penalty a2 in
-          count o2;
-          s.s_penalties <- s.s_penalties + (if c1 > c2 then c1 else c2)
-        | None -> (
-          match s.probe with
-          | No_cache -> ()
-          | Direct c ->
+        match s.probe with
+        | No_cache -> ()
+        | Direct c ->
           s.s_acc <- s.s_acc + 2;
           let h1 = Icache.probe_direct c a1 in
           let h2 = Icache.probe_direct c a2 in
@@ -412,7 +405,25 @@ module Bank = struct
           in
           let h1 = probe a1 in
           let h2 = probe a2 in
-          if not (h1 && h2) then s.s_penalties <- s.s_penalties + s.penalty)
+          if not (h1 && h2) then s.s_penalties <- s.s_penalties + s.penalty
+        | Fdip f ->
+          (* FDIP step 2: the demand pair through the slot's frontend,
+             each probe returning its cycle charge (the frontend counts
+             its own misses and victim hits); the cycle pays the larger
+             one, which degenerates to the historical
+             one-penalty-if-either-line-misses rule when no prefetches
+             are in flight *)
+          s.s_acc <- s.s_acc + 2;
+          let c1 = Fdip.demand f ~now ~miss_penalty:s.penalty a1 in
+          let c2 = Fdip.demand f ~now ~miss_penalty:s.penalty a2 in
+          s.s_penalties <- s.s_penalties + (if c1 > c2 then c1 else c2)
+      in
+      (* FDIP step 3 for every frontend of a cohort: walk the FTQ from
+         the cycle-start block *)
+      let fdip_advance fdips ~now words ~len ~idx ~gidx =
+        for i = 0 to Array.length fdips - 1 do
+          Fdip.advance (Array.unsafe_get fdips i) ~now words ~len ~idx ~gidx
+        done
       in
       (* per conditional branch (callers test [w_cond] first, so the
          common all-sequential block costs no call): count it once for
@@ -439,7 +450,8 @@ module Bank = struct
       let step_cohort h =
         let words = !buf in
         let len = !avail in
-        let start_idx = h.pos - !dropped and start_off = h.coff in
+        let start_pos = h.pos in
+        let start_idx = start_pos - !dropped and start_off = h.coff in
         (* FDIP steps 1 and 3 bracket the cycle for every frontend-bearing
            member: land elapsed prefetches first (the frontend runs on
            every cycle, trace-cache hits included), walk the FTQ from the
@@ -447,22 +459,8 @@ module Bank = struct
         let fnow = h.ccycles + 1 in
         let fdips = h.fdips in
         for i = 0 to Array.length fdips - 1 do
-          match (Array.unsafe_get fdips i).s_fdip with
-          | Some f -> Fdip.begin_cycle f ~now:fnow
-          | None -> ()
+          Fdip.begin_cycle (Array.unsafe_get fdips i) ~now:fnow
         done;
-        let fdip_advance () =
-          for i = 0 to Array.length fdips - 1 do
-            match (Array.unsafe_get fdips i).s_fdip with
-            | Some f ->
-              Fdip.advance f ~now:fnow ~nth:(fun k ->
-                  let i = start_idx + k in
-                  if i < len then
-                    Some (w_addr (Array.unsafe_get words i))
-                  else None)
-            | None -> ()
-          done
-        in
         let tc_hit =
           match h.tc with
           | None -> None
@@ -487,7 +485,8 @@ module Bank = struct
           done;
           h.pos <- !dropped + stop;
           h.coff <- info.Tracecache.end_pos.View.off;
-          fdip_advance ()
+          fdip_advance fdips ~now:fnow words ~len ~idx:start_idx
+            ~gidx:start_pos
         | Some _ | None ->
           h.ccycles <- h.ccycles + 1;
           h.cseq <- h.cseq + 1;
@@ -541,7 +540,8 @@ module Bank = struct
           | None -> ());
           h.pos <- !dropped + !idx;
           h.coff <- !off;
-          fdip_advance ()
+          fdip_advance fdips ~now:fnow words ~len ~idx:start_idx
+            ~gidx:start_pos
       in
       let finished () =
         Array.for_all (fun h -> h.pos - !dropped >= !avail) cohorts
@@ -568,6 +568,7 @@ module Bank = struct
       done;
       (* the window only grows, so its final size is its high-water mark *)
       (match resident_hwm with Some r -> r := Array.length !buf | None -> ());
+      let fdip_count get s = match s.probe with Fdip f -> get f | _ -> 0 in
       let out = Array.make n None in
       Array.iter
         (fun h ->
@@ -578,8 +579,10 @@ module Bank = struct
                  end exactly where per-access counting would leave them *)
               (match s.sp.icache with
               | Some c ->
-                Icache.add_stats c ~accesses:s.s_acc ~misses:s.s_miss
-                  ~victim_hits:s.s_vhit
+                Icache.add_stats c ~accesses:s.s_acc
+                  ~misses:(s.s_miss + fdip_count Fdip.demand_misses s)
+                  ~victim_hits:
+                    (s.s_vhit + fdip_count Fdip.demand_victim_hits s)
               | None -> ());
               (match s.sp.trace_cache with
               | Some tc ->
@@ -625,20 +628,10 @@ module Bank = struct
                     (match s.sp.icache with
                     | Some c -> Icache.evictions c
                     | None -> 0);
-                  prefetch_issued =
-                    (match s.s_fdip with
-                    | Some f -> Fdip.issued f
-                    | None -> 0);
-                  prefetch_completed =
-                    (match s.s_fdip with
-                    | Some f -> Fdip.completed f
-                    | None -> 0);
-                  prefetch_late =
-                    (match s.s_fdip with Some f -> Fdip.late f | None -> 0);
-                  prefetch_useful =
-                    (match s.s_fdip with
-                    | Some f -> Fdip.useful f
-                    | None -> 0);
+                  prefetch_issued = fdip_count Fdip.issued s;
+                  prefetch_completed = fdip_count Fdip.completed s;
+                  prefetch_late = fdip_count Fdip.late s;
+                  prefetch_useful = fdip_count Fdip.useful s;
                 }
               in
               out.(s.ix) <- Some r)

@@ -39,7 +39,10 @@ module Config : sig
     ?fdip:Fdip.config ->
     unit ->
     t
-  (** Override any subset of {!default}. *)
+  (** Override any subset of {!default}. Raises [Invalid_argument],
+      naming the field, unless [line_bytes] is a power of two of at
+      least {!Stc_cfg.Block.instr_bytes}, [max_branches >= 1] and
+      [miss_penalty >= 0]. *)
 end
 
 type config = Config.t

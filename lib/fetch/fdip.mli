@@ -30,33 +30,58 @@ val default : config
 type t
 
 val create : config -> Stc_cachesim.Icache.t -> t
-(** A fresh frontend prefetching into the given L1i. *)
+(** A fresh frontend prefetching into the given L1i.
+
+    {b Ownership.} For the whole replay the frontend owns the cache:
+    nothing else installs into, flushes or probes it with a state
+    change. The frontend's own installs are then the only events that
+    can evict a line, and it counts them in a {e presence epoch}: a
+    demand miss, a demand victim hit (the swap reinstalls the line), a
+    landing in {!begin_cycle} and a demand intercept of an in-flight
+    line each bump it, whether or not the install evicted a valid line.
+    Between bumps a line that is resident or in flight stays so, which
+    is what lets {!advance} skip targets it has already seen. *)
 
 val begin_cycle : t -> now:int -> unit
 (** Land every in-flight prefetch whose ready cycle is [<= now] in L1i
     (in issue order). Call first in each fetch cycle, with [now] = the
     cycle being fetched (the post-increment cycle count). *)
 
-val demand : t -> now:int -> miss_penalty:int -> int -> Stc_cachesim.Icache.outcome * int
+val demand : t -> now:int -> miss_penalty:int -> int -> int
 (** [demand t ~now ~miss_penalty addr] is the demand probe of one
-    line-aligned address: the outcome for the caller's statistics and
-    this line's cycle charge — 0 on a hit or victim hit,
-    [miss_penalty] on a miss, and [min remaining_latency miss_penalty]
-    when the line is still in flight (a {e late} prefetch: the fill
-    lands immediately, the demand then hits, but it is reported as a
-    miss and not counted useful). SEQ.3 charges the maximum of its two
-    line charges per cycle, reproducing the historical one-penalty-if-
-    either-line-misses rule when no prefetches are live. *)
+    line-aligned address, returning this line's cycle charge: 0 on a
+    hit or victim hit, [miss_penalty] on a miss, and
+    [min remaining_latency miss_penalty] when the line is still in
+    flight (a {e late} prefetch: the fill lands immediately and the
+    demand then hits, but it counts as a miss and not as useful). The
+    frontend counts its demand misses (late ones included) and victim
+    hits itself ({!demand_misses}, {!demand_victim_hits}); the caller
+    adds them to the cache's statistics when it flushes. SEQ.3 charges
+    the maximum of its two line charges per cycle, reproducing the
+    historical one-penalty-if-either-line-misses rule when no
+    prefetches are live. *)
 
-val advance : t -> now:int -> nth:(int -> int option) -> unit
-(** Walk the FTQ: [nth k] is the base address of the [k]-th fetch
-    target ahead of the cycle-start position ([None] past the end of
-    the stream), for [k < ftq_depth]. For each target's SEQ.3 line pair,
-    issue a prefetch unless the line is resident ({!Stc_cachesim.Icache.mem})
-    or already in flight, stopping at [degree] issues per cycle and
-    [mshrs] in flight. Call last in each fetch cycle, with the same
-    [now] as {!begin_cycle} and [nth] anchored at the {e cycle-start}
-    block index. *)
+val advance :
+  t -> now:int -> int array -> len:int -> idx:int -> gidx:int -> unit
+(** [advance t ~now words ~len ~idx ~gidx] walks the FTQ: the fetch
+    targets are the {!Packed} words [words.(idx)] to
+    [words.(min (idx + ftq_depth) len - 1)], where [idx < len <=
+    Array.length words] and the words below [len] are the stream's.
+    The first target is the cycle-start block, whose index in the whole
+    trace is [gidx]. For each target's
+    SEQ.3 line pair, in order, issue a prefetch unless the line is
+    resident ({!Stc_cachesim.Icache.mem}) or already in flight,
+    stopping at [degree] issues per cycle and [mshrs] in flight. Call
+    last in each fetch cycle, with the same [now] as {!begin_cycle}.
+
+    The result is that of walking every target every cycle, but the
+    walk resumes where the last one stopped: targets below that point
+    had both lines present, and while the presence epoch holds (see
+    {!create}) they still do, so only blocks that just entered the
+    queue are examined. This needs [gidx] never to decrease from one
+    call to the next on the same frontend, and [words.(idx + k)] to be
+    the same trace block on every call that covers global index
+    [gidx + k] — the window may slide or compact between calls. *)
 
 val issued : t -> int
 
@@ -69,6 +94,12 @@ val late : t -> int
 
 val useful : t -> int
 (** Demand hits on a prefetched line no demand had touched yet. *)
+
+val demand_misses : t -> int
+(** Demand probes that missed, late prefetches included. *)
+
+val demand_victim_hits : t -> int
+(** Demand probes served by the victim buffer. *)
 
 val in_flight : t -> int
 

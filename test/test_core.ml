@@ -139,6 +139,33 @@ let test_determinism_of_pipeline () =
     (Stc_trace.Recorder.hash a.Pipeline.test)
     (Stc_trace.Recorder.hash b.Pipeline.test)
 
+(* Each TRRIP table derivation of the extended grid is a trace-only
+   slice: one per built layout, and the rows do not change with tracing
+   on. *)
+let test_extended_traces_temperatures () =
+  let pl = Lazy.force pl in
+  let layouts = [ "ops" ] in
+  let config = { E.default_sim_config with E.grid = [ (8, [ 2 ]) ] } in
+  let plain = E.extended ~config ~layouts pl in
+  let tr = Stc_obs.Trace.create () in
+  let ctx = Stc_obs.Run.with_trace tr Stc_obs.Run.default in
+  let traced = E.extended ~ctx ~config ~layouts pl in
+  Alcotest.(check bool) "rows unchanged" true (plain = traced);
+  let slices =
+    match Stc_obs.Trace.to_json tr with
+    | Stc_obs.Json.List evs ->
+      List.length
+        (List.filter
+           (fun e ->
+             Stc_obs.Json.member "name" e
+             = Some (Stc_obs.Json.Str "cachesim.temperature")
+             && Stc_obs.Json.member "ph" e = Some (Stc_obs.Json.Str "B"))
+           evs)
+    | _ -> 0
+  in
+  (* orig and ops *)
+  Alcotest.(check int) "one slice per layout" 2 slices
+
 let suite =
   [
     Alcotest.test_case "pipeline smoke" `Quick test_pipeline_smoke;
@@ -148,5 +175,7 @@ let suite =
     Alcotest.test_case "simulate shapes" `Slow test_simulate_shapes;
     Alcotest.test_case "sequentiality improves" `Slow test_sequentiality_improves;
     Alcotest.test_case "ablation rows" `Slow test_ablation_rows;
+    Alcotest.test_case "extended grid traces temperatures" `Slow
+      test_extended_traces_temperatures;
     Alcotest.test_case "pipeline deterministic" `Slow test_determinism_of_pipeline;
   ]

@@ -306,9 +306,30 @@ let test_engine_run_equals_run_packed () =
   let b = F.Engine.run_packed (F.View.pack view) in
   Alcotest.(check bool) "equal" true (a = b)
 
+let test_config_validation () =
+  let rejects what msg f =
+    Alcotest.check_raises what (Invalid_argument ("Engine.Config.make: " ^ msg))
+      (fun () -> ignore (f ()))
+  in
+  let line_msg = "line_bytes must be a power of two >= 4" in
+  rejects "line 0" line_msg (fun () -> F.Engine.Config.make ~line_bytes:0 ());
+  rejects "line 1" line_msg (fun () -> F.Engine.Config.make ~line_bytes:1 ());
+  rejects "line 2" line_msg (fun () -> F.Engine.Config.make ~line_bytes:2 ());
+  rejects "line 48" line_msg (fun () -> F.Engine.Config.make ~line_bytes:48 ());
+  rejects "branches" "max_branches must be >= 1" (fun () ->
+      F.Engine.Config.make ~max_branches:0 ());
+  rejects "penalty" "miss_penalty must be >= 0" (fun () ->
+      F.Engine.Config.make ~miss_penalty:(-1) ());
+  (* the boundary values are accepted *)
+  let c =
+    F.Engine.Config.make ~line_bytes:4 ~max_branches:1 ~miss_penalty:0 ()
+  in
+  Alcotest.(check int) "line 4" 4 c.F.Engine.Config.line_bytes
+
 let suite =
   [
     Alcotest.test_case "ideal single window" `Quick test_ideal_single_window;
+    Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "taken branch splits fetch" `Quick
       test_taken_branch_splits_fetch;
     Alcotest.test_case "3-branch limit" `Quick test_branch_limit;

@@ -1,6 +1,7 @@
 (* Summarize a Chrome trace_event JSON file produced by Stc_obs.Trace.
 
      trace_report TRACE.json [--top N] [--assert-utilization PCT]
+                  [--layers SPEC]
 
    Reports total wall clock, a table of top-level slices (per-phase wall
    time), pool utilization per domain (share of the pool window each
@@ -10,6 +11,11 @@
    slices, one per layout group of a simulation grid, --top, default
    10), and the artifact-store time split (store.hit / store.miss /
    store.write Complete events with their byte volumes).
+
+   --layers SPEC adds one row per per-layer metric that the benchmark
+   spec SPEC (BENCHMARK.json) names, in its order: the value the trace's
+   own slices give (summed over every domain), or "not traced" when no
+   library slice measures it.
 
    --assert-utilization PCT exits 1 unless the mean worker utilization
    over the pool window is at least PCT percent — the CI guard that the
@@ -22,13 +28,18 @@ module Tbl = Stc_util.Tbl
 
 let usage () =
   prerr_endline
-    "usage: trace_report TRACE.json [--top N] [--assert-utilization PCT]";
+    "usage: trace_report TRACE.json [--top N] [--assert-utilization PCT] \
+     [--layers SPEC]";
   exit 2
 
 let parse_args () =
   let file = ref None and top = ref 10 and assert_util = ref None in
+  let layers = ref None in
   let rec go = function
     | [] -> ()
+    | "--layers" :: spec :: rest ->
+      layers := Some spec;
+      go rest
     | "--top" :: v :: rest ->
       (match int_of_string_opt v with
       | Some n when n > 0 -> top := n
@@ -45,7 +56,7 @@ let parse_args () =
   in
   go (List.tl (Array.to_list Sys.argv));
   match !file with
-  | Some f -> (f, !top, !assert_util)
+  | Some f -> (f, !top, !assert_util, !layers)
   | None -> usage ()
 
 (* ---------- event and slice extraction ---------- *)
@@ -328,20 +339,100 @@ let store_split slices =
     print_newline ()
   end
 
-let () =
-  let file, top, assert_util = parse_args () in
-  let doc =
-    match
-      let ic = open_in file in
-      let doc = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      doc
-    with
-    | exception Sys_error e ->
-      Printf.eprintf "trace_report: %s\n" e;
-      exit 2
-    | doc -> doc
+(* The per-layer metrics a trace can supply, by their BENCHMARK.json
+   names: [Some (value, slices)] from the slices the library emits, or
+   [None] when no slice measures the layer. Seconds sum the matching
+   slices' durations. *)
+let layer slices name =
+  let matching pred = List.filter (fun s -> pred s.s_name) slices in
+  let secs pred =
+    let ms = matching pred in
+    let us = List.fold_left (fun acc s -> acc +. s.s_dur) 0.0 ms in
+    Some (Printf.sprintf "%.3f" (us /. 1e6), List.length ms)
   in
+  let named names n = List.mem n names in
+  let fused = matching (String.equal "engine.fused") in
+  let sweeps = List.length fused in
+  match name with
+  | "synth.build_s" -> secs (named [ "kernel-build" ])
+  | "dbdata.generate_s" -> secs (named [ "datagen" ])
+  | "db.load_s" -> secs (named [ "db-load" ])
+  | "workload.record_s" -> secs (named [ "record-training"; "record-test" ])
+  | "profile.build_s" -> secs (named [ "build-profile" ])
+  | "layout.grid_s" -> secs (String.starts_with ~prefix:"layout-")
+  | "cachesim.temperature_s" -> secs (named [ "cachesim.temperature" ])
+  | "fetch.bank.replay_s" -> secs (named [ "engine.fused" ])
+  | "fetch.bank.sweeps" -> Some (string_of_int sweeps, sweeps)
+  | "fetch.bank.cells_per_sweep" ->
+    let cells = List.fold_left (fun acc s -> acc + s.s_bytes) 0 fused in
+    Some
+      ( (if sweeps = 0 then "0"
+         else
+           Printf.sprintf "%.2f" (float_of_int cells /. float_of_int sweeps)),
+        sweeps )
+  | "store.read_s" -> secs (named [ "store.hit"; "store.miss" ])
+  | "store.write_s" -> secs (named [ "store.write" ])
+  | _ -> (
+    (* layout.<slug>.s: that algorithm's layout-<slug> slices *)
+    match String.split_on_char '.' name with
+    | [ "layout"; slug; "s" ] -> secs (String.equal ("layout-" ^ slug))
+    | _ -> None)
+
+let read_file file =
+  match
+    let ic = open_in file in
+    let doc = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    doc
+  with
+  | exception Sys_error e ->
+    Printf.eprintf "trace_report: %s\n" e;
+    exit 2
+  | doc -> doc
+
+(* (name, unit) of every per_layer metric of a benchmark spec *)
+let spec_layers spec =
+  let bad why =
+    Printf.eprintf "trace_report: %s: %s\n" spec why;
+    exit 2
+  in
+  match Json.of_string (String.trim (read_file spec)) with
+  | exception Failure e -> bad e
+  | j -> (
+    match Json.member "per_layer" j with
+    | Some (Json.List ls) ->
+      List.map
+        (fun l ->
+          match (Json.member "name" l, Json.member "unit" l) with
+          | Some (Json.Str n), Some (Json.Str u) -> (n, u)
+          | _ -> bad "a per_layer entry lacks a name or unit")
+        ls
+    | _ -> bad "no per_layer list")
+
+let layers_table slices spec =
+  section (Printf.sprintf "per-layer metrics (%s)" spec);
+  let tbl =
+    Tbl.create
+      ~headers:
+        [
+          ("metric", Tbl.Left);
+          ("value", Tbl.Right);
+          ("unit", Tbl.Left);
+          ("slices", Tbl.Right);
+        ]
+  in
+  List.iter
+    (fun (name, unit) ->
+      match layer slices name with
+      | Some (v, n) -> Tbl.add_row tbl [ name; v; unit; string_of_int n ]
+      | None -> Tbl.add_row tbl [ name; "not traced"; unit; "-" ])
+    (spec_layers spec);
+  print_string (Tbl.render tbl);
+  print_newline ()
+
+let () =
+  let file, top, assert_util, layers = parse_args () in
+  let doc = read_file file in
   let events =
     match Json.of_string (String.trim doc) with
     | exception Failure e ->
@@ -379,6 +470,7 @@ let () =
   fused_sweeps slices;
   top_groups slices top;
   store_split slices;
+  Option.iter (layers_table slices) layers;
   match assert_util with
   | None -> ()
   | Some pct -> (
