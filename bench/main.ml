@@ -1,27 +1,18 @@
-(* Benchmark harness.
+(* Throughput harness for the nightly bench gate. Each argument names a
+   part to run:
 
-   Running with no arguments regenerates every table and figure of the
-   paper over one pipeline instance (the trace-driven experiments of
-   Sections 4 and 7) and then times the computational kernels behind each
-   table with Bechamel (one Test.make cluster per table).
-
-   Arguments:
-     table1 | figure2 | reuse | table2 | figure3 | table3 | table4
-       | ablation | extensions | fetch | stream | micro
-       — run a single part
+     fetch | stream            — run that part (at least one is required)
      --quick                   — reduced kernel and scale factor
      --scale SF                — override the TPC-D scale factor
      --seed N                  — master seed (Pipeline.seeded derivation)
-     --jobs N                  — domains for the simulation grid; with
-                                 N > 1 the grid is also timed serially
-                                 and the speedup reported
+     --jobs N                  — domains for the parallel replays
      --metrics FILE            — export run metrics as JSONL to FILE
      --trace FILE              — record per-domain timeline events and
                                  write Chrome trace_event JSON to FILE
                                  (Perfetto / tools/trace_report)
      --progress                — rate/ETA progress lines on stderr
-     --store DIR               — artifact store for the pipeline and the
-                                 simulation grids (see Stc_store)
+     --store DIR               — artifact store for the pipeline (see
+                                 Stc_store)
 
    The [fetch] part is the fetch-replay microbench: it times a slice of
    simulation cells through Engine.run_packed (a bank of one per cell,
@@ -38,14 +29,13 @@
    to the materialized packed replay, and appends a provenance-stamped
    record to BENCH_fetch.json (one JSON object per line).
 
-   Whole-grid replay, the artifact store and layout construction are
-   timed by the repository benchmark (perfbench/, see its README). *)
+   Every table and figure prints from stc_repro; whole-grid replay, the
+   artifact store and layout construction are timed by the repository
+   benchmark (perfbench/, see its README). *)
 
-module E = Stc_core.Experiments
 module Pipeline = Stc_core.Pipeline
 module L = Stc_layout
 module F = Stc_fetch
-module P = Stc_profile
 
 let parse_args () =
   let quick = ref false
@@ -83,11 +73,18 @@ let parse_args () =
     | "--store" :: v :: rest ->
       store := Some v;
       go rest
-    | part :: rest ->
+    | (("fetch" | "stream") as part) :: rest ->
       parts := part :: !parts;
       go rest
+    | arg :: _ ->
+      Printf.eprintf "bench: unknown argument %s (parts: fetch, stream)\n" arg;
+      exit 2
   in
   go (List.tl (Array.to_list Sys.argv));
+  if !parts = [] then begin
+    prerr_endline "bench: name a part to run: fetch, stream";
+    exit 2
+  end;
   ( !quick,
     !scale,
     !seed,
@@ -121,8 +118,6 @@ let () =
           Printf.eprintf "bench: cannot write %s file: %s\n" what e;
           exit 1))
     [ ("metrics", metrics_file); ("trace", trace_file) ]
-
-let wants part = parts = [] || List.mem part parts
 
 let registry = Stc_obs.Registry.create ()
 
@@ -160,104 +155,6 @@ let pipeline =
      pl)
 
 let section title = Printf.printf "==== %s ====\n%!" title
-
-(* ---------- Figure 3: the trace-building worked example ---------- *)
-
-let print_figure3 () =
-  section "Figure 3 (trace building example)";
-  let prog, profile, seeds = Stc_core.Figure3.graph () in
-  ignore prog;
-  let seqs =
-    L.Seqbuild.build profile
-      ~params:{ L.Seqbuild.exec_threshold = 4; branch_threshold = 0.4 }
-      ~seeds
-  in
-  List.iteri
-    (fun i seq ->
-      Printf.printf "  %s trace: %s\n"
-        (if i = 0 then "Main     " else "Secondary")
-        (String.concat " -> " (List.map (Stc_core.Figure3.label) seq)))
-    seqs
-
-(* ---------- table reproductions ---------- *)
-
-let run_tables () =
-  let pl = lazy (Lazy.force pipeline) in
-  let pl () = Lazy.force pl in
-  if wants "table1" then begin
-    section "Table 1";
-    E.print_table1 (E.table1 (pl ()));
-    print_newline ()
-  end;
-  if wants "figure2" then begin
-    section "Figure 2";
-    E.print_figure2 (pl ());
-    print_newline ()
-  end;
-  if wants "reuse" then begin
-    section "Reuse (Section 4.1)";
-    E.print_reuse (E.reuse (pl ()));
-    print_newline ()
-  end;
-  if wants "table2" then begin
-    section "Table 2";
-    E.print_table2 (E.table2 (pl ()));
-    print_newline ()
-  end;
-  if wants "figure3" then begin
-    print_figure3 ();
-    print_newline ()
-  end;
-  if wants "table3" || wants "table4" then begin
-    section "Tables 3 and 4 (trace-driven simulation)";
-    let p = pl () in
-    let rows =
-      if ctx.Run.jobs <= 1 then begin
-        let t0 = Unix.gettimeofday () in
-        let rows = E.simulate ~ctx p in
-        Printf.printf "(%d simulations in %.1fs, 1 job)\n\n%!"
-          (List.length rows)
-          (Unix.gettimeofday () -. t0);
-        rows
-      end
-      else begin
-        (* serial baseline without metrics, then the recorded parallel run:
-           same cells, so the wall-clock ratio is the pool speedup *)
-        let t0 = Unix.gettimeofday () in
-        let baseline = E.simulate ~ctx:{ ctx with Run.metrics = None; jobs = 1 } p in
-        let t_serial = Unix.gettimeofday () -. t0 in
-        let t1 = Unix.gettimeofday () in
-        let rows = E.simulate ~ctx p in
-        let t_par = Unix.gettimeofday () -. t1 in
-        Printf.printf
-          "(%d simulations: %.1fs serial, %.1fs on %d jobs -> %.2fx speedup; \
-           rows %s)\n\n%!"
-          (List.length rows) t_serial t_par ctx.Run.jobs (t_serial /. t_par)
-          (if rows = baseline then "identical" else "DIFFER (BUG)");
-        rows
-      end
-    in
-    if wants "table3" then begin
-      E.print_table3 rows;
-      print_newline ()
-    end;
-    if wants "table4" then begin
-      E.print_table4 rows;
-      print_newline ();
-      E.print_sequentiality rows;
-      print_newline ()
-    end
-  end;
-  if wants "ablation" && parts <> [] then begin
-    section "Ablation";
-    E.print_ablation (E.ablation ~ctx (pl ()));
-    print_newline ()
-  end;
-  if wants "extensions" then begin
-    section "Extensions (Section 8 future work)";
-    Stc_core.Extensions.print_all ~ctx (pl ());
-    print_newline ()
-  end
 
 (* ---------- fetch-replay microbench ---------- *)
 
@@ -501,94 +398,9 @@ let stream_bench () =
   close_out oc;
   Printf.printf "  [stream] appended to BENCH_fetch.json\n\n%!"
 
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let micro () =
-  section "Bechamel micro-benchmarks (kernels behind each table)";
-  let open Bechamel in
-  let open Toolkit in
-  (* small fixed inputs so each run is a few milliseconds at most *)
-  let config = { Pipeline.quick_config with Pipeline.sf = 0.0003 } in
-  let pl = Pipeline.run ~config () in
-  let prog = pl.Pipeline.program in
-  let profile = pl.Pipeline.profile in
-  let params =
-    L.Stc.params ~exec_threshold:20 ~branch_threshold:0.3 ~cache_bytes:16384
-      ~cfa_bytes:4096 ()
-  in
-  let ops_layout =
-    L.Stc.layout profile ~name:"ops" ~params ~seeds:(L.Stc.ops_seeds profile)
-  in
-  let view = F.View.create prog ops_layout (Pipeline.test_source pl) in
-  let tests =
-    [
-      (* Table 1 / Figure 2 / Table 2: profiling throughput *)
-      Test.make ~name:"table1-2/profile-trace"
-        (Staged.stage (fun () ->
-             let p = P.Profile.create prog in
-             Pipeline.replay_training pl (P.Profile.sink p)));
-      Test.make ~name:"table2/determinism"
-        (Staged.stage (fun () -> ignore (P.Determinism.compute profile)));
-      (* Figure 3 / Tables 3-4 layout side: sequence building + mapping *)
-      Test.make ~name:"fig3/seqbuild"
-        (Staged.stage (fun () ->
-             ignore
-               (L.Seqbuild.build profile ~params:params.L.Stc.seq
-                  ~seeds:(L.Stc.ops_seeds profile))));
-      Test.make ~name:"table3-4/stc-layout"
-        (Staged.stage (fun () ->
-             ignore
-               (L.Stc.layout profile ~name:"ops" ~params
-                  ~seeds:(L.Stc.ops_seeds profile))));
-      Test.make ~name:"table3-4/pettis-hansen"
-        (Staged.stage (fun () ->
-             match L.Algo.find "P&H" with
-             | Ok a ->
-               ignore
-                 (L.Algo.layout a profile
-                    (L.Algo.params ~cache_bytes:0 ~cfa_bytes:0 ()))
-             | Error msg -> invalid_arg msg));
-      (* Table 3: cache simulation throughput *)
-      Test.make ~name:"table3/icache-sim"
-        (Staged.stage (fun () ->
-             let c = Stc_cachesim.Icache.create ~size_bytes:16384 () in
-             let r = F.Engine.run ~icache:c view in
-             ignore r.F.Engine.icache_misses));
-      (* Table 4: fetch + trace cache simulation throughput *)
-      Test.make ~name:"table4/fetch-tc-sim"
-        (Staged.stage (fun () ->
-             let c = Stc_cachesim.Icache.create ~size_bytes:16384 () in
-             let tc = F.Tracecache.create () in
-             let r = F.Engine.run ~icache:c ~trace_cache:tc view in
-             ignore r.F.Engine.tc_hits));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:(Some 10) ()
-  in
-  let grouped = Test.make_grouped ~name:"stc" ~fmt:"%s %s" tests in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some (t :: _) -> Printf.sprintf "%12.0f ns/run" t
-        | Some [] | None -> "(no estimate)"
-      in
-      Printf.printf "  %-28s %s\n%!" name est)
-    (List.sort compare rows)
-
 let () =
-  run_tables ();
-  if wants "fetch" && parts <> [] then fetch_bench ();
-  if wants "stream" && parts <> [] then stream_bench ();
-  if wants "micro" then micro ();
+  if List.mem "fetch" parts then fetch_bench ();
+  if List.mem "stream" parts then stream_bench ();
   (match metrics_file with
   | Some path ->
     Stc_obs.Export.write_file registry path;

@@ -229,12 +229,17 @@ let characterize_cmd =
     E.print_reuse (E.reuse pl);
     print_newline ();
     E.print_table2 (E.table2 pl);
+    print_newline ();
+    Stc_core.Figure3.print ();
     report_store reg store;
     finish_metrics reg metrics;
     finish_trace tracer trace
   in
   Cmd.v
-    (Cmd.info "characterize" ~doc:"Section 4: Table 1, Figure 2, reuse, Table 2.")
+    (Cmd.info "characterize"
+       ~doc:
+         "Section 4: Table 1, Figure 2, reuse, Table 2; and Figure 3's \
+          trace-building example.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
       $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
@@ -425,6 +430,8 @@ let all_cmd =
     E.print_reuse (E.reuse pl);
     print_newline ();
     E.print_table2 (E.table2 pl);
+    print_newline ();
+    Stc_core.Figure3.print ();
     print_newline ();
     let rows = E.simulate ~ctx ~config:(sim_config exec branch) pl in
     E.print_table3 rows;

@@ -1,5 +1,4 @@
 module Bits = Stc_util.Bits
-module Counter = Stc_obs.Metric.Counter
 
 (* Replacement policies. [Lru] is the paper's machine and keeps the exact
    historical code path; the RRIP family (Srrip, and Trrip seeded with a
@@ -20,9 +19,7 @@ let rrpv_max = 3
 type t = {
   assoc : int;
   line_bits : int;
-  n_sets : int;
   set_mask : int;
-  size : int;
   policy : policy;
   tags : int array; (* set * assoc + way -> line number, -1 invalid *)
   stamps : int array; (* LRU recency / RRIP install stamps, parallel *)
@@ -31,17 +28,14 @@ type t = {
   v_tags : int array; (* victim buffer, -1 invalid *)
   v_stamps : int array;
   mutable clock : int;
-  accesses : Counter.t;
-  misses : Counter.t;
-  victim_hits : Counter.t;
-  evictions : Counter.t;
+  mutable evictions : int; (* valid lines replaced, RRIP policies only *)
 }
-
-type stats = { s_accesses : int; s_misses : int; s_victim_hits : int }
 
 let create ?(assoc = 1) ?(line_bytes = 32) ?(victim_lines = 0) ?(policy = Lru)
     ~size_bytes () =
   if assoc < 1 then invalid_arg "Icache.create: assoc must be >= 1";
+  if victim_lines < 0 then
+    invalid_arg "Icache.create: victim_lines must be >= 0";
   if not (Bits.is_pow2 line_bytes) then
     invalid_arg "Icache.create: line_bytes must be a power of two";
   if size_bytes <= 0 || size_bytes mod (assoc * line_bytes) <> 0 then
@@ -59,9 +53,7 @@ let create ?(assoc = 1) ?(line_bytes = 32) ?(victim_lines = 0) ?(policy = Lru)
   {
     assoc;
     line_bits = Bits.log2_exact line_bytes;
-    n_sets;
     set_mask = n_sets - 1;
-    size = size_bytes;
     policy;
     tags = Array.make (n_sets * assoc) (-1);
     stamps = Array.make (n_sets * assoc) 0;
@@ -70,61 +62,12 @@ let create ?(assoc = 1) ?(line_bytes = 32) ?(victim_lines = 0) ?(policy = Lru)
     v_tags = Array.make victim_lines (-1);
     v_stamps = Array.make victim_lines 0;
     clock = 0;
-    accesses = Counter.make "accesses";
-    misses = Counter.make "misses";
-    victim_hits = Counter.make "victim_hits";
-    evictions = Counter.make "evictions";
+    evictions = 0;
   }
 
 let line_bytes t = 1 lsl t.line_bits
 
-let size_bytes t = t.size
-
-let policy t = t.policy
-
-let accesses t = Counter.value t.accesses
-
-let misses t = Counter.value t.misses
-
-let victim_hits t = Counter.value t.victim_hits
-
-let evictions t = Counter.value t.evictions
-
-let stats t =
-  {
-    s_accesses = Counter.value t.accesses;
-    s_misses = Counter.value t.misses;
-    s_victim_hits = Counter.value t.victim_hits;
-  }
-
-let attach_metrics t reg ~prefix =
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "icache.") reg t.accesses;
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "icache.") reg t.misses;
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "icache.") reg
-    t.victim_hits;
-  (* only non-LRU policies track evictions, so registering the counter
-     conditionally keeps the export of every pre-existing configuration
-     byte-identical *)
-  match t.policy with
-  | Lru -> ()
-  | Srrip | Trrip _ ->
-    Stc_obs.Registry.attach_counter
-      ~prefix:(prefix ^ "icache.replacement.")
-      reg t.evictions
-
-let reset_stats t =
-  Counter.reset t.accesses;
-  Counter.reset t.misses;
-  Counter.reset t.victim_hits;
-  Counter.reset t.evictions
-
-let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.rrpv 0 (Array.length t.rrpv) 0;
-  Array.fill t.pref 0 (Array.length t.pref) false;
-  Array.fill t.v_tags 0 (Array.length t.v_tags) (-1);
-  t.clock <- 0;
-  reset_stats t
+let evictions t = t.evictions
 
 (* Probe the victim buffer for [line]; on hit, replace that slot with
    [evicted] and return true. On miss, insert [evicted] over the LRU slot
@@ -158,7 +101,7 @@ let victim_swap t line evicted =
     end
   end
 
-type outcome = Hit | Victim_hit | Miss
+type outcome = Hit | Prefetch_hit | Victim_hit | Miss
 
 (* Victim-way selection for a full (or partially invalid) set. LRU keeps
    the historical single loop (invalid slot, else minimum stamp); RRIP
@@ -218,14 +161,18 @@ let install t base way line ~rrpv =
   (match t.policy with
   | Lru -> ()
   | Srrip | Trrip _ ->
-    if evicted <> -1 then Counter.incr t.evictions);
+    if evicted <> -1 then t.evictions <- t.evictions + 1);
   t.tags.(base + way) <- line;
   t.stamps.(base + way) <- t.clock;
   t.rrpv.(base + way) <- rrpv;
   t.pref.(base + way) <- false;
   evicted
 
-let access_uncounted t addr =
+(* The one demand access. A hit refreshes the way's replacement state
+   and consumes its prefetch mark, reporting [Prefetch_hit] when there
+   was one; a miss installs the line over the policy's victim way and
+   passes the evicted line through the victim buffer. *)
+let access t addr =
   t.clock <- t.clock + 1;
   let line = addr lsr t.line_bits in
   let set = line land t.set_mask in
@@ -235,44 +182,20 @@ let access_uncounted t addr =
     if t.tags.(base + w) = line then hit_way := w
   done;
   if !hit_way >= 0 then begin
+    let i = base + !hit_way in
     (match t.policy with
-    | Lru -> t.stamps.(base + !hit_way) <- t.clock
-    | Srrip | Trrip _ -> t.rrpv.(base + !hit_way) <- 0);
-    t.pref.(base + !hit_way) <- false;
-    Hit
+    | Lru -> t.stamps.(i) <- t.clock
+    | Srrip | Trrip _ -> t.rrpv.(i) <- 0);
+    if t.pref.(i) then begin
+      t.pref.(i) <- false;
+      Prefetch_hit
+    end
+    else Hit
   end
   else begin
     let way = choose_way t base in
     let evicted = install t base way line ~rrpv:(insert_rrpv t line) in
     if victim_swap t line evicted then Victim_hit else Miss
-  end
-
-(* [access_uncounted] plus prefetch-mark accounting: a hit that consumes
-   the way's mark reports [true] (the prefetch was useful). The FDIP
-   demand path is the only caller; the mark bookkeeping must mirror
-   [access_uncounted] exactly so that a prefetch-free run through either
-   entry point leaves identical state. *)
-let access_demand t addr =
-  t.clock <- t.clock + 1;
-  let line = addr lsr t.line_bits in
-  let set = line land t.set_mask in
-  let base = set * t.assoc in
-  let hit_way = ref (-1) in
-  for w = 0 to t.assoc - 1 do
-    if t.tags.(base + w) = line then hit_way := w
-  done;
-  if !hit_way >= 0 then begin
-    (match t.policy with
-    | Lru -> t.stamps.(base + !hit_way) <- t.clock
-    | Srrip | Trrip _ -> t.rrpv.(base + !hit_way) <- 0);
-    let was_pref = t.pref.(base + !hit_way) in
-    t.pref.(base + !hit_way) <- false;
-    (Hit, was_pref)
-  end
-  else begin
-    let way = choose_way t base in
-    let evicted = install t base way line ~rrpv:(insert_rrpv t line) in
-    ((if victim_swap t line evicted then Victim_hit else Miss), false)
   end
 
 let mem t addr =
@@ -289,7 +212,7 @@ let mem t addr =
    replacement-policy install marked as prefetched, with a distant RRIP
    insertion (3 — a wrong prefetch should be the first line out). The
    evicted line passes through the victim buffer exactly as on the
-   demand path. Prefetch fills never touch the access statistics. *)
+   demand path. *)
 let fill_prefetch t addr =
   t.clock <- t.clock + 1;
   let line = addr lsr t.line_bits in
@@ -310,12 +233,11 @@ let fill_prefetch t addr =
 (* A direct-mapped LRU cache without a victim buffer has one way per set
    and no replacement, victim or eviction-counting decision to make:
    neither [stamps] nor [clock] can influence any future outcome, so a
-   probe that skips both is observationally identical to
-   [access_uncounted] — same hit/miss sequence, same final tag contents,
-   same statistics. The fused replay bank ({!Stc_fetch.Engine.Bank})
-   probes many caches per fetch cycle and uses this to keep the common
-   Table 3 configuration cheap. Non-LRU policies are excluded: they
-   count evictions, which this fast path does not. *)
+   probe that skips both is observationally identical to [access] — same
+   hit/miss sequence, same final tag contents. The fused replay bank
+   ({!Stc_fetch.Engine.Bank}) probes many caches per fetch cycle and uses
+   this to keep the common Table 3 configuration cheap. Non-LRU policies
+   are excluded: they count evictions, which this fast path does not. *)
 let plain_direct t =
   t.assoc = 1
   && Array.length t.v_tags = 0
@@ -329,19 +251,3 @@ let probe_direct t addr =
     Array.unsafe_set t.tags set line;
     false
   end
-
-let add_stats t ~accesses ~misses ~victim_hits =
-  Counter.add t.accesses accesses;
-  Counter.add t.misses misses;
-  Counter.add t.victim_hits victim_hits
-
-let access t addr =
-  Counter.incr t.accesses;
-  match access_uncounted t addr with
-  | Hit -> true
-  | Victim_hit ->
-    Counter.incr t.victim_hits;
-    true
-  | Miss ->
-    Counter.incr t.misses;
-    false

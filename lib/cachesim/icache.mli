@@ -3,7 +3,13 @@
     backed by a small fully-associative victim cache (Jouppi), as in the
     hardware alternatives of Table 3.
 
-    Addresses are byte addresses; state is updated on every access. *)
+    Addresses are byte addresses. A cache holds state only: tags,
+    replacement state, prefetch marks and the victim buffer. It counts
+    nothing but {!evictions}, which a caller cannot see happen inside an
+    install; every access, miss and victim-hit statistic is counted by
+    whoever drives the cache ({!Stc_fetch.Engine.Bank} builds every
+    result field from its own counters). Pass a fresh cache per
+    simulation: its contents carry over from one use to the next. *)
 
 type t
 
@@ -33,49 +39,41 @@ val create :
 (** Defaults: direct-mapped ([assoc = 1]), 32-byte lines (8 instructions,
     the SEQ.3 half-width), no victim cache ([victim_lines = 0]), [Lru]
     replacement. [size_bytes] must be a power of two and a multiple of
-    [assoc * line_bytes]. *)
+    [assoc * line_bytes]. Raises [Invalid_argument] naming the argument
+    otherwise, or when [assoc < 1], [victim_lines < 0], [line_bytes] is
+    not a power of two or a [Trrip] temperature is negative. *)
 
-val access : t -> int -> bool
-(** [access t addr] touches the line containing [addr]; returns [true] on
-    a hit. A victim-cache hit counts as a hit (the line is swapped back
-    into the main cache). *)
+type outcome =
+  | Hit
+  | Prefetch_hit
+      (** A hit that consumed a {!fill_prefetch} mark: the line was
+          prefetched and no demand access had touched it yet (the
+          prefetch was useful). *)
+  | Victim_hit
+      (** Found in the victim buffer and swapped back into the main
+          cache. *)
+  | Miss
 
-type outcome = Hit | Victim_hit | Miss
-
-val access_uncounted : t -> int -> outcome
-(** {!access}, except the statistics counters are left untouched (cache
-    {e state} — tags, replacement state, victim buffer — is still
-    updated). Hot replay loops count outcomes in local variables and
-    flush once with {!add_stats}, keeping the shared counters off the
-    per-line path; [access t a] is exactly
-    [access_uncounted t a] + the matching counter bumps. *)
-
-val access_demand : t -> int -> outcome * bool
-(** {!access_uncounted} plus prefetch accounting: the [bool] is [true]
-    iff the access hit a line installed by {!fill_prefetch} that no
-    demand access had touched yet (the prefetch was useful). The mark is
-    consumed. This is the demand entry point of the FDIP frontend
-    ({!Stc_fetch.Fdip}); without intervening {!fill_prefetch} calls it
-    is state-identical to {!access_uncounted}. *)
+val access : t -> int -> outcome
+(** [access t addr] is the demand access of the line containing [addr]:
+    a hit refreshes the line's replacement state and consumes its
+    prefetch mark; a miss installs it, and the evicted line passes
+    through the victim buffer. The one demand entry point besides
+    {!probe_direct}. *)
 
 val mem : t -> int -> bool
 (** [mem t addr] is [true] iff the line containing [addr] is resident in
-    the main tag array. Pure — no state, statistics or replacement
-    update; the victim buffer is not consulted. Used by the prefetcher
-    to filter already-resident candidates. *)
+    the main tag array. Pure — no state or replacement update; the
+    victim buffer is not consulted. Used by the prefetcher to filter
+    already-resident candidates. *)
 
 val fill_prefetch : t -> int -> unit
 (** Install the line containing [addr] as a prefetch: a no-op if already
     resident, else a normal replacement-policy install marked
     prefetched, with a distant RRIP insertion (a wrong prefetch should
     be the first line out) or MRU under LRU. The evicted line passes
-    through the victim buffer exactly as on the demand path. Prefetch
-    fills never touch the access/miss statistics (they do count
-    {!evictions} under RRIP policies). *)
-
-val add_stats : t -> accesses:int -> misses:int -> victim_hits:int -> unit
-(** Batch-add to the statistics counters; the flush half of the
-    {!access_uncounted} protocol. *)
+    through the victim buffer exactly as on the demand path; under RRIP
+    policies an eviction counts in {!evictions}. *)
 
 val plain_direct : t -> bool
 (** [true] iff the cache is direct-mapped ([assoc = 1]) with no victim
@@ -84,54 +82,20 @@ val plain_direct : t -> bool
     which the fast probe does not.) *)
 
 val probe_direct : t -> int -> bool
-(** Specialized {!access_uncounted} for {!plain_direct} caches: [true]
-    on a hit; on a miss the line is installed over the set's single way.
-    With one way per set and no victim buffer there is no replacement
-    choice, so skipping the LRU clock and stamps is observationally
-    identical to {!access_uncounted} (same outcome sequence, same final
-    tags) at a fraction of the cost — this is what the fused replay bank
-    drives for every plain direct-mapped configuration. Statistics are
-    left to the caller, as with {!access_uncounted}. Calling it on a
-    set-associative, victim-backed or non-LRU cache would silently
-    corrupt the replacement state; don't. *)
+(** Specialized {!access} for {!plain_direct} caches: [true] on a hit;
+    on a miss the line is installed over the set's single way. With one
+    way per set and no victim buffer there is no replacement choice, so
+    skipping the LRU clock and stamps is observationally identical to
+    {!access} (same outcome sequence, same final tags) at a fraction of
+    the cost — this is what the fused replay bank drives for every plain
+    direct-mapped configuration. Calling it on a set-associative,
+    victim-backed or non-LRU cache would silently corrupt the
+    replacement state; don't. *)
 
 val line_bytes : t -> int
-
-val size_bytes : t -> int
-
-val policy : t -> policy
-
-val accesses : t -> int
-
-val misses : t -> int
-(** True misses (not satisfied by the cache nor its victim buffer). *)
-
-val victim_hits : t -> int
 
 val evictions : t -> int
 (** Valid lines evicted from the main tag array (demand installs and
     prefetch fills). Tracked for the RRIP policies only — always 0
     under [Lru], where the historical paths (including
     {!probe_direct}) do not count it. *)
-
-type stats = { s_accesses : int; s_misses : int; s_victim_hits : int }
-
-val stats : t -> stats
-(** One atomic snapshot of all three counters, so callers comparing or
-    publishing them mid-simulation never mix values from different
-    instants. Prefer this over three separate accessor calls. *)
-
-val attach_metrics : t -> Stc_obs.Registry.t -> prefix:string -> unit
-(** Register this cache's counters with a metrics registry under
-    [prefix ^ "icache."] ([accesses], [misses], [victim_hits]); they keep
-    updating in place on every {!access}. Non-LRU caches additionally
-    register [evictions] under [prefix ^ "icache.replacement."]; LRU
-    caches register exactly the historical three, keeping pre-existing
-    exports byte-identical. *)
-
-val reset_stats : t -> unit
-(** Zero the statistics counters; cache contents are untouched. *)
-
-val flush : t -> unit
-(** Invalidate all contents {e and} reset statistics: [flush] =
-    cold cache + {!reset_stats}. *)

@@ -258,14 +258,15 @@ module Oracle = struct
         Some victim
       end
 
-    (* Equivalent to [Stc_cachesim.Icache.access_demand] (and, with the
-       returned mark flag ignored, to [access_uncounted]): a hit
-       refreshes the replacement state (stamps there, move-to-front
-       here under LRU; RRPV := 0 under RRIP) and consumes the line's
-       prefetch mark; a miss installs the line over an invalid way if
-       one exists (which invalid way is chosen is unobservable) or the
-       policy's victim (LRU stamps are unique, so LRU = list tail), and
-       the victim buffer receives the evicted line. *)
+    (* Equivalent to [Stc_cachesim.Icache.access], except that a hit
+       that consumed a prefetch mark is a [Hit] with the flag [true]
+       where the real cache returns [Prefetch_hit]: a hit refreshes the
+       replacement state (stamps there, move-to-front here under LRU;
+       RRPV := 0 under RRIP) and consumes the line's prefetch mark; a
+       miss installs the line over an invalid way if one exists (which
+       invalid way is chosen is unobservable) or the policy's victim
+       (LRU stamps are unique, so LRU = list tail), and the victim
+       buffer receives the evicted line. *)
     let demand t addr =
       let line = addr / t.line_bytes in
       let set = line mod t.n_sets in
@@ -360,7 +361,7 @@ module Oracle = struct
     let index t addr = addr / 4 mod t.entries
 
     (* One instruction per recursion step; stops exactly where
-       [Tracecache.build_trace_packed] stops (the width check at the
+       [Stc_fetch.Tracecache]'s trace build stops (the width check at the
        loop head covers the hit-width-exactly-at-block-end case, where
        the block's branch is still recorded). *)
     let build t view (pos : View.pos) =
@@ -532,7 +533,7 @@ module Oracle = struct
        charged only the remaining latency, capped at the full penalty; a
        hit that consumes a prefetch mark was a useful prefetch. The
        [on_access] hook stays silent here by design: a lockstep
-       [access_uncounted] shadow cannot mirror prefetch installs. *)
+       [access] shadow cannot mirror prefetch installs. *)
     let fdip_demand c ~now a =
       incr accs;
       match List.assoc_opt a !inflight with
@@ -549,7 +550,7 @@ module Oracle = struct
         else remain
       | None -> (
         match Icache.demand c a with
-        | Real_icache.Hit, was_pref ->
+        | (Real_icache.Hit | Real_icache.Prefetch_hit), was_pref ->
           if was_pref then incr pf_useful;
           0
         | Real_icache.Victim_hit, _ ->
@@ -600,7 +601,7 @@ module Oracle = struct
         let o = Icache.access c a in
         (match on_access with Some f -> f ~addr:a o | None -> ());
         (match o with
-        | Real_icache.Hit -> true
+        | Real_icache.Hit | Real_icache.Prefetch_hit -> true
         | Real_icache.Victim_hit ->
           incr vhits;
           true
@@ -880,6 +881,7 @@ type engine_report = {
 
 let outcome_name = function
   | Real_icache.Hit -> "hit"
+  | Real_icache.Prefetch_hit -> "prefetch-hit"
   | Real_icache.Victim_hit -> "victim-hit"
   | Real_icache.Miss -> "miss"
 
@@ -938,16 +940,16 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
           ())
       cases
   in
-  let engine = Engine.Bank.run_packed bank_specs (View.pack view) in
+  let engine = Engine.Bank.run_stream bank_specs (View.stream view) in
   Array.to_list
     (Array.mapi
        (fun i case ->
          (* lockstep shadow: every oracle i-cache access is replayed into
             a private real cache; the first differing outcome is where
             the two models' state forked. Under FDIP the oracle's demand
-            path never fires the hook (a shadow driven by
-            [access_uncounted] cannot mirror prefetch installs), so
-            those cases rely on the field comparison alone. *)
+            path never fires the hook (a shadow driven by [access]
+            cannot mirror prefetch installs), so those cases rely on the
+            field comparison alone. *)
          let shadow = real_icache_of_case ~temperature case () in
          let divergence = ref None in
          let access_no = ref 0 in
@@ -956,7 +958,7 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
            match shadow with
            | None -> ()
            | Some c ->
-             let got = Real_icache.access_uncounted c addr in
+             let got = Real_icache.access c addr in
              if got <> out && !divergence = None then
                divergence :=
                  Some
@@ -996,6 +998,9 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
          })
        cases)
 
+(* One operation in eight is a prefetch fill on both models, so the
+   mark handling FDIP relies on is compared access by access: a real
+   [Prefetch_hit] must be exactly an oracle hit that consumed a mark. *)
 let diff_icache_stream ?(accesses = 20_000) ?(policy = Real_icache.Lru) ~seed
     ~assoc ~victim_lines ~size_bytes () =
   let rng = Stc_util.Rng.create (Int64.of_int seed) in
@@ -1007,15 +1012,36 @@ let diff_icache_stream ?(accesses = 20_000) ?(policy = Real_icache.Lru) ~seed
   let i = ref 0 in
   while !divergence = None && !i < accesses do
     incr i;
+    let prefetch = Stc_util.Rng.int rng 8 = 0 in
     (* 4× the cache in address span keeps conflicts frequent *)
     let addr = Stc_util.Rng.int rng (size_bytes * 4) / 4 * 4 in
-    let a = Real_icache.access_uncounted real addr in
-    let b = Oracle.Icache.access oracle addr in
-    if a <> b then
+    let fail what ~oracle ~icache =
       divergence :=
         Some
-          (Printf.sprintf "access #%d (addr 0x%x): oracle %s, icache %s" !i
-             addr (outcome_name b) (outcome_name a))
+          (Printf.sprintf "%s #%d (addr 0x%x): oracle %s, icache %s" what !i
+             addr oracle icache)
+    in
+    if prefetch then begin
+      Real_icache.fill_prefetch real addr;
+      Oracle.Icache.fill_prefetch oracle addr
+    end
+    else begin
+      let a = Real_icache.access real addr in
+      let b =
+        match Oracle.Icache.demand oracle addr with
+        | Real_icache.Hit, true -> Real_icache.Prefetch_hit
+        | o, _ -> o
+      in
+      if a <> b then
+        fail "access" ~oracle:(outcome_name b) ~icache:(outcome_name a)
+    end;
+    let ea = Real_icache.evictions real
+    and eb = Oracle.Icache.evictions oracle in
+    if !divergence = None && ea <> eb then
+      fail
+        (if prefetch then "prefetch" else "access")
+        ~oracle:(Printf.sprintf "%d evictions" eb)
+        ~icache:(Printf.sprintf "%d evictions" ea)
   done;
   !divergence
 

@@ -205,8 +205,9 @@ val diff_cases :
   cache_case list ->
   engine_report list
 (** Replay the view through {!Oracle.fetch} per case and through {e one}
-    {!Stc_fetch.Engine.Bank.run_packed} sweep fusing every case's spec
-    — the same mixed-configuration banks Experiments builds — and
+    {!Stc_fetch.Engine.Bank.run_stream} sweep over {!Stc_fetch.View.stream}
+    fusing every case's spec — the same feed and the same
+    mixed-configuration banks Experiments builds — and
     compare every {!Stc_fetch.Engine.result} field of the two (fresh
     caches and predictors each; a case's [fdip] block overrides the
     config's; [P_trrip] cases seed both real and oracle caches from
@@ -222,8 +223,12 @@ val diff_icache_stream :
   unit ->
   string option
 (** Drive the oracle and the real i-cache (both under [?policy],
-    default LRU) with the same seeded random address stream; [Some msg]
-    describes the first diverging access. *)
+    default LRU) with the same seeded random address stream, one
+    operation in eight a {!Stc_cachesim.Icache.fill_prefetch} on both,
+    the rest demand accesses. After every operation the outcomes must
+    agree — a real [Prefetch_hit] exactly where the oracle's hit
+    consumed a prefetch mark — and so must the eviction counts;
+    [Some msg] describes the first operation where they do not. *)
 
 (** {1 The bundle} *)
 

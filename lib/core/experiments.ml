@@ -254,10 +254,9 @@ let grid_cell ~table (pl : Pipeline.t) (config : sim_config) ?assoc
     c_policy = policy;
   }
 
-(* The cell's i-cache is fresh, so the engine result's counters equal the
-   cache's own statistics snapshot; deriving the event fields from the
-   result lets a store hit (which never builds the cache) emit the exact
-   record a simulation would have. *)
+(* The event fields come from the engine result, the only place a
+   cell's cache statistics exist, so a store hit (which never builds the
+   cache) emits the exact record a simulation would have. *)
 let emit_cell reg cell (row : row) (r : F.Engine.result) =
   let has_icache =
     match cell.c_variant with Ideal | Tc_ideal -> false | _ -> true

@@ -52,3 +52,20 @@ let graph () =
 
 let expected_sequences =
   [ [ "A1"; "A2"; "A3"; "A4"; "A7"; "A8" ]; [ "A5" ] ]
+
+let print () =
+  let _, profile, seeds = graph () in
+  let seqs =
+    Stc_layout.Seqbuild.build profile
+      ~params:{ Stc_layout.Seqbuild.exec_threshold = 4; branch_threshold = 0.4 }
+      ~seeds
+  in
+  print_endline
+    "Figure 3. Trace building example (Exec Threshold 4, Branch Threshold \
+     0.4).";
+  List.iteri
+    (fun i seq ->
+      Printf.printf "  %s trace: %s\n"
+        (if i = 0 then "Main     " else "Secondary")
+        (String.concat " -> " (List.map label seq)))
+    seqs

@@ -21,3 +21,7 @@ val label : int -> string
 val expected_sequences : string list list
 (** What {!Stc_layout.Seqbuild.build} must produce on this graph at the
     paper's thresholds: [[A1..A8]; [A5]]. *)
+
+val print : unit -> unit
+(** Build the sequences from {!graph} at the paper's thresholds and print
+    them on stdout, main trace first. *)

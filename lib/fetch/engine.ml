@@ -157,10 +157,15 @@ let traced ctx name f =
    trace-cache geometry) form a *cohort* advancing one shared walk; per
    slot, each sequential cycle costs only the two i-cache probes plus
    penalty accrual, and the cohort's lead trace cache stands in for
-   every member's (their statistics are batched in cohort locals and
-   flushed to each member, so counter values match a bank of one;
-   member trace-cache *contents* are not materialized — nothing
-   observes them).
+   every member's: the cohort counts lookups and hits once for all of
+   them, and a non-lead member's trace cache is never touched — nothing
+   observes trace-cache contents.
+
+   The caches hold state only. Every statistic of a result is counted
+   here: i-cache accesses, misses and victim hits in each slot's locals
+   (plus the FDIP frontend's own demand counts), trace-cache lookups and
+   hits in the cohort's. Only evictions, which happen inside an
+   install, are read back from the i-cache.
 
    Cohorts advance round-robin over the bank's own sliding window, each
    at most [stride_words] past the laggard, so the words being re-walked
@@ -394,8 +399,8 @@ module Bank = struct
         | Generic c ->
           s.s_acc <- s.s_acc + 2;
           let probe a =
-            match Icache.access_uncounted c a with
-            | Icache.Hit -> true
+            match Icache.access c a with
+            | Icache.Hit | Icache.Prefetch_hit -> true
             | Icache.Victim_hit ->
               s.s_vhit <- s.s_vhit + 1;
               true
@@ -467,8 +472,7 @@ module Bank = struct
           | Some tc ->
             h.clookups <- h.clookups + 1;
             let r =
-              Tracecache.lookup_uncounted tc words ~len ~idx:start_idx
-                ~off:start_off
+              Tracecache.lookup tc words ~len ~idx:start_idx ~off:start_off
             in
             (match r with Some _ -> h.chits <- h.chits + 1 | None -> ());
             r
@@ -535,8 +539,7 @@ module Bank = struct
           done;
           (match h.tc with
           | Some tc ->
-            Tracecache.fill_packed tc words ~len ~idx:start_idx
-              ~off:start_off
+            Tracecache.fill tc words ~len ~idx:start_idx ~off:start_off
           | None -> ());
           h.pos <- !dropped + !idx;
           h.coff <- !off;
@@ -574,28 +577,10 @@ module Bank = struct
         (fun h ->
           Array.iter
             (fun s ->
-              (* flush the batched statistics into each member's caches
-                 before anything snapshots them, so the shared counters
-                 end exactly where per-access counting would leave them *)
-              (match s.sp.icache with
-              | Some c ->
-                Icache.add_stats c ~accesses:s.s_acc
-                  ~misses:(s.s_miss + fdip_count Fdip.demand_misses s)
-                  ~victim_hits:
-                    (s.s_vhit + fdip_count Fdip.demand_victim_hits s)
-              | None -> ());
-              (match s.sp.trace_cache with
-              | Some tc ->
-                Tracecache.add_stats tc ~lookups:h.clookups ~hits:h.chits
-              | None -> ());
-              let icache_accesses, icache_misses, icache_victim_hits =
-                match s.sp.icache with
-                | None -> (0, 0, 0)
-                | Some c ->
-                  let st = Icache.stats c in
-                  (st.Icache.s_accesses, st.Icache.s_misses,
-                   st.Icache.s_victim_hits)
-              in
+              (* a slot without an i-cache never moves its i-cache
+                 locals; the trace-cache geometry is part of the cohort
+                 key, so the cohort's lookups and hits are every
+                 member's, and 0 in a cohort without one *)
               let r =
                 {
                   instrs = h.cinstrs;
@@ -603,17 +588,12 @@ module Bank = struct
                   fetch_cycles = h.ccycles;
                   seq_cycles = h.cseq;
                   tc_cycles = h.ctc;
-                  icache_accesses;
-                  icache_misses;
-                  icache_victim_hits;
-                  tc_lookups =
-                    (match s.sp.trace_cache with
-                    | None -> 0
-                    | Some tc -> Tracecache.lookups tc);
-                  tc_hits =
-                    (match s.sp.trace_cache with
-                    | None -> 0
-                    | Some tc -> Tracecache.hits tc);
+                  icache_accesses = s.s_acc;
+                  icache_misses = s.s_miss + fdip_count Fdip.demand_misses s;
+                  icache_victim_hits =
+                    s.s_vhit + fdip_count Fdip.demand_victim_hits s;
+                  tc_lookups = h.clookups;
+                  tc_hits = h.chits;
                   taken_branches = !sum_taken;
                   instrs_between_taken =
                     (if !sum_taken = 0 then float_of_int !sum_instrs
@@ -664,4 +644,6 @@ let run_packed ?ctx ?config ?icache ?trace_cache ?prediction packed =
      (Stream.of_packed packed)).(0)
 
 let run ?ctx ?config ?icache ?trace_cache ?prediction view =
-  run_packed ?ctx ?config ?icache ?trace_cache ?prediction (View.pack view)
+  (Bank.run_stream ?ctx
+     [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]
+     (View.stream view)).(0)

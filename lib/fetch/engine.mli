@@ -110,14 +110,13 @@ val run :
     Ideal (perfect) instruction cache: no misses, no penalties. Without
     [?prediction], branch prediction is perfect, as in the paper; with
     it, every mispredicted conditional-branch direction costs
-    [redirect_penalty] cycles. The caches' state and statistics are
-    updated in place (pass fresh ones per experiment). Of [?ctx],
-    [metrics] accumulates the run's result into the registry's
-    [engine.*] counters (totals across every run sharing the registry).
+    [redirect_penalty] cycles. The caches' state is updated in place
+    (pass fresh ones per experiment); the result's statistics are the
+    engine's own counts, not the caches'. Of [?ctx], [metrics]
+    accumulates the run's result into the registry's [engine.*]
+    counters (totals across every run sharing the registry).
 
-    [run] compiles the view into its {!Packed} form and dispatches to
-    {!run_packed}; to replay the same (layout × trace) several times,
-    compile once with {!View.pack} and call {!run_packed} directly. *)
+    [run] is a {!Bank} of one fed by {!View.stream}. *)
 
 val run_packed :
   ?ctx:Stc_obs.Run.ctx ->
@@ -140,9 +139,9 @@ val run_packed :
     each packed word once instead of N times. {!run} and {!run_packed}
     are banks of one.
 
-    Per-slot results — every cache statistic and published [engine.*]
-    counter included — do not depend on what else shares the bank: a
-    bank of N equals N banks of one (property-tested), and every slot
+    Per-slot results — every published [engine.*] counter included — do
+    not depend on what else shares the bank: a bank of N equals N banks
+    of one (property-tested), and every slot
     is checked field by field against the shared-nothing reference
     model in {!Stc_check.Oracle} by {!Stc_check.diff_cases}, the
     QCheck oracle property and the golden harness. The bank rests on
@@ -155,11 +154,15 @@ val run_packed :
     rest step independently over the same sliding window. The bank owns
     that window, and a {!Stream} is the only way trace words enter it.
 
-    Pass fresh caches per spec: the bank owns their state for the
-    duration of the run, and a non-lead member's trace-cache statistics
-    are synthesized from the cohort's (its entry array is never filled —
-    correct because nothing observes trace-cache contents, only
-    counters). *)
+    The caches count nothing (apart from
+    {!Stc_cachesim.Icache.evictions}): the bank builds every result
+    field from its own counters — each slot's i-cache accesses, misses
+    and victim hits (with its {!Fdip} frontend's demand counts), and
+    each cohort's trace-cache lookups and hits. Pass fresh caches per
+    spec all the same: the bank owns their contents for the duration of
+    the run, and what an earlier run left in them changes the outcomes.
+    A non-lead member's trace cache is never touched — nothing observes
+    trace-cache contents, and the cohort's counts are its counts. *)
 module Bank : sig
   type spec = {
     config : Config.t;

@@ -160,21 +160,22 @@ let demand t ~now ~miss_penalty a =
     t.completed <- t.completed + 1;
     t.late <- t.late + 1;
     t.d_miss <- t.d_miss + 1;
-    ignore (Icache.access_demand t.ic a);
+    ignore (Icache.access t.ic a);
     if remain <= 0 then 0
     else if remain > miss_penalty then miss_penalty
     else remain
   end
   else
-    match Icache.access_demand t.ic a with
-    | Icache.Hit, was_pref ->
-      if was_pref then t.useful <- t.useful + 1;
+    match Icache.access t.ic a with
+    | Icache.Hit -> 0
+    | Icache.Prefetch_hit ->
+      t.useful <- t.useful + 1;
       0
-    | Icache.Victim_hit, _ ->
+    | Icache.Victim_hit ->
       t.epoch <- t.epoch + 1;
       t.d_vhit <- t.d_vhit + 1;
       0
-    | Icache.Miss, _ ->
+    | Icache.Miss ->
       t.epoch <- t.epoch + 1;
       t.d_miss <- t.d_miss + 1;
       miss_penalty

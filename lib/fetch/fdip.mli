@@ -33,9 +33,9 @@ val create : config -> Stc_cachesim.Icache.t -> t
 (** A fresh frontend prefetching into the given L1i.
 
     {b Ownership.} For the whole replay the frontend owns the cache:
-    nothing else installs into, flushes or probes it with a state
-    change. The frontend's own installs are then the only events that
-    can evict a line, and it counts them in a {e presence epoch}: a
+    nothing else installs into or probes it with a state change. The
+    frontend's own installs are then the only events that can evict a
+    line, and it counts them in a {e presence epoch}: a
     demand miss, a demand victim hit (the swap reinstalls the line), a
     landing in {!begin_cycle} and a demand intercept of an in-flight
     line each bump it, whether or not the install evicted a valid line.
@@ -54,9 +54,11 @@ val demand : t -> now:int -> miss_penalty:int -> int -> int
     [min remaining_latency miss_penalty] when the line is still in
     flight (a {e late} prefetch: the fill lands immediately and the
     demand then hits, but it counts as a miss and not as useful). The
-    frontend counts its demand misses (late ones included) and victim
-    hits itself ({!demand_misses}, {!demand_victim_hits}); the caller
-    adds them to the cache's statistics when it flushes. SEQ.3 charges
+    probe is one {!Stc_cachesim.Icache.access}; a [Prefetch_hit] counts
+    as {!useful}. The frontend counts its demand misses (late ones
+    included) and victim hits itself ({!demand_misses},
+    {!demand_victim_hits}), since the cache counts nothing; the caller
+    adds them to its own miss and victim-hit totals. SEQ.3 charges
     the maximum of its two line charges per cycle, reproducing the
     historical one-penalty-if-either-line-misses rule when no
     prefetches are live. *)

@@ -54,16 +54,11 @@ type tables = { base : int array }
 
 let tables_of_arrays ~sizes ~branch_end ~cond_end ~addrs =
   let n = Array.length sizes in
-  if
-    Array.length branch_end <> n
-    || Array.length cond_end <> n
-    || Array.length addrs <> n
-  then invalid_arg "Packed.tables_of_arrays: table lengths differ";
   for b = 0 to n - 1 do
     if sizes.(b) < 0 || sizes.(b) > size_mask then
-      invalid_arg "Packed.tables_of_arrays: block size out of range";
+      invalid_arg "Packed.tables: block size out of range";
     if addrs.(b) < 0 || addrs.(b) > max_addr then
-      invalid_arg "Packed.tables_of_arrays: block address out of range"
+      invalid_arg "Packed.tables: block address out of range"
   done;
   let base = Array.make (max n 1) 0 in
   for b = 0 to n - 1 do

@@ -4,8 +4,8 @@
     under one layout. {!fill} packs one id {!Stc_trace.Segment} straight
     into a caller's array; {!Stream} uses it to fill {!Engine.Bank}'s
     window, which is the one way trace words reach the bank. {!compile}
-    packs a whole trace into an immutable image {!t}, for the {!View}
-    path, tests and benchmarks. Both pack from the same validated
+    packs a whole trace into an immutable image {!t}, for tests and
+    benchmarks. Both pack from the same validated
     per-block {!tables}, and a segment-by-segment pack is bit-identical
     to a whole-trace pack: the one cross-index dependency (the taken bit
     looks one block ahead) is supplied explicitly at segment boundaries
@@ -31,15 +31,6 @@ val tables : Stc_cfg.Program.t -> Stc_layout.Layout.t -> tables
 (** Build and validate the per-block tables for a program under a
     layout. Raises [Invalid_argument] if any block size or address
     exceeds the packed word's field widths. *)
-
-val tables_of_arrays :
-  sizes:int array ->
-  branch_end:bool array ->
-  cond_end:bool array ->
-  addrs:int array ->
-  tables
-(** Same, from pre-extracted per-block-id arrays (the {!View} path, so a
-    view and its packed form share exactly the same inputs). *)
 
 val fill :
   tables ->

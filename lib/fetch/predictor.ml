@@ -19,6 +19,8 @@ let create kind =
   in
   if not (Stc_util.Bits.is_pow2 size) then
     invalid_arg "Predictor.create: table size must be a power of two";
+  if hist_bits < 0 then
+    invalid_arg "Predictor.create: history bits must be >= 0";
   {
     kind;
     table = Array.make size 2 (* weakly taken *);

@@ -19,6 +19,8 @@ type kind =
 type t
 
 val create : kind -> t
+(** Raises [Invalid_argument] naming the field unless the table size is
+    a power of two and a [Gshare] history length is [>= 0]. *)
 
 val predict_and_update : t -> pc:int -> taken:bool -> bool
 (** [predict_and_update t ~pc ~taken] returns whether the prediction was

@@ -5,15 +5,7 @@ type entry = {
   e_outcomes : int;
 }
 
-module Counter = Stc_obs.Metric.Counter
-
-type t = {
-  entries : entry option array;
-  width : int;
-  max_branches : int;
-  lookups : Counter.t;
-  hits : Counter.t;
-}
+type t = { entries : entry option array; width : int; max_branches : int }
 
 type trace_info = {
   n_instrs : int;
@@ -25,13 +17,10 @@ type trace_info = {
 let create ?(entries = 256) ?(width = 16) ?(max_branches = 3) () =
   if not (Stc_util.Bits.is_pow2 entries) then
     invalid_arg "Tracecache.create: entries must be a power of two";
-  {
-    entries = Array.make entries None;
-    width;
-    max_branches;
-    lookups = Counter.make "lookups";
-    hits = Counter.make "hits";
-  }
+  if width < 1 then invalid_arg "Tracecache.create: width must be >= 1";
+  if max_branches < 1 then
+    invalid_arg "Tracecache.create: max_branches must be >= 1";
+  { entries = Array.make entries None; width; max_branches }
 
 let geometry t = (Array.length t.entries, t.width, t.max_branches)
 
@@ -48,11 +37,12 @@ let w_taken w = w land Packed.taken_bit <> 0
 
 let w_branch w = w land Packed.branch_bit <> 0
 
-(* Trace construction and matching over packed words [0, len), driven by
-   unsafe word reads, with the lookup/hit accounting left to the caller
-   so the engine inner loop touches no shared counters. *)
-
-let build_trace_limits words ~len ~idx ~off ~width ~max_branches =
+(* The trace the fill unit builds from position (idx, off) over packed
+   words [0, len), driven by unsafe word reads: greedily take
+   instructions until the width limit, the branch limit or the end of
+   the words. *)
+let build_trace t words ~len ~idx ~off =
+  let width = t.width and max_branches = t.max_branches in
   let n = ref 0 and branches = ref 0 and outcomes = ref 0 in
   let idx = ref idx and off = ref off in
   let stop = ref false in
@@ -88,21 +78,14 @@ let build_trace_limits words ~len ~idx ~off ~width ~max_branches =
     end_pos = { View.idx = !idx; off = !off };
   }
 
-let build_trace_packed packed ~idx ~off =
-  build_trace_limits (Packed.raw packed) ~len:(Packed.length packed) ~idx
-    ~off ~width:16 ~max_branches:3
-
 let fetch_addr words ~idx ~off =
   w_addr (Array.unsafe_get words idx) + (off * Stc_cfg.Block.instr_bytes)
 
-let lookup_uncounted t words ~len ~idx ~off =
+let lookup t words ~len ~idx ~off =
   let a = fetch_addr words ~idx ~off in
   match t.entries.(index t a) with
   | Some e when e.start_addr = a ->
-    let actual =
-      build_trace_limits words ~len ~idx ~off ~width:t.width
-        ~max_branches:t.max_branches
-    in
+    let actual = build_trace t words ~len ~idx ~off in
     if
       actual.n_instrs = e.e_instrs
       && actual.n_branches = e.e_branches
@@ -111,12 +94,9 @@ let lookup_uncounted t words ~len ~idx ~off =
     else None
   | Some _ | None -> None
 
-let fill_packed t words ~len ~idx ~off =
+let fill t words ~len ~idx ~off =
   let a = fetch_addr words ~idx ~off in
-  let info =
-    build_trace_limits words ~len ~idx ~off ~width:t.width
-      ~max_branches:t.max_branches
-  in
+  let info = build_trace t words ~len ~idx ~off in
   if info.n_instrs > 0 then
     t.entries.(index t a) <-
       Some
@@ -127,20 +107,4 @@ let fill_packed t words ~len ~idx ~off =
           e_outcomes = info.outcomes;
         }
 
-let add_stats t ~lookups ~hits =
-  Counter.add t.lookups lookups;
-  Counter.add t.hits hits
-
 let width t = t.width
-
-let lookups t = Counter.value t.lookups
-
-let hits t = Counter.value t.hits
-
-let attach_metrics t reg ~prefix =
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "tc.") reg t.lookups;
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "tc.") reg t.hits
-
-let reset_stats t =
-  Counter.reset t.lookups;
-  Counter.reset t.hits

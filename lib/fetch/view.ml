@@ -10,6 +10,7 @@ type t = {
   branch_end : bool array;
   cond_end : bool array;
   addrs : int array; (* per block id *)
+  tables : Packed.tables; (* the same blocks, packed for {!stream} *)
   mutable cached_totals : (int * int) option;
 }
 
@@ -29,6 +30,7 @@ let create prog layout source =
           match b.Block.term with Terminator.Cond _ -> true | _ -> false)
         prog.Program.blocks;
     addrs = Array.init (Array.length prog.Program.blocks) (Layout.address layout);
+    tables = Packed.tables prog layout;
     cached_totals = None;
   }
 
@@ -73,8 +75,4 @@ let instrs_between_taken t =
   let i, k = totals t in
   if k = 0 then float_of_int i else float_of_int i /. float_of_int k
 
-let pack t =
-  Packed.compile_tables
-    (Packed.tables_of_arrays ~sizes:t.sizes ~branch_end:t.branch_end
-       ~cond_end:t.cond_end ~addrs:t.addrs)
-    (Source.of_array t.ids)
+let stream t = Stream.create t.tables (Source.of_array t.ids)

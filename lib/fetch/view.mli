@@ -2,8 +2,8 @@
     instruction stream the reference oracle ([Stc_check.Oracle])
     consumes with random access. {!create} drains a
     {!Stc_trace.Source} and materializes the ids — the View is
-    deliberately the non-streaming path; {!pack} compiles it into the
-    engine's {!Packed} form.
+    deliberately the non-streaming path; {!stream} feeds the same trace
+    to the engine the way the simulation grid does.
 
     Positions are (trace index, instruction offset inside that block).
     Whether a transition is a {e taken} branch is a property of the layout:
@@ -16,7 +16,9 @@ type pos = { idx : int; off : int }
 
 val create :
   Stc_cfg.Program.t -> Stc_layout.Layout.t -> Stc_trace.Source.t -> t
-(** Drains the source (single-shot — mint a fresh source per view). *)
+(** Drains the source (single-shot — mint a fresh source per view) and
+    builds the layout's {!Packed.tables} once. Raises [Invalid_argument]
+    if a block size or address exceeds the packed word's fields. *)
 
 val length : t -> int
 (** Number of blocks in the trace. *)
@@ -50,8 +52,8 @@ val taken_branches : t -> int
 
 val instrs_between_taken : t -> float
 
-val pack : t -> Packed.t
-(** Compile this view into its flat {!Packed} form (one pass over the
-    trace). The packed view answers every accessor above identically;
-    {!Engine.run} packs internally, so call this only to compile once
-    and reuse across several runs. *)
+val stream : t -> Stream.t
+(** A fresh {!Stream.create} over the view's ids and tables: the feed
+    {!Engine.run} and the oracle differential replay, the same one the
+    simulation grid's fused groups use. Its words answer every accessor
+    above identically. *)

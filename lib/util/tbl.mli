@@ -1,5 +1,5 @@
 (** Plain-text table rendering for the experiment harness, so that
-    [bench/main.exe] prints rows directly comparable to the paper's
+    [stc_repro] prints rows directly comparable to the paper's
     tables. *)
 
 type align = Left | Right

@@ -71,7 +71,8 @@ let run_both ~assoc ~victim_lines ~size_bytes addrs =
   let r = Ref.create ~assoc ~victim_lines ~size_bytes () in
   List.iteri
     (fun i addr ->
-      let hc = Icache.access c addr and hr = Ref.access r addr in
+      let hc = Icache.access c addr <> Icache.Miss
+      and hr = Ref.access r addr in
       if hc <> hr then
         Alcotest.failf
           "divergence at access %d (addr %d): sim=%b ref=%b (assoc=%d victim=%d)"
@@ -95,21 +96,35 @@ let test_four_way () = run_both ~assoc:4 ~victim_lines:0 ~size_bytes:4096 (gen_a
 
 let test_victim () = run_both ~assoc:1 ~victim_lines:16 ~size_bytes:1024 (gen_addrs 4 20_000)
 
-let test_counters () =
-  let c = Icache.create ~size_bytes:1024 () in
-  ignore (Icache.access c 0);
-  ignore (Icache.access c 0);
-  ignore (Icache.access c 4096);
-  Alcotest.(check int) "accesses" 3 (Icache.accesses c);
-  (* 0 miss, 0 hit, 4096 misses (conflicts with 0 in a 1KB cache) *)
-  Alcotest.(check int) "misses" 2 (Icache.misses c)
+let outcome =
+  Alcotest.testable
+    (fun ppf o ->
+      Format.pp_print_string ppf
+        (match o with
+        | Icache.Hit -> "hit"
+        | Icache.Prefetch_hit -> "prefetch-hit"
+        | Icache.Victim_hit -> "victim-hit"
+        | Icache.Miss -> "miss"))
+    ( = )
 
-let test_flush () =
-  let c = Icache.create ~size_bytes:1024 () in
-  ignore (Icache.access c 0);
-  Icache.flush c;
-  Alcotest.(check int) "stats reset" 0 (Icache.accesses c);
-  Alcotest.(check bool) "cold after flush" false (Icache.access c 0)
+let test_outcomes () =
+  let c = Icache.create ~victim_lines:1 ~size_bytes:1024 () in
+  let access what want addr =
+    Alcotest.check outcome what want (Icache.access c addr)
+  in
+  access "cold" Icache.Miss 0;
+  access "warm" Icache.Hit 0;
+  (* 4096 conflicts with 0 in a 1KB direct-mapped cache, pushing 0 into
+     the one-line victim buffer *)
+  access "conflict" Icache.Miss 4096;
+  access "swapped back" Icache.Victim_hit 0;
+  Icache.fill_prefetch c 64;
+  access "prefetched" Icache.Prefetch_hit 64;
+  access "mark consumed" Icache.Hit 64;
+  (* a prefetch of a resident line leaves no mark *)
+  Icache.fill_prefetch c 0;
+  access "resident" Icache.Hit 0;
+  Alcotest.(check int) "LRU counts no evictions" 0 (Icache.evictions c)
 
 let test_create_validation () =
   Alcotest.check_raises "bad line size"
@@ -117,7 +132,10 @@ let test_create_validation () =
     (fun () -> ignore (Icache.create ~line_bytes:33 ~size_bytes:1024 ()));
   Alcotest.check_raises "bad size"
     (Invalid_argument "Icache.create: size must be a multiple of assoc * line")
-    (fun () -> ignore (Icache.create ~size_bytes:1000 ()))
+    (fun () -> ignore (Icache.create ~size_bytes:1000 ()));
+  Alcotest.check_raises "negative victim buffer"
+    (Invalid_argument "Icache.create: victim_lines must be >= 0")
+    (fun () -> ignore (Icache.create ~victim_lines:(-1) ~size_bytes:1024 ()))
 
 let prop_vs_reference =
   QCheck.Test.make ~name:"cache simulator matches reference model" ~count:60
@@ -134,8 +152,7 @@ let suite =
     Alcotest.test_case "2-way vs reference" `Quick test_two_way;
     Alcotest.test_case "4-way vs reference" `Quick test_four_way;
     Alcotest.test_case "victim cache vs reference" `Quick test_victim;
-    Alcotest.test_case "counters" `Quick test_counters;
-    Alcotest.test_case "flush" `Quick test_flush;
+    Alcotest.test_case "outcomes" `Quick test_outcomes;
     Alcotest.test_case "create validation" `Quick test_create_validation;
   ]
   @ [ QCheck_alcotest.to_alcotest prop_vs_reference ]

@@ -172,19 +172,6 @@ let test_trace_cache_improves () =
   Alcotest.(check bool) "some trace cache hits" true
     (with_tc.F.Engine.tc_hits > 0)
 
-let test_tc_build_trace_deterministic () =
-  let pl = Lazy.force fixture in
-  let prog = pl.Stc_core.Pipeline.program in
-  let layout = L.Original.layout prog in
-  let packed =
-    F.Packed.compile prog layout (Stc_core.Pipeline.test_source pl)
-  in
-  let a = F.Tracecache.build_trace_packed packed ~idx:0 ~off:0 in
-  let b = F.Tracecache.build_trace_packed packed ~idx:0 ~off:0 in
-  Alcotest.(check bool) "deterministic" true (a = b);
-  Alcotest.(check bool) "within limits" true
-    (a.F.Tracecache.n_instrs <= 16 && a.F.Tracecache.n_branches <= 3)
-
 (* ---------- packed view: agreement with the View ---------- *)
 
 (* Random programs: skeletons compiled and auto-walked (the same recipe
@@ -267,43 +254,45 @@ let prop_packed_agrees_with_view =
           let view =
             F.View.create prog layout (Stc_trace.Source.of_recorder rec_)
           in
-          (* both compilation routes must agree with the view *)
-          List.iter
-            (fun packed ->
-              let len = F.View.length view in
-              if F.Packed.length packed <> len then
-                QCheck.Test.fail_report "length mismatch";
-              for i = 0 to len - 1 do
-                if F.Packed.block_addr packed i <> F.View.block_addr view i
-                then QCheck.Test.fail_reportf "addr mismatch at %d" i;
-                if F.Packed.block_size packed i <> F.View.block_size view i
-                then QCheck.Test.fail_reportf "size mismatch at %d" i;
-                if F.Packed.taken packed i <> F.View.taken view i then
-                  QCheck.Test.fail_reportf "taken mismatch at %d" i;
-                if F.Packed.has_branch packed i <> F.View.has_branch view i
-                then QCheck.Test.fail_reportf "branch mismatch at %d" i;
-                if F.Packed.is_cond packed i <> F.View.is_cond view i then
-                  QCheck.Test.fail_reportf "cond mismatch at %d" i
-              done;
-              if F.Packed.total_instrs packed <> F.View.total_instrs view then
-                QCheck.Test.fail_report "total_instrs mismatch";
-              if F.Packed.taken_branches packed <> F.View.taken_branches view
-              then QCheck.Test.fail_report "taken_branches mismatch")
-            [
-              F.View.pack view;
-              F.Packed.compile prog layout
-                (Stc_trace.Source.of_recorder rec_);
-            ])
+          let packed =
+            F.Packed.compile prog layout (Stc_trace.Source.of_recorder rec_)
+          in
+          let len = F.View.length view in
+          if F.Packed.length packed <> len then
+            QCheck.Test.fail_report "length mismatch";
+          for i = 0 to len - 1 do
+            if F.Packed.block_addr packed i <> F.View.block_addr view i then
+              QCheck.Test.fail_reportf "addr mismatch at %d" i;
+            if F.Packed.block_size packed i <> F.View.block_size view i then
+              QCheck.Test.fail_reportf "size mismatch at %d" i;
+            if F.Packed.taken packed i <> F.View.taken view i then
+              QCheck.Test.fail_reportf "taken mismatch at %d" i;
+            if F.Packed.has_branch packed i <> F.View.has_branch view i then
+              QCheck.Test.fail_reportf "branch mismatch at %d" i;
+            if F.Packed.is_cond packed i <> F.View.is_cond view i then
+              QCheck.Test.fail_reportf "cond mismatch at %d" i
+          done;
+          if F.Packed.total_instrs packed <> F.View.total_instrs view then
+            QCheck.Test.fail_report "total_instrs mismatch";
+          if F.Packed.taken_branches packed <> F.View.taken_branches view then
+            QCheck.Test.fail_report "taken_branches mismatch")
         [ L.Original.layout prog; random_layout prog layout_seed ];
       true)
 
 let test_engine_run_equals_run_packed () =
-  (* the convenience [run view] must be the packed path, byte for byte *)
+  (* [run view] streams the view; a compiled image of the same trace
+     must replay to the same result, byte for byte *)
   let prog, b0, b1, b2 = tiny () in
   let layout = L.Original.layout prog in
-  let view = F.View.create prog layout (Stc_trace.Source.of_recorder (record [ b0; b1; b2; b0; b2 ])) in
+  let trace = record [ b0; b1; b2; b0; b2 ] in
+  let view =
+    F.View.create prog layout (Stc_trace.Source.of_recorder trace)
+  in
   let a = F.Engine.run view in
-  let b = F.Engine.run_packed (F.View.pack view) in
+  let b =
+    F.Engine.run_packed
+      (F.Packed.compile prog layout (Stc_trace.Source.of_recorder trace))
+  in
   Alcotest.(check bool) "equal" true (a = b)
 
 let test_config_validation () =
@@ -326,10 +315,32 @@ let test_config_validation () =
   in
   Alcotest.(check int) "line 4" 4 c.F.Engine.Config.line_bytes
 
+(* Trace-cache geometry and predictor shape, each rejected by name. *)
+let test_constructor_validation () =
+  let rejects what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  rejects "entries" "Tracecache.create: entries must be a power of two"
+    (fun () -> F.Tracecache.create ~entries:3 ());
+  rejects "width" "Tracecache.create: width must be >= 1" (fun () ->
+      F.Tracecache.create ~width:0 ());
+  rejects "branches" "Tracecache.create: max_branches must be >= 1"
+    (fun () -> F.Tracecache.create ~max_branches:0 ());
+  rejects "table" "Predictor.create: table size must be a power of two"
+    (fun () -> F.Predictor.create (F.Predictor.Bimodal 3));
+  rejects "history" "Predictor.create: history bits must be >= 0" (fun () ->
+      F.Predictor.create (F.Predictor.Gshare (16, -1)));
+  (* the boundary values are accepted *)
+  let tc = F.Tracecache.create ~entries:1 ~width:1 ~max_branches:1 () in
+  Alcotest.(check int) "width 1" 1 (F.Tracecache.width tc);
+  ignore (F.Predictor.create (F.Predictor.Gshare (16, 0)))
+
 let suite =
   [
     Alcotest.test_case "ideal single window" `Quick test_ideal_single_window;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "constructor validation" `Quick
+      test_constructor_validation;
     Alcotest.test_case "taken branch splits fetch" `Quick
       test_taken_branch_splits_fetch;
     Alcotest.test_case "3-branch limit" `Quick test_branch_limit;
@@ -342,8 +353,6 @@ let suite =
       test_bigger_cache_fewer_misses;
     Alcotest.test_case "trace cache improves bandwidth" `Quick
       test_trace_cache_improves;
-    Alcotest.test_case "trace construction deterministic" `Quick
-      test_tc_build_trace_deterministic;
     Alcotest.test_case "run = run_packed" `Quick test_engine_run_equals_run_packed;
     QCheck_alcotest.to_alcotest prop_packed_agrees_with_view;
   ]

@@ -5,10 +5,9 @@
      ideal/direct/2-way/victim/trace-cache variants, mixed engine
      configs, occasional direction prediction), a bank of N —
      Bank.run_packed over the image, Bank.run_stream over segments —
-     reproduces N banks of one (run_packed per spec): result records,
-     cache counters and trace-cache statistics exactly, at every stride
-     and at segment sizes down to 1 block. With N = 1 this is streamed
-     replay against materialized replay;
+     reproduces N banks of one (run_packed per spec): result records
+     exactly, at every stride and at segment sizes down to 1 block. With
+     N = 1 this is streamed replay against materialized replay;
    - metric exports: a bank run with a metrics registry publishes
      byte-identical engine.* counters to the banks of one sharing one
      registry;
@@ -107,26 +106,14 @@ let mk_specs seed k () =
   let st = Random.State.make [| seed; k; 77 |] in
   Array.init k (fun _ -> random_spec st)
 
-(* Everything a replay leaves behind: the result record plus the final
-   cache statistics. *)
-let snapshot sp r =
-  ( r,
-    Option.map Stc_cachesim.Icache.stats sp.Bank.icache,
-    Option.map
-      (fun tc -> (F.Tracecache.lookups tc, F.Tracecache.hits tc))
-      sp.Bank.trace_cache )
-
 (* N banks of one: each spec replayed alone. *)
 let solo_reference seed k packed =
   let specs = mk_specs seed k () in
   Array.map
     (fun sp ->
-      let r =
-        F.Engine.run_packed ~config:sp.Bank.config ?icache:sp.Bank.icache
-          ?trace_cache:sp.Bank.trace_cache ?prediction:sp.Bank.prediction
-          packed
-      in
-      snapshot sp r)
+      F.Engine.run_packed ~config:sp.Bank.config ?icache:sp.Bank.icache
+        ?trace_cache:sp.Bank.trace_cache ?prediction:sp.Bank.prediction
+        packed)
     specs
 
 let prop_fused_equals_solo =
@@ -143,8 +130,7 @@ let prop_fused_equals_solo =
       let solo = solo_reference seed k packed in
       let stride_words = [| 1; 7; 64; 16384 |].(Random.State.int st 4) in
       let fspecs = mk_specs seed k () in
-      let frs = Bank.run_packed ~stride_words fspecs packed in
-      let fused = Array.mapi (fun i r -> snapshot fspecs.(i) r) frs in
+      let fused = Bank.run_packed ~stride_words fspecs packed in
       if fused <> solo then
         QCheck.Test.fail_reportf "fused packed differs (k=%d len=%d stride=%d)"
           k len stride_words;
@@ -158,8 +144,7 @@ let prop_fused_equals_solo =
             F.Stream.create (F.Packed.tables prog layout)
               (Source.of_array ~segment_blocks trace)
           in
-          let srs = Bank.run_stream ~stride_words sspecs stream in
-          let streamed = Array.mapi (fun i r -> snapshot sspecs.(i) r) srs in
+          let streamed = Bank.run_stream ~stride_words sspecs stream in
           if streamed <> solo then
             QCheck.Test.fail_reportf "fused stream differs (k=%d len=%d seg=%d)"
               k len segment_blocks
@@ -175,10 +160,8 @@ let test_empty_bank_and_trace () =
   Alcotest.(check int) "empty bank" 0 (Array.length (Bank.run_packed [||] packed));
   let empty = F.Packed.compile prog layout (Source.of_array [||]) in
   let solo = solo_reference 7 3 empty in
-  let specs = mk_specs 7 3 () in
-  let rs = Bank.run_packed specs empty in
-  Alcotest.(check bool) "empty trace fused == solo" true
-    (Array.mapi (fun i r -> snapshot specs.(i) r) rs = solo)
+  let rs = Bank.run_packed (mk_specs 7 3 ()) empty in
+  Alcotest.(check bool) "empty trace fused == solo" true (rs = solo)
 
 (* The streamed bank's resident window is bounded by the segment size
    plus lookahead, not by the trace: the window compacts below the
@@ -198,8 +181,7 @@ let test_fused_resident_bound () =
       (Source.of_array ~segment_blocks trace)
   in
   let rs = Bank.run_stream ~resident_hwm:hwm specs stream in
-  Alcotest.(check bool) "bounded run fused == solo" true
-    (Array.mapi (fun i r -> snapshot specs.(i) r) rs = solo);
+  Alcotest.(check bool) "bounded run fused == solo" true (rs = solo);
   Alcotest.(check bool)
     (Printf.sprintf "resident %d words bounded by segments, not trace" !hwm)
     true
@@ -210,7 +192,7 @@ let test_fused_resident_bound () =
    4-way SRRIP + FDIP slots, whose FDIP queue looks further ahead than
    any other slot. The image replay (copied in pieces), the stream
    packed from the recorder, and each slot run alone over a View agree
-   field by field, cache counters included. *)
+   field by field. *)
 let test_one_feed_past_a_piece () =
   let prog, ids = random_program 31 400 in
   let layout = L.Original.layout prog in
@@ -234,10 +216,7 @@ let test_one_feed_past_a_piece () =
         ();
     |]
   in
-  let replay run =
-    let specs = specs () in
-    Array.mapi (fun i r -> snapshot specs.(i) r) (run specs)
-  in
+  let replay run = run (specs ()) in
   let image =
     replay (fun specs ->
         Bank.run_packed specs
@@ -257,25 +236,18 @@ let test_one_feed_past_a_piece () =
              ?trace_cache:sp.Bank.trace_cache ?prediction:sp.Bank.prediction
              view))
   in
-  let result k =
-    let r, _, _ = solo.(k) in
-    r
-  in
   Alcotest.(check bool) "every slot's feature is exercised" true
-    ((result 1).F.Engine.icache_misses > 0
-    && (result 2).F.Engine.tc_hits > 0
-    && (result 3).F.Engine.prefetch_issued > 0);
+    (solo.(1).F.Engine.icache_misses > 0
+    && solo.(2).F.Engine.tc_hits > 0
+    && solo.(3).F.Engine.prefetch_issued > 0);
   let agree what a b =
     Array.iteri
-      (fun i ((ra, ca, ta), (rb, cb, tb)) ->
+      (fun i (ra, rb) ->
         List.iter2
           (fun (name, x) (_, y) ->
             if x <> y then
               Alcotest.failf "%s, slot %d: %s %g <> %g" what i name x y)
-          (F.Engine.result_fields ra) (F.Engine.result_fields rb);
-        if ca <> cb then Alcotest.failf "%s, slot %d: i-cache counters" what i;
-        if ta <> tb then
-          Alcotest.failf "%s, slot %d: trace-cache counters" what i)
+          (F.Engine.result_fields ra) (F.Engine.result_fields rb))
       (Array.combine a b)
   in
   agree "image vs solo" image solo;

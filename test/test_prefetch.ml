@@ -188,18 +188,19 @@ module Stateless = struct
       t.completed <- t.completed + 1;
       t.late <- t.late + 1;
       t.misses <- t.misses + 1;
-      ignore (Icache.access_demand t.ic a);
+      ignore (Icache.access t.ic a);
       if remain <= 0 then 0 else min remain miss_penalty
     end
     else
-      match Icache.access_demand t.ic a with
-      | Icache.Hit, was_pref ->
-        if was_pref then t.useful <- t.useful + 1;
+      match Icache.access t.ic a with
+      | Icache.Hit -> 0
+      | Icache.Prefetch_hit ->
+        t.useful <- t.useful + 1;
         0
-      | Icache.Victim_hit, _ ->
+      | Icache.Victim_hit ->
         t.victim_hits <- t.victim_hits + 1;
         0
-      | Icache.Miss, _ ->
+      | Icache.Miss ->
         t.misses <- t.misses + 1;
         miss_penalty
 

@@ -4,7 +4,7 @@
    - property: over random programs, random traces and random segment
      sizes (1-block segments, a 1-block final segment, segment = trace
      length, empty trace), a bank of one over the stream reproduces
-     run_packed's result record and cache counters exactly;
+     run_packed's result record exactly;
    - empty trace: a stream with no blocks replays like an empty image;
    - memory boundedness: the streamed engine's resident high-water mark
      is a function of the segment size, not the trace length;
@@ -75,29 +75,22 @@ let mk_state () =
 let run_materialized prog layout trace =
   let icache, tc = mk_state () in
   let packed = F.Packed.compile prog layout (Source.of_array trace) in
-  let r = F.Engine.run_packed ~icache ~trace_cache:tc packed in
-  (r, Stc_cachesim.Icache.stats icache, F.Tracecache.lookups tc, F.Tracecache.hits tc)
+  F.Engine.run_packed ~icache ~trace_cache:tc packed
 
 (* A bank of one over a segment stream. *)
 let replay_stream ?resident_hwm stream =
   let icache, tc = mk_state () in
-  let r =
-    (F.Engine.Bank.run_stream ?resident_hwm
-       [| F.Engine.Bank.spec ~icache ~trace_cache:tc () |]
-       stream).(0)
-  in
-  (r, Stc_cachesim.Icache.stats icache, F.Tracecache.lookups tc, F.Tracecache.hits tc)
+  (F.Engine.Bank.run_stream ?resident_hwm
+     [| F.Engine.Bank.spec ~icache ~trace_cache:tc () |]
+     stream).(0)
 
 let run_streamed ?resident_hwm prog layout trace ~segment_blocks =
   replay_stream ?resident_hwm
     (F.Stream.create (F.Packed.tables prog layout)
        (Source.of_array ~segment_blocks trace))
 
-let check_equal ~what (rm, im, lm, hm) (rs, is_, ls, hs) =
-  if rm <> rs then Alcotest.failf "%s: engine result differs" what;
-  if im <> is_ then Alcotest.failf "%s: icache counters differ" what;
-  if (lm, hm) <> (ls, hs) then
-    Alcotest.failf "%s: trace-cache counters differ" what
+let check_equal ~what rm rs =
+  if rm <> rs then Alcotest.failf "%s: engine result differs" what
 
 (* ---------- streamed == materialized ---------- *)
 
@@ -128,8 +121,8 @@ let prop_streamed_equals_materialized =
 let test_empty_trace () =
   let prog, _ids = random_program 7 5 in
   let layout = L.Original.layout prog in
-  let (rm, _, _, _) = run_materialized prog layout [||] in
-  let (rs, _, _, _) = run_streamed prog layout [||] ~segment_blocks:4 in
+  let rm = run_materialized prog layout [||] in
+  let rs = run_streamed prog layout [||] ~segment_blocks:4 in
   Alcotest.(check bool) "empty trace streams" true (rm = rs);
   Alcotest.(check int) "no instrs" 0 rs.F.Engine.instrs
 
