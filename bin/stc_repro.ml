@@ -11,24 +11,24 @@ let pipeline_config quick sf frames =
   let base = match sf with Some sf -> { base with Pipeline.sf } | None -> base in
   { base with Pipeline.frames }
 
-(* --seed is applied by Pipeline.run through Run.ctx (Pipeline.seeded);
-   --jobs parallelizes the simulation grids without changing any output,
-   --store makes reruns consult the artifact cache, and --trace records
-   per-domain timeline events. *)
-let make_ctx reg progress seed jobs store tracer =
-  let ctx =
-    Run.default |> Run.with_metrics reg |> Run.with_progress progress
-    |> Run.with_jobs jobs
-  in
-  let ctx = match seed with Some s -> Run.with_seed s ctx | None -> ctx in
-  let ctx =
-    match store with Some dir -> Run.with_store dir ctx | None -> ctx
-  in
-  match tracer with Some t -> Run.with_trace t ctx | None -> ctx
-
 let default_jobs = max 1 (Domain.recommended_domain_count () - 1)
 
+(* Exit 1 with a message on bad input, before any set-up runs. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "stc_repro: %s\n%!" msg;
+      exit 1)
+    fmt
+
+(* The grid's thresholds, checked as the layout algorithms will check
+   them. *)
 let sim_config exec_threshold branch_threshold =
+  (try
+     ignore
+       (Stc_layout.Algo.params ~exec_threshold ~branch_threshold
+          ~cache_bytes:0 ~cfa_bytes:0 ())
+   with Invalid_argument msg -> fail "%s" msg);
   {
     E.default_sim_config with
     E.exec_threshold;
@@ -127,9 +127,7 @@ let parse_layouts = function
     in
     (match E.resolve_layouts names with
     | Ok _ -> Some names
-    | Error msg ->
-      Printf.eprintf "stc_repro: %s\n" msg;
-      exit 1)
+    | Error msg -> fail "%s" msg)
 
 let store_arg =
   Arg.(
@@ -150,11 +148,18 @@ let check_out_path what = function
   | None -> ()
   | Some path -> (
     try close_out (open_out path)
-    with Sys_error e ->
-      Printf.eprintf "stc_repro: cannot write %s file: %s\n" what e;
-      exit 1)
+    with Sys_error e -> fail "cannot write %s file: %s" what e)
 
-let check_metrics_path = check_out_path "metrics"
+(* A --store path must be a directory or creatable as one. *)
+let check_store_dir = function
+  | None -> ()
+  | Some dir -> (
+    match Stc_store.open_ dir with
+    | exception Unix.Unix_error (e, _, _) ->
+      fail "cannot use store directory %s: %s" dir (Unix.error_message e)
+    | _ ->
+      if not (Sys.is_directory dir) then
+        fail "cannot use store directory %s: not a directory" dir)
 
 (* The tracer exists only when --trace was given: with None in the ctx
    every instrumentation site is a single branch and the run is
@@ -173,21 +178,6 @@ let finish_trace tracer trace_file =
     Printf.printf "Trace: %d events written to %s%s\n%!" (Obs.Trace.events t)
       path dropped
   | _ -> ()
-
-(* Every command carries one registry; spans and counters are collected
-   unconditionally (the cost is nil next to the simulation) and exported
-   only when --metrics was given. *)
-let setup ~ctx quick sf frames =
-  let config = pipeline_config quick sf frames in
-  Printf.printf
-    "Building kernel, loading TPC-D data (sf=%.4g), tracing Training and Test sets...\n%!"
-    config.Pipeline.sf;
-  let t0 = Unix.gettimeofday () in
-  let pl = Pipeline.run ~ctx ~config () in
-  Printf.printf "Setup done in %.1fs: test trace has %d basic blocks.\n\n%!"
-    (Unix.gettimeofday () -. t0)
-    (Stc_trace.Recorder.length pl.Pipeline.test);
-  pl
 
 (* One-line cache summary, only when --store was given. *)
 let report_store reg store =
@@ -214,94 +204,125 @@ let finish_metrics reg metrics_file =
       (List.length (String.split_on_char '\n' (Obs.Export.to_jsonl reg)) - 1)
       path
 
-let characterize_cmd =
-  let run quick sf seed frames jobs store metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
-    E.print_table1 (E.table1 pl);
-    print_newline ();
-    E.print_figure2 pl;
-    print_newline ();
-    E.print_reuse (E.reuse pl);
-    print_newline ();
-    E.print_table2 (E.table2 pl);
-    print_newline ();
-    Stc_core.Figure3.print ();
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+(* The options every pipeline-building subcommand shares. *)
+type common = {
+  quick : bool;
+  sf : float option;
+  seed : int option;
+  frames : int;
+  jobs : int;
+  store : string option;
+  metrics : string option;
+  trace : string option;
+  progress : bool;
+}
+
+let common_term =
+  let make quick sf seed frames jobs store metrics trace progress =
+    { quick; sf; seed; frames; jobs; store; metrics; trace; progress }
   in
+  Term.(
+    const make $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
+    $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
+
+(* Every subcommand but [layouts]: check the output paths and the store
+   directory, build the pipeline, run [body] on it, then report the
+   store and write the metrics and trace files. Every run carries one
+   registry; spans and counters are collected unconditionally (the cost
+   is nil next to the simulation) and exported only when --metrics was
+   given. *)
+let with_pipeline c body =
+  check_out_path "metrics" c.metrics;
+  check_out_path "trace" c.trace;
+  check_store_dir c.store;
+  let reg = Obs.Registry.create () in
+  let tracer = make_tracer c.trace in
+  (* --seed is applied by Pipeline.run through Run.ctx (Pipeline.seeded);
+     --jobs parallelizes the simulation grids without changing any
+     output, --store makes reruns consult the artifact cache, and --trace
+     records per-domain timeline events. *)
+  let ctx =
+    Run.default |> Run.with_metrics reg |> Run.with_progress c.progress
+    |> Run.with_jobs c.jobs
+  in
+  let ctx = match c.seed with Some s -> Run.with_seed s ctx | None -> ctx in
+  let ctx =
+    match c.store with Some dir -> Run.with_store dir ctx | None -> ctx
+  in
+  let ctx = match tracer with Some t -> Run.with_trace t ctx | None -> ctx in
+  let config = pipeline_config c.quick c.sf c.frames in
+  Printf.printf
+    "Building kernel, loading TPC-D data (sf=%.4g), tracing Training and Test sets...\n%!"
+    config.Pipeline.sf;
+  let t0 = Unix.gettimeofday () in
+  let pl = Pipeline.run ~ctx ~config () in
+  Printf.printf "Setup done in %.1fs: test trace has %d basic blocks.\n\n%!"
+    (Unix.gettimeofday () -. t0)
+    (Stc_trace.Recorder.length pl.Pipeline.test);
+  let result = body ctx pl in
+  report_store reg c.store;
+  finish_metrics reg c.metrics;
+  finish_trace tracer c.trace;
+  result
+
+(* Run a simulation grid between a start line and a timing line. *)
+let timed_grid ctx what grid =
+  Printf.printf "Simulating the %s (%d jobs)...\n%!" what ctx.Run.jobs;
+  let t0 = Unix.gettimeofday () in
+  let rows = grid () in
+  Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
+    (Unix.gettimeofday () -. t0);
+  rows
+
+let print_characterization pl =
+  E.print_table1 (E.table1 pl);
+  print_newline ();
+  E.print_figure2 pl;
+  print_newline ();
+  E.print_reuse (E.reuse pl);
+  print_newline ();
+  E.print_table2 (E.table2 pl);
+  print_newline ();
+  Stc_core.Figure3.print ()
+
+let print_tables34 rows =
+  E.print_table3 rows;
+  print_newline ();
+  E.print_table4 rows;
+  print_newline ();
+  E.print_sequentiality rows
+
+let characterize_cmd =
+  let run c = with_pipeline c (fun _ pl -> print_characterization pl) in
   Cmd.v
     (Cmd.info "characterize"
        ~doc:
          "Section 4: Table 1, Figure 2, reuse, Table 2; and Figure 3's \
           trace-building example.")
-    Term.(
-      const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
+    Term.(const run $ common_term)
 
-let simulate_run quick sf seed frames jobs store exec branch layouts metrics
-    trace progress =
+let simulate_run c exec branch layouts =
   let layouts = parse_layouts layouts in
-  let reg = Obs.Registry.create () in
-  check_metrics_path metrics;
-  check_out_path "trace" trace;
-  let tracer = make_tracer trace in
-  let ctx = make_ctx reg progress seed jobs store tracer in
-  let pl = setup ~ctx quick sf frames in
-  Printf.printf "Simulating the full Table 3 / Table 4 grid (%d jobs)...\n%!"
-    ctx.Run.jobs;
-  let t0 = Unix.gettimeofday () in
-  let rows =
-    E.simulate ~ctx ~config:(sim_config exec branch) ?layouts pl
-  in
-  Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
-    (Unix.gettimeofday () -. t0);
-  E.print_table3 rows;
-  print_newline ();
-  E.print_table4 rows;
-  print_newline ();
-  E.print_sequentiality rows;
-  report_store reg store;
-  finish_metrics reg metrics;
-  finish_trace tracer trace
+  let config = sim_config exec branch in
+  with_pipeline c (fun ctx pl ->
+      print_tables34
+        (timed_grid ctx "full Table 3 / Table 4 grid" (fun () ->
+             E.simulate ~ctx ~config ?layouts pl)))
 
 let simulate_term =
-  Term.(
-    const simulate_run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-    $ store_arg $ exec_arg $ branch_arg $ layouts_arg $ metrics_arg
-    $ trace_arg $ progress_arg)
+  Term.(const simulate_run $ common_term $ exec_arg $ branch_arg $ layouts_arg)
 
 let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Section 7: Table 3 and Table 4.") simulate_term
 
 let extended_cmd =
-  let run quick sf seed frames jobs store exec branch layouts metrics trace
-      progress =
+  let run c exec branch layouts =
     let layouts = parse_layouts layouts in
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
-    Printf.printf
-      "Simulating the extended policy/prefetch grid (%d jobs)...\n%!"
-      ctx.Run.jobs;
-    let t0 = Unix.gettimeofday () in
-    let rows =
-      E.extended ~ctx ~config:(sim_config exec branch) ?layouts pl
-    in
-    Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
-      (Unix.gettimeofday () -. t0);
-    E.print_extended rows;
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+    let config = sim_config exec branch in
+    with_pipeline c (fun ctx pl ->
+        E.print_extended
+          (timed_grid ctx "extended policy/prefetch grid" (fun () ->
+               E.extended ~ctx ~config ?layouts pl)))
   in
   Cmd.v
     (Cmd.info "extended"
@@ -310,42 +331,19 @@ let extended_cmd =
           TRRIP) crossed with fetch-directed prefetching over the first \
           two cache sizes, 4-way set-associative, per layout. TRRIP's \
           per-line temperatures come from each layout's own hotness.")
-    Term.(
-      const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ exec_arg $ branch_arg $ layouts_arg $ metrics_arg
-      $ trace_arg $ progress_arg)
+    Term.(const run $ common_term $ exec_arg $ branch_arg $ layouts_arg)
 
 let ablation_cmd =
-  let run quick sf seed frames jobs store metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
-    E.print_ablation (E.ablation ~ctx pl);
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+  let run c =
+    with_pipeline c (fun ctx pl -> E.print_ablation (E.ablation ~ctx pl))
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"STC threshold and CFA-size sweep.")
-    Term.(
-      const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
+    Term.(const run $ common_term)
 
 let extensions_cmd =
-  let run quick sf seed frames jobs store metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
-    Stc_core.Extensions.print_all ~ctx pl;
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+  let run c =
+    with_pipeline c (fun ctx pl -> Stc_core.Extensions.print_all ~ctx pl)
   in
   Cmd.v
     (Cmd.info "extensions"
@@ -355,27 +353,22 @@ let extensions_cmd =
           selection) plus branch-prediction sensitivity, per-query miss \
           rates, the SEQ.1/2/3 fetch-unit family and the layout x \
           associativity interaction.")
-    Term.(
-      const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
+    Term.(const run $ common_term)
 
 let check_cmd =
-  let run quick sf seed frames jobs store metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
-    Printf.printf "Running layout validators and differential oracles...\n%!";
-    let t0 = Unix.gettimeofday () in
-    let report = Stc_check.run_all ~ctx pl in
-    Printf.printf "Checks done in %.1fs.\n\n%!" (Unix.gettimeofday () -. t0);
-    Stc_check.print_report report;
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace;
-    if not (Stc_check.ok report) then exit 1
+  let run c =
+    let ok =
+      with_pipeline c (fun ctx pl ->
+          Printf.printf
+            "Running layout validators and differential oracles...\n%!";
+          let t0 = Unix.gettimeofday () in
+          let report = Stc_check.run_all ~ctx pl in
+          Printf.printf "Checks done in %.1fs.\n\n%!"
+            (Unix.gettimeofday () -. t0);
+          Stc_check.print_report report;
+          Stc_check.ok report)
+    in
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "check"
@@ -385,9 +378,7 @@ let check_cmd =
           test trace through reference cache/predictor/fetch oracles, \
           diffing them against the engine. Exits non-zero on any \
           violation or divergence.")
-    Term.(
-      const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
+    Term.(const run $ common_term)
 
 let layouts_cmd =
   let run () =
@@ -416,38 +407,16 @@ let layouts_cmd =
     Term.(const run $ const ())
 
 let all_cmd =
-  let run quick sf seed frames jobs store exec branch metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
-    E.print_table1 (E.table1 pl);
-    print_newline ();
-    E.print_figure2 pl;
-    print_newline ();
-    E.print_reuse (E.reuse pl);
-    print_newline ();
-    E.print_table2 (E.table2 pl);
-    print_newline ();
-    Stc_core.Figure3.print ();
-    print_newline ();
-    let rows = E.simulate ~ctx ~config:(sim_config exec branch) pl in
-    E.print_table3 rows;
-    print_newline ();
-    E.print_table4 rows;
-    print_newline ();
-    E.print_sequentiality rows;
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+  let run c exec branch =
+    let config = sim_config exec branch in
+    with_pipeline c (fun ctx pl ->
+        print_characterization pl;
+        print_newline ();
+        print_tables34 (E.simulate ~ctx ~config pl))
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Every table and figure.")
-    Term.(
-      const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ exec_arg $ branch_arg $ metrics_arg $ trace_arg $ progress_arg)
+    Term.(const run $ common_term $ exec_arg $ branch_arg)
 
 let () =
   let info =

@@ -891,11 +891,12 @@ let real_policy_of_case ~temperature case =
   | P_srrip -> Real_icache.Srrip
   | P_trrip -> Real_icache.Trrip temperature
 
-let real_icache_of_case ?(temperature = [||]) case () =
+let real_icache_of_case ?(temperature = [||]) ~line_bytes case () =
   if case.kb = 0 then None
   else
     Some
-      (Real_icache.create ~assoc:case.assoc ~victim_lines:case.victim_lines
+      (Real_icache.create ~assoc:case.assoc ~line_bytes
+         ~victim_lines:case.victim_lines
          ~policy:(real_policy_of_case ~temperature case)
          ~size_bytes:(case.kb * 1024) ())
 
@@ -929,12 +930,16 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
      geometries, replacement policies, FDIP frontends, predictors, trace
      caches and the ideal slot replay in a single sweep, exactly how
      Experiments fuses a grid's cells, so cohort sharing is checked too *)
+  (* every cache, real, shadow and oracle, has the engine's line *)
+  let line_bytes =
+    (Option.value config ~default:Engine.Config.default).Engine.Config.line_bytes
+  in
   let bank_specs =
     Array.map
       (fun case ->
         Engine.Bank.spec
           ~config:(case_config ?config case)
-          ?icache:(real_icache_of_case ~temperature case ())
+          ?icache:(real_icache_of_case ~temperature ~line_bytes case ())
           ?trace_cache:(real_tc_of_case case ())
           ?prediction:(real_prediction_of_case case)
           ())
@@ -950,7 +955,7 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
             path never fires the hook (a shadow driven by [access]
             cannot mirror prefetch installs), so those cases rely on the
             field comparison alone. *)
-         let shadow = real_icache_of_case ~temperature case () in
+         let shadow = real_icache_of_case ~temperature ~line_bytes case () in
          let divergence = ref None in
          let access_no = ref 0 in
          let on_access ~addr out =
@@ -970,7 +975,7 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
            if case.kb = 0 then None
            else
              Some
-               (Oracle.Icache.create ~assoc:case.assoc
+               (Oracle.Icache.create ~assoc:case.assoc ~line_bytes
                   ~victim_lines:case.victim_lines
                   ~policy:(real_policy_of_case ~temperature case)
                   ~size_bytes:(case.kb * 1024) ())
@@ -1147,7 +1152,8 @@ let run_all ?(ctx = Run.default) (pl : Pipeline.t) =
         (* the TRRIP cases seed their temperature table from this
            layout's own hotness, exactly as the extended grid does *)
         let temperature =
-          Stc_cachesim.Temperature.of_blocks ~line_bytes:32
+          Stc_cachesim.Temperature.of_blocks
+            ~line_bytes:Engine.Config.default.Engine.Config.line_bytes
             ~addrs:layout.Layout.addr ~sizes ~counts
         in
         List.map

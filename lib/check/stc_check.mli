@@ -209,8 +209,9 @@ val diff_cases :
     fusing every case's spec — the same feed and the same
     mixed-configuration banks Experiments builds — and
     compare every {!Stc_fetch.Engine.result} field of the two (fresh
-    caches and predictors each; a case's [fdip] block overrides the
-    config's; [P_trrip] cases seed both real and oracle caches from
+    caches and predictors each, every cache at the config's
+    [line_bytes]; a case's [fdip] block overrides the config's;
+    [P_trrip] cases seed both real and oracle caches from
     [?temperature], default empty = all cold). *)
 
 val diff_icache_stream :

@@ -357,7 +357,9 @@ let cell_key ~prog_fp ~trace_fp cell =
    instances per call — the engine owns their state for the replay — so
    a cell's bank slot can run on any domain. *)
 let cell_spec cell =
-  let cache_kb = cell.c_cache_kb in
+  let size_bytes = cell.c_cache_kb * 1024 in
+  (* the engine's line is the i-cache's: SEQ.3 fetches a two-line window *)
+  let line_bytes = cell.c_engine.F.Engine.Config.line_bytes in
   let icache =
     match cell.c_variant with
     | Ideal | Tc_ideal -> None
@@ -366,15 +368,14 @@ let cell_spec cell =
          extended grid policy) on these two variants; the defaults
          reproduce the paper's machine exactly *)
       Some
-        (Stc_cachesim.Icache.create ~assoc:cell.c_assoc ~policy:cell.c_policy
-           ~size_bytes:(cache_kb * 1024) ())
+        (Stc_cachesim.Icache.create ~assoc:cell.c_assoc ~line_bytes
+           ~policy:cell.c_policy ~size_bytes ())
     | Two_way ->
-      Some
-        (Stc_cachesim.Icache.create ~assoc:2 ~size_bytes:(cache_kb * 1024) ())
+      Some (Stc_cachesim.Icache.create ~assoc:2 ~line_bytes ~size_bytes ())
     | Victim ->
       Some
-        (Stc_cachesim.Icache.create ~victim_lines:16
-           ~size_bytes:(cache_kb * 1024) ())
+        (Stc_cachesim.Icache.create ~victim_lines:16 ~line_bytes ~size_bytes
+           ())
   in
   let trace_cache =
     match cell.c_variant with

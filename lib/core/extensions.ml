@@ -197,7 +197,8 @@ type prediction_row = {
   p_ipc : float;
 }
 
-(* [Predictor.accuracy_pct]'s expression, from a (storable) result *)
+(* the share of conditional branches predicted right, from a (storable)
+   result *)
 let accuracy_pct (r : F.Engine.result) =
   let n = r.F.Engine.cond_branches in
   if n = 0 then 100.0

@@ -83,7 +83,8 @@ val prediction :
 val accuracy_pct : Stc_fetch.Engine.result -> float
 (** [100 * (cond_branches - mispredictions) / cond_branches] (100 with
     none): a fresh predictor is consulted once per conditional branch,
-    so this is its {!Stc_fetch.Predictor.accuracy_pct}. *)
+    so this is the share it got right. The one accuracy: predictors
+    keep no counts, and a stored result carries both terms. *)
 
 (** {2 Per-query breakdown} *)
 

@@ -75,23 +75,25 @@ let config_fingerprint (config : config) =
   let h = queries h Stc_workload.Queries.test_set in
   to_hex h
 
-(* On a trace-artifact hit the walker never runs, so re-register the
-   counters a recording would have exported: the walker's block count is
-   the trace length and its instruction count follows from the program's
-   static block sizes ([Recorder.of_ids] already restored the trace's
-   own counters). *)
-let attach_warm_metrics reg ~prefix program recorder =
-  let n = Recorder.length recorder in
+(* The walker and trace statistics of one recording, counted from the
+   recorded trace whether it was just walked or loaded from the store:
+   the walker emits exactly the ids the recorder stores, so its block
+   count is the trace length and its instruction count the sum of the
+   recorded blocks' static sizes. *)
+let publish_trace_metrics reg ~prefix program recorder =
   let blocks = program.Stc_cfg.Program.blocks in
   let instrs = ref 0 in
   Stc_trace.Source.iter
     (Stc_trace.Source.of_recorder recorder)
     (fun bid -> instrs := !instrs + blocks.(bid).Stc_cfg.Block.size);
-  let module Reg = Stc_obs.Registry in
-  let module Counter = Stc_obs.Metric.Counter in
-  Counter.add (Reg.counter reg (prefix ^ "walker.blocks")) n;
-  Counter.add (Reg.counter reg (prefix ^ "walker.instrs")) !instrs;
-  Recorder.attach_metrics recorder reg ~prefix
+  let add name v =
+    Stc_obs.Metric.Counter.add (Stc_obs.Registry.counter reg (prefix ^ name)) v
+  in
+  let n = Recorder.length recorder in
+  add "walker.blocks" n;
+  add "walker.instrs" !instrs;
+  add "trace.blocks" n;
+  add "trace.marks" (List.length (Recorder.marks recorder))
 
 let run ?(ctx = Run.default) ?(config = default_config) () =
   let config =
@@ -122,28 +124,30 @@ let run ?(ctx = Run.default) ?(config = default_config) () =
   let record which ~prefix ~walker_seed ~dbs ~queries =
     span ("record-" ^ which) (fun () ->
         let fresh () =
-          Stc_workload.Driver.record ?metrics ~prefix
+          Stc_workload.Driver.record
             ?progress:(reporter ("record-" ^ which))
             ~kernel ~walker_seed ~dbs ~queries ()
         in
-        match store with
-        | None -> fresh ()
-        | Some st -> (
-            let key =
-              Stc_store.Key.of_parts [ "pipeline-trace"; cfg_fp; prog_fp; which ]
-            in
-            match Stc_store.Chunked.load st ~key with
-            | Some recorder ->
-                (match metrics with
-                | Some reg ->
-                    attach_warm_metrics reg ~prefix kernel.Kernel.program
-                      recorder
-                | None -> ());
-                recorder
-            | None ->
-                let recorder = fresh () in
-                Stc_store.Chunked.save st ~key recorder;
-                recorder))
+        let recorder =
+          match store with
+          | None -> fresh ()
+          | Some st -> (
+              let key =
+                Stc_store.Key.of_parts
+                  [ "pipeline-trace"; cfg_fp; prog_fp; which ]
+              in
+              match Stc_store.Chunked.load st ~key with
+              | Some recorder -> recorder
+              | None ->
+                  let recorder = fresh () in
+                  Stc_store.Chunked.save st ~key recorder;
+                  recorder)
+        in
+        (match metrics with
+        | Some reg ->
+            publish_trace_metrics reg ~prefix kernel.Kernel.program recorder
+        | None -> ());
+        recorder)
   in
   let training =
     record "training" ~prefix:"training." ~walker_seed:config.walker_seed

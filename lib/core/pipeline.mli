@@ -48,8 +48,11 @@ val config_fingerprint : config -> string
 val run : ?ctx:Run.ctx -> ?config:config -> unit -> t
 (** Build everything. With [ctx.metrics], each phase (kernel build, data
     generation, database load, trace recording, profile build) runs inside
-    a timing span, and the walker/recorder counters are registered under
-    [training.*] / [test.*]. With [ctx.progress], trace recording reports
+    a timing span, and each recording publishes four counters under
+    [training.] / [test.], counted from the recorded trace:
+    [walker.blocks] and [trace.blocks] (the trace length),
+    [walker.instrs] (the recorded blocks' instructions) and
+    [trace.marks] (one per query). With [ctx.progress], trace recording reports
     rate on stderr. With [ctx.seed], [config] is first passed through
     {!seeded}. [ctx.jobs] is not read here — the pipeline is inherently
     sequential; pass the same [ctx] on to {!Experiments.simulate}.
@@ -57,9 +60,9 @@ val run : ?ctx:Run.ctx -> ?config:config -> unit -> t
     With [ctx.store], the training and test recordings are consulted in
     the artifact store before being re-walked (as chunked entries —
     {!Stc_store.Chunked} — one manifest plus per-segment containers),
-    and saved after a fresh recording. A store hit re-registers the
-    walker/trace counters with the values a recording would have
-    produced, so cold and warm runs export identical metrics; kernel
+    and saved after a fresh recording. The four counters are published
+    from the recorder the same way on a store hit, so cold and warm runs
+    export identical metrics; kernel
     build, data generation and database loading always run (databases
     are mutable inputs to later stages, and their load cost is small
     next to trace recording). *)

@@ -161,11 +161,12 @@ let traced ctx name f =
    them, and a non-lead member's trace cache is never touched — nothing
    observes trace-cache contents.
 
-   The caches hold state only. Every statistic of a result is counted
-   here: i-cache accesses, misses and victim hits in each slot's locals
-   (plus the FDIP frontend's own demand counts), trace-cache lookups and
-   hits in the cohort's. Only evictions, which happen inside an
-   install, are read back from the i-cache.
+   The caches and predictors hold state only. Every statistic of a
+   result is counted here: i-cache accesses, misses and victim hits and
+   direction mispredictions in each slot's locals (plus the FDIP
+   frontend's own demand counts), trace-cache lookups and hits in the
+   cohort's. Only evictions, which happen inside an install, are read
+   back from the i-cache.
 
    Cohorts advance round-robin over the bank's own sliding window, each
    at most [stride_words] past the laggard, so the words being re-walked
@@ -189,6 +190,14 @@ module Bank = struct
   }
 
   let spec ?(config = Config.default) ?icache ?trace_cache ?prediction () =
+    (match icache with
+    | Some c when Icache.line_bytes c <> config.line_bytes ->
+      invalid_arg
+        (Printf.sprintf
+           "Engine.Bank.spec: i-cache line_bytes %d differs from the \
+            config's line_bytes %d"
+           (Icache.line_bytes c) config.line_bytes)
+    | Some _ | None -> ());
     { config; icache; trace_cache; prediction }
 
   (* the i-cache probe strategy is picked once per slot; an FDIP slot's
@@ -205,6 +214,7 @@ module Bank = struct
     probe : probe;
     penalty : int;
     mutable s_penalties : int;
+    mutable s_mispred : int;
     mutable s_acc : int;
     mutable s_miss : int;
     mutable s_vhit : int;
@@ -267,6 +277,7 @@ module Bank = struct
               probe;
               penalty = sp.config.miss_penalty;
               s_penalties = 0;
+              s_mispred = 0;
               s_acc = 0;
               s_miss = 0;
               s_vhit = 0;
@@ -432,8 +443,8 @@ module Bank = struct
       in
       (* per conditional branch (callers test [w_cond] first, so the
          common all-sequential block costs no call): count it once for
-         the cohort, then charge each predicting member its own
-         redirects *)
+         the cohort, then count and charge each predicting member its
+         own mispredictions *)
       let cond_block h w =
         h.ccond <- h.ccond + 1;
         let preds = h.preds in
@@ -446,7 +457,10 @@ module Bank = struct
               not
                 (Predictor.predict_and_update pred ~pc
                    ~taken:(w_taken w))
-            then s.s_penalties <- s.s_penalties + redirect_penalty
+            then begin
+              s.s_mispred <- s.s_mispred + 1;
+              s.s_penalties <- s.s_penalties + redirect_penalty
+            end
           | None -> ()
         done
       in
@@ -600,10 +614,7 @@ module Bank = struct
                      else
                        float_of_int !sum_instrs /. float_of_int !sum_taken);
                   cond_branches = h.ccond;
-                  mispredictions =
-                    (match s.sp.prediction with
-                    | Some { pred; _ } -> Predictor.mispredictions pred
-                    | None -> 0);
+                  mispredictions = s.s_mispred;
                   icache_evictions =
                     (match s.sp.icache with
                     | Some c -> Icache.evictions c

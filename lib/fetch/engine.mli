@@ -69,6 +69,8 @@ type result = {
   instrs_between_taken : float;
   cond_branches : int;
   mispredictions : int;
+      (** Mispredicted conditional-branch directions, counted by the
+          bank for this run (0 without [?prediction]). *)
   icache_evictions : int;
       (** Valid lines evicted under a non-LRU replacement policy (0 on
           the historical LRU paths; see
@@ -116,7 +118,8 @@ val run :
     accumulates the run's result into the registry's [engine.*]
     counters (totals across every run sharing the registry).
 
-    [run] is a {!Bank} of one fed by {!View.stream}. *)
+    [run] is a {!Bank} of one fed by {!View.stream}; its arguments are
+    checked as {!Bank.spec} checks them. *)
 
 val run_packed :
   ?ctx:Stc_obs.Run.ctx ->
@@ -154,22 +157,25 @@ val run_packed :
     rest step independently over the same sliding window. The bank owns
     that window, and a {!Stream} is the only way trace words enter it.
 
-    The caches count nothing (apart from
+    The caches and predictors count nothing (apart from
     {!Stc_cachesim.Icache.evictions}): the bank builds every result
     field from its own counters — each slot's i-cache accesses, misses
-    and victim hits (with its {!Fdip} frontend's demand counts), and
-    each cohort's trace-cache lookups and hits. Pass fresh caches per
-    spec all the same: the bank owns their contents for the duration of
-    the run, and what an earlier run left in them changes the outcomes.
+    and victim hits (with its {!Fdip} frontend's demand counts) and its
+    mispredictions, and each cohort's trace-cache lookups and hits.
+    Pass fresh caches and predictors per spec all the same: the bank
+    owns their contents for the duration of the run, and what an
+    earlier run left in them changes the outcomes.
     A non-lead member's trace cache is never touched — nothing observes
     trace-cache contents, and the cohort's counts are its counts. *)
 module Bank : sig
-  type spec = {
+  type spec = private {
     config : Config.t;
     icache : Stc_cachesim.Icache.t option;
     trace_cache : Tracecache.t option;
     prediction : prediction option;
   }
+  (** One slot's machine. [private], like {!Config.t}: {!spec} is the
+      only constructor. *)
 
   val spec :
     ?config:Config.t ->
@@ -178,7 +184,12 @@ module Bank : sig
     ?prediction:prediction ->
     unit ->
     spec
-  (** Same defaults as {!run_packed}'s optional arguments. *)
+  (** Same defaults as {!run_packed}'s optional arguments. The i-cache's
+      line is the engine's (a SEQ.3 cycle fetches two consecutive
+      [config.line_bytes] lines, and {!Fdip} prefetches the cache's
+      lines): raises [Invalid_argument] naming both when
+      {!Stc_cachesim.Icache.line_bytes} differs from
+      [config.line_bytes]. *)
 
   val run_packed :
     ?ctx:Stc_obs.Run.ctx ->

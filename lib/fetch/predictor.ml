@@ -6,8 +6,6 @@ type t = {
   mask : int;
   history_mask : int;
   mutable history : int;
-  mutable predictions : int;
-  mutable mispredictions : int;
 }
 
 let create kind =
@@ -27,8 +25,6 @@ let create kind =
     mask = size - 1;
     history_mask = (1 lsl hist_bits) - 1;
     history = 0;
-    predictions = 0;
-    mispredictions = 0;
   }
 
 let index t ~pc =
@@ -38,28 +34,12 @@ let index t ~pc =
   | Gshare _ -> ((pc lsr 2) lxor t.history) land t.mask
 
 let predict_and_update t ~pc ~taken =
-  t.predictions <- t.predictions + 1;
-  let correct =
-    match t.kind with
-    | Always_taken -> taken
-    | Bimodal _ | Gshare _ ->
-      let i = index t ~pc in
-      let predicted = t.table.(i) >= 2 in
-      (if taken then t.table.(i) <- min 3 (t.table.(i) + 1)
-       else t.table.(i) <- max 0 (t.table.(i) - 1));
-      t.history <- ((t.history lsl 1) lor Bool.to_int taken) land t.history_mask;
-      predicted = taken
-  in
-  if not correct then t.mispredictions <- t.mispredictions + 1;
-  correct
-
-let predictions t = t.predictions
-
-let mispredictions t = t.mispredictions
-
-let accuracy_pct t =
-  if t.predictions = 0 then 100.0
-  else
-    100.0
-    *. float_of_int (t.predictions - t.mispredictions)
-    /. float_of_int t.predictions
+  match t.kind with
+  | Always_taken -> taken
+  | Bimodal _ | Gshare _ ->
+    let i = index t ~pc in
+    let predicted = t.table.(i) >= 2 in
+    (if taken then t.table.(i) <- min 3 (t.table.(i) + 1)
+     else t.table.(i) <- max 0 (t.table.(i) - 1));
+    t.history <- ((t.history lsl 1) lor Bool.to_int taken) land t.history_mask;
+    predicted = taken

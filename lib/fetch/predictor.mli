@@ -9,7 +9,11 @@
     Prediction here is about the {e direction} (taken / not taken) of the
     branch ending a basic block under a given layout; unconditional
     transfers, calls and returns are considered always predicted (BTB +
-    return-address stack). *)
+    return-address stack).
+
+    A predictor holds its tables and history only. Mispredictions are
+    counted per slot by {!Engine.Bank} (the result's [mispredictions]),
+    and accuracy follows from the result ([Stc_core.Extensions.accuracy_pct]). *)
 
 type kind =
   | Always_taken
@@ -25,9 +29,3 @@ val create : kind -> t
 val predict_and_update : t -> pc:int -> taken:bool -> bool
 (** [predict_and_update t ~pc ~taken] returns whether the prediction was
     correct, and trains the predictor with the outcome. *)
-
-val predictions : t -> int
-
-val mispredictions : t -> int
-
-val accuracy_pct : t -> float

@@ -29,7 +29,9 @@ val params :
   cfa_bytes:int ->
   unit ->
   params
-(** Thresholds default to {!Seqbuild.default_params}. *)
+(** Thresholds default to {!Seqbuild.default_params}. The Branch
+    Threshold is a probability: raises [Invalid_argument] naming
+    [branch_threshold] unless it is in [\[0, 1\]]. *)
 
 type t = {
   name : string;  (** Display name; the [Layout.t] name and the row label. *)

@@ -6,13 +6,20 @@ type params = { seq : Seqbuild.params; cache_bytes : int; cfa_bytes : int }
 
 let params ?exec_threshold ?branch_threshold ~cache_bytes ~cfa_bytes () =
   let d = Seqbuild.default_params in
+  let branch_threshold =
+    Option.value ~default:d.Seqbuild.branch_threshold branch_threshold
+  in
+  (* a probability: above 1 no transition can meet it (NaN fails too) *)
+  if not (branch_threshold >= 0.0 && branch_threshold <= 1.0) then
+    invalid_arg
+      (Printf.sprintf "Stc.params: branch_threshold must be in [0, 1], got %g"
+         branch_threshold);
   {
     seq =
       {
         Seqbuild.exec_threshold =
           Option.value ~default:d.Seqbuild.exec_threshold exec_threshold;
-        branch_threshold =
-          Option.value ~default:d.Seqbuild.branch_threshold branch_threshold;
+        branch_threshold;
       };
     cache_bytes;
     cfa_bytes;

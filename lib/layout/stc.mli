@@ -17,7 +17,9 @@ val params :
   cfa_bytes:int ->
   unit ->
   params
-(** Thresholds default to {!Seqbuild.default_params}. *)
+(** Thresholds default to {!Seqbuild.default_params}. The Branch
+    Threshold is a probability: raises [Invalid_argument] naming
+    [branch_threshold] unless it is in [\[0, 1\]]. *)
 
 val auto_seeds : Stc_profile.Profile.t -> int list
 (** The "auto" seed selection: entry points of {e all} procedures, in

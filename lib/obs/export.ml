@@ -1,4 +1,3 @@
-module Tbl = Stc_util.Tbl
 module Stats = Stc_util.Stats
 
 (* 2: `table34.cell`/`ablation.cell` events emit `"cfa_kb":null` (not -1)
@@ -7,8 +6,6 @@ module Stats = Stc_util.Stats
    bounds, so they stay exact across shard merges); Diff treats them as
    optional, so schema-2 exports still compare clean. *)
 let schema_version = 3
-
-(* ---------- JSONL ---------- *)
 
 (* Quantile summaries over the geometric buckets: each bucket's lower
    bound stands in for its values, so the result is one of the bucket
@@ -91,159 +88,3 @@ let write_file t path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_jsonl t))
-
-(* ---------- text summary ---------- *)
-
-let fsec s =
-  if s >= 1.0 then Printf.sprintf "%.2fs" s
-  else Printf.sprintf "%.1fms" (s *. 1000.0)
-
-let add_section buf title = Buffer.add_string buf ("-- " ^ title ^ " --\n")
-
-let summary t =
-  let buf = Buffer.create 1024 in
-  let counters = Registry.counters t and gauges = Registry.gauges t in
-  if counters <> [] || gauges <> [] then begin
-    add_section buf "metrics";
-    let tbl = Tbl.create ~headers:[ ("name", Tbl.Left); ("value", Tbl.Right) ] in
-    List.iter
-      (fun (name, v) -> Tbl.add_row tbl [ name; string_of_int v ])
-      counters;
-    List.iter
-      (fun (name, v) -> Tbl.add_row tbl [ name; Printf.sprintf "%g" v ])
-      gauges;
-    Buffer.add_string buf (Tbl.render tbl);
-    Buffer.add_char buf '\n'
-  end;
-  let histos = Registry.histograms t in
-  if histos <> [] then begin
-    add_section buf "histograms";
-    let tbl =
-      Tbl.create
-        ~headers:
-          [
-            ("name", Tbl.Left);
-            ("total", Tbl.Right);
-            ("p50", Tbl.Right);
-            ("p99", Tbl.Right);
-            ("buckets", Tbl.Left);
-          ]
-    in
-    List.iter
-      (fun (name, h) ->
-        let bks = Metric.Histogram.buckets h in
-        let shape =
-          String.concat " "
-            (List.map (fun (lo, _, w) -> Printf.sprintf "%d:%d" lo w) bks)
-        in
-        let q p =
-          match bks with
-          | [] -> "-"
-          | _ ->
-            let pairs =
-              Array.of_list (List.map (fun (lo, _, w) -> (lo, w)) bks)
-            in
-            Printf.sprintf "%g" (Stats.weighted_percentile pairs p)
-        in
-        Tbl.add_row tbl
-          [ name; string_of_int (Metric.Histogram.total h); q 0.5; q 0.99; shape ])
-      histos;
-    Buffer.add_string buf (Tbl.render tbl);
-    Buffer.add_char buf '\n'
-  end;
-  let spans = Registry.spans t in
-  if spans <> [] then begin
-    add_section buf "spans";
-    let tbl =
-      Tbl.create
-        ~headers:
-          [ ("phase", Tbl.Left); ("calls", Tbl.Right); ("wall", Tbl.Right) ]
-    in
-    List.iter
-      (fun (i : Registry.Span.info) ->
-        let indent = String.make (2 * i.Registry.Span.depth) ' ' in
-        Tbl.add_row tbl
-          [
-            indent ^ Filename.basename i.Registry.Span.path;
-            string_of_int i.Registry.Span.calls;
-            fsec i.Registry.Span.seconds;
-          ])
-      spans;
-    Buffer.add_string buf (Tbl.render tbl);
-    Buffer.add_char buf '\n'
-  end;
-  let events = Registry.events t in
-  if events <> [] then begin
-    add_section buf "events";
-    (* group by kind, keeping first-seen order *)
-    let kinds = ref [] in
-    List.iter
-      (fun (kind, fields) ->
-        match List.assoc_opt kind !kinds with
-        | Some l -> l := fields :: !l
-        | None -> kinds := !kinds @ [ (kind, ref [ fields ]) ])
-      events;
-    let tbl =
-      Tbl.create
-        ~headers:
-          [
-            ("kind", Tbl.Left);
-            ("n", Tbl.Right);
-            ("field", Tbl.Left);
-            ("median", Tbl.Right);
-            ("geomean", Tbl.Right);
-          ]
-    in
-    List.iter
-      (fun (kind, cells) ->
-        let cells = List.rev !cells in
-        let n = List.length cells in
-        (* numeric fields, in the order they appear in the first cell *)
-        let field_names =
-          match cells with
-          | [] -> []
-          | first :: _ ->
-            List.filter_map
-              (fun (k, v) ->
-                match Json.to_float v with Some _ -> Some k | None -> None)
-              first
-        in
-        if field_names = [] then
-          Tbl.add_row tbl [ kind; string_of_int n; "-"; "-"; "-" ]
-        else
-          List.iteri
-            (fun i field ->
-              let vals =
-                List.filter_map
-                  (fun fields ->
-                    Option.bind (List.assoc_opt field fields) Json.to_float)
-                  cells
-              in
-              let vals = Array.of_list vals in
-              let median =
-                if Array.length vals = 0 then "-"
-                else Printf.sprintf "%.3g" (Stats.median vals)
-              in
-              let geomean =
-                if
-                  Array.length vals = 0
-                  || Array.exists (fun v -> v <= 0.0) vals
-                then "-"
-                else Printf.sprintf "%.3g" (Stats.geomean vals)
-              in
-              Tbl.add_row tbl
-                [
-                  (if i = 0 then kind else "");
-                  (if i = 0 then string_of_int n else "");
-                  field;
-                  median;
-                  geomean;
-                ])
-            field_names)
-      !kinds;
-    Buffer.add_string buf (Tbl.render tbl);
-    Buffer.add_char buf '\n'
-  end;
-  Buffer.contents buf
-
-let print_summary t = print_string (summary t)

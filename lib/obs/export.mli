@@ -1,6 +1,6 @@
-(** Serializing a finished {!Registry} — to JSONL for machine consumption
-    (the [BENCH_*.json]-style perf-trajectory artifacts, diffed by
-    [tools/metrics_diff]) and to an aligned text summary for humans.
+(** Serializing a finished {!Registry} to JSONL — the one way metrics
+    leave a run (the [BENCH_*.json]-style perf-trajectory artifacts,
+    diffed by [tools/metrics_diff]).
 
     JSONL schema, one object per line, in this order:
     - [{"type":"meta","schema":3}] — 2 made cell events use [null] (not
@@ -25,11 +25,3 @@ val to_jsonl : Registry.t -> string
 
 val write_file : Registry.t -> string -> unit
 (** [write_file t path] writes {!to_jsonl} to [path]. *)
-
-val summary : Registry.t -> string
-(** Aligned-text rendering: counters/gauges tables, histogram shapes, the
-    span tree with per-phase wall-clock, and per event kind the count plus
-    median/geomean of each numeric field ({!Stc_util.Stats.median},
-    {!Stc_util.Stats.geomean}). *)
-
-val print_summary : Registry.t -> unit

@@ -1,44 +1,35 @@
 module Counter = struct
-  type t = { name : string; mutable value : int }
+  type t = { mutable value : int }
 
-  let make name = { name; value = 0 }
+  let make () = { value = 0 }
 
   let incr c = c.value <- c.value + 1
 
   let add c n = c.value <- c.value + n
 
   let value c = c.value
-
-  let reset c = c.value <- 0
-
-  let name c = c.name
 end
 
 module Gauge = struct
-  type t = { name : string; mutable value : float }
+  type t = { mutable value : float }
 
-  let make name = { name; value = 0.0 }
+  let make () = { value = 0.0 }
 
   let set g v = g.value <- v
 
   let value g = g.value
-
-  let name g = g.name
 end
 
 module Histogram = struct
-  type t = { name : string; histo : Stc_util.Histo.t }
+  type t = Stc_util.Histo.t
 
-  let make ?max_value name =
-    { name; histo = Stc_util.Histo.create ?max_value () }
+  let make ?max_value () = Stc_util.Histo.create ?max_value ()
 
-  let add h ?weight v = Stc_util.Histo.add h.histo ?weight v
+  let add = Stc_util.Histo.add
 
-  let total h = Stc_util.Histo.total h.histo
+  let total = Stc_util.Histo.total
 
-  let mass_below h v = Stc_util.Histo.mass_below h.histo v
+  let mass_below = Stc_util.Histo.mass_below
 
-  let buckets h = Stc_util.Histo.buckets h.histo
-
-  let name h = h.name
+  let buckets = Stc_util.Histo.buckets
 end

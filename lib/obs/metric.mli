@@ -1,48 +1,44 @@
-(** Metric handles: named counters, gauges, and log2-bucketed histograms.
+(** Metric handles: counters, gauges, and log2-bucketed histograms.
 
-    A handle is a free-standing mutable cell, cheap enough to sit on the
-    simulator's innermost loops: updating one is a single unboxed field
-    write, with no allocation and no table lookup. Modules own their
-    handles directly (pre-interned at construction time) and optionally
-    attach them to a {!Registry} for export. *)
+    A handle is a free-standing mutable cell with no name: updating one
+    is a single field write, with no allocation and no table lookup. A
+    handle enters a {!Registry} only by name ({!Registry.counter},
+    {!Registry.gauge}, {!Registry.histogram}), which interns it there;
+    [make] gives a handle that no registry exports (a module that counts
+    whether or not a run collects metrics). Statistics are counted where
+    a result is built, not inside the simulated structures: the caches,
+    the trace walker, the recorder and the predictors hold state only. *)
 
 module Counter : sig
   type t
 
-  val make : string -> t
-  (** A fresh counter starting at 0. The name is the default export name
-      (a registry may prefix it, see {!Registry.attach_counter}). *)
+  val make : unit -> t
+  (** A fresh counter starting at 0. *)
 
   val incr : t -> unit
 
   val add : t -> int -> unit
 
   val value : t -> int
-
-  val reset : t -> unit
-
-  val name : t -> string
 end
 
 module Gauge : sig
   type t
 
-  val make : string -> t
+  val make : unit -> t
   (** A fresh gauge starting at 0. *)
 
   val set : t -> float -> unit
 
   val value : t -> float
-
-  val name : t -> string
 end
 
 module Histogram : sig
   type t
-  (** A named wrapper over {!Stc_util.Histo}: geometric buckets
-      [[0,1) [1,2) [2,4) ...], weighted adds. *)
+  (** A {!Stc_util.Histo}: geometric buckets [[0,1) [1,2) [2,4) ...],
+      weighted adds. *)
 
-  val make : ?max_value:int -> string -> t
+  val make : ?max_value:int -> unit -> t
 
   val add : t -> ?weight:int -> int -> unit
 
@@ -53,6 +49,4 @@ module Histogram : sig
   val buckets : t -> (int * int * int) list
   (** Non-empty [(lo, hi, weight)] buckets, ascending; see
       {!Stc_util.Histo.buckets}. *)
-
-  val name : t -> string
 end

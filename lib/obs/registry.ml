@@ -31,11 +31,6 @@ let create ?(clock = Unix.gettimeofday) () =
 
 (* ---------- metrics ---------- *)
 
-let register t name entry =
-  if Hashtbl.mem t.index name then
-    invalid_arg (Printf.sprintf "Stc_obs.Registry: duplicate metric %S" name);
-  Hashtbl.replace t.index name entry
-
 let counter t name =
   match Hashtbl.find_opt t.index name with
   | Some (Counter c) -> c
@@ -43,7 +38,7 @@ let counter t name =
     invalid_arg
       (Printf.sprintf "Stc_obs.Registry: %S is not a counter" name)
   | None ->
-    let c = Metric.Counter.make name in
+    let c = Metric.Counter.make () in
     Hashtbl.replace t.index name (Counter c);
     c
 
@@ -53,7 +48,7 @@ let gauge t name =
   | Some _ ->
     invalid_arg (Printf.sprintf "Stc_obs.Registry: %S is not a gauge" name)
   | None ->
-    let g = Metric.Gauge.make name in
+    let g = Metric.Gauge.make () in
     Hashtbl.replace t.index name (Gauge g);
     g
 
@@ -64,18 +59,9 @@ let histogram ?max_value t name =
     invalid_arg
       (Printf.sprintf "Stc_obs.Registry: %S is not a histogram" name)
   | None ->
-    let h = Metric.Histogram.make ?max_value name in
+    let h = Metric.Histogram.make ?max_value () in
     Hashtbl.replace t.index name (Histogram h);
     h
-
-let attach_counter ?(prefix = "") t c =
-  register t (prefix ^ Metric.Counter.name c) (Counter c)
-
-let attach_gauge ?(prefix = "") t g =
-  register t (prefix ^ Metric.Gauge.name g) (Gauge g)
-
-let attach_histogram ?(prefix = "") t h =
-  register t (prefix ^ Metric.Histogram.name h) (Histogram h)
 
 (* ---------- spans ---------- *)
 
@@ -131,7 +117,7 @@ let merge ~into src =
               (Printf.sprintf "Stc_obs.Registry.merge: %S is not a counter"
                  name)
           | None ->
-            let d = Metric.Counter.make name in
+            let d = Metric.Counter.make () in
             Hashtbl.replace into.index name (Counter d);
             d
         in
@@ -144,7 +130,7 @@ let merge ~into src =
             invalid_arg
               (Printf.sprintf "Stc_obs.Registry.merge: %S is not a gauge" name)
           | None ->
-            let d = Metric.Gauge.make name in
+            let d = Metric.Gauge.make () in
             Hashtbl.replace into.index name (Gauge d);
             d
         in
@@ -158,7 +144,7 @@ let merge ~into src =
               (Printf.sprintf "Stc_obs.Registry.merge: %S is not a histogram"
                  name)
           | None ->
-            let d = Metric.Histogram.make name in
+            let d = Metric.Histogram.make () in
             Hashtbl.replace into.index name (Histogram d);
             d
         in

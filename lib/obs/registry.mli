@@ -3,16 +3,18 @@
 
     A registry holds
     - named metric handles ({!Metric.Counter}, {!Metric.Gauge},
-      {!Metric.Histogram}), either interned here ({!counter} etc.) or
-      created by a module and attached under a prefix ({!attach_counter});
+      {!Metric.Histogram}), interned here by name ({!counter},
+      {!gauge}, {!histogram}) — the one way a metric enters a
+      registry;
     - a tree of hierarchical timing {e spans} ({!span}) accumulating
       wall-clock seconds and call counts per phase;
     - an ordered log of structured {e events} ({!event}) — one record per
       experiment cell, exported verbatim to JSONL.
 
-    All names are flat strings; dotted segments ([icache.misses],
-    [training.walker.blocks]) are a convention, not a structure. Metric
-    names must be unique within a registry.
+    All names are flat strings; dotted segments ([engine.icache_misses],
+    [training.walker.blocks]) are a convention, not a structure. A name
+    belongs to one metric kind within a registry. The one way out is
+    {!Export.to_jsonl}.
 
     A registry reaches entry points inside a {!Run.ctx}
     ([Run.with_metrics reg Run.default]). A registry is not
@@ -38,14 +40,6 @@ val counter : t -> string -> Metric.Counter.t
 val gauge : t -> string -> Metric.Gauge.t
 
 val histogram : ?max_value:int -> t -> string -> Metric.Histogram.t
-
-val attach_counter : ?prefix:string -> t -> Metric.Counter.t -> unit
-(** Register an existing handle for export under [prefix ^ name].
-    Raises [Invalid_argument] on a duplicate export name. *)
-
-val attach_gauge : ?prefix:string -> t -> Metric.Gauge.t -> unit
-
-val attach_histogram : ?prefix:string -> t -> Metric.Histogram.t -> unit
 
 (** {2 Spans} *)
 

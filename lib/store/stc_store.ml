@@ -161,12 +161,12 @@ let open_ ?metrics ?trace dirname =
   let c name =
     match metrics with
     | Some reg -> Registry.counter reg ("store." ^ name)
-    | None -> Counter.make ("store." ^ name)
+    | None -> Counter.make ()
   in
   let h name =
     match metrics with
     | Some reg -> Registry.histogram reg ("store." ^ name)
-    | None -> Histogram.make ("store." ^ name)
+    | None -> Histogram.make ()
   in
   let tr_hit, tr_miss, tr_write =
     match trace with

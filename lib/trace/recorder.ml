@@ -1,5 +1,3 @@
-module Counter = Stc_obs.Metric.Counter
-
 (* The trace lives in fixed-size off-heap chunks: chunk [c] holds global
    indices [c * chunk_blocks, (c + 1) * chunk_blocks).  Recording only
    appends, so every position below [len] is final, and a segment inside
@@ -15,18 +13,9 @@ type t = {
   mutable chunks : Segment.ids array; (* every one [chunk_blocks] long *)
   mutable len : int;
   mutable marks_rev : (string * int) list;
-  blocks : Counter.t;
-  n_marks : Counter.t;
 }
 
-let create () =
-  {
-    chunks = [||];
-    len = 0;
-    marks_rev = [];
-    blocks = Counter.make "blocks";
-    n_marks = Counter.make "marks";
-  }
+let create () = { chunks = [||]; len = 0; marks_rev = [] }
 
 (* Install [chunk] as chunk number [c], growing the chunk table.  The
    table holds a whole-chunk view rather than the chunk itself: taking
@@ -45,7 +34,7 @@ let set_chunk t c chunk =
   end;
   t.chunks.(c) <- chunk
 
-let push t bid =
+let sink t bid =
   let len = t.len in
   if len land chunk_mask = 0 then
     set_chunk t (len lsr chunk_bits) (Segment.alloc chunk_blocks);
@@ -54,19 +43,9 @@ let push t bid =
     (len land chunk_mask) bid;
   t.len <- len + 1
 
-let sink t bid =
-  Counter.incr t.blocks;
-  push t bid
-
-let mark t name =
-  Counter.incr t.n_marks;
-  t.marks_rev <- (name, t.len) :: t.marks_rev
+let mark t name = t.marks_rev <- (name, t.len) :: t.marks_rev
 
 let length t = t.len
-
-let attach_metrics t reg ~prefix =
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "trace.") reg t.blocks;
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "trace.") reg t.n_marks
 
 let marks t = List.rev t.marks_rev
 
@@ -108,18 +87,11 @@ let hash t =
   done;
   !h
 
-(* A reconstituted recorder's counters read exactly as if every id had
-   been sunk and every mark marked. *)
-let restore t ~marks =
-  t.marks_rev <- List.rev marks;
-  Counter.add t.blocks t.len;
-  Counter.add t.n_marks (List.length marks);
-  t
-
 let of_ids ids ~marks =
   let t = create () in
-  Array.iter (push t) ids;
-  restore t ~marks
+  Array.iter (sink t) ids;
+  t.marks_rev <- List.rev marks;
+  t
 
 let of_segments segs ~marks =
   let t = create () in
@@ -133,7 +105,8 @@ let of_segments segs ~marks =
       end
       else
         for i = 0 to n - 1 do
-          push t (Segment.unsafe_get s i)
+          sink t (Segment.unsafe_get s i)
         done)
     segs;
-  restore t ~marks
+  t.marks_rev <- List.rev marks;
+  t

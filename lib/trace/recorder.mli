@@ -9,7 +9,12 @@
     Ids are stored in fixed {!chunk_blocks}-long off-heap chunks.
     Recording only appends, so a recorded position is never rewritten:
     the chunks below {!length} are immutable, and a segment that lies
-    inside one chunk is a view of it rather than a copy. *)
+    inside one chunk is a view of it rather than a copy.
+
+    A recorder holds ids and marks only; it counts nothing. The trace's
+    statistics ([{training,test}.trace.blocks]/[.marks]) are {!length}
+    and the length of {!marks}, published from the finished recording
+    by [Stc_core.Pipeline.run]. *)
 
 type t
 
@@ -21,17 +26,14 @@ val chunk_blocks : int
 val create : unit -> t
 
 val sink : t -> int -> unit
-(** The function to install as the walker's sink. *)
+(** Append one block id: the function to install as the walker's
+    sink. *)
 
 val mark : t -> string -> unit
 (** Record a named position (e.g. a query boundary) at the current length. *)
 
 val length : t -> int
 (** Number of recorded block ids. *)
-
-val attach_metrics : t -> Stc_obs.Registry.t -> prefix:string -> unit
-(** Register the recorded-blocks/marks counters with a metrics registry
-    under [prefix ^ "trace."]. *)
 
 val marks : t -> (string * int) list
 (** Marks in recording order with their positions. *)
@@ -54,10 +56,8 @@ val hash : t -> int64
 
 val of_ids : int array -> marks:(string * int) list -> t
 (** Reconstitute a recorder from previously captured contents (the
-    artifact store's deserialization path): the recorded-blocks counter
-    is set to the array length and the marks counter to the list length,
-    exactly as if every id had been {!sink}ed and every mark {!mark}ed,
-    so {!attach_metrics} exports the same values either way. *)
+    artifact store's deserialization path): the result equals one that
+    had every id {!sink}ed and every mark {!mark}ed. *)
 
 val of_segments : Segment.t list -> marks:(string * int) list -> t
 (** {!of_ids} over the concatenation of [segs] (their bases are

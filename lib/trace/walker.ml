@@ -1,5 +1,4 @@
 module Program = Stc_cfg.Program
-module Counter = Stc_obs.Metric.Counter
 
 exception Desync of string
 
@@ -8,13 +7,10 @@ type frame = { code : Bytecode.t; mutable pc : int }
 type t = {
   program : Program.t;
   code : Bytecode.t option array;
-  sizes : int array; (* block id -> instruction count *)
   names : (string, int) Hashtbl.t;
   rng : Stc_util.Rng.t;
   mutable sink : int -> unit;
   mutable stack : frame list;
-  n_blocks : Counter.t;
-  n_instrs : Counter.t;
 }
 
 let create ~program ~code ~seed ~sink =
@@ -25,24 +21,13 @@ let create ~program ~code ~seed ~sink =
   {
     program;
     code;
-    sizes = Array.map (fun b -> b.Stc_cfg.Block.size) program.Program.blocks;
     names;
     rng = Stc_util.Rng.create seed;
     sink;
     stack = [];
-    n_blocks = Counter.make "blocks";
-    n_instrs = Counter.make "instrs";
   }
 
 let set_sink t sink = t.sink <- sink
-
-let blocks_emitted t = Counter.value t.n_blocks
-
-let instrs_emitted t = Counter.value t.n_instrs
-
-let attach_metrics t reg ~prefix =
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "walker.") reg t.n_blocks;
-  Stc_obs.Registry.attach_counter ~prefix:(prefix ^ "walker.") reg t.n_instrs
 
 let pid_of_name t name = Hashtbl.find t.names name
 
@@ -62,11 +47,6 @@ let desync t fmt =
       in
       raise (Desync (s ^ " " ^ ctx)))
     fmt
-
-let emit t bid =
-  Counter.incr t.n_blocks;
-  Counter.add t.n_instrs (Array.unsafe_get t.sizes bid);
-  t.sink bid
 
 let code_of t pid =
   match t.code.(pid) with
@@ -91,7 +71,7 @@ let rec auto_walk t ~depth ~fuel pid =
     decr fuel;
     match ops.(!pc) with
     | Bytecode.Emit bid ->
-      emit t bid;
+      t.sink bid;
       incr pc
     | Bytecode.Goto { target } -> pc := target
     | Bytecode.Auto_call callee ->
@@ -124,7 +104,7 @@ let rec advance t =
     let ops = frame.code.Bytecode.ops in
     (match ops.(frame.pc) with
     | Bytecode.Emit bid ->
-      emit t bid;
+      t.sink bid;
       frame.pc <- frame.pc + 1;
       advance t
     | Bytecode.Goto { target } ->

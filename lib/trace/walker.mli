@@ -4,7 +4,12 @@
     sampling their per-site probabilities.
 
     This plays the role the paper's binary instrumentation played: the
-    output is the exact sequence of basic-block ids executed. *)
+    output is the exact sequence of basic-block ids executed.
+
+    A walker holds its activation stack and sampling state only; it
+    counts nothing. Every id it emits goes to the sink, so the
+    [{training,test}.walker.blocks]/[.instrs] statistics are counted
+    from the recorded trace by [Stc_core.Pipeline.run]. *)
 
 exception Desync of string
 (** Raised when the event stream does not match the skeleton (an
@@ -25,14 +30,6 @@ val create :
     Every executed block id is passed to [sink]. *)
 
 val set_sink : t -> (int -> unit) -> unit
-
-val blocks_emitted : t -> int
-
-val instrs_emitted : t -> int
-
-val attach_metrics : t -> Stc_obs.Registry.t -> prefix:string -> unit
-(** Register the emitted-blocks/instructions counters with a metrics
-    registry under [prefix ^ "walker."]. *)
 
 val pid_of_name : t -> string -> int
 (** Procedure id by name. Raises [Not_found]. *)

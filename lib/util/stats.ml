@@ -1,38 +1,3 @@
-let mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
-
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else
-    let m = mean xs in
-    let var =
-      Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-      /. float_of_int n
-    in
-    sqrt var
-
-let percentile xs p =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.percentile: empty array";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let pos = p *. float_of_int (n - 1) in
-  let lo = int_of_float (floor pos) and hi = int_of_float (ceil pos) in
-  let frac = pos -. floor pos in
-  (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-
-let median xs = percentile xs 0.5
-
-let geomean xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.geomean: empty array";
-  Array.iter
-    (fun x -> if x <= 0.0 then invalid_arg "Stats.geomean: nonpositive value")
-    xs;
-  exp (Array.fold_left (fun acc x -> acc +. log x) 0.0 xs /. float_of_int n)
-
 let sorted_desc counts =
   let sorted = Array.copy counts in
   Array.sort (fun a b -> compare b a) sorted;

@@ -1,25 +1,5 @@
-(** Small statistics helpers shared by the profiler and the experiment
-    harness. *)
-
-val mean : float array -> float
-(** Arithmetic mean; 0 on the empty array. *)
-
-val stddev : float array -> float
-(** Population standard deviation; 0 on arrays shorter than 2. *)
-
-val percentile : float array -> float -> float
-(** [percentile xs p] with [p] in [\[0,1\]]: linear-interpolation percentile
-    of an array that is {e not} required to be sorted (a sorted copy is
-    taken). Raises [Invalid_argument] on the empty array. *)
-
-val median : float array -> float
-(** [median xs] is [percentile xs 0.5]. Raises [Invalid_argument] on the
-    empty array. *)
-
-val geomean : float array -> float
-(** Geometric mean of a strictly positive sample (the natural mean for
-    ratios such as fetch bandwidth). Raises [Invalid_argument] on the
-    empty array or on any nonpositive element. *)
+(** Small statistics helpers: the profiler's popularity curve and the
+    metrics export's histogram quantiles. *)
 
 val cumulative_share : int array -> float array
 (** [cumulative_share counts] sorts [counts] descending and returns the

@@ -1,5 +1,4 @@
 module Kernel = Stc_synth.Kernel
-module Walker = Stc_trace.Walker
 module Probe = Stc_trace.Probe
 module Recorder = Stc_trace.Recorder
 
@@ -23,8 +22,7 @@ let run_traced ~kernel ~walker ?(on_boundary = fun _ -> ()) jobs =
       ignore (Stc_db.Exec.run job.db plan))
     jobs
 
-let record ?metrics ?(prefix = "") ?progress ~kernel ~walker_seed ~dbs
-    ~queries () =
+let record ?progress ~kernel ~walker_seed ~dbs ~queries () =
   (* start from a cold, reproducible buffer pool *)
   List.iter (fun (_, db) -> Stc_db.Bufmgr.reset (Stc_db.Database.bufmgr db)) dbs;
   let recorder = Recorder.create () in
@@ -37,11 +35,6 @@ let record ?metrics ?(prefix = "") ?progress ~kernel ~walker_seed ~dbs
         Stc_obs.Progress.step p
   in
   let walker = Kernel.make_walker kernel ~seed:walker_seed ~sink in
-  (match metrics with
-  | Some reg ->
-    Walker.attach_metrics walker reg ~prefix;
-    Recorder.attach_metrics recorder reg ~prefix
-  | None -> ());
   run_traced ~kernel ~walker
     ~on_boundary:(fun j -> Recorder.mark recorder (job_name j))
     (jobs ~dbs ~queries);

@@ -20,8 +20,6 @@ val run_traced :
     marks and reset profile adjacency). *)
 
 val record :
-  ?metrics:Stc_obs.Registry.t ->
-  ?prefix:string ->
   ?progress:Stc_obs.Progress.t ->
   kernel:Stc_synth.Kernel.t ->
   walker_seed:int64 ->
@@ -31,10 +29,9 @@ val record :
   Stc_trace.Recorder.t
 (** Convenience: record the whole block trace of a query set, with one
     mark per job named ["<db>/Q<n>"]. Buffer pools are reset first, so the
-    same inputs always produce the same trace. With [?metrics], the
-    walker's and recorder's counters are registered under
-    [prefix ^ "walker."] / [prefix ^ "trace."]; with [?progress], the
+    same inputs always produce the same trace. With [?progress], the
     reporter is stepped once per recorded block and finished at the
-    end. *)
+    end. Nothing here counts: a run's walker and trace statistics are
+    counted from the returned recorder ([Stc_core.Pipeline.run]). *)
 
 val job_name : job -> string

@@ -22,4 +22,5 @@ let () =
       ("extensions", Test_extensions.suite);
       ("check", Test_check.suite);
       ("prefetch", Test_prefetch.suite);
+      ("cli", Test_cli.suite);
     ]

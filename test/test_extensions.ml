@@ -116,28 +116,34 @@ let test_oltp_report () =
 
 (* ---------- predictor ---------- *)
 
-let test_predictor_learns_bias () =
-  let p = Stc_fetch.Predictor.create (Stc_fetch.Predictor.Bimodal 64) in
-  for _ = 1 to 100 do
-    ignore (Stc_fetch.Predictor.predict_and_update p ~pc:64 ~taken:true)
+(* Percentage of [n] outcomes [taken i] (i = 1..n) at one branch that a
+   fresh predictor of [kind] gets right. *)
+let accuracy_over kind ~pc ~n taken =
+  let p = Stc_fetch.Predictor.create kind in
+  let correct = ref 0 in
+  for i = 1 to n do
+    if Stc_fetch.Predictor.predict_and_update p ~pc ~taken:(taken i) then
+      incr correct
   done;
+  100.0 *. float_of_int !correct /. float_of_int n
+
+let test_predictor_learns_bias () =
   Alcotest.(check bool) "high accuracy on a fixed branch" true
-    (Stc_fetch.Predictor.accuracy_pct p > 95.0)
+    (accuracy_over (Stc_fetch.Predictor.Bimodal 64) ~pc:64 ~n:100 (fun _ ->
+         true)
+    > 95.0)
 
 let test_predictor_alternating_gshare () =
   (* gshare learns an alternating pattern through its history *)
-  let g = Stc_fetch.Predictor.create (Stc_fetch.Predictor.Gshare (1024, 4)) in
-  for i = 1 to 2000 do
-    ignore (Stc_fetch.Predictor.predict_and_update g ~pc:128 ~taken:(i mod 2 = 0))
-  done;
+  let alternating i = i mod 2 = 0 in
   Alcotest.(check bool) "gshare learns alternation" true
-    (Stc_fetch.Predictor.accuracy_pct g > 90.0);
-  let b = Stc_fetch.Predictor.create (Stc_fetch.Predictor.Bimodal 1024) in
-  for i = 1 to 2000 do
-    ignore (Stc_fetch.Predictor.predict_and_update b ~pc:128 ~taken:(i mod 2 = 0))
-  done;
+    (accuracy_over (Stc_fetch.Predictor.Gshare (1024, 4)) ~pc:128 ~n:2000
+       alternating
+    > 90.0);
   Alcotest.(check bool) "bimodal cannot" true
-    (Stc_fetch.Predictor.accuracy_pct b < 60.0)
+    (accuracy_over (Stc_fetch.Predictor.Bimodal 1024) ~pc:128 ~n:2000
+       alternating
+    < 60.0)
 
 let test_prediction_penalty_reduces_ipc () =
   let pl = Lazy.force pl in
@@ -155,23 +161,48 @@ let test_prediction_penalty_reduces_ipc () =
     rows
 
 (* The accuracy a prediction row reports is derived from the engine
-   result, which a store can hold; it must be exactly what the run's own
-   fresh predictor says. *)
+   result, which a store can hold; it must be exactly the share of the
+   view's conditional branches that a fresh predictor of the same kind
+   gets right when walked over them in trace order. *)
 let test_accuracy_from_result () =
   let pl = Lazy.force pl in
   let layout = L.Original.layout pl.Pipeline.program in
+  let view () =
+    Stc_fetch.View.create pl.Pipeline.program layout (Pipeline.test_source pl)
+  in
   List.iter
     (fun kind ->
-      let pred = Stc_fetch.Predictor.create kind in
       let r =
         Stc_fetch.Engine.run
           ~icache:(Stc_cachesim.Icache.create ~size_bytes:16384 ())
-          ~prediction:{ Stc_fetch.Engine.pred; redirect_penalty = 3 }
-          (Stc_fetch.View.create pl.Pipeline.program layout
-             (Pipeline.test_source pl))
+          ~prediction:
+            {
+              Stc_fetch.Engine.pred = Stc_fetch.Predictor.create kind;
+              redirect_penalty = 3;
+            }
+          (view ())
       in
+      let v = view () in
+      let pred = Stc_fetch.Predictor.create kind in
+      let conds = ref 0 and correct = ref 0 in
+      for i = 0 to Stc_fetch.View.length v - 1 do
+        if Stc_fetch.View.is_cond v i then begin
+          incr conds;
+          let pc =
+            Stc_fetch.View.block_addr v i
+            + ((Stc_fetch.View.block_size v i - 1) * Stc_cfg.Block.instr_bytes)
+          in
+          if
+            Stc_fetch.Predictor.predict_and_update pred ~pc
+              ~taken:(Stc_fetch.View.taken v i)
+          then incr correct
+        end
+      done;
+      Alcotest.(check int) "conditional branches" !conds
+        r.Stc_fetch.Engine.cond_branches;
       Alcotest.(check (float 0.0))
-        "accuracy from result" (Stc_fetch.Predictor.accuracy_pct pred)
+        "accuracy from result"
+        (100.0 *. float_of_int !correct /. float_of_int !conds)
         (E.accuracy_pct r))
     Stc_fetch.Predictor.
       [ Always_taken; Bimodal 2048; Gshare (4096, 8) ]

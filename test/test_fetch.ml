@@ -335,12 +335,32 @@ let test_constructor_validation () =
   Alcotest.(check int) "width 1" 1 (F.Tracecache.width tc);
   ignore (F.Predictor.create (F.Predictor.Gshare (16, 0)))
 
+(* The i-cache's line is the engine's: a 64-byte-line config over a
+   32-byte-line cache would fetch lines 2k and 2k+2 of the cache and skip
+   2k+1, so the spec is rejected, naming both sizes. *)
+let test_spec_line_validation () =
+  let config = F.Engine.Config.make ~line_bytes:64 () in
+  let icache line_bytes =
+    Stc_cachesim.Icache.create ?line_bytes ~size_bytes:1024 ()
+  in
+  Alcotest.check_raises "foreign line"
+    (Invalid_argument
+       "Engine.Bank.spec: i-cache line_bytes 32 differs from the config's \
+        line_bytes 64")
+    (fun () -> ignore (F.Engine.Bank.spec ~config ~icache:(icache None) ()));
+  let sp = F.Engine.Bank.spec ~config ~icache:(icache (Some 64)) () in
+  Alcotest.(check int) "same line accepted" 64
+    sp.F.Engine.Bank.config.F.Engine.Config.line_bytes;
+  ignore (F.Engine.Bank.spec ~config ())
+
 let suite =
   [
     Alcotest.test_case "ideal single window" `Quick test_ideal_single_window;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "constructor validation" `Quick
       test_constructor_validation;
+    Alcotest.test_case "bank spec line validation" `Quick
+      test_spec_line_validation;
     Alcotest.test_case "taken branch splits fetch" `Quick
       test_taken_branch_splits_fetch;
     Alcotest.test_case "3-branch limit" `Quick test_branch_limit;

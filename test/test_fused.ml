@@ -75,13 +75,14 @@ let random_spec st =
     | 0 -> None
     | 1 ->
       Some
-        (Stc_cachesim.Icache.create
+        (Stc_cachesim.Icache.create ~line_bytes
            ~size_bytes:(1024 lsl Random.State.int st 3)
            ())
-    | 2 -> Some (Stc_cachesim.Icache.create ~assoc:2 ~size_bytes:2048 ())
+    | 2 ->
+      Some (Stc_cachesim.Icache.create ~assoc:2 ~line_bytes ~size_bytes:2048 ())
     | _ ->
       Some
-        (Stc_cachesim.Icache.create
+        (Stc_cachesim.Icache.create ~line_bytes
            ~victim_lines:(1 + Random.State.int st 8)
            ~size_bytes:1024 ())
   in

@@ -68,12 +68,6 @@ let test_vec_iter_fold () =
   Vec.clear v;
   Alcotest.(check int) "cleared" 0 (Vec.length v)
 
-let test_stats_percentile () =
-  let xs = Array.init 101 float_of_int in
-  check_float "median" 50.0 (Stats.percentile xs 0.5);
-  check_float "p0" 0.0 (Stats.percentile xs 0.0);
-  check_float "p100" 100.0 (Stats.percentile xs 1.0)
-
 let test_stats_cumulative () =
   let counts = [| 50; 30; 15; 5 |] in
   let shares = Stats.cumulative_share counts in
@@ -82,18 +76,6 @@ let test_stats_cumulative () =
   check_float "all" 1.0 shares.(3);
   Alcotest.(check int) "items for 80%" 2 (Stats.items_for_share counts 0.8);
   Alcotest.(check int) "items for 81%" 3 (Stats.items_for_share counts 0.81)
-
-let test_stats_median_geomean () =
-  check_float "median odd" 2.0 (Stats.median [| 3.0; 1.0; 2.0 |]);
-  check_float "median even" 2.5 (Stats.median [| 4.0; 1.0; 3.0; 2.0 |]);
-  check_float "geomean" 4.0 (Stats.geomean [| 2.0; 8.0 |]);
-  check_float "geomean singleton" 7.0 (Stats.geomean [| 7.0 |]);
-  Alcotest.check_raises "median rejects empty"
-    (Invalid_argument "Stats.percentile: empty array") (fun () ->
-      ignore (Stats.median [||]));
-  Alcotest.check_raises "geomean rejects nonpositive"
-    (Invalid_argument "Stats.geomean: nonpositive value") (fun () ->
-      ignore (Stats.geomean [| 1.0; 0.0 |]))
 
 let test_histo () =
   let h = Histo.create () in
@@ -134,22 +116,6 @@ let qcheck_tests =
       (fun (counts, (s1, s2)) ->
         let lo = min s1 s2 and hi = max s1 s2 in
         Stats.items_for_share counts lo <= Stats.items_for_share counts hi);
-    QCheck.Test.make ~name:"median = percentile 0.5" ~count:200
-      QCheck.(array_of_size Gen.(int_range 1 40) (float_range (-1000.0) 1000.0))
-      (fun xs ->
-        abs_float (Stats.median xs -. Stats.percentile xs 0.5) <= 1e-9);
-    QCheck.Test.make ~name:"median within sample range" ~count:200
-      QCheck.(array_of_size Gen.(int_range 1 40) (float_range (-1000.0) 1000.0))
-      (fun xs ->
-        let m = Stats.median xs in
-        Array.exists (fun x -> x <= m) xs && Array.exists (fun x -> x >= m) xs);
-    QCheck.Test.make ~name:"geomean <= mean (AM-GM)" ~count:200
-      QCheck.(array_of_size Gen.(int_range 1 40) (float_range 0.001 1000.0))
-      (fun xs -> Stats.geomean xs <= Stats.mean xs +. 1e-6);
-    QCheck.Test.make ~name:"geomean of constant array" ~count:200
-      QCheck.(pair (int_range 1 30) (float_range 0.001 1000.0))
-      (fun (n, v) ->
-        abs_float (Stats.geomean (Array.make n v) -. v) <= 1e-6 *. v);
     QCheck.Test.make ~name:"histo mass_below monotone" ~count:200
       QCheck.(pair (list (int_range 0 100000)) (pair (int_range 0 200000) (int_range 0 200000)))
       (fun (vs, (a, b)) ->
@@ -210,9 +176,7 @@ let suite =
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "vec push/get" `Quick test_vec_push_get;
     Alcotest.test_case "vec iter/fold" `Quick test_vec_iter_fold;
-    Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats cumulative" `Quick test_stats_cumulative;
-    Alcotest.test_case "stats median/geomean" `Quick test_stats_median_geomean;
     Alcotest.test_case "histo" `Quick test_histo;
     Alcotest.test_case "bits" `Quick test_bits;
     Alcotest.test_case "tbl render" `Quick test_tbl_render;
