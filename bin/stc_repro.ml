@@ -150,16 +150,18 @@ let check_out_path what = function
     try close_out (open_out path)
     with Sys_error e -> fail "cannot write %s file: %s" what e)
 
-(* A --store path must be a directory or creatable as one. *)
+(* A --store path must be a directory or creatable as one. [open_]
+   creates it when it can and never raises (a library run goes on with
+   a broken cache), so the CLI looks at what is there afterwards. *)
 let check_store_dir = function
   | None -> ()
   | Some dir -> (
-    match Stc_store.open_ dir with
+    ignore (Stc_store.open_ dir);
+    match (Unix.stat dir).Unix.st_kind with
+    | Unix.S_DIR -> ()
+    | _ -> fail "cannot use store directory %s: not a directory" dir
     | exception Unix.Unix_error (e, _, _) ->
-      fail "cannot use store directory %s: %s" dir (Unix.error_message e)
-    | _ ->
-      if not (Sys.is_directory dir) then
-        fail "cannot use store directory %s: not a directory" dir)
+      fail "cannot use store directory %s: %s" dir (Unix.error_message e))
 
 (* The tracer exists only when --trace was given: with None in the ctx
    every instrumentation site is a single branch and the run is

@@ -111,7 +111,8 @@ let () =
       ~cfa_bytes:256 ()
   in
   (* every placement algorithm comes out of the registry — a new one
-     registered in Stc_layout.Algo would appear here by name too *)
+     added to Stc_layout.Algo's built-in list would appear here by name
+     too *)
   let algo name =
     match L.Algo.find name with Ok a -> a | Error msg -> failwith msg
   in

@@ -5,7 +5,3 @@ let instr_bytes = 4
 let byte_size b = b.size * instr_bytes
 
 let kind b = Terminator.kind b.term
-
-let pp ppf b =
-  Format.fprintf ppf "b%d(p%d, %d instrs, %a)" b.id b.proc b.size
-    Terminator.pp b.term

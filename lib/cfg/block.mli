@@ -16,5 +16,3 @@ val byte_size : t -> int
 (** [size * instr_bytes]. *)
 
 val kind : t -> Terminator.kind
-
-val pp : Format.formatter -> t -> unit

@@ -87,8 +87,6 @@ let finish_proc t ~pid ~entry ~blocks =
     blocks;
   p.body <- Some (entry, blocks)
 
-let is_finished t ~pid = t.procs.(pid).body <> None
-
 let build t =
   let procs =
     Array.init t.n_procs (fun pid ->

@@ -30,8 +30,6 @@ val finish_proc : t -> pid:int -> entry:int -> blocks:int array -> unit
 (** Define the body of a declared procedure. [blocks.(0)] must be [entry]
     and all blocks must have been allocated for [pid]. *)
 
-val is_finished : t -> pid:int -> bool
-
 val build : t -> Program.t
 (** Assemble and validate the program. Raises [Failure] with the validation
     message if the construction is inconsistent or a declared procedure was

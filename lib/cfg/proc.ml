@@ -25,11 +25,3 @@ let subsystem_name = function
   | Storage_manager -> "Storage Manager"
   | Utility -> "Utility"
   | Other -> "Other"
-
-let size t ~blocks =
-  Array.fold_left (fun acc bid -> acc + blocks.(bid).Block.size) 0 t.blocks
-
-let pp ppf t =
-  Format.fprintf ppf "p%d:%s[%s] (%d blocks)" t.pid t.name
-    (subsystem_name t.subsystem)
-    (Array.length t.blocks)

@@ -24,8 +24,3 @@ type t = {
 }
 
 val subsystem_name : subsystem -> string
-
-val size : t -> blocks:Block.t array -> int
-(** Total instructions of the procedure. *)
-
-val pp : Format.formatter -> t -> unit

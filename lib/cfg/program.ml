@@ -11,8 +11,6 @@ let static_counts t =
 
 let proc_of_block t bid = t.procs.(t.blocks.(bid).Block.proc)
 
-let entry_block t ~pid = t.procs.(pid).Proc.entry
-
 let find_proc t name =
   Array.find_opt (fun p -> String.equal p.Proc.name name) t.procs
 
@@ -104,8 +102,3 @@ let validate t =
       t.procs;
     Ok ()
   with Bad msg -> err "%s" msg
-
-let pp_summary ppf t =
-  let c = static_counts t in
-  Format.fprintf ppf "program: %d procedures, %d basic blocks, %d instructions"
-    c.n_procs c.n_blocks c.n_instrs

@@ -17,8 +17,6 @@ val static_counts : t -> static_counts
 
 val proc_of_block : t -> int -> Proc.t
 
-val entry_block : t -> pid:int -> int
-
 val find_proc : t -> string -> Proc.t option
 (** Lookup by procedure name (linear; intended for setup code and tests). *)
 
@@ -28,5 +26,3 @@ val validate : t -> (unit, string) result
     is its first block; every intra-procedure edge stays inside the
     procedure; [Call]/[Icall] targets are valid procedure ids; every block
     of a procedure is reachable from its entry; block sizes positive. *)
-
-val pp_summary : Format.formatter -> t -> unit

@@ -27,12 +27,3 @@ let intra_successors = function
   | Cond { taken; fallthru } -> [ taken; fallthru ]
   | Call { next; _ } | Icall { next; _ } -> [ next ]
   | Ret -> []
-
-let pp ppf = function
-  | Fall b -> Format.fprintf ppf "fall %d" b
-  | Jump b -> Format.fprintf ppf "jump %d" b
-  | Cond { taken; fallthru } -> Format.fprintf ppf "cond %d/%d" taken fallthru
-  | Call { callee; next } -> Format.fprintf ppf "call p%d -> %d" callee next
-  | Icall { callees; next } ->
-    Format.fprintf ppf "icall [%d targets] -> %d" (Array.length callees) next
-  | Ret -> Format.fprintf ppf "ret"

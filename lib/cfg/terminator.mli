@@ -37,5 +37,3 @@ val has_branch_instr : t -> bool
 val intra_successors : t -> int list
 (** Successor {e blocks} within the same procedure ([Call]/[Icall] continue
     at [next] after the callee returns; [Ret] has none). *)
-
-val pp : Format.formatter -> t -> unit

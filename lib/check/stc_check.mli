@@ -103,8 +103,6 @@ module Oracle : sig
       unit ->
       t
     (** Same defaults as {!Stc_cachesim.Icache.create}. *)
-
-    val access : t -> int -> Stc_cachesim.Icache.outcome
   end
 
   (** Association-list trace cache (index → entry), rebuilding traces
@@ -170,19 +168,6 @@ type cache_case = {
           side). *)
 }
 
-val default_cases : cache_case list
-(** Five configurations spanning Table 3's hardware space: 8KB direct,
-    8KB direct + 16-line victim buffer, 16KB 2-way, 16KB direct + trace
-    cache, ideal + trace cache — all LRU, no prefetching (the paper's
-    machine). *)
-
-val extended_cases : cache_case list
-(** Seven configurations exercising mechanisms beyond the paper's
-    machine: 16KB 4-way SRRIP, 16KB 4-way TRRIP, 8KB direct + FDIP,
-    16KB 4-way TRRIP + FDIP, 16KB direct + FDIP + trace cache, 16KB
-    direct + bimodal prediction, and 16KB direct + trace cache + gshare
-    prediction (3-cycle redirects). *)
-
 type mismatch = { field : string; m_oracle : float; m_engine : float }
 
 type engine_report = {
@@ -243,8 +228,15 @@ type report = {
       (** Every {!Stc_layout.Algo} registry entry, in registration
           order. *)
   r_engines : engine_report list;
-      (** {!default_cases} @ {!extended_cases} over the orig, ops,
-          codestitcher and exttsp layouts. *)
+      (** Twelve cases over the orig, ops, codestitcher and exttsp
+          layouts. Five span Table 3's hardware space, all LRU without
+          prefetching (the paper's machine): 8KB direct, 8KB direct +
+          16-line victim buffer, 16KB 2-way, 16KB direct + trace cache,
+          ideal + trace cache. Seven exercise mechanisms beyond it: 16KB
+          4-way SRRIP, 16KB 4-way TRRIP, 8KB direct + FDIP, 16KB 4-way
+          TRRIP + FDIP, 16KB direct + FDIP + trace cache, 16KB direct +
+          bimodal prediction, and 16KB direct + trace cache + gshare
+          prediction (3-cycle redirects). *)
   r_icache : (string * string option) list;
       (** Random-stream i-cache differentials per geometry × policy. *)
 }
@@ -254,11 +246,10 @@ val run_all : ?ctx:Stc_core.Run.ctx -> Stc_core.Pipeline.t -> report
     (16KB cache, 4KB CFA, the simulation grid's thresholds), validate
     each against its own plan; run the oracle-vs-engine differential
     ({!diff_cases}) on the test trace over the orig, ops, codestitcher
-    and exttsp views, fusing every {!default_cases} and
-    {!extended_cases} entry into one bank per view, with each layout's
-    TRRIP temperature derived from its own hotness
-    ({!Stc_cachesim.Temperature.of_blocks}); run the seeded i-cache
-    stream differential across LRU, SRRIP and TRRIP geometries. Of
+    and exttsp views, fusing the twelve cases of [r_engines] into one
+    bank per view, with each layout's TRRIP temperature derived from its
+    own hotness ({!Stc_cachesim.Temperature.of_blocks}); run the seeded
+    i-cache stream differential across LRU, SRRIP and TRRIP geometries. Of
     [ctx], [metrics] feeds the [check.*] counters and events, [seed]
     seeds the address streams. *)
 

@@ -140,6 +140,7 @@ let default_sim_config =
 
 type variant = Direct | Two_way | Victim | Ideal | Trace_cache | Tc_ideal
 
+(* Stable export names, used in JSONL cell records. *)
 let variant_name = function
   | Direct -> "direct"
   | Two_way -> "2-way"

@@ -53,10 +53,6 @@ val default_sim_config : sim_config
 
 type variant = Direct | Two_way | Victim | Ideal | Trace_cache | Tc_ideal
 
-val variant_name : variant -> string
-(** Stable export name ("direct", "2-way", "victim", "ideal",
-    "trace-cache", "tc-ideal"), used in JSONL cell records. *)
-
 type row = {
   layout : string;
       (** A {!Stc_layout.Algo} registry name: "orig" and "P&H" for the

@@ -55,6 +55,9 @@ let seeded seed (config : config) =
     kernel = { config.kernel with Kernel.seed = Int64.of_int (seed + 34) };
   }
 
+(* Hex hash of every field that determines the recorded traces; trace
+   keys in the artifact store combine it with the built program's
+   [Stc_store.Fp.program]. *)
 let config_fingerprint (config : config) =
   let open Stc_util.Fnv in
   let k = config.kernel in

@@ -39,12 +39,6 @@ val seeded : int -> config -> config
     construction [s + 34] (distinct offsets so the streams never
     coincide). This is what {!run} applies when [ctx.seed] is set. *)
 
-val config_fingerprint : config -> string
-(** Hex hash of every field that determines the recorded traces — kernel
-    shape and seed, scale factor, data/walker seeds, buffer frames, and
-    the training/test query sets. Artifact-store trace keys combine this
-    with the built program's {!Stc_store.Fp.program} fingerprint. *)
-
 val run : ?ctx:Run.ctx -> ?config:config -> unit -> t
 (** Build everything. With [ctx.metrics], each phase (kernel build, data
     generation, database load, trace recording, profile build) runs inside

@@ -10,7 +10,7 @@ type candidate = {
 
 type outcome = { chosen : candidate; train_bandwidth : float; evaluated : int }
 
-let default_space =
+let space =
   List.concat_map
     (fun t_seeds ->
       List.concat_map
@@ -34,13 +34,11 @@ let layout_of ?(ctx = Run.default) pl ~cache_kb c =
   Experiments.pipeline_layouts ~ctx pl ~params:(params ~cache_kb c)
     (algo_name c)
 
-let tune ?(ctx = Run.default) ?(cache_kb = 32) ?(space = default_space)
-    (pl : Pipeline.t) =
-  if space = [] then invalid_arg "Tuner.tune: empty candidate space";
+let tune ?(ctx = Run.default) ?(cache_kb = 32) (pl : Pipeline.t) =
   (* Neither layout building nor scoring records into [ctx.metrics] (nor
      opens the store against it), so the exported registry does not
-     depend on the candidate space or on [ctx.jobs] — only the winner's
-     held-out evaluation is recorded (by the caller). *)
+     depend on [ctx.jobs] — only the winner's held-out evaluation is
+     recorded (by the caller). *)
   let ctx = { ctx with Run.metrics = None } in
   let build = Experiments.pipeline_layouts ~ctx pl in
   let training =

@@ -21,22 +21,17 @@ type outcome = {
   evaluated : int;  (** Number of candidates scored. *)
 }
 
-val default_space : candidate list
-(** 2 seed selections × exec {10, 50, 250} × branch {0.1, 0.4} ×
-    CFA {4, 8, 16} KB. *)
-
-val tune :
-  ?ctx:Run.ctx -> ?cache_kb:int -> ?space:candidate list -> Pipeline.t -> outcome
+val tune : ?ctx:Run.ctx -> ?cache_kb:int -> Pipeline.t -> outcome
 (** Score every candidate at the given cache size (default 32 KB) on the
-    Training trace and return the best (first-seen wins ties). Each
-    candidate is one {!Experiments.cell} over the Training subject:
-    layouts are built in a serial prefix through
-    {!Experiments.layout_builder}, then {!Experiments.run_cells} scores
-    them — fused per layout, on [ctx.jobs] domains, and cached in
-    [ctx.store] like any other cell. Neither step writes to
-    [ctx.metrics] (the store is opened without it too), so the exported
-    registry is identical at any job count and for any candidate
-    space. *)
+    Training trace and return the best (first-seen wins ties). The
+    candidates are 2 seed selections × exec {10, 50, 250} ×
+    branch {0.1, 0.4} × CFA {4, 8, 16} KB. Each candidate is one
+    {!Experiments.cell} over the Training subject: layouts are built in
+    a serial prefix through {!Experiments.layout_builder}, then
+    {!Experiments.run_cells} scores them — fused per layout, on
+    [ctx.jobs] domains, and cached in [ctx.store] like any other cell.
+    Neither step writes to [ctx.metrics] (the store is opened without it
+    too), so the exported registry is identical at any job count. *)
 
 val layout_of :
   ?ctx:Run.ctx -> Pipeline.t -> cache_kb:int -> candidate -> Stc_layout.Layout.t

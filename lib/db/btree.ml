@@ -15,11 +15,9 @@ type node =
     }
 
 type t = {
-  idx_name : string;
   file : Storage.file;
   bufmgr : Bufmgr.t;
   root : node;
-  height : int;
   count : int;
 }
 
@@ -59,18 +57,17 @@ let build storage bufmgr ~name ~entries =
     | Internal { keys; _ } -> if Array.length keys = 0 then min_int else keys.(0)
   in
   (* build internal levels until a single root remains *)
-  let rec up level height =
+  let rec up level =
     if Array.length level <= 1 then
-      ( (if Array.length level = 1 then level.(0)
-         else
-           Leaf
-             {
-               keys = [||];
-               tids = [||];
-               next_leaf = None;
-               page_no = Storage.alloc_virtual_page file;
-             }),
-        height )
+      if Array.length level = 1 then level.(0)
+      else
+        Leaf
+          {
+            keys = [||];
+            tids = [||];
+            next_leaf = None;
+            page_no = Storage.alloc_virtual_page file;
+          }
     else begin
       let groups = ref [] in
       let i = ref 0 in
@@ -84,15 +81,10 @@ let build storage bufmgr ~name ~entries =
           :: !groups;
         i := !i + len
       done;
-      up (Array.of_list (List.rev !groups)) (height + 1)
+      up (Array.of_list (List.rev !groups))
     end
   in
-  let root, height = up leaves 1 in
-  { idx_name = name; file; bufmgr; root; height; count = n }
-
-let name t = t.idx_name
-
-let height t = t.height
+  { file; bufmgr; root = up leaves; count = n }
 
 let n_entries t = t.count
 

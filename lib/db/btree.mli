@@ -15,10 +15,6 @@ val build :
 (** [entries] are (key, tid) pairs, not necessarily sorted; duplicates are
     allowed (multi-entry indexes on foreign keys). *)
 
-val name : t -> string
-
-val height : t -> int
-
 val n_entries : t -> int
 
 type scan

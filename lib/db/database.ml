@@ -6,7 +6,6 @@ type index_kind = Btree_db | Hash_db
 type index = Bt of Btree.t | Hx of Hashidx.t
 
 type t = {
-  kind : index_kind;
   storage : Storage.t;
   bufmgr : Bufmgr.t;
   heaps : (string, Heap.t) Hashtbl.t;
@@ -85,9 +84,7 @@ let load ?(frames = 256) data ~kind =
           (Bt (Btree.build storage bufmgr ~name ~entries)))
       btree_only_specs
   | Hash_db -> ());
-  { kind; storage; bufmgr; heaps; indexes }
-
-let kind t = t.kind
+  { storage; bufmgr; heaps; indexes }
 
 let bufmgr t = t.bufmgr
 
@@ -96,5 +93,3 @@ let heap t name = Hashtbl.find t.heaps name
 let index t name = Hashtbl.find t.indexes name
 
 let has_index t name = Hashtbl.mem t.indexes name
-
-let index_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.indexes []

@@ -14,8 +14,6 @@ val load :
 (** Build heaps and indexes from generated data (not traced: run it before
     installing a walker). [frames] sizes the buffer pool. *)
 
-val kind : t -> index_kind
-
 val bufmgr : t -> Bufmgr.t
 
 val heap : t -> string -> Heap.t
@@ -25,5 +23,3 @@ val index : t -> string -> index
 (** By name, e.g. ["lineitem.l_orderkey"]. Raises [Not_found]. *)
 
 val has_index : t -> string -> bool
-
-val index_names : t -> string list

@@ -759,8 +759,6 @@ and build_node db plan children ~pre_scan =
 let init db plan =
   Probe.routine k_executor_start @@ fun () -> init_node db plan
 
-let next node = proc_node node
-
 let run db plan =
   let root = init db plan in
   Probe.routine k_executor_run @@ fun () ->

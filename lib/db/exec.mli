@@ -5,17 +5,10 @@
 
     [run] executes a plan to completion and returns the result rows. *)
 
-type node
-
-val init : Database.t -> Plan.t -> node
-(** Instrumented [ExecutorStart]/[ExecInitNode]: build the executor node
-    tree. *)
-
-val next : node -> int array option
-(** Instrumented [ExecProcNode]: pull the next tuple. *)
-
 val run : Database.t -> Plan.t -> int array list
-(** Instrumented [ExecutorRun]: init then pull to completion. *)
+(** Instrumented [ExecutorRun]: build the executor node tree
+    ([ExecutorStart]/[ExecInitNode]), then pull tuples through
+    [ExecProcNode] to completion. *)
 
 val op_names : string list
 (** All executor operator routine names (the [ExecProcNode] dispatch

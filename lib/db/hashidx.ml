@@ -11,11 +11,9 @@ type bucket_page = {
 }
 
 type t = {
-  idx_name : string;
   file : Storage.file;
   bufmgr : Bufmgr.t;
   buckets : bucket_page option array;
-  count : int;
 }
 
 (* Multiplicative hashing; only the engine uses this (the trace walker's
@@ -54,13 +52,7 @@ let build storage bufmgr ~name ~entries =
         pages lst)
       tmp
   in
-  { idx_name = name; file; bufmgr; buckets; count = n }
-
-let name t = t.idx_name
-
-let n_buckets t = Array.length t.buckets
-
-let n_entries t = t.count
+  { file; bufmgr; buckets }
 
 type scan = {
   idx : t;

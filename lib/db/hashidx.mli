@@ -12,12 +12,6 @@ val build :
   entries:(int * (int * int)) array ->
   t
 
-val name : t -> string
-
-val n_buckets : t -> int
-
-val n_entries : t -> int
-
 type scan
 
 val begin_eq : t -> int -> scan

@@ -2,21 +2,15 @@ module Probe = Stc_trace.Probe
 module Skeleton = Stc_trace.Skeleton
 
 type t = {
-  name : string;
   file : Storage.file;
   bufmgr : Bufmgr.t;
-  width : int;
   mutable rows : int;
 }
 
 let load storage bufmgr ~name ~rows ~width =
   let file = Storage.new_file storage ~name ~width in
   Array.iter (fun row -> ignore (Storage.append_row file row)) rows;
-  { name; file; bufmgr; width; rows = Array.length rows }
-
-let name t = t.name
-
-let width t = t.width
+  { file; bufmgr; rows = Array.length rows }
 
 let n_rows t = t.rows
 

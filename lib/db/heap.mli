@@ -6,10 +6,6 @@ type t
 val load : Storage.t -> Bufmgr.t -> name:string -> rows:int array array -> width:int -> t
 (** Create a heap file and bulk-load the rows (load time is not traced). *)
 
-val name : t -> string
-
-val width : t -> int
-
 val n_rows : t -> int
 
 val file : t -> Storage.file

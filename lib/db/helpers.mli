@@ -5,5 +5,3 @@
     deeper layers of utility code those procedures call in turn. *)
 
 val names : string list
-
-val is_helper : string -> bool

@@ -5,9 +5,6 @@
 
 type t
 
-val page_ints : int
-(** Attribute slots per page (1024). *)
-
 val capacity : width:int -> int
 
 val create : width:int -> t

@@ -47,20 +47,3 @@ let node_name = function
   | Limit _ -> "ExecLimit"
   | Material _ -> "ExecMaterial"
   | Result _ -> "ExecResult"
-
-let rec iter f t =
-  f t;
-  match t with
-  | Seq_scan _ | Index_scan _ -> ()
-  | Nest_loop { outer; inner; _ }
-  | Hash_join { outer; inner; _ }
-  | Merge_join { outer; inner; _ } ->
-    iter f outer;
-    iter f inner
-  | Sort { child; _ }
-  | Agg { child; _ }
-  | Group { child; _ }
-  | Limit { child; _ }
-  | Material { child; _ }
-  | Result { child; _ } ->
-    iter f child

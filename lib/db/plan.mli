@@ -56,6 +56,3 @@ type t =
 
 val node_name : t -> string
 (** The executor routine implementing the node ("ExecSeqScan", …). *)
-
-val iter : (t -> unit) -> t -> unit
-(** Pre-order traversal. *)

@@ -26,8 +26,6 @@ let new_virtual_file t ~name =
 
 let file_id f = f.id
 
-let file_name f = f.name
-
 let n_pages f = f.n_pages
 
 let grow f p =

@@ -20,8 +20,6 @@ val new_virtual_file : t -> name:string -> file
 
 val file_id : file -> int
 
-val file_name : file -> string
-
 val n_pages : file -> int
 
 val append_row : file -> int array -> int * int

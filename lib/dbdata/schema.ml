@@ -65,7 +65,6 @@ module N = struct
 end
 
 module S = struct
-  let suppkey = 0
   let nationkey = 1
   let acctbal = 2
 end
@@ -83,7 +82,6 @@ module P = struct
   let typ = 2
   let size = 3
   let container = 4
-  let retailprice = 5
 end
 
 module PS = struct
@@ -109,14 +107,12 @@ module L = struct
   let quantity = 4
   let extendedprice = 5
   let discount = 6
-  let tax = 7
   let returnflag = 8
   let linestatus = 9
   let shipdate = 10
   let commitdate = 11
   let receiptdate = 12
   let shipmode = 13
-  let shipinstruct = 14
 end
 
 (* Simplified calendar: 12 months of 30 days, 360-day years, 1992..1998. *)
@@ -127,10 +123,6 @@ let segments =
 
 let shipmodes = [| "AIR"; "FOB"; "MAIL"; "RAIL"; "REG AIR"; "SHIP"; "TRUCK" |]
 
-let returnflags = [| "A"; "N"; "R" |]
-
-let linestatuses = [| "F"; "O" |]
-
 let priorities = [| "1-URGENT"; "2-HIGH"; "3-MEDIUM"; "4-NOT SPECIFIED"; "5-LOW" |]
 
 let n_brands = 25
@@ -138,16 +130,6 @@ let n_brands = 25
 let n_types = 150
 
 let n_containers = 40
-
-let region_names = [| "AFRICA"; "AMERICA"; "ASIA"; "EUROPE"; "MIDDLE EAST" |]
-
-let nation_names =
-  [|
-    "ALGERIA"; "ARGENTINA"; "BRAZIL"; "CANADA"; "EGYPT"; "ETHIOPIA"; "FRANCE";
-    "GERMANY"; "INDIA"; "INDONESIA"; "IRAN"; "IRAQ"; "JAPAN"; "JORDAN"; "KENYA";
-    "MOROCCO"; "MOZAMBIQUE"; "PERU"; "CHINA"; "ROMANIA"; "SAUDI ARABIA";
-    "VIETNAM"; "RUSSIA"; "UNITED KINGDOM"; "UNITED STATES";
-  |]
 
 let nation_region n =
   [| 0; 1; 1; 1; 4; 0; 3; 3; 2; 2; 4; 4; 2; 4; 0; 0; 0; 1; 2; 3; 4; 2; 3; 3; 1 |].(n)

@@ -10,13 +10,6 @@ type table = {
   width : int;  (** Number of columns. *)
 }
 
-val region : table
-val nation : table
-val supplier : table
-val customer : table
-val part : table
-val partsupp : table
-val orders : table
 val lineitem : table
 
 val all : table list
@@ -41,7 +34,6 @@ module N : sig
 end
 
 module S : sig
-  val suppkey : int
   val nationkey : int
   val acctbal : int
 end
@@ -59,7 +51,6 @@ module P : sig
   val typ : int
   val size : int
   val container : int
-  val retailprice : int
 end
 
 module PS : sig
@@ -85,14 +76,12 @@ module L : sig
   val quantity : int
   val extendedprice : int
   val discount : int
-  val tax : int
   val returnflag : int
   val linestatus : int
   val shipdate : int
   val commitdate : int
   val receiptdate : int
   val shipmode : int
-  val shipinstruct : int
 end
 
 (** {2 Value dictionaries and encodings} *)
@@ -106,18 +95,11 @@ val segments : string array
 
 val shipmodes : string array
 
-val returnflags : string array
-
-val linestatuses : string array
-
 val priorities : string array
 
 val n_brands : int
 val n_types : int
 val n_containers : int
-
-val region_names : string array
-val nation_names : string array
 
 val nation_region : int -> int
 (** Region of a nation code. *)

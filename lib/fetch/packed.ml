@@ -182,14 +182,8 @@ let has_branch t i = w_branch (word t i)
 
 let is_cond t i = w_cond (word t i)
 
-let addr t ~idx ~off = block_addr t idx + (off * Block.instr_bytes)
-
 let total_instrs t = t.total_instrs
 
 let taken_branches t = t.taken_branches
-
-let instrs_between_taken t =
-  if t.taken_branches = 0 then float_of_int t.total_instrs
-  else float_of_int t.total_instrs /. float_of_int t.taken_branches
 
 let memory_words t = Array.length t.words

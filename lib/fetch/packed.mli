@@ -112,17 +112,11 @@ val has_branch : t -> int -> bool
 
 val is_cond : t -> int -> bool
 
-val addr : t -> idx:int -> off:int -> int
-(** Byte address of instruction [off] of the block at trace index
-    [idx]. *)
-
 (** {2 Stream totals} — precomputed during compilation. *)
 
 val total_instrs : t -> int
 
 val taken_branches : t -> int
-
-val instrs_between_taken : t -> float
 
 val memory_words : t -> int
 (** Size of the compiled representation in words (one per trace index);

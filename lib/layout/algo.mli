@@ -4,8 +4,9 @@
     The simulation grid ({!Stc_core.Experiments}), the correctness bundle
     ([Stc_check.run_all]) and the CLIs enumerate and select algorithms
     through this registry instead of hard-coded per-module calls, so a
-    new algorithm registered here appears in the comparison tables, the
-    validators and [--layouts] without touching any of them.
+    new algorithm added to the built-in list at the end of [algo.ml]
+    appears in the comparison tables, the validators and [--layouts]
+    without touching any of them.
 
     Built-ins, in registration (= presentation) order: [orig], [P&H],
     [Torr], [auto], [ops], [codestitcher], [exttsp]. The first two are
@@ -45,10 +46,6 @@ type t = {
           params and appear in the grid as fixed baselines. *)
   plan : Stc_profile.Profile.t -> params -> Mapping.plan;
 }
-
-val register : t -> unit
-(** Append to the registry. Raises [Invalid_argument] if the name or
-    slug (case-insensitively) is already taken. *)
 
 val all : unit -> t list
 (** Every registered algorithm, in registration order. *)

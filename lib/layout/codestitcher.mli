@@ -12,15 +12,7 @@
     finally pinned into the Conflict-Free Area, the plan's innermost
     locality layer. *)
 
-val line_bytes : int
-(** First-level granule: 64. *)
-
-val page_bytes : int
-(** Second-level granule: 4096. *)
-
-val chains : Stc_profile.Profile.t -> int list list
-(** The finished chains, hottest first (exposed for tests). Memoized for
-    the profile last seen; call only from serial code. *)
-
 val plan : Stc_profile.Profile.t -> cfa_bytes:int -> Mapping.plan
-(** {!chains} → {!Mapping.plan_of_chains}. *)
+(** The finished chains, hottest first, as a plan
+    ({!Mapping.plan_of_chains}). The chains are memoized for the profile
+    last seen; call only from serial code. *)

@@ -20,17 +20,15 @@ type config = {
   max_clones : int;  (** Global budget on inlined call sites. *)
 }
 
-val default_config : config
-(** 1000 calls, 24 blocks, 64 sites. *)
-
 type t
 
 val transform :
   ?config:config -> Stc_profile.Profile.t -> t
 (** Decide the sites from the profile (hottest first) and build the
-    expanded program. Recursive callees, indirect calls and callees
-    containing further calls/helper calls are skipped (one-level inlining
-    of leaf-ish routines, the "controlled use" of the paper). *)
+    expanded program. [config] defaults to 1000 calls, 24 blocks and 64
+    sites. Recursive callees, indirect calls and callees containing
+    further calls/helper calls are skipped (one-level inlining of
+    leaf-ish routines, the "controlled use" of the paper). *)
 
 val program : t -> Stc_cfg.Program.t
 (** The expanded program (original blocks keep their ids; clones get

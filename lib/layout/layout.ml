@@ -73,15 +73,6 @@ let of_placements prog ~name placements =
 
 let address t bid = t.addr.(bid)
 
-let end_address t prog =
-  let last = ref 0 in
-  Array.iteri
-    (fun bid a ->
-      let e = a + Block.byte_size prog.Program.blocks.(bid) in
-      if e > !last then last := e)
-    t.addr;
-  !last
-
 let is_sequential t prog ~src ~dst =
   t.addr.(dst) = t.addr.(src) + Block.byte_size prog.Program.blocks.(src)
 

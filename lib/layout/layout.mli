@@ -22,9 +22,6 @@ val of_placements : Stc_cfg.Program.t -> name:string -> (int * int) list -> t
 
 val address : t -> int -> int
 
-val end_address : t -> Stc_cfg.Program.t -> int
-(** One past the last byte of the highest-placed block. *)
-
 val is_sequential : t -> Stc_cfg.Program.t -> src:int -> dst:int -> bool
 (** Whether [dst] starts exactly where [src] ends — i.e. the transition
     [src → dst] needs no taken branch under this layout. *)

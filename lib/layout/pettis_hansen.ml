@@ -82,10 +82,6 @@ let chain_blocks profile p =
   in
   (List.concat (entry_chain @ rest), fluff)
 
-let block_order_within profile ~pid =
-  let prog = Profile.program profile in
-  chain_blocks profile prog.Program.procs.(pid)
-
 (* ---------- procedure ordering ("closest is best") ---------- *)
 
 let proc_order profile =

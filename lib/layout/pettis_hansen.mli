@@ -14,10 +14,3 @@ val plan : Stc_profile.Profile.t -> Mapping.plan
 (** The hot chain order as one sequence, the fluff as the cold section,
     no CFA: mapped with [cfa_bytes = 0] ({!Algo}), the hot code comes
     first and the fluff after it. *)
-
-val proc_order : Stc_profile.Profile.t -> int array
-(** The procedure order chosen by the call-graph heuristic (exposed for
-    tests). *)
-
-val block_order_within : Stc_profile.Profile.t -> pid:int -> int list * int list
-(** [(hot, fluff)] intra-procedure block order for one procedure. *)

@@ -45,23 +45,12 @@ let auto_seeds profile =
   let prog = Profile.program profile in
   entries_by_popularity profile (Array.to_list prog.Program.procs)
 
-let ops_seeds ?names profile =
+let ops_seeds profile =
   let prog = Profile.program profile in
-  let selected =
-    match names with
-    | Some names ->
-      List.filter
-        (fun p -> List.mem p.Proc.name names)
-        (Array.to_list prog.Program.procs)
-    | None ->
-      List.filter
-        (fun p -> p.Proc.subsystem = Proc.Executor)
-        (Array.to_list prog.Program.procs)
-  in
-  entries_by_popularity profile selected
-
-let sequences profile ~params ~seeds =
-  Seqbuild.build profile ~params:params.seq ~seeds
+  entries_by_popularity profile
+    (List.filter
+       (fun p -> p.Proc.subsystem = Proc.Executor)
+       (Array.to_list prog.Program.procs))
 
 let cold_blocks prog covered =
   let cold = ref [] in

@@ -25,15 +25,11 @@ val auto_seeds : Stc_profile.Profile.t -> int list
 (** The "auto" seed selection: entry points of {e all} procedures, in
     decreasing order of invocation count (unexecuted procedures excluded). *)
 
-val ops_seeds : ?names:string list -> Stc_profile.Profile.t -> int list
+val ops_seeds : Stc_profile.Profile.t -> int list
 (** The "ops" seed selection: entry points of the Executor operations only
-    (knowledge-based). With [names], exactly the named procedures (in
-    decreasing popularity); otherwise every procedure whose subsystem is
-    [Executor]. *)
-
-val sequences :
-  Stc_profile.Profile.t -> params:params -> seeds:int list -> int list list
-(** The raw greedy sequences (exposed for tests and ablations). *)
+    (knowledge-based), every procedure whose subsystem is [Executor], in
+    decreasing order of invocation count (unexecuted procedures
+    excluded). *)
 
 val plan :
   Stc_profile.Profile.t ->

@@ -18,8 +18,6 @@
       (comparison tools must ignore it)
     - [{"type":"event","kind":K, ...fields]] — insertion order *)
 
-val schema_version : int
-
 val to_jsonl : Registry.t -> string
 (** The whole registry as a JSONL document (trailing newline included). *)
 

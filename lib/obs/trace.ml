@@ -140,11 +140,10 @@ let complete ?(arg = no_arg) t name ~start =
   let start = if start < 0.0 then 0.0 else if start > stop then stop else start in
   emit t Complete name ~arg ~dur:(stop -. start) start
 
-let with_span t name f =
-  begin_ t name;
-  Fun.protect ~finally:(fun () -> end_ t name) f
-
-let span t name f = with_span t (intern t name) f
+let span t name f =
+  let id = intern t name in
+  begin_ t id;
+  Fun.protect ~finally:(fun () -> end_ t id) f
 
 let events t =
   Mutex.lock t.m;

@@ -48,12 +48,9 @@ val end_ : ?arg:int -> t -> int -> unit
 (** Close the innermost slice ([ph:"E"]). [arg] attaches a
     [{"bytes":arg}] payload to the event. *)
 
-val with_span : t -> int -> (unit -> 'a) -> 'a
-(** [with_span t id f] brackets [f] with {!begin_}/{!end_} (end emitted
-    on exception too). *)
-
 val span : t -> string -> (unit -> 'a) -> 'a
-(** {!with_span} with lazy interning of the name. *)
+(** [span t name f] brackets [f] with {!begin_}/{!end_} on [name]'s id,
+    interned on first use (end emitted on exception too). *)
 
 val instant : t -> int -> unit
 (** A zero-duration, thread-scoped marker ([ph:"i"]). *)

@@ -38,18 +38,3 @@ let compute p =
 
 let pct part whole =
   if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
-
-let per_subsystem p =
-  let prog = Profile.program p in
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun proc ->
-      let executed = Profile.proc_entry_count p proc.Proc.pid > 0 in
-      let total, exec =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt tbl proc.Proc.subsystem)
-      in
-      Hashtbl.replace tbl proc.Proc.subsystem
-        (total + 1, if executed then exec + 1 else exec))
-    prog.Program.procs;
-  Hashtbl.fold (fun k (t, e) acc -> (k, t, e) :: acc) tbl []
-  |> List.sort compare

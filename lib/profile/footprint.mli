@@ -15,6 +15,3 @@ val compute : Profile.t -> t
 
 val pct : int -> int -> float
 (** [pct part whole] as a percentage. *)
-
-val per_subsystem : Profile.t -> (Stc_cfg.Proc.subsystem * int * int) list
-(** [(subsystem, procs_total, procs_executed)] per subsystem. *)

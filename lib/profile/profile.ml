@@ -88,8 +88,6 @@ let succ_table t =
 
 let successors t bid = (succ_table t).(bid)
 
-let out_count t bid = List.fold_left (fun acc (_, c) -> acc + c) 0 (successors t bid)
-
 let proc_entry_count t pid =
   t.counts.(t.prog.Program.procs.(pid).Stc_cfg.Proc.entry)
 

@@ -38,9 +38,6 @@ val successors : t -> int -> (int * int) list
 (** [(dst, count)] pairs observed out of a block, most frequent first;
     ties broken by block id for determinism. *)
 
-val out_count : t -> int -> int
-(** Total outgoing edge weight of a block. *)
-
 val proc_entry_count : t -> int -> int
 (** Dynamic invocations of a procedure (= executions of its entry block). *)
 

@@ -51,10 +51,6 @@ let sink t bid =
   end;
   t.clock <- t.clock + Array.unsafe_get t.sizes bid
 
-let note_boundary t = Array.fill t.last 0 (Array.length t.last) (-1)
-
 let mass_below t d = Histo.mass_below t.histo d
 
 let samples t = Histo.total t.histo
-
-let histogram t = Histo.buckets t.histo

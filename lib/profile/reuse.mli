@@ -14,8 +14,6 @@ val sink : t -> int -> unit
 (** Feed the trace (a second replay, after the profile determined the
     popular set). *)
 
-val note_boundary : t -> unit
-
 val mass_below : t -> int -> float
 (** [mass_below t d]: probability that a tracked block is re-executed in
     fewer than [d] instructions (the paper reports d = 250 → 33 % and
@@ -23,6 +21,3 @@ val mass_below : t -> int -> float
 
 val samples : t -> int
 (** Number of re-invocation intervals recorded. *)
-
-val histogram : t -> (int * int * int) list
-(** Raw (lo, hi, weight) buckets. *)

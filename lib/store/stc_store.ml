@@ -157,7 +157,9 @@ let rec mkdir_p path =
   end
 
 let open_ ?metrics ?trace dirname =
-  mkdir_p dirname;
+  (* a directory that cannot be created leaves a broken cache, not a
+     failed run: lookups miss and [write] warns *)
+  (try mkdir_p dirname with Unix.Unix_error _ -> ());
   let c name =
     match metrics with
     | Some reg -> Registry.counter reg ("store." ^ name)
@@ -389,8 +391,6 @@ module Chunked = struct
 
   let version = 1
 
-  let default_segment_blocks = Source.default_segment_blocks
-
   type manifest = {
     m_total_blocks : int;
     m_segment_blocks : int;
@@ -461,7 +461,7 @@ module Chunked = struct
   let load_segment t ~key ~base =
     load_with t ~kind:segment_kind ~version ~decode:(decode_segment ~base) key
 
-  let save ?(segment_blocks = default_segment_blocks) t ~key r =
+  let save ?(segment_blocks = Source.default_segment_blocks) t ~key r =
     if segment_blocks <= 0 then
       invalid_arg "Chunked.save: segment_blocks must be positive";
     let len = Recorder.length r in

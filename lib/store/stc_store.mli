@@ -65,7 +65,10 @@ type t
     their own registry shard so the merged totals stay deterministic. *)
 
 val open_ : ?metrics:Stc_obs.Registry.t -> ?trace:Stc_obs.Trace.t -> string -> t
-(** Create the directory (and parents) if needed. With [~metrics] the
+(** Create the directory (and parents) if needed. A directory that
+    cannot be created (say, under a regular file) does not raise: the
+    handle is a broken cache whose lookups miss and whose writes warn,
+    as {!write} describes. With [~metrics] the
     [store.*] counters and the [store.read_us]/[store.write_us] latency
     histograms (microseconds, log2 buckets) register there; with
     [~trace] every lookup and write emits a timeline slice —
@@ -96,10 +99,11 @@ val write : t -> kind:string -> version:int -> Key.t -> string -> unit
 
 (** {2 Typed artifacts}
 
-    Each artifact module fixes a [kind] string and a format [version],
-    and offers [load] (consult) and [save] (record). [Layout] also
-    offers [cached] (consult, else compute and record — on [None]
-    stores, just compute). [encode] and [decode] are the bare codecs:
+    Each artifact module fixes a [kind] string and a format version,
+    and offers [load] (consult). [Chunked] and [Result] offer [save]
+    (record); [Layout] offers [cached] instead (consult, else compute
+    and record — on [None] stores, just compute). [encode] and [decode]
+    are the bare codecs:
     [decode (encode x)] reconstructs [x] and is property-tested;
     [decode] raises {!Corrupt} on malformed bytes. *)
 
@@ -118,9 +122,6 @@ module Chunked : sig
   val segment_kind : string
 
   val version : int
-
-  val default_segment_blocks : int
-  (** [Stc_trace.Source.default_segment_blocks]. *)
 
   type manifest = {
     m_total_blocks : int;
@@ -152,15 +153,11 @@ module Chunked : sig
 end
 
 module Layout : sig
-  val version : int
-
   val encode : Stc_layout.Layout.t -> string
 
   val decode : string -> Stc_layout.Layout.t
 
   val load : t -> key:Key.t -> Stc_layout.Layout.t option
-
-  val save : t -> key:Key.t -> Stc_layout.Layout.t -> unit
 
   val cached :
     t option ->
@@ -170,8 +167,6 @@ module Layout : sig
 end
 
 module Result : sig
-  val version : int
-
   val encode : Stc_fetch.Engine.result -> string
 
   val decode : string -> Stc_fetch.Engine.result

@@ -8,8 +8,6 @@ let generation = ref 0
 
 let key name = { name; gen = -1; pid = -1 }
 
-let key_name k = k.name
-
 let with_walker w f =
   (match !current with
   | Some _ -> invalid_arg "Probe.with_walker: already active"
@@ -19,8 +17,6 @@ let with_walker w f =
   Fun.protect ~finally:(fun () -> current := None) f
 
 let active () = !current <> None
-
-let walker () = match !current with Some { w; _ } -> Some w | None -> None
 
 let resolve inst k =
   if k.gen <> inst.id then begin

@@ -20,8 +20,6 @@ type key
 
 val key : string -> key
 
-val key_name : key -> string
-
 val with_walker : Walker.t -> (unit -> 'a) -> 'a
 (** Install a walker for the duration of [f]. Not reentrant. *)
 
@@ -35,5 +33,3 @@ val routine : key -> (unit -> 'a) -> 'a
 val cond : string -> bool -> bool
 (** Report the outcome of the pending conditional site; returns the
     outcome so it can be used directly in an [if]. *)
-
-val walker : unit -> Walker.t option

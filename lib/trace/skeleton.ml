@@ -27,30 +27,3 @@ let icall site targets = Icall { site; targets }
 let helper name = Helper name
 
 let return = Return
-
-let rec sites_of_stmt acc = function
-  | Straight _ | Call _ | Helper _ | Return -> acc
-  | If { site; then_; else_; _ } ->
-    let acc = site :: acc in
-    let acc = List.fold_left sites_of_stmt acc then_ in
-    List.fold_left sites_of_stmt acc else_
-  | While { site; body; _ } | Do_while { site; body; _ } ->
-    List.fold_left sites_of_stmt (site :: acc) body
-  | Icall { site; _ } -> site :: acc
-
-let cond_sites t = List.rev (List.fold_left sites_of_stmt [] t)
-
-let rec instrs_of_stmt acc = function
-  | Straight n -> acc + n
-  | Call _ | Helper _ | Return -> acc + 1
-  | Icall _ -> acc + 1
-  | If { then_; else_; _ } ->
-    let acc = acc + 1 in
-    let acc = List.fold_left instrs_of_stmt acc then_ in
-    List.fold_left instrs_of_stmt acc else_
-  | While { body; _ } ->
-    (* test branch + back jump *)
-    List.fold_left instrs_of_stmt (acc + 2) body
-  | Do_while { body; _ } -> List.fold_left instrs_of_stmt (acc + 1) body
-
-let static_instrs t = List.fold_left instrs_of_stmt 0 t

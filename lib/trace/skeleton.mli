@@ -51,11 +51,3 @@ val icall : string -> string list -> stmt
 val helper : string -> stmt
 
 val return : stmt
-
-val cond_sites : t -> string list
-(** All decision-site names in order of first appearance (conds and
-    icalls); duplicates allowed if a site name recurs. *)
-
-val static_instrs : t -> int
-(** Instruction count the skeleton will compile to (a lower bound; padding
-    of empty blocks may add a few). *)

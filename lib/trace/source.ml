@@ -1,11 +1,11 @@
 type t = {
   mutable pull : unit -> Segment.t option;
-  total_blocks : int option;
+  total_blocks : int;
 }
 
 let none () = None
 
-let make ?total_blocks pull =
+let make ~total_blocks pull =
   let t = { pull = none; total_blocks } in
   (* latch on the first [None] so a sloppy producer can't resurrect *)
   let guarded () =
@@ -89,22 +89,17 @@ let iter t f =
   go ()
 
 let to_array t =
-  match total_blocks t with
-  | Some n ->
-    let out = Array.make (max n 1) 0 in
-    let pos = ref 0 in
-    let rec go () =
-      match next_segment t with
-      | None -> ()
-      | Some seg ->
-        Segment.blit_to_array seg out !pos;
-        pos := !pos + Segment.length seg;
-        go ()
-    in
-    go ();
-    if !pos <> n then invalid_arg "Source.to_array: length lied";
-    if n = 0 then [||] else out
-  | None ->
-    let vec = Stc_util.Vec.create ~capacity:1024 () in
-    iter t (Stc_util.Vec.push vec);
-    Stc_util.Vec.to_array vec
+  let n = total_blocks t in
+  let out = Array.make (max n 1) 0 in
+  let pos = ref 0 in
+  let rec go () =
+    match next_segment t with
+    | None -> ()
+    | Some seg ->
+      Segment.blit_to_array seg out !pos;
+      pos := !pos + Segment.length seg;
+      go ()
+  in
+  go ();
+  if !pos <> n then invalid_arg "Source.to_array: length lied";
+  if n = 0 then [||] else out

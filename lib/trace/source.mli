@@ -23,8 +23,9 @@ type t
 val next_segment : t -> Segment.t option
 (** Pull the next segment; [None] when the trace is exhausted. *)
 
-val total_blocks : t -> int option
-(** Blocks the source will yield in all, when known. *)
+val total_blocks : t -> int
+(** Blocks the source will yield in all. Every constructor knows this
+    count before the first segment; {!to_array} checks it. *)
 
 val default_segment_blocks : int
 (** Default producer segment size (65536 blocks ≈ 512 KB of ids, the

@@ -9,7 +9,7 @@ type t = {
   code : Bytecode.t option array;
   names : (string, int) Hashtbl.t;
   rng : Stc_util.Rng.t;
-  mutable sink : int -> unit;
+  sink : int -> unit;
   mutable stack : frame list;
 }
 
@@ -26,8 +26,6 @@ let create ~program ~code ~seed ~sink =
     sink;
     stack = [];
   }
-
-let set_sink t sink = t.sink <- sink
 
 let pid_of_name t name = Hashtbl.find t.names name
 

@@ -29,8 +29,6 @@ val create :
     filler). [seed] drives the sampling of auto-walked decision sites.
     Every executed block id is passed to [sink]. *)
 
-val set_sink : t -> (int -> unit) -> unit
-
 val pid_of_name : t -> string -> int
 (** Procedure id by name. Raises [Not_found]. *)
 

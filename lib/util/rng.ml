@@ -9,15 +9,9 @@ let mix64 z =
 
 let create seed = { state = seed; seed }
 
-let copy t = { state = t.state; seed = t.seed }
-
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
-
-let split t =
-  let s = int64 t in
-  create (mix64 s)
 
 let seed_of_string s =
   (* FNV-1a, 64-bit *)
@@ -46,54 +40,7 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   r *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let bernoulli t p = float t 1.0 < p
-
-let geometric t p =
-  assert (p > 0.0 && p <= 1.0);
-  if p >= 1.0 then 0
-  else
-    let u = float t 1.0 in
-    let u = if u <= 0.0 then epsilon_float else u in
-    int_of_float (Float.of_int 0 +. floor (log u /. log (1.0 -. p)))
-
-(* Zipf via cached cumulative tables keyed by (n, s). *)
-let zipf_tables : (int * float, float array) Hashtbl.t = Hashtbl.create 7
-
-let zipf_table n s =
-  match Hashtbl.find_opt zipf_tables (n, s) with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Array.make n 0.0 in
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) s);
-      tbl.(i) <- !acc
-    done;
-    let total = !acc in
-    for i = 0 to n - 1 do
-      tbl.(i) <- tbl.(i) /. total
-    done;
-    Hashtbl.replace zipf_tables (n, s) tbl;
-    tbl
-
-let zipf t ~n ~s =
-  assert (n > 0);
-  let tbl = zipf_table n s in
-  let u = float t 1.0 in
-  (* first index whose cumulative mass is >= u *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if tbl.(mid) >= u then search lo mid else search (mid + 1) hi
-  in
-  search 0 (n - 1)
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -5,24 +5,16 @@
     contents and therefore every trace and every table, bit for bit.
 
     The generator is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): tiny
-    state, excellent statistical quality for simulation purposes, and a
-    well-defined [split] operation that derives independent child streams —
-    which we use to give every procedure, branch site and table column its
-    own stream, so adding a consumer never perturbs the values seen by
-    existing ones. *)
+    state and excellent statistical quality for simulation purposes.
+    {!named} derives independent child streams, which give every
+    procedure, branch site and table column its own stream, so adding a
+    consumer never perturbs the values seen by existing ones. *)
 
 type t
 (** Mutable generator state. *)
 
 val create : int64 -> t
 (** [create seed] is a fresh generator seeded with [seed]. *)
-
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of the remainder of [t]'s stream. *)
 
 val named : t -> string -> t
 (** [named t s] derives a child generator from [t]'s {e original seed} and
@@ -41,27 +33,8 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val geometric : t -> float -> int
-(** [geometric t p] is the number of failures before the first success of a
-    Bernoulli([p]) sequence; mean [(1-p)/p]. [p] must be in (0, 1]. *)
-
-val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] samples a rank in [\[0, n)] from a Zipf distribution with
-    exponent [s] (rank 0 most popular), by inverting the empirical CDF.
-    Intended for modest [n]; cost O(log n) after an O(n) table is built
-    lazily per (n, s) pair. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val seed_of_string : string -> int64
-(** FNV-1a hash of a string, for deriving seeds from names. *)

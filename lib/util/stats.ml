@@ -1,10 +1,6 @@
-let sorted_desc counts =
+let cumulative_share counts =
   let sorted = Array.copy counts in
   Array.sort (fun a b -> compare b a) sorted;
-  sorted
-
-let cumulative_share counts =
-  let sorted = sorted_desc counts in
   let total = Array.fold_left ( + ) 0 sorted in
   let totalf = float_of_int (max total 1) in
   let acc = ref 0 in
@@ -13,20 +9,6 @@ let cumulative_share counts =
       acc := !acc + c;
       float_of_int !acc /. totalf)
     sorted
-
-let items_for_share counts s =
-  let sorted = sorted_desc counts in
-  let total = Array.fold_left ( + ) 0 sorted in
-  if total = 0 then 0
-  else
-    let target = s *. float_of_int total in
-    let rec go i acc =
-      if i >= Array.length sorted then i
-      else
-        let acc = acc + sorted.(i) in
-        if float_of_int acc >= target then i + 1 else go (i + 1) acc
-    in
-    go 0 0
 
 let weighted_percentile pairs p =
   let n = Array.length pairs in

@@ -6,10 +6,6 @@ val cumulative_share : int array -> float array
     running share of the total: element [i] is the fraction of the sum
     captured by the [i+1] largest counts. Used for the Figure 2 curve. *)
 
-val items_for_share : int array -> float -> int
-(** [items_for_share counts s] is the least number of the largest elements
-    of [counts] whose sum reaches share [s] of the total (0 if total is 0). *)
-
 val weighted_percentile : (int * int) array -> float -> float
 (** [weighted_percentile pairs p] over [(value, weight)] pairs sorted
     ascending by value: the smallest value whose cumulative weight

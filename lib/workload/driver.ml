@@ -12,16 +12,6 @@ let jobs ~dbs ~queries =
 
 let job_name j = Printf.sprintf "%s/Q%d" j.db_label j.query
 
-let run_traced ~kernel ~walker ?(on_boundary = fun _ -> ()) jobs =
-  Probe.with_walker walker @@ fun () ->
-  List.iter
-    (fun job ->
-      on_boundary job;
-      Kernel.query_setup kernel walker;
-      let plan = Queries.plan job.db job.query in
-      ignore (Stc_db.Exec.run job.db plan))
-    jobs
-
 let record ?progress ~kernel ~walker_seed ~dbs ~queries () =
   (* start from a cold, reproducible buffer pool *)
   List.iter (fun (_, db) -> Stc_db.Bufmgr.reset (Stc_db.Database.bufmgr db)) dbs;
@@ -35,8 +25,13 @@ let record ?progress ~kernel ~walker_seed ~dbs ~queries () =
         Stc_obs.Progress.step p
   in
   let walker = Kernel.make_walker kernel ~seed:walker_seed ~sink in
-  run_traced ~kernel ~walker
-    ~on_boundary:(fun j -> Recorder.mark recorder (job_name j))
-    (jobs ~dbs ~queries);
+  (Probe.with_walker walker @@ fun () ->
+   List.iter
+     (fun job ->
+       Recorder.mark recorder (job_name job);
+       Kernel.query_setup kernel walker;
+       let plan = Queries.plan job.db job.query in
+       ignore (Stc_db.Exec.run job.db plan))
+     (jobs ~dbs ~queries));
   (match progress with Some p -> Stc_obs.Progress.finish p | None -> ());
   recorder

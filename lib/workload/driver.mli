@@ -8,17 +8,6 @@ val jobs :
   dbs:(string * Stc_db.Database.t) list -> queries:int list -> job list
 (** Cartesian product, databases outermost. *)
 
-val run_traced :
-  kernel:Stc_synth.Kernel.t ->
-  walker:Stc_trace.Walker.t ->
-  ?on_boundary:(job -> unit) ->
-  job list ->
-  unit
-(** Execute every job to completion under the walker: per job, walk the
-    parser and optimizer, then run the plan through the instrumented
-    executor. [on_boundary] fires before each job (e.g. to place recorder
-    marks and reset profile adjacency). *)
-
 val record :
   ?progress:Stc_obs.Progress.t ->
   kernel:Stc_synth.Kernel.t ->
@@ -27,11 +16,14 @@ val record :
   queries:int list ->
   unit ->
   Stc_trace.Recorder.t
-(** Convenience: record the whole block trace of a query set, with one
-    mark per job named ["<db>/Q<n>"]. Buffer pools are reset first, so the
-    same inputs always produce the same trace. With [?progress], the
-    reporter is stepped once per recorded block and finished at the
-    end. Nothing here counts: a run's walker and trace statistics are
-    counted from the returned recorder ([Stc_core.Pipeline.run]). *)
+(** Record the whole block trace of a query set: every job runs to
+    completion under one walker seeded with [walker_seed] (per job, a
+    mark named ["<db>/Q<n>"], then the walk of the parser and optimizer,
+    then the plan through the instrumented executor). Buffer pools are reset
+    first, so the same inputs always produce the same trace. With
+    [?progress], the reporter is stepped once per recorded block and
+    finished at the end. Nothing here counts: a run's walker and trace
+    statistics are counted from the returned recorder
+    ([Stc_core.Pipeline.run]). *)
 
 val job_name : job -> string

@@ -322,6 +322,22 @@ let test_corrupt_store_survives () =
   Alcotest.(check bool) "store repaired" true
     (List.for_all (fun e -> e.Store.e_ok) (Store.scan dir))
 
+(* A store directory that cannot be created (here, below a regular file)
+   is a broken cache, not a failed run: the same rows as without a
+   store, and a warning in the registry. *)
+let test_uncreatable_store_dir () =
+  with_dir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let file = Filename.concat dir "plain" in
+  write_file file "";
+  let reg, rows = run_grid (Filename.concat file "st") in
+  let plain =
+    E.simulate ~config:tiny_grid (Pipeline.run ~config:tiny_config ())
+  in
+  Alcotest.(check bool) "rows identical to a store-less run" true
+    (rows = plain);
+  Alcotest.(check bool) "store.warning recorded" true (warnings reg <> [])
+
 (* ---------- ctx plumbing ---------- *)
 
 let test_with_store () =
@@ -345,6 +361,8 @@ let suite =
     Alcotest.test_case "Run.with_store / of_ctx" `Quick test_with_store;
     Alcotest.test_case "cold vs warm identical" `Slow test_cold_warm_identical;
     Alcotest.test_case "corrupt store survives" `Slow test_corrupt_store_survives;
+    Alcotest.test_case "uncreatable store directory survives" `Slow
+      test_uncreatable_store_dir;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
