@@ -598,7 +598,7 @@ let exec_fgroup ~metrics ~trace ~store cells ~tick g =
 
 (* Run planned cells: re-plan them into per-(subject, layout content)
    fused groups — one {!F.Engine.Bank} sweep per group — and run the groups
-   serially or self-scheduled on a domain pool.  Every cell records into
+   self-scheduled on a pool of [ctx.jobs] domains.  Every cell records into
    its own registry shard and shards merge in input order, so outputs
    are byte-identical at any job count.  Returns each cell's row and
    engine result, in input order. *)
@@ -626,41 +626,35 @@ let exec_cells ~(ctx : Run.ctx) ~label cells =
   let trace = ctx.Run.trace in
   let metrics = ctx.Run.metrics in
   let groups = fused_groups cells in
-  let out =
-    if ctx.Run.jobs <= 1 then
-      Array.map (exec_fgroup ~metrics ~trace ~store cells ~tick:step) groups
-    else begin
-      (* Workers tick [completed] once per cell as its group finalizes
-         it; only the calling domain — which participates in the pool —
-         drains the tick count into the reporter, so the (single-domain)
-         Progress state is never shared and the bar advances during the
-         run instead of jumping 0 -> 100% after the join.  The post-join
-         drain accounts for cells finished by other workers after the
-         caller's last one. *)
-      let completed = Atomic.make 0 in
-      let drained = ref 0 in
-      let caller = Domain.self () in
-      let drain () =
-        let d = Atomic.get completed in
-        while !drained < d do
-          incr drained;
-          step ()
-        done
-      in
-      let tick () =
-        Atomic.incr completed;
-        if Domain.self () = caller then drain ()
-      in
-      let out =
-        Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace @@ fun pool ->
-        Stc_par.Pool.map ~chunk:1 pool
-          (exec_fgroup ~metrics ~trace ~store cells ~tick)
-          groups
-      in
-      drain ();
-      out
-    end
+  (* Domains tick [completed] once per cell as its group finalizes it;
+     only the calling domain — which works beside the pool's domains —
+     drains the tick count into the reporter, so the (single-domain)
+     Progress state is never shared and the bar advances during the run
+     instead of jumping 0 -> 100% after the join.  With one domain the
+     caller runs every group and drains each tick at once; the post-join
+     drain accounts for cells other domains finished after the caller's
+     last one. *)
+  let completed = Atomic.make 0 in
+  let drained = ref 0 in
+  let caller = Domain.self () in
+  let drain () =
+    let d = Atomic.get completed in
+    while !drained < d do
+      incr drained;
+      step ()
+    done
   in
+  let tick () =
+    Atomic.incr completed;
+    if Domain.self () = caller then drain ()
+  in
+  let out =
+    Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace @@ fun pool ->
+    Stc_par.Pool.map ~chunk:1 pool
+      (exec_fgroup ~metrics ~trace ~store cells ~tick)
+      groups
+  in
+  drain ();
   (* Scatter rows back to input positions; merge shards in input order so
      exports are byte-identical at any job count. *)
   let done_ = Array.make n None in

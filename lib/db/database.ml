@@ -6,7 +6,6 @@ type index_kind = Btree_db | Hash_db
 type index = Bt of Btree.t | Hx of Hashidx.t
 
 type t = {
-  storage : Storage.t;
   bufmgr : Bufmgr.t;
   heaps : (string, Heap.t) Hashtbl.t;
   indexes : (string, index) Hashtbl.t;
@@ -84,7 +83,7 @@ let load ?(frames = 256) data ~kind =
           (Bt (Btree.build storage bufmgr ~name ~entries)))
       btree_only_specs
   | Hash_db -> ());
-  { storage; bufmgr; heaps; indexes }
+  { bufmgr; heaps; indexes }
 
 let bufmgr t = t.bufmgr
 

@@ -20,7 +20,7 @@ let op_names =
 (* Executor node representation                                        *)
 (* ------------------------------------------------------------------ *)
 
-type node = { mutable next_fn : unit -> int array option; rescan_fn : int array option -> unit }
+type node = { next_fn : unit -> int array option; rescan_fn : int array option -> unit }
 
 let k_procnode = Probe.key "ExecProcNode"
 
@@ -198,7 +198,6 @@ type mergejoin_state = {
   mj_quals : Expr.t list;
   mutable mj_outer_tuple : int array option;
   mutable mj_lookahead : int array option;
-  mutable mj_inner_done : bool;
   mutable mj_inner_started : bool;
   mutable mj_group : int array array;
   mutable mj_group_key : int option;
@@ -223,7 +222,6 @@ let mergejoin_next st () =
   in
   let pull_inner () =
     let t = proc_node st.mj_inner in
-    (match t with None -> st.mj_inner_done <- true | Some _ -> ());
     st.mj_lookahead <- t;
     st.mj_inner_started <- true
   in
@@ -692,7 +690,6 @@ and build_node db plan children ~pre_scan =
         mj_quals = quals;
         mj_outer_tuple = None;
         mj_lookahead = None;
-        mj_inner_done = false;
         mj_inner_started = false;
         mj_group = [||];
         mj_group_key = None;

@@ -4,7 +4,7 @@ module Skeleton = Stc_trace.Skeleton
 type t = {
   file : Storage.file;
   bufmgr : Bufmgr.t;
-  mutable rows : int;
+  rows : int;
 }
 
 let load storage bufmgr ~name ~rows ~width =

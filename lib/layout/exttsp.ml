@@ -69,15 +69,28 @@ type candidate = {
   v_second : int;
 }
 
-(* Priority queue of candidates, best first: the largest gain, then —
-   comparing the remaining fields in declaration order — the smallest
-   rank and the smallest first root, which is the selection rule. The
-   other fields only keep stale duplicates apart. *)
+(* Priority queue of candidates, best first: the largest gain, then the
+   smallest rank, then the smallest first root, which is the selection
+   rule. The other fields, compared in declaration order, only keep
+   stale duplicates apart. *)
 module Candidates = Set.Make (struct
   type t = candidate
 
   let compare x y =
-    match Float.compare y.gain x.gain with 0 -> compare x y | c -> c
+    let c = Float.compare y.gain x.gain in
+    if c <> 0 then c
+    else
+      let c = Int.compare x.rank y.rank in
+      if c <> 0 then c
+      else
+        let c = Int.compare x.first y.first in
+        if c <> 0 then c
+        else
+          let c = Int.compare x.second y.second in
+          if c <> 0 then c
+          else
+            let c = Int.compare x.v_first y.v_first in
+            if c <> 0 then c else Int.compare x.v_second y.v_second
 end)
 
 (* Chains are keyed by their root, which is always their first block; the

@@ -12,13 +12,10 @@ let default_config =
 
 type site = {
   site_block : int;
-  callee : int;
-  continuation : int;
   clone_of : (int, int) Hashtbl.t; (* original callee block -> clone id *)
 }
 
 type t = {
-  base : Program.t;
   expanded : Program.t;
   sites : site list;
   site_of_block : (int, site) Hashtbl.t;
@@ -127,7 +124,7 @@ let transform ?(config = default_config) profile =
         in
         Hashtbl.replace extra_per_proc caller_pid
           ((site_block, List.rev !clone_ids) :: cur);
-        { site_block; callee; continuation; clone_of })
+        { site_block; clone_of })
       picked
   in
   let all_blocks =
@@ -164,7 +161,6 @@ let transform ?(config = default_config) profile =
   let old_instrs = (Program.static_counts base).Program.n_instrs in
   let new_instrs = (Program.static_counts expanded).Program.n_instrs in
   {
-    base;
     expanded;
     sites;
     site_of_block;

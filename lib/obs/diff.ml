@@ -4,7 +4,9 @@ let str_field name r =
 let record_type r = Option.value ~default:"?" (str_field "type" r)
 
 (* Ignore-prefix filtering, applied before keying so both files number the
-   surviving repeats identically. *)
+   surviving repeats identically. A "histo" record is a named metric of
+   exports written while the registry still had histograms, so an older
+   export's [store.*_us] records fall to [--ignore store.] too. *)
 let ignored ~ignores r =
   ignores <> []
   &&
@@ -50,7 +52,7 @@ let close_enough tolerance a b =
   a = b
   || abs_float (a -. b) <= tolerance *. Float.max (abs_float a) (abs_float b)
 
-let rec compare_json ~tolerance ~ignore_seconds ~optional ~report path a b =
+let rec compare_json ~tolerance ~ignore_seconds ~report path a b =
   match (a, b) with
   | Json.Obj fa, Json.Obj fb ->
     let names =
@@ -62,15 +64,13 @@ let rec compare_json ~tolerance ~ignore_seconds ~optional ~report path a b =
         if not (ignore_seconds && k = "seconds") then
           match (List.assoc_opt k fa, List.assoc_opt k fb) with
           | Some va, Some vb ->
-            compare_json ~tolerance ~ignore_seconds ~optional ~report
+            compare_json ~tolerance ~ignore_seconds ~report
               (path ^ "." ^ k) va vb
-          (* optional fields (histo quantiles, added in export schema 3)
-             only count as drift when both sides carry them *)
-          | Some _, None when not (List.mem k optional) ->
+          | Some _, None ->
             report (Printf.sprintf "%s: only in A" (path ^ "." ^ k))
-          | None, Some _ when not (List.mem k optional) ->
+          | None, Some _ ->
             report (Printf.sprintf "%s: only in B" (path ^ "." ^ k))
-          | _ -> ())
+          | None, None -> ())
       names
   | Json.List la, Json.List lb ->
     if List.length la <> List.length lb then
@@ -80,7 +80,7 @@ let rec compare_json ~tolerance ~ignore_seconds ~optional ~report path a b =
     else
       List.iteri
         (fun i (va, vb) ->
-          compare_json ~tolerance ~ignore_seconds ~optional ~report
+          compare_json ~tolerance ~ignore_seconds ~report
             (Printf.sprintf "%s[%d]" path i)
             va vb)
         (List.combine la lb)
@@ -110,10 +110,7 @@ let diff_records ?(tolerance = 0.0) ?(ignores = []) ~a_label ~b_label ra rb =
       | None -> report (Printf.sprintf "%s#%d: only in %s" base n a_label)
       | Some rb ->
         let ignore_seconds = record_type ra = "span" in
-        let optional =
-          if record_type ra = "histo" then [ "p50"; "p90"; "p99" ] else []
-        in
-        compare_json ~tolerance ~ignore_seconds ~optional ~report
+        compare_json ~tolerance ~ignore_seconds ~report
           (Printf.sprintf "%s#%d" base n)
           ra rb)
     a;

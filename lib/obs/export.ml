@@ -1,23 +1,8 @@
-module Stats = Stc_util.Stats
-
 (* 2: `table34.cell`/`ablation.cell` events emit `"cfa_kb":null` (not -1)
    for layouts without a Conflict-Free Area.
-   3: histo records carry p50/p90/p99 summary fields (bucket lower
-   bounds, so they stay exact across shard merges); Diff treats them as
-   optional, so schema-2 exports still compare clean. *)
+   3: gave histogram records quantile fields. Exports carry no histogram
+   records now; what remains is a subset of schema 3, so the number stays. *)
 let schema_version = 3
-
-(* Quantile summaries over the geometric buckets: each bucket's lower
-   bound stands in for its values, so the result is one of the bucket
-   bounds — deterministic, and invariant under shard merging (which
-   unions buckets weight-for-weight). [null] on an empty histogram. *)
-let histo_quantiles h =
-  match Metric.Histogram.buckets h with
-  | [] -> [ ("p50", Json.Null); ("p90", Json.Null); ("p99", Json.Null) ]
-  | bks ->
-    let pairs = Array.of_list (List.map (fun (lo, _, w) -> (lo, w)) bks) in
-    let q p = Json.Float (Stats.weighted_percentile pairs p) in
-    [ ("p50", q 0.5); ("p90", q 0.9); ("p99", q 0.99) ]
 
 let records t =
   let meta = Json.Obj [ ("type", Str "meta"); ("schema", Int schema_version) ] in
@@ -32,26 +17,6 @@ let records t =
       (fun (name, v) ->
         Json.Obj [ ("type", Str "gauge"); ("name", Str name); ("value", Float v) ])
       (Registry.gauges t)
-  in
-  let histos =
-    List.map
-      (fun (name, h) ->
-        Json.Obj
-          ([
-             ("type", Json.Str "histo");
-             ("name", Json.Str name);
-             ("total", Json.Int (Metric.Histogram.total h));
-           ]
-          @ histo_quantiles h
-          @ [
-              ( "buckets",
-                Json.List
-                  (List.map
-                     (fun (lo, hi, w) ->
-                       Json.List [ Json.Int lo; Json.Int hi; Json.Int w ])
-                     (Metric.Histogram.buckets h)) );
-            ]))
-      (Registry.histograms t)
   in
   let spans =
     List.map
@@ -72,7 +37,7 @@ let records t =
         Json.Obj ((("type", Json.Str "event") :: ("kind", Str kind) :: fields)))
       (Registry.events t)
   in
-  (meta :: counters) @ gauges @ histos @ spans @ events
+  (meta :: counters) @ gauges @ spans @ events
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in

@@ -19,17 +19,3 @@ module Gauge = struct
 
   let value g = g.value
 end
-
-module Histogram = struct
-  type t = Stc_util.Histo.t
-
-  let make ?max_value () = Stc_util.Histo.create ?max_value ()
-
-  let add = Stc_util.Histo.add
-
-  let total = Stc_util.Histo.total
-
-  let mass_below = Stc_util.Histo.mass_below
-
-  let buckets = Stc_util.Histo.buckets
-end

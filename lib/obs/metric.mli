@@ -1,9 +1,9 @@
-(** Metric handles: counters, gauges, and log2-bucketed histograms.
+(** Metric handles: counters and gauges.
 
     A handle is a free-standing mutable cell with no name: updating one
     is a single field write, with no allocation and no table lookup. A
     handle enters a {!Registry} only by name ({!Registry.counter},
-    {!Registry.gauge}, {!Registry.histogram}), which interns it there;
+    {!Registry.gauge}), which interns it there;
     [make] gives a handle that no registry exports (a module that counts
     whether or not a run collects metrics). Statistics are counted where
     a result is built, not inside the simulated structures: the caches,
@@ -31,22 +31,4 @@ module Gauge : sig
   val set : t -> float -> unit
 
   val value : t -> float
-end
-
-module Histogram : sig
-  type t
-  (** A {!Stc_util.Histo}: geometric buckets [[0,1) [1,2) [2,4) ...],
-      weighted adds. *)
-
-  val make : ?max_value:int -> unit -> t
-
-  val add : t -> ?weight:int -> int -> unit
-
-  val total : t -> int
-
-  val mass_below : t -> int -> float
-
-  val buckets : t -> (int * int * int) list
-  (** Non-empty [(lo, hi, weight)] buckets, ascending; see
-      {!Stc_util.Histo.buckets}. *)
 end

@@ -10,7 +10,6 @@ type node = {
 type entry =
   | Counter of Metric.Counter.t
   | Gauge of Metric.Gauge.t
-  | Histogram of Metric.Histogram.t
 
 type t = {
   clock : clock;
@@ -52,17 +51,6 @@ let gauge t name =
     Hashtbl.replace t.index name (Gauge g);
     g
 
-let histogram ?max_value t name =
-  match Hashtbl.find_opt t.index name with
-  | Some (Histogram h) -> h
-  | Some _ ->
-    invalid_arg
-      (Printf.sprintf "Stc_obs.Registry: %S is not a histogram" name)
-  | None ->
-    let h = Metric.Histogram.make ?max_value () in
-    Hashtbl.replace t.index name (Histogram h);
-    h
-
 (* ---------- spans ---------- *)
 
 module Span = struct
@@ -102,9 +90,7 @@ let merge ~into src =
   if into == src then
     invalid_arg "Stc_obs.Registry.merge: cannot merge a registry into itself";
   (* metrics: counters sum, gauges take the source's (last-write-wins
-     across a merge sequence), histograms union their buckets. Re-adding
-     a bucket's weight at its lower bound is exact because buckets are
-     geometric: every value of [lo, hi) lands back in the same bucket. *)
+     across a merge sequence) *)
   Hashtbl.iter
     (fun name entry ->
       match entry with
@@ -134,23 +120,7 @@ let merge ~into src =
             Hashtbl.replace into.index name (Gauge d);
             d
         in
-        Metric.Gauge.set dst (Metric.Gauge.value g)
-      | Histogram h ->
-        let dst =
-          match Hashtbl.find_opt into.index name with
-          | Some (Histogram d) -> d
-          | Some _ ->
-            invalid_arg
-              (Printf.sprintf "Stc_obs.Registry.merge: %S is not a histogram"
-                 name)
-          | None ->
-            let d = Metric.Histogram.make () in
-            Hashtbl.replace into.index name (Histogram d);
-            d
-        in
-        List.iter
-          (fun (lo, _, w) -> Metric.Histogram.add dst ~weight:w lo)
-          (Metric.Histogram.buckets h))
+        Metric.Gauge.set dst (Metric.Gauge.value g))
     src.index;
   (* spans: sum calls and seconds node-wise, grafting unknown subtrees
      under the destination's root in the source's first-call order *)
@@ -199,13 +169,6 @@ let gauges t =
   Hashtbl.fold
     (fun name e acc ->
       match e with Gauge g -> (name, Metric.Gauge.value g) :: acc | _ -> acc)
-    t.index []
-  |> by_name
-
-let histograms t =
-  Hashtbl.fold
-    (fun name e acc ->
-      match e with Histogram h -> (name, h) :: acc | _ -> acc)
     t.index []
   |> by_name
 

@@ -2,10 +2,9 @@
     pipeline to collect everything observable about it.
 
     A registry holds
-    - named metric handles ({!Metric.Counter}, {!Metric.Gauge},
-      {!Metric.Histogram}), interned here by name ({!counter},
-      {!gauge}, {!histogram}) — the one way a metric enters a
-      registry;
+    - named metric handles ({!Metric.Counter}, {!Metric.Gauge}),
+      interned here by name ({!counter}, {!gauge}) — the one way a
+      metric enters a registry;
     - a tree of hierarchical timing {e spans} ({!span}) accumulating
       wall-clock seconds and call counts per phase;
     - an ordered log of structured {e events} ({!event}) — one record per
@@ -39,8 +38,6 @@ val counter : t -> string -> Metric.Counter.t
 
 val gauge : t -> string -> Metric.Gauge.t
 
-val histogram : ?max_value:int -> t -> string -> Metric.Histogram.t
-
 (** {2 Spans} *)
 
 module Span : sig
@@ -69,10 +66,8 @@ val merge : into:t -> t -> unit
 (** [merge ~into src] folds one registry into another — the join step for
     per-task registry shards filled by parallel workers
     ({!Stc_par.Pool}): counters are {e summed}, gauges take the source's
-    value ({e last write wins} over a sequence of merges), histograms
-    {e union} their buckets (exactly — buckets are geometric, so weight
-    re-added at a bucket's lower bound lands in the same bucket), span
-    nodes sum calls and seconds path-wise, and events are {e appended}
+    value ({e last write wins} over a sequence of merges), span nodes
+    sum calls and seconds path-wise, and events are {e appended}
     in the source's insertion order. Merging shards in task-index order
     therefore reproduces the exact event log of a serial run. [src] is
     not modified. Raises [Invalid_argument] when a name is carried by
@@ -84,8 +79,6 @@ val counters : t -> (string * int) list
 (** Sorted by name. *)
 
 val gauges : t -> (string * float) list
-
-val histograms : t -> (string * Metric.Histogram.t) list
 
 val spans : t -> Span.info list
 (** Pre-order walk of the span tree (children in first-call order). *)

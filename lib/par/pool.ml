@@ -1,78 +1,19 @@
 module Trace = Stc_obs.Trace
 
-type job = {
-  total : int;
-  chunk : int;
-  next : int Atomic.t;
-  work : int -> int -> unit;  (* work lo hi, half-open; must not raise *)
-}
-
-(* Accounting slots: the calling domain is slot 0, spawned workers are
-   slots 1..n_workers. Each slot is written by exactly one domain while a
-   job is in flight; readers ({!stats}) run between jobs, after the
-   mutex hand-off in [submit] has published the writes. *)
+(* Accounting slots: the calling domain is slot 0, the domains a {!map}
+   spawns are slots 1..domains-1. Each slot is written by exactly one
+   domain while a map is in flight; readers ({!stats}) run between maps,
+   after [Domain.join] has published the writes. *)
 type t = {
-  n_workers : int;  (* spawned domains; the caller is one more *)
-  mutable workers : unit Domain.t array;
-  m : Mutex.t;
-  have_job : Condition.t;
-  job_done : Condition.t;
-  mutable gen : int;  (* job generation; bumped on submit *)
-  mutable job : job option;  (* the job of generation [gen] *)
-  mutable finished : int;  (* workers done with the current generation *)
-  mutable stopping : bool;
+  domains : int;
   busy : float array;
   chunks_done : int array;
-  mutable wall : float;  (* seconds spent inside [submit], summed *)
+  mutable wall : float;  (* seconds spent inside [map], summed *)
   mutable submits : int;
   trace : Trace.t option;
   tr_chunk : int;  (* interned ids; 0 when [trace = None] *)
   tr_queue : int;
 }
-
-let run_chunks t job ~slot =
-  let rec go () =
-    let lo = Atomic.fetch_and_add job.next job.chunk in
-    if lo < job.total then begin
-      let t0 = Unix.gettimeofday () in
-      (match t.trace with
-      | None -> ()
-      | Some tr ->
-        (* items still unclaimed after this grab: the queue depth *)
-        Trace.counter tr t.tr_queue (max 0 (job.total - lo - job.chunk));
-        Trace.begin_ tr t.tr_chunk);
-      job.work lo (min (lo + job.chunk) job.total);
-      (match t.trace with
-      | None -> ()
-      | Some tr -> Trace.end_ tr t.tr_chunk);
-      t.busy.(slot) <- t.busy.(slot) +. (Unix.gettimeofday () -. t0);
-      t.chunks_done.(slot) <- t.chunks_done.(slot) + 1;
-      go ()
-    end
-  in
-  go ()
-
-let worker t ~slot =
-  let last = ref 0 in
-  let rec loop () =
-    Mutex.lock t.m;
-    while (not t.stopping) && t.gen = !last do
-      Condition.wait t.have_job t.m
-    done;
-    if t.stopping then Mutex.unlock t.m
-    else begin
-      last := t.gen;
-      let job = Option.get t.job in
-      Mutex.unlock t.m;
-      run_chunks t job ~slot;
-      Mutex.lock t.m;
-      t.finished <- t.finished + 1;
-      if t.finished = t.n_workers then Condition.signal t.job_done;
-      Mutex.unlock t.m;
-      loop ()
-    end
-  in
-  loop ()
 
 let create ?domains ?trace () =
   let domains =
@@ -85,57 +26,16 @@ let create ?domains ?trace () =
     | None -> (0, 0)
     | Some tr -> (Trace.intern tr "pool.chunk", Trace.intern tr "pool.queue")
   in
-  let t =
-    {
-      n_workers = domains - 1;
-      workers = [||];
-      m = Mutex.create ();
-      have_job = Condition.create ();
-      job_done = Condition.create ();
-      gen = 0;
-      job = None;
-      finished = 0;
-      stopping = false;
-      busy = Array.make domains 0.0;
-      chunks_done = Array.make domains 0;
-      wall = 0.0;
-      submits = 0;
-      trace;
-      tr_chunk;
-      tr_queue;
-    }
-  in
-  t.workers <-
-    Array.init t.n_workers (fun i ->
-        Domain.spawn (fun () -> worker t ~slot:(i + 1)));
-  t
-
-let domains t = t.n_workers + 1
-
-(* Run [job] to completion using the whole pool; the calling domain
-   participates. Returns once every worker has left the job, so the
-   workers' writes happen-before the caller's reads (mutex hand-off). *)
-let submit t job =
-  if t.stopping then invalid_arg "Stc_par.Pool: pool is shut down";
-  let t0 = Unix.gettimeofday () in
-  if t.n_workers = 0 then run_chunks t job ~slot:0
-  else begin
-    Mutex.lock t.m;
-    t.job <- Some job;
-    t.finished <- 0;
-    t.gen <- t.gen + 1;
-    Condition.broadcast t.have_job;
-    Mutex.unlock t.m;
-    run_chunks t job ~slot:0;
-    Mutex.lock t.m;
-    while t.finished < t.n_workers do
-      Condition.wait t.job_done t.m
-    done;
-    t.job <- None;
-    Mutex.unlock t.m
-  end;
-  t.wall <- t.wall +. (Unix.gettimeofday () -. t0);
-  t.submits <- t.submits + 1
+  {
+    domains;
+    busy = Array.make domains 0.0;
+    chunks_done = Array.make domains 0;
+    wall = 0.0;
+    submits = 0;
+    trace;
+    tr_chunk;
+    tr_queue;
+  }
 
 type stats = {
   s_domains : int;
@@ -149,7 +49,7 @@ type stats = {
 let stats t =
   let busy = Array.copy t.busy in
   {
-    s_domains = t.n_workers + 1;
+    s_domains = t.domains;
     s_submits = t.submits;
     s_wall = t.wall;
     s_busy = busy;
@@ -157,73 +57,81 @@ let stats t =
     s_chunks = Array.copy t.chunks_done;
   }
 
-let default_chunk ~total ~domains =
-  (* several chunks per domain so uneven costs balance *)
-  max 1 (total / (domains * 8))
-
-let iter_chunks ?chunk t n f =
-  if n > 0 then begin
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> default_chunk ~total:n ~domains:(t.n_workers + 1)
-    in
-    (* A failed chunk records (lo, exn, backtrace); unclaimed chunks are
-       skipped once a failure is seen. After the join the lowest-indexed
-       failure is re-raised in the caller. *)
-    let errors = Atomic.make [] in
-    let cancelled = Atomic.make false in
-    let work lo hi =
-      if not (Atomic.get cancelled) then
-        try f ~lo ~hi
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Atomic.set cancelled true;
-          let rec push () =
-            let old = Atomic.get errors in
-            if not (Atomic.compare_and_set errors old ((lo, e, bt) :: old))
-            then push ()
-          in
-          push ()
-    in
-    submit t { total = n; chunk; next = Atomic.make 0; work };
-    match Atomic.get errors with
-    | [] -> ()
-    | errs ->
-      let lo0, e, bt =
-        List.fold_left
-          (fun ((lo0, _, _) as acc) ((lo, _, _) as c) ->
-            if lo < lo0 then c else acc)
-          (List.hd errs) (List.tl errs)
-      in
-      ignore lo0;
-      Printexc.raise_with_backtrace e bt
-  end
-
 let map ?chunk t f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
+    let chunk =
+      match chunk with
+      | Some c -> max 1 c
+      | None -> max 1 (n / (t.domains * 8)) (* several chunks per domain *)
+    in
     let results = Array.make n None in
-    iter_chunks ?chunk t n (fun ~lo ~hi ->
-        for i = lo to hi - 1 do
-          results.(i) <- Some (f xs.(i))
-        done);
-    Array.map
-      (function Some v -> v | None -> assert false (* iter_chunks raised *))
-      results
+    let next = Atomic.make 0 in
+    (* A failed chunk records (lo, exn, backtrace) and cancels the chunks
+       nobody has claimed yet; after the join the lowest-indexed failure
+       is re-raised in the caller. *)
+    let cancelled = Atomic.make false in
+    let errors = Atomic.make [] in
+    let rec push failure =
+      let old = Atomic.get errors in
+      if not (Atomic.compare_and_set errors old (failure :: old)) then
+        push failure
+    in
+    let rec claim slot =
+      if not (Atomic.get cancelled) then begin
+        let lo = Atomic.fetch_and_add next chunk in
+        if lo < n then begin
+          let hi = min (lo + chunk) n in
+          let t0 = Unix.gettimeofday () in
+          (match t.trace with
+          | None -> ()
+          | Some tr ->
+            (* items still unclaimed after this grab: the queue depth *)
+            Trace.counter tr t.tr_queue (n - hi);
+            Trace.begin_ tr t.tr_chunk);
+          (try
+             for i = lo to hi - 1 do
+               results.(i) <- Some (f xs.(i))
+             done
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             Atomic.set cancelled true;
+             push (lo, e, bt));
+          (match t.trace with
+          | None -> ()
+          | Some tr -> Trace.end_ tr t.tr_chunk);
+          t.busy.(slot) <- t.busy.(slot) +. (Unix.gettimeofday () -. t0);
+          t.chunks_done.(slot) <- t.chunks_done.(slot) + 1;
+          claim slot
+        end
+      end
+    in
+    let t0 = Unix.gettimeofday () in
+    let spawned = ref [] in
+    (try
+       for slot = 1 to t.domains - 1 do
+         spawned := Domain.spawn (fun () -> claim slot) :: !spawned
+       done
+     with e ->
+       let bt = Printexc.get_raw_backtrace () in
+       Atomic.set cancelled true;
+       List.iter Domain.join !spawned;
+       Printexc.raise_with_backtrace e bt);
+    claim 0;
+    List.iter Domain.join !spawned;
+    t.wall <- t.wall +. (Unix.gettimeofday () -. t0);
+    t.submits <- t.submits + 1;
+    match Atomic.get errors with
+    | [] -> Array.map Option.get results
+    | first :: rest ->
+      let _, e, bt =
+        List.fold_left
+          (fun ((lo0, _, _) as low) ((lo, _, _) as c) ->
+            if lo < lo0 then c else low)
+          first rest
+      in
+      Printexc.raise_with_backtrace e bt
   end
 
-let shutdown t =
-  if not t.stopping then begin
-    Mutex.lock t.m;
-    t.stopping <- true;
-    Condition.broadcast t.have_job;
-    Mutex.unlock t.m;
-    Array.iter Domain.join t.workers;
-    t.workers <- [||]
-  end
-
-let with_pool ?domains ?trace f =
-  let t = create ?domains ?trace () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+let with_pool ?domains ?trace f = f (create ?domains ?trace ())

@@ -1,77 +1,63 @@
-(** A fixed-size domain pool with chunked, self-scheduling work queues —
-    the substrate for the embarrassingly parallel simulation grids
-    (Tables 3/4, the ablation sweep, and any future parameter sweep).
+(** A domain pool with chunked, self-scheduling maps — the substrate for
+    the embarrassingly parallel simulation grids (Tables 3/4, the
+    ablation sweep, and any future parameter sweep).
 
     Design points:
 
-    - {b Fixed size.} [create ~domains:n] provides a parallelism of [n]:
-      [n - 1] worker domains are spawned once and reused across calls;
-      the calling domain is the [n]-th worker while a {!map} or
-      {!iter_chunks} call is in flight. [~domains:1] spawns nothing and
-      runs every task inline — the exact serial path.
-    - {b Chunked queues.} Each call shares one atomic cursor; workers
-      claim [chunk] consecutive indices at a time (self-scheduling), so
-      uneven task costs balance without a scheduler thread.
+    - {b Spawn and join.} A pool of [n] domains gives each {!map} a
+      parallelism of [n]: the map spawns [n - 1] domains, the calling
+      domain works beside them, and the map returns after joining them.
+      [~domains:1] spawns nothing and runs every task on the caller, in
+      input order — the serial path.
+    - {b Chunked self-scheduling.} A map shares one atomic cursor; each
+      domain claims [chunk] consecutive indices at a time, so uneven
+      task costs balance without a scheduler.
     - {b Deterministic results.} {!map} writes the result of input [i]
-      into slot [i]: the output array is ordered by input index, never by
-      completion order.
-    - {b Exception propagation.} A raising task never hangs the pool: the
-      remaining work is cancelled (already-claimed chunks finish), the
-      workers return to idle, and the exception of the lowest-indexed
-      failing chunk is re-raised in the caller with its backtrace.
+      into slot [i]: the output array is ordered by input index, never
+      by completion order.
+    - {b Exception propagation.} A raising task cancels the chunks not
+      yet claimed (claimed ones finish), and once every domain is joined
+      the exception of the lowest-indexed failing chunk is re-raised in
+      the caller with its backtrace. If spawning a domain fails, the
+      domains already spawned are cancelled and joined before the
+      spawn's exception is re-raised.
 
-    A pool must be driven from one domain at a time (calls do not nest
-    and are not thread-safe); tasks must not themselves call into the
-    same pool. *)
+    A pool is driven from one domain at a time (maps do not nest); a
+    task must not itself map on the same pool. *)
 
 type t
 
-val create : ?domains:int -> ?trace:Stc_obs.Trace.t -> unit -> t
-(** [create ~domains:n ()] spawns [n - 1] worker domains ([n] is clamped
-    to at least 1). Default: [Domain.recommended_domain_count () - 1],
-    leaving one core for the rest of the system. With [~trace], every
-    claimed chunk emits a [pool.chunk] slice on the domain that ran it
-    and a [pool.queue] counter sample of the items still unclaimed — the
-    per-domain utilization timeline [tools/trace_report] digests. *)
-
-val domains : t -> int
-(** The parallelism (worker domains + the calling domain), i.e. the
-    [~domains] the pool was created with. *)
-
 (** Cumulative scheduling account, kept whether or not tracing is on
     (two clock reads per chunk — noise next to any simulation cell).
-    Arrays are indexed by domain slot: 0 is the calling domain, [1..n-1]
-    the spawned workers. *)
+    Arrays are indexed by domain slot: 0 is the calling domain,
+    [1..n-1] the domains a map spawns. *)
 type stats = {
   s_domains : int;
-  s_submits : int;  (** {!map}/{!iter_chunks} calls served so far *)
-  s_wall : float;  (** total seconds inside those calls *)
+  s_submits : int;  (** {!map} calls served so far *)
+  s_wall : float;
+      (** total seconds inside those calls, spawning and joining the
+          domains included *)
   s_busy : float array;  (** per slot, seconds spent running chunks *)
   s_idle : float array;  (** per slot, [s_wall - s_busy] clamped at 0 *)
   s_chunks : int array;  (** per slot, chunks executed *)
 }
 
 val stats : t -> stats
-(** Snapshot of the account. Call between jobs (not from inside a task):
-    the join in [submit] publishes every worker's writes. *)
+(** Snapshot of the account. Call between maps (not from inside a task):
+    the join at the end of each map publishes every domain's writes. *)
 
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f xs] computes [Array.map f xs] using every domain of the
     pool. Results land by input index. [~chunk] is the number of
-    consecutive indices a worker claims at a time (default: a heuristic
+    consecutive indices a domain claims at a time (default: a heuristic
     giving each domain several chunks; pass [~chunk:1] when tasks are
     few and individually heavy, as simulation cells are). *)
 
-val iter_chunks : ?chunk:int -> t -> int -> (lo:int -> hi:int -> unit) -> unit
-(** [iter_chunks pool n f] partitions [0..n-1] into chunks and calls
-    [f ~lo ~hi] (half-open range) for each, in parallel. [f] must only
-    touch state disjoint per index. This is the primitive {!map} is
-    built on; use it directly to avoid materializing an input array. *)
-
-val shutdown : t -> unit
-(** Join the worker domains. Idempotent. The pool must be idle. Calling
-    {!map} after [shutdown] raises [Invalid_argument]. *)
-
 val with_pool : ?domains:int -> ?trace:Stc_obs.Trace.t -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and shuts it down afterwards
-    (also on exception). *)
+(** [with_pool ~domains:n f] runs [f] with a fresh pool of [n] domains
+    ([n] is clamped to at least 1). Default:
+    [Domain.recommended_domain_count () - 1], leaving one core for the
+    rest of the system. With [~trace], every claimed chunk emits a
+    [pool.chunk] slice on the domain that ran it and a [pool.queue]
+    counter sample of the items still unclaimed — the per-domain
+    utilization timeline [tools/trace_report] digests. *)

@@ -2,7 +2,6 @@ module Fnv = Stc_util.Fnv
 module Crc32 = Stc_util.Crc32
 module Registry = Stc_obs.Registry
 module Counter = Stc_obs.Metric.Counter
-module Histogram = Stc_obs.Metric.Histogram
 module Tracer = Stc_obs.Trace
 module Json = Stc_obs.Json
 module Program = Stc_cfg.Program
@@ -139,8 +138,6 @@ type t = {
   corrupt_c : Counter.t;
   bytes_read : Counter.t;
   bytes_written : Counter.t;
-  read_us : Histogram.t;  (* lookup+decode latency, microseconds *)
-  write_us : Histogram.t;
   tracer : Tracer.t option;
   tr_hit : int;  (* interned slice names; 0 when [tracer = None] *)
   tr_miss : int;
@@ -165,11 +162,6 @@ let open_ ?metrics ?trace dirname =
     | Some reg -> Registry.counter reg ("store." ^ name)
     | None -> Counter.make ()
   in
-  let h name =
-    match metrics with
-    | Some reg -> Registry.histogram reg ("store." ^ name)
-    | None -> Histogram.make ()
-  in
   let tr_hit, tr_miss, tr_write =
     match trace with
     | None -> (0, 0, 0)
@@ -187,8 +179,6 @@ let open_ ?metrics ?trace dirname =
     corrupt_c = c "corrupt";
     bytes_read = c "bytes_read";
     bytes_written = c "bytes_written";
-    read_us = h "read_us";
-    write_us = h "write_us";
     tracer = trace;
     tr_hit;
     tr_miss;
@@ -295,31 +285,27 @@ let count_non_hit t ~kind ~key = function
       Counter.incr t.corrupt_c;
       warning t ~kind ~key ~reason
 
-(* Latency + timeline bookkeeping around one lookup (or write). The
-   slice name is picked at the end, when the outcome is known, so hits
-   and misses get distinct Perfetto tracks; [bytes] rides along as the
-   slice's argument. Two clock reads per operation — noise next to the
-   file I/O being measured. *)
-let op_start t =
-  ( Unix.gettimeofday (),
-    match t.tracer with Some tr -> Tracer.now tr | None -> 0.0 )
+(* Timeline bookkeeping around one lookup (or write): the slice name is
+   picked at the end, when the outcome is known, so hits and misses get
+   distinct Perfetto tracks; [bytes] rides along as the slice's argument.
+   Without a tracer, no clock is read. *)
+let op_start t = match t.tracer with Some tr -> Tracer.now tr | None -> 0.0
 
-let op_finish t histo slice ~bytes (t0, ts) =
-  Histogram.add histo (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+let op_finish t slice ~bytes start =
   match t.tracer with
   | None -> ()
-  | Some tr -> Tracer.complete ~arg:bytes tr slice ~start:ts
+  | Some tr -> Tracer.complete ~arg:bytes tr slice ~start
 
 let read t ~kind ~version key =
   let clk = op_start t in
   match lookup t ~kind ~version key with
   | Hit payload ->
       count_hit t payload;
-      op_finish t t.read_us t.tr_hit ~bytes:(String.length payload) clk;
+      op_finish t t.tr_hit ~bytes:(String.length payload) clk;
       Some payload
   | other ->
       count_non_hit t ~kind ~key other;
-      op_finish t t.read_us t.tr_miss ~bytes:0 clk;
+      op_finish t t.tr_miss ~bytes:0 clk;
       None
 
 let tmp_counter = Atomic.make 0
@@ -327,7 +313,7 @@ let tmp_counter = Atomic.make 0
 let write t ~kind ~version key payload =
   let clk = op_start t in
   Fun.protect ~finally:(fun () ->
-      op_finish t t.write_us t.tr_write ~bytes:(String.length payload) clk)
+      op_finish t t.tr_write ~bytes:(String.length payload) clk)
   @@ fun () ->
   let path = entry_path t ~kind key in
   let b = Buffer.create (String.length payload + 64) in
@@ -369,15 +355,15 @@ let load_with t ~kind ~version ~decode key =
       match decode payload with
       | v ->
           count_hit t payload;
-          op_finish t t.read_us t.tr_hit ~bytes:(String.length payload) clk;
+          op_finish t t.tr_hit ~bytes:(String.length payload) clk;
           Some v
       | exception Corrupt reason ->
           count_non_hit t ~kind ~key (Damaged reason);
-          op_finish t t.read_us t.tr_miss ~bytes:0 clk;
+          op_finish t t.tr_miss ~bytes:0 clk;
           None)
   | other ->
       count_non_hit t ~kind ~key other;
-      op_finish t t.read_us t.tr_miss ~bytes:0 clk;
+      op_finish t t.tr_miss ~bytes:0 clk;
       None
 
 (* Chunked traces: a manifest record plus one CRC-checked container per

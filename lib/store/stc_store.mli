@@ -68,12 +68,12 @@ val open_ : ?metrics:Stc_obs.Registry.t -> ?trace:Stc_obs.Trace.t -> string -> t
 (** Create the directory (and parents) if needed. A directory that
     cannot be created (say, under a regular file) does not raise: the
     handle is a broken cache whose lookups miss and whose writes warn,
-    as {!write} describes. With [~metrics] the
-    [store.*] counters and the [store.read_us]/[store.write_us] latency
-    histograms (microseconds, log2 buckets) register there; with
-    [~trace] every lookup and write emits a timeline slice —
-    [store.hit]/[store.miss]/[store.write] — carrying the payload size
-    as its [bytes] argument. *)
+    as {!write} describes. With [~metrics] the [store.*] counters
+    register there. With [~trace] every lookup and write emits a
+    timeline slice — [store.hit]/[store.miss]/[store.write] — carrying
+    the payload size as its [bytes] argument; these slices are the
+    store's only timing ([tools/trace_report] splits them per op, with
+    p50 and p99 durations). *)
 
 val of_ctx : Stc_obs.Run.ctx -> t option
 (** [Some (open_ ?metrics:ctx.metrics ?trace:ctx.trace dir)] when

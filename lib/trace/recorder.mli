@@ -55,9 +55,9 @@ val hash : t -> int64
     for determinism tests and artifact-store keys. *)
 
 val of_ids : int array -> marks:(string * int) list -> t
-(** Reconstitute a recorder from previously captured contents (the
-    artifact store's deserialization path): the result equals one that
-    had every id {!sink}ed and every mark {!mark}ed. *)
+(** Build a recorder from given contents: the result equals one that
+    had every id {!sink}ed and every mark {!mark}ed. Only tests build
+    traces this way; the artifact store loads through {!of_segments}. *)
 
 val of_segments : Segment.t list -> marks:(string * int) list -> t
 (** {!of_ids} over the concatenation of [segs] (their bases are

@@ -5,8 +5,8 @@ type t = { counts : int array; mutable total : int; nbuckets : int }
 
 let bucket_of v = if v <= 0 then 0 else 1 + (Sys.int_size - 1 - Bits.clz v)
 
-let create ?(max_value = 1 lsl 40) () =
-  let nbuckets = bucket_of max_value + 1 in
+let create () =
+  let nbuckets = bucket_of (1 lsl 40) + 1 in
   { counts = Array.make nbuckets 0; total = 0; nbuckets }
 
 let add h ?(weight = 1) v =
@@ -36,13 +36,3 @@ let mass_below h v =
     (float_of_int !below +. (frac *. float_of_int h.counts.(vb)))
     /. float_of_int h.total
   end
-
-let buckets h =
-  let out = ref [] in
-  for b = h.nbuckets - 1 downto 0 do
-    if h.counts.(b) > 0 then begin
-      let lo, hi = bounds b in
-      out := (lo, hi, h.counts.(b)) :: !out
-    end
-  done;
-  !out

@@ -1,13 +1,13 @@
 (** Weighted histograms over non-negative integer values, with geometric
-    buckets. Used for temporal-reuse distances, where values span seven
-    orders of magnitude and only coarse shape matters. *)
+    buckets [[0,1) [1,2) [2,4) ...]. They back the temporal-reuse
+    statistics of Section 4.1 ([Stc_profile.Reuse]), where distances
+    span seven orders of magnitude and only coarse shape matters. *)
 
 type t
 
-val create : ?max_value:int -> unit -> t
-(** [create ~max_value ()] builds a histogram able to record values in
-    [\[0, max_value\]]; larger values are clamped into the last bucket.
-    Default [max_value] is [1 lsl 40]. *)
+val create : unit -> t
+(** An empty histogram of values in [\[0, 2{^40}\]]; larger values are
+    clamped into the last bucket. *)
 
 val add : t -> ?weight:int -> int -> unit
 (** [add h ~weight v] records [weight] occurrences of value [v]. *)
@@ -19,7 +19,3 @@ val mass_below : t -> int -> float
 (** [mass_below h v] is the fraction of total weight recorded at values
     strictly less than [v]. The answer is exact at bucket boundaries and
     linearly interpolated inside a bucket. 0 when the histogram is empty. *)
-
-val buckets : t -> (int * int * int) list
-(** [(lo, hi, weight)] triples for all non-empty buckets, ascending; the
-    bucket covers values in [\[lo, hi)]. *)

@@ -3,7 +3,6 @@ module Json = Stc_obs.Json
 module Registry = Stc_obs.Registry
 module Counter = Stc_obs.Metric.Counter
 module Gauge = Stc_obs.Metric.Gauge
-module Histogram = Stc_obs.Metric.Histogram
 module E = Stc_core.Experiments
 module Pipeline = Stc_core.Pipeline
 
@@ -107,18 +106,6 @@ let test_registry_roundtrip () =
       (Json.member "value" r = Some (Json.Float 0.5))
   | None -> Alcotest.fail "sim.sf not exported"
 
-let test_histogram_buckets () =
-  let h = Histogram.make () in
-  List.iter (Histogram.add h ?weight:None) [ 0; 1; 2; 3; 4; 7; 8 ];
-  (* buckets: [0,1)->1  [1,2)->1  [2,4)->2  [4,8)->2  [8,16)->1 *)
-  Alcotest.(check (list (triple int int int)))
-    "bucket boundaries"
-    [ (0, 1, 1); (1, 2, 1); (2, 4, 2); (4, 8, 2); (8, 16, 1) ]
-    (Histogram.buckets h);
-  Alcotest.(check int) "total" 7 (Histogram.total h);
-  Alcotest.(check (float 1e-9)) "mass below 2" (2.0 /. 7.0)
-    (Histogram.mass_below h 2)
-
 (* ---------- spans ---------- *)
 
 let test_span_nesting () =
@@ -170,9 +157,6 @@ let test_export_golden () =
   let reg = Registry.create ~clock:(fun () -> !t) () in
   Counter.add (Registry.counter reg "a.hits") 3;
   Gauge.set (Registry.gauge reg "g") 1.5;
-  let h = Registry.histogram reg "h" in
-  Histogram.add h 0;
-  Histogram.add h ~weight:2 10;
   Registry.span reg "build" (fun () ->
       t := !t +. 0.5;
       Registry.span reg "inner" (fun () -> t := !t +. 0.5);
@@ -186,9 +170,6 @@ let test_export_golden () =
         {|{"type":"meta","schema":3}|};
         {|{"type":"counter","name":"a.hits","value":3}|};
         {|{"type":"gauge","name":"g","value":1.5}|};
-        (* quantiles are bucket lower bounds: the weighted median of
-           {0, 10, 10} lands in the [8,16) bucket *)
-        {|{"type":"histo","name":"h","total":3,"p50":8,"p90":8,"p99":8,"buckets":[[0,1,1],[8,16,2]]}|};
         {|{"type":"span","path":"build","depth":0,"calls":1,"seconds":2}|};
         {|{"type":"span","path":"build/inner","depth":1,"calls":2,"seconds":1}|};
         {|{"type":"event","kind":"cell","layout":"ops","miss_pct":1.25}|};
@@ -199,12 +180,11 @@ let test_export_golden () =
 
 (* ---------- merge ---------- *)
 
-(* A random registry workload: kind-namespaced names (c./g./h./s.) so an
+(* A random registry workload: kind-namespaced names (c./g./s.) so an
    operation never hits a same-named metric of another kind. *)
 type mop =
   | Add_counter of int * int
   | Set_gauge of int * float
-  | Add_histo of int * int * int  (* name idx, value, weight *)
   | Emit_event of int
   | Time_span of int
 
@@ -212,8 +192,6 @@ let apply_mop reg = function
   | Add_counter (i, v) ->
     Counter.add (Registry.counter reg (Printf.sprintf "c.%d" i)) v
   | Set_gauge (i, v) -> Gauge.set (Registry.gauge reg (Printf.sprintf "g.%d" i)) v
-  | Add_histo (i, v, w) ->
-    Histogram.add (Registry.histogram reg (Printf.sprintf "h.%d" i)) ~weight:w v
   | Emit_event i -> Registry.event reg ~kind:"e" [ ("i", Json.Int i) ]
   | Time_span i ->
     Registry.span reg (Printf.sprintf "s.%d" i) (fun () -> ())
@@ -226,9 +204,6 @@ let mop_gen =
         map2
           (fun i v -> Set_gauge (i, float_of_int v))
           (int_bound 1) (int_bound 50);
-        map3
-          (fun i v w -> Add_histo (i, v, 1 + w))
-          (int_bound 1) (int_bound 1000) (int_bound 3);
         map (fun i -> Emit_event i) (int_bound 9);
         map (fun i -> Time_span i) (int_bound 1);
       ])
@@ -236,7 +211,6 @@ let mop_gen =
 let mop_str = function
   | Add_counter (i, v) -> Printf.sprintf "c.%d+=%d" i v
   | Set_gauge (i, v) -> Printf.sprintf "g.%d:=%g" i v
-  | Add_histo (i, v, w) -> Printf.sprintf "h.%d<-%d(w%d)" i v w
   | Emit_event i -> Printf.sprintf "e(%d)" i
   | Time_span i -> Printf.sprintf "s.%d" i
 
@@ -254,8 +228,8 @@ let export reg = strip_seconds (Json.lines (Obs.Export.to_jsonl reg))
 
 (* Merging N shards (in order) must be indistinguishable from applying
    every shard's operations sequentially to one registry: counters sum,
-   gauges keep the last write, histogram buckets union, span calls sum,
-   events concatenate in shard order. *)
+   gauges keep the last write, span calls sum, events concatenate in
+   shard order. *)
 let prop_merge_sequential =
   QCheck.Test.make ~name:"Registry.merge = sequential accumulation" ~count:200
     (QCheck.make
@@ -361,7 +335,6 @@ let suite =
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects;
     Alcotest.test_case "diff ignore prefixes" `Quick test_diff_ignores;
     Alcotest.test_case "registry roundtrip" `Quick test_registry_roundtrip;
-    Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "export golden" `Quick test_export_golden;
     QCheck_alcotest.to_alcotest prop_merge_sequential;

@@ -31,20 +31,33 @@ let test_map_empty_and_serial () =
   Pool.with_pool ~domains:3 @@ fun pool ->
   Alcotest.(check (array int)) "empty input" [||] (Pool.map pool (fun x -> x) [||]);
   Pool.with_pool ~domains:1 @@ fun serial ->
-  Alcotest.(check int) "domains 1" 1 (Pool.domains serial);
+  Alcotest.(check int)
+    "domains 1" 1 (Pool.stats serial).Pool.s_domains;
   Alcotest.(check (array int))
     "inline path" [| 0; 2; 4 |]
     (Pool.map serial (fun x -> 2 * x) (Array.init 3 (fun i -> i)))
 
-let test_iter_chunks_coverage () =
+let test_serial_on_caller () =
+  let caller = Domain.self () in
+  Pool.with_pool ~domains:1 @@ fun pool ->
+  let ran_on =
+    Pool.map ~chunk:1 pool (fun _ -> Domain.self ()) (Array.make 20 ())
+  in
+  Alcotest.(check bool) "every task on the caller" true
+    (Array.for_all (fun d -> d = caller) ran_on);
+  Alcotest.(check int)
+    "one slot" 1
+    (Array.length (Pool.stats pool).Pool.s_busy)
+
+let test_map_chunk_coverage () =
   Pool.with_pool ~domains:4 @@ fun pool ->
   let n = 1037 in
   let hits = Array.make n 0 in
   (* chunks are disjoint, so these writes race on nothing *)
-  Pool.iter_chunks ~chunk:16 pool n (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        hits.(i) <- hits.(i) + 1
-      done);
+  ignore
+    (Pool.map ~chunk:16 pool
+       (fun i -> hits.(i) <- hits.(i) + 1)
+       (Array.init n Fun.id));
   Alcotest.(check bool) "each index exactly once" true
     (Array.for_all (fun c -> c = 1) hits)
 
@@ -63,15 +76,34 @@ let test_exception_propagation () =
     "pool alive after failure" (Array.map (fun x -> x + 1) xs)
     (Pool.map ~chunk:1 pool (fun x -> x + 1) xs)
 
-let test_shutdown () =
-  let pool = Pool.create ~domains:3 () in
-  Alcotest.(check int) "domains" 3 (Pool.domains pool);
-  ignore (Pool.map pool (fun x -> x) [| 1; 2; 3 |]);
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
-  Alcotest.check_raises "map after shutdown"
-    (Invalid_argument "Stc_par.Pool: pool is shut down") (fun () ->
-      ignore (Pool.map pool (fun x -> x) [| 1 |]))
+let test_lowest_failure_wins () =
+  (* Task 40 raises only once task 5 has started, and task 5 only once
+     task 40 is about to raise: both fail in every repeat, the higher
+     index usually first, and the map must still raise the lower one. *)
+  Pool.with_pool ~domains:4 @@ fun pool ->
+  for _ = 1 to 5 do
+    let started5 = Atomic.make false and raising40 = Atomic.make false in
+    let task i =
+      if i = 5 then begin
+        Atomic.set started5 true;
+        while not (Atomic.get raising40) do
+          Domain.cpu_relax ()
+        done;
+        raise (Boom 5)
+      end
+      else if i = 40 then begin
+        while not (Atomic.get started5) do
+          Domain.cpu_relax ()
+        done;
+        Atomic.set raising40 true;
+        raise (Boom 40)
+      end
+      else i
+    in
+    match Pool.map ~chunk:1 pool task (Array.init 64 Fun.id) with
+    | _ -> Alcotest.fail "exception swallowed"
+    | exception Boom i -> Alcotest.(check int) "lowest failure" 5 i
+  done
 
 let test_ctx_builders () =
   let ctx = Run.default |> Run.with_jobs 0 in
@@ -189,9 +221,11 @@ let suite =
   [
     Alcotest.test_case "map ordering and reuse" `Quick test_map_ordering;
     Alcotest.test_case "map empty + domains=1" `Quick test_map_empty_and_serial;
-    Alcotest.test_case "iter_chunks coverage" `Quick test_iter_chunks_coverage;
+    Alcotest.test_case "domains=1 runs on the caller" `Quick
+      test_serial_on_caller;
+    Alcotest.test_case "map chunk coverage" `Quick test_map_chunk_coverage;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
-    Alcotest.test_case "shutdown" `Quick test_shutdown;
+    Alcotest.test_case "lowest failure wins" `Quick test_lowest_failure_wins;
     Alcotest.test_case "Run.ctx builders" `Quick test_ctx_builders;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "pool chunk tracing" `Quick test_pool_tracing;

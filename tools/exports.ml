@@ -1,5 +1,5 @@
 (* List the values that lib/**/*.mli export and that no other
-   compilation unit references.
+   compilation unit references, then those that only tests reference.
 
      dune build @check && dune exec tools/exports.exe
 
@@ -16,8 +16,11 @@
    implementation uid can equal an unrelated interface uid.
 
    Prints one "Module.value  file:line" line per reported value, then
-   "N of M interface values have no caller outside their module". It
-   gates nothing: the exit code is 0 unless there is no build to read. *)
+   "N of M interface values have no caller outside their module"; then
+   the same listing for the values whose every outside reference comes
+   from a .cmt under _build/default/test/, ending "N of M interface
+   values are called only from test/". It gates nothing: the exit code
+   is 0 unless there is no build to read. *)
 
 let rec files_with ext dir acc =
   Array.fold_left
@@ -67,14 +70,16 @@ let declarations cmti =
   | _ -> ());
   !decls
 
-(* Every value uid that [cmt] references from outside the uid's own unit. *)
-let references used (cmt : Cmt_format.cmt_infos) =
+(* Record every value uid that [cmt] references from outside the uid's
+   own unit, as [true] once any reference comes from outside test/. *)
+let references used ~from_test (cmt : Cmt_format.cmt_infos) =
   let expr sub (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) -> (
         match vd.val_uid with
         | Item { comp_unit; _ } when comp_unit <> cmt.cmt_modname ->
-            Hashtbl.replace used vd.val_uid ()
+            let outside = Hashtbl.find_opt used vd.val_uid = Some true in
+            Hashtbl.replace used vd.val_uid (outside || not from_test)
         | _ -> ())
     | _ -> ());
     Tast_iterator.default_iterator.expr sub e
@@ -84,15 +89,25 @@ let references used (cmt : Cmt_format.cmt_infos) =
   | Implementation str -> it.structure it str
   | _ -> ()
 
+let print_values values =
+  List.iter
+    (fun (_, name, (loc : Location.t)) ->
+      Printf.printf "%s  %s:%d\n" name loc.loc_start.pos_fname
+        loc.loc_start.pos_lnum)
+    (List.sort (fun (_, a, _) (_, b, _) -> compare a b) values)
+
 let () =
   let root = "_build/default" in
   let lib = Filename.concat root "lib" in
   if not (Sys.file_exists lib && Sys.is_directory lib) then (
     Printf.eprintf "exports: no %s; run dune build @check first\n" lib;
     exit 2);
+  let test = Filename.concat root "test" ^ Filename.dir_sep in
   let used = Hashtbl.create 4096 in
   List.iter
-    (fun path -> Option.iter (references used) (read_cmt path))
+    (fun path ->
+      let from_test = String.starts_with ~prefix:test path in
+      Option.iter (references used ~from_test) (read_cmt path))
     (files_with ".cmt" root []);
   let decls =
     List.concat_map
@@ -101,13 +116,17 @@ let () =
   in
   let unused =
     List.filter (fun (uid, _, _) -> not (Hashtbl.mem used uid)) decls
-    |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
   in
-  List.iter
-    (fun (_, name, (loc : Location.t)) ->
-      Printf.printf "%s  %s:%d\n" name loc.loc_start.pos_fname
-        loc.loc_start.pos_lnum)
-    unused;
+  print_values unused;
   Printf.printf
     "%d of %d interface values have no caller outside their module\n"
-    (List.length unused) (List.length decls)
+    (List.length unused) (List.length decls);
+  let test_only =
+    List.filter
+      (fun (uid, _, _) -> Hashtbl.find_opt used uid = Some false)
+      decls
+  in
+  print_newline ();
+  print_values test_only;
+  Printf.printf "%d of %d interface values are called only from test/\n"
+    (List.length test_only) (List.length decls)

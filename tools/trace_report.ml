@@ -10,7 +10,8 @@
    of cells it fused), the N slowest fused grid groups ("fused:..."
    slices, one per layout group of a simulation grid, --top, default
    10), and the artifact-store time split (store.hit / store.miss /
-   store.write Complete events with their byte volumes).
+   store.write Complete events: per op the calls, total, p50 and p99
+   durations and byte volume — the store's only latency record).
 
    --layers SPEC adds one row per per-layer metric that the benchmark
    spec SPEC (BENCHMARK.json) names, in its order: the value the trace's
@@ -305,6 +306,13 @@ let top_groups slices top =
     print_newline ()
   end
 
+(* Nearest-rank percentile [p] (0 < p <= 1) of a non-empty list. *)
+let percentile p xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  a.(max 0 (min (n - 1) (int_of_float (Float.ceil (p *. float_of_int n)) - 1)))
+
 let store_split slices =
   let ops =
     List.filter
@@ -320,18 +328,25 @@ let store_split slices =
             ("op", Tbl.Left);
             ("calls", Tbl.Right);
             ("total", Tbl.Right);
+            ("p50", Tbl.Right);
+            ("p99", Tbl.Right);
             ("bytes", Tbl.Right);
           ]
     in
+    (* one store op is tens of microseconds *)
+    let lat us = if us < 1e3 then Printf.sprintf "%.0fus" us else fus us in
     List.iter
       (fun (name, pairs) ->
-        let total = List.fold_left (fun acc (d, _) -> acc +. d) 0.0 pairs in
+        let durs = List.map fst pairs in
+        let total = List.fold_left ( +. ) 0.0 durs in
         let bytes = List.fold_left (fun acc (_, b) -> acc + b) 0 pairs in
         Tbl.add_row tbl
           [
             name;
             string_of_int (List.length pairs);
             fus total;
+            lat (percentile 0.5 durs);
+            lat (percentile 0.99 durs);
             string_of_int bytes;
           ])
       (group_by (fun s -> s.s_name) (fun s -> (s.s_dur, s.s_bytes)) ops);
