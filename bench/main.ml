@@ -409,9 +409,6 @@ let () =
   match (tracer, trace_file) with
   | Some t, Some path ->
     Stc_obs.Trace.write_file t path;
-    Printf.printf "[trace] %d events written to %s%s\n%!"
+    Printf.printf "[trace] %d events written to %s\n%!"
       (Stc_obs.Trace.events t) path
-      (match Stc_obs.Trace.dropped t with
-      | 0 -> ""
-      | d -> Printf.sprintf " (%d dropped: ring full)" d)
   | _ -> ()

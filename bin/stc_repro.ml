@@ -172,13 +172,8 @@ let finish_trace tracer trace_file =
   match (tracer, trace_file) with
   | Some t, Some path ->
     Obs.Trace.write_file t path;
-    let dropped =
-      match Obs.Trace.dropped t with
-      | 0 -> ""
-      | d -> Printf.sprintf " (%d dropped: ring full)" d
-    in
-    Printf.printf "Trace: %d events written to %s%s\n%!" (Obs.Trace.events t)
-      path dropped
+    Printf.printf "Trace: %d events written to %s\n%!" (Obs.Trace.events t)
+      path
   | _ -> ()
 
 (* One-line cache summary, only when --store was given. *)

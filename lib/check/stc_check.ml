@@ -1087,15 +1087,15 @@ let run_all ?(ctx = Run.default) (pl : Pipeline.t) =
   and c_mismatches = counter "check.engine_mismatches" in
   let profile = pl.Pipeline.profile in
   let prog = pl.Pipeline.program in
+  let params =
+    Stc_core.Experiments.grid_params ~cache_bytes:check_cache_bytes
+      ~cfa_bytes:check_cfa_bytes
+  in
   (* every registered layout algorithm at the simulation grid's
      thresholds — a newly registered algorithm is validated here without
      touching this module *)
   let r_layouts =
     Run.span ctx "check-layouts" @@ fun () ->
-    let params =
-      L.Algo.params ~exec_threshold:50 ~branch_threshold:0.3
-        ~cache_bytes:check_cache_bytes ~cfa_bytes:check_cfa_bytes ()
-    in
     let subjects =
       List.map
         (fun algo ->
@@ -1129,10 +1129,6 @@ let run_all ?(ctx = Run.default) (pl : Pipeline.t) =
      paper's headline CFA layout and the two imported comparators *)
   let r_engines =
     Run.span ctx "check-engines" @@ fun () ->
-    let params =
-      L.Algo.params ~exec_threshold:50 ~branch_threshold:0.3
-        ~cache_bytes:check_cache_bytes ~cfa_bytes:check_cfa_bytes ()
-    in
     let view_of name =
       match L.Algo.find name with
       | Error msg -> invalid_arg msg

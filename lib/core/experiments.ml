@@ -60,19 +60,16 @@ let print_figure2 (pl : Pipeline.t) =
     (P.Popularity.blocks_for_share pop 0.99)
     (P.Popularity.executed_blocks pop)
 
-type reuse_stats = {
-  tracked_share : float;
-  below_100 : float;
-  below_250 : float;
-  samples : int;
-}
+type reuse_stats = { below_100 : float; below_250 : float; samples : int }
 
-let reuse ?(share = 0.75) (pl : Pipeline.t) =
-  let member = P.Reuse.popular_set pl.Pipeline.profile ~share in
+(* the popularity share of the blocks whose reuse is tracked *)
+let reuse_share = 0.75
+
+let reuse (pl : Pipeline.t) =
+  let member = P.Reuse.popular_set pl.Pipeline.profile ~share:reuse_share in
   let r = P.Reuse.create pl.Pipeline.program ~member in
   Pipeline.replay_training pl (P.Reuse.sink r);
   {
-    tracked_share = share;
     below_100 = P.Reuse.mass_below r 100;
     below_250 = P.Reuse.mass_below r 250;
     samples = P.Reuse.samples r;
@@ -84,7 +81,7 @@ let print_reuse r =
      references, re-execution happens within 100 instructions with\n\
      probability %.0f%%, and within 250 instructions with probability %.0f%%\n\
      (%d re-invocation intervals).\n"
-    (100.0 *. r.tracked_share)
+    (100.0 *. reuse_share)
     (100.0 *. r.below_100)
     (100.0 *. r.below_250)
     r.samples
@@ -679,6 +676,8 @@ let stc_params (c : sim_config) ~cache_bytes ~cfa_bytes =
   L.Algo.params ~exec_threshold:c.exec_threshold
     ~branch_threshold:c.branch_threshold ~cache_bytes ~cfa_bytes ()
 
+let grid_params = stc_params default_sim_config
+
 (* ---------- layout-algorithm selection ----------
 
    Algorithms come from the {!L.Algo} registry: the two fixed baselines
@@ -1159,8 +1158,10 @@ type ablation_row = {
   a_bandwidth : float;
 }
 
-let ablation_gen ~ctx ~cache_kb
-    ~exec_thresholds ~branch_thresholds ~cfa_kbs (pl : Pipeline.t) =
+let ablation ?(ctx = Run.default) ?(cache_kb = 32)
+    ?(exec_thresholds = [ 1; 10; 50; 200; 1000 ])
+    ?(branch_thresholds = [ 0.1; 0.3; 0.5 ]) ?(cfa_kbs = [ 4; 8; 16 ])
+    (pl : Pipeline.t) =
   let build = pipeline_layouts ~ctx pl in
   (* serial prefix: one ops layout per sweep point *)
   let metas = ref [] and cells = ref [] in
@@ -1201,12 +1202,6 @@ let ablation_gen ~ctx ~cache_kb
         a_bandwidth = r.bandwidth;
       })
     (List.rev !metas) rows
-
-let ablation ?(ctx = Run.default) ?(cache_kb = 32) ?(exec_thresholds = [ 1; 10; 50; 200; 1000 ])
-    ?(branch_thresholds = [ 0.1; 0.3; 0.5 ]) ?(cfa_kbs = [ 4; 8; 16 ])
-    (pl : Pipeline.t) =
-  ablation_gen ~ctx ~cache_kb ~exec_thresholds
-    ~branch_thresholds ~cfa_kbs pl
 
 let ablation_row_to_string r =
   Printf.sprintf "exec=%d branch=%.2f cfa=%d miss=%.6f bw=%.6f" r.a_exec

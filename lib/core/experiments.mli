@@ -20,14 +20,11 @@ val figure2 : ?max_blocks:int -> ?step:int -> Pipeline.t -> (int * float) list
 val print_figure2 : Pipeline.t -> unit
 (** The curve plus the headline numbers (blocks for 90 % and 99 %). *)
 
-type reuse_stats = {
-  tracked_share : float;  (** Popularity share of the tracked set (0.75). *)
-  below_100 : float;
-  below_250 : float;
-  samples : int;
-}
+type reuse_stats = { below_100 : float; below_250 : float; samples : int }
 
-val reuse : ?share:float -> Pipeline.t -> reuse_stats
+val reuse : Pipeline.t -> reuse_stats
+(** Reuse distances of the blocks that concentrate 75% of the Training
+    trace's references. *)
 
 val print_reuse : reuse_stats -> unit
 
@@ -50,6 +47,10 @@ type sim_config = {
 val default_sim_config : sim_config
 (** The paper's grid: 8/(2,4,6), 16/(4,8,12), 32/(4,8,16,24), 64/(8,16,24);
     32-byte lines, 5-cycle miss penalty, 256-entry trace cache. *)
+
+val grid_params : cache_bytes:int -> cfa_bytes:int -> Stc_layout.Algo.params
+(** The layout parameters of {!default_sim_config}'s STC thresholds (Exec
+    50, Branch 0.3) at one cache/CFA geometry. *)
 
 type variant = Direct | Two_way | Victim | Ideal | Trace_cache | Tc_ideal
 

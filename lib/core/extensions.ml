@@ -11,17 +11,17 @@ let run_study ~ctx ~table plan =
   List.combine (List.map fst plan)
     (E.run_cells ~ctx ~label:table (List.map snd plan))
 
-(* The STC thresholds of the paper's grid at one cache/CFA geometry. *)
-let stc_params ~cache_kb ~cfa_kb =
-  let c = E.default_sim_config in
-  L.Algo.params ~exec_threshold:c.E.exec_threshold
-    ~branch_threshold:c.E.branch_threshold ~cache_bytes:(cache_kb * 1024)
-    ~cfa_bytes:(cfa_kb * 1024) ()
-
 (* A profile's orig layout and its ops layout at one geometry. *)
 let orig_ops (build : ?params:_ -> _) ~cache_kb ~cfa_kb =
   let orig = build "orig" in
-  [ orig; build ~params:(stc_params ~cache_kb ~cfa_kb) "ops" ]
+  let params =
+    E.grid_params ~cache_bytes:(cache_kb * 1024) ~cfa_bytes:(cfa_kb * 1024)
+  in
+  [ orig; build ~params "ops" ]
+
+(* The i-cache of the OLTP, per-query, fetch-unit and associativity
+   studies; their ops layouts get a 4KB CFA. *)
+let small_cache_kb = 16
 
 (* One cell per (layout, x), tagged with the layout's name and x. *)
 let sweep layouts xs cell =
@@ -51,11 +51,11 @@ type inline_report = {
   inl_rows : inline_row list;
 }
 
-let inlining ?(ctx = Run.default) ?config ?(cache_kb = 32) ?(cfa_kb = 8)
+let inlining ?(ctx = Run.default) ?(cache_kb = 32) ?(cfa_kb = 8)
     (pl : Pipeline.t) =
   let table = "ext-inlining" in
   Run.span ctx table @@ fun () ->
-  let tr = L.Inline.transform ?config pl.Pipeline.profile in
+  let tr = L.Inline.transform pl.Pipeline.profile in
   let inl_prog = L.Inline.program tr in
   let inl_train = L.Inline.remap_trace tr pl.Pipeline.training in
   (* each program's layouts come from its own profile *)
@@ -119,15 +119,11 @@ let print_inlining r =
 
 type oltp_row = { o_layout : string; o_miss : float; o_ipc : float; o_ibt : float }
 
-type oltp_report = {
-  oltp_trace_blocks : int;
-  oltp_cache_kb : int;
-  oltp_rows : oltp_row list;
-}
+type oltp_report = { oltp_trace_blocks : int; oltp_rows : oltp_row list }
 
 let oltp ?(ctx = Run.default) ?(train_txns = 300) ?(test_txns = 600)
-    ?(cache_kb = 16) (pl : Pipeline.t) =
-  let table = "ext-oltp" in
+    (pl : Pipeline.t) =
+  let table = "ext-oltp" and cache_kb = small_cache_kb in
   Run.span ctx table @@ fun () ->
   let kernel = pl.Pipeline.kernel in
   let db = pl.Pipeline.db_btree in
@@ -142,7 +138,9 @@ let oltp ?(ctx = Run.default) ?(train_txns = 300) ?(test_txns = 600)
   (* trained on the OLTP mix, so keyed apart from the DSS layouts *)
   let profile = profile_of pl.Pipeline.program train in
   let build = E.layout_builder ~ctx ~training:train profile in
-  let params = stc_params ~cache_kb ~cfa_kb:4 in
+  let params =
+    E.grid_params ~cache_bytes:(cache_kb * 1024) ~cfa_bytes:(4 * 1024)
+  in
   let orig = build "orig" in
   let ph = build "P&H" in
   let auto = build ~params "auto" in
@@ -153,7 +151,6 @@ let oltp ?(ctx = Run.default) ?(train_txns = 300) ?(test_txns = 600)
   in
   {
     oltp_trace_blocks = Stc_trace.Recorder.length test;
-    oltp_cache_kb = cache_kb;
     oltp_rows =
       List.map
         (fun ((o_layout, ()), r) ->
@@ -170,7 +167,7 @@ let print_oltp r =
   Printf.printf
     "OLTP transaction mix (Section 8 future work), %d traced blocks,\n\
      %dKB i-cache; layouts trained on a disjoint mix:\n"
-    r.oltp_trace_blocks r.oltp_cache_kb;
+    r.oltp_trace_blocks small_cache_kb;
   let t =
     Tbl.create
       ~headers:
@@ -260,13 +257,12 @@ let print_prediction rows =
 type query_row = {
   q_name : string;
   q_blocks : int;
-  q_cache_kb : int;
   q_miss_orig : float;
   q_miss_ops : float;
 }
 
-let per_query ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
-  let table = "ext-per-query" in
+let per_query ?(ctx = Run.default) (pl : Pipeline.t) =
+  let table = "ext-per-query" and cache_kb = small_cache_kb in
   Run.span ctx table @@ fun () ->
   let layouts = orig_ops (E.pipeline_layouts ~ctx pl) ~cache_kb ~cfa_kb:4 in
   let marks = Stc_trace.Recorder.marks pl.Pipeline.test in
@@ -295,7 +291,6 @@ let per_query ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
       {
         q_name;
         q_blocks;
-        q_cache_kb = cache_kb;
         q_miss_orig = F.Engine.miss_rate_pct o;
         q_miss_ops = F.Engine.miss_rate_pct s;
       }
@@ -304,12 +299,9 @@ let per_query ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
   in
   rows (run_study ~ctx ~table plan)
 
-(* the cache size a study's rows were run at (all rows share it) *)
-let rows_cache_kb get = function r :: _ -> get r | [] -> 0
-
 let print_per_query rows =
   Printf.printf "Per-query i-cache miss rates (%dKB, cold start per query):\n"
-    (rows_cache_kb (fun r -> r.q_cache_kb) rows);
+    small_cache_kb;
   let t =
     Tbl.create
       ~headers:
@@ -336,8 +328,8 @@ let print_per_query rows =
 
 type seqn_row = { s_layout : string; s_max_branches : int; s_ipc : float }
 
-let fetch_units ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
-  let table = "ext-fetch-units" in
+let fetch_units ?(ctx = Run.default) (pl : Pipeline.t) =
+  let table = "ext-fetch-units" and cache_kb = small_cache_kb in
   Run.span ctx table @@ fun () ->
   let layouts = orig_ops (E.pipeline_layouts ~ctx pl) ~cache_kb ~cfa_kb:4 in
   let subject = E.test_subject pl in
@@ -380,13 +372,12 @@ let print_fetch_units rows =
 type assoc_row = {
   a_layout : string;
   a_assoc : int;
-  a_cache_kb : int;
   a_miss : float;
   a_ipc : float;
 }
 
-let associativity ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
-  let table = "ext-associativity" in
+let associativity ?(ctx = Run.default) (pl : Pipeline.t) =
+  let table = "ext-associativity" and cache_kb = small_cache_kb in
   Run.span ctx table @@ fun () ->
   let layouts = orig_ops (E.pipeline_layouts ~ctx pl) ~cache_kb ~cfa_kb:4 in
   let subject = E.test_subject pl in
@@ -399,7 +390,6 @@ let associativity ?(ctx = Run.default) ?(cache_kb = 16) (pl : Pipeline.t) =
       {
         a_layout;
         a_assoc;
-        a_cache_kb = cache_kb;
         a_miss = F.Engine.miss_rate_pct r;
         a_ipc = F.Engine.bandwidth r;
       })
@@ -409,7 +399,7 @@ let print_associativity rows =
   Printf.printf
     "Layout x associativity (%dKB): how much of the software layout's\n\
      benefit survives a set-associative cache:\n"
-    (rows_cache_kb (fun r -> r.a_cache_kb) rows);
+    small_cache_kb;
   let t =
     Tbl.create
       ~headers:
@@ -434,14 +424,17 @@ type tuning_report = {
   tu_held_out : (string * float * float) list;
 }
 
-let tuning ?(ctx = Run.default) ?(cache_kb = 32) (pl : Pipeline.t) =
-  let table = "ext-tuning" in
+let tuning ?(ctx = Run.default) (pl : Pipeline.t) =
+  let table = "ext-tuning" and cache_kb = 32 in
   Run.span ctx table @@ fun () ->
   let tu_outcome = Tuner.tune ~ctx ~cache_kb pl in
   (* held-out evaluation on Test *)
   let build = E.pipeline_layouts ~ctx pl in
   let tuned = Tuner.layout_of ~ctx pl ~cache_kb tu_outcome.Tuner.chosen in
-  let hand = build ~params:(stc_params ~cache_kb ~cfa_kb:8) "ops" in
+  let params =
+    E.grid_params ~cache_bytes:(cache_kb * 1024) ~cfa_bytes:(8 * 1024)
+  in
+  let hand = build ~params "ops" in
   let orig = build "orig" in
   let subject = E.test_subject pl in
   let plan =

@@ -34,12 +34,9 @@ type inline_report = {
 }
 
 val inlining :
-  ?ctx:Run.ctx ->
-  ?config:Stc_layout.Inline.config ->
-  ?cache_kb:int ->
-  ?cfa_kb:int ->
-  Pipeline.t ->
-  inline_report
+  ?ctx:Run.ctx -> ?cache_kb:int -> ?cfa_kb:int -> Pipeline.t -> inline_report
+(** Inline the profile's hot leaf calls ({!Stc_layout.Inline.transform})
+    and compare the orig and ops layouts of both programs. *)
 
 (** {2 OLTP workload} *)
 
@@ -50,21 +47,12 @@ type oltp_row = {
   o_ibt : float;
 }
 
-type oltp_report = {
-  oltp_trace_blocks : int;
-  oltp_cache_kb : int;  (** The i-cache size the rows were run at. *)
-  oltp_rows : oltp_row list;
-}
+type oltp_report = { oltp_trace_blocks : int; oltp_rows : oltp_row list }
 
 val oltp :
-  ?ctx:Run.ctx ->
-  ?train_txns:int ->
-  ?test_txns:int ->
-  ?cache_kb:int ->
-  Pipeline.t ->
-  oltp_report
+  ?ctx:Run.ctx -> ?train_txns:int -> ?test_txns:int -> Pipeline.t -> oltp_report
 (** Train the layouts on one OLTP transaction mix and evaluate on a
-    different one (both on the B-tree database). *)
+    different one (both on the B-tree database), at a 16KB i-cache. *)
 
 (** {2 Branch prediction sensitivity} *)
 
@@ -91,15 +79,14 @@ val accuracy_pct : Stc_fetch.Engine.result -> float
 type query_row = {
   q_name : string;  (** e.g. "btree/Q6". *)
   q_blocks : int;
-  q_cache_kb : int;  (** The i-cache size the row was run at. *)
   q_miss_orig : float;
   q_miss_ops : float;
 }
 
-val per_query : ?ctx:Run.ctx -> ?cache_kb:int -> Pipeline.t -> query_row list
-(** I-cache miss rates per Test query (using the recorder marks), under
-    the original and the ops layouts. Caches are cold at each query start
-    (pessimistic, but comparable across queries). *)
+val per_query : ?ctx:Run.ctx -> Pipeline.t -> query_row list
+(** 16KB i-cache miss rates per Test query (using the recorder marks),
+    under the original and the ops layouts. Caches are cold at each query
+    start (pessimistic, but comparable across queries). *)
 
 (** {2 Fetch unit width (SEQ.1 / SEQ.2 / SEQ.3)} *)
 
@@ -109,25 +96,24 @@ type seqn_row = {
   s_ipc : float;
 }
 
-val fetch_units : ?ctx:Run.ctx -> ?cache_kb:int -> Pipeline.t -> seqn_row list
+val fetch_units : ?ctx:Run.ctx -> Pipeline.t -> seqn_row list
 (** The Rotenberg et al. sequential-engine family: how many branches a
     fetch block may contain. The paper evaluates SEQ.3; this quantifies
-    what the choice is worth on the database workload. *)
+    what the choice is worth on the database workload (16KB i-cache). *)
 
 (** {2 Associativity interaction} *)
 
 type assoc_row = {
   a_layout : string;
   a_assoc : int;
-  a_cache_kb : int;  (** The i-cache size the row was run at. *)
   a_miss : float;
   a_ipc : float;
 }
 
-val associativity : ?ctx:Run.ctx -> ?cache_kb:int -> Pipeline.t -> assoc_row list
+val associativity : ?ctx:Run.ctx -> Pipeline.t -> assoc_row list
 (** The paper only pits the 2-way cache against software layouts on the
     {e original} code; this measures both dimensions together — how much
-    of the layout benefit survives once the cache is associative. *)
+    of the layout benefit survives once the 16KB cache is associative. *)
 
 (** {2 Automatic threshold selection} *)
 
@@ -137,10 +123,10 @@ type tuning_report = {
       (** (label, IPC, misses per 100 instructions) on Test. *)
 }
 
-val tuning : ?ctx:Run.ctx -> ?cache_kb:int -> Pipeline.t -> tuning_report
+val tuning : ?ctx:Run.ctx -> Pipeline.t -> tuning_report
 (** Run {!Tuner.tune} on the Training trace (which records nothing into
     [ctx.metrics]), then evaluate the chosen configuration and the
-    paper's hand-picked defaults on the Test trace. *)
+    paper's hand-picked defaults on the Test trace, at a 32KB i-cache. *)
 
 (** {2 Printing} *)
 

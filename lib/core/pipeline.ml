@@ -191,8 +191,7 @@ let run ?(ctx = Run.default) ?(config = default_config) () =
     profile;
   }
 
-let test_source ?segment_blocks t =
-  Stc_trace.Source.of_recorder ?segment_blocks t.test
+let test_source t = Stc_trace.Source.of_recorder t.test
 
 let replay_test t f = Stc_trace.Source.iter (test_source t) f
 

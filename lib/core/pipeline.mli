@@ -61,10 +61,10 @@ val run : ?ctx:Run.ctx -> ?config:config -> unit -> t
     are mutable inputs to later stages, and their load cost is small
     next to trace recording). *)
 
-val test_source : ?segment_blocks:int -> t -> Stc_trace.Source.t
+val test_source : t -> Stc_trace.Source.t
 (** A fresh segment source over the Test trace (single-shot; mint one
-    per replay). [segment_blocks] defaults to
-    {!Stc_trace.Source.default_segment_blocks}. *)
+    per replay), in {!Stc_trace.Source.default_segment_blocks}-block
+    segments. *)
 
 val replay_test : t -> (int -> unit) -> unit
 (** [Source.iter (test_source t)] — convenience wrapper over the source

@@ -251,11 +251,6 @@ module Bank = struct
       traced ctx name @@ fun () ->
       let metrics = Option.bind ctx (fun c -> c.Stc_obs.Run.metrics) in
       let tracer = Option.bind ctx (fun c -> c.Stc_obs.Run.trace) in
-      let fused_id =
-        match tracer with
-        | Some tr -> Stc_obs.Trace.intern tr "engine.fused"
-        | None -> 0
-      in
       let t0 =
         match tracer with Some tr -> Stc_obs.Trace.now tr | None -> 0.0
       in
@@ -635,7 +630,7 @@ module Bank = struct
       | Some reg -> Array.iter (publish reg) results
       | None -> ());
       (match tracer with
-      | Some tr -> Stc_obs.Trace.complete ~arg:n tr fused_id ~start:t0
+      | Some tr -> Stc_obs.Trace.complete ~arg:n tr "engine.fused" ~start:t0
       | None -> ());
       results
 
@@ -654,7 +649,7 @@ let run_packed ?ctx ?config ?icache ?trace_cache ?prediction packed =
      [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]
      (Stream.of_packed packed)).(0)
 
-let run ?ctx ?config ?icache ?trace_cache ?prediction view =
-  (Bank.run_stream ?ctx
+let run ?config ?icache ?trace_cache ?prediction view =
+  (Bank.run_stream
      [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]
      (View.stream view)).(0)

@@ -100,7 +100,6 @@ val publish : Stc_obs.Registry.t -> result -> unit
     run it stands in for. *)
 
 val run :
-  ?ctx:Stc_obs.Run.ctx ->
   ?config:config ->
   ?icache:Stc_cachesim.Icache.t ->
   ?trace_cache:Tracecache.t ->
@@ -114,9 +113,7 @@ val run :
     it, every mispredicted conditional-branch direction costs
     [redirect_penalty] cycles. The caches' state is updated in place
     (pass fresh ones per experiment); the result's statistics are the
-    engine's own counts, not the caches'. Of [?ctx], [metrics]
-    accumulates the run's result into the registry's [engine.*]
-    counters (totals across every run sharing the registry).
+    engine's own counts, not the caches'.
 
     [run] is a {!Bank} of one fed by {!View.stream}; its arguments are
     checked as {!Bank.spec} checks them. *)

@@ -55,18 +55,12 @@ let report t =
   in
   t.emit line
 
-let bump t k =
-  t.n <- t.n + k;
+let step t =
+  t.n <- t.n + 1;
   if t.n >= t.next_report && not t.finished then begin
-    t.next_report <- t.n - (t.n mod t.interval) + t.interval;
+    t.next_report <- t.next_report + t.interval;
     report t
   end
-
-let step t = bump t 1
-
-let add t n = if n > 0 then bump t n
-
-let count t = t.n
 
 (* The final line always renders, whatever the interval left pending:
    under the parallel atomic-drain pattern the last ticks land after the

@@ -23,11 +23,6 @@ val create :
 val step : t -> unit
 (** Count one event. *)
 
-val add : t -> int -> unit
-(** Count [n] events at once (reports at most once per call). *)
-
-val count : t -> int
-
 val finish : t -> unit
 (** Emit a final summary line and stop reporting. With a known total the
     line is [label: N/TOTAL (100%) in T (R/s)] — always rendered, even

@@ -11,8 +11,6 @@ type t = {
   mutable wall : float;  (* seconds spent inside [map], summed *)
   mutable submits : int;
   trace : Trace.t option;
-  tr_chunk : int;  (* interned ids; 0 when [trace = None] *)
-  tr_queue : int;
 }
 
 let create ?domains ?trace () =
@@ -21,11 +19,6 @@ let create ?domains ?trace () =
     | Some d -> max 1 d
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
-  let tr_chunk, tr_queue =
-    match trace with
-    | None -> (0, 0)
-    | Some tr -> (Trace.intern tr "pool.chunk", Trace.intern tr "pool.queue")
-  in
   {
     domains;
     busy = Array.make domains 0.0;
@@ -33,8 +26,6 @@ let create ?domains ?trace () =
     wall = 0.0;
     submits = 0;
     trace;
-    tr_chunk;
-    tr_queue;
   }
 
 type stats = {
@@ -84,23 +75,22 @@ let map ?chunk t f xs =
         if lo < n then begin
           let hi = min (lo + chunk) n in
           let t0 = Unix.gettimeofday () in
+          let run () =
+            try
+              for i = lo to hi - 1 do
+                results.(i) <- Some (f xs.(i))
+              done
+            with e ->
+              let bt = Printexc.get_raw_backtrace () in
+              Atomic.set cancelled true;
+              push (lo, e, bt)
+          in
           (match t.trace with
-          | None -> ()
+          | None -> run ()
           | Some tr ->
             (* items still unclaimed after this grab: the queue depth *)
-            Trace.counter tr t.tr_queue (n - hi);
-            Trace.begin_ tr t.tr_chunk);
-          (try
-             for i = lo to hi - 1 do
-               results.(i) <- Some (f xs.(i))
-             done
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             Atomic.set cancelled true;
-             push (lo, e, bt));
-          (match t.trace with
-          | None -> ()
-          | Some tr -> Trace.end_ tr t.tr_chunk);
+            Trace.counter tr "pool.queue" (n - hi);
+            Trace.span tr "pool.chunk" run);
           t.busy.(slot) <- t.busy.(slot) +. (Unix.gettimeofday () -. t0);
           t.chunks_done.(slot) <- t.chunks_done.(slot) + 1;
           claim slot

@@ -139,9 +139,6 @@ type t = {
   bytes_read : Counter.t;
   bytes_written : Counter.t;
   tracer : Tracer.t option;
-  tr_hit : int;  (* interned slice names; 0 when [tracer = None] *)
-  tr_miss : int;
-  tr_write : int;
 }
 
 let dir t = t.dir
@@ -162,14 +159,6 @@ let open_ ?metrics ?trace dirname =
     | Some reg -> Registry.counter reg ("store." ^ name)
     | None -> Counter.make ()
   in
-  let tr_hit, tr_miss, tr_write =
-    match trace with
-    | None -> (0, 0, 0)
-    | Some tr ->
-        ( Tracer.intern tr "store.hit",
-          Tracer.intern tr "store.miss",
-          Tracer.intern tr "store.write" )
-  in
   {
     dir = dirname;
     metrics;
@@ -180,9 +169,6 @@ let open_ ?metrics ?trace dirname =
     bytes_read = c "bytes_read";
     bytes_written = c "bytes_written";
     tracer = trace;
-    tr_hit;
-    tr_miss;
-    tr_write;
   }
 
 let of_ctx ctx =
@@ -301,11 +287,11 @@ let read t ~kind ~version key =
   match lookup t ~kind ~version key with
   | Hit payload ->
       count_hit t payload;
-      op_finish t t.tr_hit ~bytes:(String.length payload) clk;
+      op_finish t "store.hit" ~bytes:(String.length payload) clk;
       Some payload
   | other ->
       count_non_hit t ~kind ~key other;
-      op_finish t t.tr_miss ~bytes:0 clk;
+      op_finish t "store.miss" ~bytes:0 clk;
       None
 
 let tmp_counter = Atomic.make 0
@@ -313,7 +299,7 @@ let tmp_counter = Atomic.make 0
 let write t ~kind ~version key payload =
   let clk = op_start t in
   Fun.protect ~finally:(fun () ->
-      op_finish t t.tr_write ~bytes:(String.length payload) clk)
+      op_finish t "store.write" ~bytes:(String.length payload) clk)
   @@ fun () ->
   let path = entry_path t ~kind key in
   let b = Buffer.create (String.length payload + 64) in
@@ -355,15 +341,15 @@ let load_with t ~kind ~version ~decode key =
       match decode payload with
       | v ->
           count_hit t payload;
-          op_finish t t.tr_hit ~bytes:(String.length payload) clk;
+          op_finish t "store.hit" ~bytes:(String.length payload) clk;
           Some v
       | exception Corrupt reason ->
           count_non_hit t ~kind ~key (Damaged reason);
-          op_finish t t.tr_miss ~bytes:0 clk;
+          op_finish t "store.miss" ~bytes:0 clk;
           None)
   | other ->
       count_non_hit t ~kind ~key other;
-      op_finish t t.tr_miss ~bytes:0 clk;
+      op_finish t "store.miss" ~bytes:0 clk;
       None
 
 (* Chunked traces: a manifest record plus one CRC-checked container per

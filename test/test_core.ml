@@ -152,16 +152,13 @@ let test_extended_traces_temperatures () =
   let traced = E.extended ~ctx ~config ~layouts pl in
   Alcotest.(check bool) "rows unchanged" true (plain = traced);
   let slices =
-    match Stc_obs.Trace.to_json tr with
-    | Stc_obs.Json.List evs ->
-      List.length
-        (List.filter
-           (fun e ->
-             Stc_obs.Json.member "name" e
-             = Some (Stc_obs.Json.Str "cachesim.temperature")
-             && Stc_obs.Json.member "ph" e = Some (Stc_obs.Json.Str "B"))
-           evs)
-    | _ -> 0
+    List.length
+      (List.filter
+         (fun e ->
+           Stc_obs.Json.member "name" e
+           = Some (Stc_obs.Json.Str "cachesim.temperature")
+           && Stc_obs.Json.member "ph" e = Some (Stc_obs.Json.Str "B"))
+         (Test_obs_trace.read_back tr))
   in
   (* orig and ops *)
   Alcotest.(check int) "one slice per layout" 2 slices

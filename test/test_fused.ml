@@ -408,15 +408,12 @@ let test_content_equal_layouts_fuse () =
     in
     let slices =
       let open Stc_obs.Json in
-      match of_string (Stc_obs.Trace.to_string tr) with
-      | List evs ->
-        List.filter_map
-          (fun e ->
-            match (member "name" e, member "ph" e) with
-            | Some (Str name), Some (Str ("X" | "B")) -> Some name
-            | _ -> None)
-          evs
-      | _ -> Alcotest.fail "trace not an array"
+      List.filter_map
+        (fun e ->
+          match (member "name" e, member "ph" e) with
+          | Some (Str name), Some (Str ("X" | "B")) -> Some name
+          | _ -> None)
+        (Test_obs_trace.read_back tr)
     in
     let count name = List.length (List.filter (String.equal name) slices) in
     (results, Stc_obs.Export.to_jsonl reg, count, slices)

@@ -1,23 +1,28 @@
-(* Stc_obs.Trace: the per-domain event tracer and its Chrome trace_event
-   serialization. The emitter is exercised against a hand-stepped clock
-   (exact timestamps), a QCheck structural round-trip (any op tree
-   serializes to a well-formed, balanced, per-domain-monotone event
-   array), and real Domain.spawn parallelism. *)
+(* Stc_obs.Trace: the event tracer and its Chrome trace_event file. The
+   emitter is exercised against a hand-stepped clock (exact timestamps),
+   a QCheck structural round-trip (any op tree writes a well-formed,
+   balanced, per-domain-monotone event array), and real Domain.spawn
+   parallelism. *)
 
 module Trace = Stc_obs.Trace
 module Json = Stc_obs.Json
 
 (* A tracer on a hand-stepped clock: epoch is the clock's value at
    create, so the first [tick] puts "now" at exactly [step] seconds. *)
-let stepped ?capacity () =
+let stepped () =
   let t = ref 0.0 in
-  let tr = Trace.create ?capacity ~clock:(fun () -> !t) () in
+  let tr = Trace.create ~clock:(fun () -> !t) () in
   (tr, fun dt -> t := !t +. dt)
 
-let parse tr =
-  match Json.of_string (Trace.to_string tr) with
+(* The events of the file [Trace.write_file] writes. *)
+let read_back tr =
+  let path = Filename.temp_file "stc_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Trace.write_file tr path;
+  let doc = In_channel.with_open_text path In_channel.input_all in
+  match Json.of_string doc with
   | Json.List evs -> evs
-  | _ -> Alcotest.fail "trace did not serialize to a JSON array"
+  | _ -> Alcotest.fail "trace file is not a JSON array"
 
 let field name ev =
   match Json.member name ev with
@@ -49,11 +54,9 @@ let test_span_slices () =
       tick 0.001;
       Trace.span tr "inner" (fun () -> tick 0.002);
       tick 0.003);
-  Trace.instant tr (Trace.intern tr "mark");
-  Trace.counter tr (Trace.intern tr "depth") 7;
-  Alcotest.(check int) "events counted" 6 (Trace.events tr);
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped tr);
-  let evs = parse tr in
+  Trace.counter tr "depth" 7;
+  Alcotest.(check int) "events counted" 5 (Trace.events tr);
+  let evs = read_back tr in
   (* one thread_name metadata record for the lone domain *)
   (match List.filter (fun e -> str "ph" e = "M") evs with
   | [ m ] ->
@@ -69,7 +72,6 @@ let test_span_slices () =
       ("B", "inner", 1000.0);
       ("E", "inner", 3000.0);
       ("E", "outer", 6000.0);
-      ("i", "mark", 6000.0);
       ("C", "depth", 6000.0);
     ]
     phases;
@@ -81,12 +83,11 @@ let test_span_slices () =
 
 let test_complete_and_end_args () =
   let tr, tick = stepped () in
-  let name = Trace.intern tr "op" in
   let t0 = Trace.now tr in
   tick 0.004;
-  Trace.complete ~arg:512 tr name ~start:t0;
-  Trace.end_ ~arg:64 tr name;
-  let evs = non_meta (parse tr) in
+  Trace.complete ~arg:512 tr "op" ~start:t0;
+  Trace.span tr "op" ignore;
+  let evs = non_meta (read_back tr) in
   let x = List.find (fun e -> str "ph" e = "X") evs in
   Alcotest.(check (float 1e-6)) "X starts at start" 0.0 (num "ts" x);
   Alcotest.(check (float 1e-6)) "X duration in us" 4000.0 (num "dur" x);
@@ -95,28 +96,17 @@ let test_complete_and_end_args () =
   in
   Alcotest.(check int) "X byte arg" 512 (bytes x);
   let e = List.find (fun e -> str "ph" e = "E") evs in
-  Alcotest.(check int) "E byte arg" 64 (bytes e)
-
-let test_ring_full_drops () =
-  let tr, _tick = stepped ~capacity:4 () in
-  let name = Trace.intern tr "i" in
-  for _ = 1 to 10 do
-    Trace.instant tr name
-  done;
-  Alcotest.(check int) "ring kept capacity" 4 (Trace.events tr);
-  Alcotest.(check int) "overflow counted" 6 (Trace.dropped tr);
-  Alcotest.(check int) "serialized = kept + meta" 5 (List.length (parse tr))
+  Alcotest.(check int) "E carries no arg" (-1) (bytes e)
 
 let test_backwards_clock_clamped () =
   let t = ref 10.0 in
   let tr = Trace.create ~clock:(fun () -> !t) () in
-  let name = Trace.intern tr "e" in
-  Trace.instant tr name;
+  Trace.counter tr "e" 0;
   t := 5.0 (* NTP step backwards *);
-  Trace.instant tr name;
+  Trace.counter tr "e" 1;
   t := 12.0;
-  Trace.instant tr name;
-  let ts = List.map (num "ts") (non_meta (parse tr)) in
+  Trace.counter tr "e" 2;
+  let ts = List.map (num "ts") (non_meta (read_back tr)) in
   Alcotest.(check (list (float 1e-6)))
     "timestamps clamped monotone"
     [ 0.0; 0.0; 2e6 ]
@@ -124,11 +114,7 @@ let test_backwards_clock_clamped () =
 
 (* ---------- QCheck: structural round-trip of random op trees ---------- *)
 
-type op =
-  | Span of int * op list
-  | Instant of int
-  | Count of int * int
-  | Complete of int
+type op = Span of int * op list | Count of int * int | Complete of int
 
 let op_gen =
   QCheck.Gen.(
@@ -136,7 +122,6 @@ let op_gen =
         let leaf =
           oneof
             [
-              map (fun i -> Instant i) (int_bound 3);
               map2 (fun i v -> Count (i, v)) (int_bound 3) (int_bound 1000);
               map (fun i -> Complete i) (int_bound 3);
             ]
@@ -156,7 +141,6 @@ let op_gen =
 let rec op_str = function
   | Span (i, ops) ->
     Printf.sprintf "s%d[%s]" i (String.concat ";" (List.map op_str ops))
-  | Instant i -> Printf.sprintf "i%d" i
   | Count (i, v) -> Printf.sprintf "c%d=%d" i v
   | Complete i -> Printf.sprintf "x%d" i
 
@@ -165,13 +149,11 @@ let rec apply tr tick = function
     Trace.span tr (Printf.sprintf "s%d" i) (fun () ->
         tick 0.001;
         List.iter (apply tr tick) ops)
-  | Instant i -> Trace.instant tr (Trace.intern tr (Printf.sprintf "i%d" i))
-  | Count (i, v) ->
-    Trace.counter tr (Trace.intern tr (Printf.sprintf "c%d" i)) v
+  | Count (i, v) -> Trace.counter tr (Printf.sprintf "c%d" i) v
   | Complete i ->
     let t0 = Trace.now tr in
     tick 0.001;
-    Trace.complete tr (Trace.intern tr (Printf.sprintf "x%d" i)) ~start:t0
+    Trace.complete tr (Printf.sprintf "x%d" i) ~start:t0
 
 (* Group an event list by tid, preserving order within each group. *)
 let by_tid evs =
@@ -194,7 +176,7 @@ let check_wellformed evs =
     (fun e ->
       let ph = str "ph" e in
       if
-        not (List.mem ph [ "B"; "E"; "i"; "C"; "X" ])
+        not (List.mem ph [ "B"; "E"; "C"; "X" ])
       then QCheck.Test.fail_reportf "unknown ph %S" ph;
       ignore (str "name" e);
       ignore (num "ts" e);
@@ -242,7 +224,7 @@ let prop_roundtrip =
     (fun ops ->
       let tr, tick = stepped () in
       List.iter (apply tr tick) ops;
-      let evs = non_meta (parse tr) in
+      let evs = non_meta (read_back tr) in
       if List.length evs <> Trace.events tr then
         QCheck.Test.fail_reportf "serialized %d events, tracer counted %d"
           (List.length evs) (Trace.events tr);
@@ -256,8 +238,7 @@ let test_multi_domain () =
   let spans_per_domain = 50 in
   let work () =
     for i = 1 to spans_per_domain do
-      Trace.span tr "work" (fun () ->
-          Trace.counter tr (Trace.intern tr "i") i)
+      Trace.span tr "work" (fun () -> Trace.counter tr "i" i)
     done
   in
   let doms = Array.init 3 (fun _ -> Domain.spawn work) in
@@ -266,7 +247,7 @@ let test_multi_domain () =
   Alcotest.(check int) "all events recorded"
     (4 * spans_per_domain * 3)
     (Trace.events tr);
-  let evs = non_meta (parse tr) in
+  let evs = non_meta (read_back tr) in
   let groups = by_tid evs in
   Alcotest.(check int) "one track per domain" 4 (List.length groups);
   check_wellformed evs;
@@ -274,13 +255,28 @@ let test_multi_domain () =
   let tids = List.map fst groups in
   Alcotest.(check (list int)) "tracks sorted" (List.sort compare tids) tids
 
+(* Eight short-lived domains (as each Pool.map spawns) emit one span
+   each: what the tracer holds follows its 16 events, not its 8 domains,
+   so it stays at a few hundred words. *)
+let test_memory_follows_events () =
+  let tr = Trace.create () in
+  let doms =
+    Array.init 8 (fun _ -> Domain.spawn (fun () -> Trace.span tr "one" ignore))
+  in
+  Array.iter Domain.join doms;
+  Alcotest.(check int) "one span per domain" 16 (Trace.events tr);
+  let words = Obj.reachable_words (Obj.repr tr) in
+  if words > 10_000 then
+    Alcotest.failf "tracer holds %d words for 16 events" words
+
 let suite =
   [
     Alcotest.test_case "span slices on a stepped clock" `Quick test_span_slices;
     Alcotest.test_case "complete and end args" `Quick test_complete_and_end_args;
-    Alcotest.test_case "ring full drops, never grows" `Quick test_ring_full_drops;
     Alcotest.test_case "backwards clock clamped" `Quick
       test_backwards_clock_clamped;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     Alcotest.test_case "multi-domain tracks" `Quick test_multi_domain;
+    Alcotest.test_case "memory follows events, not domains" `Quick
+      test_memory_follows_events;
   ]

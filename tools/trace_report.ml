@@ -104,8 +104,9 @@ type slice = {
 
 (* Pair B/E per tid into slices (events are in emission order per tid in
    the file); X events become slices directly at the current depth.
-   Unbalanced events are counted, not fatal: a ring that filled up drops
-   its tail and we still want the report. *)
+   Unbalanced events are counted, not fatal: a trace written while a
+   slice was still open ends without its E event, and we still want the
+   report. *)
 let slices events =
   let stacks : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
   let stack tid =
@@ -477,7 +478,7 @@ let () =
     (List.length real) (List.length domains)
     (fus (hi -. lo));
   if unbalanced > 0 then
-    Printf.printf "(%d unbalanced begin/end event(s) — ring truncation?)\n"
+    Printf.printf "(%d unbalanced begin/end event(s) — written mid-slice?)\n"
       unbalanced;
   print_newline ();
   top_level_table slices;
