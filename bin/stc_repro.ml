@@ -35,6 +35,14 @@ let sim_config exec_threshold branch_threshold =
     branch_threshold;
   }
 
+(* The scale factor and the buffer-pool size, checked as set-up will
+   check them. *)
+let check_config (config : Pipeline.config) =
+  try
+    Stc_dbdata.Datagen.check_sf config.Pipeline.sf;
+    ignore (Stc_db.Bufmgr.create ~frames:config.Pipeline.frames ())
+  with Invalid_argument msg -> fail "%s" msg
+
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced kernel and scale factor (fast).")
 
@@ -232,6 +240,8 @@ let with_pipeline c body =
   check_out_path "metrics" c.metrics;
   check_out_path "trace" c.trace;
   check_store_dir c.store;
+  let config = pipeline_config c.quick c.sf c.frames in
+  check_config config;
   let reg = Obs.Registry.create () in
   let tracer = make_tracer c.trace in
   (* --seed is applied by Pipeline.run through Run.ctx (Pipeline.seeded);
@@ -247,7 +257,6 @@ let with_pipeline c body =
     match c.store with Some dir -> Run.with_store dir ctx | None -> ctx
   in
   let ctx = match tracer with Some t -> Run.with_trace t ctx | None -> ctx in
-  let config = pipeline_config c.quick c.sf c.frames in
   Printf.printf
     "Building kernel, loading TPC-D data (sf=%.4g), tracing Training and Test sets...\n%!"
     config.Pipeline.sf;

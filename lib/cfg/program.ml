@@ -11,9 +11,6 @@ let static_counts t =
 
 let proc_of_block t bid = t.procs.(t.blocks.(bid).Block.proc)
 
-let find_proc t name =
-  Array.find_opt (fun p -> String.equal p.Proc.name name) t.procs
-
 let validate t =
   let nb = Array.length t.blocks and np = Array.length t.procs in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -17,9 +17,6 @@ val static_counts : t -> static_counts
 
 val proc_of_block : t -> int -> Proc.t
 
-val find_proc : t -> string -> Proc.t option
-(** Lookup by procedure name (linear; intended for setup code and tests). *)
-
 val validate : t -> (unit, string) result
 (** Structural well-formedness: ids in range and consistent with array
     positions; every block owned by exactly one procedure; procedure entry

@@ -349,14 +349,18 @@ module Oracle = struct
 
     type t = {
       entries : int;
-      width : int;
-      max_branches : int;
       mutable slots : (int * entry) list;  (* index -> entry *)
     }
 
-    let create ?(entries = 256) ?(width = 16) ?(max_branches = 3) () =
+    (* the real trace cache's default geometry: 16 instructions, at most
+       3 branches per trace *)
+    let width = 16
+
+    let max_branches = 3
+
+    let create ?(entries = 256) () =
       if entries <= 0 then invalid_arg "Oracle.Tracecache.create: entries";
-      { entries; width; max_branches; slots = [] }
+      { entries; slots = [] }
 
     let index t addr = addr / 4 mod t.entries
 
@@ -364,10 +368,10 @@ module Oracle = struct
        [Stc_fetch.Tracecache]'s trace build stops (the width check at the
        loop head covers the hit-width-exactly-at-block-end case, where
        the block's branch is still recorded). *)
-    let build t view (pos : View.pos) =
+    let build view (pos : View.pos) =
       let len = View.length view in
       let rec go n br outs idx off =
-        if idx >= len || n >= t.width then (n, br, outs, idx, off)
+        if idx >= len || n >= width then (n, br, outs, idx, off)
         else
           let n = n + 1 and off = off + 1 in
           if off < View.block_size view idx then go n br outs idx off
@@ -378,7 +382,7 @@ module Oracle = struct
                   if View.taken view idx then outs lor (1 lsl br) else outs )
               else (br, outs)
             in
-            if br >= t.max_branches then (n, br, outs, idx + 1, 0)
+            if br >= max_branches then (n, br, outs, idx + 1, 0)
             else go n br outs (idx + 1) 0
       in
       go 0 0 0 pos.View.idx pos.View.off
@@ -387,14 +391,14 @@ module Oracle = struct
       let a = View.addr view pos in
       match List.assoc_opt (index t a) t.slots with
       | Some e when e.start_addr = a ->
-        let n, br, outs, eidx, eoff = build t view pos in
+        let n, br, outs, eidx, eoff = build view pos in
         if n = e.n && br = e.br && outs = e.outs then Some (n, eidx, eoff)
         else None
       | Some _ | None -> None
 
     let fill t view (pos : View.pos) =
       let a = View.addr view pos in
-      let n, br, outs, _, _ = build t view pos in
+      let n, br, outs, _, _ = build view pos in
       if n > 0 then begin
         let i = index t a in
         t.slots <-
@@ -913,32 +917,26 @@ let real_prediction_of_case case =
       })
     case.pred
 
-(* A case with an FDIP block replaces the engine config's; the other
-   engine parameters pass through unchanged. *)
-let case_config ?config case =
-  let base = Option.value config ~default:Engine.Config.default in
+(* The default engine config, with the case's FDIP block when it has
+   one. *)
+let case_config case =
   match case.fdip with
-  | None -> base
-  | Some fc ->
-    Engine.Config.make ~max_branches:base.Engine.Config.max_branches
-      ~line_bytes:base.Engine.Config.line_bytes
-      ~miss_penalty:base.Engine.Config.miss_penalty ~fdip:fc ()
+  | None -> Engine.Config.default
+  | Some fc -> Engine.Config.make ~fdip:fc ()
 
-let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
+let diff_cases ?(temperature = [||]) ~layout_name view cases =
   let cases = Array.of_list cases in
   (* one bank over the whole case list — mixed direct/victim/2-way
      geometries, replacement policies, FDIP frontends, predictors, trace
      caches and the ideal slot replay in a single sweep, exactly how
      Experiments fuses a grid's cells, so cohort sharing is checked too *)
   (* every cache, real, shadow and oracle, has the engine's line *)
-  let line_bytes =
-    (Option.value config ~default:Engine.Config.default).Engine.Config.line_bytes
-  in
+  let line_bytes = Engine.Config.default.Engine.Config.line_bytes in
   let bank_specs =
     Array.map
       (fun case ->
         Engine.Bank.spec
-          ~config:(case_config ?config case)
+          ~config:(case_config case)
           ?icache:(real_icache_of_case ~temperature ~line_bytes case ())
           ?trace_cache:(real_tc_of_case case ())
           ?prediction:(real_prediction_of_case case)
@@ -984,7 +982,7 @@ let diff_cases ?config ?(temperature = [||]) ~layout_name view cases =
            if case.tc then Some (Oracle.Tracecache.create ()) else None
          in
          let o =
-           Oracle.fetch ~config:(case_config ?config case) ?icache:oracle_icache
+           Oracle.fetch ~config:(case_config case) ?icache:oracle_icache
              ?trace_cache:oracle_tc ?prediction:case.pred ~on_access view
          in
          let er_mismatches =

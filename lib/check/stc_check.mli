@@ -110,9 +110,10 @@ module Oracle : sig
   module Tracecache : sig
     type t
 
-    val create :
-      ?entries:int -> ?width:int -> ?max_branches:int -> unit -> t
-    (** Same defaults as {!Stc_fetch.Tracecache.create}. *)
+    val create : ?entries:int -> unit -> t
+    (** Same default entry count as {!Stc_fetch.Tracecache.create}, and
+        its default geometry: 16 instructions, at most 3 branches per
+        trace. *)
   end
 
   (** A direction predictor to model: one of {!Stc_fetch.Predictor}'s
@@ -183,7 +184,6 @@ type engine_report = {
 }
 
 val diff_cases :
-  ?config:Stc_fetch.Engine.config ->
   ?temperature:int array ->
   layout_name:string ->
   Stc_fetch.View.t ->
@@ -194,9 +194,9 @@ val diff_cases :
     fusing every case's spec — the same feed and the same
     mixed-configuration banks Experiments builds — and
     compare every {!Stc_fetch.Engine.result} field of the two (fresh
-    caches and predictors each, every cache at the config's
-    [line_bytes]; a case's [fdip] block overrides the config's;
-    [P_trrip] cases seed both real and oracle caches from
+    caches and predictors each; the default {!Stc_fetch.Engine.Config},
+    with the case's [fdip] block when it has one, so every cache has its
+    32-byte line; [P_trrip] cases seed both real and oracle caches from
     [?temperature], default empty = all cold). *)
 
 val diff_icache_stream :

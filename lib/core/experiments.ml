@@ -38,10 +38,6 @@ let print_table1 (fp : P.Footprint.t) =
   print_endline "Table 1. Static program elements and the fraction used.";
   Tbl.print t
 
-let figure2 ?(max_blocks = 3000) ?(step = 250) (pl : Pipeline.t) =
-  let pop = P.Popularity.compute pl.Pipeline.profile in
-  P.Popularity.curve pop ~max_blocks ~step
-
 let print_figure2 (pl : Pipeline.t) =
   let pop = P.Popularity.compute pl.Pipeline.profile in
   let t =

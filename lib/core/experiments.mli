@@ -14,9 +14,6 @@ val table1 : Pipeline.t -> Stc_profile.Footprint.t
 
 val print_table1 : Stc_profile.Footprint.t -> unit
 
-val figure2 : ?max_blocks:int -> ?step:int -> Pipeline.t -> (int * float) list
-(** Points (n, cumulative share of dynamic references). *)
-
 val print_figure2 : Pipeline.t -> unit
 (** The curve plus the headline numbers (blocks for 90 % and 99 %). *)
 

@@ -65,14 +65,12 @@ type prediction_row = {
 
 val prediction :
   ?ctx:Run.ctx -> ?cache_kb:int -> ?cfa_kb:int -> Pipeline.t -> prediction_row list
-(** One cell per (layout, predictor), 3-cycle redirect penalty; the
-    accuracy is {!accuracy_pct} of the cell's (storable) result. *)
-
-val accuracy_pct : Stc_fetch.Engine.result -> float
-(** [100 * (cond_branches - mispredictions) / cond_branches] (100 with
-    none): a fresh predictor is consulted once per conditional branch,
-    so this is the share it got right. The one accuracy: predictors
-    keep no counts, and a stored result carries both terms. *)
+(** One cell per (layout, predictor), 3-cycle redirect penalty. The
+    accuracy is [100 * (cond_branches - mispredictions) / cond_branches]
+    of the cell's (storable) result (100 with none): a fresh predictor
+    is consulted once per conditional branch, so this is the share it
+    got right. The one accuracy: predictors keep no counts, and a stored
+    result carries both terms. *)
 
 (** {2 Per-query breakdown} *)
 

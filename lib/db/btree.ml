@@ -18,7 +18,6 @@ type t = {
   file : Storage.file;
   bufmgr : Bufmgr.t;
   root : node;
-  count : int;
 }
 
 let page_no = function
@@ -84,9 +83,7 @@ let build storage bufmgr ~name ~entries =
       up (Array.of_list (List.rev !groups))
     end
   in
-  { file; bufmgr; root = up leaves; count = n }
-
-let n_entries t = t.count
+  { file; bufmgr; root = up leaves }
 
 (* --- instrumented search --- *)
 

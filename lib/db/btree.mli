@@ -15,8 +15,6 @@ val build :
 (** [entries] are (key, tid) pairs, not necessarily sorted; duplicates are
     allowed (multi-entry indexes on foreign keys). *)
 
-val n_entries : t -> int
-
 type scan
 
 val begin_eq : t -> int -> scan

@@ -10,6 +10,8 @@ type t = {
 }
 
 let create ?(frames = 256) () =
+  if frames < 1 then
+    invalid_arg (Printf.sprintf "Bufmgr.create: frames must be >= 1, got %d" frames);
   { frames; table = Hashtbl.create 512; clock = 0; hits = 0; misses = 0 }
 
 let k_read_buffer = Probe.key "ReadBuffer"

@@ -10,7 +10,8 @@
 type t
 
 val create : ?frames:int -> unit -> t
-(** Default 256 frames (2 MB of 8 KB pages). *)
+(** Default 256 frames (2 MB of 8 KB pages). Raises [Invalid_argument]
+    naming [frames] unless it is at least 1. *)
 
 val read_buffer : t -> Storage.file -> int -> unit
 (** Instrumented [ReadBuffer]: registers an access to the page, faulting

@@ -23,8 +23,6 @@ type t =
 val eval : t -> int array -> int
 (** Instrumented evaluation against a tuple. *)
 
-val eval_bool : t -> int array -> bool
-
 val qual : t list -> int array -> bool
 (** Instrumented [ExecQual]: conjunction with early exit. *)
 

@@ -24,8 +24,3 @@ let get t ~slot ~col =
   if slot < 0 || slot >= t.n_items || col < 0 || col >= t.width then
     invalid_arg "Page.get: out of range";
   t.data.((slot * t.width) + col)
-
-let read_row t ~slot ~into =
-  if slot < 0 || slot >= t.n_items then invalid_arg "Page.read_row: bad slot";
-  if Array.length into <> t.width then invalid_arg "Page.read_row: bad width";
-  Array.blit t.data (slot * t.width) into 0 t.width

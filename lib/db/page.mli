@@ -5,8 +5,6 @@
 
 type t
 
-val capacity : width:int -> int
-
 val create : width:int -> t
 
 val width : t -> int
@@ -19,6 +17,3 @@ val append : t -> int array -> unit
 (** Raises [Invalid_argument] if full or the row width mismatches. *)
 
 val get : t -> slot:int -> col:int -> int
-
-val read_row : t -> slot:int -> into:int array -> unit
-(** Copy one tuple into a caller-provided array of the right width. *)

@@ -34,16 +34,3 @@ type t =
   | Limit of { child : t; limit : int }
   | Material of { child : t }
   | Result of { child : t; exprs : Expr.t list }
-
-let node_name = function
-  | Seq_scan _ -> "ExecSeqScan"
-  | Index_scan _ -> "ExecIndexScan"
-  | Nest_loop _ -> "ExecNestLoop"
-  | Hash_join _ -> "ExecHashJoin"
-  | Merge_join _ -> "ExecMergeJoin"
-  | Sort _ -> "ExecSort"
-  | Agg _ -> "ExecAgg"
-  | Group _ -> "ExecGroup"
-  | Limit _ -> "ExecLimit"
-  | Material _ -> "ExecMaterial"
-  | Result _ -> "ExecResult"

@@ -53,6 +53,3 @@ type t =
   | Limit of { child : t; limit : int }
   | Material of { child : t }
   | Result of { child : t; exprs : Expr.t list }  (** Final projection. *)
-
-val node_name : t -> string
-(** The executor routine implementing the node ("ExecSeqScan", …). *)

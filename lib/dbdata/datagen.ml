@@ -100,7 +100,13 @@ let gen_lineitem rng orders ~n_parts ~n_suppliers =
     orders;
   Array.of_list (List.rev !rows)
 
+let check_sf sf =
+  if not (Float.is_finite sf && sf > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Datagen.generate: sf must be finite and > 0, got %g" sf)
+
 let generate ?(seed = 0x7C0DL) ~sf () =
+  check_sf sf;
   let root = Rng.create seed in
   let rng name = Rng.named root ("datagen." ^ name) in
   let n_suppliers = scaled sf 10_000 in
@@ -129,5 +135,3 @@ let generate ?(seed = 0x7C0DL) ~sf () =
   }
 
 let table t name = List.assoc name t.rows
-
-let row_count t name = Array.length (table t name)

@@ -13,8 +13,12 @@ type t = {
       (** Table name → rows (each row an [int array] per the schema). *)
 }
 
+val check_sf : float -> unit
+(** The check {!generate} runs first: raises [Invalid_argument] naming
+    [sf] unless it is finite and positive. (Below that, every scaled
+    table would clamp to one row, so any such value would run the same
+    tiny data set.) *)
+
 val generate : ?seed:int64 -> sf:float -> unit -> t
 
 val table : t -> string -> int array array
-
-val row_count : t -> string -> int

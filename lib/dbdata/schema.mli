@@ -10,8 +10,6 @@ type table = {
   width : int;  (** Number of columns. *)
 }
 
-val lineitem : table
-
 val all : table list
 
 val find : string -> table

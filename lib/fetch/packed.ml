@@ -30,16 +30,6 @@ let size_mask = (1 lsl (addr_shift - size_shift)) - 1
 
 let max_addr = (1 lsl (62 - addr_shift)) - 1
 
-let w_taken w = w land taken_bit <> 0
-
-let w_branch w = w land branch_bit <> 0
-
-let w_cond w = w land cond_bit <> 0
-
-let w_size w = (w lsr size_shift) land size_mask
-
-let w_addr w = w lsr addr_shift
-
 type t = {
   words : int array; (* per trace index *)
   len : int;
@@ -133,7 +123,8 @@ let rec first_of = function
   | [] -> None
   | s :: tl -> if Segment.length s = 0 then first_of tl else Some (Segment.first s)
 
-let compile_tables tb source =
+let compile prog layout source =
+  let tb = tables prog layout in
   let segs = ref [] and total = ref 0 in
   let rec drain () =
     match Source.next_segment source with
@@ -159,28 +150,9 @@ let compile_tables tb source =
   go 0 segs;
   { words; len; total_instrs = !instrs; taken_branches = !taken_n }
 
-let compile prog layout source = compile_tables (tables prog layout) source
-
 let length t = t.len
 
 let raw t = t.words
-
-let check t i =
-  if i < 0 || i >= t.len then invalid_arg "Packed: index out of bounds"
-
-let word t i =
-  check t i;
-  t.words.(i)
-
-let block_addr t i = w_addr (word t i)
-
-let block_size t i = w_size (word t i)
-
-let taken t i = w_taken (word t i)
-
-let has_branch t i = w_branch (word t i)
-
-let is_cond t i = w_cond (word t i)
 
 let total_instrs t = t.total_instrs
 

@@ -49,11 +49,7 @@ val fill :
 
 val compile :
   Stc_cfg.Program.t -> Stc_layout.Layout.t -> Stc_trace.Source.t -> t
-(** Drain the source and pack the whole trace into one image.
-    Equivalent to [compile_tables (tables p l) src]. *)
-
-val compile_tables : tables -> Stc_trace.Source.t -> t
-(** {!compile} with prebuilt tables. Drains the source. *)
+(** Drain the source and pack the whole trace into one image. *)
 
 val length : t -> int
 (** Number of blocks in the image. *)
@@ -94,23 +90,6 @@ val size_shift : int
 val size_mask : int
 
 val addr_shift : int
-
-(** {2 Checked per-index accessors}
-
-    Same answers as the [View] functions of the same name; used by tests
-    and non-hot callers. *)
-
-val word : t -> int -> int
-
-val block_addr : t -> int -> int
-
-val block_size : t -> int -> int
-
-val taken : t -> int -> bool
-
-val has_branch : t -> int -> bool
-
-val is_cond : t -> int -> bool
 
 (** {2 Stream totals} — precomputed during compilation. *)
 

@@ -13,7 +13,8 @@
 
     A predictor holds its tables and history only. Mispredictions are
     counted per slot by {!Engine.Bank} (the result's [mispredictions]),
-    and accuracy follows from the result ([Stc_core.Extensions.accuracy_pct]). *)
+    and accuracy follows from the result (the [p_accuracy] of
+    [Stc_core.Extensions.prediction]). *)
 
 type kind =
   | Always_taken

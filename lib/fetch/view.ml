@@ -67,8 +67,6 @@ let totals t =
     t.cached_totals <- Some (!instrs, !taken_n);
     (!instrs, !taken_n)
 
-let total_instrs t = fst (totals t)
-
 let taken_branches t = snd (totals t)
 
 let instrs_between_taken t =

@@ -44,8 +44,6 @@ val taken : t -> int -> bool
 (** [taken t idx]: the transition from trace index [idx] to [idx + 1] is
     non-sequential under the layout. The last index counts as taken. *)
 
-val total_instrs : t -> int
-
 val taken_branches : t -> int
 (** Total taken transitions — denominator of the paper's "instructions
     executed between taken branches". *)

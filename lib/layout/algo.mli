@@ -50,8 +50,6 @@ type t = {
 val all : unit -> t list
 (** Every registered algorithm, in registration order. *)
 
-val names : unit -> string list
-
 val find : string -> (t, string) result
 (** Case-insensitive lookup over names, slugs and aliases. The error
     message lists the valid names. *)

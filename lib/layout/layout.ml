@@ -23,31 +23,6 @@ let of_block_order prog ~name order =
     order;
   { name; addr }
 
-(* The placement check [of_placements] and [validate] share: walk the
-   blocks in address order (a stable integer sort, so blocks at equal
-   addresses come in id order) and report the first unplaced, misaligned
-   or overlapping one. *)
-let check_placement prog addr =
-  let n = Array.length addr in
-  let order = Array.init n Fun.id in
-  Array.stable_sort (fun a b -> Int.compare addr.(a) addr.(b)) order;
-  let rec go i =
-    if i >= n then Ok ()
-    else
-      let bid = order.(i) in
-      if addr.(bid) < 0 then Error (Printf.sprintf "block %d unplaced" bid)
-      else if addr.(bid) mod Block.instr_bytes <> 0 then
-        Error (Printf.sprintf "block %d misaligned" bid)
-      else if
-        i + 1 < n
-        && addr.(bid) + Block.byte_size prog.Program.blocks.(bid)
-           > addr.(order.(i + 1))
-      then
-        Error (Printf.sprintf "blocks %d and %d overlap" bid order.(i + 1))
-      else go (i + 1)
-  in
-  go 0
-
 let of_placements prog ~name placements =
   let n = Array.length prog.Program.blocks in
   let addr = Array.make n (-1) in
@@ -66,17 +41,19 @@ let of_placements prog ~name placements =
         invalid_arg
           (Printf.sprintf "Layout.of_placements: block %d not placed" bid))
     addr;
-  (match check_placement prog addr with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Layout.of_placements: " ^ e));
+  (* Every block is placed and aligned; walk them in address order (a
+     stable integer sort, so blocks at equal addresses come in id order)
+     and reject the first overlap. *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare addr.(a) addr.(b)) order;
+  for i = 0 to n - 2 do
+    let bid = order.(i) and next = order.(i + 1) in
+    if addr.(bid) + Block.byte_size prog.Program.blocks.(bid) > addr.(next)
+    then
+      invalid_arg
+        (Printf.sprintf "Layout.of_placements: blocks %d and %d overlap" bid
+           next)
+  done;
   { name; addr }
 
 let address t bid = t.addr.(bid)
-
-let is_sequential t prog ~src ~dst =
-  t.addr.(dst) = t.addr.(src) + Block.byte_size prog.Program.blocks.(src)
-
-let validate t prog =
-  if Array.length t.addr <> Array.length prog.Program.blocks then
-    Error "layout covers wrong block count"
-  else check_placement prog t.addr

@@ -21,10 +21,3 @@ val of_placements : Stc_cfg.Program.t -> name:string -> (int * int) list -> t
     misaligned addresses or overlaps. *)
 
 val address : t -> int -> int
-
-val is_sequential : t -> Stc_cfg.Program.t -> src:int -> dst:int -> bool
-(** Whether [dst] starts exactly where [src] ends — i.e. the transition
-    [src → dst] needs no taken branch under this layout. *)
-
-val validate : t -> Stc_cfg.Program.t -> (unit, string) result
-(** Alignment to instruction size, no overlapping blocks. *)

@@ -22,9 +22,9 @@ type plan = {
   cold : int list;
 }
 
-let map prog ~name ~cache_bytes ~cfa_bytes ~cfa_seqs ~other_seqs ~cold =
+let map_plan prog ~name ~cache_bytes ~cfa_bytes { cfa_seqs; other_seqs; cold } =
   if cfa_bytes < 0 || cfa_bytes > cache_bytes then
-    invalid_arg "Mapping.map: cfa_bytes out of range";
+    invalid_arg "Mapping.map_plan: cfa_bytes out of range";
   let placements = ref [] in
   let place bid addr = placements := (bid, addr) :: !placements in
   let size bid = Block.byte_size prog.Program.blocks.(bid) in
@@ -39,7 +39,7 @@ let map prog ~name ~cache_bytes ~cfa_bytes ~cfa_seqs ~other_seqs ~cold =
         seq)
     cfa_seqs;
   if !cursor > cfa_bytes then
-    invalid_arg "Mapping.map: CFA sequences exceed the CFA size";
+    invalid_arg "Mapping.map_plan: CFA sequences exceed the CFA size";
   (* 2. Remaining sequences, skipping the CFA window of every logical
      cache. Skipped windows become holes for the cold code. *)
   let holes = ref [] in
@@ -100,9 +100,6 @@ let map prog ~name ~cache_bytes ~cfa_bytes ~cfa_seqs ~other_seqs ~cold =
   in
   List.iter place_cold cold;
   Layout.of_placements prog ~name !placements
-
-let map_plan prog ~name ~cache_bytes ~cfa_bytes { cfa_seqs; other_seqs; cold } =
-  map prog ~name ~cache_bytes ~cfa_bytes ~cfa_seqs ~other_seqs ~cold
 
 let plan_of_chains profile ~cfa_bytes chains =
   let prog = Stc_profile.Profile.program profile in

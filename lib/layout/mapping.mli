@@ -34,17 +34,6 @@ val map_plan :
     [Invalid_argument] if the CFA sequences exceed [cfa_bytes], or on a
     malformed partition (via layout validation). *)
 
-val map :
-  Stc_cfg.Program.t ->
-  name:string ->
-  cache_bytes:int ->
-  cfa_bytes:int ->
-  cfa_seqs:int list list ->
-  other_seqs:int list list ->
-  cold:int list ->
-  Layout.t
-(** {!map_plan} with the partition spread over labelled arguments. *)
-
 val fit_cfa :
   Stc_cfg.Program.t ->
   cfa_bytes:int ->

@@ -25,7 +25,11 @@ let index_of_kind = function
   | Terminator.Subroutine_call -> 2
   | Terminator.Subroutine_return -> 3
 
-let compute ?(threshold = 0.9) p =
+(* A block behaves in a fixed way when one successor takes this share of
+   its out-transitions. *)
+let threshold = 0.9
+
+let compute p =
   let prog = Profile.program p in
   let counts = Profile.counts p in
   let static = Array.make 4 0 in

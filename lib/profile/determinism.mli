@@ -1,7 +1,7 @@
 (** Block-type mix and transition determinism — Table 2 of the paper.
 
     A block "behaves in a fixed way" when one successor receives at least
-    [threshold] of its dynamic out-transitions (the paper's notion of
+    90 % of its dynamic out-transitions (the paper's notion of
     "always taken or always not taken" for branches; fall-through blocks,
     calls with a single target and returns are fixed by mechanism — a
     return-address stack makes return targets predictable). *)
@@ -22,5 +22,4 @@ type t = {
           paper's "overall, 80 % of the basic block transitions"). *)
 }
 
-val compute : ?threshold:float -> Profile.t -> t
-(** Default [threshold] is 0.9. *)
+val compute : Profile.t -> t

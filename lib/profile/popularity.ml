@@ -5,6 +5,8 @@ let compute p =
   let executed = Array.fold_left (fun a c -> if c > 0 then a + 1 else a) 0 counts in
   { cumulative = Stc_util.Stats.cumulative_share counts; executed }
 
+(* fraction of all dynamic block references captured by the [n] most
+   popular static blocks *)
 let share_of_top t n =
   let len = Array.length t.cumulative in
   if n <= 0 || len = 0 then 0.0 else t.cumulative.(min n len - 1)

@@ -4,10 +4,6 @@ type t
 
 val compute : Profile.t -> t
 
-val share_of_top : t -> int -> float
-(** [share_of_top t n]: fraction of all dynamic block references captured
-    by the [n] most popular static blocks. *)
-
 val blocks_for_share : t -> float -> int
 (** Least number of most-popular blocks capturing the given share. *)
 

@@ -9,7 +9,6 @@ type t = {
   edges : (int, int) Hashtbl.t; (* src * n_blocks + dst -> count *)
   n_blocks_static : int;
   mutable prev : int;
-  mutable total_blocks : int;
   mutable total_instrs : int;
   mutable succs : (int * int) list array option;
       (* per-block successor lists, built lazily from [edges] *)
@@ -24,14 +23,12 @@ let create prog =
     edges = Hashtbl.create 4096;
     n_blocks_static = n;
     prev = -1;
-    total_blocks = 0;
     total_instrs = 0;
     succs = None;
   }
 
 let sink t bid =
   t.counts.(bid) <- t.counts.(bid) + 1;
-  t.total_blocks <- t.total_blocks + 1;
   t.total_instrs <- t.total_instrs + Array.unsafe_get t.sizes bid;
   if t.prev >= 0 then begin
     let key = (t.prev * t.n_blocks_static) + bid in
@@ -42,15 +39,9 @@ let sink t bid =
   end;
   t.prev <- bid
 
-let note_boundary t = t.prev <- -1
-
 let program t = t.prog
 
-let block_count t bid = t.counts.(bid)
-
 let counts t = t.counts
-
-let total_blocks t = t.total_blocks
 
 let total_instrs t = t.total_instrs
 
@@ -119,7 +110,6 @@ let call_edges t =
 
 let inject_block t bid ~count =
   t.counts.(bid) <- t.counts.(bid) + count;
-  t.total_blocks <- t.total_blocks + count;
   t.total_instrs <- t.total_instrs + (count * t.sizes.(bid))
 
 let inject_edge t ~src ~dst ~count =

@@ -13,19 +13,10 @@ val sink : t -> int -> unit
     {!Stc_trace.Recorder} through it). Consecutive blocks are counted as an
     edge; the very first block only counts as a node visit. *)
 
-val note_boundary : t -> unit
-(** Forget the previous block, so independent trace sections (different
-    queries) do not contribute a spurious edge where they abut. *)
-
 val program : t -> Stc_cfg.Program.t
-
-val block_count : t -> int -> int
 
 val counts : t -> int array
 (** The per-block execution counts (the live array — do not mutate). *)
-
-val total_blocks : t -> int
-(** Total dynamic block executions. *)
 
 val total_instrs : t -> int
 (** Total dynamic instructions. *)

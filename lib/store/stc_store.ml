@@ -141,8 +141,6 @@ type t = {
   tracer : Tracer.t option;
 }
 
-let dir t = t.dir
-
 let rec mkdir_p path =
   if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path)
   then begin

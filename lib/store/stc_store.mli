@@ -79,8 +79,6 @@ val of_ctx : Stc_obs.Run.ctx -> t option
 (** [Some (open_ ?metrics:ctx.metrics ?trace:ctx.trace dir)] when
     [ctx.store] is [Some dir]. *)
 
-val dir : t -> string
-
 (** {2 Raw container access}
 
     Typed artifacts below are the normal API; these two are the

@@ -228,23 +228,6 @@ let rec compile_stmt st resolve (stmt : Skeleton.stmt) =
       set (Terminator.Cond { taken = body_entry; fallthru = exit });
       ec_bottom.else_pc <- exit_pc
     | None -> ())
-  | Skeleton.Do_while { site; p_true; body } ->
-    check_not_terminated st "do-while";
-    let set_pre = close_block st in
-    let body_pc = st.n_ops in
-    let body_entry = open_block st in
-    set_pre (Terminator.Fall body_entry);
-    compile_stmts st resolve body;
-    if st.terminated then
-      invalid_arg "Bytecode.compile: do-while body always returns";
-    add_size st 1;
-    let set_tail = close_block st in
-    let ec = { site; p_true; then_pc = body_pc; else_pc = -1 } in
-    ignore (push st (Expect_cond ec));
-    let exit_pc = st.n_ops in
-    let exit = open_block st in
-    set_tail (Terminator.Cond { taken = body_entry; fallthru = exit });
-    ec.else_pc <- exit_pc
 
 and compile_call st ~site ~callees ~auto =
   add_size st 1;

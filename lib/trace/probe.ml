@@ -16,8 +16,6 @@ let with_walker w f =
   current := Some { w; id = !generation };
   Fun.protect ~finally:(fun () -> current := None) f
 
-let active () = !current <> None
-
 let resolve inst k =
   if k.gen <> inst.id then begin
     k.pid <- Walker.pid_of_name inst.w k.name;

@@ -23,8 +23,6 @@ val key : string -> key
 val with_walker : Walker.t -> (unit -> 'a) -> 'a
 (** Install a walker for the duration of [f]. Not reentrant. *)
 
-val active : unit -> bool
-
 val routine : key -> (unit -> 'a) -> 'a
 (** Wrap a routine body: signals [enter] before and [leave] after. If the
     body raises, the walker is reset (the trace simply ends mid-routine)

@@ -49,10 +49,6 @@ let length t = t.len
 
 let marks t = List.rev t.marks_rev
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Recorder.get: index out of bounds";
-  Bigarray.Array1.unsafe_get t.chunks.(i lsr chunk_bits) (i land chunk_mask)
-
 let segment t ~base ~blocks =
   let len = t.len in
   if base < 0 || base > len then invalid_arg "Recorder.segment: base out of range";

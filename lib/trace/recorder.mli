@@ -3,8 +3,8 @@
     The Test-set trace is captured once and replayed through every
     (layout × cache × fetch) configuration, exactly like the paper's
     trace-driven methodology. Replay goes through {!Source} (usually
-    {!Source.of_recorder}): the recorder's only trace-reading surfaces
-    are the bounded {!segment} emitter and the per-index {!get}.
+    {!Source.of_recorder}): the recorder's only trace-reading surface
+    is the bounded {!segment} emitter.
 
     Ids are stored in fixed {!chunk_blocks}-long off-heap chunks.
     Recording only appends, so a recorded position is never rewritten:
@@ -37,9 +37,6 @@ val length : t -> int
 
 val marks : t -> (string * int) list
 (** Marks in recording order with their positions. *)
-
-val get : t -> int -> int
-(** Bounds-checked block id at index [i] — the safe point API. *)
 
 val segment : t -> base:int -> blocks:int -> Segment.t
 (** The segment emitter: up to [blocks] ids starting at global index

@@ -16,9 +16,6 @@ type stmt =
   | If of { site : string; p_true : float; then_ : stmt list; else_ : stmt list }
   | While of { site : string; p_true : float; body : stmt list }
       (** Top-test loop; the site fires once per test, [true] to iterate. *)
-  | Do_while of { site : string; p_true : float; body : stmt list }
-      (** Bottom-test loop; the site fires after each iteration, [true] to
-          go around again. *)
   | Call of string  (** Direct call to an instrumented routine. *)
   | Icall of { site : string; targets : string list }
       (** Indirect call; the routine actually invoked at run time must be
@@ -41,8 +38,6 @@ val if_ : ?p:float -> string -> stmt list -> stmt
 val if_else : ?p:float -> string -> stmt list -> stmt list -> stmt
 
 val while_ : ?p:float -> string -> stmt list -> stmt
-
-val do_while : ?p:float -> string -> stmt list -> stmt
 
 val call : string -> stmt
 

@@ -29,7 +29,6 @@ let create ~program ~code ~seed ~sink =
 
 let pid_of_name t name = Hashtbl.find t.names name
 
-let depth t = List.length t.stack
 
 let reset t = t.stack <- []
 

@@ -44,9 +44,6 @@ val cond : t -> string -> bool -> unit
 val leave : t -> unit
 (** The current routine returned. *)
 
-val depth : t -> int
-(** Current activation-stack depth (0 when idle). *)
-
 val reset : t -> unit
 (** Drop all activations (used when an exception unwinds the engine). *)
 

@@ -15,10 +15,9 @@ let string h s =
   String.iter (fun c -> h := int !h (Char.code c)) s;
   !h
 
-let ints ?len h a =
-  let n = match len with Some n -> n | None -> Array.length a in
+let ints h a =
   let h = ref h in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length a - 1 do
     h := int !h (Array.unsafe_get a i)
   done;
   !h

@@ -29,8 +29,8 @@ val string : t -> string -> t
     strings, absorb each length (or a separator) too, so that the
     concatenation boundary matters. *)
 
-val ints : ?len:int -> t -> int array -> t
-(** Absorb the first [len] (default: all) elements with {!int}. *)
+val ints : t -> int array -> t
+(** Absorb every element with {!int}. *)
 
 val int_bigarray :
   ?len:int ->

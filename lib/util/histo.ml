@@ -9,10 +9,10 @@ let create () =
   let nbuckets = bucket_of (1 lsl 40) + 1 in
   { counts = Array.make nbuckets 0; total = 0; nbuckets }
 
-let add h ?(weight = 1) v =
+let add h v =
   let b = min (bucket_of v) (h.nbuckets - 1) in
-  h.counts.(b) <- h.counts.(b) + weight;
-  h.total <- h.total + weight
+  h.counts.(b) <- h.counts.(b) + 1;
+  h.total <- h.total + 1
 
 let total h = h.total
 

@@ -41,11 +41,3 @@ let float t bound =
   r *. (1.0 /. 9007199254740992.0) *. bound
 
 let bernoulli t p = float t 1.0 < p
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -21,9 +21,6 @@ val named : t -> string -> t
     the name [s], without advancing [t]. Two distinct names yield
     independent streams; the same name always yields the same stream. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
@@ -35,6 +32,3 @@ val float : t -> float -> float
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

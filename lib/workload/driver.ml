@@ -2,6 +2,7 @@ module Kernel = Stc_synth.Kernel
 module Probe = Stc_trace.Probe
 module Recorder = Stc_trace.Recorder
 
+(* One job per (database, query), databases outermost. *)
 type job = { db_label : string; db : Stc_db.Database.t; query : int }
 
 let jobs ~dbs ~queries =

@@ -1,100 +1,15 @@
 module Icache = Stc_cachesim.Icache
 
-(* A naive reference cache model: per-set association lists with explicit
-   LRU ordering, plus an LRU victim list. Deliberately simple and slow. *)
-module Ref = struct
-  type t = {
-    assoc : int;
-    line_bytes : int;
-    n_sets : int;
-    sets : int list array; (* most recent first *)
-    mutable victim : int list; (* most recent first *)
-    victim_lines : int;
-  }
-
-  let create ?(assoc = 1) ?(line_bytes = 32) ?(victim_lines = 0) ~size_bytes () =
-    let n_sets = size_bytes / (assoc * line_bytes) in
-    {
-      assoc;
-      line_bytes;
-      n_sets;
-      sets = Array.make n_sets [];
-      victim = [];
-      victim_lines;
-    }
-
-  let access t addr =
-    let line = addr / t.line_bytes in
-    let set = line mod t.n_sets in
-    let contents = t.sets.(set) in
-    if List.mem line contents then begin
-      t.sets.(set) <- line :: List.filter (fun l -> l <> line) contents;
-      true
-    end
-    else begin
-      let contents = line :: contents in
-      let evicted =
-        if List.length contents > t.assoc then
-          Some (List.nth contents t.assoc)
-        else None
-      in
-      t.sets.(set) <-
-        (match evicted with
-        | Some e -> List.filter (fun l -> l <> e) contents
-        | None -> contents);
-      (* victim buffer *)
-      if t.victim_lines = 0 then false
-      else if List.mem line t.victim then begin
-        (* swap: the probed line leaves the victim buffer, the evicted
-           line enters it *)
-        t.victim <- List.filter (fun l -> l <> line) t.victim;
-        (match evicted with
-        | Some e -> t.victim <- e :: t.victim
-        | None -> ());
-        true
-      end
-      else begin
-        (match evicted with
-        | Some e ->
-          t.victim <- e :: t.victim;
-          if List.length t.victim > t.victim_lines then
-            t.victim <-
-              List.filteri (fun i _ -> i < t.victim_lines) t.victim
-        | None -> ());
-        false
-      end
-    end
-end
-
-let run_both ~assoc ~victim_lines ~size_bytes addrs =
-  let c = Icache.create ~assoc ~victim_lines ~size_bytes () in
-  let r = Ref.create ~assoc ~victim_lines ~size_bytes () in
-  List.iteri
-    (fun i addr ->
-      let hc = Icache.access c addr <> Icache.Miss
-      and hr = Ref.access r addr in
-      if hc <> hr then
-        Alcotest.failf
-          "divergence at access %d (addr %d): sim=%b ref=%b (assoc=%d victim=%d)"
-          i addr hc hr assoc victim_lines)
-    addrs
-
-let gen_addrs seed n =
-  let rng = Stc_util.Rng.create (Int64.of_int seed) in
-  (* mix of sequential runs and jumps within a 64 KB region *)
-  let addr = ref 0 in
-  List.init n (fun _ ->
-      if Stc_util.Rng.bernoulli rng 0.7 then addr := !addr + 4
-      else addr := Stc_util.Rng.int rng 65536 land lnot 3;
-      !addr)
-
-let test_direct_mapped () = run_both ~assoc:1 ~victim_lines:0 ~size_bytes:1024 (gen_addrs 1 20_000)
-
-let test_two_way () = run_both ~assoc:2 ~victim_lines:0 ~size_bytes:2048 (gen_addrs 2 20_000)
-
-let test_four_way () = run_both ~assoc:4 ~victim_lines:0 ~size_bytes:4096 (gen_addrs 3 20_000)
-
-let test_victim () = run_both ~assoc:1 ~victim_lines:16 ~size_bytes:1024 (gen_addrs 4 20_000)
+(* The i-cache against Stc_check's list-based oracle, the one reference
+   model of the cache: each case drives both with the same seeded stream
+   of demand accesses and prefetch fills. *)
+let vs_reference ~seed ~assoc ~victim_lines ~size_bytes () =
+  match
+    Stc_check.diff_icache_stream ~seed ~assoc ~victim_lines ~size_bytes ()
+  with
+  | None -> ()
+  | Some msg ->
+    Alcotest.failf "diverged (assoc=%d victim=%d): %s" assoc victim_lines msg
 
 let outcome =
   Alcotest.testable
@@ -137,21 +52,22 @@ let test_create_validation () =
     (Invalid_argument "Icache.create: victim_lines must be >= 0")
     (fun () -> ignore (Icache.create ~victim_lines:(-1) ~size_bytes:1024 ()))
 
+(* The LRU twin of test_prefetch's SRRIP and TRRIP stream properties. *)
 let prop_vs_reference =
-  QCheck.Test.make ~name:"cache simulator matches reference model" ~count:60
-    QCheck.(
-      triple (int_bound 10_000) (oneofl [ 1; 2; 4 ]) (oneofl [ 0; 4; 16 ]))
-    (fun (seed, assoc, victim_lines) ->
-      run_both ~assoc ~victim_lines ~size_bytes:(assoc * 1024)
-        (gen_addrs seed 5_000);
-      true)
+  QCheck.Test.make ~name:"cache simulator matches reference model" ~count:50
+    QCheck.(make Test_prefetch.gen_geometry)
+    (Test_prefetch.check_stream ~policy:Icache.Lru ~name:"lru")
 
 let suite =
   [
-    Alcotest.test_case "direct mapped vs reference" `Quick test_direct_mapped;
-    Alcotest.test_case "2-way vs reference" `Quick test_two_way;
-    Alcotest.test_case "4-way vs reference" `Quick test_four_way;
-    Alcotest.test_case "victim cache vs reference" `Quick test_victim;
+    Alcotest.test_case "direct mapped vs reference" `Quick
+      (vs_reference ~seed:1 ~assoc:1 ~victim_lines:0 ~size_bytes:1024);
+    Alcotest.test_case "2-way vs reference" `Quick
+      (vs_reference ~seed:2 ~assoc:2 ~victim_lines:0 ~size_bytes:2048);
+    Alcotest.test_case "4-way vs reference" `Quick
+      (vs_reference ~seed:3 ~assoc:4 ~victim_lines:0 ~size_bytes:4096);
+    Alcotest.test_case "victim cache vs reference" `Quick
+      (vs_reference ~seed:4 ~assoc:1 ~victim_lines:16 ~size_bytes:1024);
     Alcotest.test_case "outcomes" `Quick test_outcomes;
     Alcotest.test_case "create validation" `Quick test_create_validation;
   ]

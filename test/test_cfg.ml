@@ -74,13 +74,6 @@ let test_builder_rejects_unfinished () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected unfinished-procedure failure"
 
-let test_find_proc () =
-  let p = tiny () in
-  (match Program.find_proc p "leaf" with
-  | Some pr -> Alcotest.(check string) "name" "leaf" pr.Proc.name
-  | None -> Alcotest.fail "leaf not found");
-  Alcotest.(check bool) "missing" true (Program.find_proc p "nope" = None)
-
 let suite =
   [
     Alcotest.test_case "static counts" `Quick test_static_counts;
@@ -91,5 +84,4 @@ let suite =
     Alcotest.test_case "rejects cross-proc edge" `Quick
       test_builder_rejects_cross_proc_edge;
     Alcotest.test_case "rejects unfinished" `Quick test_builder_rejects_unfinished;
-    Alcotest.test_case "find proc" `Quick test_find_proc;
   ]

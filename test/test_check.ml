@@ -18,9 +18,7 @@ let gen_skeleton = Test_fetch.gen_skeleton
 
 let profile_of prog rec_ =
   let p = Profile.create prog in
-  for i = 0 to Recorder.length rec_ - 1 do
-    Profile.sink p (Recorder.get rec_ i)
-  done;
+  Stc_trace.Source.iter (Stc_trace.Source.of_recorder rec_) (Profile.sink p);
   p
 
 let check_cache_bytes = 512
@@ -67,35 +65,6 @@ let prop_layouts_valid =
         (L.Algo.all ());
       true)
 
-(* The imported comparators' plans must partition the whole program:
-   every block placed exactly once across CFA sequences, second-pass
-   sequences and the cold tail. *)
-let prop_new_algos_place_all =
-  QCheck.Test.make
-    ~name:"codestitcher and exttsp place every block exactly once" ~count:40
-    QCheck.(make gen_skeleton)
-    (fun skel ->
-      let prog, rec_ = trace_of_skeleton skel in
-      let profile = profile_of prog rec_ in
-      let check name (plan : L.Mapping.plan) =
-        let n = Array.length prog.Stc_cfg.Program.blocks in
-        let times = Array.make n 0 in
-        List.iter
-          (List.iter (fun b -> times.(b) <- times.(b) + 1))
-          (plan.L.Mapping.cfa_seqs @ plan.L.Mapping.other_seqs
-         @ [ plan.L.Mapping.cold ]);
-        Array.iteri
-          (fun b t ->
-            if t <> 1 then
-              QCheck.Test.fail_reportf "%s: block %d placed %d times" name b
-                t)
-          times
-      in
-      check "codestitcher"
-        (L.Codestitcher.plan profile ~cfa_bytes:check_cfa_bytes);
-      check "exttsp" (L.Exttsp.plan profile ~cfa_bytes:check_cfa_bytes);
-      true)
-
 (* ---------- the registry itself ---------- *)
 
 let test_registry_find () =
@@ -133,7 +102,7 @@ let test_registry_find () =
         Alcotest.(check bool)
           (Printf.sprintf "error lists %s" name)
           true (contains msg name))
-      (L.Algo.names ())
+      (List.map (fun a -> a.L.Algo.name) (L.Algo.all ()))
 
 (* ---------- corruption is detected ---------- *)
 
@@ -342,6 +311,5 @@ let suite =
       test_oracle_icache_stream;
     Alcotest.test_case "algorithm registry lookup" `Quick test_registry_find;
     QCheck_alcotest.to_alcotest prop_layouts_valid;
-    QCheck_alcotest.to_alcotest prop_new_algos_place_all;
     QCheck_alcotest.to_alcotest prop_oracle_engines_agree;
   ]

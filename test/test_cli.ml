@@ -64,7 +64,10 @@ let test_unknown_layout () =
     ~err:
       (Printf.sprintf
          "stc_repro: unknown layout algorithm \"bogus\" (valid: %s)\n"
-         (String.concat ", " (Stc_layout.Algo.names ())))
+         (String.concat ", "
+            (List.map
+               (fun a -> a.Stc_layout.Algo.name)
+               (Stc_layout.Algo.all ()))))
     [ "simulate"; "--quick"; "--layouts"; "bogus" ]
 
 let test_metrics_under_file () =
@@ -83,6 +86,29 @@ let test_jobs_not_int () =
     (Astring_like.contains err
        "option '--jobs': invalid value 'abc', expected an integer")
 
+(* Below a positive finite scale every table clamps to one row, so each
+   such value would silently run the same tiny data set. *)
+let test_scale_not_positive () =
+  List.iter
+    (fun sf ->
+      expect ~code:1
+        ~err:
+          (Printf.sprintf
+             "stc_repro: Datagen.generate: sf must be finite and > 0, got %s\n"
+             sf)
+        [ "simulate"; "--quick"; "--scale=" ^ sf ])
+    [ "inf"; "nan"; "0"; "-1" ]
+
+let test_frames_below_one () =
+  List.iter
+    (fun frames ->
+      expect ~code:1
+        ~err:
+          (Printf.sprintf
+             "stc_repro: Bufmgr.create: frames must be >= 1, got %s\n" frames)
+        [ "simulate"; "--quick"; "--frames=" ^ frames ])
+    [ "0"; "-3" ]
+
 let suite =
   [
     Alcotest.test_case "branch threshold outside [0, 1]" `Quick
@@ -94,4 +120,7 @@ let suite =
     Alcotest.test_case "metrics path under a regular file" `Quick
       test_metrics_under_file;
     Alcotest.test_case "jobs not an integer" `Quick test_jobs_not_int;
+    Alcotest.test_case "scale not finite and positive" `Quick
+      test_scale_not_positive;
+    Alcotest.test_case "frames below 1" `Quick test_frames_below_one;
   ]

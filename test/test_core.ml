@@ -33,7 +33,10 @@ let test_table1_consistent () =
 
 let test_figure2_monotone () =
   let pl = Lazy.force pl in
-  let pts = E.figure2 ~max_blocks:2000 ~step:100 pl in
+  let pts =
+    Stc_profile.Popularity.(
+      curve (compute pl.Pipeline.profile) ~max_blocks:2000 ~step:100)
+  in
   let rec check = function
     | (_, a) :: ((_, b) :: _ as rest) ->
       Alcotest.(check bool) "monotone" true (b >= a -. 1e-9);

@@ -3,17 +3,19 @@ module Datagen = Stc_dbdata.Datagen
 
 let data = lazy (Datagen.generate ~sf:0.002 ())
 
+let rows d name = Array.length (Datagen.table d name)
+
 let test_row_counts_scale () =
   let d = Lazy.force data in
-  Alcotest.(check int) "region" 5 (Datagen.row_count d "region");
-  Alcotest.(check int) "nation" 25 (Datagen.row_count d "nation");
-  Alcotest.(check int) "supplier" 20 (Datagen.row_count d "supplier");
-  Alcotest.(check int) "customer" 300 (Datagen.row_count d "customer");
-  Alcotest.(check int) "part" 400 (Datagen.row_count d "part");
-  Alcotest.(check int) "partsupp" 1600 (Datagen.row_count d "partsupp");
-  Alcotest.(check int) "orders" 3000 (Datagen.row_count d "orders");
+  Alcotest.(check int) "region" 5 (rows d "region");
+  Alcotest.(check int) "nation" 25 (rows d "nation");
+  Alcotest.(check int) "supplier" 20 (rows d "supplier");
+  Alcotest.(check int) "customer" 300 (rows d "customer");
+  Alcotest.(check int) "part" 400 (rows d "part");
+  Alcotest.(check int) "partsupp" 1600 (rows d "partsupp");
+  Alcotest.(check int) "orders" 3000 (rows d "orders");
   (* lineitem: 1-7 lines per order, ~4 on average *)
-  let li = Datagen.row_count d "lineitem" in
+  let li = rows d "lineitem" in
   Alcotest.(check bool) "lineitem in range" true (li > 3000 && li < 21000)
 
 let test_schema_widths () =
@@ -38,9 +40,9 @@ let test_keys_dense () =
 
 let test_foreign_keys_valid () =
   let d = Lazy.force data in
-  let n_cust = Datagen.row_count d "customer" in
-  let n_part = Datagen.row_count d "part" in
-  let n_supp = Datagen.row_count d "supplier" in
+  let n_cust = rows d "customer" in
+  let n_part = rows d "part" in
+  let n_supp = rows d "supplier" in
   Array.iter
     (fun o ->
       let c = o.(S.O.custkey) in
@@ -73,7 +75,7 @@ let test_deterministic () =
 
 let test_schema_lookup () =
   Alcotest.(check int) "column index" S.L.shipdate
-    (S.column S.lineitem "l_shipdate");
+    (S.column (S.find "lineitem") "l_shipdate");
   Alcotest.(check string) "find" "orders" (S.find "orders").S.name;
   Alcotest.check_raises "unknown table" Not_found (fun () ->
       ignore (S.find "nope"))

@@ -167,22 +167,13 @@ let test_prediction_penalty_reduces_ipc () =
 let test_accuracy_from_result () =
   let pl = Lazy.force pl in
   let layout = L.Original.layout pl.Pipeline.program in
-  let view () =
-    Stc_fetch.View.create pl.Pipeline.program layout (Pipeline.test_source pl)
-  in
+  let rows = E.prediction ~cache_kb:16 ~cfa_kb:4 pl in
   List.iter
-    (fun kind ->
-      let r =
-        Stc_fetch.Engine.run
-          ~icache:(Stc_cachesim.Icache.create ~size_bytes:16384 ())
-          ~prediction:
-            {
-              Stc_fetch.Engine.pred = Stc_fetch.Predictor.create kind;
-              redirect_penalty = 3;
-            }
-          (view ())
+    (fun (name, kind) ->
+      let v =
+        Stc_fetch.View.create pl.Pipeline.program layout
+          (Pipeline.test_source pl)
       in
-      let v = view () in
       let pred = Stc_fetch.Predictor.create kind in
       let conds = ref 0 and correct = ref 0 in
       for i = 0 to Stc_fetch.View.length v - 1 do
@@ -198,14 +189,21 @@ let test_accuracy_from_result () =
           then incr correct
         end
       done;
-      Alcotest.(check int) "conditional branches" !conds
-        r.Stc_fetch.Engine.cond_branches;
+      let row =
+        List.find
+          (fun r -> r.E.p_layout = "orig" && r.E.p_predictor = name)
+          rows
+      in
       Alcotest.(check (float 0.0))
-        "accuracy from result"
+        (name ^ " accuracy from result")
         (100.0 *. float_of_int !correct /. float_of_int !conds)
-        (E.accuracy_pct r))
+        row.E.p_accuracy)
     Stc_fetch.Predictor.
-      [ Always_taken; Bimodal 2048; Gshare (4096, 8) ]
+      [
+        ("always-taken", Always_taken);
+        ("bimodal-2K", Bimodal 2048);
+        ("gshare-4K/8", Gshare (4096, 8));
+      ]
 
 let with_store f =
   Test_store.with_dir (fun dir ->

@@ -58,9 +58,11 @@ let profile () = (Lazy.force fixture).Stc_core.Pipeline.profile
 let program () = (Lazy.force fixture).Stc_core.Pipeline.program
 
 let check_valid prog layout =
-  match L.Layout.validate layout prog with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: %s" layout.L.Layout.name e
+  match Stc_check.Layouts.structure prog layout with
+  | [] -> ()
+  | v :: _ ->
+    Alcotest.failf "%s: %s" layout.L.Layout.name
+      (Stc_check.Layouts.violation_to_string v)
 
 let test_original_valid () =
   let prog = program () in
@@ -75,7 +77,11 @@ let test_original_is_textual () =
       let blocks = p.Stc_cfg.Proc.blocks in
       for i = 0 to Array.length blocks - 2 do
         let a = blocks.(i) and b = blocks.(i + 1) in
-        if not (L.Layout.is_sequential layout prog ~src:a ~dst:b) then
+        if
+          L.Layout.address layout b
+          <> L.Layout.address layout a
+             + Stc_cfg.Block.byte_size prog.Program.blocks.(a)
+        then
           Alcotest.failf "proc %s: blocks %d,%d not adjacent"
             p.Stc_cfg.Proc.name a b
       done)
@@ -194,8 +200,8 @@ let test_mapping_skips_cfa_windows () =
   let others = [ Array.to_list (Array.sub blocks 2 30) ] in
   let cold = Array.to_list (Array.sub blocks 32 8) in
   let layout =
-    L.Mapping.map prog ~name:"m" ~cache_bytes ~cfa_bytes ~cfa_seqs:cfa
-      ~other_seqs:others ~cold
+    L.Mapping.map_plan prog ~name:"m" ~cache_bytes ~cfa_bytes
+      { L.Mapping.cfa_seqs = cfa; other_seqs = others; cold }
   in
   check_valid prog layout;
   (* no non-CFA sequence block may occupy offsets [0, 64) of any logical
@@ -224,10 +230,11 @@ let prop_layout_permutation =
       let prog = program () in
       let n = Array.length prog.Program.blocks in
       let rng = Stc_util.Rng.create (Int64.of_int seed) in
+      let keys = Array.init n (fun _ -> Stc_util.Rng.int rng (1 lsl 30)) in
       let order = Array.init n (fun i -> i) in
-      Stc_util.Rng.shuffle rng order;
+      Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) order;
       let layout = L.Layout.of_block_order prog ~name:"rand" order in
-      match L.Layout.validate layout prog with Ok () -> true | Error _ -> false)
+      Stc_check.Layouts.structure prog layout = [])
 
 (* ---------- ExtTSP ---------- *)
 
@@ -399,7 +406,7 @@ let tie_profile c =
       (* inject_edge leaves counts alone: make both endpoints executed *)
       List.iter
         (fun bid ->
-          if P.Profile.block_count profile bid = 0 then
+          if (P.Profile.counts profile).(bid) = 0 then
             P.Profile.inject_block profile bid ~count:w)
         [ s; d ])
     c.edges;

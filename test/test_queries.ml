@@ -69,23 +69,24 @@ let test_operator_coverage () =
   (* across the 17 plans, every executor operator appears *)
   let db = Lazy.force db_btree in
   let plans = List.map (Q.plan db) Q.all in
-  let has name =
-    List.exists (fun p -> count_nodes (fun n -> Plan.node_name n = name) p > 0) plans
-  in
   List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " used by some query") true (has name))
-    [
-      "ExecSeqScan";
-      "ExecIndexScan";
-      "ExecNestLoop";
-      "ExecHashJoin";
-      "ExecSort";
-      "ExecAgg";
-      "ExecGroup";
-      "ExecLimit";
-      "ExecResult";
-    ]
+    (fun (name, is_op) ->
+      Alcotest.(check bool)
+        (name ^ " used by some query")
+        true
+        (List.exists (fun p -> count_nodes is_op p > 0) plans))
+    Plan.
+      [
+        ("Seq_scan", function Seq_scan _ -> true | _ -> false);
+        ("Index_scan", function Index_scan _ -> true | _ -> false);
+        ("Nest_loop", function Nest_loop _ -> true | _ -> false);
+        ("Hash_join", function Hash_join _ -> true | _ -> false);
+        ("Sort", function Sort _ -> true | _ -> false);
+        ("Agg", function Agg _ -> true | _ -> false);
+        ("Group", function Group _ -> true | _ -> false);
+        ("Limit", function Limit _ -> true | _ -> false);
+        ("Result", function Result _ -> true | _ -> false);
+      ]
 
 let test_mergejoin_and_material_execute () =
   (* not exercised by the 17 TPC-D plans directly; run dedicated plans so
@@ -135,14 +136,18 @@ let test_training_and_test_sets () =
 
 let test_driver_jobs () =
   let db = Lazy.force db_btree in
-  let jobs =
-    Stc_workload.Driver.jobs
+  let r =
+    Stc_workload.Driver.record
+      ~kernel:(Lazy.force Test_workload.kernel)
+      ~walker_seed:1L
       ~dbs:[ ("a", db); ("b", db) ]
       ~queries:[ 1; 2; 3 ]
+      ()
   in
-  Alcotest.(check int) "6 jobs" 6 (List.length jobs);
-  Alcotest.(check string) "name" "a/Q1"
-    (Stc_workload.Driver.job_name (List.hd jobs))
+  Alcotest.(check (list string))
+    "one mark per job, databases outermost"
+    [ "a/Q1"; "a/Q2"; "a/Q3"; "b/Q1"; "b/Q2"; "b/Q3" ]
+    (List.map fst (Stc_trace.Recorder.marks r))
 
 let suite =
   [

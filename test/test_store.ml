@@ -158,7 +158,7 @@ let test_cached_repairs () =
 
 (* ---------- codec round-trip properties ---------- *)
 
-let ids_of r = Array.init (Recorder.length r) (Recorder.get r)
+let ids_of r = Stc_trace.Source.(to_array (of_recorder r))
 
 (* The store's one trace format, round-tripped through a store at a
    random segment size. *)
@@ -349,7 +349,10 @@ let test_with_store () =
     (Store.of_ctx Run.default = None);
   with_dir @@ fun dir ->
   match Store.of_ctx (Run.default |> Run.with_store dir) with
-  | Some st -> Alcotest.(check string) "of_ctx opens the dir" dir (Store.dir st)
+  | Some st ->
+    Store.write st ~kind:"x" ~version:1 (Store.Key.of_parts [ "ctx" ]) "p";
+    Alcotest.(check int) "of_ctx writes under the dir" 1
+      (List.length (Store.scan dir))
   | None -> Alcotest.fail "of_ctx ignored ctx.store"
 
 let suite =

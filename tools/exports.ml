@@ -32,8 +32,10 @@
    values are called only from test/"; then one "Module.value ?label
    file:line" line per optional parameter that no call outside test/
    passes, ending "N of M optional parameters are passed only from test/
-   or never". It gates nothing: the exit code is 0 unless there is no
-   build to read. *)
+   or never". The first list is a gate: the exit code is 1 when it is
+   non-empty (after all three lists are printed), 2 when there is no
+   build to read, and 0 otherwise. The other two lists are
+   informational. *)
 
 let rec files_with ext dir acc =
   Array.fold_left
@@ -251,4 +253,5 @@ let () =
        unpassed);
   Printf.printf
     "%d of %d optional parameters are passed only from test/ or never\n"
-    (List.length unpassed) (List.length options)
+    (List.length unpassed) (List.length options);
+  if unused <> [] then exit 1
