@@ -26,7 +26,12 @@ type t = {
   rrpv : int array; (* RRIP re-reference values, parallel to tags *)
   pref : bool array; (* prefetched-and-not-yet-demanded marks *)
   v_tags : int array; (* victim buffer, -1 invalid *)
-  v_stamps : int array;
+  (* the victim slots in replacement order, a doubly linked list from
+     [v_first] (replaced next) to [v_last] (written last); -1 ends it *)
+  v_next : int array;
+  v_prev : int array;
+  mutable v_first : int;
+  mutable v_last : int;
   mutable clock : int;
   mutable evictions : int; (* valid lines replaced, RRIP policies only *)
 }
@@ -60,7 +65,13 @@ let create ?(assoc = 1) ?(line_bytes = 32) ?(victim_lines = 0) ?(policy = Lru)
     rrpv = Array.make (n_sets * assoc) 0;
     pref = Array.make (n_sets * assoc) false;
     v_tags = Array.make victim_lines (-1);
-    v_stamps = Array.make victim_lines 0;
+    (* empty slots are replaced highest index first *)
+    v_next = Array.init victim_lines (fun i -> i - 1);
+    v_prev =
+      Array.init victim_lines (fun i ->
+          if i = victim_lines - 1 then -1 else i + 1);
+    v_first = victim_lines - 1;
+    v_last = (if victim_lines = 0 then -1 else 0);
     clock = 0;
     evictions = 0;
   }
@@ -69,33 +80,49 @@ let line_bytes t = 1 lsl t.line_bits
 
 let evictions t = t.evictions
 
+(* Move victim slot [i] to the end of the replacement order: it was
+   just written. *)
+let victim_written t i =
+  if i <> t.v_last then begin
+    let next = Array.unsafe_get t.v_next i
+    and prev = Array.unsafe_get t.v_prev i in
+    (* [i] is not last, so [next] is a slot *)
+    Array.unsafe_set t.v_prev next prev;
+    if prev >= 0 then Array.unsafe_set t.v_next prev next
+    else t.v_first <- next;
+    Array.unsafe_set t.v_next t.v_last i;
+    Array.unsafe_set t.v_prev i t.v_last;
+    Array.unsafe_set t.v_next i (-1);
+    t.v_last <- i
+  end
+
 (* Probe the victim buffer for [line]; on hit, replace that slot with
-   [evicted] and return true. On miss, insert [evicted] over the LRU slot
-   and return false. *)
+   [evicted] and return true. On miss, insert [evicted] over the
+   replacement slot and return false. The replacement slot is the last
+   empty one (highest index), else the one written longest ago: the
+   order [v_first] keeps, so one scan, for [line], is all a probe
+   reads. (A hit always writes a line back: [line] left a full set,
+   and sets never empty, so [evicted] is valid and the empty slots stay
+   first in the order.) *)
 let victim_swap t line evicted =
   let n = Array.length t.v_tags in
   if n = 0 then false
   else begin
-    let found = ref (-1) in
-    for i = 0 to n - 1 do
-      if t.v_tags.(i) = line then found := i
+    let v_tags = t.v_tags in
+    let i = ref 0 in
+    while !i < n && Array.unsafe_get v_tags !i <> line do
+      incr i
     done;
-    if !found >= 0 then begin
-      t.v_tags.(!found) <- evicted;
-      t.v_stamps.(!found) <- t.clock;
+    if !i < n then begin
+      Array.unsafe_set v_tags !i evicted;
+      victim_written t !i;
       true
     end
     else begin
-      let lru = ref 0 in
-      for i = 1 to n - 1 do
-        if
-          t.v_tags.(i) = -1
-          || (t.v_tags.(!lru) <> -1 && t.v_stamps.(i) < t.v_stamps.(!lru))
-        then lru := i
-      done;
       if evicted <> -1 then begin
-        t.v_tags.(!lru) <- evicted;
-        t.v_stamps.(!lru) <- t.clock
+        let r = t.v_first in
+        Array.unsafe_set v_tags r evicted;
+        victim_written t r
       end;
       false
     end
@@ -110,35 +137,43 @@ type outcome = Hit | Prefetch_hit | Victim_hit | Miss
 let choose_way t base =
   match t.policy with
   | Lru ->
+    (* [base + w] is in range for every way [w < assoc] of the set *)
+    let tags = t.tags and stamps = t.stamps in
     let way = ref 0 in
     for w = 1 to t.assoc - 1 do
       if
-        t.tags.(base + w) = -1
-        || (t.tags.(base + !way) <> -1
-            && t.stamps.(base + w) < t.stamps.(base + !way))
+        Array.unsafe_get tags (base + w) = -1
+        || (Array.unsafe_get tags (base + !way) <> -1
+           && Array.unsafe_get stamps (base + w)
+              < Array.unsafe_get stamps (base + !way))
       then way := w
     done;
     !way
   | Srrip | Trrip _ ->
+    let tags = t.tags and stamps = t.stamps and rrpv = t.rrpv in
     let way = ref (-1) in
     for w = 0 to t.assoc - 1 do
-      if t.tags.(base + w) = -1 then way := w
+      if Array.unsafe_get tags (base + w) = -1 then way := w
     done;
     if !way >= 0 then !way
     else begin
       let m = ref 0 in
       for w = 0 to t.assoc - 1 do
-        if t.rrpv.(base + w) > !m then m := t.rrpv.(base + w)
+        let r = Array.unsafe_get rrpv (base + w) in
+        if r > !m then m := r
       done;
       let boost = rrpv_max - !m in
       if boost > 0 then
         for w = 0 to t.assoc - 1 do
-          t.rrpv.(base + w) <- t.rrpv.(base + w) + boost
+          Array.unsafe_set rrpv (base + w)
+            (Array.unsafe_get rrpv (base + w) + boost)
         done;
       for w = 0 to t.assoc - 1 do
         if
-          t.rrpv.(base + w) = rrpv_max
-          && (!way < 0 || t.stamps.(base + w) < t.stamps.(base + !way))
+          Array.unsafe_get rrpv (base + w) = rrpv_max
+          && (!way < 0
+             || Array.unsafe_get stamps (base + w)
+                < Array.unsafe_get stamps (base + !way))
         then way := w
       done;
       !way
@@ -156,16 +191,18 @@ let insert_rrpv t line =
     let temp = if line < Array.length temps then temps.(line) else 2 in
     if temp <= 0 then 0 else if temp = 1 then 2 else rrpv_max
 
+(* [way] comes from [choose_way], so [base + way] is in range *)
 let install t base way line ~rrpv =
-  let evicted = t.tags.(base + way) in
+  let i = base + way in
+  let evicted = Array.unsafe_get t.tags i in
   (match t.policy with
   | Lru -> ()
   | Srrip | Trrip _ ->
     if evicted <> -1 then t.evictions <- t.evictions + 1);
-  t.tags.(base + way) <- line;
-  t.stamps.(base + way) <- t.clock;
-  t.rrpv.(base + way) <- rrpv;
-  t.pref.(base + way) <- false;
+  Array.unsafe_set t.tags i line;
+  Array.unsafe_set t.stamps i t.clock;
+  Array.unsafe_set t.rrpv i rrpv;
+  Array.unsafe_set t.pref i false;
   evicted
 
 (* The one demand access. A hit refreshes the way's replacement state
@@ -177,17 +214,19 @@ let access t addr =
   let line = addr lsr t.line_bits in
   let set = line land t.set_mask in
   let base = set * t.assoc in
+  (* the set's ways are [base, base + assoc), all in range *)
+  let tags = t.tags in
   let hit_way = ref (-1) in
   for w = 0 to t.assoc - 1 do
-    if t.tags.(base + w) = line then hit_way := w
+    if Array.unsafe_get tags (base + w) = line then hit_way := w
   done;
   if !hit_way >= 0 then begin
     let i = base + !hit_way in
     (match t.policy with
-    | Lru -> t.stamps.(i) <- t.clock
-    | Srrip | Trrip _ -> t.rrpv.(i) <- 0);
-    if t.pref.(i) then begin
-      t.pref.(i) <- false;
+    | Lru -> Array.unsafe_set t.stamps i t.clock
+    | Srrip | Trrip _ -> Array.unsafe_set t.rrpv i 0);
+    if Array.unsafe_get t.pref i then begin
+      Array.unsafe_set t.pref i false;
       Prefetch_hit
     end
     else Hit
@@ -242,6 +281,17 @@ let plain_direct t =
   t.assoc = 1
   && Array.length t.v_tags = 0
   && match t.policy with Lru -> true | Srrip | Trrip _ -> false
+
+(* After demand accesses to two consecutive lines, which sit in two
+   different sets when there are at least two, each line holds its
+   set's newest LRU stamp. A demand re-access of either, before any
+   other access or prefetch fill, is then a hit that only moves that
+   stamp and the clock forward: every stamp order, the victim buffer and
+   the prefetch marks stay as they are, so every later outcome is the
+   same whether or not it happens. RRIP hits rewrite an RRPV, and in a
+   one-set cache the second line can evict the first. *)
+let retouch_safe t =
+  t.set_mask >= 1 && match t.policy with Lru -> true | Srrip | Trrip _ -> false
 
 let probe_direct t addr =
   let line = addr lsr t.line_bits in

@@ -92,6 +92,14 @@ val probe_direct : t -> int -> bool
     victim-backed or non-LRU cache would silently corrupt the
     replacement state; don't. *)
 
+val retouch_safe : t -> bool
+(** [true] iff the cache is [Lru] with at least two sets. Then, after
+    demand accesses to two consecutive lines, a demand re-access of
+    either, before any other access or {!fill_prefetch}, is a hit that
+    changes no later outcome: a driver may skip it and count it as a
+    hit ({!Stc_fetch.Engine.Bank} does, in slots without an FDIP
+    frontend). *)
+
 val line_bytes : t -> int
 
 val evictions : t -> int

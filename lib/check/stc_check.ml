@@ -726,7 +726,7 @@ type case_policy = P_lru | P_srrip | P_trrip
 
 type cache_case = {
   case_name : string;
-  kb : int;
+  size_bytes : int;
   assoc : int;
   victim_lines : int;
   tc : bool;
@@ -739,7 +739,7 @@ let default_cases =
   [
     {
       case_name = "8kb-direct";
-      kb = 8;
+      size_bytes = 8 * 1024;
       assoc = 1;
       victim_lines = 0;
       tc = false;
@@ -749,7 +749,7 @@ let default_cases =
     };
     {
       case_name = "8kb-victim16";
-      kb = 8;
+      size_bytes = 8 * 1024;
       assoc = 1;
       victim_lines = 16;
       tc = false;
@@ -759,7 +759,7 @@ let default_cases =
     };
     {
       case_name = "16kb-2way";
-      kb = 16;
+      size_bytes = 16 * 1024;
       assoc = 2;
       victim_lines = 0;
       tc = false;
@@ -769,7 +769,7 @@ let default_cases =
     };
     {
       case_name = "16kb-direct-tc";
-      kb = 16;
+      size_bytes = 16 * 1024;
       assoc = 1;
       victim_lines = 0;
       tc = true;
@@ -779,9 +779,32 @@ let default_cases =
     };
     {
       case_name = "ideal-tc";
-      kb = 0;
+      size_bytes = 0;
       assoc = 1;
       victim_lines = 0;
+      tc = true;
+      policy = P_lru;
+      fdip = None;
+      pred = None;
+    };
+    (* the edges of the engine's re-touch skip: one set, where it must
+       not apply, and two, the smallest cache where it does, here with
+       a victim buffer and trace-cache hits between probing cycles *)
+    {
+      case_name = "64b-2way";
+      size_bytes = 64;
+      assoc = 2;
+      victim_lines = 0;
+      tc = false;
+      policy = P_lru;
+      fdip = None;
+      pred = None;
+    };
+    {
+      case_name = "128b-2way-victim4-tc";
+      size_bytes = 128;
+      assoc = 2;
+      victim_lines = 4;
       tc = true;
       policy = P_lru;
       fdip = None;
@@ -794,7 +817,7 @@ let extended_cases =
   [
     {
       case_name = "16kb-4way-srrip";
-      kb = 16;
+      size_bytes = 16 * 1024;
       assoc = 4;
       victim_lines = 0;
       tc = false;
@@ -804,7 +827,7 @@ let extended_cases =
     };
     {
       case_name = "16kb-4way-trrip";
-      kb = 16;
+      size_bytes = 16 * 1024;
       assoc = 4;
       victim_lines = 0;
       tc = false;
@@ -814,7 +837,7 @@ let extended_cases =
     };
     {
       case_name = "8kb-direct-fdip";
-      kb = 8;
+      size_bytes = 8 * 1024;
       assoc = 1;
       victim_lines = 0;
       tc = false;
@@ -824,7 +847,7 @@ let extended_cases =
     };
     {
       case_name = "16kb-4way-trrip-fdip";
-      kb = 16;
+      size_bytes = 16 * 1024;
       assoc = 4;
       victim_lines = 0;
       tc = false;
@@ -834,7 +857,7 @@ let extended_cases =
     };
     {
       case_name = "16kb-fdip-tc";
-      kb = 16;
+      size_bytes = 16 * 1024;
       assoc = 1;
       victim_lines = 0;
       tc = true;
@@ -844,7 +867,7 @@ let extended_cases =
     };
     {
       case_name = "16kb-bimodal";
-      kb = 16;
+      size_bytes = 16 * 1024;
       assoc = 1;
       victim_lines = 0;
       tc = false;
@@ -859,7 +882,7 @@ let extended_cases =
     };
     {
       case_name = "16kb-gshare-tc";
-      kb = 16;
+      size_bytes = 16 * 1024;
       assoc = 1;
       victim_lines = 0;
       tc = true;
@@ -896,13 +919,13 @@ let real_policy_of_case ~temperature case =
   | P_trrip -> Real_icache.Trrip temperature
 
 let real_icache_of_case ?(temperature = [||]) ~line_bytes case () =
-  if case.kb = 0 then None
+  if case.size_bytes = 0 then None
   else
     Some
       (Real_icache.create ~assoc:case.assoc ~line_bytes
          ~victim_lines:case.victim_lines
          ~policy:(real_policy_of_case ~temperature case)
-         ~size_bytes:(case.kb * 1024) ())
+         ~size_bytes:case.size_bytes ())
 
 let real_tc_of_case case () = if case.tc then Some (Real_tc.create ()) else None
 
@@ -970,13 +993,13 @@ let diff_cases ?(temperature = [||]) ~layout_name view cases =
                       !access_no addr (outcome_name out) (outcome_name got))
          in
          let oracle_icache =
-           if case.kb = 0 then None
+           if case.size_bytes = 0 then None
            else
              Some
                (Oracle.Icache.create ~assoc:case.assoc ~line_bytes
                   ~victim_lines:case.victim_lines
                   ~policy:(real_policy_of_case ~temperature case)
-                  ~size_bytes:(case.kb * 1024) ())
+                  ~size_bytes:case.size_bytes ())
          in
          let oracle_tc =
            if case.tc then Some (Oracle.Tracecache.create ()) else None
@@ -1215,9 +1238,9 @@ let print_report r =
   List.iter
     (fun e ->
       if e.er_mismatches = [] && e.er_divergence = None then
-        Printf.printf "  %-5s %-15s ok\n" e.er_layout e.er_case
+        Printf.printf "  %-5s %-20s ok\n" e.er_layout e.er_case
       else begin
-        Printf.printf "  %-5s %-15s FAIL\n" e.er_layout e.er_case;
+        Printf.printf "  %-5s %-20s FAIL\n" e.er_layout e.er_case;
         List.iter
           (fun m ->
             Printf.printf "    - %s: oracle %.6f, engine %.6f\n" m.field

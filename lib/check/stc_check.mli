@@ -157,7 +157,7 @@ type case_policy = P_lru | P_srrip | P_trrip
 
 type cache_case = {
   case_name : string;
-  kb : int;  (** I-cache size in KB; [0] = ideal (no i-cache). *)
+  size_bytes : int;  (** I-cache size in bytes; [0] = ideal (no i-cache). *)
   assoc : int;
   victim_lines : int;
   tc : bool;  (** Front the engine with a 256-entry trace cache. *)
@@ -228,11 +228,15 @@ type report = {
       (** Every {!Stc_layout.Algo} registry entry, in registration
           order. *)
   r_engines : engine_report list;
-      (** Twelve cases over the orig, ops, codestitcher and exttsp
+      (** Fourteen cases over the orig, ops, codestitcher and exttsp
           layouts. Five span Table 3's hardware space, all LRU without
           prefetching (the paper's machine): 8KB direct, 8KB direct +
           16-line victim buffer, 16KB 2-way, 16KB direct + trace cache,
-          ideal + trace cache. Seven exercise mechanisms beyond it: 16KB
+          ideal + trace cache. Two sit at the edges of the engine's
+          re-touch skip ({!Stc_cachesim.Icache.retouch_safe}): a one-set
+          64-byte 2-way cache, and a two-set 128-byte 2-way cache with a
+          4-line victim buffer and a trace cache. Seven exercise
+          mechanisms beyond the paper: 16KB
           4-way SRRIP, 16KB 4-way TRRIP, 8KB direct + FDIP, 16KB 4-way
           TRRIP + FDIP, 16KB direct + FDIP + trace cache, 16KB direct +
           bimodal prediction, and 16KB direct + trace cache + gshare
@@ -246,7 +250,7 @@ val run_all : ?ctx:Stc_core.Run.ctx -> Stc_core.Pipeline.t -> report
     (16KB cache, 4KB CFA, the simulation grid's thresholds), validate
     each against its own plan; run the oracle-vs-engine differential
     ({!diff_cases}) on the test trace over the orig, ops, codestitcher
-    and exttsp views, fusing the twelve cases of [r_engines] into one
+    and exttsp views, fusing the fourteen cases of [r_engines] into one
     bank per view, with each layout's TRRIP temperature derived from its
     own hotness ({!Stc_cachesim.Temperature.of_blocks}); run the seeded
     i-cache stream differential across LRU, SRRIP and TRRIP geometries. Of

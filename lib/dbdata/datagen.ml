@@ -100,10 +100,32 @@ let gen_lineitem rng orders ~n_parts ~n_suppliers =
     orders;
   Array.of_list (List.rev !rows)
 
+(* Orders is the largest scaled table: below the smallest [sf] that
+   gives it two rows, every scaled table clamps to one row, and every
+   such [sf] generates one and the same data set. *)
+let orders_base = 1_500_000
+
+let min_sf =
+  let ok sf = scaled sf orders_base >= 2 in
+  let sf = ref (2.0 /. float_of_int orders_base) in
+  while ok (Float.pred !sf) do
+    sf := Float.pred !sf
+  done;
+  while not (ok !sf) do
+    sf := Float.succ !sf
+  done;
+  !sf
+
 let check_sf sf =
   if not (Float.is_finite sf && sf > 0.0) then
     invalid_arg
-      (Printf.sprintf "Datagen.generate: sf must be finite and > 0, got %g" sf)
+      (Printf.sprintf "Datagen.generate: sf must be finite and > 0, got %g" sf);
+  if sf < min_sf then
+    invalid_arg
+      (Printf.sprintf
+         "Datagen.generate: sf must be at least %.17g (below it every table \
+          has one row), got %g"
+         min_sf sf)
 
 let generate ?(seed = 0x7C0DL) ~sf () =
   check_sf sf;
@@ -112,7 +134,7 @@ let generate ?(seed = 0x7C0DL) ~sf () =
   let n_suppliers = scaled sf 10_000 in
   let n_customers = scaled sf 150_000 in
   let n_parts = scaled sf 200_000 in
-  let n_orders = scaled sf 1_500_000 in
+  let n_orders = scaled sf orders_base in
   let supplier = gen_supplier (rng "supplier") n_suppliers in
   let customer = gen_customer (rng "customer") n_customers in
   let part = gen_part (rng "part") n_parts in

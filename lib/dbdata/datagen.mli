@@ -15,9 +15,11 @@ type t = {
 
 val check_sf : float -> unit
 (** The check {!generate} runs first: raises [Invalid_argument] naming
-    [sf] unless it is finite and positive. (Below that, every scaled
-    table would clamp to one row, so any such value would run the same
-    tiny data set.) *)
+    [sf] unless it is finite and at least the smallest value that gives
+    orders, the largest scaled table, two rows (about 1.33e-6; the
+    message names it). Every table keeps at least one row, so below
+    that bound every value, zero and negative ones included, would run
+    one and the same data set. *)
 
 val generate : ?seed:int64 -> sf:float -> unit -> t
 

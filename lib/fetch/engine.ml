@@ -132,6 +132,12 @@ let w_branch w = w land Packed.branch_bit <> 0
 
 let w_cond w = w land Packed.cond_bit <> 0
 
+(* The walk divides by shifting: [instr_bytes] and every line size are
+   powers of two, and a constant of another module is not known here
+   when modules compile separately, so [/] would be a hardware divide
+   per block. *)
+let instr_shift = Stc_util.Bits.log2_exact Stc_cfg.Block.instr_bytes
+
 (* Timeline slices are one per replay — never per block: at millions of
    blocks per second even a no-op emission call in the inner loop would
    dominate the engine. *)
@@ -155,11 +161,14 @@ let traced ctx name f =
    trace caches of equal geometry evolve identical contents over the
    same cycle sequence. So slots sharing (line_bytes, max_branches,
    trace-cache geometry) form a *cohort* advancing one shared walk; per
-   slot, each sequential cycle costs only the two i-cache probes plus
-   penalty accrual, and the cohort's lead trace cache stands in for
-   every member's: the cohort counts lookups and hits once for all of
-   them, and a non-lead member's trace cache is never touched — nothing
-   observes trace-cache contents.
+   slot, each sequential cycle costs at most the two i-cache probes plus
+   penalty accrual (a line the cohort's last probing cycle touched is a
+   hit an eligible slot counts without probing, {!Icache.retouch_safe}),
+   and the cohort's lead trace cache stands in for every member's: one
+   trace build per cycle decides its hit and, on a miss, is installed;
+   the cohort counts lookups and hits once for all members, and a
+   non-lead member's trace cache is never touched — nothing observes
+   trace-cache contents.
 
    The caches and predictors hold state only. Every statistic of a
    result is counted here: i-cache accesses, misses and victim hits and
@@ -212,6 +221,7 @@ module Bank = struct
     sp : spec;
     ix : int; (* input index, for result placement *)
     probe : probe;
+    skip : int; (* 3 when a re-touched line may go unprobed, else 0 *)
     penalty : int;
     mutable s_penalties : int;
     mutable s_mispred : int;
@@ -222,7 +232,7 @@ module Bank = struct
 
   (* slots whose cycle structure is identical share one walk *)
   type cohort = {
-    line : int;
+    line_bits : int; (* log2 of the line size *)
     cmax_branches : int;
     tc : Tracecache.t option; (* the lead: drives lookups and fills *)
     members : slot array;
@@ -230,6 +240,7 @@ module Bank = struct
     preds : slot array; (* members with direction prediction *)
     fdips : Fdip.t array; (* the members' live FDIP frontends *)
     need : int;
+    mutable prev_line : int; (* first line of the last probing cycle *)
     mutable pos : int; (* global block index *)
     mutable coff : int; (* intra-block offset *)
     mutable ccycles : int;
@@ -266,10 +277,16 @@ module Bank = struct
               | Some c, None when Icache.plain_direct c -> Direct c
               | Some c, None -> Generic c
             in
+            let skip =
+              match probe with
+              | (Direct c | Generic c) when Icache.retouch_safe c -> 3
+              | No_cache | Direct _ | Generic _ | Fdip _ -> 0
+            in
             {
               sp;
               ix;
               probe;
+              skip;
               penalty = sp.config.miss_penalty;
               s_penalties = 0;
               s_mispred = 0;
@@ -335,7 +352,7 @@ module Bank = struct
                    base members
                in
                {
-                 line;
+                 line_bits = Stc_util.Bits.log2_exact line;
                  cmax_branches = mb;
                  tc;
                  members;
@@ -343,6 +360,8 @@ module Bank = struct
                  preds;
                  fdips;
                  need;
+                 (* no line is within one of -2 *)
+                 prev_line = -2;
                  pos = 0;
                  coff = 0;
                  ccycles = 0;
@@ -390,33 +409,53 @@ module Bank = struct
           avail := !avail + plen
         end
       in
-      let probe_slot s ~now a1 a2 =
+      (* [retouch] has bit 0 set when [a1]'s line is one of the last
+         probing cycle's two lines, bit 1 when [a2]'s is: a slot whose
+         [skip] allows it counts such a probe as the hit it must be
+         ({!Icache.retouch_safe}) without making it *)
+      let probe_slot s ~now ~retouch a1 a2 =
         match s.probe with
         | No_cache -> ()
         | Direct c ->
           s.s_acc <- s.s_acc + 2;
-          let h1 = Icache.probe_direct c a1 in
-          let h2 = Icache.probe_direct c a2 in
+          let skip = retouch land s.skip in
+          let h1 = skip land 1 <> 0 || Icache.probe_direct c a1 in
+          let h2 = skip land 2 <> 0 || Icache.probe_direct c a2 in
           if not (h1 && h2) then begin
             s.s_miss <- s.s_miss + (if h1 then 0 else 1)
                         + (if h2 then 0 else 1);
             s.s_penalties <- s.s_penalties + s.penalty
           end
         | Generic c ->
+          (* both outcomes are counted inline, so the probe allocates
+             nothing; a victim hit pays no penalty *)
           s.s_acc <- s.s_acc + 2;
-          let probe a =
-            match Icache.access c a with
-            | Icache.Hit | Icache.Prefetch_hit -> true
-            | Icache.Victim_hit ->
-              s.s_vhit <- s.s_vhit + 1;
-              true
+          let skip = retouch land s.skip in
+          let m1 =
+            skip land 1 = 0
+            &&
+            match Icache.access c a1 with
             | Icache.Miss ->
               s.s_miss <- s.s_miss + 1;
+              true
+            | Icache.Victim_hit ->
+              s.s_vhit <- s.s_vhit + 1;
               false
+            | Icache.Hit | Icache.Prefetch_hit -> false
           in
-          let h1 = probe a1 in
-          let h2 = probe a2 in
-          if not (h1 && h2) then s.s_penalties <- s.s_penalties + s.penalty
+          let m2 =
+            skip land 2 = 0
+            &&
+            match Icache.access c a2 with
+            | Icache.Miss ->
+              s.s_miss <- s.s_miss + 1;
+              true
+            | Icache.Victim_hit ->
+              s.s_vhit <- s.s_vhit + 1;
+              false
+            | Icache.Hit | Icache.Prefetch_hit -> false
+          in
+          if m1 || m2 then s.s_penalties <- s.s_penalties + s.penalty
         | Fdip f ->
           (* FDIP step 2: the demand pair through the slot's frontend,
              each probe returning its cycle charge (the frontend counts
@@ -459,8 +498,84 @@ module Bank = struct
           | None -> ()
         done
       in
+      (* a trace-cache hit: the built trace supplies the whole cycle *)
+      let trace_cycle h (b : Tracecache.built) words ~start_idx =
+        h.chits <- h.chits + 1;
+        h.ctc <- h.ctc + 1;
+        h.cinstrs <- h.cinstrs + b.Tracecache.instrs;
+        let stop = b.Tracecache.end_idx in
+        for i = start_idx to stop - 1 do
+          let w = Array.unsafe_get words i in
+          if w_cond w then cond_block h w
+        done;
+        h.pos <- !dropped + stop;
+        h.coff <- b.Tracecache.end_off
+      in
+      (* a sequential cycle: probe the two-line window in every active
+         slot, then walk SEQ.3 to the cycle's end *)
+      let seq_cycle h words ~len ~now ~start_idx ~start_off =
+        h.cseq <- h.cseq + 1;
+        let a =
+          w_addr (Array.unsafe_get words start_idx)
+          + (start_off lsl instr_shift)
+        in
+        let lb = h.line_bits in
+        let line_no = a lsr lb in
+        let a1 = line_no lsl lb and a2 = (line_no + 1) lsl lb in
+        (* a trace-cache hit probes nothing, so the last probing cycle's
+           lines are [prev_line] and the next one *)
+        let retouch =
+          match line_no - h.prev_line with
+          | 0 -> 3
+          | 1 -> 1
+          | -1 -> 2
+          | _ -> 0
+        in
+        h.prev_line <- line_no;
+        let actives = h.actives in
+        for i = 0 to Array.length actives - 1 do
+          probe_slot (Array.unsafe_get actives i) ~now ~retouch a1 a2
+        done;
+        let window_end = (line_no + 2) lsl lb in
+        let idx = ref start_idx and off = ref start_off in
+        let branches = ref 0 in
+        let stop = ref false in
+        while not !stop do
+          let w = Array.unsafe_get words !idx in
+          let size = w_size w in
+          let cur_addr = w_addr w + (!off lsl instr_shift) in
+          (* positive: the walk only reaches words below [window_end] *)
+          let space = (window_end - cur_addr) lsr instr_shift in
+          let remaining = size - !off in
+          let take = if remaining <= space then remaining else space in
+          h.cinstrs <- h.cinstrs + take;
+          if take < remaining then begin
+            off := !off + take;
+            stop := true
+          end
+          else begin
+            let was_branch = w_branch w in
+            let taken = w_taken w in
+            if was_branch then incr branches;
+            if w_cond w then cond_block h w;
+            incr idx;
+            off := 0;
+            if
+              taken
+              || (was_branch && !branches >= h.cmax_branches)
+              || !idx >= len
+            then stop := true
+            else if w_addr (Array.unsafe_get words !idx) >= window_end then
+              stop := true
+          end
+        done;
+        h.pos <- !dropped + !idx;
+        h.coff <- !off
+      in
       (* one fetch cycle for cohort [h], entirely within the buffered
-         lookahead *)
+         lookahead: one trace build for the lead trace cache, if any,
+         then either its hit or a sequential cycle followed by the
+         install of that same build *)
       let step_cohort h =
         let words = !buf in
         let len = !avail in
@@ -470,90 +585,23 @@ module Bank = struct
            member: land elapsed prefetches first (the frontend runs on
            every cycle, trace-cache hits included), walk the FTQ from the
            cycle-start index last *)
-        let fnow = h.ccycles + 1 in
+        let now = h.ccycles + 1 in
         let fdips = h.fdips in
         for i = 0 to Array.length fdips - 1 do
-          Fdip.begin_cycle (Array.unsafe_get fdips i) ~now:fnow
+          Fdip.begin_cycle (Array.unsafe_get fdips i) ~now
         done;
-        let tc_hit =
-          match h.tc with
-          | None -> None
-          | Some tc ->
-            h.clookups <- h.clookups + 1;
-            let r =
-              Tracecache.lookup tc words ~len ~idx:start_idx ~off:start_off
-            in
-            (match r with Some _ -> h.chits <- h.chits + 1 | None -> ());
-            r
-        in
-        match tc_hit with
-        | Some info when info.Tracecache.n_instrs > 0 ->
-          h.ccycles <- h.ccycles + 1;
-          h.ctc <- h.ctc + 1;
-          h.cinstrs <- h.cinstrs + info.Tracecache.n_instrs;
-          let stop = info.Tracecache.end_pos.View.idx in
-          for i = start_idx to stop - 1 do
-            let w = Array.unsafe_get words i in
-            if w_cond w then cond_block h w
-          done;
-          h.pos <- !dropped + stop;
-          h.coff <- info.Tracecache.end_pos.View.off;
-          fdip_advance fdips ~now:fnow words ~len ~idx:start_idx
-            ~gidx:start_pos
-        | Some _ | None ->
-          h.ccycles <- h.ccycles + 1;
-          h.cseq <- h.cseq + 1;
-          let a =
-            w_addr (Array.unsafe_get words start_idx)
-            + (start_off * instr_bytes)
-          in
-          let line_no = a / h.line in
-          let a1 = line_no * h.line and a2 = (line_no + 1) * h.line in
-          let actives = h.actives in
-          for i = 0 to Array.length actives - 1 do
-            probe_slot (Array.unsafe_get actives i) ~now:fnow a1 a2
-          done;
-          let window_end = (line_no + 2) * h.line in
-          let idx = ref start_idx and off = ref start_off in
-          let branches = ref 0 in
-          let stop = ref false in
-          while not !stop do
-            let w = Array.unsafe_get words !idx in
-            let size = w_size w in
-            let cur_addr = w_addr w + (!off * instr_bytes) in
-            let space = (window_end - cur_addr) / instr_bytes in
-            let remaining = size - !off in
-            let take = if remaining <= space then remaining else space in
-            h.cinstrs <- h.cinstrs + take;
-            if take < remaining then begin
-              off := !off + take;
-              stop := true
-            end
-            else begin
-              let was_branch = w_branch w in
-              let taken = w_taken w in
-              if was_branch then incr branches;
-              if w_cond w then cond_block h w;
-              incr idx;
-              off := 0;
-              if
-                taken
-                || (was_branch && !branches >= h.cmax_branches)
-                || !idx >= len
-              then stop := true
-              else if
-                w_addr (Array.unsafe_get words !idx) >= window_end
-              then stop := true
-            end
-          done;
-          (match h.tc with
-          | Some tc ->
-            Tracecache.fill tc words ~len ~idx:start_idx ~off:start_off
-          | None -> ());
-          h.pos <- !dropped + !idx;
-          h.coff <- !off;
-          fdip_advance fdips ~now:fnow words ~len ~idx:start_idx
-            ~gidx:start_pos
+        h.ccycles <- now;
+        (match h.tc with
+        | None -> seq_cycle h words ~len ~now ~start_idx ~start_off
+        | Some tc ->
+          h.clookups <- h.clookups + 1;
+          if Tracecache.build tc words ~len ~idx:start_idx ~off:start_off
+          then trace_cycle h (Tracecache.built tc) words ~start_idx
+          else begin
+            seq_cycle h words ~len ~now ~start_idx ~start_off;
+            Tracecache.install tc
+          end);
+        fdip_advance fdips ~now words ~len ~idx:start_idx ~gidx:start_pos
       in
       let finished () =
         Array.for_all (fun h -> h.pos - !dropped >= !avail) cohorts

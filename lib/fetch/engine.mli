@@ -153,6 +153,10 @@ val run_packed :
     geometry)] therefore advance one shared walk (a {e cohort}); the
     rest step independently over the same sliding window. The bank owns
     that window, and a {!Stream} is the only way trace words enter it.
+    A cohort builds its lead trace cache's trace once per cycle; a slot
+    whose cache is {!Stc_cachesim.Icache.retouch_safe} and that has no
+    FDIP frontend counts a re-touch of the last probing cycle's lines
+    as a hit without probing. No cycle allocates.
 
     The caches and predictors count nothing (apart from
     {!Stc_cachesim.Icache.evictions}): the bank builds every result

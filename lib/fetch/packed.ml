@@ -42,36 +42,25 @@ type t = {
    (program, layout). *)
 type tables = { base : int array }
 
-let tables_of_arrays ~sizes ~branch_end ~cond_end ~addrs =
-  let n = Array.length sizes in
-  for b = 0 to n - 1 do
-    if sizes.(b) < 0 || sizes.(b) > size_mask then
-      invalid_arg "Packed.tables: block size out of range";
-    if addrs.(b) < 0 || addrs.(b) > max_addr then
-      invalid_arg "Packed.tables: block address out of range"
-  done;
-  let base = Array.make (max n 1) 0 in
-  for b = 0 to n - 1 do
-    base.(b) <-
-      (addrs.(b) lsl addr_shift)
-      lor (sizes.(b) lsl size_shift)
-      lor (if branch_end.(b) then branch_bit else 0)
-      lor (if cond_end.(b) then cond_bit else 0)
-  done;
-  { base }
-
 let tables prog layout =
   let blocks = prog.Program.blocks in
-  tables_of_arrays
-    ~sizes:(Array.map (fun b -> b.Block.size) blocks)
-    ~branch_end:
-      (Array.map (fun b -> Terminator.has_branch_instr b.Block.term) blocks)
-    ~cond_end:
-      (Array.map
-         (fun b ->
-           match b.Block.term with Terminator.Cond _ -> true | _ -> false)
-         blocks)
-    ~addrs:(Array.init (Array.length blocks) (Layout.address layout))
+  let n = Array.length blocks in
+  let base = Array.make (max n 1) 0 in
+  for b = 0 to n - 1 do
+    let blk = blocks.(b) in
+    let size = blk.Block.size and addr = Layout.address layout b in
+    if size < 0 || size > size_mask then
+      invalid_arg "Packed.tables: block size out of range";
+    if addr < 0 || addr > max_addr then
+      invalid_arg "Packed.tables: block address out of range";
+    base.(b) <-
+      (addr lsl addr_shift)
+      lor (size lsl size_shift)
+      lor (if Terminator.has_branch_instr blk.Block.term then branch_bit
+           else 0)
+      lor (match blk.Block.term with Terminator.Cond _ -> cond_bit | _ -> 0)
+  done;
+  { base }
 
 (* Pack one id segment into [words] starting at [pos]. The taken bit
    of index i depends on the block at index i+1; at the segment tail that

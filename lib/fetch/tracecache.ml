@@ -1,17 +1,25 @@
-type entry = {
-  start_addr : int;
-  e_instrs : int;
-  e_branches : int;
-  e_outcomes : int;
+type built = {
+  mutable instrs : int;
+  mutable end_idx : int;
+  mutable end_off : int;
 }
 
-type t = { entries : entry option array; width : int; max_branches : int }
-
-type trace_info = {
-  n_instrs : int;
-  n_branches : int;
-  outcomes : int;
-  end_pos : View.pos;
+(* Entries live in four parallel int arrays, so an install is four int
+   stores: no option, no record, no write barrier. *)
+type t = {
+  starts : int array; (* start address per entry, -1 when empty *)
+  n_instrs : int array;
+  n_branches : int array;
+  outcome_masks : int array; (* bit [i] = the [i]th branch was taken *)
+  mask : int; (* entries - 1 *)
+  width : int;
+  max_branches : int;
+  b : built;
+  (* the rest of the last build, which [install] copies *)
+  mutable b_slot : int;
+  mutable b_addr : int;
+  mutable b_branches : int;
+  mutable b_outcomes : int;
 }
 
 let create ?(entries = 256) ?(width = 16) ?(max_branches = 3) () =
@@ -20,11 +28,26 @@ let create ?(entries = 256) ?(width = 16) ?(max_branches = 3) () =
   if width < 1 then invalid_arg "Tracecache.create: width must be >= 1";
   if max_branches < 1 then
     invalid_arg "Tracecache.create: max_branches must be >= 1";
-  { entries = Array.make entries None; width; max_branches }
+  {
+    starts = Array.make entries (-1);
+    n_instrs = Array.make entries 0;
+    n_branches = Array.make entries 0;
+    outcome_masks = Array.make entries 0;
+    mask = entries - 1;
+    width;
+    max_branches;
+    b = { instrs = 0; end_idx = 0; end_off = 0 };
+    b_slot = 0;
+    b_addr = 0;
+    b_branches = 0;
+    b_outcomes = 0;
+  }
 
-let geometry t = (Array.length t.entries, t.width, t.max_branches)
+let geometry t = (t.mask + 1, t.width, t.max_branches)
 
-let index t addr = (addr lsr 2) land (Array.length t.entries - 1)
+let width t = t.width
+
+let built t = t.b
 
 (* Packed-word decoders over {!Packed}'s field constants, local so that
    the trace walk below inlines them: a call into another module stays
@@ -41,7 +64,10 @@ let w_branch w = w land Packed.branch_bit <> 0
    words [0, len), driven by unsafe word reads: greedily take
    instructions until the width limit, the branch limit or the end of
    the words. *)
-let build_trace t words ~len ~idx ~off =
+let build t words ~len ~idx ~off =
+  let a =
+    w_addr (Array.unsafe_get words idx) + (off * Stc_cfg.Block.instr_bytes)
+  in
   let width = t.width and max_branches = t.max_branches in
   let n = ref 0 and branches = ref 0 and outcomes = ref 0 in
   let idx = ref idx and off = ref off in
@@ -52,7 +78,9 @@ let build_trace t words ~len ~idx ~off =
       let w = Array.unsafe_get words !idx in
       let size = w_size w in
       let remaining = size - !off in
-      let take = min remaining (width - !n) in
+      (* not [min]: Stdlib's is polymorphic, a call per block *)
+      let room = width - !n in
+      let take = if remaining <= room then remaining else room in
       n := !n + take;
       if !off + take < size then begin
         (* width limit hit mid-block *)
@@ -71,40 +99,26 @@ let build_trace t words ~len ~idx ~off =
       end
     end
   done;
-  {
-    n_instrs = !n;
-    n_branches = !branches;
-    outcomes = !outcomes;
-    end_pos = { View.idx = !idx; off = !off };
-  }
+  let b = t.b in
+  b.instrs <- !n;
+  b.end_idx <- !idx;
+  b.end_off <- !off;
+  let slot = (a lsr 2) land t.mask in
+  t.b_slot <- slot;
+  t.b_addr <- a;
+  t.b_branches <- !branches;
+  t.b_outcomes <- !outcomes;
+  !n > 0
+  && Array.unsafe_get t.starts slot = a
+  && Array.unsafe_get t.n_instrs slot = !n
+  && Array.unsafe_get t.n_branches slot = !branches
+  && Array.unsafe_get t.outcome_masks slot = !outcomes
 
-let fetch_addr words ~idx ~off =
-  w_addr (Array.unsafe_get words idx) + (off * Stc_cfg.Block.instr_bytes)
-
-let lookup t words ~len ~idx ~off =
-  let a = fetch_addr words ~idx ~off in
-  match t.entries.(index t a) with
-  | Some e when e.start_addr = a ->
-    let actual = build_trace t words ~len ~idx ~off in
-    if
-      actual.n_instrs = e.e_instrs
-      && actual.n_branches = e.e_branches
-      && actual.outcomes = e.e_outcomes
-    then Some actual
-    else None
-  | Some _ | None -> None
-
-let fill t words ~len ~idx ~off =
-  let a = fetch_addr words ~idx ~off in
-  let info = build_trace t words ~len ~idx ~off in
-  if info.n_instrs > 0 then
-    t.entries.(index t a) <-
-      Some
-        {
-          start_addr = a;
-          e_instrs = info.n_instrs;
-          e_branches = info.n_branches;
-          e_outcomes = info.outcomes;
-        }
-
-let width t = t.width
+let install t =
+  if t.b.instrs > 0 then begin
+    let slot = t.b_slot in
+    Array.unsafe_set t.starts slot t.b_addr;
+    Array.unsafe_set t.n_instrs slot t.b.instrs;
+    Array.unsafe_set t.n_branches slot t.b_branches;
+    Array.unsafe_set t.outcome_masks slot t.b_outcomes
+  end

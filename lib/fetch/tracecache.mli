@@ -20,35 +20,40 @@ val create : ?entries:int -> ?width:int -> ?max_branches:int -> unit -> t
     unless [entries] is a power of two, [width >= 1] and
     [max_branches >= 1]. *)
 
-type trace_info = {
-  n_instrs : int;
-  n_branches : int;
-  outcomes : int;  (** Bitmask of taken/not-taken, bit [i] = [i]th branch. *)
-  end_pos : View.pos;  (** Stream position right after the trace. *)
+(** {2 One build per fetch cycle}
+
+    {!Engine.Bank} drives a trace cache over its window of {!Packed}
+    words: [words] holds packed words at indices [\[0, len)], the rest
+    of the array is ignored. Each cycle makes one {!build}; on a miss,
+    the cycle's sequential fetch is followed by one {!install} of that
+    same build. Neither allocates. *)
+
+type built = private {
+  mutable instrs : int;  (** Instructions in the trace. *)
+  mutable end_idx : int;  (** Word index right after the trace. *)
+  mutable end_off : int;  (** Instruction offset within [end_idx]. *)
 }
+(** The last {!build}'s trace, for the caller to read. *)
 
-(** {2 Packed-word operations}
+val built : t -> built
+(** The trace cache's one build record, rewritten by every {!build}. *)
 
-    Trace construction and hit matching over {!Packed} words, by unsafe
-    word reads, allocating only the returned [trace_info].
-    {!Engine.Bank} drives them over its window: [words] holds packed
-    words at indices [\[0, len)], the rest of the array is ignored. *)
-
-val lookup :
-  t -> int array -> len:int -> idx:int -> off:int -> trace_info option
-(** Probe with the fetch address at [(idx, off)] and the actual
-    (perfectly predicted) upcoming outcomes; [Some info] on a hit, where
-    [info] is the trace the fill unit would build from that position:
+val build : t -> int array -> len:int -> idx:int -> off:int -> bool
+(** [build t words ~len ~idx ~off] builds into {!built} the trace the
+    fill unit would store from the fetch address at [(idx, off)]:
     instructions up to the width limit, the branch limit or the end of
-    the words. *)
+    the words. It is [true] on a hit: the indexed entry holds that
+    address with the same instruction count, branch count and
+    (perfectly predicted) outcome mask. A zero-instruction build is
+    never a hit. *)
 
-val fill : t -> int array -> len:int -> idx:int -> off:int -> unit
-(** Insert the trace starting at [(idx, off)] (called on the miss
-    path). *)
+val install : t -> unit
+(** Store the last {!build}'s trace in its entry (the miss path). A
+    zero-instruction build installs nothing. *)
 
 val width : t -> int
 (** Configured trace width in instructions — bounds how far ahead of the
-    current index a fill can read, which is what sizes the streaming
+    current index a build can read, which is what sizes the streaming
     engine's lookahead buffer. *)
 
 val geometry : t -> int * int * int

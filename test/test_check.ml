@@ -245,9 +245,18 @@ let test_oracle_icache_stream () =
           assoc victim_lines msg)
     [ (1, 0, 1024); (1, 8, 1024); (2, 0, 2048); (4, 16, 4096); (2, 2, 512) ]
 
-let case ?(kb = 1) ?(assoc = 1) ?(victim_lines = 0) ?(tc = false)
+let case ?(size_bytes = 1024) ?(assoc = 1) ?(victim_lines = 0) ?(tc = false)
     ?(policy = C.P_lru) ?fdip ?pred name =
-  { C.case_name = name; kb; assoc; victim_lines; tc; policy; fdip; pred }
+  {
+    C.case_name = name;
+    size_bytes;
+    assoc;
+    victim_lines;
+    tc;
+    policy;
+    fdip;
+    pred;
+  }
 
 let predict ?(redirect_penalty = 3) kind =
   { C.Oracle.kind; redirect_penalty }
@@ -257,7 +266,17 @@ let small_cases =
     case "1kb-direct";
     case "1kb-victim4" ~victim_lines:4;
     case "1kb-2way-tc" ~assoc:2 ~tc:true;
-    case "ideal-tc" ~kb:0 ~tc:true;
+    case "1kb-victim4-tc" ~victim_lines:4 ~tc:true;
+    case "ideal-tc" ~size_bytes:0 ~tc:true;
+    (* both sides of the engine's re-touch skip: one set, where the
+       second line of a cycle's window can evict the first, and two, the
+       smallest cache the skip applies to *)
+    case "32b-direct" ~size_bytes:32;
+    case "64b-2way" ~size_bytes:64 ~assoc:2;
+    case "32b-direct-victim4" ~size_bytes:32 ~victim_lines:4;
+    case "128b-2way" ~size_bytes:128 ~assoc:2;
+    (* two sets, but an RRIP hit rewrites its line's RRPV *)
+    case "256b-4way-srrip" ~size_bytes:256 ~assoc:4 ~policy:C.P_srrip;
     (* tiny caches under the post-paper mechanisms: RRIP aging and FDIP
        prefetch traffic both churn constantly at this size *)
     case "1kb-4way-srrip" ~assoc:4 ~policy:C.P_srrip;
@@ -271,14 +290,14 @@ let small_cases =
     case "1kb-always-taken" ~pred:(predict Stc_fetch.Predictor.Always_taken);
     case "1kb-bimodal-tc" ~tc:true
       ~pred:(predict (Stc_fetch.Predictor.Bimodal 16));
-    case "ideal-gshare-tc" ~kb:0 ~tc:true
+    case "ideal-gshare-tc" ~size_bytes:0 ~tc:true
       ~pred:(predict ~redirect_penalty:5 (Stc_fetch.Predictor.Gshare (32, 4)));
     case "1kb-2way-gshare-fdip" ~assoc:2 ~fdip:Stc_fetch.Fdip.default
       ~pred:(predict (Stc_fetch.Predictor.Gshare (64, 6)));
   ]
 
 let prop_oracle_engines_agree =
-  QCheck.Test.make ~name:"oracle fetch agrees with the engine" ~count:25
+  QCheck.Test.make ~name:"oracle fetch agrees with the engine" ~count:200
     QCheck.(pair (make gen_skeleton) (int_bound 10_000))
     (fun (skel, layout_seed) ->
       let prog, rec_ = trace_of_skeleton skel in

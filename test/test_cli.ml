@@ -99,6 +99,16 @@ let test_scale_not_positive () =
         [ "simulate"; "--quick"; "--scale=" ^ sf ])
     [ "inf"; "nan"; "0"; "-1" ]
 
+(* Every table keeps at least one row, so each scale factor that gives
+   orders, the largest, fewer than two rows runs the same data set. *)
+let test_scale_below_two_orders () =
+  expect ~code:1
+    ~err:
+      "stc_repro: Datagen.generate: sf must be at least \
+       1.3333333333333334e-06 (below it every table has one row), got \
+       1e-07\n"
+    [ "simulate"; "--quick"; "--layouts"; "ops"; "--scale=1e-7"; "--seed"; "1" ]
+
 let test_frames_below_one () =
   List.iter
     (fun frames ->
@@ -122,5 +132,7 @@ let suite =
     Alcotest.test_case "jobs not an integer" `Quick test_jobs_not_int;
     Alcotest.test_case "scale not finite and positive" `Quick
       test_scale_not_positive;
+    Alcotest.test_case "scale below two orders rows" `Quick
+      test_scale_below_two_orders;
     Alcotest.test_case "frames below 1" `Quick test_frames_below_one;
   ]

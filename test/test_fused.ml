@@ -254,6 +254,62 @@ let test_one_feed_past_a_piece () =
   agree "image vs solo" image solo;
   agree "stream vs solo" stream solo
 
+(* A fetch cycle allocates nothing, in any kind of slot: one bank with a
+   slot of every kind replays a 200,000-block trace in under 0.01 minor
+   words per block. That leaves room for the bank's set-up and results
+   (about 100 words a slot) and a few words per trace piece, nothing
+   per cycle. *)
+let test_replay_allocates_nothing () =
+  let prog, ids = random_program 17 300 in
+  let layout = L.Original.layout prog in
+  let len = 200_000 in
+  let trace = random_trace (Random.State.make [| 4 |]) ids len in
+  let icache ?assoc ?victim_lines ?policy () =
+    Stc_cachesim.Icache.create ?assoc ?victim_lines ?policy ~size_bytes:1024
+      ()
+  in
+  let trrip = Stc_cachesim.Icache.Trrip (Array.init 64 (fun i -> i mod 3)) in
+  let predict kind =
+    { F.Engine.pred = F.Predictor.create kind; redirect_penalty = 3 }
+  in
+  let specs =
+    [|
+      Bank.spec ();
+      Bank.spec ~icache:(icache ()) ();
+      Bank.spec ~icache:(icache ~assoc:2 ()) ();
+      Bank.spec ~icache:(icache ~victim_lines:4 ()) ();
+      Bank.spec ~trace_cache:(F.Tracecache.create ()) ();
+      Bank.spec ~icache:(icache ()) ~trace_cache:(F.Tracecache.create ()) ();
+      Bank.spec
+        ~icache:(icache ~assoc:4 ~policy:Stc_cachesim.Icache.Srrip ())
+        ();
+      Bank.spec ~icache:(icache ~assoc:4 ~policy:trrip ()) ();
+      Bank.spec
+        ~config:(F.Engine.Config.make ~fdip:F.Fdip.default ())
+        ~icache:(icache ()) ();
+      Bank.spec ~icache:(icache ())
+        ~prediction:(predict (F.Predictor.Bimodal 256))
+        ();
+      Bank.spec ~icache:(icache ())
+        ~prediction:(predict (F.Predictor.Gshare (256, 6)))
+        ();
+    |]
+  in
+  let stream =
+    F.Stream.create (F.Packed.tables prog layout) (Source.of_array trace)
+  in
+  let before = Gc.minor_words () in
+  let rs = Bank.run_stream specs stream in
+  let per_block = (Gc.minor_words () -. before) /. float_of_int len in
+  Alcotest.(check bool) "every slot's feature is exercised" true
+    (rs.(3).F.Engine.icache_victim_hits > 0
+    && rs.(4).F.Engine.tc_hits > 0
+    && rs.(6).F.Engine.icache_evictions > 0
+    && rs.(8).F.Engine.prefetch_issued > 0
+    && rs.(10).F.Engine.mispredictions > 0);
+  if per_block >= 0.01 then
+    Alcotest.failf "replay allocated %.3f minor words per block" per_block
+
 (* A bank run with metrics publishes the same engine.* counters, in the
    same order, as the banks of one sharing one registry. *)
 let test_fused_metrics_identical () =
@@ -445,6 +501,8 @@ let suite =
       `Quick test_one_feed_past_a_piece;
     Alcotest.test_case "fused metrics export identical" `Quick
       test_fused_metrics_identical;
+    Alcotest.test_case "replay allocates nothing per cycle" `Quick
+      test_replay_allocates_nothing;
     Alcotest.test_case "store-warm subset fuses the rest" `Slow
       test_store_warm_subset;
     Alcotest.test_case "fused grid identical across jobs" `Slow

@@ -259,6 +259,89 @@ let prop_decode_rejects_junk =
            (payload Store.Chunked.manifest_kind key)
       && List.for_all (rejects (Store.Chunked.decode_segment ~base:0)) segments)
 
+(* ---------- pinned formats ---------- *)
+
+let of_hex h =
+  String.init
+    (String.length h / 2)
+    (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* Payload bytes the codecs wrote at result format 2, layout format 1
+   and chunked-trace format 1, with the values they encode. A codec
+   change that keeps its format version, such as two fields trading
+   places in both [encode] and [decode], would let a warm store serve
+   old entries under the new meaning; it fails here. Change these bytes
+   only together with a version bump. *)
+let test_pinned_formats () =
+  let fields = Alcotest.(list (pair string (float 0.0))) in
+  let result =
+    {
+      F.Engine.instrs = 7_340_033;
+      cycles = 2_500_001;
+      fetch_cycles = 2_100_003;
+      seq_cycles = 1_600_005;
+      tc_cycles = 500_007;
+      icache_accesses = 3_200_009;
+      icache_misses = 130_011;
+      icache_victim_hits = 20_013;
+      tc_lookups = 610_577;
+      tc_hits = 473_587;
+      taken_branches = 900_019;
+      instrs_between_taken = 8.15625;
+      cond_branches = 700_021;
+      mispredictions = 30_023;
+      icache_evictions = 125;
+      prefetch_issued = 40_027;
+      prefetch_completed = 39_029;
+      prefetch_late = 1_031;
+      prefetch_useful = 33;
+    }
+  in
+  let result_bytes =
+    of_hex
+      "8180c003a1cb9801a396800185d461a7c21e89a8c301dbf707ad9c0191a225f3f31c\
+       b3f7360000000000502040f5dc2ac7ea017ddbb802f5b002870821"
+  in
+  Alcotest.check fields "result decodes"
+    (F.Engine.result_fields result)
+    (F.Engine.result_fields (Store.Result.decode result_bytes));
+  Alcotest.(check string) "result encodes" result_bytes
+    (Store.Result.encode result);
+  let layout =
+    {
+      Stc_layout.Layout.name = "pin";
+      addr = [| 0; 32; 4_096; 200; 1_000_000 |];
+    }
+  in
+  let layout_bytes = of_hex "0370696e0500208020c801c0843d" in
+  Alcotest.(check bool) "layout decodes" true
+    (Store.Layout.decode layout_bytes = layout);
+  Alcotest.(check string) "layout encodes" layout_bytes
+    (Store.Layout.encode layout);
+  (* [Chunked.save] of these ids and marks at 4 blocks a segment *)
+  let ids = [| 3; 1; 4; 1; 5; 9; 2; 6; 5; 3 |]
+  and marks = [ ("q1", 0); ("q6", 6) ] in
+  let m =
+    Store.Chunked.decode_manifest
+      (of_hex "0a040304040202027131000271360648ede2dbff6271c5")
+  in
+  Alcotest.(check int) "total blocks" 10 m.Store.Chunked.m_total_blocks;
+  Alcotest.(check int) "segment blocks" 4 m.Store.Chunked.m_segment_blocks;
+  Alcotest.(check (array int)) "segment lengths" [| 4; 4; 2 |]
+    m.Store.Chunked.m_seg_lens;
+  Alcotest.(check (list (pair string int))) "marks" marks
+    m.Store.Chunked.m_marks;
+  Alcotest.(check int64) "ids hash" (-4219482524824179384L)
+    m.Store.Chunked.m_ids_hash;
+  Alcotest.(check int64) "ids hash is the recorder's"
+    (Recorder.hash (Recorder.of_ids ids ~marks))
+    m.Store.Chunked.m_ids_hash;
+  (* the second segment *)
+  let seg = Store.Chunked.decode_segment ~base:4 (of_hex "0405090206") in
+  Alcotest.(check int) "segment base" 4 (Stc_trace.Segment.base seg);
+  Alcotest.(check (array int)) "segment ids" [| 5; 9; 2; 6 |]
+    (Array.init (Stc_trace.Segment.length seg) (Stc_trace.Segment.get seg))
+
 (* ---------- end to end: cold vs warm ---------- *)
 
 let tiny_config = { Pipeline.quick_config with Pipeline.sf = 0.0004 }
@@ -361,6 +444,7 @@ let suite =
     Alcotest.test_case "raw write/read/version" `Quick test_raw_roundtrip;
     Alcotest.test_case "corruption detected" `Quick test_corruption_detected;
     Alcotest.test_case "cached repairs damage" `Quick test_cached_repairs;
+    Alcotest.test_case "pinned formats decode" `Quick test_pinned_formats;
     Alcotest.test_case "Run.with_store / of_ctx" `Quick test_with_store;
     Alcotest.test_case "cold vs warm identical" `Slow test_cold_warm_identical;
     Alcotest.test_case "corrupt store survives" `Slow test_corrupt_store_survives;
