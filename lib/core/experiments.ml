@@ -248,6 +248,36 @@ let grid_cell ~table (pl : Pipeline.t) (config : sim_config) ?assoc
     c_policy = policy;
   }
 
+(* A cell's result as [engine.*] counters, with one tick of
+   [engine.runs]. The prefetch/replacement family is published only when
+   live, so an export of the paper's configurations alone carries none
+   of it; results are deterministic, hence so is the condition. *)
+let publish_result reg (r : F.Engine.result) =
+  let add name v =
+    Stc_obs.Metric.Counter.add
+      (Stc_obs.Registry.counter reg ("engine." ^ name))
+      v
+  in
+  add "instrs" r.instrs;
+  add "cycles" r.cycles;
+  add "fetch_cycles" r.fetch_cycles;
+  add "seq_cycles" r.seq_cycles;
+  add "tc_cycles" r.tc_cycles;
+  add "icache_accesses" r.icache_accesses;
+  add "icache_misses" r.icache_misses;
+  add "icache_victim_hits" r.icache_victim_hits;
+  add "tc_lookups" r.tc_lookups;
+  add "tc_hits" r.tc_hits;
+  add "cond_branches" r.cond_branches;
+  add "mispredictions" r.mispredictions;
+  let addnz name v = if v <> 0 then add name v in
+  addnz "icache.replacement.evictions" r.icache_evictions;
+  addnz "prefetch.issued" r.prefetch_issued;
+  addnz "prefetch.completed" r.prefetch_completed;
+  addnz "prefetch.late" r.prefetch_late;
+  addnz "prefetch.useful" r.prefetch_useful;
+  add "runs" 1
+
 (* The event fields come from the engine result, the only place a
    cell's cache statistics exist, so a store hit (which never builds the
    cache) emits the exact record a simulation would have. *)
@@ -385,38 +415,33 @@ let cell_spec cell =
   in
   F.Engine.Bank.spec ~config:cell.c_engine ?icache ?trace_cache ?prediction ()
 
-(* Derive a cell's row from its engine result and emit the per-cell
-   metrics event. *)
-let finish_cell ~metrics cell r =
-  let row =
-    {
-      layout = cell.c_layout.L.Layout.name;
-      cache_kb =
-        (match cell.c_variant with
-        | Ideal | Tc_ideal -> 0
-        | _ -> cell.c_cache_kb);
-      cfa_kb = cell.c_cfa_kb;
-      variant = cell.c_variant;
-      miss_pct = F.Engine.miss_rate_pct r;
-      bandwidth = F.Engine.bandwidth r;
-      instrs_between_taken = r.F.Engine.instrs_between_taken;
-      tc_hit_pct =
-        (if r.F.Engine.tc_lookups = 0 then 0.0
-         else
-           100.0 *. float_of_int r.F.Engine.tc_hits
-           /. float_of_int r.F.Engine.tc_lookups);
-      assoc =
-        (match cell.c_variant with Two_way -> 2 | _ -> cell.c_assoc);
-      policy = policy_name cell.c_policy;
-      prefetch = Option.is_some cell.c_engine.F.Engine.Config.fdip;
-      evictions = r.F.Engine.icache_evictions;
-      pf_issued = r.F.Engine.prefetch_issued;
-      pf_useful = r.F.Engine.prefetch_useful;
-      pf_late = r.F.Engine.prefetch_late;
-    }
-  in
-  (match metrics with Some reg -> emit_cell reg cell row r | None -> ());
-  row
+(* A cell's row, derived from its engine result. *)
+let cell_row cell r =
+  {
+    layout = cell.c_layout.L.Layout.name;
+    cache_kb =
+      (match cell.c_variant with
+      | Ideal | Tc_ideal -> 0
+      | _ -> cell.c_cache_kb);
+    cfa_kb = cell.c_cfa_kb;
+    variant = cell.c_variant;
+    miss_pct = F.Engine.miss_rate_pct r;
+    bandwidth = F.Engine.bandwidth r;
+    instrs_between_taken = r.F.Engine.instrs_between_taken;
+    tc_hit_pct =
+      (if r.F.Engine.tc_lookups = 0 then 0.0
+       else
+         100.0 *. float_of_int r.F.Engine.tc_hits
+         /. float_of_int r.F.Engine.tc_lookups);
+    assoc =
+      (match cell.c_variant with Two_way -> 2 | _ -> cell.c_assoc);
+    policy = policy_name cell.c_policy;
+    prefetch = Option.is_some cell.c_engine.F.Engine.Config.fdip;
+    evictions = r.F.Engine.icache_evictions;
+    pf_issued = r.F.Engine.prefetch_issued;
+    pf_useful = r.F.Engine.prefetch_useful;
+    pf_late = r.F.Engine.prefetch_late;
+  }
 
 (* ---------- fused execution ----------
 
@@ -439,10 +464,12 @@ let finish_cell ~metrics cell r =
    Everything a cell observes is independent of the grouping: its row
    (named after its own layout), its store key, its warm-hit
    short-circuit (a store-warm cell is dropped from the bank before the
-   sweep), its one {!Progress} tick, and its registry writes — each cell
-   flushes into its own shard, and shards merge into the main registry
-   in cell {e input} order, so rows, metric exports and golden snapshots
-   are byte-identical at any [--jobs]. *)
+   sweep), its one {!Progress} tick, and what it publishes.  Groups
+   only compute: each cell gets its own store handle, and after the
+   join the runner publishes every cell's handle, [engine.*] counters
+   and cell event into the one registry in cell {e input} order, so
+   rows, metric exports and golden snapshots are byte-identical at any
+   [--jobs]. *)
 
 type fgroup = {
   g_subject : subject;
@@ -502,99 +529,72 @@ let fgroup_label cells g =
     (String.concat "+" (List.rev names))
     (Array.length g.g_cells)
 
-(* Execute one fused group.  Per member cell: its own registry shard
-   (under metrics), its own store handle opened against that shard, and
-   a fixed event order — store probe, engine publish, store save, cell
-   row event — so the merged shards do not depend on how cells were
-   grouped or scheduled.  Returns [(input index, row, result, shard)]
-   per cell. *)
-let exec_fgroup_inner ~metrics ~trace ~store cells ~tick g =
-  let idxs = g.g_cells in
-  let m = Array.length idxs in
-  let shards =
-    Array.init m (fun _ ->
-        Option.map (fun _ -> Stc_obs.Registry.create ()) metrics)
-  in
+(* Execute one fused group: each member cell opens its own store handle
+   and consults it, the cold members replay as one bank sweep, and each
+   cold result is saved to its cell's handle.  Returns [(input index,
+   result, handle)] per cell; nothing is published here. *)
+let exec_fgroup_inner ~(ctx : Run.ctx) ~store cells ~tick g =
   let handles =
-    match store with
-    | None -> Array.make m None
-    | Some (dir, _) ->
-      Array.init m (fun i -> Some (Stc_store.open_ ?metrics:shards.(i) ?trace dir))
+    Array.map
+      (fun ix ->
+        Option.map
+          (fun (dir, fps) ->
+            let prog_fp, trace_fp = fps.(ix) in
+            ( Stc_store.open_ ?trace:ctx.Run.trace dir,
+              cell_key ~prog_fp ~trace_fp cells.(ix) ))
+          store)
+      g.g_cells
   in
-  let key_of i =
-    match store with
-    | Some (_, fps) ->
-      let prog_fp, trace_fp = fps.(idxs.(i)) in
-      cell_key ~prog_fp ~trace_fp cells.(idxs.(i))
-    | None -> assert false
+  let results =
+    Array.map
+      (function
+        | Some (st, key) -> Stc_store.Result.load st ~key
+        | None -> None)
+      handles
   in
-  let results = Array.make m None in
-  Array.iteri
-    (fun i handle ->
-      match handle with
-      | None -> ()
-      | Some st -> (
-        match Stc_store.Result.load st ~key:(key_of i) with
-        | Some r ->
-          (match shards.(i) with
-          | Some reg -> F.Engine.publish reg r
-          | None -> ());
-          results.(i) <- Some r
-        | None -> ()))
-    handles;
   let cold = ref [] in
-  for i = m - 1 downto 0 do
+  for i = Array.length results - 1 downto 0 do
     if Option.is_none results.(i) then cold := i :: !cold
   done;
   let cold = Array.of_list !cold in
   if Array.length cold > 0 then begin
-    let specs = Array.map (fun i -> cell_spec cells.(idxs.(i))) cold in
-    (* Trace-only context: each slot's counters go to its own shard
-       below, in cell order. *)
-    let bctx =
-      match trace with
-      | Some tr -> Run.with_trace tr Run.default
-      | None -> Run.default
-    in
     let s = g.g_subject in
+    (* the bank reads only the tracer from [ctx] *)
     let rs =
-      F.Engine.Bank.run_stream ~ctx:bctx specs
+      F.Engine.Bank.run_stream ~ctx
+        (Array.map (fun i -> cell_spec cells.(g.g_cells.(i))) cold)
         (F.Stream.create
            (F.Packed.tables s.program g.g_layout)
            (Stc_trace.Source.of_recorder s.trace))
     in
     Array.iteri
       (fun j i ->
-        let r = rs.(j) in
-        (match shards.(i) with
-        | Some reg -> F.Engine.publish reg r
-        | None -> ());
         (match handles.(i) with
-        | Some st -> Stc_store.Result.save st ~key:(key_of i) r
+        | Some (st, key) -> Stc_store.Result.save st ~key rs.(j)
         | None -> ());
-        results.(i) <- Some r)
+        results.(i) <- Some rs.(j))
       cold
   end;
-  Array.init m (fun i ->
-      let cell = cells.(idxs.(i)) in
-      let r = Option.get results.(i) in
-      let row = finish_cell ~metrics:shards.(i) cell r in
+  Array.mapi
+    (fun i ix ->
       tick ();
-      (idxs.(i), row, r, shards.(i)))
+      (ix, Option.get results.(i), Option.map fst handles.(i)))
+    g.g_cells
 
-let exec_fgroup ~metrics ~trace ~store cells ~tick g =
-  match trace with
-  | None -> exec_fgroup_inner ~metrics ~trace ~store cells ~tick g
+let exec_fgroup ~(ctx : Run.ctx) ~store cells ~tick g =
+  match ctx.Run.trace with
+  | None -> exec_fgroup_inner ~ctx ~store cells ~tick g
   | Some tr ->
     Stc_obs.Trace.span tr (fgroup_label cells g) (fun () ->
-        exec_fgroup_inner ~metrics ~trace ~store cells ~tick g)
+        exec_fgroup_inner ~ctx ~store cells ~tick g)
 
 (* Run planned cells: re-plan them into per-(subject, layout content)
-   fused groups — one {!F.Engine.Bank} sweep per group — and run the groups
-   self-scheduled on a pool of [ctx.jobs] domains.  Every cell records into
-   its own registry shard and shards merge in input order, so outputs
-   are byte-identical at any job count.  Returns each cell's row and
-   engine result, in input order. *)
+   fused groups — one {!F.Engine.Bank} sweep per group — and run the
+   groups self-scheduled on a pool of [ctx.jobs] domains.  After the
+   join, each cell's store handle, [engine.*] counters and cell event
+   are published in input order, so outputs are byte-identical at any
+   job count.  Returns each cell's row and engine result, in input
+   order. *)
 let exec_cells ~(ctx : Run.ctx) ~label cells =
   let cells = Array.of_list cells in
   let n = Array.length cells in
@@ -616,8 +616,6 @@ let exec_cells ~(ctx : Run.ctx) ~label cells =
   let step () =
     match reporter with Some p -> Stc_obs.Progress.step p | None -> ()
   in
-  let trace = ctx.Run.trace in
-  let metrics = ctx.Run.metrics in
   let groups = fused_groups cells in
   (* Domains tick [completed] once per cell as its group finalizes it;
      only the calling domain — which works beside the pool's domains —
@@ -642,29 +640,28 @@ let exec_cells ~(ctx : Run.ctx) ~label cells =
     if Domain.self () = caller then drain ()
   in
   let out =
-    Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace @@ fun pool ->
-    Stc_par.Pool.map ~chunk:1 pool
-      (exec_fgroup ~metrics ~trace ~store cells ~tick)
-      groups
+    Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace:ctx.Run.trace
+    @@ fun pool ->
+    Stc_par.Pool.map ~chunk:1 pool (exec_fgroup ~ctx ~store cells ~tick) groups
   in
   drain ();
-  (* Scatter rows back to input positions; merge shards in input order so
-     exports are byte-identical at any job count. *)
-  let done_ = Array.make n None in
-  let shard_at = Array.make n None in
-  Array.iter
-    (Array.iter (fun (ix, row, r, shard) ->
-         done_.(ix) <- Some (row, r);
-         shard_at.(ix) <- shard))
-    out;
-  (match metrics with
-  | Some main ->
-    Array.iter
-      (function Some s -> Stc_obs.Registry.merge ~into:main s | None -> ())
-      shard_at
-  | None -> ());
   (match reporter with Some p -> Stc_obs.Progress.finish p | None -> ());
-  Array.to_list (Array.map Option.get done_)
+  (* Scatter results back to input positions, then publish in that
+     order. *)
+  let done_ = Array.make n None in
+  Array.iter
+    (Array.iter (fun (ix, r, handle) -> done_.(ix) <- Some (r, handle)))
+    out;
+  List.init n (fun ix ->
+      let cell = cells.(ix) and r, handle = Option.get done_.(ix) in
+      let row = cell_row cell r in
+      (match ctx.Run.metrics with
+      | Some reg ->
+        Option.iter (Pipeline.publish_store reg) handle;
+        publish_result reg r;
+        emit_cell reg cell row r
+      | None -> ());
+      (row, r))
 
 let run_cells ~ctx ~label cells = List.map snd (exec_cells ~ctx ~label cells)
 
@@ -721,9 +718,9 @@ let baseline_params = L.Algo.params ~cache_bytes:0 ~cfa_bytes:0 ()
    the pipeline's. *)
 let layout_builder ~ctx ~training profile =
   let cached =
-    match Stc_store.of_ctx ctx with
+    match ctx.Run.store with
     | None -> fun ~algo:_ ~params:_ f -> f ()
-    | Some st ->
+    | Some dir ->
       let prog_fp = Stc_store.Fp.program (P.Profile.program profile) in
       let train_fp = Stc_store.Fp.trace training in
       fun ~algo ~params f ->
@@ -736,7 +733,10 @@ let layout_builder ~ctx ~training profile =
               Stc_store.Fp.layout_algo ~algo:algo.L.Algo.slug params;
             ]
         in
-        Stc_store.Layout.cached (Some st) ~key f
+        let st = Stc_store.open_ ?trace:ctx.Run.trace dir in
+        let layout = Stc_store.Layout.cached (Some st) ~key f in
+        Option.iter (fun reg -> Pipeline.publish_store reg st) ctx.Run.metrics;
+        layout
   in
   fun ?(params = baseline_params) name ->
     let algo = algo_exn name in

@@ -118,21 +118,22 @@ val simulate :
     fused groups. Rows, metric exports, store keys, cached-hit
     short-circuiting and progress ticks do not depend on the grouping or
     the job count. With [ctx.metrics], the grid runs inside a
-    [simulate-grid] span (layout construction in child spans), the
-    engine accumulates its [engine.*] counters, and every simulation
-    emits one [table34.cell] event carrying the row plus the cell's
+    [simulate-grid] span (layout construction in child spans), and every
+    cell adds its result to the [engine.*] counters and emits one
+    [table34.cell] event carrying the row plus the cell's
     i-cache/trace-cache counters ([cfa_kb] is JSON [null] for CFA-less
-    layouts); parallel cells record into per-cell shards merged in input
-    order, so the registry is identical at any job count. With
-    [ctx.progress], a "simulate" progress line is emitted every 10
-    cells.
+    layouts). The pool's domains write nothing to the registry: after
+    the join the calling domain publishes each cell in input order, so
+    the registry is identical at any job count. With [ctx.progress], a
+    "simulate" progress line is emitted every 10 cells.
 
     With [ctx.store], the serial prefix loads previously built layouts by
-    content key, and each cell consults the store for its engine result
-    before simulating (and saves it after). A result hit re-registers the
-    [engine.*] counters ({!Stc_fetch.Engine.publish}) and emits the same
-    [table34.cell] event a simulation would, so apart from the [store.*]
-    counters a warm run's registry is byte-identical to a cold one. *)
+    content key, and each cell consults its own store handle for its
+    engine result before simulating (and saves it after). Each handle is
+    published ({!Pipeline.publish_store}) just before its cell's
+    [engine.*] counters and event, which a result hit publishes exactly
+    as a simulation would, so apart from the [store.*] counters a warm
+    run's registry is byte-identical to a cold one. *)
 
 val extended :
   ?ctx:Run.ctx ->
@@ -221,8 +222,10 @@ val layout_builder :
     {!Stc_layout.Algo} layout of [profile] (built from [training]), in a
     [layout-<slug>] span; [params] defaults to the baselines' fixed
     record. [ctx.store] caches it under the profile's own program and
-    training-trace fingerprints. Build in a serial prefix: profiles
-    memoize state that must not be raced. *)
+    training-trace fingerprints, through a handle opened for that build
+    and published ({!Pipeline.publish_store}) into [ctx.metrics] after
+    it. Build in a serial prefix: profiles memoize state that must not
+    be raced. *)
 
 val pipeline_layouts :
   ctx:Run.ctx -> Pipeline.t -> ?params:Stc_layout.Algo.params -> string ->

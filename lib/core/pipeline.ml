@@ -98,6 +98,32 @@ let publish_trace_metrics reg ~prefix program recorder =
   add "trace.blocks" n;
   add "trace.marks" (List.length (Recorder.marks recorder))
 
+(* A store handle's totals and warnings: the six [store.*] counters,
+   interned even at zero, then one [store.warning] event per warning in
+   the order the handle raised them. *)
+let publish_store reg st =
+  let s = Stc_store.stats st in
+  let add name v =
+    Stc_obs.Metric.Counter.add
+      (Stc_obs.Registry.counter reg ("store." ^ name))
+      v
+  in
+  add "hits" s.Stc_store.hits;
+  add "misses" s.Stc_store.misses;
+  add "writes" s.Stc_store.writes;
+  add "corrupt" s.Stc_store.corrupt;
+  add "bytes_read" s.Stc_store.bytes_read;
+  add "bytes_written" s.Stc_store.bytes_written;
+  List.iter
+    (fun (w : Stc_store.warning) ->
+      Stc_obs.Registry.event reg ~kind:"store.warning"
+        [
+          ("artifact", Stc_obs.Json.Str w.artifact);
+          ("key", Stc_obs.Json.Str w.key);
+          ("reason", Stc_obs.Json.Str w.reason);
+        ])
+    (Stc_store.warnings st)
+
 let run ?(ctx = Run.default) ?(config = default_config) () =
   let config =
     match ctx.Run.seed with Some s -> seeded s config | None -> config
@@ -170,6 +196,7 @@ let run ?(ctx = Run.default) ?(config = default_config) () =
         (Profile.sink profile));
   (match metrics with
   | Some reg ->
+    Option.iter (publish_store reg) store;
     let module Reg = Stc_obs.Registry in
     Stc_obs.Metric.Gauge.set (Reg.gauge reg "pipeline.sf") config.sf;
     Stc_obs.Metric.Gauge.set

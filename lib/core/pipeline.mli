@@ -56,10 +56,18 @@ val run : ?ctx:Run.ctx -> ?config:config -> unit -> t
     {!Stc_store.Chunked} — one manifest plus per-segment containers),
     and saved after a fresh recording. The four counters are published
     from the recorder the same way on a store hit, so cold and warm runs
-    export identical metrics; kernel
+    export identical metrics apart from the store's own, which
+    {!publish_store} writes once both recordings are done; kernel
     build, data generation and database loading always run (databases
     are mutable inputs to later stages, and their load cost is small
     next to trace recording). *)
+
+val publish_store : Stc_obs.Registry.t -> Stc_store.t -> unit
+(** A store handle's {!Stc_store.stats} as the six [store.*] counters
+    (interned even at zero), then one [store.warning] event
+    ([artifact], [key], [reason]) per {!Stc_store.warnings} entry, in
+    order. {!run}, {!Experiments.layout_builder} and the grid runner
+    publish every handle they open this way, from the calling domain. *)
 
 val test_source : t -> Stc_trace.Source.t
 (** A fresh segment source over the Test trace (single-shot; mint one

@@ -35,9 +35,8 @@ let layout_of ?(ctx = Run.default) pl ~cache_kb c =
     (algo_name c)
 
 let tune ?(ctx = Run.default) ?(cache_kb = 32) (pl : Pipeline.t) =
-  (* Neither layout building nor scoring records into [ctx.metrics] (nor
-     opens the store against it), so the exported registry does not
-     depend on [ctx.jobs] — only the winner's held-out evaluation is
+  (* Neither layout building nor scoring records into [ctx.metrics],
+     store counts included: only the winner's held-out evaluation is
      recorded (by the caller). *)
   let ctx = { ctx with Run.metrics = None } in
   let build = Experiments.pipeline_layouts ~ctx pl in

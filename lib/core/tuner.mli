@@ -30,8 +30,8 @@ val tune : ?ctx:Run.ctx -> ?cache_kb:int -> Pipeline.t -> outcome
     a serial prefix through {!Experiments.layout_builder}, then
     {!Experiments.run_cells} scores them — fused per layout, on
     [ctx.jobs] domains, and cached in [ctx.store] like any other cell.
-    Neither step writes to [ctx.metrics] (the store is opened without it
-    too), so the exported registry is identical at any job count. *)
+    Neither step writes to [ctx.metrics], store counts included: the
+    caller records only the winner's held-out evaluation. *)
 
 val layout_of :
   ?ctx:Run.ctx -> Pipeline.t -> cache_kb:int -> candidate -> Stc_layout.Layout.t

@@ -92,33 +92,6 @@ let result_fields r =
     ("prefetch_useful", float_of_int r.prefetch_useful);
   ]
 
-let publish reg r =
-  let module Reg = Stc_obs.Registry in
-  let module C = Stc_obs.Metric.Counter in
-  let add name v = C.add (Reg.counter reg ("engine." ^ name)) v in
-  add "instrs" r.instrs;
-  add "cycles" r.cycles;
-  add "fetch_cycles" r.fetch_cycles;
-  add "seq_cycles" r.seq_cycles;
-  add "tc_cycles" r.tc_cycles;
-  add "icache_accesses" r.icache_accesses;
-  add "icache_misses" r.icache_misses;
-  add "icache_victim_hits" r.icache_victim_hits;
-  add "tc_lookups" r.tc_lookups;
-  add "tc_hits" r.tc_hits;
-  add "cond_branches" r.cond_branches;
-  add "mispredictions" r.mispredictions;
-  (* the prefetch/replacement family is published only when live, so an
-     export containing only pre-PR configurations stays byte-identical;
-     results are deterministic, hence so is the condition *)
-  let addnz name v = if v <> 0 then add name v in
-  addnz "icache.replacement.evictions" r.icache_evictions;
-  addnz "prefetch.issued" r.prefetch_issued;
-  addnz "prefetch.completed" r.prefetch_completed;
-  addnz "prefetch.late" r.prefetch_late;
-  addnz "prefetch.useful" r.prefetch_useful;
-  C.incr (Reg.counter reg "engine.runs")
-
 (* Packed-word decoders over {!Packed}'s field constants. They live here
    rather than in Packed so that the walk below inlines them: a call into
    another module stays out of line when modules compile separately. *)
@@ -260,7 +233,6 @@ module Bank = struct
     if n = 0 then [||]
     else
       traced ctx name @@ fun () ->
-      let metrics = Option.bind ctx (fun c -> c.Stc_obs.Run.metrics) in
       let tracer = Option.bind ctx (fun c -> c.Stc_obs.Run.trace) in
       let t0 =
         match tracer with Some tr -> Stc_obs.Trace.now tr | None -> 0.0
@@ -674,9 +646,6 @@ module Bank = struct
       let results =
         Array.map (function Some r -> r | None -> assert false) out
       in
-      (match metrics with
-      | Some reg -> Array.iter (publish reg) results
-      | None -> ());
       (match tracer with
       | Some tr -> Stc_obs.Trace.complete ~arg:n tr "engine.fused" ~start:t0
       | None -> ());

@@ -92,13 +92,6 @@ val result_fields : result -> (string * float) list
 val miss_rate_pct : result -> float
 (** I-cache misses per 100 instructions executed (the unit of Table 3). *)
 
-val publish : Stc_obs.Registry.t -> result -> unit
-(** Accumulate a result into the registry's [engine.*] counters and tick
-    [engine.runs] — exactly what {!run} does internally when its context
-    carries metrics. Exposed so a cached replay (an artifact-store hit
-    that skips the simulation) can register the identical totals as the
-    run it stands in for. *)
-
 val run :
   ?config:config ->
   ?icache:Stc_cachesim.Icache.t ->
@@ -139,9 +132,8 @@ val run_packed :
     each packed word once instead of N times. {!run} and {!run_packed}
     are banks of one.
 
-    Per-slot results — every published [engine.*] counter included — do
-    not depend on what else shares the bank: a bank of N equals N banks
-    of one (property-tested), and every slot
+    Per-slot results do not depend on what else shares the bank: a
+    bank of N equals N banks of one (property-tested), and every slot
     is checked field by field against the shared-nothing reference
     model in {!Stc_check.Oracle} by {!Stc_check.diff_cases}, the
     QCheck oracle property and the golden harness. The bank rests on
@@ -207,8 +199,9 @@ module Bank : sig
       affects wall clock only, never results. An empty spec array
       returns [[||]] without pulling the trace. With tracing on, each
       sweep emits one [engine.fused] slice whose argument is the number
-      of fused cells. Of [?ctx], [metrics] accumulates every slot's
-      result into the registry's [engine.*] counters in input order. *)
+      of fused cells. Of [?ctx], only [trace] is read: the bank
+      counts nothing into a registry, and its caller publishes the
+      results. *)
 
   val run_stream :
     ?ctx:Stc_obs.Run.ctx ->

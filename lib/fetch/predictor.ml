@@ -38,8 +38,9 @@ let predict_and_update t ~pc ~taken =
   | Always_taken -> taken
   | Bimodal _ | Gshare _ ->
     let i = index t ~pc in
-    let predicted = t.table.(i) >= 2 in
-    (if taken then t.table.(i) <- min 3 (t.table.(i) + 1)
-     else t.table.(i) <- max 0 (t.table.(i) - 1));
+    let c = t.table.(i) in
+    (* int comparisons: Stdlib's [min]/[max] are polymorphic calls *)
+    if taken then (if c < 3 then t.table.(i) <- c + 1)
+    else if c > 0 then t.table.(i) <- c - 1;
     t.history <- ((t.history lsl 1) lor Bool.to_int taken) land t.history_mask;
-    predicted = taken
+    (c >= 2) = taken

@@ -3,8 +3,6 @@ module Counter = struct
 
   let make () = { value = 0 }
 
-  let incr c = c.value <- c.value + 1
-
   let add c n = c.value <- c.value + n
 
   let value c = c.value

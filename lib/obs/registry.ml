@@ -84,74 +84,6 @@ let span t name f =
 
 let event t ~kind fields = t.events_rev <- (kind, fields) :: t.events_rev
 
-(* ---------- merge ---------- *)
-
-let merge ~into src =
-  if into == src then
-    invalid_arg "Stc_obs.Registry.merge: cannot merge a registry into itself";
-  (* metrics: counters sum, gauges take the source's (last-write-wins
-     across a merge sequence) *)
-  Hashtbl.iter
-    (fun name entry ->
-      match entry with
-      | Counter c ->
-        let dst =
-          match Hashtbl.find_opt into.index name with
-          | Some (Counter d) -> d
-          | Some _ ->
-            invalid_arg
-              (Printf.sprintf "Stc_obs.Registry.merge: %S is not a counter"
-                 name)
-          | None ->
-            let d = Metric.Counter.make () in
-            Hashtbl.replace into.index name (Counter d);
-            d
-        in
-        Metric.Counter.add dst (Metric.Counter.value c)
-      | Gauge g ->
-        let dst =
-          match Hashtbl.find_opt into.index name with
-          | Some (Gauge d) -> d
-          | Some _ ->
-            invalid_arg
-              (Printf.sprintf "Stc_obs.Registry.merge: %S is not a gauge" name)
-          | None ->
-            let d = Metric.Gauge.make () in
-            Hashtbl.replace into.index name (Gauge d);
-            d
-        in
-        Metric.Gauge.set dst (Metric.Gauge.value g))
-    src.index;
-  (* spans: sum calls and seconds node-wise, grafting unknown subtrees
-     under the destination's root in the source's first-call order *)
-  let rec merge_node dst_parent src_node =
-    let dst_node =
-      match
-        List.find_opt
-          (fun n -> String.equal n.node_name src_node.node_name)
-          dst_parent.children_rev
-      with
-      | Some n -> n
-      | None ->
-        let n =
-          {
-            node_name = src_node.node_name;
-            calls = 0;
-            seconds = 0.0;
-            children_rev = [];
-          }
-        in
-        dst_parent.children_rev <- n :: dst_parent.children_rev;
-        n
-    in
-    dst_node.calls <- dst_node.calls + src_node.calls;
-    dst_node.seconds <- dst_node.seconds +. src_node.seconds;
-    List.iter (merge_node dst_node) (List.rev src_node.children_rev)
-  in
-  List.iter (merge_node into.root) (List.rev src.root.children_rev);
-  (* events: append the source's, preserving insertion order *)
-  into.events_rev <- src.events_rev @ into.events_rev
-
 (* ---------- snapshots ---------- *)
 
 let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l

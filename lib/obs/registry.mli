@@ -17,8 +17,9 @@
 
     A registry reaches entry points inside a {!Run.ctx}
     ([Run.with_metrics reg Run.default]). A registry is not
-    thread-safe: parallel grids give each task its own shard and
-    {!merge} them after the join. *)
+    thread-safe: only the calling domain writes to it. Parallel grids
+    compute on the pool and publish what their cells report after the
+    join, in input order. *)
 
 type t
 
@@ -59,19 +60,6 @@ val span : t -> string -> (unit -> 'a) -> 'a
 
 val event : t -> kind:string -> (string * Json.t) list -> unit
 (** Append a structured record; exported in insertion order. *)
-
-(** {2 Merging} *)
-
-val merge : into:t -> t -> unit
-(** [merge ~into src] folds one registry into another — the join step for
-    per-task registry shards filled by parallel workers
-    ({!Stc_par.Pool}): counters are {e summed}, gauges take the source's
-    value ({e last write wins} over a sequence of merges), span nodes
-    sum calls and seconds path-wise, and events are {e appended}
-    in the source's insertion order. Merging shards in task-index order
-    therefore reproduces the exact event log of a serial run. [src] is
-    not modified. Raises [Invalid_argument] when a name is carried by
-    different metric kinds in the two registries, or when [into == src]. *)
 
 (** {2 Snapshots} *)
 

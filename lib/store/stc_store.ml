@@ -1,9 +1,6 @@
 module Fnv = Stc_util.Fnv
 module Crc32 = Stc_util.Crc32
-module Registry = Stc_obs.Registry
-module Counter = Stc_obs.Metric.Counter
 module Tracer = Stc_obs.Trace
-module Json = Stc_obs.Json
 module Program = Stc_cfg.Program
 module Proc = Stc_cfg.Proc
 module Block = Stc_cfg.Block
@@ -129,16 +126,18 @@ let magic = "STCA"
 
 let container_version = 1
 
+type warning = { artifact : string; key : string; reason : string }
+
 type t = {
   dir : string;
-  metrics : Registry.t option;
-  hits : Counter.t;
-  misses : Counter.t;
-  writes : Counter.t;
-  corrupt_c : Counter.t;
-  bytes_read : Counter.t;
-  bytes_written : Counter.t;
   tracer : Tracer.t option;
+  mutable hits : int;
+  mutable misses : int;
+  mutable writes : int;
+  mutable corrupt_n : int;
+  mutable bytes_read : int;
+  mutable bytes_written : int;
+  mutable warnings_rev : warning list;
 }
 
 let rec mkdir_p path =
@@ -148,44 +147,30 @@ let rec mkdir_p path =
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_ ?metrics ?trace dirname =
+let open_ ?trace dirname =
   (* a directory that cannot be created leaves a broken cache, not a
      failed run: lookups miss and [write] warns *)
   (try mkdir_p dirname with Unix.Unix_error _ -> ());
-  let c name =
-    match metrics with
-    | Some reg -> Registry.counter reg ("store." ^ name)
-    | None -> Counter.make ()
-  in
   {
     dir = dirname;
-    metrics;
-    hits = c "hits";
-    misses = c "misses";
-    writes = c "writes";
-    corrupt_c = c "corrupt";
-    bytes_read = c "bytes_read";
-    bytes_written = c "bytes_written";
     tracer = trace;
+    hits = 0;
+    misses = 0;
+    writes = 0;
+    corrupt_n = 0;
+    bytes_read = 0;
+    bytes_written = 0;
+    warnings_rev = [];
   }
 
 let of_ctx ctx =
-  match ctx.Stc_obs.Run.store with
-  | None -> None
-  | Some d ->
-      Some
-        (open_ ?metrics:ctx.Stc_obs.Run.metrics ?trace:ctx.Stc_obs.Run.trace d)
+  Option.map (open_ ?trace:ctx.Stc_obs.Run.trace) ctx.Stc_obs.Run.store
 
 let warning t ~kind ~key ~reason =
-  match t.metrics with
-  | None -> ()
-  | Some reg ->
-      Registry.event reg ~kind:"store.warning"
-        [
-          ("artifact", Json.Str kind);
-          ("key", Json.Str (Key.hex key));
-          ("reason", Json.Str reason);
-        ]
+  t.warnings_rev <-
+    { artifact = kind; key = Key.hex key; reason } :: t.warnings_rev
+
+let warnings t = List.rev t.warnings_rev
 
 let entry_path t ~kind key =
   Filename.concat (Filename.concat t.dir kind) (Key.hex key ^ ".bin")
@@ -255,18 +240,18 @@ let lookup t ~kind ~version key =
             else Hit payload)
 
 let count_hit t payload =
-  Counter.incr t.hits;
-  Counter.add t.bytes_read (String.length payload)
+  t.hits <- t.hits + 1;
+  t.bytes_read <- t.bytes_read + String.length payload
 
 let count_non_hit t ~kind ~key = function
   | Hit _ -> assert false
-  | Miss -> Counter.incr t.misses
+  | Miss -> t.misses <- t.misses + 1
   | Stale reason ->
-      Counter.incr t.misses;
+      t.misses <- t.misses + 1;
       warning t ~kind ~key ~reason
   | Damaged reason ->
-      Counter.incr t.misses;
-      Counter.incr t.corrupt_c;
+      t.misses <- t.misses + 1;
+      t.corrupt_n <- t.corrupt_n + 1;
       warning t ~kind ~key ~reason
 
 (* Timeline bookkeeping around one lookup (or write): the slice name is
@@ -318,8 +303,8 @@ let write t ~kind ~version key payload =
     Sys.rename tmp path
   with
   | () ->
-      Counter.incr t.writes;
-      Counter.add t.bytes_written (String.length payload)
+      t.writes <- t.writes + 1;
+      t.bytes_written <- t.bytes_written + String.length payload
   | exception Sys_error reason ->
       (try Sys.remove tmp with Sys_error _ -> ());
       warning t ~kind ~key ~reason
@@ -738,12 +723,12 @@ type stats = {
 
 let stats (t : t) =
   {
-    hits = Counter.value t.hits;
-    misses = Counter.value t.misses;
-    writes = Counter.value t.writes;
-    corrupt = Counter.value t.corrupt_c;
-    bytes_read = Counter.value t.bytes_read;
-    bytes_written = Counter.value t.bytes_written;
+    hits = t.hits;
+    misses = t.misses;
+    writes = t.writes;
+    corrupt = t.corrupt_n;
+    bytes_read = t.bytes_read;
+    bytes_written = t.bytes_written;
   }
 
 type entry = {

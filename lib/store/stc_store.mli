@@ -26,18 +26,19 @@
     same key both produce valid files; last rename wins). Reads never
     crash the run: a missing entry is a plain miss; a version mismatch,
     bad magic, truncation or checksum failure is a miss plus a
-    [store.warning] event in the registry (and, for damage, the
-    [store.corrupt] counter); the caller then recomputes and saves the
-    entry again. Only genuinely anomalous states warn — a cold cache is
-    silent, so a cold and a warm run export identical event streams.
+    {!warning} (and, for damage, a [corrupt] count); the caller then
+    recomputes and saves the entry again. Only genuinely anomalous
+    states warn — a cold cache is silent, so a cold and a warm run
+    report the same warnings.
 
     {2 Observability}
 
-    A handle opened with [~metrics] interns [store.hits], [store.misses],
-    [store.writes], [store.corrupt], [store.bytes_read] and
-    [store.bytes_written] counters in the registry. These are the one
-    intentional difference between cold and warm exports; [metrics_diff
-    --ignore store.] compares everything else. *)
+    A handle writes to no registry: it keeps its own {!stats} and
+    {!warnings}, and whoever opened it publishes them
+    ({!Stc_core.Pipeline.publish_store} writes the [store.*] counters
+    and [store.warning] events). Those counters are the one intentional
+    difference between cold and warm exports; [metrics_diff --ignore
+    store.] compares everything else. *)
 
 exception Corrupt of string
 (** Raised by decoders on malformed payload bytes; every [load] catches
@@ -60,24 +61,32 @@ module Key : sig
 end
 
 type t
-(** An open store handle: a directory plus the counters above. Handles
-    are cheap to open; parallel grid cells open one per cell against
-    their own registry shard so the merged totals stay deterministic. *)
+(** An open store handle: a directory, the handle's own counts
+    ({!stats}) and its {!warnings}. A handle is not thread-safe, but
+    handles are cheap to open: the grid runner opens one per cell. *)
 
-val open_ : ?metrics:Stc_obs.Registry.t -> ?trace:Stc_obs.Trace.t -> string -> t
+val open_ : ?trace:Stc_obs.Trace.t -> string -> t
 (** Create the directory (and parents) if needed. A directory that
     cannot be created (say, under a regular file) does not raise: the
     handle is a broken cache whose lookups miss and whose writes warn,
-    as {!write} describes. With [~metrics] the [store.*] counters
-    register there. With [~trace] every lookup and write emits a
+    as {!write} describes. With [~trace] every lookup and write emits a
     timeline slice — [store.hit]/[store.miss]/[store.write] — carrying
     the payload size as its [bytes] argument; these slices are the
     store's only timing ([tools/trace_report] splits them per op, with
     p50 and p99 durations). *)
 
 val of_ctx : Stc_obs.Run.ctx -> t option
-(** [Some (open_ ?metrics:ctx.metrics ?trace:ctx.trace dir)] when
-    [ctx.store] is [Some dir]. *)
+(** [Some (open_ ?trace:ctx.trace dir)] when [ctx.store] is [Some dir]. *)
+
+type warning = {
+  artifact : string;  (** The entry's kind, e.g. ["result"]. *)
+  key : string;  (** {!Key.hex} of the entry's key. *)
+  reason : string;
+}
+
+val warnings : t -> warning list
+(** Every warning this handle raised, oldest first: a stale or damaged
+    entry read, or a failed write. *)
 
 (** {2 Raw container access}
 
@@ -220,9 +229,7 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Snapshot of this handle's counters. When the handle shares a
-    registry with others (via [~metrics]), the interned counters are
-    shared too, so this reports registry-lifetime totals. *)
+(** This handle's totals since {!open_}. *)
 
 type entry = {
   e_path : string;

@@ -321,6 +321,42 @@ let prop_oracle_engines_agree =
            ~layout_name:"rand" view small_cases);
       true)
 
+(* An RRIP hit rewrites its line's RRPV, so an RRIP slot must probe a
+   line the previous probing cycle touched. Half-line blocks laid out in
+   order (block [b] at [16 b], in line [b / 2]) and a 2-way, two-set
+   cache: cycle 1 misses lines 0 and 1, cycle 2 re-touches both (their
+   RRPVs drop to 0), cycles 3 and 4 (windows 3-4 and 4-5) bring lines 3
+   and 5 into line 1's set, and cycle 5 fetches line 1 again. Probed,
+   line 1 outlives line 3 and hits; left at its insertion RRPV, it is
+   the older of two distant lines, is evicted, and misses. *)
+let test_rrip_retouch_probed () =
+  let b = Builder.create () in
+  let p = Builder.declare_proc b ~name:"p" ~subsystem:Stc_cfg.Proc.Other in
+  let ids = Array.init 12 (fun _ -> Builder.new_block b ~pid:p ~size:4) in
+  Array.iteri
+    (fun i bid ->
+      Builder.set_term b bid
+        (if i = 11 then Terminator.Ret else Terminator.Fall ids.(i + 1)))
+    ids;
+  Builder.finish_proc b ~pid:p ~entry:ids.(0) ~blocks:ids;
+  let prog = Builder.build b in
+  let view =
+    F.View.create prog (L.Original.layout prog)
+      (Stc_trace.Source.of_array (Array.map (Array.get ids) [| 0; 0; 7; 9; 2 |]))
+  in
+  List.iter
+    (fun r ->
+      match r.C.er_mismatches with
+      | [] -> ()
+      | m :: _ ->
+        Alcotest.failf "%s: %s differs (oracle %.1f, engine %.1f)" r.C.er_case
+          m.C.field m.C.m_oracle m.C.m_engine)
+    (C.diff_cases ~layout_name:"orig" view
+       [
+         case "128b-2way-srrip" ~size_bytes:128 ~assoc:2 ~policy:C.P_srrip;
+         case "128b-2way-trrip" ~size_bytes:128 ~assoc:2 ~policy:C.P_trrip;
+       ])
+
 let suite =
   [
     Alcotest.test_case "detects corrupted layouts" `Quick
@@ -329,6 +365,8 @@ let suite =
     Alcotest.test_case "oracle icache matches real icache" `Quick
       test_oracle_icache_stream;
     Alcotest.test_case "algorithm registry lookup" `Quick test_registry_find;
+    Alcotest.test_case "RRIP slots probe re-touched lines" `Quick
+      test_rrip_retouch_probed;
     QCheck_alcotest.to_alcotest prop_layouts_valid;
     QCheck_alcotest.to_alcotest prop_oracle_engines_agree;
   ]

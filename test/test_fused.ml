@@ -8,9 +8,6 @@
      reproduces N banks of one (run_packed per spec): result records
      exactly, at every stride and at segment sizes down to 1 block. With
      N = 1 this is streamed replay against materialized replay;
-   - metric exports: a bank run with a metrics registry publishes
-     byte-identical engine.* counters to the banks of one sharing one
-     registry;
    - Experiments: a store-warm subset (some cells cached from an
      earlier smaller grid, the rest fused in one sweep) produces the
      same rows, counters and events as a cold run, and a grid's rows
@@ -27,7 +24,6 @@ module Builder = Stc_cfg.Builder
 module Terminator = Stc_cfg.Terminator
 module Source = Stc_trace.Source
 module Registry = Stc_obs.Registry
-module Run = Stc_obs.Run
 module Bank = F.Engine.Bank
 
 (* Same random-program shape as test_stream: a linear chain whose
@@ -310,31 +306,6 @@ let test_replay_allocates_nothing () =
   if per_block >= 0.01 then
     Alcotest.failf "replay allocated %.3f minor words per block" per_block
 
-(* A bank run with metrics publishes the same engine.* counters, in the
-   same order, as the banks of one sharing one registry. *)
-let test_fused_metrics_identical () =
-  let prog, ids = random_program 11 30 in
-  let st = Random.State.make [| 9 |] in
-  let trace = random_trace st ids 4_000 in
-  let layout = L.Original.layout prog in
-  let packed = F.Packed.compile prog layout (Source.of_array trace) in
-  let k = 6 in
-  let reg_solo = Registry.create ~clock:(fun () -> 0.0) () in
-  let ctx_solo = Run.default |> Run.with_metrics reg_solo in
-  Array.iter
-    (fun sp ->
-      ignore
-        (F.Engine.run_packed ~ctx:ctx_solo ~config:sp.Bank.config
-           ?icache:sp.Bank.icache ?trace_cache:sp.Bank.trace_cache
-           ?prediction:sp.Bank.prediction packed))
-    (mk_specs 11 k ());
-  let reg_fused = Registry.create ~clock:(fun () -> 0.0) () in
-  let ctx_fused = Run.default |> Run.with_metrics reg_fused in
-  ignore (Bank.run_packed ~ctx:ctx_fused (mk_specs 11 k ()) packed);
-  Alcotest.(check string) "exports identical"
-    (Stc_obs.Export.to_jsonl reg_solo)
-    (Stc_obs.Export.to_jsonl reg_fused)
-
 (* ---------- Experiments: store-warm subset ---------- *)
 
 let with_dir f =
@@ -410,8 +381,8 @@ let test_store_warm_subset () =
     (List.for_all (fun r -> List.mem r ref_rows) small_rows)
 
 (* A grid's rows and metric export do not depend on the job count:
-   whole fused groups self-schedule on the pool, and per-cell shards
-   merge in input order. *)
+   whole fused groups self-schedule on the pool, and the runner
+   publishes every cell after the join, in input order. *)
 let test_fused_grid_identical () =
   let run ~jobs =
     let reg = Registry.create ~clock:(fun () -> 0.0) () in
@@ -499,8 +470,6 @@ let suite =
       test_fused_resident_bound;
     Alcotest.test_case "one feed: image, stream and solo agree past a piece"
       `Quick test_one_feed_past_a_piece;
-    Alcotest.test_case "fused metrics export identical" `Quick
-      test_fused_metrics_identical;
     Alcotest.test_case "replay allocates nothing per cycle" `Quick
       test_replay_allocates_nothing;
     Alcotest.test_case "store-warm subset fuses the rest" `Slow

@@ -418,6 +418,56 @@ let prop_exttsp_ties =
     (QCheck.make ~print:print_tie_case gen_tie_case)
     (fun c -> chains_match (tie_profile c))
 
+(* ---------- pinned placements ---------- *)
+
+(* Every registered algorithm's layout on the quick pipeline at seed 1,
+   at two grid points, as {!Stc_store.Fp.layout} hex. The validity tests
+   above accept any legal placement; these values pin the placements
+   themselves, so a change that moves a block (a threshold comparison,
+   cold-code hole fitting) fails tier-1. Update them only together with
+   a deliberate layout change, recorded in CHANGES.md. *)
+let pinned_fingerprints =
+  [
+    ("orig 8/2", "701b26a348e6ce75");
+    ("P&H 8/2", "b0e402184f9d1089");
+    ("Torr 8/2", "5ea6d59e56ebe37d");
+    ("auto 8/2", "ae1aad1b5067cf81");
+    ("ops 8/2", "1f8e6d40f6977835");
+    ("codestitcher 8/2", "547cb89254e11931");
+    ("exttsp 8/2", "1d4f0a0f45ab5051");
+    ("orig 32/8", "701b26a348e6ce75");
+    ("P&H 32/8", "b0e402184f9d1089");
+    ("Torr 32/8", "4530ad204cc12c09");
+    ("auto 32/8", "4d3b8aaeda4a0fe1");
+    ("ops 32/8", "9500204b3395183d");
+    ("codestitcher 32/8", "8adbd455cd35e909");
+    ("exttsp 32/8", "42cd55cfc8b8f575");
+  ]
+
+let test_layout_fingerprints () =
+  let pl =
+    Stc_core.Pipeline.run
+      ~ctx:(Stc_core.Run.default |> Stc_core.Run.with_seed 1)
+      ~config:Stc_core.Pipeline.quick_config ()
+  in
+  let got =
+    List.concat_map
+      (fun (cache_kb, cfa_kb) ->
+        let params =
+          Stc_core.Experiments.grid_params ~cache_bytes:(cache_kb * 1024)
+            ~cfa_bytes:(cfa_kb * 1024)
+        in
+        List.map
+          (fun a ->
+            ( Printf.sprintf "%s %d/%d" a.L.Algo.name cache_kb cfa_kb,
+              Stc_store.Fp.layout
+                (L.Algo.layout a pl.Stc_core.Pipeline.profile params) ))
+          (L.Algo.all ()))
+      [ (8, 2); (32, 8) ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "layout fingerprints" pinned_fingerprints got
+
 let suite =
   [
     Alcotest.test_case "figure 3 worked example" `Quick test_figure3;
@@ -434,6 +484,8 @@ let suite =
       test_seqbuild_respects_exec_threshold;
     Alcotest.test_case "mapping CFA windows" `Quick test_mapping_skips_cfa_windows;
     Alcotest.test_case "ExtTSP edge score" `Quick test_exttsp_edge_score;
+    Alcotest.test_case "layout fingerprints pinned" `Quick
+      test_layout_fingerprints;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_layout_permutation; prop_exttsp_skeleton; prop_exttsp_ties ]

@@ -178,44 +178,6 @@ let test_export_golden () =
   in
   Alcotest.(check string) "golden JSONL" expected (Obs.Export.to_jsonl reg)
 
-(* ---------- merge ---------- *)
-
-(* A random registry workload: kind-namespaced names (c./g./s.) so an
-   operation never hits a same-named metric of another kind. *)
-type mop =
-  | Add_counter of int * int
-  | Set_gauge of int * float
-  | Emit_event of int
-  | Time_span of int
-
-let apply_mop reg = function
-  | Add_counter (i, v) ->
-    Counter.add (Registry.counter reg (Printf.sprintf "c.%d" i)) v
-  | Set_gauge (i, v) -> Gauge.set (Registry.gauge reg (Printf.sprintf "g.%d" i)) v
-  | Emit_event i -> Registry.event reg ~kind:"e" [ ("i", Json.Int i) ]
-  | Time_span i ->
-    Registry.span reg (Printf.sprintf "s.%d" i) (fun () -> ())
-
-let mop_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        map2 (fun i v -> Add_counter (i, v)) (int_bound 2) (int_bound 100);
-        map2
-          (fun i v -> Set_gauge (i, float_of_int v))
-          (int_bound 1) (int_bound 50);
-        map (fun i -> Emit_event i) (int_bound 9);
-        map (fun i -> Time_span i) (int_bound 1);
-      ])
-
-let mop_str = function
-  | Add_counter (i, v) -> Printf.sprintf "c.%d+=%d" i v
-  | Set_gauge (i, v) -> Printf.sprintf "g.%d:=%g" i v
-  | Emit_event i -> Printf.sprintf "e(%d)" i
-  | Time_span i -> Printf.sprintf "s.%d" i
-
-let zero_clock_reg () = Registry.create ~clock:(fun () -> 0.0) ()
-
 let strip_seconds records =
   List.map
     (function
@@ -223,48 +185,6 @@ let strip_seconds records =
         Json.Obj (List.filter (fun (k, _) -> k <> "seconds") fields)
       | v -> v)
     records
-
-let export reg = strip_seconds (Json.lines (Obs.Export.to_jsonl reg))
-
-(* Merging N shards (in order) must be indistinguishable from applying
-   every shard's operations sequentially to one registry: counters sum,
-   gauges keep the last write, span calls sum, events concatenate in
-   shard order. *)
-let prop_merge_sequential =
-  QCheck.Test.make ~name:"Registry.merge = sequential accumulation" ~count:200
-    (QCheck.make
-       ~print:(fun shards ->
-         String.concat " | "
-           (List.map
-              (fun ops -> String.concat "," (List.map mop_str ops))
-              shards))
-       QCheck.Gen.(list_size (int_bound 4) (list_size (int_bound 20) mop_gen)))
-    (fun shards ->
-      let seq = zero_clock_reg () in
-      List.iter (fun ops -> List.iter (apply_mop seq) ops) shards;
-      let main = zero_clock_reg () in
-      List.iter
-        (fun ops ->
-          let shard = zero_clock_reg () in
-          List.iter (apply_mop shard) ops;
-          Registry.merge ~into:main shard)
-        shards;
-      if export main <> export seq then
-        QCheck.Test.fail_reportf "merged export differs:\n%s\nvs sequential:\n%s"
-          (String.concat "\n" (List.map Json.to_string (export main)))
-          (String.concat "\n" (List.map Json.to_string (export seq)));
-      true)
-
-let test_merge_mismatch () =
-  let a = Registry.create () and b = Registry.create () in
-  Counter.incr (Registry.counter a "m");
-  Gauge.set (Registry.gauge b "m") 1.0;
-  Alcotest.check_raises "kind mismatch rejected"
-    (Invalid_argument "Stc_obs.Registry.merge: \"m\" is not a counter")
-    (fun () -> Registry.merge ~into:b a);
-  Alcotest.check_raises "self-merge rejected"
-    (Invalid_argument "Stc_obs.Registry.merge: cannot merge a registry into itself")
-    (fun () -> Registry.merge ~into:a a)
 
 (* ---------- progress ---------- *)
 
@@ -338,8 +258,6 @@ let suite =
     Alcotest.test_case "registry roundtrip" `Quick test_registry_roundtrip;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "export golden" `Quick test_export_golden;
-    QCheck_alcotest.to_alcotest prop_merge_sequential;
-    Alcotest.test_case "merge rejects mismatches" `Quick test_merge_mismatch;
     Alcotest.test_case "progress reporter" `Quick test_progress;
     Alcotest.test_case "same-seed determinism" `Slow test_determinism;
   ]

@@ -58,8 +58,7 @@ let test_key () =
 
 let test_raw_roundtrip () =
   with_dir @@ fun dir ->
-  let reg = Registry.create () in
-  let st = Store.open_ ~metrics:reg dir in
+  let st = Store.open_ dir in
   let key = Store.Key.of_parts [ "raw"; "roundtrip" ] in
   let payload = "the quick brown payload \x00\xff with binary bytes" in
   Store.write st ~kind:"x" ~version:3 key payload;
@@ -70,7 +69,8 @@ let test_raw_roundtrip () =
   Alcotest.(check bool) "missing key" true
     (Store.read st ~kind:"x" ~version:3 (Store.Key.of_parts [ "other" ])
     = None);
-  Alcotest.(check int) "cold misses are silent" 0 (List.length (warnings reg));
+  Alcotest.(check int) "cold misses are silent" 0
+    (List.length (Store.warnings st));
   (* a version mismatch is a miss plus a warning, but not corruption *)
   Alcotest.(check bool) "version mismatch" true
     (Store.read st ~kind:"x" ~version:4 key = None);
@@ -79,7 +79,7 @@ let test_raw_roundtrip () =
   Alcotest.(check int) "misses" 2 s.Store.misses;
   Alcotest.(check int) "writes" 1 s.Store.writes;
   Alcotest.(check int) "corrupt" 0 s.Store.corrupt;
-  Alcotest.(check int) "stale entry warns" 1 (List.length (warnings reg));
+  Alcotest.(check int) "stale entry warns" 1 (List.length (Store.warnings st));
   Alcotest.(check bool) "bytes accounted" true
     (s.Store.bytes_read > 0 && s.Store.bytes_written > 0)
 
@@ -90,8 +90,7 @@ let entry_path dir =
 
 let test_corruption_detected () =
   with_dir @@ fun dir ->
-  let reg = Registry.create () in
-  let st = Store.open_ ~metrics:reg dir in
+  let st = Store.open_ dir in
   let key = Store.Key.of_parts [ "corruption" ] in
   let payload = String.init 256 (fun i -> Char.chr (i mod 256)) in
   Store.write st ~kind:"x" ~version:1 key payload;
@@ -117,7 +116,7 @@ let test_corruption_detected () =
     (Store.read st ~kind:"x" ~version:1 key = None);
   let s = Store.stats st in
   Alcotest.(check int) "three corruptions counted" 3 s.Store.corrupt;
-  Alcotest.(check int) "all warned" 3 (List.length (warnings reg));
+  Alcotest.(check int) "all warned" 3 (List.length (Store.warnings st));
   (* and the run carries on: rewrite, read back *)
   Store.write st ~kind:"x" ~version:1 key payload;
   Alcotest.(check bool) "recovered" true
@@ -125,8 +124,7 @@ let test_corruption_detected () =
 
 let test_cached_repairs () =
   with_dir @@ fun dir ->
-  let reg = Registry.create () in
-  let st = Store.open_ ~metrics:reg dir in
+  let st = Store.open_ dir in
   let key = Store.Key.of_parts [ "layout"; "repair" ] in
   let layout = { Stc_layout.Layout.name = "l"; addr = [| 0; 32; 96; 64 |] } in
   let computed = ref 0 in
@@ -147,7 +145,7 @@ let test_cached_repairs () =
   let l2 = Store.Layout.cached (Some st) ~key compute in
   Alcotest.(check int) "recomputed after damage" 2 !computed;
   Alcotest.(check bool) "addresses intact" true (l2 = layout);
-  Alcotest.(check bool) "damage warned" true (warnings reg <> []);
+  Alcotest.(check bool) "damage warned" true (Store.warnings st <> []);
   (* the rewrite healed the entry *)
   (match Store.Layout.load st ~key with
   | Some l -> Alcotest.(check bool) "healed" true (l = layout)
@@ -347,9 +345,12 @@ let test_pinned_formats () =
 let tiny_config = { Pipeline.quick_config with Pipeline.sf = 0.0004 }
 let tiny_grid = { E.default_sim_config with E.grid = [ (8, [ 2 ]) ] }
 
-let run_grid dir =
+let run_grid ?(jobs = 1) dir =
   let reg = Registry.create ~clock:(fun () -> 0.0) () in
-  let ctx = Run.default |> Run.with_metrics reg |> Run.with_store dir in
+  let ctx =
+    Run.default |> Run.with_metrics reg |> Run.with_store dir
+    |> Run.with_jobs jobs
+  in
   let pl = Pipeline.run ~ctx ~config:tiny_config () in
   let rows = E.simulate ~ctx ~config:tiny_grid pl in
   (reg, rows)
@@ -382,28 +383,58 @@ let test_cold_warm_identical () =
   Alcotest.(check bool) "events identical" true
     (non_store_events cold_reg = non_store_events warm_reg)
 
-let test_corrupt_store_survives () =
-  with_dir @@ fun dir ->
-  let _, cold_rows = run_grid dir in
-  (* damage every cached engine result; the run must recompute and agree *)
+(* Cut the last two bytes off every cached engine result; returns how
+   many there were. *)
+let truncate_results dir =
   let results =
     List.filter (fun e -> e.Store.e_kind = "result") (Store.scan dir)
   in
-  Alcotest.(check bool) "results were cached" true (results <> []);
   List.iter
     (fun e ->
       let s = read_file e.Store.e_path in
       write_file e.Store.e_path (String.sub s 0 (String.length s - 2)))
     results;
+  List.length results
+
+let test_corrupt_store_survives () =
+  with_dir @@ fun dir ->
+  let _, cold_rows = run_grid dir in
+  (* damage every cached engine result; the run must recompute and agree *)
+  let results = truncate_results dir in
+  Alcotest.(check bool) "results were cached" true (results > 0);
   let warm_reg, warm_rows = run_grid dir in
   Alcotest.(check bool) "rows identical despite damage" true
     (cold_rows = warm_rows);
   Alcotest.(check bool) "damage counted" true
-    (store_counter warm_reg "store.corrupt" >= List.length results);
+    (store_counter warm_reg "store.corrupt" >= results);
   Alcotest.(check bool) "damage warned" true (warnings warm_reg <> []);
   (* the warm run repaired the store *)
   Alcotest.(check bool) "store repaired" true
     (List.for_all (fun e -> e.Store.e_ok) (Store.scan dir))
+
+(* The grid runner publishes every cell's store counts and warnings
+   after the join, so the whole export, store.* included, must not
+   depend on the job count: cold, warm and damaged runs at jobs 1 and 3
+   export the same bytes. *)
+let test_store_exports_jobs_invariant () =
+  let runs jobs =
+    with_dir @@ fun dir ->
+    let cold, _ = run_grid ~jobs dir in
+    let warm, _ = run_grid ~jobs dir in
+    let damaged = truncate_results dir in
+    let repaired, _ = run_grid ~jobs dir in
+    ( damaged,
+      warm,
+      repaired,
+      List.map Stc_obs.Export.to_jsonl [ cold; warm; repaired ] )
+  in
+  let damaged, warm, repaired, serial = runs 1 in
+  let _, _, _, parallel = runs 3 in
+  Alcotest.(check bool) "warm run hit the store" true
+    (store_counter warm "store.hits" > 0);
+  Alcotest.(check int) "one warning per damaged result" damaged
+    (List.length (warnings repaired));
+  Alcotest.(check (list string)) "exports at jobs 3" serial parallel
 
 (* A store directory that cannot be created (here, below a regular file)
    is a broken cache, not a failed run: the same rows as without a
@@ -450,6 +481,8 @@ let suite =
     Alcotest.test_case "corrupt store survives" `Slow test_corrupt_store_survives;
     Alcotest.test_case "uncreatable store directory survives" `Slow
       test_uncreatable_store_dir;
+    Alcotest.test_case "store exports identical at jobs 1 and 3" `Slow
+      test_store_exports_jobs_invariant;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
