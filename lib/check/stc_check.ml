@@ -1090,22 +1090,44 @@ let check_cache_bytes = 16 * 1024
 
 let check_cfa_bytes = 4 * 1024
 
+(* The [check.*] counters, then one [check.layout] event per layout and
+   one [check.engine] event per engine case, in report order. *)
+let publish reg r =
+  let module Reg = Stc_obs.Registry in
+  let total f l = List.fold_left (fun n x -> n + List.length (f x)) 0 l in
+  Reg.add reg "check.layouts" (List.length r.r_layouts);
+  Reg.add reg "check.violations" (total (fun l -> l.lr_violations) r.r_layouts);
+  Reg.add reg "check.engine_cases" (List.length r.r_engines);
+  Reg.add reg "check.engine_mismatches"
+    (total (fun e -> e.er_mismatches) r.r_engines);
+  List.iter
+    (fun l ->
+      Reg.event reg ~kind:"check.layout"
+        [
+          ("layout", Json.Str l.lr_name);
+          ("violations", Json.Int (List.length l.lr_violations));
+          ( "first",
+            match l.lr_violations with
+            | [] -> Json.Null
+            | v :: _ -> Json.Str (Layouts.violation_to_string v) );
+        ])
+    r.r_layouts;
+  List.iter
+    (fun e ->
+      Reg.event reg ~kind:"check.engine"
+        [
+          ("layout", Json.Str e.er_layout);
+          ("case", Json.Str e.er_case);
+          ("mismatches", Json.Int (List.length e.er_mismatches));
+          ( "divergence",
+            match e.er_divergence with
+            | None -> Json.Null
+            | Some d -> Json.Str d );
+        ])
+    r.r_engines
+
 let run_all ?(ctx = Run.default) (pl : Pipeline.t) =
   Run.span ctx "check" @@ fun () ->
-  let counter name =
-    match ctx.Run.metrics with
-    | None -> None
-    | Some reg -> Some (Stc_obs.Registry.counter reg name)
-  in
-  let bump c n =
-    match c with
-    | None -> ()
-    | Some c -> Stc_obs.Metric.Counter.add c n
-  in
-  let c_layouts = counter "check.layouts"
-  and c_violations = counter "check.violations"
-  and c_cases = counter "check.engine_cases"
-  and c_mismatches = counter "check.engine_mismatches" in
   let profile = pl.Pipeline.profile in
   let prog = pl.Pipeline.program in
   let params =
@@ -1117,34 +1139,22 @@ let run_all ?(ctx = Run.default) (pl : Pipeline.t) =
      touching this module *)
   let r_layouts =
     Run.span ctx "check-layouts" @@ fun () ->
-    let subjects =
-      List.map
-        (fun algo ->
-          let plan = L.Algo.plan algo profile params in
-          let cfa_bytes = L.Algo.effective_cfa_bytes algo params in
-          let layout =
-            Mapping.map_plan prog ~name:algo.L.Algo.name
-              ~cache_bytes:check_cache_bytes ~cfa_bytes plan
-          in
-          (algo.L.Algo.name, layout, Some (plan, check_cache_bytes, cfa_bytes)))
-        (L.Algo.all ())
-    in
     List.map
-      (fun (lr_name, layout, cfa_plan) ->
-        let lr_violations = Layouts.all ?cfa_plan profile layout in
-        bump c_layouts 1;
-        bump c_violations (List.length lr_violations);
-        Run.event ctx ~kind:"check.layout"
-          [
-            ("layout", Json.Str lr_name);
-            ("violations", Json.Int (List.length lr_violations));
-            ( "first",
-              match lr_violations with
-              | [] -> Json.Null
-              | v :: _ -> Json.Str (Layouts.violation_to_string v) );
-          ];
-        { lr_name; lr_violations })
-      subjects
+      (fun algo ->
+        let plan = L.Algo.plan algo profile params in
+        let cfa_bytes = L.Algo.effective_cfa_bytes algo params in
+        let layout =
+          Mapping.map_plan prog ~name:algo.L.Algo.name
+            ~cache_bytes:check_cache_bytes ~cfa_bytes plan
+        in
+        {
+          lr_name = algo.L.Algo.name;
+          lr_violations =
+            Layouts.all
+              ~cfa_plan:(plan, check_cache_bytes, cfa_bytes)
+              profile layout;
+        })
+      (L.Algo.all ())
   in
   (* engine differential on the test trace: the original baseline, the
      paper's headline CFA layout and the two imported comparators *)
@@ -1173,23 +1183,8 @@ let run_all ?(ctx = Run.default) (pl : Pipeline.t) =
             ~line_bytes:Engine.Config.default.Engine.Config.line_bytes
             ~addrs:layout.Layout.addr ~sizes ~counts
         in
-        List.map
-          (fun r ->
-            bump c_cases 1;
-            bump c_mismatches (List.length r.er_mismatches);
-            Run.event ctx ~kind:"check.engine"
-              [
-                ("layout", Json.Str r.er_layout);
-                ("case", Json.Str r.er_case);
-                ("mismatches", Json.Int (List.length r.er_mismatches));
-                ( "divergence",
-                  match r.er_divergence with
-                  | None -> Json.Null
-                  | Some d -> Json.Str d );
-              ];
-            r)
-          (diff_cases ~temperature ~layout_name view
-             (default_cases @ extended_cases)))
+        diff_cases ~temperature ~layout_name view
+          (default_cases @ extended_cases))
       views
   in
   (* seeded random-address streams per geometry and policy *)
@@ -1213,7 +1208,9 @@ let run_all ?(ctx = Run.default) (pl : Pipeline.t) =
         ("4kb-2way-srrip-victim4", 2, 4, 4, Real_icache.Srrip);
       ]
   in
-  { r_layouts; r_engines; r_icache }
+  let report = { r_layouts; r_engines; r_icache } in
+  Option.iter (fun reg -> publish reg report) ctx.Run.metrics;
+  report
 
 let ok r =
   List.for_all (fun l -> l.lr_violations = []) r.r_layouts

@@ -25,9 +25,9 @@
 
     {!run_all} bundles all of it over a {!Stc_core.Pipeline.t}; the
     [stc_repro check] subcommand and the [@check-smoke] alias are thin
-    wrappers around it. With [ctx.metrics] the checks tick [check.*]
-    counters and emit one [check.layout] / [check.engine] event per
-    subject. *)
+    wrappers around it. With [ctx.metrics] it publishes the finished
+    report: four [check.*] counters, then one [check.layout] /
+    [check.engine] event per subject. *)
 
 (** {1 Layout validators} *)
 
@@ -225,7 +225,7 @@ type layout_report = {
 
 type report = {
   r_layouts : layout_report list;
-      (** Every {!Stc_layout.Algo} registry entry, in registration
+      (** Every {!Stc_layout.Algo} registry entry, in presentation
           order. *)
   r_engines : engine_report list;
       (** Fourteen cases over the orig, ops, codestitcher and exttsp
@@ -254,8 +254,8 @@ val run_all : ?ctx:Stc_core.Run.ctx -> Stc_core.Pipeline.t -> report
     bank per view, with each layout's TRRIP temperature derived from its
     own hotness ({!Stc_cachesim.Temperature.of_blocks}); run the seeded
     i-cache stream differential across LRU, SRRIP and TRRIP geometries. Of
-    [ctx], [metrics] feeds the [check.*] counters and events, [seed]
-    seeds the address streams. *)
+    [ctx], [metrics] receives the finished report's [check.*] counters
+    and events, [seed] seeds the address streams. *)
 
 val ok : report -> bool
 

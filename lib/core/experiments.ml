@@ -253,11 +253,7 @@ let grid_cell ~table (pl : Pipeline.t) (config : sim_config) ?assoc
    live, so an export of the paper's configurations alone carries none
    of it; results are deterministic, hence so is the condition. *)
 let publish_result reg (r : F.Engine.result) =
-  let add name v =
-    Stc_obs.Metric.Counter.add
-      (Stc_obs.Registry.counter reg ("engine." ^ name))
-      v
-  in
+  let add name v = Stc_obs.Registry.add reg ("engine." ^ name) v in
   add "instrs" r.instrs;
   add "cycles" r.cycles;
   add "fetch_cycles" r.fetch_cycles;

@@ -104,7 +104,7 @@ val simulate :
     in-process serial, the default).
 
     [?layouts] selects which CFA-family algorithms populate the per-CFA
-    rows (default: every registered one, in registration order — see
+    rows (default: every built-in one, in presentation order — see
     {!Stc_layout.Algo.all}). Names are resolved as in
     {!resolve_layouts}; an unknown name raises [Invalid_argument] with
     the same message. The "orig" and "P&H" baseline rows are always

@@ -89,9 +89,7 @@ let publish_trace_metrics reg ~prefix program recorder =
   Stc_trace.Source.iter
     (Stc_trace.Source.of_recorder recorder)
     (fun bid -> instrs := !instrs + blocks.(bid).Stc_cfg.Block.size);
-  let add name v =
-    Stc_obs.Metric.Counter.add (Stc_obs.Registry.counter reg (prefix ^ name)) v
-  in
+  let add name v = Stc_obs.Registry.add reg (prefix ^ name) v in
   let n = Recorder.length recorder in
   add "walker.blocks" n;
   add "walker.instrs" !instrs;
@@ -99,15 +97,11 @@ let publish_trace_metrics reg ~prefix program recorder =
   add "trace.marks" (List.length (Recorder.marks recorder))
 
 (* A store handle's totals and warnings: the six [store.*] counters,
-   interned even at zero, then one [store.warning] event per warning in
+   created even at zero, then one [store.warning] event per warning in
    the order the handle raised them. *)
 let publish_store reg st =
   let s = Stc_store.stats st in
-  let add name v =
-    Stc_obs.Metric.Counter.add
-      (Stc_obs.Registry.counter reg ("store." ^ name))
-      v
-  in
+  let add name v = Stc_obs.Registry.add reg ("store." ^ name) v in
   add "hits" s.Stc_store.hits;
   add "misses" s.Stc_store.misses;
   add "writes" s.Stc_store.writes;
@@ -197,15 +191,11 @@ let run ?(ctx = Run.default) ?(config = default_config) () =
   (match metrics with
   | Some reg ->
     Option.iter (publish_store reg) store;
-    let module Reg = Stc_obs.Registry in
-    Stc_obs.Metric.Gauge.set (Reg.gauge reg "pipeline.sf") config.sf;
-    Stc_obs.Metric.Gauge.set
-      (Reg.gauge reg "pipeline.frames")
-      (float_of_int config.frames);
+    let set = Stc_obs.Registry.set reg in
+    set "pipeline.sf" config.sf;
+    set "pipeline.frames" (float_of_int config.frames);
     let sc = Stc_cfg.Program.static_counts kernel.Kernel.program in
-    Stc_obs.Metric.Gauge.set
-      (Reg.gauge reg "pipeline.static_blocks")
-      (float_of_int sc.Stc_cfg.Program.n_blocks)
+    set "pipeline.static_blocks" (float_of_int sc.Stc_cfg.Program.n_blocks)
   | None -> ());
   {
     config;

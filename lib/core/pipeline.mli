@@ -64,7 +64,7 @@ val run : ?ctx:Run.ctx -> ?config:config -> unit -> t
 
 val publish_store : Stc_obs.Registry.t -> Stc_store.t -> unit
 (** A store handle's {!Stc_store.stats} as the six [store.*] counters
-    (interned even at zero), then one [store.warning] event
+    (exported even at zero), then one [store.warning] event
     ([artifact], [key], [reason]) per {!Stc_store.warnings} entry, in
     order. {!run}, {!Experiments.layout_builder} and the grid runner
     publish every handle they open this way, from the calling domain. *)

@@ -70,8 +70,6 @@ type t = {
   mutable useful : int;
   mutable d_miss : int;
   mutable d_vhit : int;
-  mutable occ_hwm : int;
-  mutable inflight_hwm : int;
 }
 
 let create cfg ic =
@@ -95,8 +93,6 @@ let create cfg ic =
     useful = 0;
     d_miss = 0;
     d_vhit = 0;
-    occ_hwm = 0;
-    inflight_hwm = 0;
   }
 
 let issued t = t.issued
@@ -112,10 +108,6 @@ let demand_misses t = t.d_miss
 let demand_victim_hits t = t.d_vhit
 
 let in_flight t = t.n
-
-let occupancy_hwm t = t.occ_hwm
-
-let inflight_hwm t = t.inflight_hwm
 
 (* shift-compact so the remaining entries keep issue order — the oracle
    mirrors this with an ordered association list *)
@@ -191,7 +183,6 @@ let ensure t ~now l =
     t.n <- t.n + 1;
     t.issued <- t.issued + 1;
     t.budget <- t.budget - 1;
-    if t.n > t.inflight_hwm then t.inflight_hwm <- t.n;
     true
   end
   else false
@@ -200,7 +191,6 @@ let advance t ~now words ~len ~idx ~gidx =
   let stop =
     if idx + t.cfg.ftq_depth < len then idx + t.cfg.ftq_depth else len
   in
-  if stop - idx > t.occ_hwm then t.occ_hwm <- stop - idx;
   let live = t.v_epoch = t.epoch in
   (* resume after the verified prefix while no install intervened *)
   let k =

@@ -104,9 +104,3 @@ val demand_victim_hits : t -> int
 (** Demand probes served by the victim buffer. *)
 
 val in_flight : t -> int
-
-val occupancy_hwm : t -> int
-(** High-water mark of observed FTQ occupancy; [<= ftq_depth] always. *)
-
-val inflight_hwm : t -> int
-(** High-water mark of in-flight prefetches; [<= mshrs] always. *)

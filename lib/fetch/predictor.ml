@@ -27,17 +27,13 @@ let create kind =
     history = 0;
   }
 
-let index t ~pc =
-  match t.kind with
-  | Always_taken -> 0
-  | Bimodal _ -> (pc lsr 2) land t.mask
-  | Gshare _ -> ((pc lsr 2) lxor t.history) land t.mask
-
 let predict_and_update t ~pc ~taken =
   match t.kind with
   | Always_taken -> taken
   | Bimodal _ | Gshare _ ->
-    let i = index t ~pc in
+    (* a bimodal predictor's [history_mask] is 0, so its history stays 0
+       and this is its plain pc index *)
+    let i = ((pc lsr 2) lxor t.history) land t.mask in
     let c = t.table.(i) in
     (* int comparisons: Stdlib's [min]/[max] are polymorphic calls *)
     if taken then (if c < 3 then t.table.(i) <- c + 1)

@@ -4,12 +4,12 @@
     The simulation grid ({!Stc_core.Experiments}), the correctness bundle
     ([Stc_check.run_all]) and the CLIs enumerate and select algorithms
     through this registry instead of hard-coded per-module calls, so a
-    new algorithm added to the built-in list at the end of [algo.ml]
-    appears in the comparison tables, the validators and [--layouts]
-    without touching any of them.
+    new algorithm added to the [builtins] list in [algo.ml] appears in
+    the comparison tables, the validators and [--layouts] without
+    touching any of them.
 
-    Built-ins, in registration (= presentation) order: [orig], [P&H],
-    [Torr], [auto], [ops], [codestitcher], [exttsp]. The first two are
+    Built-ins, in presentation order: [orig], [P&H], [Torr], [auto],
+    [ops], [codestitcher], [exttsp]. The first two are
     fixed baselines ([uses_cfa = false]): their plans ignore the cache
     geometry and map with a zero-byte CFA, which reproduces their
     classic [of_block_order] addresses exactly. *)
@@ -48,7 +48,7 @@ type t = {
 }
 
 val all : unit -> t list
-(** Every registered algorithm, in registration order. *)
+(** Every built-in algorithm, in presentation order. *)
 
 val find : string -> (t, string) result
 (** Case-insensitive lookup over names, slugs and aliases. The error

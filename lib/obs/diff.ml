@@ -23,8 +23,9 @@ let ignored ~ignores r =
   | None -> false
   | Some t -> List.exists (fun p -> String.starts_with ~prefix:p t) ignores
 
-(* Identifying key per record; numbered suffix disambiguates repeats
-   (events of the same kind are paired in emission order). *)
+(* Identifying key per record; numbered suffix disambiguates repeats.
+   Events share one key, so they pair by position among the surviving
+   events and their [kind] is compared like any other field. *)
 let keys records =
   let seen = Hashtbl.create 64 in
   List.filter_map
@@ -36,8 +37,7 @@ let keys records =
           Some ("metric:" ^ Option.value ~default:"?" (str_field "name" r))
         | "span" ->
           Some ("span:" ^ Option.value ~default:"?" (str_field "path" r))
-        | "event" ->
-          Some ("event:" ^ Option.value ~default:"?" (str_field "kind" r))
+        | "event" -> Some "event"
         | t -> Some ("unknown:" ^ t)
       in
       match base with

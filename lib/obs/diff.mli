@@ -2,14 +2,16 @@
     record — the library core shared by [tools/metrics_diff] and the
     golden-regression harness ([tools/golden]).
 
-    Records are paired by an identifying key (metric name, span path, or
-    event kind, with a per-key occurrence number so repeated events pair
-    in emission order). Span ["seconds"] fields are never compared (wall
-    clock is not deterministic); any metric whose name, event whose kind
-    or span whose own name (the last component of its path) starts with
-    an ignore prefix is dropped from {e both} sides before pairing, so occurrence numbering stays aligned. Tolerance is
-    relative; the default [0.] demands exact equality, which is what two
-    same-seed runs must achieve. *)
+    Metrics pair by name and spans by path; events pair by their
+    position in the export, and an event's [kind] is compared like any
+    other field, so two exports whose events interleave differently
+    drift. Span ["seconds"] fields are never compared (wall clock is not
+    deterministic); any metric whose name, event whose kind or span
+    whose own name (the last component of its path) starts with an
+    ignore prefix is dropped from {e both} sides before pairing, so
+    positions stay aligned. Tolerance is relative; the default [0.]
+    demands exact equality, which is what two same-seed runs must
+    achieve. *)
 
 val diff_records :
   ?tolerance:float ->

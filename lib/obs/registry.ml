@@ -7,9 +7,11 @@ type node = {
   mutable children_rev : node list;
 }
 
+(* A name has one kind; a counter's value is the sum of its [add]s, a
+   gauge's the last [set]. *)
 type entry =
-  | Counter of Metric.Counter.t
-  | Gauge of Metric.Gauge.t
+  | Counter of int
+  | Gauge of float
 
 type t = {
   clock : clock;
@@ -30,26 +32,19 @@ let create ?(clock = Unix.gettimeofday) () =
 
 (* ---------- metrics ---------- *)
 
-let counter t name =
+let add t name n =
   match Hashtbl.find_opt t.index name with
-  | Some (Counter c) -> c
-  | Some _ ->
+  | Some (Counter c) -> Hashtbl.replace t.index name (Counter (c + n))
+  | None -> Hashtbl.replace t.index name (Counter n)
+  | Some (Gauge _) ->
     invalid_arg
       (Printf.sprintf "Stc_obs.Registry: %S is not a counter" name)
-  | None ->
-    let c = Metric.Counter.make () in
-    Hashtbl.replace t.index name (Counter c);
-    c
 
-let gauge t name =
+let set t name x =
   match Hashtbl.find_opt t.index name with
-  | Some (Gauge g) -> g
-  | Some _ ->
+  | Some (Counter _) ->
     invalid_arg (Printf.sprintf "Stc_obs.Registry: %S is not a gauge" name)
-  | None ->
-    let g = Metric.Gauge.make () in
-    Hashtbl.replace t.index name (Gauge g);
-    g
+  | Some (Gauge _) | None -> Hashtbl.replace t.index name (Gauge x)
 
 (* ---------- spans ---------- *)
 
@@ -91,16 +86,14 @@ let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 let counters t =
   Hashtbl.fold
     (fun name e acc ->
-      match e with
-      | Counter c -> (name, Metric.Counter.value c) :: acc
-      | _ -> acc)
+      match e with Counter n -> (name, n) :: acc | Gauge _ -> acc)
     t.index []
   |> by_name
 
 let gauges t =
   Hashtbl.fold
     (fun name e acc ->
-      match e with Gauge g -> (name, Metric.Gauge.value g) :: acc | _ -> acc)
+      match e with Gauge x -> (name, x) :: acc | Counter _ -> acc)
     t.index []
   |> by_name
 

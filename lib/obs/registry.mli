@@ -2,9 +2,9 @@
     pipeline to collect everything observable about it.
 
     A registry holds
-    - named metric handles ({!Metric.Counter}, {!Metric.Gauge}),
-      interned here by name ({!counter}, {!gauge}) — the one way a
-      metric enters a registry;
+    - named {e counters} and {e gauges}, which enter by name with their
+      value ({!add}, {!set}) from results already computed: nothing in a
+      simulated structure holds a handle into a registry;
     - a tree of hierarchical timing {e spans} ({!span}) accumulating
       wall-clock seconds and call counts per phase;
     - an ordered log of structured {e events} ({!event}) — one record per
@@ -32,12 +32,14 @@ val create : ?clock:clock -> unit -> t
 
 (** {2 Metrics} *)
 
-val counter : t -> string -> Metric.Counter.t
-(** Intern: returns the existing handle when [name] is already a counter
-    of this registry, otherwise registers a fresh one. Raises
-    [Invalid_argument] when the name is taken by another metric kind. *)
+val add : t -> string -> int -> unit
+(** [add t name n] adds [n] to counter [name], creating it at [n] when
+    absent, so [add t name 0] still exports a zero. Raises
+    [Invalid_argument] when [name] is a gauge. *)
 
-val gauge : t -> string -> Metric.Gauge.t
+val set : t -> string -> float -> unit
+(** [set t name x] sets gauge [name] to [x]. Raises [Invalid_argument]
+    when [name] is a counter. *)
 
 (** {2 Spans} *)
 

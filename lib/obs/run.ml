@@ -39,11 +39,6 @@ let span ctx name f =
   in
   match ctx.metrics with Some reg -> Registry.span reg name f | None -> f ()
 
-let event ctx ~kind fields =
-  match ctx.metrics with
-  | Some reg -> Registry.event reg ~kind fields
-  | None -> ()
-
 let reporter ctx ?interval ?total ~label () =
   if ctx.progress then Some (Progress.create ?interval ?total ~label ())
   else None

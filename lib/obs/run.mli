@@ -71,9 +71,6 @@ val span : ctx -> string -> (unit -> 'a) -> 'a
 (** {!Registry.span} when metrics are on, a {!Trace.span} slice when
     tracing is on (both when both), plain call otherwise. *)
 
-val event : ctx -> kind:string -> (string * Json.t) list -> unit
-(** {!Registry.event} when metrics are on, dropped otherwise. *)
-
 val reporter :
   ctx -> ?interval:int -> ?total:int -> label:string -> unit -> Progress.t option
 (** A {!Progress} reporter when [ctx.progress], [None] otherwise. *)

@@ -239,10 +239,6 @@ let lookup t ~kind ~version key =
               Stale (Printf.sprintf "format version %d, want %d" v version)
             else Hit payload)
 
-let count_hit t payload =
-  t.hits <- t.hits + 1;
-  t.bytes_read <- t.bytes_read + String.length payload
-
 let count_non_hit t ~kind ~key = function
   | Hit _ -> assert false
   | Miss -> t.misses <- t.misses + 1
@@ -265,17 +261,29 @@ let op_finish t slice ~bytes start =
   | None -> ()
   | Some tr -> Tracer.complete ~arg:bytes tr slice ~start
 
-let read t ~kind ~version key =
+(* The one lookup path: on a CRC-valid payload the decoder rejects,
+   count the entry as damaged, not as a hit. *)
+let load_with t ~kind ~version ~decode key =
   let clk = op_start t in
   match lookup t ~kind ~version key with
-  | Hit payload ->
-      count_hit t payload;
-      op_finish t "store.hit" ~bytes:(String.length payload) clk;
-      Some payload
+  | Hit payload -> (
+      match decode payload with
+      | v ->
+          let bytes = String.length payload in
+          t.hits <- t.hits + 1;
+          t.bytes_read <- t.bytes_read + bytes;
+          op_finish t "store.hit" ~bytes clk;
+          Some v
+      | exception Corrupt reason ->
+          count_non_hit t ~kind ~key (Damaged reason);
+          op_finish t "store.miss" ~bytes:0 clk;
+          None)
   | other ->
       count_non_hit t ~kind ~key other;
       op_finish t "store.miss" ~bytes:0 clk;
       None
+
+let read t ~kind ~version key = load_with t ~kind ~version ~decode:Fun.id key
 
 let tmp_counter = Atomic.make 0
 
@@ -314,26 +322,6 @@ let write t ~kind ~version key payload =
 
 (* ------------------------------------------------------------------ *)
 (* Typed artifacts. *)
-
-(* Typed load: on a CRC-valid payload the decoder rejects, count the
-   entry as damaged, not as a hit. *)
-let load_with t ~kind ~version ~decode key =
-  let clk = op_start t in
-  match lookup t ~kind ~version key with
-  | Hit payload -> (
-      match decode payload with
-      | v ->
-          count_hit t payload;
-          op_finish t "store.hit" ~bytes:(String.length payload) clk;
-          Some v
-      | exception Corrupt reason ->
-          count_non_hit t ~kind ~key (Damaged reason);
-          op_finish t "store.miss" ~bytes:0 clk;
-          None)
-  | other ->
-      count_non_hit t ~kind ~key other;
-      op_finish t "store.miss" ~bytes:0 clk;
-      None
 
 (* Chunked traces: a manifest record plus one CRC-checked container per
    segment. [load] adopts the validated segments as the recorder's

@@ -88,6 +88,21 @@ let test_registry_find () =
       ("cs", "codestitcher");
       ("ext-tsp", "exttsp");
     ];
+  (* no two algorithms share a name, slug or alias: each of them, in
+     either case, resolves to its own algorithm *)
+  List.iter
+    (fun a ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun query ->
+              match L.Algo.find query with
+              | Ok b ->
+                Alcotest.(check string) query a.L.Algo.name b.L.Algo.name
+              | Error msg -> Alcotest.failf "find %S: %s" query msg)
+            [ n; String.uppercase_ascii n ])
+        (a.L.Algo.name :: a.L.Algo.slug :: a.L.Algo.aliases))
+    (L.Algo.all ());
   (* an unknown name fails with the valid names spelled out *)
   match L.Algo.find "hotcold9000" with
   | Ok a -> Alcotest.failf "bogus name resolved to %s" a.L.Algo.name

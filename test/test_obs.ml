@@ -1,8 +1,6 @@
 module Obs = Stc_obs
 module Json = Stc_obs.Json
 module Registry = Stc_obs.Registry
-module Counter = Stc_obs.Metric.Counter
-module Gauge = Stc_obs.Metric.Gauge
 module E = Stc_core.Experiments
 module Pipeline = Stc_core.Pipeline
 
@@ -60,12 +58,12 @@ let test_diff_ignores () =
   in
   let a =
     export (fun reg ->
-        Counter.add (Registry.counter reg "engine.runs") 2;
+        Registry.add reg "engine.runs" 2;
         Registry.span reg "study" (fun () -> ()))
   in
   let b =
     export (fun reg ->
-        Counter.add (Registry.counter reg "engine.runs") 2;
+        Registry.add reg "engine.runs" 2;
         Registry.span reg "study" (fun () ->
             Registry.span reg "layout-ops" (fun () -> ()));
         Registry.event reg ~kind:"study.cell" [ ("n", Json.Int 1) ])
@@ -79,17 +77,37 @@ let test_diff_ignores () =
   Alcotest.(check int) "a parent's name does not hide its child" 1
     (List.length (drift [ "study" ]))
 
+(* Events pair by position in the export, whatever their kind: the same
+   three events with their kinds interleaved differently drift. *)
+let test_diff_event_order () =
+  let export kinds =
+    let reg = Registry.create ~clock:(fun () -> 0.0) () in
+    List.iter
+      (fun (kind, n) -> Registry.event reg ~kind [ ("n", Json.Int n) ])
+      kinds;
+    Json.lines (Obs.Export.to_jsonl reg)
+  in
+  let a = export [ ("cell", 1); ("store.warning", 2); ("cell", 3) ]
+  and b = export [ ("cell", 1); ("cell", 3); ("store.warning", 2) ] in
+  let drift a b = fst (Obs.Diff.diff_records ~a_label:"a" ~b_label:"b" a b) in
+  Alcotest.(check (list string)) "same order" [] (drift a a);
+  Alcotest.(check bool) "interleaving drifts" true (drift a b <> [])
+
 (* ---------- registry ---------- *)
 
 let test_registry_roundtrip () =
   let reg = Registry.create ~clock:(fun () -> 0.0) () in
-  let c = Registry.counter reg "sim.runs" in
-  Counter.add c 7;
-  Alcotest.(check bool) "interned" true (Registry.counter reg "sim.runs" == c);
-  Gauge.set (Registry.gauge reg "sim.sf") 0.5;
+  Registry.add reg "sim.runs" 3;
+  Registry.add reg "sim.runs" 4;
+  Registry.add reg "sim.zero" 0;
+  Registry.set reg "sim.sf" 0.25;
+  Registry.set reg "sim.sf" 0.5;
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument "Stc_obs.Registry: \"sim.runs\" is not a gauge")
-    (fun () -> ignore (Registry.gauge reg "sim.runs"));
+    (fun () -> Registry.set reg "sim.runs" 1.0);
+  Alcotest.check_raises "kind mismatch rejected"
+    (Invalid_argument "Stc_obs.Registry: \"sim.sf\" is not a counter")
+    (fun () -> Registry.add reg "sim.sf" 1);
   (* export -> parse -> values survive *)
   let records = Json.lines (Obs.Export.to_jsonl reg) in
   let find name =
@@ -97,9 +115,15 @@ let test_registry_roundtrip () =
       (fun r -> Json.member "name" r = Some (Json.Str name))
       records
   in
-  (match find "sim.runs" with
-  | Some r -> Alcotest.(check bool) "counter value" true (Json.member "value" r = Some (Json.Int 7))
-  | None -> Alcotest.fail "sim.runs not exported");
+  let check_counter name v =
+    match find name with
+    | Some r ->
+      Alcotest.(check bool) (name ^ " value") true
+        (Json.member "value" r = Some (Json.Int v))
+    | None -> Alcotest.failf "%s not exported" name
+  in
+  check_counter "sim.runs" 7;
+  check_counter "sim.zero" 0;
   match find "sim.sf" with
   | Some r ->
     Alcotest.(check bool) "gauge value" true
@@ -155,8 +179,8 @@ let test_span_nesting () =
 let test_export_golden () =
   let t = ref 0.0 in
   let reg = Registry.create ~clock:(fun () -> !t) () in
-  Counter.add (Registry.counter reg "a.hits") 3;
-  Gauge.set (Registry.gauge reg "g") 1.5;
+  Registry.add reg "a.hits" 3;
+  Registry.set reg "g" 1.5;
   Registry.span reg "build" (fun () ->
       t := !t +. 0.5;
       Registry.span reg "inner" (fun () -> t := !t +. 0.5);
@@ -255,6 +279,8 @@ let suite =
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects;
     Alcotest.test_case "diff ignore prefixes" `Quick test_diff_ignores;
+    Alcotest.test_case "diff pairs events in export order" `Quick
+      test_diff_event_order;
     Alcotest.test_case "registry roundtrip" `Quick test_registry_roundtrip;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "export golden" `Quick test_export_golden;

@@ -3,9 +3,11 @@
 
      metrics_diff A.jsonl B.jsonl [--tolerance PCT] [--ignore PREFIX]...
 
-   Compared: counters, gauges, span call counts, and every numeric/string
-   field of events (paired per kind, in order); the comparison itself lives in Stc_obs.Diff, shared with the
-   golden-regression harness (tools/golden). Ignored: span "seconds"
+   Compared: counters, gauges, span call counts, and every field of
+   events, kind included (paired by position in the export, so events
+   that interleave differently drift); the comparison itself lives in
+   Stc_obs.Diff, shared with the golden-regression harness
+   (tools/golden). Ignored: span "seconds"
    (wall clock is never deterministic), plus any metric whose name, event
    whose kind or span whose own name (last path component) starts with an
    --ignore prefix. The canonical use is "--ignore store." to compare a
