@@ -15,7 +15,7 @@
                                  Stc_store)
 
    The [fetch] part is the fetch-replay microbench: it times a slice of
-   simulation cells through Engine.run_packed (a bank of one per cell,
+   simulation cells through Engine.Bank.run_packed (a bank of one per cell,
    plus a --jobs N parallel replay that must reproduce the serial
    results), prints blocks/sec and writes the numbers to
    BENCH_fetch.json with a "provenance" record (Meta.provenance: git
@@ -217,8 +217,9 @@ let fetch_bench () =
   let bps wall = float_of_int total_blocks /. wall in
   let replay ?ctx compiled (layout, mk) =
     let icache, tc = mk () in
-    F.Engine.run_packed ?ctx ?icache ?trace_cache:tc
-      (List.assq layout compiled)
+    (F.Engine.Bank.run_packed ?ctx
+       [| F.Engine.Bank.spec ?icache ?trace_cache:tc () |]
+       (List.assq layout compiled)).(0)
   in
   Printf.printf "  %d cells (%d layouts x %d variants), %d blocks each\n%!"
     n_cells (List.length layouts) (List.length variants) blocks;
@@ -319,8 +320,9 @@ let stream_bench () =
         List.map
           (fun (layout, mk) ->
             let icache, tc = mk () in
-            F.Engine.run_packed ?icache ?trace_cache:tc
-              (List.assq layout compiled))
+            (F.Engine.Bank.run_packed
+               [| F.Engine.Bank.spec ?icache ?trace_cache:tc () |]
+               (List.assq layout compiled)).(0))
           cells)
   in
   let tables =

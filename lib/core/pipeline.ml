@@ -57,22 +57,26 @@ let seeded seed (config : config) =
 
 (* Hex hash of every field that determines the recorded traces; trace
    keys in the artifact store combine it with the built program's
-   [Stc_store.Fp.program]. *)
-let config_fingerprint (config : config) =
+   [Stc_store.Fp.program]. The patterns bind every field, so a new one
+   does not compile until it is hashed. *)
+let config_fingerprint
+    { kernel =
+        { Kernel.seed; n_l2; n_l3; n_l4; n_parser; n_optimizer; n_filler;
+          filler_instrs };
+      sf; data_seed; walker_seed; frames } =
   let open Stc_util.Fnv in
-  let k = config.kernel in
-  let h = int64 empty k.Kernel.seed in
-  let h = int h k.Kernel.n_l2 in
-  let h = int h k.Kernel.n_l3 in
-  let h = int h k.Kernel.n_l4 in
-  let h = int h k.Kernel.n_parser in
-  let h = int h k.Kernel.n_optimizer in
-  let h = int h k.Kernel.n_filler in
-  let h = int h k.Kernel.filler_instrs in
-  let h = float h config.sf in
-  let h = int64 h config.data_seed in
-  let h = int64 h config.walker_seed in
-  let h = int h config.frames in
+  let h = int64 empty seed in
+  let h = int h n_l2 in
+  let h = int h n_l3 in
+  let h = int h n_l4 in
+  let h = int h n_parser in
+  let h = int h n_optimizer in
+  let h = int h n_filler in
+  let h = int h filler_instrs in
+  let h = float h sf in
+  let h = int64 h data_seed in
+  let h = int64 h walker_seed in
+  let h = int h frames in
   let queries h qs = List.fold_left int (int h (List.length qs)) qs in
   let h = queries h Stc_workload.Queries.training_set in
   let h = queries h Stc_workload.Queries.test_set in

@@ -1,6 +1,10 @@
 module Probe = Stc_trace.Probe
 module Skeleton = Stc_trace.Skeleton
 
+(* The [ExecProcNode] dispatch targets. ExecMergeJoin and ExecMaterial
+   run in no plan but stay, here and in [skeletons], for program
+   identity: removing either would change ExecProcNode's dispatch and
+   renumber every later block of the synthetic kernel. *)
 let op_names =
   [
     "ExecSeqScan";
@@ -188,101 +192,6 @@ let hashjoin_next st () =
   done;
   !result
 
-let k_mergejoin = Probe.key "ExecMergeJoin"
-
-type mergejoin_state = {
-  mj_outer : node;
-  mj_inner : node;
-  mj_outer_col : int;
-  mj_inner_col : int;
-  mj_quals : Expr.t list;
-  mutable mj_outer_tuple : int array option;
-  mutable mj_lookahead : int array option;
-  mutable mj_inner_started : bool;
-  mutable mj_group : int array array;
-  mutable mj_group_key : int option;
-  mutable mj_group_complete : bool;
-  mutable mj_group_pos : int;
-  mutable mj_group_acc : int array list; (* reversed accumulation *)
-  mutable mj_done : bool;
-}
-
-let mergejoin_next st () =
-  Probe.routine k_mergejoin @@ fun () ->
-  let result = ref None in
-  let outer_key () =
-    match st.mj_outer_tuple with
-    | Some t -> t.(st.mj_outer_col)
-    | None -> assert false
-  in
-  let lookahead_key () =
-    match st.mj_lookahead with
-    | Some t -> Some t.(st.mj_inner_col)
-    | None -> None
-  in
-  let pull_inner () =
-    let t = proc_node st.mj_inner in
-    st.mj_lookahead <- t;
-    st.mj_inner_started <- true
-  in
-  while Probe.cond "mj_loop" (!result = None && not st.mj_done) do
-    if Probe.cond "mj_need_outer" (st.mj_outer_tuple = None) then begin
-      let ot = proc_node st.mj_outer in
-      if Probe.cond "mj_outer_got" (ot <> None) then begin
-        st.mj_outer_tuple <- ot;
-        st.mj_group_pos <- 0
-      end
-      else st.mj_done <- true
-    end
-    else if
-      Probe.cond "mj_group_ready"
-        (st.mj_group_complete && st.mj_group_key = Some (outer_key ()))
-    then begin
-      if Probe.cond "mj_group_more" (st.mj_group_pos < Array.length st.mj_group)
-      then begin
-        let joined =
-          Tuple.concat
-            (Option.get st.mj_outer_tuple)
-            st.mj_group.(st.mj_group_pos)
-        in
-        st.mj_group_pos <- st.mj_group_pos + 1;
-        if Probe.cond "mj_pass" (Expr.qual st.mj_quals joined) then
-          result := Some joined
-      end
-      else st.mj_outer_tuple <- None
-    end
-    else if
-      Probe.cond "mj_inner_behind"
-        ((not st.mj_inner_started)
-        || match lookahead_key () with
-           | Some k -> k < outer_key ()
-           | None -> false)
-    then pull_inner ()
-    else if
-      Probe.cond "mj_keys_equal" (lookahead_key () = Some (outer_key ()))
-    then begin
-      (* absorb the lookahead into the (possibly new) inner group *)
-      if st.mj_group_key <> Some (outer_key ()) || st.mj_group_complete then begin
-        st.mj_group_acc <- [];
-        st.mj_group_key <- Some (outer_key ());
-        st.mj_group_complete <- false
-      end;
-      st.mj_group_acc <- Option.get st.mj_lookahead :: st.mj_group_acc;
-      pull_inner ();
-      if lookahead_key () <> st.mj_group_key then begin
-        st.mj_group <- Array.of_list (List.rev st.mj_group_acc);
-        st.mj_group_complete <- true;
-        st.mj_group_pos <- 0
-      end
-    end
-    else begin
-      (* inner side is ahead (or exhausted): this outer tuple matches
-         nothing *)
-      st.mj_outer_tuple <- None
-    end
-  done;
-  !result
-
 let k_sort = Probe.key "ExecSort"
 
 let k_performsort = Probe.key "tuplesort_performsort"
@@ -369,20 +278,14 @@ let sort_next st () =
 
 (* --- aggregation --- *)
 
-type agg_acc = {
-  spec : Plan.agg;
-  mutable count : int;
-  mutable sum : int;
-  mutable minv : int;
-  mutable maxv : int;
-}
+type agg_acc = { spec : Plan.agg; mutable count : int; mutable sum : int }
 
-let fresh_acc spec = { spec; count = 0; sum = 0; minv = max_int; maxv = min_int }
+let fresh_acc spec = { spec; count = 0; sum = 0 }
 
 let agg_expr spec =
   match spec with
   | Plan.Count -> Expr.Const 1
-  | Plan.Sum e | Plan.Min e | Plan.Max e | Plan.Avg e -> e
+  | Plan.Sum e | Plan.Avg e -> e
 
 let k_advance = Probe.key "advance_aggregates"
 
@@ -395,8 +298,6 @@ let advance_aggregates accs tuple =
       let v = Expr.eval (agg_expr acc.spec) tuple in
       acc.count <- acc.count + 1;
       acc.sum <- acc.sum + v;
-      if v < acc.minv then acc.minv <- v;
-      if v > acc.maxv then acc.maxv <- v;
       remaining := rest
     | [] -> assert false
   done
@@ -405,8 +306,6 @@ let finalize_acc acc =
   match acc.spec with
   | Plan.Count -> acc.count
   | Plan.Sum _ -> acc.sum
-  | Plan.Min _ -> if acc.count = 0 then 0 else acc.minv
-  | Plan.Max _ -> if acc.count = 0 then 0 else acc.maxv
   | Plan.Avg _ -> if acc.count = 0 then 0 else acc.sum / acc.count
 
 let k_agg = Probe.key "ExecAgg"
@@ -505,42 +404,6 @@ let limit_next st () =
   end
   else None
 
-let k_material = Probe.key "ExecMaterial"
-
-type material_state = {
-  ma_child : node;
-  mutable ma_buf : int array array;
-  mutable ma_n : int;
-  mutable ma_input_done : bool;
-  mutable ma_pos : int;
-}
-
-let material_append st t =
-  if st.ma_n = Array.length st.ma_buf then begin
-    let buf = Array.make (max 16 (2 * st.ma_n)) [||] in
-    Array.blit st.ma_buf 0 buf 0 st.ma_n;
-    st.ma_buf <- buf
-  end;
-  st.ma_buf.(st.ma_n) <- t;
-  st.ma_n <- st.ma_n + 1
-
-let material_next st () =
-  Probe.routine k_material @@ fun () ->
-  let result = ref None and done_ = ref false in
-  while Probe.cond "mat_loop" (!result = None && not !done_) do
-    if Probe.cond "mat_have_buf" (st.ma_pos < st.ma_n) then begin
-      result := Some st.ma_buf.(st.ma_pos);
-      st.ma_pos <- st.ma_pos + 1
-    end
-    else if Probe.cond "mat_can_fill" (not st.ma_input_done) then begin
-      let t = proc_node st.ma_child in
-      if Probe.cond "mat_got" (t <> None) then material_append st (Option.get t)
-      else st.ma_input_done <- true
-    end
-    else done_ := true
-  done;
-  !result
-
 let k_result = Probe.key "ExecResult"
 
 let result_next child exprs () =
@@ -566,22 +429,20 @@ let rec init_node db (plan : Plan.t) : node =
   Probe.routine k_initnode @@ fun () ->
   let children_left = ref (match plan with
     | Plan.Seq_scan _ | Plan.Index_scan _ -> 0
-    | Plan.Nest_loop _ | Plan.Hash_join _ | Plan.Merge_join _ -> 2
+    | Plan.Nest_loop _ | Plan.Hash_join _ -> 2
     | _ -> 1)
   in
   let inited = ref [] in
   let child_plans =
     match plan with
     | Plan.Seq_scan _ | Plan.Index_scan _ -> []
-    | Plan.Nest_loop { outer; inner; _ }
-    | Plan.Hash_join { outer; inner; _ }
-    | Plan.Merge_join { outer; inner; _ } ->
+    | Plan.Nest_loop { outer; inner; _ } | Plan.Hash_join { outer; inner; _ }
+      ->
       [ outer; inner ]
     | Plan.Sort { child; _ }
     | Plan.Agg { child; _ }
     | Plan.Group { child; _ }
     | Plan.Limit { child; _ }
-    | Plan.Material { child; _ }
     | Plan.Result { child; _ } ->
       [ child ]
   in
@@ -680,26 +541,6 @@ and build_node db plan children ~pre_scan =
           st.hj_done <- false;
           outer.rescan_fn param);
     }
-  | Plan.Merge_join { outer_col; inner_col; quals; _ }, [ outer; inner ] ->
-    let st =
-      {
-        mj_outer = outer;
-        mj_inner = inner;
-        mj_outer_col = outer_col;
-        mj_inner_col = inner_col;
-        mj_quals = quals;
-        mj_outer_tuple = None;
-        mj_lookahead = None;
-        mj_inner_started = false;
-        mj_group = [||];
-        mj_group_key = None;
-        mj_group_complete = false;
-        mj_group_pos = 0;
-        mj_group_acc = [];
-        mj_done = false;
-      }
-    in
-    { next_fn = mergejoin_next st; rescan_fn = dummy_rescan }
   | Plan.Sort { cols; _ }, [ child ] ->
     let st =
       {
@@ -744,11 +585,6 @@ and build_node db plan children ~pre_scan =
           st.li_count <- 0;
           child.rescan_fn param);
     }
-  | Plan.Material _, [ child ] ->
-    let st =
-      { ma_child = child; ma_buf = [||]; ma_n = 0; ma_input_done = false; ma_pos = 0 }
-    in
-    { next_fn = material_next st; rescan_fn = (fun _ -> st.ma_pos <- 0) }
   | Plan.Result { exprs; _ }, [ child ] ->
     { next_fn = result_next child exprs; rescan_fn = child.rescan_fn }
   | _ -> invalid_arg "Exec.build_node: arity mismatch"
@@ -875,6 +711,8 @@ let skeletons =
             ];
           straight 1;
         ] );
+    (* Never executed, like the kernel's filler; kept for program
+       identity (see [op_names]). *)
     ( "ExecMergeJoin",
       e,
       Skeleton.
@@ -1013,6 +851,7 @@ let skeletons =
             [ straight 1 ];
           straight 1;
         ] );
+    (* Never executed; kept for program identity (see [op_names]). *)
     ( "ExecMaterial",
       e,
       Skeleton.

@@ -10,8 +10,8 @@ val run : Database.t -> Plan.t -> int array list
     ([ExecutorStart]/[ExecInitNode]), then pull tuples through
     [ExecProcNode] to completion. *)
 
-val op_names : string list
-(** All executor operator routine names (the [ExecProcNode] dispatch
-    targets). *)
-
 val skeletons : (string * Stc_cfg.Proc.subsystem * Stc_trace.Skeleton.t) list
+(** Every executor routine, [ExecMergeJoin] and [ExecMaterial]
+    included: no plan runs those two, but the synthetic kernel is built
+    from this list in order, so dropping either would renumber every
+    later block and change every trace, layout and result. *)

@@ -4,7 +4,6 @@ module Skeleton = Stc_trace.Skeleton
 type t =
   | Col of int
   | Const of int
-  | Add of t * t
   | Sub of t * t
   | Mul of t * t
   | Div of t * t
@@ -49,14 +48,12 @@ let rec eval e tuple =
   else if
     Probe.cond "is_binary"
       (match e with
-      | Add _ | Sub _ | Mul _ | Div _ | Eq _ | Ne _ | Lt _ | Le _ | Gt _
-      | Ge _ ->
+      | Sub _ | Mul _ | Div _ | Eq _ | Ne _ | Lt _ | Le _ | Gt _ | Ge _ ->
         true
       | _ -> false)
   then begin
     let l, r =
       match e with
-      | Add (l, r)
       | Sub (l, r)
       | Mul (l, r)
       | Div (l, r)
@@ -72,7 +69,6 @@ let rec eval e tuple =
     let lv = eval l tuple in
     let rv = eval r tuple in
     match e with
-    | Add _ -> lv + rv
     | Sub _ -> lv - rv
     | Mul _ -> lv * rv
     | Div _ -> if rv = 0 then 0 else lv / rv

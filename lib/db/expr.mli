@@ -5,7 +5,6 @@
 type t =
   | Col of int  (** Attribute of the current (possibly joined) tuple. *)
   | Const of int
-  | Add of t * t
   | Sub of t * t
   | Mul of t * t
   | Div of t * t  (** Integer division; division by zero yields 0. *)

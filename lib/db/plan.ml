@@ -3,7 +3,7 @@ type key =
   | Key_outer_eq of int
   | Key_range of int option * int option
 
-type agg = Count | Sum of Expr.t | Min of Expr.t | Max of Expr.t | Avg of Expr.t
+type agg = Count | Sum of Expr.t | Avg of Expr.t
 
 type t =
   | Seq_scan of { table : string; quals : Expr.t list }
@@ -21,16 +21,8 @@ type t =
       inner_col : int;
       quals : Expr.t list;
     }
-  | Merge_join of {
-      outer : t;
-      inner : t;
-      outer_col : int;
-      inner_col : int;
-      quals : Expr.t list;
-    }
   | Sort of { child : t; cols : (int * bool) list }
   | Agg of { child : t; aggs : agg list }
   | Group of { child : t; cols : int list; aggs : agg list }
   | Limit of { child : t; limit : int }
-  | Material of { child : t }
   | Result of { child : t; exprs : Expr.t list }

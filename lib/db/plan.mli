@@ -14,12 +14,7 @@ type key =
   | Key_range of int option * int option
       (** Inclusive range; B-tree indexes only. *)
 
-type agg =
-  | Count
-  | Sum of Expr.t
-  | Min of Expr.t
-  | Max of Expr.t
-  | Avg of Expr.t
+type agg = Count | Sum of Expr.t | Avg of Expr.t
 
 type t =
   | Seq_scan of { table : string; quals : Expr.t list }
@@ -37,13 +32,6 @@ type t =
       inner_col : int;
       quals : Expr.t list;
     }
-  | Merge_join of {
-      outer : t;
-      inner : t;
-      outer_col : int;
-      inner_col : int;
-      quals : Expr.t list;
-    }  (** Both inputs must be sorted ascending on their join column. *)
   | Sort of { child : t; cols : (int * bool) list }
       (** [(column, descending)] sort keys. *)
   | Agg of { child : t; aggs : agg list }
@@ -51,5 +39,4 @@ type t =
       (** Input must arrive sorted by [cols]; output rows are the group
           columns followed by the aggregate values. *)
   | Limit of { child : t; limit : int }
-  | Material of { child : t }
   | Result of { child : t; exprs : Expr.t list }  (** Final projection. *)

@@ -69,27 +69,32 @@ let miss_rate_pct r =
   if r.instrs = 0 then 0.0
   else 100.0 *. float_of_int r.icache_misses /. float_of_int r.instrs
 
-let result_fields r =
+(* Binds every field, so a new one does not compile until it is listed. *)
+let result_fields
+    { instrs; cycles; fetch_cycles; seq_cycles; tc_cycles; icache_accesses;
+      icache_misses; icache_victim_hits; tc_lookups; tc_hits; taken_branches;
+      instrs_between_taken; cond_branches; mispredictions; icache_evictions;
+      prefetch_issued; prefetch_completed; prefetch_late; prefetch_useful } =
   [
-    ("instrs", float_of_int r.instrs);
-    ("cycles", float_of_int r.cycles);
-    ("fetch_cycles", float_of_int r.fetch_cycles);
-    ("seq_cycles", float_of_int r.seq_cycles);
-    ("tc_cycles", float_of_int r.tc_cycles);
-    ("icache_accesses", float_of_int r.icache_accesses);
-    ("icache_misses", float_of_int r.icache_misses);
-    ("icache_victim_hits", float_of_int r.icache_victim_hits);
-    ("tc_lookups", float_of_int r.tc_lookups);
-    ("tc_hits", float_of_int r.tc_hits);
-    ("taken_branches", float_of_int r.taken_branches);
-    ("instrs_between_taken", r.instrs_between_taken);
-    ("cond_branches", float_of_int r.cond_branches);
-    ("mispredictions", float_of_int r.mispredictions);
-    ("icache_evictions", float_of_int r.icache_evictions);
-    ("prefetch_issued", float_of_int r.prefetch_issued);
-    ("prefetch_completed", float_of_int r.prefetch_completed);
-    ("prefetch_late", float_of_int r.prefetch_late);
-    ("prefetch_useful", float_of_int r.prefetch_useful);
+    ("instrs", float_of_int instrs);
+    ("cycles", float_of_int cycles);
+    ("fetch_cycles", float_of_int fetch_cycles);
+    ("seq_cycles", float_of_int seq_cycles);
+    ("tc_cycles", float_of_int tc_cycles);
+    ("icache_accesses", float_of_int icache_accesses);
+    ("icache_misses", float_of_int icache_misses);
+    ("icache_victim_hits", float_of_int icache_victim_hits);
+    ("tc_lookups", float_of_int tc_lookups);
+    ("tc_hits", float_of_int tc_hits);
+    ("taken_branches", float_of_int taken_branches);
+    ("instrs_between_taken", instrs_between_taken);
+    ("cond_branches", float_of_int cond_branches);
+    ("mispredictions", float_of_int mispredictions);
+    ("icache_evictions", float_of_int icache_evictions);
+    ("prefetch_issued", float_of_int prefetch_issued);
+    ("prefetch_completed", float_of_int prefetch_completed);
+    ("prefetch_late", float_of_int prefetch_late);
+    ("prefetch_useful", float_of_int prefetch_useful);
   ]
 
 (* Packed-word decoders over {!Packed}'s field constants. They live here
@@ -123,7 +128,7 @@ let traced ctx name f =
    is driven by a single sweep over a {!Stream} of packed pieces whose
    concatenation is the trace, so N cells over the same layout decode
    and pull each packed word once instead of N times; a solo replay
-   ([run_packed], [run]) is a bank of one.
+   ([run]) is a bank of one.
 
    The key structural fact (checked field by field against the
    shared-nothing Stc_check oracle, by the QCheck bank properties and by
@@ -661,11 +666,6 @@ module Bank = struct
 end
 
 (* A solo replay is a bank of one. *)
-let run_packed ?ctx ?config ?icache ?trace_cache ?prediction packed =
-  (Bank.run_segments ?ctx ~name:"engine.run_packed"
-     [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]
-     (Stream.of_packed packed)).(0)
-
 let run ?config ?icache ?trace_cache ?prediction view =
   (Bank.run_stream
      [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]

@@ -111,26 +111,14 @@ val run :
     [run] is a {!Bank} of one fed by {!View.stream}; its arguments are
     checked as {!Bank.spec} checks them. *)
 
-val run_packed :
-  ?ctx:Stc_obs.Run.ctx ->
-  ?config:config ->
-  ?icache:Stc_cachesim.Icache.t ->
-  ?trace_cache:Tracecache.t ->
-  ?prediction:prediction ->
-  Packed.t ->
-  result
-(** The same simulation over a compiled image: a {!Bank} of one
-    ({!Bank.spec} of the optional arguments) fed by
-    {!Stream.of_packed}. With tracing on, the replay runs inside an
-    [engine.run_packed] span. *)
-
 (** Fused replay, and the only engine core: a bank of independent
     per-config engine states (i-cache with optional victim buffer,
     trace cache, direction predictor, FDIP frontend, SEQ.3
     cycle-grouping cursor) advanced from a {e single} sweep over the
     trace, so N configurations over the same layout decode and pull
-    each packed word once instead of N times. {!run} and {!run_packed}
-    are banks of one.
+    each packed word once instead of N times. {!run} is a bank of one,
+    and a compiled image replays solo as {!Bank.run_packed} over a
+    one-spec array.
 
     Per-slot results do not depend on what else shares the bank: a
     bank of N equals N banks of one (property-tested), and every slot
@@ -177,7 +165,7 @@ module Bank : sig
     ?prediction:prediction ->
     unit ->
     spec
-  (** Same defaults as {!run_packed}'s optional arguments. The i-cache's
+  (** Same defaults as {!run}'s optional arguments. The i-cache's
       line is the engine's (a SEQ.3 cycle fetches two consecutive
       [config.line_bytes] lines, and {!Fdip} prefetches the cache's
       lines): raises [Invalid_argument] naming both when

@@ -525,27 +525,34 @@ module Result = struct
      Stale and re-simulate, never as silently-zeroed results *)
   let version = 2
 
-  let encode (r : Engine.result) =
+  (* binds every field, so a new one does not compile until it is
+     encoded *)
+  let encode
+      { Engine.instrs; cycles; fetch_cycles; seq_cycles; tc_cycles;
+        icache_accesses; icache_misses; icache_victim_hits; tc_lookups;
+        tc_hits; taken_branches; instrs_between_taken; cond_branches;
+        mispredictions; icache_evictions; prefetch_issued; prefetch_completed;
+        prefetch_late; prefetch_useful } =
     let b = Buffer.create 128 in
-    Enc.varint b r.Engine.instrs;
-    Enc.varint b r.Engine.cycles;
-    Enc.varint b r.Engine.fetch_cycles;
-    Enc.varint b r.Engine.seq_cycles;
-    Enc.varint b r.Engine.tc_cycles;
-    Enc.varint b r.Engine.icache_accesses;
-    Enc.varint b r.Engine.icache_misses;
-    Enc.varint b r.Engine.icache_victim_hits;
-    Enc.varint b r.Engine.tc_lookups;
-    Enc.varint b r.Engine.tc_hits;
-    Enc.varint b r.Engine.taken_branches;
-    Enc.float b r.Engine.instrs_between_taken;
-    Enc.varint b r.Engine.cond_branches;
-    Enc.varint b r.Engine.mispredictions;
-    Enc.varint b r.Engine.icache_evictions;
-    Enc.varint b r.Engine.prefetch_issued;
-    Enc.varint b r.Engine.prefetch_completed;
-    Enc.varint b r.Engine.prefetch_late;
-    Enc.varint b r.Engine.prefetch_useful;
+    Enc.varint b instrs;
+    Enc.varint b cycles;
+    Enc.varint b fetch_cycles;
+    Enc.varint b seq_cycles;
+    Enc.varint b tc_cycles;
+    Enc.varint b icache_accesses;
+    Enc.varint b icache_misses;
+    Enc.varint b icache_victim_hits;
+    Enc.varint b tc_lookups;
+    Enc.varint b tc_hits;
+    Enc.varint b taken_branches;
+    Enc.float b instrs_between_taken;
+    Enc.varint b cond_branches;
+    Enc.varint b mispredictions;
+    Enc.varint b icache_evictions;
+    Enc.varint b prefetch_issued;
+    Enc.varint b prefetch_completed;
+    Enc.varint b prefetch_late;
+    Enc.varint b prefetch_useful;
     Buffer.contents b
 
   let decode payload =
@@ -651,16 +658,18 @@ module Fp = struct
 
   (* The algorithm identity AND its full parameter record: two registered
      algorithms given identical profiles — or one algorithm at two grid
-     points — can never collide on a cached layout artifact. *)
-  let layout_algo ~algo (p : Stc_layout.Algo.params) =
+     points — can never collide on a cached layout artifact. The
+     patterns bind every field, so a new one does not compile until it
+     is hashed. *)
+  let layout_algo ~algo
+      { Stc_layout.Algo.seq =
+          { Stc_layout.Seqbuild.exec_threshold; branch_threshold };
+        cache_bytes; cfa_bytes } =
     let h = Fnv.string (Fnv.int Fnv.empty (String.length algo)) algo in
-    let h = Fnv.int h p.Stc_layout.Algo.seq.Stc_layout.Seqbuild.exec_threshold in
-    let h =
-      Fnv.int64 h
-        (Int64.bits_of_float p.Stc_layout.Algo.seq.Stc_layout.Seqbuild.branch_threshold)
-    in
-    let h = Fnv.int h p.Stc_layout.Algo.cache_bytes in
-    let h = Fnv.int h p.Stc_layout.Algo.cfa_bytes in
+    let h = Fnv.int h exec_threshold in
+    let h = Fnv.int64 h (Int64.bits_of_float branch_threshold) in
+    let h = Fnv.int h cache_bytes in
+    let h = Fnv.int h cfa_bytes in
     Fnv.to_hex h
 
   let trace r =
@@ -673,23 +682,26 @@ module Fp = struct
     in
     Fnv.to_hex h
 
-  let engine_config (c : Engine.config) =
+  (* The patterns bind every field, so a new one does not compile until
+     it is hashed. *)
+  let engine_config
+      { Engine.Config.max_branches; line_bytes; miss_penalty; fdip } =
     let h =
       Fnv.empty
-      |> Fun.flip Fnv.int c.Engine.Config.max_branches
-      |> Fun.flip Fnv.int c.Engine.Config.line_bytes
-      |> Fun.flip Fnv.int c.Engine.Config.miss_penalty
+      |> Fun.flip Fnv.int max_branches
+      |> Fun.flip Fnv.int line_bytes
+      |> Fun.flip Fnv.int miss_penalty
     in
     (* folded only when present, so every pre-FDIP key is unchanged *)
     let h =
-      match c.Engine.Config.fdip with
+      match fdip with
       | None -> h
-      | Some f ->
+      | Some { Stc_fetch.Fdip.ftq_depth; mshrs; degree; latency } ->
         Fnv.int h 1
-        |> Fun.flip Fnv.int f.Stc_fetch.Fdip.ftq_depth
-        |> Fun.flip Fnv.int f.Stc_fetch.Fdip.mshrs
-        |> Fun.flip Fnv.int f.Stc_fetch.Fdip.degree
-        |> Fun.flip Fnv.int f.Stc_fetch.Fdip.latency
+        |> Fun.flip Fnv.int ftq_depth
+        |> Fun.flip Fnv.int mshrs
+        |> Fun.flip Fnv.int degree
+        |> Fun.flip Fnv.int latency
     in
     Fnv.to_hex h
 

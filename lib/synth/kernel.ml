@@ -31,7 +31,6 @@ let default_config =
 type t = {
   program : Stc_cfg.Program.t;
   code : Bytecode.t option array;
-  executor_ops : string list;
   parser_root : string;
   optimizer_root : string;
 }
@@ -200,7 +199,6 @@ let build ?(config = default_config) () =
   {
     program;
     code = code_arr;
-    executor_ops = Stc_db.Exec.op_names;
     parser_root;
     optimizer_root;
   }

@@ -23,8 +23,6 @@ type t = {
   code : Stc_trace.Bytecode.t option array;
       (** Bytecode per procedure id ([None] only for procedures that can
           never be walked — none, in the default assembly). *)
-  executor_ops : string list;
-      (** The Executor operation entry points (the "ops" seed selection). *)
   parser_root : string;
   optimizer_root : string;
 }

@@ -16,7 +16,6 @@ let rec eval e (tu : int array) =
   match e with
   | Expr.Col i -> tu.(i)
   | Expr.Const v -> v
-  | Expr.Add (l, r) -> eval l tu + eval r tu
   | Expr.Sub (l, r) -> eval l tu - eval r tu
   | Expr.Mul (l, r) -> eval l tu * eval r tu
   | Expr.Div (l, r) ->
@@ -47,14 +46,12 @@ let concat = Stc_db.Tuple.concat
 
 let agg_expr = function
   | Plan.Count -> Expr.Const 1
-  | Plan.Sum e | Plan.Min e | Plan.Max e | Plan.Avg e -> e
+  | Plan.Sum e | Plan.Avg e -> e
 
 let finalize spec values =
   match spec with
   | Plan.Count -> List.length values
   | Plan.Sum _ -> List.fold_left ( + ) 0 values
-  | Plan.Min _ -> List.fold_left min max_int values
-  | Plan.Max _ -> List.fold_left max min_int values
   | Plan.Avg _ ->
     if values = [] then 0
     else List.fold_left ( + ) 0 values / List.length values
@@ -129,15 +126,6 @@ let rec run_plan t param (plan : Plan.t) : int array list =
         |> List.map (concat ot)
         |> List.filter (quals_pass quals))
       outers
-  | Plan.Merge_join { outer; inner; outer_col; inner_col; quals } ->
-    let inners = run_plan t param inner in
-    let outers = run_plan t param outer in
-    List.concat_map
-      (fun ot ->
-        List.filter (fun it -> it.(inner_col) = ot.(outer_col)) inners
-        |> List.map (concat ot)
-        |> List.filter (quals_pass quals))
-      outers
   | Plan.Sort { child; cols } ->
     let rows = run_plan t param child in
     let cmp a b =
@@ -164,7 +152,6 @@ let rec run_plan t param (plan : Plan.t) : int array list =
   | Plan.Limit { child; limit } ->
     let rows = run_plan t param child in
     List.filteri (fun i _ -> i < limit) rows
-  | Plan.Material { child } -> run_plan t param child
   | Plan.Result { child; exprs } ->
     run_plan t param child
     |> List.map (fun tu -> Array.of_list (List.map (fun e -> eval e tu) exprs))

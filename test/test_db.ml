@@ -194,8 +194,8 @@ let prop_hash_vs_list =
 
 let test_expr_eval () =
   let tuple = [| 10; 20; 0 |] in
-  let e = Expr.Add (Expr.Col 0, Expr.Mul (Expr.Col 1, Expr.Const 3)) in
-  Alcotest.(check int) "arith" 70 (Expr.eval e tuple);
+  let e = Expr.Sub (Expr.Mul (Expr.Col 1, Expr.Const 3), Expr.Col 0) in
+  Alcotest.(check int) "arith" 50 (Expr.eval e tuple);
   Alcotest.(check int) "div by zero is 0" 0
     (Expr.eval (Expr.Div (Expr.Col 0, Expr.Col 2)) tuple);
   let holds e = Expr.eval e tuple <> 0 in

@@ -259,8 +259,9 @@ let test_engine_run_equals_run_packed () =
   in
   let a = F.Engine.run view in
   let b =
-    F.Engine.run_packed
-      (F.Packed.compile prog layout (Stc_trace.Source.of_recorder trace))
+    (F.Engine.Bank.run_packed
+       [| F.Engine.Bank.spec () |]
+       (F.Packed.compile prog layout (Stc_trace.Source.of_recorder trace))).(0)
   in
   Alcotest.(check bool) "equal" true (a = b)
 

@@ -5,7 +5,7 @@
      ideal/direct/2-way/victim/trace-cache variants, mixed engine
      configs, occasional direction prediction), a bank of N —
      Bank.run_packed over the image, Bank.run_stream over segments —
-     reproduces N banks of one (run_packed per spec): result records
+     reproduces N banks of one (one spec each): result records
      exactly, at every stride and at segment sizes down to 1 block. With
      N = 1 this is streamed replay against materialized replay;
    - Experiments: a store-warm subset (some cells cached from an
@@ -106,12 +106,7 @@ let mk_specs seed k () =
 (* N banks of one: each spec replayed alone. *)
 let solo_reference seed k packed =
   let specs = mk_specs seed k () in
-  Array.map
-    (fun sp ->
-      F.Engine.run_packed ~config:sp.Bank.config ?icache:sp.Bank.icache
-        ?trace_cache:sp.Bank.trace_cache ?prediction:sp.Bank.prediction
-        packed)
-    specs
+  Array.map (fun sp -> (Bank.run_packed [| sp |] packed).(0)) specs
 
 let prop_fused_equals_solo =
   QCheck.Test.make

@@ -347,9 +347,13 @@ let prop_fdip_off_identical =
       let layout = Test_fetch.random_layout prog layout_seed in
       let source () = Stc_trace.Source.of_recorder rec_ in
       let run config =
-        F.Engine.run_packed ~config
-          ~icache:(Icache.create ~size_bytes:1024 ())
-          (F.Packed.compile prog layout (source ()))
+        (F.Engine.Bank.run_packed
+           [|
+             F.Engine.Bank.spec ~config
+               ~icache:(Icache.create ~size_bytes:1024 ())
+               ();
+           |]
+           (F.Packed.compile prog layout (source ()))).(0)
       in
       let base = run F.Engine.Config.default in
       let explicit = run (F.Engine.Config.make ()) in

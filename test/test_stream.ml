@@ -4,7 +4,7 @@
    - property: over random programs, random traces and random segment
      sizes (1-block segments, a 1-block final segment, segment = trace
      length, empty trace), a bank of one over the stream reproduces
-     run_packed's result record exactly;
+     the one over the compiled image exactly;
    - empty trace: a stream with no blocks replays like an empty image;
    - memory boundedness: the streamed engine's resident high-water mark
      is a function of the segment size, not the trace length;
@@ -75,7 +75,9 @@ let mk_state () =
 let run_materialized prog layout trace =
   let icache, tc = mk_state () in
   let packed = F.Packed.compile prog layout (Source.of_array trace) in
-  F.Engine.run_packed ~icache ~trace_cache:tc packed
+  (F.Engine.Bank.run_packed
+     [| F.Engine.Bank.spec ~icache ~trace_cache:tc () |]
+     packed).(0)
 
 (* A bank of one over a segment stream. *)
 let replay_stream ?resident_hwm stream =

@@ -1,6 +1,7 @@
 (* List the values that lib/**/*.mli export and that no other
    compilation unit references, then those that only tests reference,
-   then the optional parameters that only tests pass.
+   then the optional parameters that only tests pass, then the variant
+   constructors that only tests build.
 
      dune build @check && dune exec tools/exports.exe
 
@@ -25,6 +26,15 @@
    ([let build = f ~ctx in build ~params x]) counts for [f]; an option
    passed to a function received as an argument does not.
 
+   Constructors are those of the variant types a .cmti under lib/
+   declares. An expression builds one when it applies it
+   ([Texp_construct]); a pattern that matches it does not count. Builds
+   from the declaring unit count, so a constructor is keyed by (unit,
+   type, constructor) rather than by uid, for the reason above. The type
+   is the last component of the constructor's result type, so two
+   variant types of one name in nested signatures of one unit share
+   keys.
+
    Prints one "Module.value  file:line" line per reported value, then
    "N of M interface values have no caller outside their module"; then
    the same listing for the values whose every outside reference comes
@@ -32,8 +42,11 @@
    values are called only from test/"; then one "Module.value ?label
    file:line" line per optional parameter that no call outside test/
    passes, ending "N of M optional parameters are passed only from test/
-   or never". The first list is a gate: the exit code is 1 when it is
-   non-empty (after all three lists are printed), 2 when there is no
+   or never"; then one "Module.Constructor (type)  file:line" line per
+   constructor that no expression outside test/ builds, ending "N of M
+   variant constructors are built only from test/ or never". The first
+   and the last list are gates: the exit code is 1 when either is
+   non-empty (after all four lists are printed), 2 when there is no
    build to read, and 0 otherwise. The other two lists are
    informational. *)
 
@@ -79,13 +92,43 @@ let rec optionals ty =
   | Tarrow (_, _, ret, _) -> optionals ret
   | _ -> []
 
+type ctor = {
+  c_key : string * string * string;  (* unit, type, constructor *)
+  c_name : string;  (* "Module.Constructor (type)" *)
+  c_loc : Location.t;
+}
+
 let declarations cmti =
   let unit_name = cmti.Cmt_format.cmt_modname in
-  let decls = ref [] in
+  let decls = ref [] and ctors = ref [] in
   let rec signature path (sg : Typedtree.signature) =
     List.iter
       (fun (item : Typedtree.signature_item) ->
         match item.sig_desc with
+        | Tsig_type (_, tds) ->
+            List.iter
+              (fun (td : Typedtree.type_declaration) ->
+                match td.typ_kind with
+                | Ttype_variant cds ->
+                    let ty = td.typ_name.txt in
+                    List.iter
+                      (fun (cd : Typedtree.constructor_declaration) ->
+                        let c = cd.cd_name.txt in
+                        ctors :=
+                          {
+                            c_key = (unit_name, ty, c);
+                            c_name =
+                              Printf.sprintf "%s (%s)"
+                                (String.concat "."
+                                   (display_name unit_name
+                                   :: List.rev (c :: path)))
+                                ty;
+                            c_loc = cd.cd_loc;
+                          }
+                          :: !ctors)
+                      cds
+                | _ -> ())
+              tds
         | Tsig_value vd ->
             let path = List.rev (vd.val_name.txt :: path) in
             decls :=
@@ -106,7 +149,7 @@ let declarations cmti =
       sg.sig_items
   in
   (match cmti.cmt_annots with Interface sg -> signature [] sg | _ -> ());
-  !decls
+  (!decls, !ctors)
 
 (* The implementation uid of the value at [path] in a unit's shape. *)
 let rec impl_uid (shape : Shape.t) path =
@@ -129,6 +172,8 @@ type refs = {
   passed_own : (Shape.Uid.t * string, unit) Hashtbl.t;
       (* (implementation uid, label) passed within the declaring unit *)
   shapes : (string, Shape.t) Hashtbl.t;  (* unit -> implementation shape *)
+  built : (string * string * string, bool) Hashtbl.t;
+      (* (unit, type, constructor) -> built from outside test/ *)
 }
 
 let note tbl key ~from_test =
@@ -136,7 +181,8 @@ let note tbl key ~from_test =
   Hashtbl.replace tbl key (outside || not from_test)
 
 (* Record every value uid that [cmt] references from outside the uid's
-   own unit, and every optional label a call names. *)
+   own unit, every optional label a call names, and every constructor
+   an expression builds. *)
 let references refs ~from_test (cmt : Cmt_format.cmt_infos) =
   let own uid =
     match uid with
@@ -157,6 +203,13 @@ let references refs ~from_test (cmt : Cmt_format.cmt_infos) =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) when not (own vd.val_uid) ->
         note refs.used vd.val_uid ~from_test
+    | Texp_construct (_, cd, _) -> (
+        match (cd.cstr_uid, Types.get_desc cd.cstr_res) with
+        | Shape.Uid.Item { comp_unit; _ }, Tconstr (path, _, _) ->
+            note refs.built
+              (comp_unit, Path.last path, cd.cstr_name)
+              ~from_test
+        | _ -> ())
     | _ -> ());
     (match e.exp_desc with
     | Texp_apply ({ exp_desc = Texp_ident (path, _, vd); _ }, args) ->
@@ -203,6 +256,7 @@ let () =
       passed = Hashtbl.create 1024;
       passed_own = Hashtbl.create 1024;
       shapes = Hashtbl.create 256;
+      built = Hashtbl.create 256;
     }
   in
   List.iter
@@ -210,11 +264,13 @@ let () =
       let from_test = String.starts_with ~prefix:test path in
       Option.iter (references refs ~from_test) (read_cmt path))
     (files_with ".cmt" root []);
-  let decls =
-    List.concat_map
-      (fun path -> Option.fold ~none:[] ~some:declarations (read_cmt path))
-      (files_with ".cmti" lib [])
+  let decls, ctors =
+    List.split
+      (List.filter_map
+         (fun path -> Option.map declarations (read_cmt path))
+         (files_with ".cmti" lib []))
   in
+  let decls = List.concat decls and ctors = List.concat ctors in
   let unused = List.filter (fun d -> not (Hashtbl.mem refs.used d.uid)) decls in
   print_values unused;
   Printf.printf
@@ -254,4 +310,16 @@ let () =
   Printf.printf
     "%d of %d optional parameters are passed only from test/ or never\n"
     (List.length unpassed) (List.length options);
-  if unused <> [] then exit 1
+  let unbuilt =
+    List.filter (fun c -> Hashtbl.find_opt refs.built c.c_key <> Some true) ctors
+  in
+  print_newline ();
+  List.iter
+    (fun c ->
+      Printf.printf "%s  %s:%d\n" c.c_name c.c_loc.loc_start.pos_fname
+        c.c_loc.loc_start.pos_lnum)
+    (List.sort (fun a b -> compare a.c_name b.c_name) unbuilt);
+  Printf.printf
+    "%d of %d variant constructors are built only from test/ or never\n"
+    (List.length unbuilt) (List.length ctors);
+  if unused <> [] || unbuilt <> [] then exit 1
