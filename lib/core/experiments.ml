@@ -251,33 +251,57 @@ let grid_cell ~table (pl : Pipeline.t) (config : sim_config) ?assoc
 (* A cell's result as [engine.*] counters, with one tick of
    [engine.runs]. The prefetch/replacement family is published only when
    live, so an export of the paper's configurations alone carries none
-   of it; results are deterministic, hence so is the condition. *)
-let publish_result reg (r : F.Engine.result) =
+   of it; results are deterministic, hence so is the condition. The
+   pattern binds every field, so a new one does not compile until it is
+   published or given a reason. *)
+let publish_result reg
+    F.Engine.
+      { instrs; cycles; fetch_cycles; seq_cycles; tc_cycles; icache_accesses;
+        icache_misses; icache_victim_hits; tc_lookups; tc_hits; cond_branches;
+        mispredictions; icache_evictions; prefetch_issued; prefetch_completed;
+        prefetch_late; prefetch_useful;
+        (* never a counter: the row's instrs_between_taken derives from it *)
+        taken_branches = _;
+        (* a ratio, which a counter cannot sum; the cell event carries it *)
+        instrs_between_taken = _ } =
   let add name v = Stc_obs.Registry.add reg ("engine." ^ name) v in
-  add "instrs" r.instrs;
-  add "cycles" r.cycles;
-  add "fetch_cycles" r.fetch_cycles;
-  add "seq_cycles" r.seq_cycles;
-  add "tc_cycles" r.tc_cycles;
-  add "icache_accesses" r.icache_accesses;
-  add "icache_misses" r.icache_misses;
-  add "icache_victim_hits" r.icache_victim_hits;
-  add "tc_lookups" r.tc_lookups;
-  add "tc_hits" r.tc_hits;
-  add "cond_branches" r.cond_branches;
-  add "mispredictions" r.mispredictions;
+  add "instrs" instrs;
+  add "cycles" cycles;
+  add "fetch_cycles" fetch_cycles;
+  add "seq_cycles" seq_cycles;
+  add "tc_cycles" tc_cycles;
+  add "icache_accesses" icache_accesses;
+  add "icache_misses" icache_misses;
+  add "icache_victim_hits" icache_victim_hits;
+  add "tc_lookups" tc_lookups;
+  add "tc_hits" tc_hits;
+  add "cond_branches" cond_branches;
+  add "mispredictions" mispredictions;
   let addnz name v = if v <> 0 then add name v in
-  addnz "icache.replacement.evictions" r.icache_evictions;
-  addnz "prefetch.issued" r.prefetch_issued;
-  addnz "prefetch.completed" r.prefetch_completed;
-  addnz "prefetch.late" r.prefetch_late;
-  addnz "prefetch.useful" r.prefetch_useful;
+  addnz "icache.replacement.evictions" icache_evictions;
+  addnz "prefetch.issued" prefetch_issued;
+  addnz "prefetch.completed" prefetch_completed;
+  addnz "prefetch.late" prefetch_late;
+  addnz "prefetch.useful" prefetch_useful;
   add "runs" 1
 
 (* The event fields come from the engine result, the only place a
    cell's cache statistics exist, so a store hit (which never builds the
-   cache) emits the exact record a simulation would have. *)
-let emit_cell reg cell (row : row) (r : F.Engine.result) =
+   cache) emits the exact record a simulation would have. The pattern
+   binds every field, as [publish_result]'s does. *)
+let emit_cell reg cell (row : row)
+    F.Engine.
+      { instrs; cycles; icache_accesses; icache_misses; icache_victim_hits;
+        tc_lookups; tc_hits; cond_branches; mispredictions;
+        (* the engine.* counters carry the cycle split *)
+        fetch_cycles = _; seq_cycles = _; tc_cycles = _;
+        (* [row] carries these, as cell_row derived them *)
+        instrs_between_taken = _; icache_evictions = _; prefetch_issued = _;
+        prefetch_useful = _; prefetch_late = _;
+        (* only engine.prefetch.completed carries it *)
+        prefetch_completed = _;
+        (* never exported: instrs_between_taken derives from it *)
+        taken_branches = _ } =
   let has_icache =
     match cell.c_variant with Ideal | Tc_ideal -> false | _ -> true
   in
@@ -286,9 +310,9 @@ let emit_cell reg cell (row : row) (r : F.Engine.result) =
     if not has_icache then []
     else
       [
-        ("icache_accesses", Int r.F.Engine.icache_accesses);
-        ("icache_misses", Int r.F.Engine.icache_misses);
-        ("icache_victim_hits", Int r.F.Engine.icache_victim_hits);
+        ("icache_accesses", Int icache_accesses);
+        ("icache_misses", Int icache_misses);
+        ("icache_victim_hits", Int icache_victim_hits);
       ]
   in
   (* present only on non-default replacement/prefetch cells, so every
@@ -317,8 +341,8 @@ let emit_cell reg cell (row : row) (r : F.Engine.result) =
     | Some (kind, _) ->
       [
         ("predictor", Str (predictor_name kind));
-        ("cond_branches", Int r.F.Engine.cond_branches);
-        ("mispredictions", Int r.F.Engine.mispredictions);
+        ("cond_branches", Int cond_branches);
+        ("mispredictions", Int mispredictions);
       ]
   in
   Stc_obs.Registry.event reg ~kind:(cell.c_table ^ ".cell")
@@ -327,13 +351,13 @@ let emit_cell reg cell (row : row) (r : F.Engine.result) =
        ("variant", Str (variant_name row.variant));
        ("cache_kb", Int row.cache_kb);
        ("cfa_kb", (match row.cfa_kb with Some k -> Int k | None -> Null));
-       ("instrs", Int r.F.Engine.instrs);
-       ("cycles", Int r.F.Engine.cycles);
+       ("instrs", Int instrs);
+       ("cycles", Int cycles);
        ("miss_pct", Float row.miss_pct);
        ("bandwidth", Float row.bandwidth);
        ("instrs_between_taken", Float row.instrs_between_taken);
-       ("tc_lookups", Int r.F.Engine.tc_lookups);
-       ("tc_hits", Int r.F.Engine.tc_hits);
+       ("tc_lookups", Int tc_lookups);
+       ("tc_hits", Int tc_hits);
      ]
     @ icache_fields @ extended_fields @ study_fields)
 

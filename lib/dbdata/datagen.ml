@@ -1,6 +1,6 @@
 module Rng = Stc_util.Rng
 
-type t = { sf : float; rows : (string * int array array) list }
+type t = { rows : (string * int array array) list }
 
 let scaled sf base = max 1 (int_of_float (float_of_int base *. sf))
 
@@ -142,7 +142,6 @@ let generate ?(seed = 0x7C0DL) ~sf () =
   let orders = gen_orders (rng "orders") n_orders ~n_customers in
   let lineitem = gen_lineitem (rng "lineitem") orders ~n_parts ~n_suppliers in
   {
-    sf;
     rows =
       [
         ("region", gen_region ());

@@ -8,7 +8,6 @@
     uniform dates over 1992–1998, skewed-enough categorical columns. *)
 
 type t = {
-  sf : float;
   rows : (string * int array array) list;
       (** Table name → rows (each row an [int array] per the schema). *)
 }

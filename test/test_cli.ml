@@ -1,11 +1,16 @@
 (* The built stc_repro binary on bad input: each case must fail with a
    defined exit code and message before the pipeline is built, which
-   prints its first line to stdout — so stdout stays empty. *)
+   prints its first line to stdout — so stdout stays empty. Then the
+   built tools/bench_diff on result lines and a spec the tests write. *)
 
-let binary =
+let built path =
   Filename.concat
     (Filename.dirname Sys.executable_name)
-    (Filename.concat Filename.parent_dir_name "bin/stc_repro.exe")
+    (Filename.concat Filename.parent_dir_name path)
+
+let binary = built "bin/stc_repro.exe"
+
+let bench_diff_exe = built "tools/bench_diff.exe"
 
 (* A fresh scratch directory, removed afterwards. *)
 let with_tmp f =
@@ -14,7 +19,7 @@ let with_tmp f =
   f dir
 
 (* Exit code, stdout and stderr of one run. *)
-let run args =
+let run ?(binary = binary) args =
   with_tmp @@ fun dir ->
   let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
   let open_w path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
@@ -119,6 +124,74 @@ let test_frames_below_one () =
         [ "simulate"; "--quick"; "--frames=" ^ frames ])
     [ "0"; "-3" ]
 
+(* tools/bench_diff against a spec of the tests' own, so that a change
+   to BENCHMARK.json's bounds cannot move these cases. *)
+let spec =
+  {|{"end_to_end": [{"name": "grid_s", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "better": "higher", "bound": 0.25}],
+     "per_layer": [{"name": "fetch.slot.ideal.mblocks_per_s", "better": "higher"},
+                   {"name": "profile.mblocks_per_s", "better": "higher"}]}|}
+
+let base =
+  [ ("grid_s", 2.0); ("rate", 10.0); ("fetch.slot.ideal.mblocks_per_s", 50.0);
+    ("profile.mblocks_per_s", 40.0) ]
+
+(* One run.sh result line. *)
+let result ?(correct = true) metrics =
+  let metric (n, v) = Printf.sprintf {|"%s": {"value": %g, "unit": "u"}|} n v in
+  Printf.sprintf {|{"correct": %b, "attempted": 3, "failed": 0, "metrics": {%s}}|}
+    correct (String.concat ", " (List.map metric metrics))
+
+(* [base] with [name] scaled by each factor, one line per factor. *)
+let scaled name =
+  List.map (fun f ->
+      result (List.map (fun (n, v) -> (n, if n = name then v *. f else v)) base))
+
+(* bench_diff on [base_lines] (two [base] lines) against [head]: its
+   exit code, and whether its stderr names [names]. *)
+let gate ?(names = "") ?(base_lines = [ result base; result base ]) ~code head
+    =
+  with_tmp @@ fun dir ->
+  let file name lines =
+    let path = Filename.concat dir name in
+    Test_store.write_file path (String.concat "\n" lines);
+    path
+  in
+  let c, _, err =
+    run ~binary:bench_diff_exe
+      [ "--spec"; file "spec.json" [ spec ];
+        file "base.jsonl" base_lines; file "head.jsonl" head ]
+  in
+  Alcotest.(check int) (names ^ " exit code") code c;
+  Alcotest.(check bool) ("names " ^ names) true (Astring_like.contains err names)
+
+let test_bench_identical () = gate ~code:0 [ result base ]
+
+(* Medians: one outlier line moves nothing. *)
+let test_bench_end_to_end () =
+  gate ~code:1 ~names:"grid_s" (scaled "grid_s" [ 1.3; 1.3; 0.9 ]);
+  gate ~code:0 (scaled "grid_s" [ 1.2; 1.2; 3.0 ]);
+  gate ~code:1 ~names:"rate" (scaled "rate" [ 0.7 ])
+
+(* Printed only, replay throughput included. *)
+let test_bench_per_layer () =
+  gate ~code:0 (scaled "fetch.slot.ideal.mblocks_per_s" [ 0.7 ]);
+  gate ~code:0 (scaled "profile.mblocks_per_s" [ 0.7 ])
+
+let test_bench_missing_or_incorrect () =
+  let without name = [ result (List.remove_assoc name base) ] in
+  gate ~code:1 ~names:"grid_s: missing from HEAD" (without "grid_s");
+  gate ~code:1 ~names:"grid_s: missing from BASE" ~base_lines:(without "grid_s")
+    [ result base ];
+  gate ~code:0 ~base_lines:(without "profile.mblocks_per_s") [ result base ];
+  gate ~code:1 ~names:"correct false" [ result ~correct:false base ]
+
+let test_bench_malformed () =
+  gate ~code:2 [ result base; {|{"correct": tru|} ];
+  gate ~code:2 ~names:"no result lines" [];
+  let code, _, _ = run ~binary:bench_diff_exe [ "--spec"; "absent"; "a"; "b" ] in
+  Alcotest.(check int) "missing file" 2 code
+
 let suite =
   [
     Alcotest.test_case "branch threshold outside [0, 1]" `Quick
@@ -135,4 +208,11 @@ let suite =
     Alcotest.test_case "scale below two orders rows" `Quick
       test_scale_below_two_orders;
     Alcotest.test_case "frames below 1" `Quick test_frames_below_one;
+    Alcotest.test_case "bench_diff identical sides" `Quick test_bench_identical;
+    Alcotest.test_case "bench_diff end-to-end medians" `Quick test_bench_end_to_end;
+    Alcotest.test_case "bench_diff per-layer not gated" `Quick
+      test_bench_per_layer;
+    Alcotest.test_case "bench_diff missing or incorrect" `Quick
+      test_bench_missing_or_incorrect;
+    Alcotest.test_case "bench_diff malformed input" `Quick test_bench_malformed;
   ]

@@ -1,160 +1,149 @@
-(* Tolerance-aware comparison of two BENCH_*.json artifacts.
+(* Compare perfbench results of a baseline tree and a changed tree.
 
-     bench_diff BASELINE CURRENT [--tolerance PCT]
+     bench_diff --spec BENCHMARK.json BASE.jsonl HEAD.jsonl
 
-   Both files are JSONL: one provenance-stamped record per bench part
-   (bench/main.ml appends one line per part, keyed by its "mode" field
-   — "packed", "stream", ...). For every mode present
-   in the baseline, every throughput field (any numeric field whose
-   name ends in "blocks_per_sec" — higher is better) must not fall more
-   than PCT percent (default 25) below the baseline value. Wall-clock
-   and speedup fields are ignored: they restate the same measurement
-   and would double-report every regression.
+   Each line of BASE.jsonl and HEAD.jsonl is the last line of one
+   `bash perfbench/run.sh` run: an object with the keys correct,
+   attempted, failed and metrics ({"NAME": {"value": V, "unit": U}}).
+   Untraced and traced lines may be mixed. A line does not name its
+   workload, so one pair of files holds the runs of one workload, and
+   its two sides should come from alternating runs on one host: only
+   medians of those tell a regression apart from noise.
 
-   A mode present in the baseline but absent from the current run is a
-   failure (a silently dropped benchmark must not pass the gate); a new
-   mode only in the current run is reported and allowed, so baselines
-   can trail new bench parts. Provenance differences (host, commit,
-   jobs) are printed for context, never compared — the tolerance is
-   what absorbs machine variance.
+   Per metric of the spec, in the spec's order, HEAD's median over its
+   lines is compared with BASE's, in the direction of the spec's
+   "better". An end_to_end metric fails when HEAD is worse by more than
+   its "bound", the rule the benchmark applies to a change, or when
+   either side lacks it; so does any line whose "correct" is false.
+   per_layer metrics are printed and not gated: a traced run times each
+   fetch.slot.* probe as the median of three short sweeps, and on a
+   2-vCPU VM runs of one tree spread wider than 25% on them. Replay
+   speed is gated end to end, through grid_s.
 
-   Exit codes: 0 within tolerance, 1 regression or dropped mode,
-   2 usage/parse error. *)
+   Exit codes: 0 no regression, 1 a regression, a missing end_to_end
+   metric or an incorrect run, 2 usage or parse error. *)
 
 module J = Stc_obs.Json
 
 let usage () =
-  prerr_endline "usage: bench_diff BASELINE CURRENT [--tolerance PCT]";
+  prerr_endline "usage: bench_diff --spec BENCHMARK.json BASE.jsonl HEAD.jsonl";
   exit 2
 
+let input_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("bench_diff: " ^ m);
+      exit 2)
+    fmt
+
 let parse_args () =
-  let files = ref [] and tolerance = ref 25.0 in
-  let rec go = function
-    | [] -> ()
-    | "--tolerance" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some t when t >= 0.0 -> tolerance := t
-      | _ -> usage ());
-      go rest
-    | f :: rest ->
-      files := f :: !files;
-      go rest
+  let rec go spec files = function
+    | "--spec" :: v :: rest -> go (Some v) files rest
+    | f :: rest -> go spec (f :: files) rest
+    | [] -> (
+      match (spec, List.rev files) with
+      | Some spec, [ base; head ] -> (spec, base, head)
+      | _ -> usage ())
   in
-  go (List.tl (Array.to_list Sys.argv));
-  match List.rev !files with
-  | [ baseline; current ] -> (baseline, current, !tolerance)
-  | _ -> usage ()
+  go None [] (List.tl (Array.to_list Sys.argv))
 
-let load path =
-  match
-    let ic = open_in path in
-    let doc = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    doc
-  with
-  | exception Sys_error e ->
-    Printf.eprintf "bench_diff: %s\n" e;
-    exit 2
-  | doc -> (
-    match J.lines doc with
-    | exception Failure e ->
-      Printf.eprintf "bench_diff: %s: %s\n" path e;
-      exit 2
-    | [] ->
-      Printf.eprintf "bench_diff: %s: no records\n" path;
-      exit 2
-    | records -> records)
+(* What fails the gate, reported together at the end. *)
+let failures = ref []
 
-let mode_of record =
-  match J.member "mode" record with Some (J.Str m) -> Some m | _ -> None
+let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt
 
-(* Last record wins per mode: bench parts append, so a rerun's fresh
-   line supersedes any stale one left in the file. *)
-let by_mode records =
-  List.fold_left
-    (fun acc r ->
-      match mode_of r with
-      | Some m -> (m, r) :: List.remove_assoc m acc
-      | None -> acc)
-    [] records
-  |> List.rev
+let parse path parser =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> input_error "%s" e
+  | text -> ( try parser text with Failure e -> input_error "%s: %s" path e)
 
-let throughput_fields record =
-  match record with
-  | J.Obj fields ->
-    List.filter_map
-      (fun (name, v) ->
-        let suffix = "blocks_per_sec" in
-        let n = String.length name and s = String.length suffix in
-        if n >= s && String.equal (String.sub name (n - s) s) suffix then
-          Option.map (fun f -> (name, f)) (J.to_float v)
-        else None)
-      fields
-  | _ -> []
+(* The spec's metrics in order: name, lower is better, and the bound as
+   a fraction (None for a per_layer metric, printed only). *)
+let load_spec path =
+  let spec = parse path J.of_string in
+  let group name bound =
+    match J.member name spec with
+    | Some (J.List entries) ->
+      List.map
+        (fun e ->
+          match (J.member "name" e, J.member "better" e) with
+          | Some (J.Str n), Some (J.Str (("lower" | "higher") as b)) ->
+            (n, b = "lower", bound n e)
+          | _ -> input_error "%s: a %s entry lacks a name or better" path name)
+        entries
+    | _ -> input_error "%s: no %s list" path name
+  in
+  group "end_to_end" (fun n e ->
+      match Option.bind (J.member "bound" e) J.to_float with
+      | None -> input_error "%s: end_to_end %s has no bound" path n
+      | bound -> bound)
+  @ group "per_layer" (fun _ _ -> None)
 
-let provenance_line path record =
-  match J.member "provenance" record with
-  | Some (J.Obj p) ->
-    let str k =
-      match List.assoc_opt k p with Some (J.Str s) -> s | _ -> "?"
-    in
-    let jobs =
-      match List.assoc_opt "jobs" p with Some (J.Int j) -> j | _ -> 0
-    in
-    Printf.printf "  %s: commit %s, host %s, jobs %d\n" path (str "git_commit")
-      (str "hostname") jobs
-  | _ -> ()
+(* One side: its number of lines, and each metric's values over them. *)
+let load_results path =
+  let lines = parse path J.lines in
+  if lines = [] then input_error "%s: no result lines" path;
+  let values = Hashtbl.create 64 in
+  List.iteri
+    (fun i line ->
+      match (J.member "correct" line, J.member "metrics" line) with
+      | Some (J.Bool ok), Some (J.Obj metrics) ->
+        if not ok then fail "%s: line %d has correct false" path (i + 1);
+        List.iter
+          (fun (n, m) ->
+            match Option.bind (J.member "value" m) J.to_float with
+            | Some v -> Hashtbl.add values n v
+            | None -> input_error "%s: line %d: %s has no value" path (i + 1) n)
+          metrics
+      | _ -> input_error "%s: line %d is not a run.sh result" path (i + 1))
+    lines;
+  (List.length lines, values)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 let () =
-  let baseline_path, current_path, tolerance = parse_args () in
-  let baseline = by_mode (load baseline_path) in
-  let current = by_mode (load current_path) in
-  (match (baseline, current) with
-  | (_, b) :: _, (_, c) :: _ ->
-    provenance_line baseline_path b;
-    provenance_line current_path c
-  | _ -> ());
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let compared = ref 0 in
+  let spec_path, base_path, head_path = parse_args () in
+  let spec = load_spec spec_path in
+  let base_n, base = load_results base_path in
+  let head_n, head = load_results head_path in
+  Printf.printf "medians of %d BASE and %d HEAD lines\n" base_n head_n;
   List.iter
-    (fun (mode, base_record) ->
-      match List.assoc_opt mode current with
-      | None -> fail "mode %S: present in baseline, missing from current run" mode
-      | Some cur_record ->
-        List.iter
-          (fun (field, base_v) ->
-            match List.assoc_opt field (throughput_fields cur_record) with
-            | None -> fail "mode %S: field %s missing from current run" mode field
-            | Some cur_v ->
-              incr compared;
-              let floor = base_v *. (1.0 -. (tolerance /. 100.0)) in
-              let delta_pct =
-                if base_v = 0.0 then 0.0
-                else (cur_v -. base_v) /. base_v *. 100.0
-              in
-              if cur_v < floor then
-                fail
-                  "mode %S: %s regressed %.1f%% (baseline %.0f, current %.0f, \
-                   tolerance %.0f%%)"
-                  mode field (-.delta_pct) base_v cur_v tolerance
-              else
-                Printf.printf "  mode %-8s %-24s %+7.1f%%  (%.0f -> %.0f)\n"
-                  mode field delta_pct base_v cur_v)
-          (throughput_fields base_record))
-    baseline;
-  List.iter
-    (fun (mode, _) ->
-      if not (List.mem_assoc mode baseline) then
-        Printf.printf "  mode %-8s only in current run (no baseline yet)\n" mode)
-    current;
+    (fun (name, lower, bound) ->
+      let missing side =
+        if bound <> None then fail "%s: missing from %s" name side;
+        Printf.printf "  %-36s missing from %s%s\n" name side
+          (if bound = None then " (not gated)" else "")
+      in
+      match (Hashtbl.find_all base name, Hashtbl.find_all head name) with
+      | [], _ -> missing "BASE"
+      | _, [] -> missing "HEAD"
+      | bs, hs ->
+        let b = median bs and h = median hs in
+        let change = (h -. b) /. Float.abs b in
+        let worse = if lower then change else -.change in
+        let verdict =
+          match bound with
+          | None -> "not gated"
+          | Some g ->
+            if worse > g then
+              fail "%s: %.1f%% worse (%g -> %g), bound %.0f%%" name
+                (100.0 *. worse) b h (100.0 *. g);
+            Printf.sprintf "%sbound %.0f%%"
+              (if worse > g then "REGRESSION, " else "")
+              (100.0 *. g)
+        in
+        Printf.printf "  %-36s %12.6g -> %-12.6g %+7.1f%%  %s better, %s\n"
+          name b h (100.0 *. change)
+          (if lower then "lower" else "higher")
+          verdict)
+    spec;
   match List.rev !failures with
-  | [] ->
-    Printf.printf
-      "bench_diff: %d throughput field(s) within %.0f%% of %s\n" !compared
-      tolerance baseline_path
+  | [] -> print_endline "bench_diff: no regression"
   | msgs ->
-    List.iter prerr_endline msgs;
-    Printf.eprintf "bench_diff: %d regression(s) against %s\n"
-      (List.length msgs) baseline_path;
+    flush stdout;
+    List.iter (fun m -> prerr_endline ("bench_diff: " ^ m)) msgs;
     exit 1

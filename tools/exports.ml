@@ -9,7 +9,7 @@
    under _build/default: every value declared in a .cmti under lib/ (nested
    signatures such as [Schema.L] included), and every identifier an
    expression references in any .cmt of the tree (lib, bin, tools, test,
-   examples, bench, perfbench). A declaration is reported when no unit
+   examples, perfbench). A declaration is reported when no unit
    other than its own refers to it. The executables' .cmt files exist
    only after [dune build @check].
 
