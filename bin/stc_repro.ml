@@ -88,9 +88,12 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Export run metrics (counters, per-phase timing spans, \
-           experiment-cell records) to $(docv) as JSONL; see README \
-           'Observability'. Compare two runs with tools/metrics_diff.")
+          "Export run metrics (counters, gauges, experiment-cell \
+           records) to $(docv) as JSONL; see README 'Observability'. \
+           Every record is deterministic: two runs with the same seed \
+           and configuration write the same bytes at any --jobs. \
+           Compare two runs with tools/metrics_diff; phase timings are \
+           in the --trace file.")
 
 let trace_arg =
   Arg.(
@@ -233,9 +236,9 @@ let common_term =
 (* Every subcommand but [layouts]: check the output paths and the store
    directory, build the pipeline, run [body] on it, then report the
    store and write the metrics and trace files. Every run carries one
-   registry; spans and counters are collected unconditionally (the cost
-   is nil next to the simulation) and exported only when --metrics was
-   given. *)
+   registry; counters and events are collected unconditionally (the
+   cost is nil next to the simulation) and exported only when --metrics
+   was given. *)
 let with_pipeline c body =
   check_out_path "metrics" c.metrics;
   check_out_path "trace" c.trace;

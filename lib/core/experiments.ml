@@ -551,9 +551,11 @@ let fgroup_label cells g =
 
 (* Execute one fused group: each member cell opens its own store handle
    and consults it, the cold members replay as one bank sweep, and each
-   cold result is saved to its cell's handle.  Returns [(input index,
-   result, handle)] per cell; nothing is published here. *)
-let exec_fgroup_inner ~(ctx : Run.ctx) ~store cells ~tick g =
+   cold result is saved to its cell's handle, all inside one
+   [fused:] slice.  Returns [(input index, result, handle)] per cell;
+   nothing is published here. *)
+let exec_fgroup ~(ctx : Run.ctx) ~store cells ~tick g =
+  Run.span ctx (fgroup_label cells g) @@ fun () ->
   let handles =
     Array.map
       (fun ix ->
@@ -600,13 +602,6 @@ let exec_fgroup_inner ~(ctx : Run.ctx) ~store cells ~tick g =
       tick ();
       (ix, Option.get results.(i), Option.map fst handles.(i)))
     g.g_cells
-
-let exec_fgroup ~(ctx : Run.ctx) ~store cells ~tick g =
-  match ctx.Run.trace with
-  | None -> exec_fgroup_inner ~ctx ~store cells ~tick g
-  | Some tr ->
-    Stc_obs.Trace.span tr (fgroup_label cells g) (fun () ->
-        exec_fgroup_inner ~ctx ~store cells ~tick g)
 
 (* Run planned cells: re-plan them into per-(subject, layout content)
    fused groups — one {!F.Engine.Bank} sweep per group — and run the
@@ -844,16 +839,10 @@ let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
       pl.Pipeline.program.Stc_cfg.Program.blocks
   in
   let counts = P.Profile.counts profile in
-  (* a trace-only slice, like [engine.fused]: metric exports stay
-     byte-identical with tracing on *)
   let temperature layout =
-    let derive () =
-      Stc_cachesim.Temperature.of_blocks ~line_bytes:config.line_bytes
-        ~addrs:layout.L.Layout.addr ~sizes ~counts
-    in
-    match ctx.Run.trace with
-    | Some tr -> Stc_obs.Trace.span tr "cachesim.temperature" derive
-    | None -> derive ()
+    Run.span ctx "cachesim.temperature" (fun () ->
+        Stc_cachesim.Temperature.of_blocks ~line_bytes:config.line_bytes
+          ~addrs:layout.L.Layout.addr ~sizes ~counts)
   in
   let grid =
     match config.grid with a :: b :: _ -> [ a; b ] | short -> short

@@ -117,9 +117,10 @@ val simulate :
     trace, and a domain pool self-schedules whole
     fused groups. Rows, metric exports, store keys, cached-hit
     short-circuiting and progress ticks do not depend on the grouping or
-    the job count. With [ctx.metrics], the grid runs inside a
-    [simulate-grid] span (layout construction in child spans), and every
-    cell adds its result to the [engine.*] counters and emits one
+    the job count. With [ctx.trace], the grid runs inside a
+    [simulate-grid] slice (layout construction in child slices). With
+    [ctx.metrics], every cell adds its result to the [engine.*]
+    counters and emits one
     [table34.cell] event carrying the row plus the cell's
     i-cache/trace-cache counters ([cfa_kb] is JSON [null] for CFA-less
     layouts). The pool's domains write nothing to the registry: after
@@ -220,7 +221,7 @@ val layout_builder :
   Stc_layout.Layout.t
 (** [layout_builder ~ctx ~training profile ?params name]: the named
     {!Stc_layout.Algo} layout of [profile] (built from [training]), in a
-    [layout-<slug>] span; [params] defaults to the baselines' fixed
+    [layout-<slug>] trace slice; [params] defaults to the baselines' fixed
     record. [ctx.store] caches it under the profile's own program and
     training-trace fingerprints, through a handle opened for that build
     and published ({!Pipeline.publish_store}) into [ctx.metrics] after

@@ -6,7 +6,7 @@ module Tbl = Stc_util.Tbl
 
 (* A study runs its [plan] — (row tag, cell) pairs — through the one
    grid runner and gets (row tag, engine result) pairs back.  The study
-   name is its span, progress label and event table. *)
+   name is its trace slice, progress label and event table. *)
 let run_study ~ctx ~table plan =
   List.combine (List.map fst plan)
     (E.run_cells ~ctx ~label:table (List.map snd plan))

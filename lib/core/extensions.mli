@@ -11,11 +11,12 @@
     from {!Experiments.layout_builder}, keyed on the profile they are
     trained from (the OLTP mix, the inlined program).
 
-    With [ctx.metrics] a study runs inside an [ext-<study>] span (layout
-    builds in [layout-<slug>] children), accumulates [engine.*] counters,
-    and emits one [ext-<study>.cell] event per simulation: [ext-inlining],
-    [ext-oltp], [ext-prediction], [ext-tuning], [ext-per-query],
-    [ext-fetch-units], [ext-associativity]. *)
+    With [ctx.trace] a study runs inside an [ext-<study>] slice (layout
+    builds in [layout-<slug>] children). With [ctx.metrics] it
+    accumulates [engine.*] counters and emits one [ext-<study>.cell]
+    event per simulation: [ext-inlining], [ext-oltp], [ext-prediction],
+    [ext-tuning], [ext-per-query], [ext-fetch-units],
+    [ext-associativity]. *)
 
 (** {2 Function inlining (code expansion)} *)
 

@@ -40,10 +40,10 @@ val seeded : int -> config -> config
     coincide). This is what {!run} applies when [ctx.seed] is set. *)
 
 val run : ?ctx:Run.ctx -> ?config:config -> unit -> t
-(** Build everything. With [ctx.metrics], each phase (kernel build, data
+(** Build everything. With [ctx.trace], each phase (kernel build, data
     generation, database load, trace recording, profile build) runs inside
-    a timing span, and each recording publishes four counters under
-    [training.] / [test.], counted from the recorded trace:
+    a trace slice. With [ctx.metrics], each recording publishes four
+    counters under [training.] / [test.], counted from the recorded trace:
     [walker.blocks] and [trace.blocks] (the trace length),
     [walker.instrs] (the recorded blocks' instructions) and
     [trace.marks] (one per query). With [ctx.progress], trace recording reports

@@ -37,7 +37,7 @@ val params :
 type t = {
   name : string;  (** Display name; the [Layout.t] name and the row label. *)
   slug : string;
-      (** Stable kebab-case identifier for store keys and span names. *)
+      (** Stable kebab-case identifier for store keys and slice names. *)
   aliases : string list;  (** Extra names {!find} accepts. *)
   describe : string;  (** One paragraph for [stc_repro layouts]. *)
   uses_cfa : bool;

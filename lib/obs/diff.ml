@@ -4,19 +4,14 @@ let str_field name r =
 let record_type r = Option.value ~default:"?" (str_field "type" r)
 
 (* Ignore-prefix filtering, applied before keying so both files number the
-   surviving repeats identically. A "histo" record is a named metric of
-   exports written while the registry still had histograms, so an older
-   export's [store.*_us] records fall to [--ignore store.] too. *)
+   surviving repeats identically. *)
 let ignored ~ignores r =
   ignores <> []
   &&
   let tag =
     match record_type r with
-    | "counter" | "gauge" | "histo" -> str_field "name" r
+    | "counter" | "gauge" -> str_field "name" r
     | "event" -> str_field "kind" r
-    | "span" ->
-      (* a span by its own name, the last component of its path *)
-      Option.map Filename.basename (str_field "path" r)
     | _ -> None
   in
   match tag with
@@ -25,34 +20,24 @@ let ignored ~ignores r =
 
 (* Identifying key per record; numbered suffix disambiguates repeats.
    Events share one key, so they pair by position among the surviving
-   events and their [kind] is compared like any other field. *)
+   events and their [kind] is compared like any other field. Any other
+   record, the meta line included, keys by its type. *)
 let keys records =
   let seen = Hashtbl.create 64 in
-  List.filter_map
+  List.map
     (fun r ->
       let base =
         match record_type r with
-        | "meta" -> None
-        | "counter" | "gauge" | "histo" ->
-          Some ("metric:" ^ Option.value ~default:"?" (str_field "name" r))
-        | "span" ->
-          Some ("span:" ^ Option.value ~default:"?" (str_field "path" r))
-        | "event" -> Some "event"
-        | t -> Some ("unknown:" ^ t)
+        | "counter" | "gauge" ->
+          "metric:" ^ Option.value ~default:"?" (str_field "name" r)
+        | t -> t
       in
-      match base with
-      | None -> None
-      | Some base ->
-        let n = Option.value ~default:0 (Hashtbl.find_opt seen base) in
-        Hashtbl.replace seen base (n + 1);
-        Some ((base, n), r))
+      let n = Option.value ~default:0 (Hashtbl.find_opt seen base) in
+      Hashtbl.replace seen base (n + 1);
+      ((base, n), r))
     records
 
-let close_enough tolerance a b =
-  a = b
-  || abs_float (a -. b) <= tolerance *. Float.max (abs_float a) (abs_float b)
-
-let rec compare_json ~tolerance ~ignore_seconds ~report path a b =
+let rec compare_json ~report path a b =
   match (a, b) with
   | Json.Obj fa, Json.Obj fb ->
     let names =
@@ -61,16 +46,11 @@ let rec compare_json ~tolerance ~ignore_seconds ~report path a b =
     in
     List.iter
       (fun k ->
-        if not (ignore_seconds && k = "seconds") then
-          match (List.assoc_opt k fa, List.assoc_opt k fb) with
-          | Some va, Some vb ->
-            compare_json ~tolerance ~ignore_seconds ~report
-              (path ^ "." ^ k) va vb
-          | Some _, None ->
-            report (Printf.sprintf "%s: only in A" (path ^ "." ^ k))
-          | None, Some _ ->
-            report (Printf.sprintf "%s: only in B" (path ^ "." ^ k))
-          | None, None -> ())
+        match (List.assoc_opt k fa, List.assoc_opt k fb) with
+        | Some va, Some vb -> compare_json ~report (path ^ "." ^ k) va vb
+        | Some _, None -> report (Printf.sprintf "%s: only in A" (path ^ "." ^ k))
+        | None, Some _ -> report (Printf.sprintf "%s: only in B" (path ^ "." ^ k))
+        | None, None -> ())
       names
   | Json.List la, Json.List lb ->
     if List.length la <> List.length lb then
@@ -80,22 +60,15 @@ let rec compare_json ~tolerance ~ignore_seconds ~report path a b =
     else
       List.iteri
         (fun i (va, vb) ->
-          compare_json ~tolerance ~ignore_seconds ~report
-            (Printf.sprintf "%s[%d]" path i)
-            va vb)
+          compare_json ~report (Printf.sprintf "%s[%d]" path i) va vb)
         (List.combine la lb)
-  | a, b -> (
-    match (Json.to_float a, Json.to_float b) with
-    | Some fa, Some fb ->
-      if not (close_enough tolerance fa fb) then
-        report (Printf.sprintf "%s: %g vs %g" path fa fb)
-    | _ ->
-      if a <> b then
-        report
-          (Printf.sprintf "%s: %s vs %s" path (Json.to_string a)
-             (Json.to_string b)))
+  | a, b ->
+    if a <> b then
+      report
+        (Printf.sprintf "%s: %s vs %s" path (Json.to_string a)
+           (Json.to_string b))
 
-let diff_records ?(tolerance = 0.0) ?(ignores = []) ~a_label ~b_label ra rb =
+let diff_records ?(ignores = []) ~a_label ~b_label ra rb =
   let drift = ref [] in
   let report msg = drift := msg :: !drift in
   let load records =
@@ -108,11 +81,7 @@ let diff_records ?(tolerance = 0.0) ?(ignores = []) ~a_label ~b_label ra rb =
     (fun ((base, n), ra) ->
       match Hashtbl.find_opt tbl_b (base, n) with
       | None -> report (Printf.sprintf "%s#%d: only in %s" base n a_label)
-      | Some rb ->
-        let ignore_seconds = record_type ra = "span" in
-        compare_json ~tolerance ~ignore_seconds ~report
-          (Printf.sprintf "%s#%d" base n)
-          ra rb)
+      | Some rb -> compare_json ~report (Printf.sprintf "%s#%d" base n) ra rb)
     a;
   let tbl_a = Hashtbl.create 256 in
   List.iter (fun (k, r) -> Hashtbl.replace tbl_a k r) a;

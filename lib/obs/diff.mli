@@ -2,19 +2,17 @@
     record — the library core shared by [tools/metrics_diff] and the
     golden-regression harness ([tools/golden]).
 
-    Metrics pair by name and spans by path; events pair by their
-    position in the export, and an event's [kind] is compared like any
-    other field, so two exports whose events interleave differently
-    drift. Span ["seconds"] fields are never compared (wall clock is not
-    deterministic); any metric whose name, event whose kind or span
-    whose own name (the last component of its path) starts with an
-    ignore prefix is dropped from {e both} sides before pairing, so
-    positions stay aligned. Tolerance is relative; the default [0.]
-    demands exact equality, which is what two same-seed runs must
-    achieve. *)
+    Metrics pair by name; events pair by their position in the export,
+    and an event's [kind] is compared like any other field, so two
+    exports whose events interleave differently drift; the meta line
+    pairs with the meta line, so a schema change drifts. Every field of
+    every record is compared exactly: an export holds no wall-clock
+    value, and two same-seed runs must agree byte for byte. Any metric
+    whose name or event whose kind starts with an ignore prefix is
+    dropped from {e both} sides before pairing, so positions stay
+    aligned. *)
 
 val diff_records :
-  ?tolerance:float ->
   ?ignores:string list ->
   a_label:string ->
   b_label:string ->

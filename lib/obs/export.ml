@@ -1,7 +1,8 @@
 (* 2: `table34.cell`/`ablation.cell` events emit `"cfa_kb":null` (not -1)
    for layouts without a Conflict-Free Area.
    3: gave histogram records quantile fields. Exports carry no histogram
-   records now; what remains is a subset of schema 3, so the number stays. *)
+   and no span records now; what remains is a subset of schema 3, so the
+   number stays. *)
 let schema_version = 3
 
 let records t =
@@ -18,26 +19,13 @@ let records t =
         Json.Obj [ ("type", Str "gauge"); ("name", Str name); ("value", Float v) ])
       (Registry.gauges t)
   in
-  let spans =
-    List.map
-      (fun (i : Registry.Span.info) ->
-        Json.Obj
-          [
-            ("type", Str "span");
-            ("path", Str i.Registry.Span.path);
-            ("depth", Int i.Registry.Span.depth);
-            ("calls", Int i.Registry.Span.calls);
-            ("seconds", Float i.Registry.Span.seconds);
-          ])
-      (Registry.spans t)
-  in
   let events =
     List.map
       (fun (kind, fields) ->
         Json.Obj ((("type", Json.Str "event") :: ("kind", Str kind) :: fields)))
       (Registry.events t)
   in
-  (meta :: counters) @ gauges @ spans @ events
+  (meta :: counters) @ gauges @ events
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in

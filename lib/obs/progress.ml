@@ -2,7 +2,7 @@ type t = {
   label : string;
   interval : int;
   total : int option;
-  clock : Registry.clock;
+  clock : unit -> float;
   emit : string -> unit;
   start : float;
   mutable n : int;

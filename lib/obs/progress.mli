@@ -12,7 +12,7 @@ type t
 val create :
   ?interval:int ->
   ?total:int ->
-  ?clock:Registry.clock ->
+  ?clock:(unit -> float) ->
   ?emit:(string -> unit) ->
   label:string ->
   unit ->

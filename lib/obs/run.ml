@@ -29,15 +29,10 @@ let with_store dir ctx = { ctx with store = Some dir }
 
 let with_trace tr ctx = { ctx with trace = Some tr }
 
-(* A [Run.span] is both an aggregate (registry span tree) and a timeline
-   slice (trace), so instrumenting a phase once serves both exports. *)
+(* A [Run.span] is a timeline slice only: the registry holds no
+   timings, so the call is safe on any domain. *)
 let span ctx name f =
-  let f =
-    match ctx.trace with
-    | Some tr -> fun () -> Trace.span tr name f
-    | None -> f
-  in
-  match ctx.metrics with Some reg -> Registry.span reg name f | None -> f ()
+  match ctx.trace with Some tr -> Trace.span tr name f | None -> f ()
 
 let reporter ctx ?interval ?total ~label () =
   if ctx.progress then Some (Progress.create ?interval ?total ~label ())

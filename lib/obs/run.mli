@@ -20,7 +20,7 @@
 
 type ctx = {
   metrics : Registry.t option;
-      (** Registry collecting counters/spans/events; [None] = don't. *)
+      (** Registry collecting counters/gauges/events; [None] = don't. *)
   progress : bool;  (** Report rate/ETA lines on stderr. *)
   seed : int option;
       (** Master seed; entry points that build randomized state derive
@@ -68,8 +68,8 @@ val with_trace : Trace.t -> ctx -> ctx
 (** {2 Helpers for ctx-threading code} *)
 
 val span : ctx -> string -> (unit -> 'a) -> 'a
-(** {!Registry.span} when metrics are on, a {!Trace.span} slice when
-    tracing is on (both when both), plain call otherwise. *)
+(** A {!Trace.span} slice when tracing is on, a plain call otherwise.
+    It writes no registry, so any domain may call it. *)
 
 val reporter :
   ctx -> ?interval:int -> ?total:int -> label:string -> unit -> Progress.t option

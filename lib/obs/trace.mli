@@ -1,12 +1,11 @@
-(** A structured event tracer: the run's timeline.
-
-    Where {!Registry} spans aggregate (total seconds per phase, summed
-    over calls and domains), [Trace] keeps the {e timeline}: every
-    begin/end/counter/complete event is recorded with its timestamp on
-    the domain that emitted it, and the whole run serializes to Chrome
-    [trace_event] JSON — open the file in {{:https://ui.perfetto.dev}
-    Perfetto} or [chrome://tracing] to see per-domain tracks, or feed it
-    to [tools/trace_report] for a terminal summary.
+(** A structured event tracer: the run's timeline, and the one place a
+    run records where its time went. The {!Registry} counts; [Trace]
+    times: every begin/end/counter/complete event is recorded with its
+    timestamp on the domain that emitted it, and the whole run
+    serializes to Chrome [trace_event] JSON — open the file in
+    {{:https://ui.perfetto.dev} Perfetto} or [chrome://tracing] to see
+    per-domain tracks, or feed it to [tools/trace_report] for a terminal
+    summary.
 
     Cost model: instrumentation sites emit per phase, layout build, fused
     group, pool chunk or store operation, never per trace block — a few

@@ -7,9 +7,7 @@ module Trace = Stc_obs.Trace
 type t = {
   domains : int;
   busy : float array;
-  chunks_done : int array;
   mutable wall : float;  (* seconds spent inside [map], summed *)
-  mutable submits : int;
   trace : Trace.t option;
 }
 
@@ -19,34 +17,11 @@ let create ?domains ?trace () =
     | Some d -> max 1 d
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
-  {
-    domains;
-    busy = Array.make domains 0.0;
-    chunks_done = Array.make domains 0;
-    wall = 0.0;
-    submits = 0;
-    trace;
-  }
+  { domains; busy = Array.make domains 0.0; wall = 0.0; trace }
 
-type stats = {
-  s_domains : int;
-  s_submits : int;
-  s_wall : float;
-  s_busy : float array;
-  s_idle : float array;
-  s_chunks : int array;
-}
+type stats = { s_wall : float; s_busy : float array }
 
-let stats t =
-  let busy = Array.copy t.busy in
-  {
-    s_domains = t.domains;
-    s_submits = t.submits;
-    s_wall = t.wall;
-    s_busy = busy;
-    s_idle = Array.map (fun b -> Float.max 0.0 (t.wall -. b)) busy;
-    s_chunks = Array.copy t.chunks_done;
-  }
+let stats t = { s_wall = t.wall; s_busy = Array.copy t.busy }
 
 let map ?chunk t f xs =
   let n = Array.length xs in
@@ -92,7 +67,6 @@ let map ?chunk t f xs =
             Trace.counter tr "pool.queue" (n - hi);
             Trace.span tr "pool.chunk" run);
           t.busy.(slot) <- t.busy.(slot) +. (Unix.gettimeofday () -. t0);
-          t.chunks_done.(slot) <- t.chunks_done.(slot) + 1;
           claim slot
         end
       end
@@ -111,7 +85,6 @@ let map ?chunk t f xs =
     claim 0;
     List.iter Domain.join !spawned;
     t.wall <- t.wall +. (Unix.gettimeofday () -. t0);
-    t.submits <- t.submits + 1;
     match Atomic.get errors with
     | [] -> Array.map Option.get results
     | first :: rest ->

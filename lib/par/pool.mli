@@ -29,17 +29,14 @@ type t
 
 (** Cumulative scheduling account, kept whether or not tracing is on
     (two clock reads per chunk — noise next to any simulation cell).
-    Arrays are indexed by domain slot: 0 is the calling domain,
-    [1..n-1] the domains a map spawns. *)
+    The per-chunk timeline is the tracer's ([pool.chunk] slices). *)
 type stats = {
-  s_domains : int;
-  s_submits : int;  (** {!map} calls served so far *)
   s_wall : float;
-      (** total seconds inside those calls, spawning and joining the
+      (** total seconds inside {!map} calls, spawning and joining the
           domains included *)
-  s_busy : float array;  (** per slot, seconds spent running chunks *)
-  s_idle : float array;  (** per slot, [s_wall - s_busy] clamped at 0 *)
-  s_chunks : int array;  (** per slot, chunks executed *)
+  s_busy : float array;
+      (** per domain slot — 0 is the calling domain, [1..n-1] the
+          domains a map spawns — seconds spent running chunks *)
 }
 
 val stats : t -> stats

@@ -18,7 +18,7 @@ type op =
   | Goto of goto
   | Finish
 
-type t = { pid : int; entry : int; ops : op array }
+type t = { pid : int; ops : op array }
 
 (* Compilation state. Blocks are allocated lazily: [cur] is the id of the
    block currently being appended to, [cur_size] its instruction count so
@@ -273,4 +273,4 @@ let compile builder ~pid ~resolve (skel : Skeleton.t) =
     Array.of_list (List.rev st.blocks_rev @ List.rev st.cold_rev)
   in
   Builder.finish_proc builder ~pid ~entry ~blocks;
-  { pid; entry; ops }
+  { pid; ops }

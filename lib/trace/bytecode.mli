@@ -31,11 +31,7 @@ type op =
   | Goto of goto
   | Finish  (** The routine's return block has been emitted. *)
 
-type t = {
-  pid : int;
-  entry : int;  (** Entry block id. *)
-  ops : op array;
-}
+type t = { pid : int; ops : op array }
 
 val compile :
   Stc_cfg.Builder.t ->

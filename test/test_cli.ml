@@ -1,7 +1,9 @@
 (* The built stc_repro binary on bad input: each case must fail with a
    defined exit code and message before the pipeline is built, which
    prints its first line to stdout — so stdout stays empty. Then the
-   built tools/bench_diff on result lines and a spec the tests write. *)
+   built tools/bench_diff on result lines and a spec the tests write,
+   tools/metrics_diff on exports the tests write, and tools/golden
+   without its snapshots. *)
 
 let built path =
   Filename.concat
@@ -11,6 +13,10 @@ let built path =
 let binary = built "bin/stc_repro.exe"
 
 let bench_diff_exe = built "tools/bench_diff.exe"
+
+let metrics_diff_exe = built "tools/metrics_diff.exe"
+
+let golden_exe = built "tools/golden.exe"
 
 (* A fresh scratch directory, removed afterwards. *)
 let with_tmp f =
@@ -192,6 +198,59 @@ let test_bench_malformed () =
   let code, _, _ = run ~binary:bench_diff_exe [ "--spec"; "absent"; "a"; "b" ] in
   Alcotest.(check int) "missing file" 2 code
 
+(* tools/metrics_diff on two exports, each of a registry holding
+   [(runs, hits, warn)]: an [engine.runs] and a [store.hits] counter,
+   and with [warn] a [store.warning] event. Checks the exit code, and
+   whether the output names [names]. *)
+let metrics_diff ?(names = "") ?(args = []) ~code a b =
+  with_tmp @@ fun dir ->
+  let export name (runs, hits, warn) =
+    let reg = Stc_obs.Registry.create () in
+    Stc_obs.Registry.add reg "engine.runs" runs;
+    Stc_obs.Registry.add reg "store.hits" hits;
+    if warn then Stc_obs.Registry.event reg ~kind:"store.warning" [];
+    let path = Filename.concat dir name in
+    Stc_obs.Export.write_file reg path;
+    path
+  in
+  let c, out, err =
+    run ~binary:metrics_diff_exe
+      (export "a.jsonl" a :: export "b.jsonl" b :: args)
+  in
+  Alcotest.(check int) (names ^ " exit code") code c;
+  Alcotest.(check bool) ("names " ^ names) true
+    (Astring_like.contains (out ^ err) names)
+
+let cold = (3, 4, false)
+
+let test_metrics_diff_exact () =
+  metrics_diff ~code:0 ~names:"no drift" cold cold;
+  metrics_diff ~code:1 ~names:"metric:engine.runs" cold (4, 4, false);
+  metrics_diff ~code:1 cold (3, 9, true);
+  metrics_diff ~code:0 ~args:[ "--ignore"; "store." ] cold (3, 9, true)
+
+let test_metrics_diff_errors () =
+  metrics_diff ~code:2 ~names:"usage" ~args:[ "--tolerance"; "1" ] cold cold;
+  with_tmp @@ fun dir ->
+  let empty = Filename.concat dir "empty.jsonl" in
+  Test_store.write_file empty "";
+  let code, _, err = run ~binary:metrics_diff_exe [ empty; empty ] in
+  Alcotest.(check int) "empty file" 2 code;
+  Alcotest.(check bool) "names it" true (Astring_like.contains err "no records");
+  let absent = Filename.concat dir "absent" in
+  let code, _, _ = run ~binary:metrics_diff_exe [ absent; empty ] in
+  Alcotest.(check int) "missing file" 2 code
+
+(* A missing snapshot directory fails before the pipeline is built. *)
+let test_golden_missing_dir () =
+  with_tmp @@ fun dir ->
+  let missing = Filename.concat dir "absent" in
+  let code, out, err = run ~binary:golden_exe [ "--golden"; missing ] in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check string) "nothing built" "" out;
+  Alcotest.(check bool) "names the directory" true
+    (Astring_like.contains err ("snapshot directory " ^ missing ^ " missing"))
+
 let suite =
   [
     Alcotest.test_case "branch threshold outside [0, 1]" `Quick
@@ -215,4 +274,10 @@ let suite =
     Alcotest.test_case "bench_diff missing or incorrect" `Quick
       test_bench_missing_or_incorrect;
     Alcotest.test_case "bench_diff malformed input" `Quick test_bench_malformed;
+    Alcotest.test_case "metrics_diff exact but for --ignore" `Quick
+      test_metrics_diff_exact;
+    Alcotest.test_case "metrics_diff usage and input errors" `Quick
+      test_metrics_diff_errors;
+    Alcotest.test_case "golden missing snapshot directory" `Quick
+      test_golden_missing_dir;
   ]

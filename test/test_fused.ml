@@ -345,7 +345,7 @@ let store_counter reg name =
 let test_store_warm_subset () =
   with_dir @@ fun dir ->
   let run ?store grid =
-    let reg = Registry.create ~clock:(fun () -> 0.0) () in
+    let reg = Registry.create () in
     let ctx = Stc_core.Run.default |> Stc_core.Run.with_metrics reg in
     let ctx =
       match store with
@@ -380,7 +380,7 @@ let test_store_warm_subset () =
    publishes every cell after the join, in input order. *)
 let test_fused_grid_identical () =
   let run ~jobs =
-    let reg = Registry.create ~clock:(fun () -> 0.0) () in
+    let reg = Registry.create () in
     let ctx =
       Stc_core.Run.default |> Stc_core.Run.with_metrics reg
       |> Stc_core.Run.with_jobs jobs
@@ -419,7 +419,7 @@ let test_content_equal_layouts_fuse () =
       [ 1; 2; 4 ]
   in
   let run grids =
-    let reg = Registry.create ~clock:(fun () -> 0.0) () in
+    let reg = Registry.create () in
     let tr = Stc_obs.Trace.create () in
     let ctx =
       Stc_core.Run.default |> Stc_core.Run.with_metrics reg

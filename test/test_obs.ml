@@ -48,40 +48,32 @@ let test_json_rejects () =
 
 (* ---------- diff ---------- *)
 
-(* An ignore prefix drops counters, events and spans by their own name —
-   a span's last path component — from both sides. *)
+(* An ignore prefix drops counters by their name and events by their
+   kind from both sides. *)
 let test_diff_ignores () =
-  let export build =
-    let reg = Registry.create ~clock:(fun () -> 0.0) () in
-    build reg;
+  let export ~hits ~warn =
+    let reg = Registry.create () in
+    Registry.add reg "engine.runs" 2;
+    Registry.add reg "store.hits" hits;
+    if warn then Registry.event reg ~kind:"store.warning" [];
     Json.lines (Obs.Export.to_jsonl reg)
   in
-  let a =
-    export (fun reg ->
-        Registry.add reg "engine.runs" 2;
-        Registry.span reg "study" (fun () -> ()))
-  in
-  let b =
-    export (fun reg ->
-        Registry.add reg "engine.runs" 2;
-        Registry.span reg "study" (fun () ->
-            Registry.span reg "layout-ops" (fun () -> ()));
-        Registry.event reg ~kind:"study.cell" [ ("n", Json.Int 1) ])
-  in
+  let a = export ~hits:0 ~warn:false and b = export ~hits:3 ~warn:true in
   let drift ignores =
     fst (Obs.Diff.diff_records ~ignores ~a_label:"a" ~b_label:"b" a b)
   in
   Alcotest.(check int) "unignored drift" 2 (List.length (drift []));
-  Alcotest.(check (list string)) "span and event ignored" []
-    (drift [ "layout-"; "study.cell" ]);
-  Alcotest.(check int) "a parent's name does not hide its child" 1
-    (List.length (drift [ "study" ]))
+  Alcotest.(check (list string)) "counter and event ignored" []
+    (drift [ "store." ]);
+  Alcotest.(check int) "a prefix, not a substring" 2
+    (List.length (drift [ "hits"; "warning" ]))
 
 (* Events pair by position in the export, whatever their kind: the same
-   three events with their kinds interleaved differently drift. *)
+   three events with their kinds interleaved differently drift. The
+   meta line is compared too. *)
 let test_diff_event_order () =
   let export kinds =
-    let reg = Registry.create ~clock:(fun () -> 0.0) () in
+    let reg = Registry.create () in
     List.iter
       (fun (kind, n) -> Registry.event reg ~kind [ ("n", Json.Int n) ])
       kinds;
@@ -91,12 +83,15 @@ let test_diff_event_order () =
   and b = export [ ("cell", 1); ("cell", 3); ("store.warning", 2) ] in
   let drift a b = fst (Obs.Diff.diff_records ~a_label:"a" ~b_label:"b" a b) in
   Alcotest.(check (list string)) "same order" [] (drift a a);
-  Alcotest.(check bool) "interleaving drifts" true (drift a b <> [])
+  Alcotest.(check bool) "interleaving drifts" true (drift a b <> []);
+  let meta2 = Json.of_string {|{"type":"meta","schema":2}|} in
+  Alcotest.(check bool) "schema drifts" true
+    (drift a (meta2 :: List.tl a) <> [])
 
 (* ---------- registry ---------- *)
 
 let test_registry_roundtrip () =
-  let reg = Registry.create ~clock:(fun () -> 0.0) () in
+  let reg = Registry.create () in
   Registry.add reg "sim.runs" 3;
   Registry.add reg "sim.runs" 4;
   Registry.add reg "sim.zero" 0;
@@ -130,62 +125,12 @@ let test_registry_roundtrip () =
       (Json.member "value" r = Some (Json.Float 0.5))
   | None -> Alcotest.fail "sim.sf not exported"
 
-(* ---------- spans ---------- *)
-
-let test_span_nesting () =
-  let t = ref 0.0 in
-  let reg = Registry.create ~clock:(fun () -> !t) () in
-  let tick d = t := !t +. d in
-  Registry.span reg "build" (fun () ->
-      tick 0.5;
-      Registry.span reg "inner" (fun () -> tick 0.5);
-      Registry.span reg "inner" (fun () -> tick 0.5);
-      Registry.span reg "other" (fun () ->
-          Registry.span reg "deep" (fun () -> tick 0.25));
-      tick 0.25);
-  (try
-     Registry.span reg "failing" (fun () ->
-         tick 1.0;
-         failwith "boom")
-   with Failure _ -> ());
-  let spans = Registry.spans reg in
-  let find path =
-    match
-      List.find_opt (fun i -> String.equal i.Registry.Span.path path) spans
-    with
-    | Some i -> i
-    | None -> Alcotest.failf "span %s missing" path
-  in
-  Alcotest.(check int) "preorder count" 5 (List.length spans);
-  Alcotest.(check (list string))
-    "preorder paths"
-    [ "build"; "build/inner"; "build/other"; "build/other/deep"; "failing" ]
-    (List.map (fun i -> i.Registry.Span.path) spans);
-  let check_span path calls seconds depth =
-    let i = find path in
-    Alcotest.(check int) (path ^ " calls") calls i.Registry.Span.calls;
-    Alcotest.(check (float 1e-9)) (path ^ " seconds") seconds i.Registry.Span.seconds;
-    Alcotest.(check int) (path ^ " depth") depth i.Registry.Span.depth
-  in
-  check_span "build" 1 2.0 0;
-  check_span "build/inner" 2 1.0 1;
-  check_span "build/other" 1 0.25 1;
-  check_span "build/other/deep" 1 0.25 2;
-  (* the exception-unwound span still accumulated its time *)
-  check_span "failing" 1 1.0 0
-
 (* ---------- golden export ---------- *)
 
 let test_export_golden () =
-  let t = ref 0.0 in
-  let reg = Registry.create ~clock:(fun () -> !t) () in
+  let reg = Registry.create () in
   Registry.add reg "a.hits" 3;
   Registry.set reg "g" 1.5;
-  Registry.span reg "build" (fun () ->
-      t := !t +. 0.5;
-      Registry.span reg "inner" (fun () -> t := !t +. 0.5);
-      Registry.span reg "inner" (fun () -> t := !t +. 0.5);
-      t := !t +. 0.5);
   Registry.event reg ~kind:"cell"
     [ ("layout", Json.Str "ops"); ("miss_pct", Json.Float 1.25) ];
   let expected =
@@ -194,21 +139,11 @@ let test_export_golden () =
         {|{"type":"meta","schema":3}|};
         {|{"type":"counter","name":"a.hits","value":3}|};
         {|{"type":"gauge","name":"g","value":1.5}|};
-        {|{"type":"span","path":"build","depth":0,"calls":1,"seconds":2}|};
-        {|{"type":"span","path":"build/inner","depth":1,"calls":2,"seconds":1}|};
         {|{"type":"event","kind":"cell","layout":"ops","miss_pct":1.25}|};
         "";
       ]
   in
   Alcotest.(check string) "golden JSONL" expected (Obs.Export.to_jsonl reg)
-
-let strip_seconds records =
-  List.map
-    (function
-      | Json.Obj fields ->
-        Json.Obj (List.filter (fun (k, _) -> k <> "seconds") fields)
-      | v -> v)
-    records
 
 (* ---------- progress ---------- *)
 
@@ -248,31 +183,75 @@ let run_with_metrics () =
   let ctx = Stc_core.Run.(with_metrics reg default) in
   let pl = Pipeline.run ~ctx ~config:tiny_config () in
   ignore (E.simulate ~ctx ~config:tiny_grid pl);
-  reg
+  Obs.Export.to_jsonl reg
 
 let test_determinism () =
-  let a = run_with_metrics () and b = run_with_metrics () in
-  let ra = strip_seconds (Json.lines (Obs.Export.to_jsonl a)) in
-  let rb = strip_seconds (Json.lines (Obs.Export.to_jsonl b)) in
-  Alcotest.(check int) "same record count" (List.length ra) (List.length rb);
-  List.iter2
-    (fun x y ->
-      if x <> y then
-        Alcotest.failf "metric drift between same-seed runs:\n%s\n%s"
-          (Json.to_string x) (Json.to_string y))
-    ra rb;
+  let a = run_with_metrics () in
+  Alcotest.(check string) "same-seed exports byte-identical" a
+    (run_with_metrics ());
   (* the export contains what the acceptance criteria ask for *)
-  let has pred = List.exists pred ra in
-  Alcotest.(check bool) "has spans" true
-    (has (fun r -> Json.member "type" r = Some (Json.Str "span")));
-  Alcotest.(check bool) "has record-test span" true
-    (has (fun r -> Json.member "path" r = Some (Json.Str "record-test")));
+  let has pred = List.exists pred (Json.lines a) in
   Alcotest.(check bool) "has table34 cells" true
     (has (fun r -> Json.member "kind" r = Some (Json.Str "table34.cell")));
   Alcotest.(check bool) "cells carry icache counters" true
     (has (fun r ->
          Json.member "kind" r = Some (Json.Str "table34.cell")
          && Json.member "icache_accesses" r <> None))
+
+(* ---------- phase and build counts, read from the trace ---------- *)
+
+(* Calls per slice path ("simulate-grid/layout-stc-ops"), from the B/E
+   events of a trace whose slices all ran on one domain. *)
+let slice_calls evs =
+  let paths = Hashtbl.create 64 and open_ = ref [] in
+  List.iter
+    (fun e ->
+      match (Json.member "ph" e, Json.member "name" e) with
+      | Some (Json.Str "B"), Some (Json.Str name) ->
+        let path =
+          match !open_ with [] -> name | parent :: _ -> parent ^ "/" ^ name
+        in
+        open_ := path :: !open_;
+        Hashtbl.add paths path ()
+      | Some (Json.Str "E"), _ -> open_ := List.tl !open_
+      | _ -> ())
+    evs;
+  fun path -> List.length (Hashtbl.find_all paths path)
+
+(* How often each phase and each layout build ran: a grid that builds
+   a layout twice, or skips a phase, changes a count. Three grid points
+   for [simulate], two sweep points for [ablation], and the first two
+   cache sizes for [extended], restricted to ops to keep the FDIP
+   replays short. *)
+let test_traced_build_counts () =
+  let tr = Obs.Trace.create () in
+  let ctx = Stc_core.Run.(with_trace tr default) in
+  let config =
+    { E.default_sim_config with E.grid = [ (8, [ 2; 4 ]); (16, [ 2 ]) ] }
+  in
+  let pl = Pipeline.run ~ctx ~config:tiny_config () in
+  ignore (E.simulate ~ctx ~config pl);
+  ignore
+    (E.ablation ~ctx ~cache_kb:8 ~exec_thresholds:[ 10; 50 ]
+       ~branch_thresholds:[ 0.3 ] ~cfa_kbs:[ 2 ] pl);
+  ignore (E.extended ~ctx ~config ~layouts:[ "ops" ] pl);
+  let calls = slice_calls (Test_obs_trace.read_back tr) in
+  let check path n = Alcotest.(check int) path n (calls path) in
+  List.iter
+    (fun (path, n) -> check path n)
+    [ ("kernel-build", 1); ("datagen", 1); ("db-load", 2);
+      ("record-training", 1); ("record-test", 1); ("build-profile", 1);
+      ("simulate-grid", 1); ("simulate-grid/layout-original", 1);
+      ("simulate-grid/layout-pettis-hansen", 1); ("layout-stc-ops", 2);
+      ("extended-grid", 1); ("extended-grid/layout-original", 1);
+      ("extended-grid/layout-pettis-hansen", 0);
+      ("extended-grid/layout-stc-ops", 2);
+      ("extended-grid/cachesim.temperature", 4) ];
+  List.iter
+    (fun a ->
+      if a.Stc_layout.Algo.uses_cfa then
+        check ("simulate-grid/layout-" ^ a.Stc_layout.Algo.slug) 3)
+    (Stc_layout.Algo.all ())
 
 let suite =
   [
@@ -282,8 +261,9 @@ let suite =
     Alcotest.test_case "diff pairs events in export order" `Quick
       test_diff_event_order;
     Alcotest.test_case "registry roundtrip" `Quick test_registry_roundtrip;
-    Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "export golden" `Quick test_export_golden;
     Alcotest.test_case "progress reporter" `Quick test_progress;
     Alcotest.test_case "same-seed determinism" `Slow test_determinism;
+    Alcotest.test_case "traced phase and build counts" `Slow
+      test_traced_build_counts;
   ]

@@ -32,7 +32,7 @@ let test_map_empty_and_serial () =
   Alcotest.(check (array int)) "empty input" [||] (Pool.map pool (fun x -> x) [||]);
   Pool.with_pool ~domains:1 @@ fun serial ->
   Alcotest.(check int)
-    "domains 1" 1 (Pool.stats serial).Pool.s_domains;
+    "domains 1" 1 (Array.length (Pool.stats serial).Pool.s_busy);
   Alcotest.(check (array int))
     "inline path" [| 0; 2; 4 |]
     (Pool.map serial (fun x -> 2 * x) (Array.init 3 (fun i -> i)))
@@ -130,26 +130,16 @@ let test_stats_accounting () =
   ignore (Pool.map ~chunk:1 pool (fun _ -> busy_work ()) (Array.init n Fun.id));
   ignore (Pool.map ~chunk:1 pool (fun _ -> busy_work ()) (Array.init n Fun.id));
   let s = Pool.stats pool in
-  Alcotest.(check int) "domains" 3 s.Pool.s_domains;
-  Alcotest.(check int) "submits" 2 s.Pool.s_submits;
   Alcotest.(check int) "slots sized to domains" 3 (Array.length s.Pool.s_busy);
-  Alcotest.(check int) "chunks sum to items" (2 * n)
-    (Array.fold_left ( + ) 0 s.Pool.s_chunks);
   Alcotest.(check bool) "wall positive" true (s.Pool.s_wall > 0.0);
-  (* busy + idle = wall per slot, by construction of idle *)
+  (* each slot's busy time is inside the maps' wall time, and every
+     domain ran at least one of the 128 single-item chunks *)
   Array.iteri
     (fun i b ->
-      let sum = b +. s.Pool.s_idle.(i) in
-      if abs_float (sum -. s.Pool.s_wall) > 1e-9 *. Float.max 1.0 s.Pool.s_wall
-      then
-        Alcotest.failf "slot %d: busy %.6f + idle %.6f <> wall %.6f" i b
-          s.Pool.s_idle.(i) s.Pool.s_wall;
-      if b < 0.0 then Alcotest.failf "slot %d: negative busy" i)
-    s.Pool.s_busy;
-  (* every domain claimed at least one of the 128 single-item chunks *)
-  Array.iteri
-    (fun i c -> if c = 0 then Alcotest.failf "slot %d claimed no chunks" i)
-    s.Pool.s_chunks
+      if b > s.Pool.s_wall then
+        Alcotest.failf "slot %d: busy %.6f above wall %.6f" i b s.Pool.s_wall;
+      if not (b > 0.0) then Alcotest.failf "slot %d ran no chunk" i)
+    s.Pool.s_busy
 
 let test_pool_tracing () =
   let tr = Stc_obs.Trace.create () in
@@ -179,14 +169,6 @@ let tiny_config = { Pipeline.quick_config with Pipeline.sf = 0.0003 }
 
 let tiny_grid = { E.default_sim_config with E.grid = [ (8, [ 2; 4 ]) ] }
 
-let strip_seconds records =
-  List.map
-    (function
-      | Json.Obj fields ->
-        Json.Obj (List.filter (fun (k, _) -> k <> "seconds") fields)
-      | v -> v)
-    records
-
 let grid_run jobs =
   let reg = Registry.create () in
   let ctx = Run.default |> Run.with_metrics reg |> Run.with_jobs jobs in
@@ -196,21 +178,14 @@ let grid_run jobs =
     E.ablation ~ctx ~cache_kb:8 ~exec_thresholds:[ 10; 50 ]
       ~branch_thresholds:[ 0.3 ] ~cfa_kbs:[ 2 ] pl
   in
-  (rows, ab, strip_seconds (Json.lines (Stc_obs.Export.to_jsonl reg)))
+  (rows, ab, Stc_obs.Export.to_jsonl reg)
 
 let test_jobs_invariance () =
   let rows1, ab1, export1 = grid_run 1 in
   let rows3, ab3, export3 = grid_run 3 in
   Alcotest.(check bool) "simulate rows identical" true (rows1 = rows3);
   Alcotest.(check bool) "ablation rows identical" true (ab1 = ab3);
-  Alcotest.(check int) "same export length" (List.length export1)
-    (List.length export3);
-  List.iter2
-    (fun x y ->
-      if x <> y then
-        Alcotest.failf "export drift between jobs=1 and jobs=3:\n%s\n%s"
-          (Json.to_string x) (Json.to_string y))
-    export1 export3
+  Alcotest.(check string) "exports byte-identical" export1 export3
 
 let suite =
   [

@@ -346,7 +346,7 @@ let tiny_config = { Pipeline.quick_config with Pipeline.sf = 0.0004 }
 let tiny_grid = { E.default_sim_config with E.grid = [ (8, [ 2 ]) ] }
 
 let run_grid ?(jobs = 1) dir =
-  let reg = Registry.create ~clock:(fun () -> 0.0) () in
+  let reg = Registry.create () in
   let ctx =
     Run.default |> Run.with_metrics reg |> Run.with_store dir
     |> Run.with_jobs jobs

@@ -254,8 +254,8 @@ let prop_bytecode_invariants =
           if not (Hashtbl.mem emitted bid) then
             QCheck.Test.fail_reportf "block %d never emitted" bid)
         program.Program.procs.(pid).Proc.blocks;
-      (* entry is the procedure's entry block *)
-      code.Bytecode.entry = program.Program.procs.(pid).Proc.entry)
+      (* the walk starts at pc 0, which emits the procedure's entry block *)
+      code.Bytecode.ops.(0) = Bytecode.Emit program.Program.procs.(pid).Proc.entry)
 
 let suite =
   [

@@ -17,10 +17,10 @@
                          events carry every study number
 
    Without --update each is compared against DIR (default "golden"): the
-   row files byte for byte, the two metrics exports through Stc_obs.Diff
-   with store.* ignored (the artifact store may or may not be warm) — which
-   also ignores span seconds, so the comparison is stable across
-   machines and --jobs values (the registry's determinism guarantee).
+   row files byte for byte, the two metrics exports exactly, record by
+   record, through Stc_obs.Diff. An export holds no wall-clock value, so
+   the comparison is stable across machines and --jobs values (the
+   registry's determinism guarantee).
    A missing golden directory, a missing snapshot file or an empty one
    is a hard error (exit 2), never a silent pass: regenerate with
    --update and commit the result. The directory check runs before the
@@ -203,13 +203,10 @@ let () =
     (* current metrics go through the same serialize/parse round trip *)
     let diff_export path reg =
       let golden = require (Obs.Diff.load_file path) in
-      let tmp = Filename.temp_file "golden_current" ".jsonl" in
-      Obs.Export.write_file reg tmp;
-      let current = require (Obs.Diff.load_file tmp) in
-      Sys.remove tmp;
+      let current = Obs.Json.lines (Obs.Export.to_jsonl reg) in
       ( fst
-          (Obs.Diff.diff_records ~ignores:[ "store." ] ~a_label:path
-             ~b_label:"current run" golden current),
+          (Obs.Diff.diff_records ~a_label:path ~b_label:"current run" golden
+             current),
         List.length golden )
     in
     let met_drift, met_records = diff_export met_path reg in

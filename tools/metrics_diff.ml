@@ -1,23 +1,16 @@
 (* Compare two metrics JSONL exports (see Stc_obs.Export for the schema)
-   and exit non-zero when deterministic values drift beyond a tolerance.
+   and exit non-zero when any value differs.
 
-     metrics_diff A.jsonl B.jsonl [--tolerance PCT] [--ignore PREFIX]...
+     metrics_diff A.jsonl B.jsonl [--ignore PREFIX]...
 
-   Compared: counters, gauges, span call counts, and every field of
-   events, kind included (paired by position in the export, so events
-   that interleave differently drift); the comparison itself lives in
-   Stc_obs.Diff, shared with the golden-regression harness
-   (tools/golden). Ignored: span "seconds"
-   (wall clock is never deterministic), plus any metric whose name, event
-   whose kind or span whose own name (last path component) starts with an
-   --ignore prefix. The canonical use is "--ignore store." to compare a
-   cold against a warm artifact-store run, whose only intended difference
-   is the store's own hit/miss counters (and, in an export written while
-   the registry still had histograms, its store.read_us/store.write_us
-   latency records); "--ignore layout-" drops the
-   per-layout build spans, for comparing runs that build layouts in
-   different places. Tolerance is relative, in percent; the default 0 demands
-   exact equality, which is what two same-seed runs must achieve.
+   Compared exactly, through Stc_obs.Diff (shared with tools/golden):
+   counters and gauges by name, and every field of events, kind
+   included, by position in the export (so events that interleave
+   differently drift). An export holds no wall-clock value, so two
+   same-seed runs must agree byte for byte. Any metric whose name or
+   event whose kind starts with an --ignore prefix is dropped from both
+   sides: "--ignore store." compares a cold with a warm artifact-store
+   run, which differ only in the store's own counters and warnings.
 
    A missing, unreadable, unparsable or *empty* input is a hard error:
    an export with zero records can only green-light a vacuous diff, so
@@ -26,33 +19,26 @@
    Exit codes: 0 no drift, 1 drift, 2 usage or input error. *)
 
 let usage () =
-  prerr_endline
-    "usage: metrics_diff A.jsonl B.jsonl [--tolerance PCT] [--ignore PREFIX]...";
+  prerr_endline "usage: metrics_diff A.jsonl B.jsonl [--ignore PREFIX]...";
   exit 2
 
 let parse_args () =
-  let files = ref [] and tolerance = ref 0.0 and ignores = ref [] in
+  let files = ref [] and ignores = ref [] in
   let rec go = function
     | [] -> ()
-    | "--tolerance" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some t when t >= 0.0 -> tolerance := t /. 100.0
-      | _ -> usage ());
-      go rest
     | "--ignore" :: p :: rest ->
       ignores := p :: !ignores;
       go rest
+    | a :: _ when String.starts_with ~prefix:"-" a -> usage ()
     | a :: rest ->
       files := a :: !files;
       go rest
   in
   go (List.tl (Array.to_list Sys.argv));
-  match List.rev !files with
-  | [ a; b ] -> (a, b, !tolerance, !ignores)
-  | _ -> usage ()
+  match List.rev !files with [ a; b ] -> (a, b, !ignores) | _ -> usage ()
 
 let () =
-  let file_a, file_b, tolerance, ignores = parse_args () in
+  let file_a, file_b, ignores = parse_args () in
   let load path =
     match Stc_obs.Diff.load_file path with
     | Ok records -> records
@@ -62,8 +48,7 @@ let () =
   in
   let a = load file_a and b = load file_b in
   let drift, compared =
-    Stc_obs.Diff.diff_records ~tolerance ~ignores ~a_label:file_a
-      ~b_label:file_b a b
+    Stc_obs.Diff.diff_records ~ignores ~a_label:file_a ~b_label:file_b a b
   in
   match drift with
   | [] ->
