@@ -112,7 +112,10 @@ let progress_arg =
   Arg.(
     value & flag
     & info [ "progress" ]
-        ~doc:"Report event rate (and ETA where known) on stderr.")
+        ~doc:
+          "Print one $(i,NAME): $(i,SECONDS)s line on stderr as each \
+           phase, layout build, grid and fused replay group ends: the \
+           spans a --trace run records, live. Outputs are unchanged.")
 
 let layouts_arg =
   Arg.(

@@ -484,12 +484,11 @@ let cell_row cell r =
    Everything a cell observes is independent of the grouping: its row
    (named after its own layout), its store key, its warm-hit
    short-circuit (a store-warm cell is dropped from the bank before the
-   sweep), its one {!Progress} tick, and what it publishes.  Groups
-   only compute: each cell gets its own store handle, and after the
-   join the runner publishes every cell's handle, [engine.*] counters
-   and cell event into the one registry in cell {e input} order, so
-   rows, metric exports and golden snapshots are byte-identical at any
-   [--jobs]. *)
+   sweep), and what it publishes.  Groups only compute: each cell gets
+   its own store handle, and after the join the runner publishes every
+   cell's handle, [engine.*] counters and cell event into the one
+   registry in cell {e input} order, so rows, metric exports and golden
+   snapshots are byte-identical at any [--jobs]. *)
 
 type fgroup = {
   g_subject : subject;
@@ -554,7 +553,7 @@ let fgroup_label cells g =
    cold result is saved to its cell's handle, all inside one
    [fused:] slice.  Returns [(input index, result, handle)] per cell;
    nothing is published here. *)
-let exec_fgroup ~(ctx : Run.ctx) ~store cells ~tick g =
+let exec_fgroup ~(ctx : Run.ctx) ~store cells g =
   Run.span ctx (fgroup_label cells g) @@ fun () ->
   let handles =
     Array.map
@@ -598,9 +597,7 @@ let exec_fgroup ~(ctx : Run.ctx) ~store cells ~tick g =
       cold
   end;
   Array.mapi
-    (fun i ix ->
-      tick ();
-      (ix, Option.get results.(i), Option.map fst handles.(i)))
+    (fun i ix -> (ix, Option.get results.(i), Option.map fst handles.(i)))
     g.g_cells
 
 (* Run planned cells: re-plan them into per-(subject, layout content)
@@ -610,7 +607,7 @@ let exec_fgroup ~(ctx : Run.ctx) ~store cells ~tick g =
    are published in input order, so outputs are byte-identical at any
    job count.  Returns each cell's row and engine result, in input
    order. *)
-let exec_cells ~(ctx : Run.ctx) ~label cells =
+let exec_cells ~(ctx : Run.ctx) cells =
   let cells = Array.of_list cells in
   let n = Array.length cells in
   (* Fingerprint each distinct subject once per grid, not once per cell:
@@ -627,40 +624,12 @@ let exec_cells ~(ctx : Run.ctx) ~label cells =
             cells ))
       ctx.Run.store
   in
-  let reporter = Run.reporter ctx ~interval:10 ~total:n ~label () in
-  let step () =
-    match reporter with Some p -> Stc_obs.Progress.step p | None -> ()
-  in
-  let groups = fused_groups cells in
-  (* Domains tick [completed] once per cell as its group finalizes it;
-     only the calling domain — which works beside the pool's domains —
-     drains the tick count into the reporter, so the (single-domain)
-     Progress state is never shared and the bar advances during the run
-     instead of jumping 0 -> 100% after the join.  With one domain the
-     caller runs every group and drains each tick at once; the post-join
-     drain accounts for cells other domains finished after the caller's
-     last one. *)
-  let completed = Atomic.make 0 in
-  let drained = ref 0 in
-  let caller = Domain.self () in
-  let drain () =
-    let d = Atomic.get completed in
-    while !drained < d do
-      incr drained;
-      step ()
-    done
-  in
-  let tick () =
-    Atomic.incr completed;
-    if Domain.self () = caller then drain ()
-  in
   let out =
     Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace:ctx.Run.trace
     @@ fun pool ->
-    Stc_par.Pool.map ~chunk:1 pool (exec_fgroup ~ctx ~store cells ~tick) groups
+    Stc_par.Pool.map ~chunk:1 pool (exec_fgroup ~ctx ~store cells)
+      (fused_groups cells)
   in
-  drain ();
-  (match reporter with Some p -> Stc_obs.Progress.finish p | None -> ());
   (* Scatter results back to input positions, then publish in that
      order. *)
   let done_ = Array.make n None in
@@ -678,7 +647,7 @@ let exec_cells ~(ctx : Run.ctx) ~label cells =
       | None -> ());
       (row, r))
 
-let run_cells ~ctx ~label cells = List.map snd (exec_cells ~ctx ~label cells)
+let run_cells ~ctx cells = List.map snd (exec_cells ~ctx cells)
 
 let stc_params (c : sim_config) ~cache_bytes ~cfa_bytes =
   L.Algo.params ~exec_threshold:c.exec_threshold
@@ -736,7 +705,9 @@ let layout_builder ~ctx ~training profile =
     match ctx.Run.store with
     | None -> fun ~algo:_ ~params:_ f -> f ()
     | Some dir ->
-      let prog_fp = Stc_store.Fp.program (P.Profile.program profile) in
+      let program = P.Profile.program profile in
+      let prog_fp = Stc_store.Fp.program program
+      and blocks = Array.length program.Stc_cfg.Program.blocks in
       let train_fp = Stc_store.Fp.trace training in
       fun ~algo ~params f ->
         let key =
@@ -749,7 +720,7 @@ let layout_builder ~ctx ~training profile =
             ]
         in
         let st = Stc_store.open_ ?trace:ctx.Run.trace dir in
-        let layout = Stc_store.Layout.cached (Some st) ~key f in
+        let layout = Stc_store.Layout.cached (Some st) ~blocks ~key f in
         Option.iter (fun reg -> Pipeline.publish_store reg st) ctx.Run.metrics;
         layout
   in
@@ -816,7 +787,7 @@ let plan_simulate ~ctx ?layouts config (pl : Pipeline.t) =
 let simulate ?(ctx = Run.default) ?(config = default_sim_config) ?layouts pl =
   Run.span ctx "simulate-grid" @@ fun () ->
   List.map fst
-    (exec_cells ~ctx ~label:"simulate" (plan_simulate ~ctx ?layouts config pl))
+    (exec_cells ~ctx (plan_simulate ~ctx ?layouts config pl))
 
 (* ---------- extended grid: prefetch × replacement ----------
 
@@ -885,7 +856,7 @@ let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
 let extended ?(ctx = Run.default) ?(config = default_sim_config) ?layouts pl =
   Run.span ctx "extended-grid" @@ fun () ->
   List.map fst
-    (exec_cells ~ctx ~label:"extended" (plan_extended ~ctx ?layouts config pl))
+    (exec_cells ~ctx (plan_extended ~ctx ?layouts config pl))
 
 let print_extended rows =
   let t =
@@ -1167,6 +1138,7 @@ let ablation ?(ctx = Run.default) ?(cache_kb = 32)
     ?(exec_thresholds = [ 1; 10; 50; 200; 1000 ])
     ?(branch_thresholds = [ 0.1; 0.3; 0.5 ]) ?(cfa_kbs = [ 4; 8; 16 ])
     (pl : Pipeline.t) =
+  Run.span ctx "ablation-grid" @@ fun () ->
   let build = pipeline_layouts ~ctx pl in
   (* serial prefix: one ops layout per sweep point *)
   let metas = ref [] and cells = ref [] in
@@ -1196,7 +1168,7 @@ let ablation ?(ctx = Run.default) ?(cache_kb = 32)
             cfa_kbs)
         branch_thresholds)
     exec_thresholds;
-  let rows = exec_cells ~ctx ~label:"ablation" (List.rev !cells) in
+  let rows = exec_cells ~ctx (List.rev !cells) in
   List.map2
     (fun (a_exec, a_branch, a_cfa_kb) ((r : row), _) ->
       {

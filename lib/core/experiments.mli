@@ -115,18 +115,18 @@ val simulate :
     place every block at the same address replay as one
     {!Stc_fetch.Engine.Bank} sweep over one {!Stc_fetch.Stream} of the
     trace, and a domain pool self-schedules whole
-    fused groups. Rows, metric exports, store keys, cached-hit
-    short-circuiting and progress ticks do not depend on the grouping or
-    the job count. With [ctx.trace], the grid runs inside a
-    [simulate-grid] slice (layout construction in child slices). With
+    fused groups. Rows, metric exports, store keys and cached-hit
+    short-circuiting do not depend on the grouping or the job count.
+    The grid runs inside a [simulate-grid] {!Run.span}, with layout
+    construction and each fused group in child spans: slices under
+    [ctx.trace], stderr lines under [ctx.progress]. With
     [ctx.metrics], every cell adds its result to the [engine.*]
     counters and emits one
     [table34.cell] event carrying the row plus the cell's
     i-cache/trace-cache counters ([cfa_kb] is JSON [null] for CFA-less
     layouts). The pool's domains write nothing to the registry: after
     the join the calling domain publishes each cell in input order, so
-    the registry is identical at any job count. With [ctx.progress], a
-    "simulate" progress line is emitted every 10 cells.
+    the registry is identical at any job count.
 
     With [ctx.store], the serial prefix loads previously built layouts by
     content key, and each cell consults its own store handle for its
@@ -168,8 +168,9 @@ val print_sequentiality : row list -> unit
 
     Every simulation above is a cell of one runner, which the
     {!Extensions} studies and the {!Tuner} share: fused {!Stc_fetch.Engine.Bank}
-    sweeps on the [ctx.jobs] pool, per-cell store caching, progress and
-    events, with {!simulate}'s determinism guarantees.
+    sweeps on the [ctx.jobs] pool, per-cell store caching, one
+    {!Run.span} per fused group, and events, with {!simulate}'s
+    determinism guarantees.
 
     Cells fuse on (subject, layout content): the same program and
     trace, and layouts with equal address arrays, whatever their names
@@ -206,11 +207,9 @@ val cell :
     [<table>.cell] event like {!simulate}'s, plus [max_branches] when not
     3 and [predictor]/[cond_branches]/[mispredictions] when predicting. *)
 
-val run_cells :
-  ctx:Run.ctx -> label:string -> cell list -> Stc_fetch.Engine.result list
-(** The cells' results in input order ([label] names the progress line).
-    With [ctx.store] every result, predicting cells' included, is loaded
-    from and saved to the store. *)
+val run_cells : ctx:Run.ctx -> cell list -> Stc_fetch.Engine.result list
+(** The cells' results in input order. With [ctx.store] every result,
+    predicting cells' included, is loaded from and saved to the store. *)
 
 val layout_builder :
   ctx:Run.ctx ->
@@ -257,7 +256,8 @@ val ablation :
     (Every ablation point builds its own ops layout, but points whose
     layouts place every block alike share one fused sweep.) With
     [ctx.metrics], each sweep point emits one [ablation.cell] event.
-    [ctx.store] caches the swept layouts and per-point engine results
+    The sweep runs inside an [ablation-grid] {!Run.span}, as {!simulate}'s
+    grid runs inside [simulate-grid]. [ctx.store] caches the swept layouts and per-point engine results
     exactly as in {!simulate}. *)
 
 val ablation_row_to_string : ablation_row -> string

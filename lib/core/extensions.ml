@@ -6,10 +6,9 @@ module Tbl = Stc_util.Tbl
 
 (* A study runs its [plan] — (row tag, cell) pairs — through the one
    grid runner and gets (row tag, engine result) pairs back.  The study
-   name is its trace slice, progress label and event table. *)
-let run_study ~ctx ~table plan =
-  List.combine (List.map fst plan)
-    (E.run_cells ~ctx ~label:table (List.map snd plan))
+   name is its trace slice and event table. *)
+let run_study ~ctx plan =
+  List.combine (List.map fst plan) (E.run_cells ~ctx (List.map snd plan))
 
 (* A profile's orig layout and its ops layout at one geometry. *)
 let orig_ops (build : ?params:_ -> _) ~cache_kb ~cfa_kb =
@@ -83,7 +82,7 @@ let inlining ?(ctx = Run.default) ?(cache_kb = 32) ?(cfa_kb = 8)
             i_ipc = F.Engine.bandwidth r;
             i_ibt = r.F.Engine.instrs_between_taken;
           })
-        (run_study ~ctx ~table (base @ inlined));
+        (run_study ~ctx (base @ inlined));
   }
 
 let print_inlining r =
@@ -160,7 +159,7 @@ let oltp ?(ctx = Run.default) ?(train_txns = 300) ?(test_txns = 600)
             o_ipc = F.Engine.bandwidth r;
             o_ibt = r.F.Engine.instrs_between_taken;
           })
-        (run_study ~ctx ~table plan);
+        (run_study ~ctx plan);
   }
 
 let print_oltp r =
@@ -229,7 +228,7 @@ let prediction ?(ctx = Run.default) ?(cache_kb = 32) ?(cfa_kb = 8)
         p_accuracy = accuracy_pct r;
         p_ipc = F.Engine.bandwidth r;
       })
-    (run_study ~ctx ~table plan)
+    (run_study ~ctx plan)
 
 let print_prediction rows =
   print_endline
@@ -297,7 +296,7 @@ let per_query ?(ctx = Run.default) (pl : Pipeline.t) =
       :: rows rest
     | _ -> []
   in
-  rows (run_study ~ctx ~table plan)
+  rows (run_study ~ctx plan)
 
 let print_per_query rows =
   Printf.printf "Per-query i-cache miss rates (%dKB, cold start per query):\n"
@@ -342,7 +341,7 @@ let fetch_units ?(ctx = Run.default) (pl : Pipeline.t) =
   List.map
     (fun ((s_layout, s_max_branches), r) ->
       { s_layout; s_max_branches; s_ipc = F.Engine.bandwidth r })
-    (run_study ~ctx ~table plan)
+    (run_study ~ctx plan)
 
 let print_fetch_units rows =
   print_endline
@@ -393,7 +392,7 @@ let associativity ?(ctx = Run.default) (pl : Pipeline.t) =
         a_miss = F.Engine.miss_rate_pct r;
         a_ipc = F.Engine.bandwidth r;
       })
-    (run_study ~ctx ~table plan)
+    (run_study ~ctx plan)
 
 let print_associativity rows =
   Printf.printf
@@ -452,7 +451,7 @@ let tuning ?(ctx = Run.default) (pl : Pipeline.t) =
       List.map
         (fun (name, r) ->
           (name, F.Engine.bandwidth r, F.Engine.miss_rate_pct r))
-        (run_study ~ctx ~table plan);
+        (run_study ~ctx plan);
   }
 
 let print_tuning r =

@@ -128,7 +128,6 @@ let run ?(ctx = Run.default) ?(config = default_config) () =
   in
   let metrics = ctx.Run.metrics in
   let span name f = Run.span ctx name f in
-  let reporter label = Run.reporter ctx ~label () in
   let store = Stc_store.of_ctx ctx in
   let kernel = span "kernel-build" (fun () -> Kernel.build ~config:config.kernel ()) in
   let data =
@@ -151,9 +150,7 @@ let run ?(ctx = Run.default) ?(config = default_config) () =
   let record which ~prefix ~walker_seed ~dbs ~queries =
     span ("record-" ^ which) (fun () ->
         let fresh () =
-          Stc_workload.Driver.record
-            ?progress:(reporter ("record-" ^ which))
-            ~kernel ~walker_seed ~dbs ~queries ()
+          Stc_workload.Driver.record ~kernel ~walker_seed ~dbs ~queries ()
         in
         let recorder =
           match store with

@@ -40,15 +40,15 @@ val seeded : int -> config -> config
     coincide). This is what {!run} applies when [ctx.seed] is set. *)
 
 val run : ?ctx:Run.ctx -> ?config:config -> unit -> t
-(** Build everything. With [ctx.trace], each phase (kernel build, data
-    generation, database load, trace recording, profile build) runs inside
-    a trace slice. With [ctx.metrics], each recording publishes four
+(** Build everything. Each phase (kernel build, data generation,
+    database load, trace recording, profile build) runs inside a
+    {!Run.span}: a trace slice with [ctx.trace], a stderr line with
+    [ctx.progress]. With [ctx.metrics], each recording publishes four
     counters under [training.] / [test.], counted from the recorded trace:
     [walker.blocks] and [trace.blocks] (the trace length),
     [walker.instrs] (the recorded blocks' instructions) and
-    [trace.marks] (one per query). With [ctx.progress], trace recording reports
-    rate on stderr. With [ctx.seed], [config] is first passed through
-    {!seeded}. [ctx.jobs] is not read here — the pipeline is inherently
+    [trace.marks] (one per query). With [ctx.seed], [config] is first
+    passed through {!seeded}. [ctx.jobs] is not read here — the pipeline is inherently
     sequential; pass the same [ctx] on to {!Experiments.simulate}.
 
     With [ctx.store], the training and test recordings are consulted in

@@ -52,8 +52,7 @@ let tune ?(ctx = Run.default) ?(cache_kb = 32) (pl : Pipeline.t) =
   in
   let scores =
     Array.of_list
-      (List.map F.Engine.bandwidth
-         (Experiments.run_cells ~ctx ~label:"tune" cells))
+      (List.map F.Engine.bandwidth (Experiments.run_cells ~ctx cells))
   in
   (* first-seen candidate wins ties *)
   let best = ref 0 in

@@ -29,11 +29,21 @@ let with_store dir ctx = { ctx with store = Some dir }
 
 let with_trace tr ctx = { ctx with trace = Some tr }
 
-(* A [Run.span] is a timeline slice only: the registry holds no
-   timings, so the call is safe on any domain. *)
+(* A [Run.span] is a timeline slice and, under [ctx.progress], one
+   stderr line when [f] returns.  It writes no registry, so the call is
+   safe on any domain; the line goes out in one [prerr_string], which
+   takes the channel lock once, so lines from two domains never
+   interleave ([Printf.eprintf] writes a line in pieces). *)
 let span ctx name f =
-  match ctx.trace with Some tr -> Trace.span tr name f | None -> f ()
-
-let reporter ctx ?interval ?total ~label () =
-  if ctx.progress then Some (Progress.create ?interval ?total ~label ())
-  else None
+  let slice () =
+    match ctx.trace with Some tr -> Trace.span tr name f | None -> f ()
+  in
+  if not ctx.progress then slice ()
+  else begin
+    let t0 = Unix.gettimeofday () in
+    let v = slice () in
+    prerr_string
+      (Printf.sprintf "%s: %.3fs\n" name (Unix.gettimeofday () -. t0));
+    flush stderr;
+    v
+  end

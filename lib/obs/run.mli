@@ -1,7 +1,7 @@
 (** The run context: one value carrying everything an entry point needs
     to know about {e how} to run — observability sinks, seeding, and
-    parallelism — so that APIs take a single [?ctx] instead of growing a
-    [?metrics]/[?progress]/[?seed]/[?jobs] optional each.
+    parallelism — so that APIs take a single [?ctx] instead of growing
+    an optional argument for each of them.
 
     [Stc_core.Run] re-exports this module; library users normally write
 
@@ -21,7 +21,8 @@
 type ctx = {
   metrics : Registry.t option;
       (** Registry collecting counters/gauges/events; [None] = don't. *)
-  progress : bool;  (** Report rate/ETA lines on stderr. *)
+  progress : bool;
+      (** Print each {!span}'s wall time on stderr as it ends. *)
   seed : int option;
       (** Master seed; entry points that build randomized state derive
           their sub-seeds from it (see {!Stc_core.Pipeline.seeded}). *)
@@ -69,8 +70,8 @@ val with_trace : Trace.t -> ctx -> ctx
 
 val span : ctx -> string -> (unit -> 'a) -> 'a
 (** A {!Trace.span} slice when tracing is on, a plain call otherwise.
-    It writes no registry, so any domain may call it. *)
-
-val reporter :
-  ctx -> ?interval:int -> ?total:int -> label:string -> unit -> Progress.t option
-(** A {!Progress} reporter when [ctx.progress], [None] otherwise. *)
+    With [ctx.progress] it also times the call and, when it returns,
+    writes one [<name>: <seconds>s] line to stderr, so a run prints,
+    live, exactly the slices a traced run records. It writes no
+    registry, so any domain may call it; lines from concurrent domains
+    never interleave. *)

@@ -502,15 +502,25 @@ module Layout = struct
     Dec.finish d;
     { Stc_layout.Layout.name; addr }
 
-  let load t ~key = load_with t ~kind ~version ~decode key
+  (* A CRC-valid entry of another length would index out of bounds in
+     the replay, so it is damage. Only the length is checked: an
+     overlap sort would cost every warm load. *)
+  let load t ~blocks ~key =
+    let decode payload =
+      let l = decode payload in
+      let n = Array.length l.Stc_layout.Layout.addr in
+      if n <> blocks then corrupt "layout of %d blocks, want %d" n blocks;
+      l
+    in
+    load_with t ~kind ~version ~decode key
 
   let save t ~key l = write t ~kind ~version key (encode l)
 
-  let cached store ~key compute =
+  let cached store ~blocks ~key compute =
     match store with
     | None -> compute ()
     | Some t -> (
-      match load t ~key with
+      match load t ~blocks ~key with
       | Some l -> l
       | None ->
         let l = compute () in

@@ -164,10 +164,14 @@ module Layout : sig
 
   val decode : string -> Stc_layout.Layout.t
 
-  val load : t -> key:Key.t -> Stc_layout.Layout.t option
+  val load : t -> blocks:int -> key:Key.t -> Stc_layout.Layout.t option
+  (** An entry whose address array does not hold [blocks] addresses
+      (the program's block count) is damage: a counted miss with a
+      warning, as a bad CRC is. *)
 
   val cached :
     t option ->
+    blocks:int ->
     key:Key.t ->
     (unit -> Stc_layout.Layout.t) ->
     Stc_layout.Layout.t

@@ -13,19 +13,13 @@ let jobs ~dbs ~queries =
 
 let job_name j = Printf.sprintf "%s/Q%d" j.db_label j.query
 
-let record ?progress ~kernel ~walker_seed ~dbs ~queries () =
+let record ~kernel ~walker_seed ~dbs ~queries () =
   (* start from a cold, reproducible buffer pool *)
   List.iter (fun (_, db) -> Stc_db.Bufmgr.reset (Stc_db.Database.bufmgr db)) dbs;
   let recorder = Recorder.create () in
-  let sink =
-    match progress with
-    | None -> Recorder.sink recorder
-    | Some p ->
-      fun bid ->
-        Recorder.sink recorder bid;
-        Stc_obs.Progress.step p
+  let walker =
+    Kernel.make_walker kernel ~seed:walker_seed ~sink:(Recorder.sink recorder)
   in
-  let walker = Kernel.make_walker kernel ~seed:walker_seed ~sink in
   (Probe.with_walker walker @@ fun () ->
    List.iter
      (fun job ->
@@ -34,5 +28,4 @@ let record ?progress ~kernel ~walker_seed ~dbs ~queries () =
        let plan = Queries.plan job.db job.query in
        ignore (Stc_db.Exec.run job.db plan))
      (jobs ~dbs ~queries));
-  (match progress with Some p -> Stc_obs.Progress.finish p | None -> ());
   recorder

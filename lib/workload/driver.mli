@@ -3,7 +3,6 @@
     paper's setup implies ("all queries were run to completion"). *)
 
 val record :
-  ?progress:Stc_obs.Progress.t ->
   kernel:Stc_synth.Kernel.t ->
   walker_seed:int64 ->
   dbs:(string * Stc_db.Database.t) list ->
@@ -14,8 +13,6 @@ val record :
     completion under one walker seeded with [walker_seed] (per job —
     databases outermost, then queries — a mark named ["<db>/Q<n>"], then the walk of the parser and optimizer,
     then the plan through the instrumented executor). Buffer pools are reset
-    first, so the same inputs always produce the same trace. With
-    [?progress], the reporter is stepped once per recorded block and
-    finished at the end. Nothing here counts: a run's walker and trace
-    statistics are counted from the returned recorder
-    ([Stc_core.Pipeline.run]). *)
+    first, so the same inputs always produce the same trace. Nothing
+    here counts: a run's walker and trace statistics are counted from
+    the returned recorder ([Stc_core.Pipeline.run]). *)

@@ -1,9 +1,10 @@
 (* The built stc_repro binary on bad input: each case must fail with a
    defined exit code and message before the pipeline is built, which
-   prints its first line to stdout — so stdout stays empty. Then the
-   built tools/bench_diff on result lines and a spec the tests write,
-   tools/metrics_diff on exports the tests write, and tools/golden
-   without its snapshots. *)
+   prints its first line to stdout — so stdout stays empty. Then one
+   small run with and without --progress, the built tools/bench_diff on
+   result lines and a spec the tests write, tools/metrics_diff on
+   exports the tests write, tools/golden without its snapshots, and
+   tools/trace_report on a trace the test writes. *)
 
 let built path =
   Filename.concat
@@ -17,6 +18,8 @@ let bench_diff_exe = built "tools/bench_diff.exe"
 let metrics_diff_exe = built "tools/metrics_diff.exe"
 
 let golden_exe = built "tools/golden.exe"
+
+let trace_report_exe = built "tools/trace_report.exe"
 
 (* A fresh scratch directory, removed afterwards. *)
 let with_tmp f =
@@ -129,6 +132,56 @@ let test_frames_below_one () =
              "stc_repro: Bufmgr.create: frames must be >= 1, got %s\n" frames)
         [ "simulate"; "--quick"; "--frames=" ^ frames ])
     [ "0"; "-3" ]
+
+(* "<name>: <seconds>s" -> name *)
+let progress_name line =
+  let tail i = String.sub line i (String.length line - i) in
+  match String.rindex_opt line ':' with
+  | Some i when Scanf.sscanf_opt (tail i) ": %fs%!" ignore = Some () ->
+    String.sub line 0 i
+  | _ -> Alcotest.failf "not a <name>: <seconds>s line: %S" line
+
+(* --progress prints one line per Run.span as it ends: the names of the
+   trace's B/E slices but the pool's chunks and the engine's own, as a
+   multiset. It changes no output, and without it stderr stays empty. *)
+let test_progress () =
+  with_tmp @@ fun dir ->
+  let path name = Filename.concat dir name in
+  let simulate tag flags =
+    let code, _, err =
+      run
+        ([ "simulate"; "--quick"; "--seed"; "1"; "--scale"; "0.00007";
+           "--layouts"; "ops"; "--jobs"; "2"; "--trace"; path (tag ^ ".json");
+           "--metrics"; path (tag ^ ".jsonl") ]
+        @ flags)
+    in
+    Alcotest.(check int) (tag ^ " exit code") 0 code;
+    err
+  in
+  Alcotest.(check string) "stderr without --progress" ""
+    (simulate "plain" []);
+  let err = simulate "progress" [ "--progress" ] in
+  Alcotest.(check bool) "exports cmp-equal" true
+    (Test_store.read_file (path "plain.jsonl")
+    = Test_store.read_file (path "progress.jsonl"));
+  let lines =
+    match List.rev (String.split_on_char '\n' err) with
+    | "" :: rev -> List.rev rev
+    | _ -> Alcotest.failf "stderr does not end in a newline: %S" err
+  in
+  let spans =
+    match Stc_obs.Json.of_string (Test_store.read_file (path "progress.json")) with
+    | Stc_obs.Json.List evs ->
+      List.filter (fun e -> Test_obs_trace.str "ph" e = "B") evs
+      |> List.map (Test_obs_trace.str "name")
+      |> List.filter (fun n ->
+             n <> "pool.chunk" && not (String.starts_with ~prefix:"engine." n))
+    | _ -> Alcotest.fail "trace file is not a JSON array"
+  in
+  Alcotest.(check bool) "some spans" true (List.length spans > 10);
+  Alcotest.(check (list string)) "one line per span"
+    (List.sort compare spans)
+    (List.sort compare (List.map progress_name lines))
 
 (* tools/bench_diff against a spec of the tests' own, so that a change
    to BENCHMARK.json's bounds cannot move these cases. *)
@@ -251,6 +304,27 @@ let test_golden_missing_dir () =
   Alcotest.(check bool) "names the directory" true
     (Astring_like.contains err ("snapshot directory " ^ missing ^ " missing"))
 
+(* trace_report's phase table lists the calling domain's (tid 0)
+   depth-0 slices only: a pool domain's chunk is pool utilization, not a
+   phase. *)
+let test_trace_report_phases () =
+  with_tmp @@ fun dir ->
+  let trace = Filename.concat dir "trace.json" in
+  Test_store.write_file trace
+    {|[{"name":"datagen","ph":"B","ts":0,"pid":0,"tid":0},
+{"name":"pool.chunk","ph":"B","ts":10,"pid":0,"tid":1},
+{"name":"pool.chunk","ph":"E","ts":20,"pid":0,"tid":1},
+{"name":"datagen","ph":"E","ts":30,"pid":0,"tid":0}]
+|};
+  let code, out, _ = run ~binary:trace_report_exe [ trace ] in
+  Alcotest.(check int) "exit code" 0 code;
+  List.iter
+    (fun (what, text, listed) ->
+      Alcotest.(check bool) what listed (Astring_like.contains out text))
+    [ ("the phase", "datagen", true);
+      ("the chunk as a phase", "pool.chunk", false);
+      ("the chunk as pool time", "domain-1", true) ]
+
 let suite =
   [
     Alcotest.test_case "branch threshold outside [0, 1]" `Quick
@@ -267,6 +341,7 @@ let suite =
     Alcotest.test_case "scale below two orders rows" `Quick
       test_scale_below_two_orders;
     Alcotest.test_case "frames below 1" `Quick test_frames_below_one;
+    Alcotest.test_case "progress prints the traced spans" `Quick test_progress;
     Alcotest.test_case "bench_diff identical sides" `Quick test_bench_identical;
     Alcotest.test_case "bench_diff end-to-end medians" `Quick test_bench_end_to_end;
     Alcotest.test_case "bench_diff per-layer not gated" `Quick
@@ -280,4 +355,6 @@ let suite =
       test_metrics_diff_errors;
     Alcotest.test_case "golden missing snapshot directory" `Quick
       test_golden_missing_dir;
+    Alcotest.test_case "trace_report phases are the caller's" `Quick
+      test_trace_report_phases;
   ]

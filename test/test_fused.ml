@@ -425,9 +425,7 @@ let test_content_equal_layouts_fuse () =
       Stc_core.Run.default |> Stc_core.Run.with_metrics reg
       |> Stc_core.Run.with_trace tr
     in
-    let results =
-      List.concat_map (fun cells -> E.run_cells ~ctx ~label:"twins" cells) grids
-    in
+    let results = List.concat_map (E.run_cells ~ctx) grids in
     let slices =
       let open Stc_obs.Json in
       List.filter_map

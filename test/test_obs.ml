@@ -4,8 +4,6 @@ module Registry = Stc_obs.Registry
 module E = Stc_core.Experiments
 module Pipeline = Stc_core.Pipeline
 
-let contains = Astring_like.contains
-
 (* ---------- json ---------- *)
 
 let test_json_roundtrip () =
@@ -145,33 +143,6 @@ let test_export_golden () =
   in
   Alcotest.(check string) "golden JSONL" expected (Obs.Export.to_jsonl reg)
 
-(* ---------- progress ---------- *)
-
-let test_progress () =
-  let t = ref 0.0 in
-  let lines = ref [] in
-  let p =
-    Obs.Progress.create ~interval:10 ~total:100
-      ~clock:(fun () ->
-        t := !t +. 0.01;
-        !t)
-      ~emit:(fun s -> lines := s :: !lines)
-      ~label:"trace" ()
-  in
-  for _ = 1 to 25 do
-    Obs.Progress.step p
-  done;
-  Alcotest.(check int) "reports every interval" 2 (List.length !lines);
-  for _ = 1 to 100 do
-    Obs.Progress.step p
-  done;
-  Alcotest.(check int) "one report per interval" 12 (List.length !lines);
-  Obs.Progress.finish p;
-  Obs.Progress.finish p;
-  Alcotest.(check int) "finish reports once" 13 (List.length !lines);
-  Alcotest.(check bool) "final line shows count/total" true
-    (contains (List.hd !lines) "trace: 125/100 (125%)")
-
 (* ---------- determinism over the real pipeline ---------- *)
 
 let tiny_config = { Pipeline.quick_config with Pipeline.sf = 0.0003 }
@@ -242,7 +213,8 @@ let test_traced_build_counts () =
     [ ("kernel-build", 1); ("datagen", 1); ("db-load", 2);
       ("record-training", 1); ("record-test", 1); ("build-profile", 1);
       ("simulate-grid", 1); ("simulate-grid/layout-original", 1);
-      ("simulate-grid/layout-pettis-hansen", 1); ("layout-stc-ops", 2);
+      ("simulate-grid/layout-pettis-hansen", 1); ("ablation-grid", 1);
+      ("layout-stc-ops", 0); ("ablation-grid/layout-stc-ops", 2);
       ("extended-grid", 1); ("extended-grid/layout-original", 1);
       ("extended-grid/layout-pettis-hansen", 0);
       ("extended-grid/layout-stc-ops", 2);
@@ -262,7 +234,6 @@ let suite =
       test_diff_event_order;
     Alcotest.test_case "registry roundtrip" `Quick test_registry_roundtrip;
     Alcotest.test_case "export golden" `Quick test_export_golden;
-    Alcotest.test_case "progress reporter" `Quick test_progress;
     Alcotest.test_case "same-seed determinism" `Slow test_determinism;
     Alcotest.test_case "traced phase and build counts" `Slow
       test_traced_build_counts;

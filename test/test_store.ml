@@ -133,25 +133,26 @@ let test_cached_repairs () =
     layout
   in
   (* miss -> compute -> write *)
-  let l1 = Store.Layout.cached (Some st) ~key compute in
+  let cached store = Store.Layout.cached store ~blocks:4 ~key compute in
+  let l1 = cached (Some st) in
   Alcotest.(check int) "computed once" 1 !computed;
   Alcotest.(check bool) "round-tripped" true (l1 = layout);
   (* hit -> no recompute *)
-  ignore (Store.Layout.cached (Some st) ~key compute);
+  ignore (cached (Some st));
   Alcotest.(check int) "served from store" 1 !computed;
   (* corrupt the entry: cached recomputes and repairs it *)
   let path = entry_path dir in
   write_file path (String.sub (read_file path) 0 8);
-  let l2 = Store.Layout.cached (Some st) ~key compute in
+  let l2 = cached (Some st) in
   Alcotest.(check int) "recomputed after damage" 2 !computed;
   Alcotest.(check bool) "addresses intact" true (l2 = layout);
   Alcotest.(check bool) "damage warned" true (Store.warnings st <> []);
   (* the rewrite healed the entry *)
-  (match Store.Layout.load st ~key with
+  (match Store.Layout.load st ~blocks:4 ~key with
   | Some l -> Alcotest.(check bool) "healed" true (l = layout)
   | None -> Alcotest.fail "entry not repaired");
   (* a None store computes every time *)
-  ignore (Store.Layout.cached None ~key compute);
+  ignore (cached None);
   Alcotest.(check int) "no store, no cache" 3 !computed
 
 (* ---------- codec round-trip properties ---------- *)
@@ -452,6 +453,41 @@ let test_uncreatable_store_dir () =
     (rows = plain);
   Alcotest.(check bool) "store.warning recorded" true (warnings reg <> [])
 
+(* A CRC-valid layout entry of the wrong length (here orig's, one
+   address long) is damage, not a layout: the run recomputes it, warns
+   once and rewrites the entry, instead of replaying out of bounds. *)
+let test_short_layout_entry () =
+  let plain =
+    E.simulate ~config:tiny_grid (Pipeline.run ~config:tiny_config ())
+  in
+  with_dir @@ fun dir ->
+  ignore (run_grid dir);
+  let is_orig e =
+    e.Store.e_kind = "layout"
+    &&
+    match Store.payload_of_file e.Store.e_path with
+    | Some p -> (Store.Layout.decode p).Stc_layout.Layout.name = "orig"
+    | None -> false
+  in
+  let orig = List.find is_orig (Store.scan dir) in
+  let good = read_file orig.Store.e_path in
+  Store.write (Store.open_ dir) ~kind:"layout" ~version:orig.Store.e_version
+    (Store.Key.of_hex orig.Store.e_key)
+    (Store.Layout.encode { Stc_layout.Layout.name = "orig"; addr = [| 0 |] });
+  let reg, rows = run_grid dir in
+  Alcotest.(check bool) "rows identical to a store-less run" true
+    (rows = plain);
+  let layout_warnings =
+    List.filter
+      (fun (_, fields) ->
+        List.assoc_opt "artifact" fields = Some (Stc_obs.Json.Str "layout"))
+      (warnings reg)
+  in
+  Alcotest.(check int) "one layout warning" 1 (List.length layout_warnings);
+  Alcotest.(check int) "counted corrupt" 1 (store_counter reg "store.corrupt");
+  Alcotest.(check bool) "entry rewritten" true
+    (read_file orig.Store.e_path = good)
+
 (* ---------- ctx plumbing ---------- *)
 
 let test_with_store () =
@@ -483,6 +519,8 @@ let suite =
       test_uncreatable_store_dir;
     Alcotest.test_case "store exports identical at jobs 1 and 3" `Slow
       test_store_exports_jobs_invariant;
+    Alcotest.test_case "short layout entry is a damaged miss" `Slow
+      test_short_layout_entry;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -2,7 +2,6 @@
    outputs and diff them against committed snapshots.
 
      golden [--update] [--golden DIR] [--jobs N] [--seed N]
-            [--layouts CSV]
 
    One quick pipeline run (seeded, default 1) produces five artifacts:
 
@@ -26,11 +25,6 @@
    --update and commit the result. The directory check runs before the
    pipeline, so a misconfigured checkout fails in milliseconds.
 
-   --layouts CSV restricts the per-CFA grid rows to the named layout
-   algorithms (Stc_layout.Algo registry names; default all). The
-   committed snapshots are generated with the default, so pass it only
-   against a matching --golden directory.
-
    Exit codes: 0 clean, 1 drift, 2 usage/missing-snapshot error. *)
 
 module E = Stc_core.Experiments
@@ -41,16 +35,14 @@ module Obs = Stc_obs
 
 let usage () =
   prerr_endline
-    "usage: golden [--update] [--golden DIR] [--jobs N] [--seed N] \
-     [--layouts CSV]";
+    "usage: golden [--update] [--golden DIR] [--jobs N] [--seed N]";
   exit 2
 
 let parse_args () =
   let update = ref false
   and dir = ref "golden"
   and jobs = ref 1
-  and seed = ref 1
-  and layouts = ref None in
+  and seed = ref 1 in
   let rec go = function
     | [] -> ()
     | "--update" :: rest ->
@@ -65,22 +57,10 @@ let parse_args () =
     | "--seed" :: v :: rest ->
       (match int_of_string_opt v with Some s -> seed := s | _ -> usage ());
       go rest
-    | "--layouts" :: v :: rest ->
-      let names =
-        String.split_on_char ',' v
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      (match E.resolve_layouts names with
-      | Ok _ -> layouts := Some names
-      | Error msg ->
-        Printf.eprintf "golden: %s\n" msg;
-        usage ());
-      go rest
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!update, !dir, !jobs, !seed, !layouts)
+  (!update, !dir, !jobs, !seed)
 
 let write_lines path lines =
   let oc = open_out path in
@@ -125,7 +105,7 @@ let diff_lines ~name golden current =
   go 1 golden current
 
 let () =
-  let update, dir, jobs, seed, layouts = parse_args () in
+  let update, dir, jobs, seed = parse_args () in
   (* Refuse a comparison against nothing before paying for the run: an
      absent golden directory used to surface only as per-file read
      errors after the full pipeline had completed. *)
@@ -142,15 +122,9 @@ let () =
     |> Run.with_jobs jobs
   in
   let pl = Pipeline.run ~ctx ~config:Pipeline.quick_config () in
-  let sim_lines =
-    List.map E.row_to_string (E.simulate ~ctx ?layouts pl)
-  in
-  let abl_lines =
-    List.map E.ablation_row_to_string (E.ablation ~ctx pl)
-  in
-  let ext_lines =
-    List.map E.ext_row_to_string (E.extended ~ctx ?layouts pl)
-  in
+  let sim_lines = List.map E.row_to_string (E.simulate ~ctx pl) in
+  let abl_lines = List.map E.ablation_row_to_string (E.ablation ~ctx pl) in
+  let ext_lines = List.map E.ext_row_to_string (E.extended ~ctx pl) in
   let studies_reg = Obs.Registry.create () in
   (let ctx = { ctx with Run.metrics = Some studies_reg } in
    ignore (X.inlining ~ctx pl);

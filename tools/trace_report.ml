@@ -3,8 +3,9 @@
      trace_report TRACE.json [--top N] [--assert-utilization PCT]
                   [--layers SPEC]
 
-   Reports total wall clock, a table of top-level slices (per-phase wall
-   time), pool utilization per domain (share of the pool window each
+   Reports total wall clock, a table of the calling domain's (tid 0)
+   top-level slices (per-phase wall time; a pool domain's depth-0
+   "pool.chunk" slices are not phases), pool utilization per domain (share of the pool window each
    domain spent inside "pool.chunk" slices), fused replay sweeps
    ("engine.fused" Complete slices, one per bank sweep with the number
    of cells it fused), the N slowest fused grid groups ("fused:..."
@@ -177,7 +178,7 @@ let group_by key value items =
   List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
 
 let top_level_table slices =
-  let tops = List.filter (fun s -> s.s_depth = 0) slices in
+  let tops = List.filter (fun s -> s.s_depth = 0 && s.s_tid = 0) slices in
   if tops <> [] then begin
     section "top-level slices";
     let tbl =
