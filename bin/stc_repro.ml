@@ -266,10 +266,8 @@ let with_pipeline c body =
   Printf.printf
     "Building kernel, loading TPC-D data (sf=%.4g), tracing Training and Test sets...\n%!"
     config.Pipeline.sf;
-  let t0 = Unix.gettimeofday () in
   let pl = Pipeline.run ~ctx ~config () in
-  Printf.printf "Setup done in %.1fs: test trace has %d basic blocks.\n\n%!"
-    (Unix.gettimeofday () -. t0)
+  Printf.printf "Setup done: test trace has %d basic blocks.\n\n%!"
     (Stc_trace.Recorder.length pl.Pipeline.test);
   let result = body ctx pl in
   report_store reg c.store;
@@ -277,13 +275,11 @@ let with_pipeline c body =
   finish_trace tracer c.trace;
   result
 
-(* Run a simulation grid between a start line and a timing line. *)
-let timed_grid ctx what grid =
+(* Run a simulation grid between a start line and a count line. *)
+let reported_grid ctx what grid =
   Printf.printf "Simulating the %s (%d jobs)...\n%!" what ctx.Run.jobs;
-  let t0 = Unix.gettimeofday () in
   let rows = grid () in
-  Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
-    (Unix.gettimeofday () -. t0);
+  Printf.printf "%d simulations.\n\n%!" (List.length rows);
   rows
 
 let print_characterization pl =
@@ -318,7 +314,7 @@ let simulate_run c exec branch layouts =
   let config = sim_config exec branch in
   with_pipeline c (fun ctx pl ->
       print_tables34
-        (timed_grid ctx "full Table 3 / Table 4 grid" (fun () ->
+        (reported_grid ctx "full Table 3 / Table 4 grid" (fun () ->
              E.simulate ~ctx ~config ?layouts pl)))
 
 let simulate_term =
@@ -333,7 +329,7 @@ let extended_cmd =
     let config = sim_config exec branch in
     with_pipeline c (fun ctx pl ->
         E.print_extended
-          (timed_grid ctx "extended policy/prefetch grid" (fun () ->
+          (reported_grid ctx "extended policy/prefetch grid" (fun () ->
                E.extended ~ctx ~config ?layouts pl)))
   in
   Cmd.v
@@ -373,10 +369,8 @@ let check_cmd =
       with_pipeline c (fun ctx pl ->
           Printf.printf
             "Running layout validators and differential oracles...\n%!";
-          let t0 = Unix.gettimeofday () in
           let report = Stc_check.run_all ~ctx pl in
-          Printf.printf "Checks done in %.1fs.\n\n%!"
-            (Unix.gettimeofday () -. t0);
+          Printf.printf "Checks done.\n\n%!";
           Stc_check.print_report report;
           Stc_check.ok report)
     in

@@ -13,8 +13,9 @@ let () =
   let sf = try float_of_string Sys.argv.(1) with _ -> 0.001 in
   let config = { Pipeline.quick_config with Pipeline.sf } in
 
-  (* Execute every TPC-D query untraced on the B-tree database and show
-     the result sizes, as a user of the engine library would. *)
+  (* Execute every Training and Test set query untraced on the B-tree
+     database and show the result sizes, as a user of the engine library
+     would. *)
   let data = Stc_dbdata.Datagen.generate ~sf () in
   let db = Database.load data ~kind:Database.Btree_db in
   Printf.printf "Query results on the B-tree database (sf=%.4g):\n" sf;

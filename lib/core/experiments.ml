@@ -533,19 +533,31 @@ let fused_groups cells =
          })
        !acc)
 
-(* e.g. "fused:table34 auto+ops (6 cells)": every layout name the group
-   serves, in first-appearance order *)
+(* e.g. "fused:table34 ops 32/16+64/16 (8 cells)": every layout name the
+   group serves, then every <cache>/<cfa> point of its cells that have a
+   CFA, each in first-appearance order; a group without a CFA names its
+   layouts only ("fused:table34 orig (18 cells)").  The grid point is
+   named as far as the cells carry it: the ablation's sweep points differ
+   in STC thresholds no cell holds, so several of its groups share a
+   label. *)
 let fgroup_label cells g =
-  let names =
+  let distinct f =
     Array.fold_left
       (fun acc i ->
-        let name = cells.(i).c_layout.L.Layout.name in
-        if List.mem name acc then acc else name :: acc)
+        match f cells.(i) with
+        | Some x when not (List.mem x acc) -> x :: acc
+        | _ -> acc)
       [] g.g_cells
+    |> List.rev |> String.concat "+"
   in
-  Printf.sprintf "fused:%s %s (%d cells)"
-    cells.(g.g_cells.(0)).c_table
-    (String.concat "+" (List.rev names))
+  let names = distinct (fun c -> Some c.c_layout.L.Layout.name) in
+  let points =
+    distinct (fun c ->
+        Option.map (Printf.sprintf "%d/%d" c.c_cache_kb) c.c_cfa_kb)
+  in
+  Printf.sprintf "fused:%s %s%s (%d cells)"
+    cells.(g.g_cells.(0)).c_table names
+    (if points = "" then "" else " " ^ points)
     (Array.length g.g_cells)
 
 (* Execute one fused group: each member cell opens its own store handle

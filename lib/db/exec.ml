@@ -39,7 +39,8 @@ type iscan = Bt_scan of Btree.scan | Hx_scan of Hashidx.scan
 let iscan_begin idx key =
   match (idx, key) with
   | Database.Bt bt, `Eq k -> Bt_scan (Btree.begin_eq bt k)
-  | Database.Bt bt, `Range (lo, hi) -> Bt_scan (Btree.begin_range bt ~lo ~hi)
+  | Database.Bt bt, `Range (lo, hi) ->
+    Bt_scan (Btree.begin_range bt ~lo:(Some lo) ~hi:(Some hi))
   | Database.Hx hx, `Eq k -> Hx_scan (Hashidx.begin_eq hx k)
   | Database.Hx _, `Range _ ->
     invalid_arg "Exec: range scan over a hash index"
@@ -285,7 +286,7 @@ let fresh_acc spec = { spec; count = 0; sum = 0 }
 let agg_expr spec =
   match spec with
   | Plan.Count -> Expr.Const 1
-  | Plan.Sum e | Plan.Avg e -> e
+  | Plan.Sum e -> e
 
 let k_advance = Probe.key "advance_aggregates"
 
@@ -306,7 +307,6 @@ let finalize_acc acc =
   match acc.spec with
   | Plan.Count -> acc.count
   | Plan.Sum _ -> acc.sum
-  | Plan.Avg _ -> if acc.count = 0 then 0 else acc.sum / acc.count
 
 let k_agg = Probe.key "ExecAgg"
 

@@ -8,7 +8,6 @@ type t =
   | Mul of t * t
   | Div of t * t
   | Eq of t * t
-  | Ne of t * t
   | Lt of t * t
   | Le of t * t
   | Gt of t * t
@@ -48,8 +47,7 @@ let rec eval e tuple =
   else if
     Probe.cond "is_binary"
       (match e with
-      | Sub _ | Mul _ | Div _ | Eq _ | Ne _ | Lt _ | Le _ | Gt _ | Ge _ ->
-        true
+      | Sub _ | Mul _ | Div _ | Eq _ | Lt _ | Le _ | Gt _ | Ge _ -> true
       | _ -> false)
   then begin
     let l, r =
@@ -58,7 +56,6 @@ let rec eval e tuple =
       | Mul (l, r)
       | Div (l, r)
       | Eq (l, r)
-      | Ne (l, r)
       | Lt (l, r)
       | Le (l, r)
       | Gt (l, r)
@@ -73,7 +70,6 @@ let rec eval e tuple =
     | Mul _ -> lv * rv
     | Div _ -> if rv = 0 then 0 else lv / rv
     | Eq _ -> b2i (lv = rv)
-    | Ne _ -> b2i (lv <> rv)
     | Lt _ -> b2i (lv < rv)
     | Le _ -> b2i (lv <= rv)
     | Gt _ -> b2i (lv > rv)

@@ -9,7 +9,6 @@ type t =
   | Mul of t * t
   | Div of t * t  (** Integer division; division by zero yields 0. *)
   | Eq of t * t
-  | Ne of t * t
   | Lt of t * t
   | Le of t * t
   | Gt of t * t

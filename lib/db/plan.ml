@@ -1,9 +1,9 @@
 type key =
   | Key_const_eq of int
   | Key_outer_eq of int
-  | Key_range of int option * int option
+  | Key_range of int * int
 
-type agg = Count | Sum of Expr.t | Avg of Expr.t
+type agg = Count | Sum of Expr.t
 
 type t =
   | Seq_scan of { table : string; quals : Expr.t list }

@@ -1,6 +1,8 @@
 (** Query execution plans — the tree the Parsing-Optimization kernel would
-    hand to the Executor (we hand-write the plans for the TPC-D queries, as
-    the paper notes that parse/optimize time is negligible).
+    hand to the Executor (we hand-write the plans for the Training and Test
+    set queries and the OLTP transactions, as the paper notes that
+    parse/optimize time is negligible). The language holds only the forms
+    those plans build.
 
     Tuples flowing out of a join are the concatenation (outer @ inner) of
     the input tuples; column indices in expressions and sort keys refer to
@@ -11,10 +13,10 @@ type key =
   | Key_outer_eq of int
       (** Index equality with a column of the enclosing nest-loop's outer
           tuple (a parameterized index path). *)
-  | Key_range of int option * int option
-      (** Inclusive range; B-tree indexes only. *)
+  | Key_range of int * int
+      (** Inclusive [(lo, hi)] range; B-tree indexes only. *)
 
-type agg = Count | Sum of Expr.t | Avg of Expr.t
+type agg = Count | Sum of Expr.t
 
 type t =
   | Seq_scan of { table : string; quals : Expr.t list }

@@ -73,7 +73,6 @@ module C = struct
   let custkey = 0
   let nationkey = 1
   let mktsegment = 2
-  let acctbal = 3
 end
 
 module P = struct
@@ -107,8 +106,6 @@ module L = struct
   let quantity = 4
   let extendedprice = 5
   let discount = 6
-  let returnflag = 8
-  let linestatus = 9
   let shipdate = 10
   let commitdate = 11
   let receiptdate = 12

@@ -40,7 +40,6 @@ module C : sig
   val custkey : int
   val nationkey : int
   val mktsegment : int
-  val acctbal : int
 end
 
 module P : sig
@@ -74,8 +73,6 @@ module L : sig
   val quantity : int
   val extendedprice : int
   val discount : int
-  val returnflag : int
-  val linestatus : int
   val shipdate : int
   val commitdate : int
   val receiptdate : int

@@ -22,7 +22,6 @@ let rec eval e (tu : int array) =
     let rv = eval r tu in
     if rv = 0 then 0 else eval l tu / rv
   | Expr.Eq (l, r) -> b2i (eval l tu = eval r tu)
-  | Expr.Ne (l, r) -> b2i (eval l tu <> eval r tu)
   | Expr.Lt (l, r) -> b2i (eval l tu < eval r tu)
   | Expr.Le (l, r) -> b2i (eval l tu <= eval r tu)
   | Expr.Gt (l, r) -> b2i (eval l tu > eval r tu)
@@ -46,15 +45,12 @@ let concat = Stc_db.Tuple.concat
 
 let agg_expr = function
   | Plan.Count -> Expr.Const 1
-  | Plan.Sum e | Plan.Avg e -> e
+  | Plan.Sum e -> e
 
 let finalize spec values =
   match spec with
   | Plan.Count -> List.length values
   | Plan.Sum _ -> List.fold_left ( + ) 0 values
-  | Plan.Avg _ ->
-    if values = [] then 0
-    else List.fold_left ( + ) 0 values / List.length values
 
 (* Stable group-by over an already-sorted stream. *)
 let group_sorted cols aggs rows =
@@ -96,14 +92,10 @@ let rec run_plan t param (plan : Plan.t) : int array list =
         | Some outer -> List.filter (fun tu -> tu.(col) = outer.(oc)) rows
         | None -> invalid_arg "Oracle: parameterized scan without param")
       | Plan.Key_range (lo, hi) ->
-        let ok v =
-          (match lo with Some l -> v >= l | None -> true)
-          && match hi with Some h -> v <= h | None -> true
-        in
         (* a B-tree range scan returns key order (ties in heap order) *)
         List.stable_sort
           (fun a b -> compare a.(col) b.(col))
-          (List.filter (fun tu -> ok tu.(col)) rows)
+          (List.filter (fun tu -> tu.(col) >= lo && tu.(col) <= hi) rows)
     in
     List.filter (quals_pass quals) rows
   | Plan.Nest_loop { outer; inner; quals } ->

@@ -143,12 +143,14 @@ let progress_name line =
 
 (* --progress prints one line per Run.span as it ends: the names of the
    trace's B/E slices but the pool's chunks and the engine's own, as a
-   multiset. It changes no output, and without it stderr stays empty. *)
+   multiset. It changes no output: stdout holds no timings, so the two
+   runs print the same once each one's own file names are masked. Without
+   it stderr stays empty. *)
 let test_progress () =
   with_tmp @@ fun dir ->
   let path name = Filename.concat dir name in
   let simulate tag flags =
-    let code, _, err =
+    let code, out, err =
       run
         ([ "simulate"; "--quick"; "--seed"; "1"; "--scale"; "0.00007";
            "--layouts"; "ops"; "--jobs"; "2"; "--trace"; path (tag ^ ".json");
@@ -156,11 +158,12 @@ let test_progress () =
         @ flags)
     in
     Alcotest.(check int) (tag ^ " exit code") 0 code;
-    err
+    (Astring_like.replace ~sub:(path tag) ~by:(path "RUN") out, err)
   in
-  Alcotest.(check string) "stderr without --progress" ""
-    (simulate "plain" []);
-  let err = simulate "progress" [ "--progress" ] in
+  let plain_out, plain_err = simulate "plain" [] in
+  Alcotest.(check string) "stderr without --progress" "" plain_err;
+  let out, err = simulate "progress" [ "--progress" ] in
+  Alcotest.(check string) "stdout equal" plain_out out;
   Alcotest.(check bool) "exports cmp-equal" true
     (Test_store.read_file (path "plain.jsonl")
     = Test_store.read_file (path "progress.jsonl"));
@@ -306,13 +309,14 @@ let test_golden_missing_dir () =
 
 (* trace_report's phase table lists the calling domain's (tid 0)
    depth-0 slices only: a pool domain's chunk is pool utilization, not a
-   phase. *)
+   phase. The fused sweeps are one summary line of their own. *)
 let test_trace_report_phases () =
   with_tmp @@ fun dir ->
   let trace = Filename.concat dir "trace.json" in
   Test_store.write_file trace
     {|[{"name":"datagen","ph":"B","ts":0,"pid":0,"tid":0},
 {"name":"pool.chunk","ph":"B","ts":10,"pid":0,"tid":1},
+{"name":"engine.fused","ph":"X","ts":12,"dur":5,"pid":0,"tid":1,"args":{"bytes":3}},
 {"name":"pool.chunk","ph":"E","ts":20,"pid":0,"tid":1},
 {"name":"datagen","ph":"E","ts":30,"pid":0,"tid":0}]
 |};
@@ -323,7 +327,11 @@ let test_trace_report_phases () =
       Alcotest.(check bool) what listed (Astring_like.contains out text))
     [ ("the phase", "datagen", true);
       ("the chunk as a phase", "pool.chunk", false);
-      ("the chunk as pool time", "domain-1", true) ]
+      ("the chunk as pool time", "domain-1", true) ];
+  Alcotest.(check bool) "the sweeps' summary line" true
+    (List.exists
+       (String.starts_with ~prefix:"1 sweep(s) fusing 3 cell(s)")
+       (String.split_on_char '\n' out))
 
 let suite =
   [

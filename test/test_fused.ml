@@ -10,8 +10,7 @@
      N = 1 this is streamed replay against materialized replay;
    - Experiments: a store-warm subset (some cells cached from an
      earlier smaller grid, the rest fused in one sweep) produces the
-     same rows, counters and events as a cold run, and a grid's rows
-     and exports are identical at jobs 1 and 4;
+     same rows, counters and events as a cold run;
    - content keys: two physically distinct layouts with equal address
      arrays replay in one sweep, with the rows and export of the same
      cells run as separate grids. *)
@@ -375,25 +374,6 @@ let test_store_warm_subset () =
   Alcotest.(check bool) "subset rows consistent" true
     (List.for_all (fun r -> List.mem r ref_rows) small_rows)
 
-(* A grid's rows and metric export do not depend on the job count:
-   whole fused groups self-schedule on the pool, and the runner
-   publishes every cell after the join, in input order. *)
-let test_fused_grid_identical () =
-  let run ~jobs =
-    let reg = Registry.create () in
-    let ctx =
-      Stc_core.Run.default |> Stc_core.Run.with_metrics reg
-      |> Stc_core.Run.with_jobs jobs
-    in
-    let pl = Pipeline.run ~ctx ~config:tiny_config () in
-    let rows = E.simulate ~ctx ~config:small_grid pl in
-    (Stc_obs.Export.to_jsonl reg, rows)
-  in
-  let ref_export, ref_rows = run ~jobs:1 in
-  let export, rows = run ~jobs:4 in
-  Alcotest.(check bool) "jobs=4 rows" true (rows = ref_rows);
-  Alcotest.(check string) "jobs=4 export" ref_export export
-
 (* ---------- Experiments: content-keyed fusion ---------- *)
 
 (* Two layout objects with equal address arrays (and different names)
@@ -467,8 +447,6 @@ let suite =
       test_replay_allocates_nothing;
     Alcotest.test_case "store-warm subset fuses the rest" `Slow
       test_store_warm_subset;
-    Alcotest.test_case "fused grid identical across jobs" `Slow
-      test_fused_grid_identical;
     Alcotest.test_case "content-equal layouts share one sweep" `Quick
       test_content_equal_layouts_fuse;
   ]

@@ -143,57 +143,31 @@ let test_export_golden () =
   in
   Alcotest.(check string) "golden JSONL" expected (Obs.Export.to_jsonl reg)
 
-(* ---------- determinism over the real pipeline ---------- *)
+(* ---------- phase and build counts, read from the trace ---------- *)
 
 let tiny_config = { Pipeline.quick_config with Pipeline.sf = 0.0003 }
 
-let tiny_grid = { E.default_sim_config with E.grid = [ (8, [ 2 ]) ] }
-
-let run_with_metrics () =
-  let reg = Registry.create () in
-  let ctx = Stc_core.Run.(with_metrics reg default) in
-  let pl = Pipeline.run ~ctx ~config:tiny_config () in
-  ignore (E.simulate ~ctx ~config:tiny_grid pl);
-  Obs.Export.to_jsonl reg
-
-let test_determinism () =
-  let a = run_with_metrics () in
-  Alcotest.(check string) "same-seed exports byte-identical" a
-    (run_with_metrics ());
-  (* the export contains what the acceptance criteria ask for *)
-  let has pred = List.exists pred (Json.lines a) in
-  Alcotest.(check bool) "has table34 cells" true
-    (has (fun r -> Json.member "kind" r = Some (Json.Str "table34.cell")));
-  Alcotest.(check bool) "cells carry icache counters" true
-    (has (fun r ->
-         Json.member "kind" r = Some (Json.Str "table34.cell")
-         && Json.member "icache_accesses" r <> None))
-
-(* ---------- phase and build counts, read from the trace ---------- *)
-
-(* Calls per slice path ("simulate-grid/layout-stc-ops"), from the B/E
-   events of a trace whose slices all ran on one domain. *)
-let slice_calls evs =
-  let paths = Hashtbl.create 64 and open_ = ref [] in
+(* The path of every slice, outermost name first, one per call, from
+   the B/E events of a trace whose slices all ran on one domain. *)
+let slice_paths evs =
+  let paths = ref [] and open_ = ref [] in
   List.iter
     (fun e ->
       match (Json.member "ph" e, Json.member "name" e) with
       | Some (Json.Str "B"), Some (Json.Str name) ->
-        let path =
-          match !open_ with [] -> name | parent :: _ -> parent ^ "/" ^ name
-        in
-        open_ := path :: !open_;
-        Hashtbl.add paths path ()
+        open_ := name :: !open_;
+        paths := List.rev !open_ :: !paths
       | Some (Json.Str "E"), _ -> open_ := List.tl !open_
       | _ -> ())
     evs;
-  fun path -> List.length (Hashtbl.find_all paths path)
+  !paths
 
 (* How often each phase and each layout build ran: a grid that builds
    a layout twice, or skips a phase, changes a count. Three grid points
    for [simulate], two sweep points for [ablation], and the first two
    cache sizes for [extended], restricted to ops to keep the FDIP
-   replays short. *)
+   replays short. A fused group's slice names the grid point it replays,
+   so no two of a grid's [fused:] slices share a name. *)
 let test_traced_build_counts () =
   let tr = Obs.Trace.create () in
   let ctx = Stc_core.Run.(with_trace tr default) in
@@ -206,7 +180,11 @@ let test_traced_build_counts () =
     (E.ablation ~ctx ~cache_kb:8 ~exec_thresholds:[ 10; 50 ]
        ~branch_thresholds:[ 0.3 ] ~cfa_kbs:[ 2 ] pl);
   ignore (E.extended ~ctx ~config ~layouts:[ "ops" ] pl);
-  let calls = slice_calls (Test_obs_trace.read_back tr) in
+  let paths = slice_paths (Test_obs_trace.read_back tr) in
+  (* calls per slice path ("simulate-grid/layout-stc-ops") *)
+  let calls path =
+    List.length (List.filter (fun p -> String.concat "/" p = path) paths)
+  in
   let check path n = Alcotest.(check int) path n (calls path) in
   List.iter
     (fun (path, n) -> check path n)
@@ -223,7 +201,24 @@ let test_traced_build_counts () =
     (fun a ->
       if a.Stc_layout.Algo.uses_cfa then
         check ("simulate-grid/layout-" ^ a.Stc_layout.Algo.slug) 3)
-    (Stc_layout.Algo.all ())
+    (Stc_layout.Algo.all ());
+  List.iter
+    (fun grid ->
+      let labels =
+        List.filter_map
+          (function
+            | [ g; "pool.chunk"; label ]
+              when g = grid && String.starts_with ~prefix:"fused:" label ->
+              Some label
+            | _ -> None)
+          paths
+      in
+      Alcotest.(check bool) (grid ^ " has fused slices") true (labels <> []);
+      Alcotest.(check (list string))
+        (grid ^ " fused labels distinct")
+        (List.sort_uniq compare labels)
+        (List.sort compare labels))
+    [ "simulate-grid"; "extended-grid" ]
 
 let suite =
   [
@@ -234,7 +229,6 @@ let suite =
       test_diff_event_order;
     Alcotest.test_case "registry roundtrip" `Quick test_registry_roundtrip;
     Alcotest.test_case "export golden" `Quick test_export_golden;
-    Alcotest.test_case "same-seed determinism" `Slow test_determinism;
     Alcotest.test_case "traced phase and build counts" `Slow
       test_traced_build_counts;
   ]

@@ -180,12 +180,21 @@ let grid_run jobs =
   in
   (rows, ab, Stc_obs.Export.to_jsonl reg)
 
+(* Rows and the metrics export do not depend on the job count: whole
+   fused groups self-schedule on the pool, and the runner publishes every
+   cell after the join, in input order. The export holds the cells and
+   their i-cache counters. *)
 let test_jobs_invariance () =
   let rows1, ab1, export1 = grid_run 1 in
   let rows3, ab3, export3 = grid_run 3 in
   Alcotest.(check bool) "simulate rows identical" true (rows1 = rows3);
   Alcotest.(check bool) "ablation rows identical" true (ab1 = ab3);
-  Alcotest.(check string) "exports byte-identical" export1 export3
+  Alcotest.(check string) "exports byte-identical" export1 export3;
+  let has pred = List.exists pred (Json.lines export1) in
+  let cell r = Json.member "kind" r = Some (Json.Str "table34.cell") in
+  Alcotest.(check bool) "has table34 cells" true (has cell);
+  Alcotest.(check bool) "cells carry icache counters" true
+    (has (fun r -> cell r && Json.member "icache_accesses" r <> None))
 
 let suite =
   [

@@ -117,7 +117,7 @@ let test_all_queries_traced_both_dbs () =
     Stc_workload.Driver.record ~kernel ~walker_seed:3L ~dbs
       ~queries:Stc_workload.Queries.all ()
   in
-  Alcotest.(check int) "all jobs marked" 34
+  Alcotest.(check int) "all jobs marked" 24
     (List.length (Recorder.marks recorder));
   match
     Check.check_all kernel.Kernel.program (fun f ->
@@ -128,7 +128,7 @@ let test_all_queries_traced_both_dbs () =
 
 let test_bufmgr_traffic () =
   let db = Lazy.force db_btree in
-  ignore (run_query_untraced db 1);
+  ignore (run_query_untraced db 6);
   let bm = Database.bufmgr db in
   Alcotest.(check bool) "buffer manager saw traffic" true
     (Stc_db.Bufmgr.hits bm + Stc_db.Bufmgr.misses bm > 0)

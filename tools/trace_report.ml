@@ -6,11 +6,12 @@
    Reports total wall clock, a table of the calling domain's (tid 0)
    top-level slices (per-phase wall time; a pool domain's depth-0
    "pool.chunk" slices are not phases), pool utilization per domain (share of the pool window each
-   domain spent inside "pool.chunk" slices), fused replay sweeps
-   ("engine.fused" Complete slices, one per bank sweep with the number
-   of cells it fused), the N slowest fused grid groups ("fused:..."
-   slices, one per layout group of a simulation grid, --top, default
-   10), and the artifact-store time split (store.hit / store.miss /
+   domain spent inside "pool.chunk" slices), one line counting the fused
+   replay sweeps ("engine.fused" Complete slices, one per bank sweep
+   with the number of cells it fused) and their cells, the N slowest
+   fused grid groups ("fused:..." slices, one per layout group of a
+   simulation grid, named by its layouts and grid points, --top,
+   default 10), and the artifact-store time split (store.hit / store.miss /
    store.write Complete events: per op the calls, total, p50 and p99
    durations and byte volume — the store's only latency record).
 
@@ -254,35 +255,21 @@ let pool_utilization slices =
     Some mean
 
 (* Engine banks emit one "engine.fused" Complete slice per sweep,
-   carrying the number of cells fused into it.  Sweeps are few and long
-   — list each one. *)
+   carrying the number of cells fused into it: one summary line.  The
+   slowest-groups table names the slow sweeps by their grid group. *)
 let fused_sweeps slices =
   let fs = List.filter (fun s -> s.s_name = "engine.fused") slices in
   if fs <> [] then begin
     section "fused sweeps (engine.fused)";
-    let tbl =
-      Tbl.create
-        ~headers:
-          [ ("domain", Tbl.Left); ("cells", Tbl.Right); ("wall", Tbl.Right) ]
-    in
-    List.iter
-      (fun s ->
-        Tbl.add_row tbl
-          [
-            Printf.sprintf "domain-%d" s.s_tid;
-            string_of_int s.s_bytes;
-            fus s.s_dur;
-          ])
-      fs;
-    print_string (Tbl.render tbl);
     let cells = List.fold_left (fun acc s -> acc + s.s_bytes) 0 fs in
     Printf.printf "%d sweep(s) fusing %d cell(s), %.1f cells/sweep\n\n"
       (List.length fs) cells
       (float_of_int cells /. float_of_int (List.length fs))
   end
 
-(* Simulation grids run each layout's cells as one fused group inside a
-   "fused:<table> <layout> (<n> cells)" span. *)
+(* Simulation grids run each group of cells that share a layout as one
+   fused sweep inside a "fused:<table> <layouts> [<cache>/<cfa>...]
+   (<n> cells)" span. *)
 let top_groups slices top =
   let groups =
     List.filter (fun s -> String.starts_with ~prefix:"fused:" s.s_name) slices
